@@ -9,8 +9,15 @@ Sweep output is CSV with the resolved configuration embedded as leading
 ``#`` comment lines and the fixed header
 ``algo,pct,cost,lp_obj,unfairness,group,ell,ell_prime,ms,seed``: one row
 per group, then a summary row with group ``all``.  ``lp_obj`` is the fair
-LP optimum at that percentage (facility-location sweeps only).  Exit codes:
-0 success, 2 configuration error, 3 solver error.
+LP optimum at that percentage (facility-location sweeps only), taken over
+the allowed facility-client pairs only: it lower-bounds the solutions that
+keep within the budgets and assign through allowed pairs, while LPR and GDF
+assign over the full metric, so on a pruned instance their cost may fall
+below it.  A sweep runs one chain per algorithm: that algorithm's
+percentages in order, in one process, with the LP re-solved warm from one
+percentage to the next (see ``fairfl.lp.LpChain``), so output bytes do not
+depend on ``--jobs``.  Exit codes: 0 success, 2 configuration error, 3
+solver error.
 """
 
 from __future__ import annotations
@@ -21,7 +28,7 @@ import math
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -37,7 +44,7 @@ from .data import (
     sample_clients,
     select_facilities_kmeans,
 )
-from .greedy import gdf_f, gdf_nf
+from .greedy import GreedyError, gdf_f, gdf_nf
 from .instance import (
     IntegralSolution,
     MetricInstance,
@@ -45,8 +52,17 @@ from .instance import (
     prune_pairs,
     unfairness,
 )
-from .kmedian import ls_nf, r_ls_f, r_ls_nf
-from .lp import AGGREGATE, PER_GROUP, LpError, build_flfo_lp, build_gap_instance, solve_lp, write_mps
+from .kmedian import LocalSearchError, ls_nf, r_ls_f, r_ls_nf
+from .lp import (
+    AGGREGATE,
+    PER_GROUP,
+    LpChain,
+    LpError,
+    build_flfo_lp,
+    build_gap_instance,
+    solve_lp,
+    write_mps,
+)
 from .oracle import exact_flfo, exact_kmfo
 from .rounding import RoundingConfig, RoundingError, lpr_pipeline
 
@@ -70,6 +86,7 @@ class RunParams:
     eps_guess: float = 0.5
     improve_frac: float = 0.01
     k: int = 5
+    lp_chain: Optional[LpChain] = None  # shared by the LP solves of one sweep chain
 
 
 @dataclass
@@ -338,10 +355,10 @@ def run_algorithm(
 ) -> IntegralSolution:
     if algo == "lpr-f":
         cfg = RoundingConfig(params.epsilon, params.open_threshold)
-        return lpr_pipeline(inst, budgets, cfg, PER_GROUP)[0]
+        return lpr_pipeline(inst, budgets, cfg, PER_GROUP, chain=params.lp_chain)[0]
     if algo == "lpr-nf":
         cfg = RoundingConfig(params.epsilon, params.open_threshold)
-        return lpr_pipeline(inst, budgets, cfg, AGGREGATE)[0]
+        return lpr_pipeline(inst, budgets, cfg, AGGREGATE, chain=params.lp_chain)[0]
     if algo == "gdf-f":
         return gdf_f(inst, budgets)
     if algo == "gdf-nf":
@@ -355,17 +372,14 @@ def run_algorithm(
     raise ConfigError(f"unknown algorithm {algo!r}")
 
 
-def _cell_worker(payload):
-    """One sweep cell; module-level so process pools can pickle it."""
-    kind, algo, pct, inst, budgets, params, problem, seed = payload
+def _cell_worker(payload) -> SweepRecord:
+    """One sweep cell: one algorithm at one percentage."""
+    algo, pct, inst, budgets, params, problem, seed = payload
     start = time.perf_counter()
-    if kind == "lp":
-        value = solve_lp(build_flfo_lp(inst, budgets, PER_GROUP)).objective_value
-        return ("lp", pct), value
     sol = run_algorithm(algo, inst, budgets, params)
     ms = (time.perf_counter() - start) * 1000.0
     cost = sol.total_cost if problem == "fl" else sol.connection_cost
-    record = SweepRecord(
+    return SweepRecord(
         algo=algo,
         pct=pct,
         cost=cost,
@@ -376,7 +390,30 @@ def _cell_worker(payload):
         ms=ms,
         seed=seed,
     )
-    return (algo, pct), record
+
+
+def _chain_worker(payload) -> tuple[list[SweepRecord], list[float]]:
+    """One algorithm's cells at every percentage, in order, on one LpChain;
+    module-level so process pools can pickle it.
+
+    ``algo`` None runs no cells.  With ``want_lp`` the fair LP optimum at
+    each percentage is returned too, read from the chain's memo when the
+    algorithm already solved that LP (lpr-f) and solved on the chain
+    otherwise.  The chain's HiGHS models are released when it ends.
+    """
+    algo, pcts, budget_list, inst, params, problem, seed, want_lp = payload
+    records, lp_objs = [], []
+    with LpChain() as chain:
+        params = replace(params, lp_chain=chain)
+        for pct, budgets in zip(pcts, budget_list):
+            if algo is not None:
+                records.append(_cell_worker((algo, pct, inst, budgets, params, problem, seed)))
+            if want_lp:
+                frac = chain.solved(budgets, PER_GROUP)
+                if frac is None:
+                    frac = solve_lp(build_flfo_lp(inst, budgets, PER_GROUP), chain=chain)
+                lp_objs.append(frac.objective_value)
+    return records, lp_objs
 
 
 def run_sweep(inst: MetricInstance, cfg: dict) -> list[SweepRecord]:
@@ -397,30 +434,34 @@ def run_sweep(inst: MetricInstance, cfg: dict) -> list[SweepRecord]:
         k=cfg["k"],
     )
     pcts = list(cfg["pcts"])
-    payloads = []
-    for pct in pcts:
-        budgets = budgets_from_pct(inst, pct)
-        if problem == "fl":
-            payloads.append(("lp", "lp", pct, inst, budgets, params, problem, cfg["seed"]))
-        for algo in algos:
-            payloads.append(("algo", algo, pct, inst, budgets, params, problem, cfg["seed"]))
+    budget_list = [budgets_from_pct(inst, pct) for pct in pcts]
+    # one chain per distinct algorithm; the lpr-f chain also reports lp_obj,
+    # and without lpr-f a chain of its own solves the fair LP
+    wants_lp = problem == "fl" and bool(algos)
+    chains = list(dict.fromkeys(algos))
+    if wants_lp and "lpr-f" not in chains:
+        chains.append(None)
+    payloads = [
+        (algo, pcts, budget_list, inst, params, problem, cfg["seed"],
+         wants_lp and algo in ("lpr-f", None))
+        for algo in chains
+    ]
+    if cfg["jobs"] > 1 and len(payloads) > 1:
+        with ProcessPoolExecutor(max_workers=min(cfg["jobs"], len(payloads))) as pool:
+            outputs = list(pool.map(_chain_worker, payloads))
+    else:
+        outputs = [_chain_worker(payload) for payload in payloads]
 
     results: dict = {}
-    if cfg["jobs"] > 1 and len(payloads) > 1:
-        with ProcessPoolExecutor(max_workers=cfg["jobs"]) as pool:
-            for key, value in pool.map(_cell_worker, payloads):
-                results[key] = value
-    else:
-        for payload in payloads:
-            key, value = _cell_worker(payload)
-            results[key] = value
-
+    lp_obj: dict = {}
+    for algo, (records, lp_objs) in zip(chains, outputs):
+        results.update(((algo, rec.pct), rec) for rec in records)
+        lp_obj.update(zip(pcts, lp_objs))
     records = []
     for pct in pcts:
-        lp_obj = results.get(("lp", pct))
         for algo in algos:
             record = results[(algo, pct)]
-            record.lp_obj = lp_obj
+            record.lp_obj = lp_obj.get(pct)
             records.append(record)
     return records
 
@@ -636,7 +677,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (ConfigError, DataError, FileNotFoundError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (LpError, RoundingError) as exc:
+    except (LpError, RoundingError, GreedyError, LocalSearchError) as exc:
         print(f"solver error: {exc}", file=sys.stderr)
         return 3
 

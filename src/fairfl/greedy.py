@@ -22,6 +22,10 @@ from .instance import IntegralSolution, MetricInstance, OutlierBudgets, assign_n
 _TIME_TOL = 1e-9
 
 
+class GreedyError(RuntimeError):
+    """The event simulation reached a state its invariants exclude."""
+
+
 @dataclass
 class DualState:
     """Mutable simulation state (one global clock drives all budgets)."""
@@ -133,9 +137,11 @@ def _dual_fit(
     guard = n + m + 1
     while state.active_groups.any():
         guard -= 1
-        assert guard >= 0, "event loop failed to terminate"
+        if guard < 0:
+            raise GreedyError("event loop failed to terminate")
         active = state.active_clients()
-        assert active.any(), "active group with no available clients"
+        if not active.any():
+            raise GreedyError("active group with no available clients")
 
         best: tuple = (np.inf, m, n, "none")
         act_idx = np.flatnonzero(active)
@@ -158,8 +164,10 @@ def _dual_fit(
                 best = cand
 
         t, facility, client, kind = best
-        assert np.isfinite(t), "no next event despite unmet coverage"
-        assert t >= state.alpha - _TIME_TOL
+        if not np.isfinite(t):
+            raise GreedyError("no next event despite unmet coverage")
+        if t < state.alpha - _TIME_TOL:
+            raise GreedyError(f"next event at {t!r} precedes the clock {state.alpha!r}")
         state.alpha = max(state.alpha, t)
 
         if kind == "connect":

@@ -19,6 +19,10 @@ import numpy as np
 from .instance import IntegralSolution, MetricInstance, OutlierBudgets, assign_nearest
 
 
+class LocalSearchError(RuntimeError):
+    """Local search broke its checked swap-count bound."""
+
+
 @dataclass(frozen=True)
 class PenaltyInstance:
     """k-median where each client may opt out by paying its penalty.
@@ -143,7 +147,8 @@ def local_search_penalties(pinst: PenaltyInstance, improve_frac: float = 0.01) -
     if accepted and cost > 0:
         # each accepted swap shrinks cost by factor <= (1 - improve_frac)
         bound = math.log(start_cost / cost) / math.log(1.0 / (1.0 - improve_frac))
-        assert accepted <= bound + 1e-6, f"{accepted} swaps exceeds decay bound {bound:.3f}"
+        if accepted > bound + 1e-6:
+            raise LocalSearchError(f"{accepted} swaps exceeds decay bound {bound:.3f}")
     return _canonical_solution(pinst, open_list)
 
 

@@ -6,20 +6,37 @@ opening value per facility, one outlier value per client, all boxed to
 never exceeds opening, and outlier mass per group (or in total, for the
 non-fair variant) stays within budget.
 
-Solving is delegated to scipy's HiGHS backend, which is deterministic for a
-fixed model; every solution is re-verified against the model by an
-independent residual pass before being returned.
+Solving goes through the HiGHS solver bundled with scipy, which is
+deterministic for a fixed sequence of operations.  An ``LpChain`` keeps one
+HiGHS model per fairness mode and re-solves it from the previous optimal
+basis when only the budget rows change, as they do across the outlier
+percentages of a sweep; ``solve_lp`` is a chain of one solve.  Every
+solution is re-verified against the model by an independent residual pass
+before being returned.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Optional
 
 import numpy as np
 from scipy import sparse
 from scipy.optimize import linprog
+
+try:  # private module: scipy releases without it fall back to linprog
+    from scipy.optimize._highspy._core import (
+        HighsLp,
+        HighsModelStatus,
+        HighsOptions,
+        MatrixFormat,
+        _Highs,
+        kHighsInf,
+        simplex_constants,
+    )
+except ImportError:
+    _Highs = None
 
 from .instance import MetricInstance, OutlierBudgets, Point
 
@@ -126,6 +143,12 @@ class FractionalSolution:
         return np.bincount(self.pair_cli, weights=self.x_values, minlength=len(self.z))
 
 
+def _budget_rhs(budgets: OutlierBudgets, fairness: str) -> np.ndarray:
+    """Right-hand sides of the budget rows: one per group, or their total."""
+    caps = budgets.per_group if fairness == PER_GROUP else (budgets.total,)
+    return np.array(caps, dtype=float)
+
+
 def build_flfo_lp(
     inst: MetricInstance, budgets: OutlierBudgets, fairness: str = PER_GROUP
 ) -> LpModel:
@@ -158,14 +181,10 @@ def build_flfo_lp(
     cols += [p_idx, y_off + fac]
     data += [np.ones(n_pairs), -np.ones(n_pairs)]
     # budgets on z
-    if fairness == PER_GROUP:
-        n_budget = inst.n_groups
-        rows.append(n + n_pairs + inst.groups)
-        budget_rhs = np.array(budgets.per_group, dtype=float)
-    else:
-        n_budget = 1
-        rows.append(np.full(n, n + n_pairs))
-        budget_rhs = np.array([budgets.total], dtype=float)
+    budget_rhs = _budget_rhs(budgets, fairness)
+    n_budget = len(budget_rhs)
+    budget_row = inst.groups if fairness == PER_GROUP else np.zeros(n, dtype=np.int64)
+    rows.append(n + n_pairs + budget_row)
     cols.append(z_off + np.arange(n))
     data.append(np.ones(n))
 
@@ -193,18 +212,16 @@ def _verify_residuals(model: LpModel, values: np.ndarray) -> None:
         raise LpError(f"inequality residual {worst:.2e} beyond tolerance")
 
 
-def solve_lp(model: LpModel, pivot_cap: Optional[int] = None) -> FractionalSolution:
-    """Solve to optimality; deterministic for a fixed model.
-
-    Raises InfeasibleError / UnboundedError / IterationLimitError on the
-    corresponding solver statuses.  The returned point is checked against
-    the model's rows within 1e-7 by a residual pass independent of the
-    solver's own bookkeeping.
-    """
-    cap = pivot_cap if pivot_cap is not None else 50 * (model.n_rows + model.n_vars)
+def _upper_form(model: LpModel) -> tuple[sparse.csr_matrix, np.ndarray]:
+    """Rows negated where needed so that every row reads ``a x <= b``."""
     sign = np.where(model.senses == "G", -1.0, 1.0)
-    a_ub = model.a_matrix.multiply(sign[:, None]).tocsr()
-    b_ub = sign * model.rhs
+    return model.a_matrix.multiply(sign[:, None]).tocsr(), sign * model.rhs
+
+
+def _linprog_values(model: LpModel, cap: int) -> tuple[np.ndarray, int]:
+    """Cold solve through ``scipy.optimize.linprog``, for scipy releases
+    without the bundled HiGHS class; (point, simplex iterations)."""
+    a_ub, b_ub = _upper_form(model)
     res = linprog(
         model.c,
         A_ub=a_ub,
@@ -213,21 +230,192 @@ def solve_lp(model: LpModel, pivot_cap: Optional[int] = None) -> FractionalSolut
         method="highs",
         options={
             "presolve": True,
-            "maxiter": int(cap),
+            "maxiter": cap,
             "primal_feasibility_tolerance": 1e-9,
             "dual_feasibility_tolerance": 1e-9,
         },
     )
-    if res.status == 1:
+    _raise_for_status(res.status, cap, res.message)
+    return np.asarray(res.x, dtype=float), int(res.nit)
+
+
+def _raise_for_status(status: int, cap: int, message: str) -> None:
+    """Map a ``linprog`` status code (0 optimal, 1 iteration limit,
+    2 infeasible, 3 unbounded, else failed) to the matching error."""
+    if status == 1:
         raise IterationLimitError(f"pivot cap {cap} reached")
-    if res.status == 2:
+    if status == 2:
         raise InfeasibleError("budget rows make the relaxation infeasible")
-    if res.status == 3:
+    if status == 3:
         raise UnboundedError("relaxation reported unbounded")
-    if res.status != 0:
-        raise LpError(f"solver failed: {res.message}")
-    values = np.asarray(res.x, dtype=float)
-    _verify_residuals(model, values)
+    if status != 0:
+        raise LpError(f"solver failed: {message}")
+
+
+_LINPROG_STATUS = {} if _Highs is None else {
+    HighsModelStatus.kOptimal: 0,
+    HighsModelStatus.kIterationLimit: 1,
+    HighsModelStatus.kInfeasible: 2,
+    HighsModelStatus.kUnbounded: 3,
+}
+
+
+def _highs_model(model: LpModel):
+    """A HiGHS instance holding ``model`` with the options ``linprog`` uses
+    (dual simplex after presolve), so a cold solve matches it exactly."""
+    a_ub, b_ub = _upper_form(model)
+    a_csc = a_ub.tocsc()
+    lp = HighsLp()
+    lp.num_col_ = lp.a_matrix_.num_col_ = model.n_vars
+    lp.num_row_ = lp.a_matrix_.num_row_ = model.n_rows
+    lp.a_matrix_.format_ = MatrixFormat.kColwise
+    lp.a_matrix_.start_ = a_csc.indptr
+    lp.a_matrix_.index_ = a_csc.indices
+    lp.a_matrix_.value_ = a_csc.data
+    lp.col_cost_ = model.c
+    lp.col_lower_ = np.zeros(model.n_vars)
+    lp.col_upper_ = np.ones(model.n_vars)
+    lp.row_lower_ = np.full(model.n_rows, -kHighsInf)
+    lp.row_upper_ = b_ub
+    options = HighsOptions()
+    options.output_flag = False
+    options.log_to_console = False
+    options.presolve = "on"
+    options.simplex_strategy = simplex_constants.SimplexStrategy.kSimplexStrategyDual
+    options.primal_feasibility_tolerance = 1e-9
+    options.dual_feasibility_tolerance = 1e-9
+    highs = _Highs()
+    highs.passOptions(options)
+    highs.passModel(lp)
+    return highs
+
+
+def _budget_start(model: LpModel) -> int:
+    return model.n_rows - model.n_budget_rows
+
+
+def _same_except_budgets(a: LpModel, b: LpModel) -> bool:
+    """True when the two models differ at most in their budget-row bounds."""
+    if a is b:
+        return True
+    if a.a_matrix.shape != b.a_matrix.shape or a.n_budget_rows != b.n_budget_rows:
+        return False
+    k = _budget_start(a)
+    return all(
+        np.array_equal(u, v)
+        for u, v in (
+            (a.c, b.c),
+            (a.senses, b.senses),
+            (a.rhs[:k], b.rhs[:k]),
+            (a.pair_fac, b.pair_fac),
+            (a.pair_cli, b.pair_cli),
+            (a.a_matrix.indptr, b.a_matrix.indptr),
+            (a.a_matrix.indices, b.a_matrix.indices),
+            (a.a_matrix.data, b.a_matrix.data),
+        )
+    )
+
+
+@dataclass
+class _HeldModel:
+    """One fairness mode's model inside a chain: the LpModel it was built
+    from, its HiGHS copy (None on the linprog fallback), the budget rows'
+    current upper bounds, and the solutions found so far by budget vector."""
+
+    base: LpModel
+    highs: object
+    budget_upper: np.ndarray
+    memo: dict = field(default_factory=dict)
+
+
+class LpChain:
+    """Solves a sequence of relaxations that differ only in their budgets.
+
+    Holds one HiGHS model per fairness mode.  ``solve`` re-solves the held
+    model from its last optimal basis after ``changeRowBounds`` on the
+    budget rows when only those differ (dual simplex, typically tens of
+    pivots where a cold solve takes thousands); any other model replaces
+    the held one and is solved cold.  Solutions are memoised by budget
+    vector, so a budget seen before returns the same point whatever was
+    solved in between, and a chain's answers depend only on the order of
+    its own calls.  Every returned point passes the residual check against
+    the model it was asked for.  Use as a context manager, or call
+    ``close``, to release the HiGHS models.  ``stats`` counts cold, warm
+    and memoised solves and the simplex iterations spent.
+    """
+
+    def __init__(self):
+        self._held: dict[str, _HeldModel] = {}
+        self.stats = {"cold": 0, "warm": 0, "memo": 0, "simplex_iters": 0}
+
+    def __enter__(self) -> "LpChain":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
+    def close(self) -> None:
+        self._held.clear()
+
+    def solve(self, model: LpModel, pivot_cap: Optional[int] = None) -> FractionalSolution:
+        held = self._held.get(model.fairness)
+        warm = held is not None and _same_except_budgets(held.base, model)
+        if not warm:
+            self._held.pop(model.fairness, None)  # release before building anew
+            held = _HeldModel(
+                model,
+                _highs_model(model) if _Highs is not None else None,
+                model.rhs[_budget_start(model) :].copy(),
+            )
+            self._held[model.fairness] = held
+        key = tuple(model.rhs[_budget_start(model) :].tolist())
+        if key in held.memo:
+            self.stats["memo"] += 1
+        else:
+            cap = int(pivot_cap) if pivot_cap is not None else 50 * (model.n_rows + model.n_vars)
+            try:
+                values, iters = self._run(held, model, cap)
+            except LpError:
+                del self._held[model.fairness]  # next solve starts cold
+                raise
+            self.stats["warm" if warm and held.highs is not None else "cold"] += 1
+            self.stats["simplex_iters"] += iters
+            held.memo[key] = (values, _fractional(model, values))
+        values, frac = held.memo[key]
+        _verify_residuals(model, values)
+        return frac
+
+    def solved(
+        self, budgets: OutlierBudgets, fairness: str = PER_GROUP
+    ) -> Optional[FractionalSolution]:
+        """The memoised solution of the held ``fairness`` model at
+        ``budgets``, or None if this chain has not solved it."""
+        held = self._held.get(fairness)
+        if held is None:
+            return None
+        hit = held.memo.get(tuple(_budget_rhs(budgets, fairness).tolist()))
+        return hit[1] if hit else None
+
+    @staticmethod
+    def _run(held: _HeldModel, model: LpModel, cap: int) -> tuple[np.ndarray, int]:
+        if held.highs is None:
+            return _linprog_values(model, cap)
+        highs = held.highs
+        start = _budget_start(model)
+        for r in np.flatnonzero(model.rhs[start:] != held.budget_upper):
+            row = start + int(r)
+            upper = float(model.rhs[row]) * (-1.0 if model.senses[row] == "G" else 1.0)
+            highs.changeRowBounds(row, -kHighsInf, upper)
+            held.budget_upper[r] = model.rhs[row]
+        highs.setOptionValue("simplex_iteration_limit", cap)
+        highs.run()
+        status = highs.getModelStatus()
+        _raise_for_status(_LINPROG_STATUS.get(status, -1), cap, highs.modelStatusToString(status))
+        values = np.asarray(highs.getSolution().col_value, dtype=float)
+        return values, int(highs.getInfo().simplex_iteration_count)
+
+
+def _fractional(model: LpModel, values: np.ndarray) -> FractionalSolution:
     n_pairs = model.n_pairs
     return FractionalSolution(
         pair_fac=model.pair_fac,
@@ -237,6 +425,25 @@ def solve_lp(model: LpModel, pivot_cap: Optional[int] = None) -> FractionalSolut
         z=values[n_pairs + model.n_facilities :],
         objective_value=float(model.c @ values),
     )
+
+
+def solve_lp(
+    model: LpModel, pivot_cap: Optional[int] = None, chain: Optional[LpChain] = None
+) -> FractionalSolution:
+    """Solve to optimality; deterministic for a fixed model.
+
+    With ``chain`` the solve is one step of that chain (warm when only the
+    budgets changed since its last solve of this fairness mode); without,
+    it is a chain of one cold solve.  Raises InfeasibleError /
+    UnboundedError / IterationLimitError on the corresponding solver
+    statuses, the last when more than ``pivot_cap`` simplex iterations are
+    needed.  The returned point is checked against the model's rows within
+    1e-7 by a residual pass independent of the solver's own bookkeeping.
+    """
+    if chain is not None:
+        return chain.solve(model, pivot_cap)
+    with LpChain() as one_shot:
+        return one_shot.solve(model, pivot_cap)
 
 
 def build_gap_instance(f: float, m_clients: int) -> tuple[MetricInstance, OutlierBudgets]:

@@ -11,11 +11,12 @@ clients to their nearest open facility on the unpruned metric.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
 from .instance import IntegralSolution, MetricInstance, OutlierBudgets, assign_nearest
-from .lp import AGGREGATE, PER_GROUP, FractionalSolution, build_flfo_lp, solve_lp
+from .lp import AGGREGATE, PER_GROUP, FractionalSolution, LpChain, build_flfo_lp, solve_lp
 
 
 class RoundingError(RuntimeError):
@@ -173,18 +174,20 @@ def lpr_pipeline(
     cfg: RoundingConfig,
     fairness: str,
     rounder=round_facility_location,
+    chain: Optional[LpChain] = None,
 ) -> tuple[IntegralSolution, FractionalSolution]:
     """Full solve-partition-rescale-round pipeline.
 
     ``rounder`` is the facility-location subroutine applied after outlier
     removal; any algorithm with the signature of
     ``round_facility_location`` can be plugged in, the threshold heuristic
-    being the default.  Returns the integral solution together with the
-    optimal fractional solution so callers can report the LP bound without
-    re-solving.
+    being the default.  ``chain``, when given, solves the relaxation warm
+    from its previous solve at other budgets (see ``LpChain``).  Returns the
+    integral solution together with the optimal fractional solution so
+    callers can report the LP bound without re-solving.
     """
     model = build_flfo_lp(inst, budgets, fairness)
-    frac = solve_lp(model)
+    frac = solve_lp(model, chain=chain)
     part = identify_outliers(inst, frac, budgets, cfg.epsilon, fairness)
     rescaled = rescale(inst, frac, part, cfg.epsilon)
     sol = rounder(inst, part, rescaled, cfg)

@@ -27,3 +27,14 @@ def random_budgets(rng, inst):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260809)
+
+
+@pytest.fixture(scope="session")
+def random_suite():
+    """The acceptance criteria's 200 random (instance, budgets) pairs."""
+    rng = np.random.default_rng(424242)
+    suite = []
+    for _ in range(200):
+        inst = random_instance(rng, max_n=12, max_m=6, max_groups=3)
+        suite.append((inst, random_budgets(rng, inst)))
+    return suite

@@ -38,16 +38,6 @@ from conftest import random_budgets, random_instance
 PCTS = [float(p) for p in range(1, 11)]
 
 
-@pytest.fixture(scope="module")
-def random_suite():
-    rng = np.random.default_rng(424242)
-    suite = []
-    for _ in range(200):
-        inst = random_instance(rng, max_n=12, max_m=6, max_groups=3)
-        suite.append((inst, random_budgets(rng, inst)))
-    return suite
-
-
 def sweep_config(**overrides):
     cfg = dict(_DEFAULTS)
     cfg.update(

@@ -129,7 +129,9 @@ class TestSweep:
     def test_parallel_jobs_match_serial(self, tmp_path):
         cfg = small_config(tmp_path)
         out1, out2 = tmp_path / "s.csv", tmp_path / "p.csv"
-        args = ["sweep", "--config", cfg, "--algo", "gdf-f", "--algo", "gdf-nf", "--pct", "6"]
+        args = ["sweep", "--config", cfg, "--algo", "gdf-f", "--algo", "gdf-nf",
+                "--algo", "lpr-f", "--algo", "lpr-nf",
+                "--pct", "6", "--pct", "12", "--pct", "20", "--pct", "30"]
         main(args + ["--out", str(out1), "--jobs", "1"])
         main(args + ["--out", str(out2), "--jobs", "2"])
         strip = lambda p: [
@@ -138,6 +140,22 @@ class TestSweep:
             if not r.startswith("#") or "jobs" not in r
         ]
         assert strip(out1) == strip(out2)
+        _, _, rows = read_rows(str(out1))
+        assert {r[0] for r in rows} == {"gdf-f", "gdf-nf", "lpr-f", "lpr-nf"}
+        assert len({r[3] for r in rows}) == 4 and "" not in {r[3] for r in rows}
+
+    def test_lp_obj_without_lpr_f_matches_lpr_f_chain(self, tmp_path):
+        cfg = small_config(tmp_path)
+        pcts = ["--pct", "5", "--pct", "15", "--pct", "25"]
+        lp_by_pct = []
+        for algo in ("lpr-f", "gdf-f"):
+            out = tmp_path / f"{algo}.csv"
+            assert main(["sweep", "--config", cfg, "--algo", algo, *pcts, "--out", str(out)]) == 0
+            _, _, rows = read_rows(str(out))
+            lp_by_pct.append({r[1]: float(r[3]) for r in rows})
+        assert lp_by_pct[0].keys() == lp_by_pct[1].keys() == {"5", "15", "25"}
+        for pct, value in lp_by_pct[0].items():
+            assert lp_by_pct[1][pct] == pytest.approx(value, rel=1e-9)
 
     def test_bad_pct_exits_2(self, tmp_path):
         cfg = small_config(tmp_path)
@@ -146,6 +164,18 @@ class TestSweep:
     def test_missing_pct_exits_2(self, tmp_path):
         cfg = small_config(tmp_path)
         assert main(["sweep", "--config", cfg, "--algo", "gdf-f"]) == 2
+
+
+class TestSolverErrors:
+    def test_greedy_without_next_event_exits_3(self, tmp_path, capsys):
+        # every facility infinitely expensive: no event can ever open one
+        path = tmp_path / "inst.csv"
+        path.write_text(
+            "kind,group,cost,x0\nclient,a,,0.0\nclient,a,,1.0\nfacility,,inf,0.5\n",
+            encoding="utf-8",
+        )
+        assert main(["solve", "--dataset", str(path), "--algo", "gdf-f", "--pct", "10"]) == 3
+        assert "no next event" in capsys.readouterr().err
 
 
 class TestConfigFile:

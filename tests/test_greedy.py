@@ -1,7 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from fairfl import MetricInstance, OutlierBudgets, gdf_f, gdf_nf, unfairness
+from fairfl import GreedyError, MetricInstance, OutlierBudgets, gdf_f, gdf_nf, unfairness
 from fairfl.greedy import DualTrace, _dual_fit
 from conftest import random_budgets, random_instance
 
@@ -149,3 +154,27 @@ class TestEdges:
         b = gdf_f(inst, budgets)
         assert a.open == b.open and a.outliers == b.outliers
         assert a.total_cost == b.total_cost
+
+
+class TestGuards:
+    def test_no_next_event_raises(self):
+        inst = tiny([[0.0], [1.0]], [0, 0], [[0.0]], [np.inf])
+        with pytest.raises(GreedyError, match="no next event"):
+            gdf_f(inst, OutlierBudgets((0,)))
+        with pytest.raises(GreedyError, match="no next event"):
+            gdf_nf(inst, 1)
+
+    def test_guard_survives_optimize_flag(self):
+        code = (
+            "import numpy as np\n"
+            "from fairfl import GreedyError, MetricInstance, OutlierBudgets, gdf_f\n"
+            "inst = MetricInstance.from_arrays(np.array([[0.0]]), [0], np.array([[0.0]]), [np.inf])\n"
+            "try:\n"
+            "    gdf_f(inst, OutlierBudgets((0,)))\n"
+            "except GreedyError:\n"
+            "    print('raised')\n"
+        )
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        out = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True,
+                             env=dict(os.environ, PYTHONPATH=src), timeout=120)
+        assert out.stdout.strip() == "raised", out.stderr

@@ -2,20 +2,27 @@ import numpy as np
 import pytest
 from scipy import sparse
 
+import fairfl.lp
 from fairfl import (
     AGGREGATE,
+    PER_GROUP,
     InfeasibleError,
     IterationLimitError,
+    LpChain,
     LpError,
     LpModel,
     MetricInstance,
     OutlierBudgets,
+    SyntheticConfig,
     build_flfo_lp,
     build_gap_instance,
     exact_flfo,
+    generate_synthetic,
+    prune_pairs,
     solve_lp,
     write_mps,
 )
+from fairfl.cli import budgets_from_pct
 from fairfl.lp import _verify_residuals
 from conftest import random_budgets, random_instance
 
@@ -146,6 +153,96 @@ class TestSolve:
             lhs = model.a_matrix @ values
             cover = lhs[: inst.n_clients]
             assert (cover >= 1.0 - 1e-7).all()
+
+
+def point(frac):
+    return np.concatenate([frac.x_values, frac.y, frac.z])
+
+
+@pytest.fixture(scope="module")
+def synthetic_seed0():
+    inst, _ = generate_synthetic(SyntheticConfig(seed=0))
+    return prune_pairs(inst)
+
+
+class TestLpChain:
+    """Warm re-solves across budgets against a cold solve per budget."""
+
+    @staticmethod
+    def assert_warm_matches_cold(inst, budget_seq, fairness):
+        with LpChain() as chain:
+            for budgets in budget_seq:
+                model = build_flfo_lp(inst, budgets, fairness)
+                warm = chain.solve(model)
+                cold = solve_lp(model)
+                _verify_residuals(model, point(warm))
+                assert warm.objective_value == pytest.approx(cold.objective_value, rel=1e-9, abs=1e-12)
+            return dict(chain.stats)
+
+    def test_warm_matches_cold_on_random_suite(self, random_suite):
+        rng = np.random.default_rng(5150)
+        warm_solves = 0
+        for inst, budgets in random_suite:
+            seq = [budgets, random_budgets(rng, inst), random_budgets(rng, inst)]
+            for fairness in (PER_GROUP, AGGREGATE):
+                stats = self.assert_warm_matches_cold(inst, seq, fairness)
+                assert stats["cold"] == 1
+                warm_solves += stats["warm"]
+        assert warm_solves > 300  # most steps really re-solved warm
+
+    def test_warm_matches_cold_on_synthetic_sweep(self, synthetic_seed0):
+        seq = [budgets_from_pct(synthetic_seed0, p) for p in range(1, 11)]
+        for fairness in (PER_GROUP, AGGREGATE):
+            stats = self.assert_warm_matches_cold(synthetic_seed0, seq, fairness)
+            assert (stats["cold"], stats["warm"]) == (1, 9)
+            # a warm step costs a small fraction of the ~3,400 pivots of a cold one
+            assert stats["simplex_iters"] < 3 * 4500
+
+    def test_repeated_budgets_hit_the_memo(self, rng):
+        inst = random_instance(rng, min_n=6)
+        a, b = OutlierBudgets((0,) * inst.n_groups), random_budgets(rng, inst)
+        with LpChain() as chain:
+            first = chain.solve(build_flfo_lp(inst, a))
+            chain.solve(build_flfo_lp(inst, b))
+            assert chain.solve(build_flfo_lp(inst, a)) is first
+            assert chain.solved(a) is first
+            assert chain.solved(a, AGGREGATE) is None
+            assert chain.stats["memo"] == 1
+        assert chain.solved(a) is None  # closing released the models
+
+    def test_other_instance_starts_cold(self, rng):
+        with LpChain() as chain:
+            for _ in range(3):
+                inst = random_instance(rng)
+                chain.solve(build_flfo_lp(inst, random_budgets(rng, inst)))
+            assert chain.stats["cold"] == 3 and chain.stats["warm"] == 0
+
+    def test_failed_solve_leaves_chain_usable(self, rng):
+        inst = random_instance(rng, max_n=12, max_m=6, min_n=8)
+        model = build_flfo_lp(inst, random_budgets(rng, inst))
+        with LpChain() as chain:
+            with pytest.raises(IterationLimitError):
+                chain.solve(model, pivot_cap=1)
+            frac = chain.solve(model)
+        assert frac.objective_value == pytest.approx(solve_lp(model).objective_value, rel=1e-12)
+
+    def test_linprog_fallback_agrees(self, monkeypatch, random_suite, synthetic_seed0):
+        cases = [(inst, budgets, PER_GROUP) for inst, budgets in random_suite[:20]]
+        # two budgets of one model: the fallback re-solves the second cold
+        cases += [(synthetic_seed0, budgets_from_pct(synthetic_seed0, p), AGGREGATE) for p in (3, 4)]
+        models = [build_flfo_lp(inst, budgets, fairness) for inst, budgets, fairness in cases]
+        highs = [solve_lp(model) for model in models]
+        calls = []
+        linprog = fairfl.lp.linprog
+        monkeypatch.setattr(fairfl.lp, "_Highs", None)
+        monkeypatch.setattr(fairfl.lp, "linprog", lambda *a, **k: calls.append(1) or linprog(*a, **k))
+        with LpChain() as chain:
+            fallback = [solve_lp(model, chain=chain) for model in models]
+            assert chain.stats["warm"] == 0
+        assert len(calls) == len(models)
+        for a, b in zip(highs, fallback):
+            assert b.objective_value == pytest.approx(a.objective_value, rel=1e-9, abs=1e-12)
+            np.testing.assert_allclose(point(b), point(a), atol=1e-7)
 
 
 class TestGapInstance:
