@@ -35,7 +35,6 @@ import numpy as np
 
 from .data import (
     DataError,
-    RawTable,
     SyntheticConfig,
     build_instance,
     generate_synthetic,
@@ -63,7 +62,7 @@ from .lp import (
     solve_lp,
     write_mps,
 )
-from .oracle import exact_flfo, exact_kmfo
+from .oracle import OracleError, exact_flfo, exact_kmfo
 from .rounding import RoundingConfig, RoundingError, lpr_pipeline
 
 FL_ALGOS = ("lpr-f", "lpr-nf", "gdf-f", "gdf-nf")
@@ -87,6 +86,18 @@ class RunParams:
     improve_frac: float = 0.01
     k: int = 5
     lp_chain: Optional[LpChain] = None  # shared by the LP solves of one sweep chain
+
+
+def run_params(cfg: dict) -> RunParams:
+    """The algorithm parameters of a resolved configuration."""
+    return RunParams(
+        epsilon=cfg["epsilon"],
+        open_threshold=cfg["open_threshold"],
+        gamma=cfg["gamma"],
+        eps_guess=cfg["eps_guess"],
+        improve_frac=cfg["improve_frac"],
+        k=cfg["k"],
+    )
 
 
 @dataclass
@@ -261,19 +272,13 @@ def _is_instance_file(path: str) -> bool:
 
 
 def write_instance_csv(inst: MetricInstance, group_names: Sequence[str], path: str) -> None:
-    dim = inst.dim
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["kind", "group", "cost"] + [f"x{t}" for t in range(dim)])
-        for c in inst.clients:
-            writer.writerow(
-                ["client", group_names[c.group], ""] + [repr(float(v)) for v in c.point.coords]
-            )
-        for f in inst.facilities:
-            writer.writerow(
-                ["facility", "", repr(float(f.open_cost))]
-                + [repr(float(v)) for v in f.point.coords]
-            )
+        writer.writerow(["kind", "group", "cost"] + [f"x{t}" for t in range(inst.dim)])
+        for g, coords in zip(inst.groups, inst.client_coords):
+            writer.writerow(["client", group_names[g], ""] + [repr(float(v)) for v in coords])
+        for cost, coords in zip(inst.open_costs, inst.facility_coords):
+            writer.writerow(["facility", "", repr(float(cost))] + [repr(float(v)) for v in coords])
 
 
 def read_instance_csv(path: str) -> tuple[MetricInstance, tuple[str, ...]]:
@@ -297,9 +302,7 @@ def read_instance_csv(path: str) -> tuple[MetricInstance, tuple[str, ...]]:
                 fac_coords.append(coords)
             else:
                 raise DataError(f"{path}: unknown row kind {kind!r}")
-    inst = MetricInstance.from_arrays(
-        np.array(client_coords), groups, np.array(fac_coords), costs
-    )
+    inst = MetricInstance(np.array(client_coords), groups, np.array(fac_coords), costs)
     return inst, tuple(names)
 
 
@@ -324,10 +327,7 @@ def prepare_instance(cfg: dict) -> tuple[MetricInstance, tuple[str, ...]]:
         inst, names = generate_synthetic(syn)
         if cfg["facility_cost"] == "uniform_dmax":
             d_max = float(inst.distances().max())
-            inst = MetricInstance.from_arrays(
-                inst.client_coords, inst.groups, inst.facility_coords,
-                np.full(inst.n_facilities, d_max),
-            )
+            inst = replace(inst, open_costs=np.full(inst.n_facilities, d_max))
     elif _is_instance_file(dataset):
         inst, names = read_instance_csv(dataset)
     else:
@@ -425,14 +425,7 @@ def run_sweep(inst: MetricInstance, cfg: dict) -> list[SweepRecord]:
     for algo in algos:
         if algo not in valid:
             raise ConfigError(f"unknown algorithm {algo!r}")
-    params = RunParams(
-        epsilon=cfg["epsilon"],
-        open_threshold=cfg["open_threshold"],
-        gamma=cfg["gamma"],
-        eps_guess=cfg["eps_guess"],
-        improve_frac=cfg["improve_frac"],
-        k=cfg["k"],
-    )
+    params = run_params(cfg)
     pcts = list(cfg["pcts"])
     budget_list = [budgets_from_pct(inst, pct) for pct in pcts]
     # one chain per distinct algorithm; the lpr-f chain also reports lp_obj,
@@ -504,14 +497,7 @@ def cmd_solve(args) -> int:
             raise ConfigError("need --pct or --ell")
         pct = cfg["pcts"][0]
         budgets = budgets_from_pct(inst, pct)
-    params = RunParams(
-        epsilon=cfg["epsilon"],
-        open_threshold=cfg["open_threshold"],
-        gamma=cfg["gamma"],
-        eps_guess=cfg["eps_guess"],
-        improve_frac=cfg["improve_frac"],
-        k=cfg["k"],
-    )
+    params = run_params(cfg)
     if cfg["dump_mps"]:
         mode = AGGREGATE if args.algo == "lpr-nf" else PER_GROUP
         write_mps(build_flfo_lp(inst, budgets, mode), cfg["dump_mps"])
@@ -677,7 +663,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (ConfigError, DataError, FileNotFoundError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (LpError, RoundingError, GreedyError, LocalSearchError) as exc:
+    except (LpError, RoundingError, GreedyError, LocalSearchError, OracleError) as exc:
         print(f"solver error: {exc}", file=sys.stderr)
         return 3
 

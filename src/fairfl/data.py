@@ -241,7 +241,7 @@ def generate_synthetic(cfg: SyntheticConfig) -> tuple[MetricInstance, tuple[str,
     costs = np.where(norms <= cfg.near_radius, cfg.cost_near, cfg.cost_far)
     coords = np.vstack([in_pts, out_pts])
     groups = np.concatenate([np.zeros(cfg.n_in, dtype=int), np.ones(cfg.n_out, dtype=int)])
-    inst = MetricInstance.from_arrays(coords, groups, fac_pts, costs)
+    inst = MetricInstance(coords, groups, fac_pts, costs)
     return inst, ("in", "out")
 
 
@@ -260,6 +260,4 @@ def build_instance(
         diff = facility_coords[:, None, :] - table.features[None, :, :]
         d_max = float(np.sqrt((diff**2).sum(axis=2)).max())
         facility_costs = np.full(len(facility_coords), d_max)
-    return MetricInstance.from_arrays(
-        table.features, table.groups, facility_coords, facility_costs
-    )
+    return MetricInstance(table.features, table.groups, facility_coords, facility_costs)

@@ -44,15 +44,6 @@ class DualState:
     def active_clients(self) -> np.ndarray:
         return ~self.connected & ~self.withdrawn & self.active_groups[self.group_of]
 
-    def residual_costs(self) -> np.ndarray:
-        """Remaining cost to open each facility at the current clock; zero
-        once open."""
-        active = self.active_clients()
-        paid = np.maximum(0.0, self.alpha - self.dist[:, active]).sum(axis=1)
-        residual = np.maximum(0.0, self.open_costs - paid)
-        residual[np.asarray(self.open, dtype=int)] = 0.0
-        return residual
-
 
 @dataclass
 class DualTrace:

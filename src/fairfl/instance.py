@@ -2,134 +2,120 @@
 
 An instance is a set of clients (each tagged with a demographic group) and a
 set of candidate facilities with opening costs, embedded in Euclidean space.
-Solutions open a subset of facilities, designate per-group outliers, and
-assign every remaining client to its nearest open facility.
+It is stored as read-only arrays: client and facility coordinates, a group
+label per client, an opening cost per facility and, once pruned, the allowed
+(facility, client) pairs as two client-major index arrays.  Solutions open a
+subset of facilities, designate per-group outliers, and assign every
+remaining client to its nearest open facility.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
-# Dense distance matrices are cached only below this clients*facilities size.
-DENSE_CACHE_LIMIT = 5000 * 200
-
 FACILITY_LOCATION = "facility_location"
 K_MEDIAN = "k_median"
 
 
-@dataclass(frozen=True)
-class Point:
-    """A location in d-dimensional Euclidean space."""
-
-    coords: tuple[float, ...]
-
-    def __post_init__(self):
-        if len(self.coords) < 1:
-            raise ValueError("point needs at least one coordinate")
-        if not all(math.isfinite(c) for c in self.coords):
-            raise ValueError(f"non-finite coordinate in {self.coords}")
-
-    @property
-    def dim(self) -> int:
-        return len(self.coords)
+def _read_only(values, dtype) -> np.ndarray:
+    arr = np.array(values, dtype=dtype)
+    arr.flags.writeable = False
+    return arr
 
 
-@dataclass(frozen=True)
-class Client:
-    point: Point
-    group: int
-
-    def __post_init__(self):
-        if self.group < 0:
-            raise ValueError("group index must be non-negative")
-
-
-@dataclass(frozen=True)
-class Facility:
-    point: Point
-    open_cost: float = 0.0
-
-    def __post_init__(self):
-        if not (self.open_cost >= 0.0):
-            raise ValueError("opening cost must be non-negative")
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MetricInstance:
     """Immutable clients + facilities with an l2 distance oracle.
 
-    ``allowed_pairs``, when present, restricts which (facility, client)
-    assignments the LP may use; every client keeps at least one allowed
-    facility.  Distances are cached densely for instances below
-    ``cache_limit`` client*facility entries and computed on demand above it.
+    ``client_coords`` is n x d, ``groups`` holds one non-negative group label
+    per client, ``facility_coords`` is m x d and ``open_costs`` holds one
+    non-negative (possibly infinite) opening cost per facility.  The
+    constructor copies every array and stores it read-only.
+
+    ``pair_fac``/``pair_cli``, when present, restrict which (facility,
+    client) assignments the LP may use: they are sorted client-major (by
+    client, then facility) without repeats, and every client keeps at least
+    one allowed facility.
     """
 
-    clients: tuple[Client, ...]
-    facilities: tuple[Facility, ...]
-    allowed_pairs: Optional[frozenset[tuple[int, int]]] = None
-    cache_limit: int = DENSE_CACHE_LIMIT
+    client_coords: np.ndarray
+    groups: np.ndarray
+    facility_coords: np.ndarray
+    open_costs: np.ndarray
+    pair_fac: Optional[np.ndarray] = None
+    pair_cli: Optional[np.ndarray] = None
 
     def __post_init__(self):
-        if not self.clients or not self.facilities:
+        clients = _read_only(self.client_coords, float)
+        facilities = _read_only(self.facility_coords, float)
+        if len(clients) == 0 or len(facilities) == 0:
             raise ValueError("need at least one client and one facility")
-        object.__setattr__(self, "clients", tuple(self.clients))
-        object.__setattr__(self, "facilities", tuple(self.facilities))
-        dims = {c.point.dim for c in self.clients} | {f.point.dim for f in self.facilities}
-        if len(dims) != 1:
-            raise ValueError(f"mixed point dimensions: {sorted(dims)}")
-        if self.allowed_pairs is not None:
-            pairs = frozenset(self.allowed_pairs)
-            object.__setattr__(self, "allowed_pairs", pairs)
-            covered = set()
-            for i, j in pairs:
-                if not (0 <= i < len(self.facilities) and 0 <= j < len(self.clients)):
-                    raise ValueError(f"pair ({i}, {j}) out of range")
-                covered.add(j)
-            if len(covered) != len(self.clients):
-                missing = set(range(len(self.clients))) - covered
-                raise ValueError(f"clients with no allowed facility: {sorted(missing)}")
+        if clients.ndim != 2 or facilities.ndim != 2 or clients.shape[1] < 1:
+            raise ValueError("coordinates must be 2-D arrays with at least one column")
+        if clients.shape[1] != facilities.shape[1]:
+            raise ValueError(
+                f"mixed point dimensions: {clients.shape[1]} and {facilities.shape[1]}"
+            )
+        if not (np.isfinite(clients).all() and np.isfinite(facilities).all()):
+            raise ValueError("non-finite coordinate")
+        n, m = len(clients), len(facilities)
+        raw_groups = np.asarray(self.groups)
+        groups = _read_only(raw_groups, np.int64)
+        if groups.shape != (n,) or not np.array_equal(groups, raw_groups):
+            raise ValueError("need one integer group label per client")
+        if groups.min() < 0:
+            raise ValueError("group index must be non-negative")
+        costs = _read_only(self.open_costs, float)
+        if costs.shape != (m,):
+            raise ValueError("need one opening cost per facility")
+        if not (costs >= 0.0).all():
+            raise ValueError("opening cost must be non-negative")
+        for name, value in (("client_coords", clients), ("groups", groups),
+                            ("facility_coords", facilities), ("open_costs", costs)):
+            object.__setattr__(self, name, value)
+        if (self.pair_fac is None) != (self.pair_cli is None):
+            raise ValueError("pair_fac and pair_cli must be given together")
+        if self.pair_fac is None:
+            return
+        fac = _read_only(self.pair_fac, np.int64)
+        cli = _read_only(self.pair_cli, np.int64)
+        if fac.ndim != 1 or fac.shape != cli.shape:
+            raise ValueError("pair_fac and pair_cli must be 1-D arrays of equal length")
+        bad = (fac < 0) | (fac >= m) | (cli < 0) | (cli >= n)
+        if bad.any():
+            p = int(np.argmax(bad))
+            raise ValueError(f"pair ({fac[p]}, {cli[p]}) out of range")
+        if np.any(np.diff(cli * m + fac) <= 0):
+            raise ValueError("pairs must be sorted client-major without repeats")
+        missing = np.flatnonzero(np.bincount(cli, minlength=n) == 0)
+        if missing.size:
+            raise ValueError(f"clients with no allowed facility: {missing.tolist()}")
+        object.__setattr__(self, "pair_fac", fac)
+        object.__setattr__(self, "pair_cli", cli)
 
-    @classmethod
-    def from_arrays(
-        cls,
-        client_coords: np.ndarray,
-        groups: Sequence[int],
-        facility_coords: np.ndarray,
-        open_costs: Sequence[float],
-        allowed_pairs: Optional[Iterable[tuple[int, int]]] = None,
-        cache_limit: int = DENSE_CACHE_LIMIT,
-    ) -> "MetricInstance":
-        client_coords = np.asarray(client_coords, dtype=float)
-        facility_coords = np.asarray(facility_coords, dtype=float)
-        clients = tuple(
-            Client(Point(tuple(row)), int(g)) for row, g in zip(client_coords, groups)
-        )
-        facilities = tuple(
-            Facility(Point(tuple(row)), float(c)) for row, c in zip(facility_coords, open_costs)
-        )
-        pairs = None if allowed_pairs is None else frozenset(allowed_pairs)
-        return cls(clients, facilities, pairs, cache_limit)
+    def __reduce__(self):
+        # unpickled copies (a sweep worker's) go through the constructor too,
+        # so they are validated and read-only; cached values are recomputed
+        fields = (self.client_coords, self.groups, self.facility_coords, self.open_costs,
+                  self.pair_fac, self.pair_cli)
+        return MetricInstance, fields
 
     @property
     def n_clients(self) -> int:
-        return len(self.clients)
+        return len(self.client_coords)
 
     @property
     def n_facilities(self) -> int:
-        return len(self.facilities)
+        return len(self.facility_coords)
 
     @property
     def dim(self) -> int:
-        return self.clients[0].point.dim
-
-    @cached_property
-    def groups(self) -> np.ndarray:
-        return np.array([c.group for c in self.clients], dtype=np.int64)
+        return self.client_coords.shape[1]
 
     @cached_property
     def n_groups(self) -> int:
@@ -140,46 +126,18 @@ class MetricInstance:
         return tuple(np.flatnonzero(self.groups == g) for g in range(self.n_groups))
 
     @cached_property
-    def client_coords(self) -> np.ndarray:
-        return np.array([c.point.coords for c in self.clients], dtype=float)
-
-    @cached_property
-    def facility_coords(self) -> np.ndarray:
-        return np.array([f.point.coords for f in self.facilities], dtype=float)
-
-    @cached_property
-    def open_costs(self) -> np.ndarray:
-        return np.array([f.open_cost for f in self.facilities], dtype=float)
-
-    @cached_property
-    def _dense_distances(self) -> Optional[np.ndarray]:
-        if self.n_clients * self.n_facilities > self.cache_limit:
-            return None
+    def _distances(self) -> np.ndarray:
         diff = self.facility_coords[:, None, :] - self.client_coords[None, :, :]
-        return np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
+        dist = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
+        dist.flags.writeable = False
+        return dist
 
     def distances(self) -> np.ndarray:
-        """Full (facilities x clients) distance matrix."""
-        cached = self._dense_distances
-        if cached is not None:
-            return cached
-        diff = self.facility_coords[:, None, :] - self.client_coords[None, :, :]
-        return np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
+        """Full (facilities x clients) distance matrix, computed once."""
+        return self._distances
 
     def distance(self, facility: int, client: int) -> float:
-        cached = self._dense_distances
-        if cached is not None:
-            return float(cached[facility, client])
-        diff = self.facility_coords[facility] - self.client_coords[client]
-        return float(np.sqrt(diff @ diff))
-
-    def facility_distances(self, facility: int) -> np.ndarray:
-        """Distances from one facility to every client."""
-        cached = self._dense_distances
-        if cached is not None:
-            return cached[facility]
-        diff = self.facility_coords[facility][None, :] - self.client_coords
-        return np.sqrt(np.einsum("ij,ij->i", diff, diff))
+        return float(self._distances[facility, client])
 
     @cached_property
     def pair_arrays(self) -> tuple[np.ndarray, np.ndarray]:
@@ -188,14 +146,19 @@ class MetricInstance:
         Sorted client-major so that all pairs of one client are contiguous.
         Defaults to the full product when no pruning has been applied.
         """
-        if self.allowed_pairs is None:
-            cli = np.repeat(np.arange(self.n_clients), self.n_facilities)
-            fac = np.tile(np.arange(self.n_facilities), self.n_clients)
-            return fac, cli
-        pairs = sorted(self.allowed_pairs, key=lambda p: (p[1], p[0]))
-        fac = np.array([p[0] for p in pairs], dtype=np.int64)
-        cli = np.array([p[1] for p in pairs], dtype=np.int64)
+        if self.pair_fac is not None:
+            return self.pair_fac, self.pair_cli
+        cli = np.repeat(np.arange(self.n_clients), self.n_facilities)
+        fac = np.tile(np.arange(self.n_facilities), self.n_clients)
         return fac, cli
+
+    @cached_property
+    def allowed_pairs(self) -> Optional[frozenset[tuple[int, int]]]:
+        """The allowed pairs as a set of (facility, client) tuples, derived
+        from ``pair_fac``/``pair_cli``; None when the instance is unpruned."""
+        if self.pair_fac is None:
+            return None
+        return frozenset(zip(self.pair_fac.tolist(), self.pair_cli.tolist()))
 
 
 @dataclass(frozen=True)
@@ -324,14 +287,13 @@ def prune_pairs(inst: MetricInstance) -> MetricInstance:
     A client whose every pair would be pruned keeps its single nearest
     facility (lowest index on ties) so downstream LPs stay feasible.
     """
-    if inst.allowed_pairs is not None:
-        raise ValueError("instance already has allowed_pairs")
+    if inst.pair_fac is not None:
+        raise ValueError("instance already has allowed pairs")
     dist = inst.distances()
     median = float(np.median(dist))
     keep = dist < median
     stranded = np.flatnonzero(~keep.any(axis=0))
     nearest = np.argmin(dist[:, stranded], axis=0) if stranded.size else np.empty(0, int)
     keep[nearest, stranded] = True
-    fac, cli = np.nonzero(keep)
-    pairs = frozenset(zip(fac.tolist(), cli.tolist()))
-    return MetricInstance(inst.clients, inst.facilities, pairs, inst.cache_limit)
+    cli, fac = np.nonzero(keep.T)  # client-major
+    return replace(inst, pair_fac=fac, pair_cli=cli)

@@ -152,6 +152,14 @@ def local_search_penalties(pinst: PenaltyInstance, improve_frac: float = 0.01) -
     return _canonical_solution(pinst, open_list)
 
 
+def _penalties_for(groups: np.ndarray, caps: Sequence[int], guess: float, gamma: float) -> np.ndarray:
+    """Per-client penalty guess / (gamma * cap of the client's group); +inf
+    where that cap is zero."""
+    caps_arr = np.array(caps, dtype=float)
+    per_group = np.where(caps_arr > 0, guess / (gamma * np.maximum(caps_arr, 1e-300)), np.inf)
+    return per_group[groups]
+
+
 def make_penalties(
     inst: MetricInstance,
     budgets: OutlierBudgets,
@@ -166,9 +174,8 @@ def make_penalties(
     if not gamma > 0:
         raise ValueError("gamma must be positive")
     budgets.validate_for(inst)
-    caps = np.array(budgets.per_group, dtype=float)
-    per_group = np.where(caps > 0, guess_cost / (gamma * np.maximum(caps, 1e-300)), np.inf)
-    return PenaltyInstance(inst, k, per_group[inst.groups])
+    penalty = _penalties_for(inst.groups, budgets.per_group, guess_cost, gamma)
+    return PenaltyInstance(inst, k, penalty)
 
 
 def _grid_from_totals(inst: MetricInstance, total_budget: int, eps_guess: float) -> GuessGrid:
@@ -202,12 +209,6 @@ def build_guess_grid(inst: MetricInstance, budgets: OutlierBudgets, eps_guess: f
     return _grid_from_totals(inst, budgets.total, eps_guess)
 
 
-def _penalties_for(groups: np.ndarray, caps: Sequence[int], guess: float, gamma: float) -> np.ndarray:
-    caps_arr = np.array(caps, dtype=float)
-    per_group = np.where(caps_arr > 0, guess / (gamma * np.maximum(caps_arr, 1e-300)), np.inf)
-    return per_group[groups]
-
-
 def _reduce_and_search(
     inst: MetricInstance,
     groups: np.ndarray,
@@ -227,25 +228,24 @@ def _reduce_and_search(
     n_groups = len(caps)
     grid = _grid_from_totals(inst, int(sum(caps)), eps_guess)
     slack = n_groups + gamma
-    best = None  # (feasible-rank, primary, secondary, grid index, solution)
-    for t, guess in enumerate(grid.values):
-        pinst = PenaltyInstance(inst, k, _penalties_for(groups, caps, guess, gamma))
-        psol = local_search_penalties(pinst, improve_frac)
-        counts = np.bincount(groups[sorted(psol.paying)], minlength=n_groups) if psol.paying else np.zeros(n_groups, dtype=int)
-        viol = 0.0
-        for g in range(n_groups):
-            if counts[g] == 0:
-                continue
-            viol = max(viol, counts[g] / (slack * caps[g]))
-        key = (
-            (0, psol.service_cost, viol, t, psol)
-            if viol <= 1.0
-            else (1, viol, psol.service_cost, t, psol)
-        )
-        if best is None or key[:4] < best[:4]:
-            best = key
-    assert best is not None
-    return best[4]
+
+    def candidates():
+        for t, guess in enumerate(grid.values):
+            pinst = PenaltyInstance(inst, k, _penalties_for(groups, caps, guess, gamma))
+            psol = local_search_penalties(pinst, improve_frac)
+            counts = np.bincount(groups[sorted(psol.paying)], minlength=n_groups) if psol.paying else np.zeros(n_groups, dtype=int)
+            viol = 0.0
+            for g in range(n_groups):
+                if counts[g] == 0:
+                    continue
+                viol = max(viol, counts[g] / (slack * caps[g]))
+            if viol <= 1.0:
+                yield (0, psol.service_cost, viol, t, psol)
+            else:
+                yield (1, viol, psol.service_cost, t, psol)
+
+    # the grid is never empty, and t makes every key distinct
+    return min(candidates(), key=lambda c: c[:4])[4]
 
 
 def _to_integral(inst: MetricInstance, psol: PenaltySolution) -> IntegralSolution:

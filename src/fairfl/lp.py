@@ -18,7 +18,6 @@ before being returned.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -38,7 +37,7 @@ try:  # private module: scipy releases without it fall back to linprog
 except ImportError:
     _Highs = None
 
-from .instance import MetricInstance, OutlierBudgets, Point
+from .instance import MetricInstance, OutlierBudgets
 
 PER_GROUP = "per_group"
 AGGREGATE = "aggregate"
@@ -128,15 +127,6 @@ class FractionalSolution:
     y: np.ndarray
     z: np.ndarray
     objective_value: float
-
-    @cached_property
-    def x(self) -> dict[tuple[int, int], float]:
-        """Sparse (facility, client) -> assignment value map."""
-        live = np.flatnonzero(self.x_values > 1e-12)
-        return {
-            (int(self.pair_fac[p]), int(self.pair_cli[p])): float(self.x_values[p])
-            for p in live
-        }
 
     def assignment_sums(self) -> np.ndarray:
         """Per-client total assignment mass (sum over allowed facilities)."""
@@ -454,12 +444,11 @@ def build_gap_instance(f: float, m_clients: int) -> tuple[MetricInstance, Outlie
         raise ValueError("need at least 2 clients")
     if not f > 0:
         raise ValueError("opening cost must be positive")
-    from .instance import Client, Facility
-
-    origin = Point((0.0,))
     inst = MetricInstance(
-        clients=tuple(Client(origin, 0) for _ in range(m_clients)),
-        facilities=(Facility(origin, float(f)),),
+        client_coords=np.zeros((m_clients, 1)),
+        groups=np.zeros(m_clients, dtype=np.int64),
+        facility_coords=np.zeros((1, 1)),
+        open_costs=np.array([float(f)]),
     )
     return inst, OutlierBudgets((m_clients - 1,))
 

@@ -151,20 +151,25 @@ def round_facility_location(
     """
     y = rescaled.y
     open_set = set(int(i) for i in np.flatnonzero(y >= cfg.open_threshold))
-    retained = sorted(part.retained)
-    if retained:
+    if part.retained:
         if not open_set:
             open_set.add(int(np.argmax(y)))
-        if inst.allowed_pairs is not None:
-            allowed: dict[int, list[int]] = {j: [] for j in range(inst.n_clients)}
-            fac_all, cli_all = inst.pair_arrays
-            for i, j in zip(fac_all.tolist(), cli_all.tolist()):
-                allowed[j].append(i)
-            for j in retained:
-                options = allowed[j]
-                if not any(i in open_set for i in options):
-                    best = max(options, key=lambda i: (y[i], -i))
-                    open_set.add(int(best))
+        if inst.pair_fac is not None:
+            fac, cli = inst.pair_arrays
+            bounds = np.searchsorted(cli, np.arange(inst.n_clients + 1))
+            is_open = np.zeros(inst.n_facilities, dtype=bool)
+            is_open[list(open_set)] = True
+            covered = np.zeros(inst.n_clients, dtype=bool)
+            covered[cli[is_open[fac]]] = True
+            # clients in index order, each seeing the facilities opened before it
+            for j in sorted(part.retained):
+                if covered[j]:
+                    continue
+                options = fac[bounds[j] : bounds[j + 1]]
+                if not is_open[options].any():
+                    best = int(options[np.argmax(y[options])])  # lowest index on ties
+                    is_open[best] = True
+                    open_set.add(best)
     return assign_nearest(inst, open_set, part.outliers)
 
 

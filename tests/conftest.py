@@ -10,7 +10,7 @@ def random_instance(rng, max_n=12, max_m=6, max_groups=3, dim=2, min_n=2, cost_s
     n = int(rng.integers(max(min_n, n_groups), max_n + 1))
     m = int(rng.integers(1, max_m + 1))
     groups = np.concatenate([np.arange(n_groups), rng.integers(0, n_groups, n - n_groups)])
-    return MetricInstance.from_arrays(
+    return MetricInstance(
         client_coords=rng.random((n, dim)),
         groups=groups,
         facility_coords=rng.random((m, dim)),

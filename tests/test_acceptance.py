@@ -231,6 +231,7 @@ def test_criterion_11_guess_grid_property():
     print("ACCEPTANCE 11 PASS: grid brackets its range within the logarithmic size bound")
 
 
+@pytest.mark.slow
 def test_criterion_12_large_csv_sweep(tmp_path):
     rng = np.random.default_rng(7)
     n_rows = 6000

@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -176,6 +180,22 @@ class TestSolverErrors:
         )
         assert main(["solve", "--dataset", str(path), "--algo", "gdf-f", "--pct", "10"]) == 3
         assert "no next event" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimized"])
+    def test_oracle_without_finite_subset_exits_3(self, tmp_path, flags):
+        path = tmp_path / "inst.csv"
+        path.write_text(
+            "kind,group,cost,x0\nclient,a,,0.0\nclient,a,,1.0\nfacility,,inf,0.5\n",
+            encoding="utf-8",
+        )
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        out = subprocess.run(
+            [sys.executable, *flags, "-m", "fairfl.cli", "oracle", "--dataset", str(path),
+             "--pct", "10"],
+            capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src), timeout=120,
+        )
+        assert out.returncode == 3, out.stderr
+        assert "no facility subset has a finite cost" in out.stderr
 
 
 class TestConfigFile:

@@ -12,7 +12,7 @@ from conftest import random_budgets, random_instance
 
 
 def tiny(client_pts, groups, fac_pts, costs):
-    return MetricInstance.from_arrays(np.array(client_pts, float), groups, np.array(fac_pts, float), costs)
+    return MetricInstance(np.array(client_pts, float), groups, np.array(fac_pts, float), costs)
 
 
 class TestEventMechanics:
@@ -168,7 +168,7 @@ class TestGuards:
         code = (
             "import numpy as np\n"
             "from fairfl import GreedyError, MetricInstance, OutlierBudgets, gdf_f\n"
-            "inst = MetricInstance.from_arrays(np.array([[0.0]]), [0], np.array([[0.0]]), [np.inf])\n"
+            "inst = MetricInstance(np.array([[0.0]]), [0], np.array([[0.0]]), [np.inf])\n"
             "try:\n"
             "    gdf_f(inst, OutlierBudgets((0,)))\n"
             "except GreedyError:\n"

@@ -1,14 +1,13 @@
 import math
+import pickle
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from fairfl import (
-    Client,
-    Facility,
     MetricInstance,
     OutlierBudgets,
-    Point,
     assign_nearest,
     prune_pairs,
     solution_cost,
@@ -18,7 +17,7 @@ from conftest import random_budgets, random_instance
 
 
 def simple_instance(client_pts, groups, fac_pts, costs):
-    return MetricInstance.from_arrays(np.array(client_pts, float), groups, np.array(fac_pts, float), costs)
+    return MetricInstance(np.array(client_pts, float), groups, np.array(fac_pts, float), costs)
 
 
 class TestDistance:
@@ -34,19 +33,16 @@ class TestDistance:
         inst = simple_instance([[2.0]], [0], [[0.0]], [0.0])
         assert inst.distance(0, 0) == 2.0
 
-    def test_matches_matrix_and_uncached_path(self, rng):
+    def test_matches_matrix(self, rng):
         inst = random_instance(rng, max_n=8, max_m=4)
         small = inst.distances()
-        uncached = MetricInstance(inst.clients, inst.facilities, cache_limit=0)
-        assert uncached._dense_distances is None
         for i in range(inst.n_facilities):
             for j in range(inst.n_clients):
                 assert inst.distance(i, j) == pytest.approx(small[i, j], abs=0)
-                assert uncached.distance(i, j) == pytest.approx(small[i, j], rel=1e-15)
 
     def test_symmetry_and_triangle(self, rng):
         pts = rng.random((7, 3))
-        inst = MetricInstance.from_arrays(pts, np.zeros(7, int), pts, np.zeros(7))
+        inst = MetricInstance(pts, np.zeros(7, int), pts, np.zeros(7))
         d = inst.distances()
         assert np.allclose(d, d.T)
         for a in range(7):
@@ -57,32 +53,51 @@ class TestDistance:
 
 class TestValidation:
     def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            MetricInstance(clients=(), facilities=(Facility(Point((0.0,))),))
-        with pytest.raises(ValueError):
-            MetricInstance(clients=(Client(Point((0.0,)), 0),), facilities=())
+        with pytest.raises(ValueError, match="at least one"):
+            MetricInstance(np.zeros((0, 1)), [], np.zeros((1, 1)), [0.0])
+        with pytest.raises(ValueError, match="at least one"):
+            MetricInstance(np.zeros((1, 1)), [0], np.zeros((0, 1)), [])
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="dimensions"):
-            MetricInstance(
-                clients=(Client(Point((0.0,)), 0),),
-                facilities=(Facility(Point((0.0, 0.0))),),
-            )
+            MetricInstance(np.zeros((1, 1)), [0], np.zeros((1, 2)), [0.0])
+        with pytest.raises(ValueError, match="at least one column"):
+            MetricInstance(np.zeros((1, 0)), [0], np.zeros((1, 0)), [0.0])
 
     def test_nonfinite_coordinate(self):
-        with pytest.raises(ValueError):
-            Point((math.nan,))
+        with pytest.raises(ValueError, match="non-finite"):
+            MetricInstance(np.array([[math.nan]]), [0], np.zeros((1, 1)), [0.0])
+        with pytest.raises(ValueError, match="non-finite"):
+            MetricInstance(np.zeros((1, 1)), [0], np.array([[math.inf]]), [0.0])
 
     def test_negative_cost_and_group(self):
-        with pytest.raises(ValueError):
-            Facility(Point((0.0,)), -1.0)
-        with pytest.raises(ValueError):
-            Client(Point((0.0,)), -1)
+        with pytest.raises(ValueError, match="opening cost"):
+            MetricInstance(np.zeros((1, 1)), [0], np.zeros((1, 1)), [-1.0])
+        with pytest.raises(ValueError, match="group index"):
+            MetricInstance(np.zeros((1, 1)), [-1], np.zeros((1, 1)), [0.0])
+        # an infinite opening cost is allowed
+        MetricInstance(np.zeros((1, 1)), [0], np.zeros((1, 1)), [math.inf])
 
     def test_allowed_pairs_must_cover_clients(self):
         base = simple_instance([[0.0], [1.0]], [0, 0], [[0.0]], [0.0])
         with pytest.raises(ValueError, match="no allowed facility"):
-            MetricInstance(base.clients, base.facilities, frozenset({(0, 0)}))
+            replace(base, pair_fac=[0], pair_cli=[0])
+        with pytest.raises(ValueError, match="out of range"):
+            replace(base, pair_fac=[0, 1], pair_cli=[0, 1])
+        with pytest.raises(ValueError, match="sorted client-major"):
+            replace(base, pair_fac=[0, 0], pair_cli=[1, 0])
+
+    def test_stored_arrays_are_read_only(self):
+        coords = np.array([[0.0], [1.0]])
+        inst = MetricInstance(coords, [0, 0], np.array([[0.0]]), [2.0])
+        coords[0, 0] = 5.0  # the instance holds its own copy
+        assert inst.client_coords[0, 0] == 0.0
+        pruned = pickle.loads(pickle.dumps(prune_pairs(inst)))  # as sent to a sweep worker
+        arrays = (pruned.client_coords, pruned.groups, pruned.facility_coords,
+                  pruned.open_costs, pruned.pair_fac, pruned.pair_cli, pruned.distances())
+        for arr in arrays:
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 1
 
     def test_budget_validation(self):
         inst = simple_instance([[0.0], [1.0]], [0, 1], [[0.0]], [0.0])
@@ -119,6 +134,25 @@ class TestPrunePairs:
         inst = simple_instance([[1.0]], [0], [[0.0]], [0.0])
         with pytest.raises(ValueError, match="already"):
             prune_pairs(prune_pairs(inst))
+
+    def test_matches_brute_force_on_random_suite(self, random_suite):
+        for inst, _ in random_suite:
+            dist = inst.distances()
+            median = np.median(dist)
+            expected = []
+            for j in range(inst.n_clients):
+                kept = [i for i in range(inst.n_facilities) if dist[i, j] < median]
+                if not kept:
+                    kept = [min(range(inst.n_facilities), key=lambda i: (dist[i, j], i))]
+                expected += [(i, j) for i in kept]
+            pruned = prune_pairs(inst)
+            got = list(zip(pruned.pair_fac.tolist(), pruned.pair_cli.tolist()))
+            assert got == expected
+            assert pruned.allowed_pairs == frozenset(expected)
+
+    def test_unpruned_has_no_allowed_pairs(self):
+        inst = simple_instance([[1.0]], [0], [[0.0]], [0.0])
+        assert inst.allowed_pairs is None and inst.pair_fac is None
 
     def test_never_strands_a_client(self, rng):
         for _ in range(25):
@@ -163,7 +197,7 @@ class TestSolutionCost:
             inst = random_instance(rng)
             budgets = random_budgets(rng, inst)
             perm = rng.permutation(inst.n_clients)
-            inst2 = MetricInstance.from_arrays(
+            inst2 = MetricInstance(
                 inst.client_coords[perm], inst.groups[perm], inst.facility_coords, inst.open_costs
             )
             opens = [0]

@@ -25,7 +25,7 @@ def tiny(client_pts, groups, fac_pts, costs=None):
     fac_pts = np.array(fac_pts, float)
     if costs is None:
         costs = np.zeros(len(fac_pts))
-    return MetricInstance.from_arrays(np.array(client_pts, float), groups, fac_pts, costs)
+    return MetricInstance(np.array(client_pts, float), groups, fac_pts, costs)
 
 
 class TestLocalSearch:
@@ -45,7 +45,7 @@ class TestLocalSearch:
     def test_two_clusters_match_oracle(self, rng):
         clients = np.vstack([rng.normal(0, 0.2, (6, 2)), rng.normal(50, 0.2, (6, 2))])
         facilities = np.vstack([rng.normal(0, 0.2, (3, 2)), rng.normal(50, 0.2, (3, 2))])
-        inst = MetricInstance.from_arrays(clients, np.zeros(12, int), facilities, np.zeros(6))
+        inst = MetricInstance(clients, np.zeros(12, int), facilities, np.zeros(6))
         pinst = PenaltyInstance(inst, 2, np.full(12, 1e9))
         sol = local_search_penalties(pinst)
         best = exact_kmp(pinst)

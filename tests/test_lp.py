@@ -28,7 +28,7 @@ from conftest import random_budgets, random_instance
 
 
 def tiny(client_pts, groups, fac_pts, costs):
-    return MetricInstance.from_arrays(np.array(client_pts, float), groups, np.array(fac_pts, float), costs)
+    return MetricInstance(np.array(client_pts, float), groups, np.array(fac_pts, float), costs)
 
 
 class TestBuild:

@@ -5,6 +5,7 @@ import pytest
 
 from fairfl import (
     MetricInstance,
+    OracleError,
     OutlierBudgets,
     PenaltyInstance,
     build_gap_instance,
@@ -16,7 +17,7 @@ from conftest import random_budgets, random_instance
 
 
 def tiny(client_pts, groups, fac_pts, costs):
-    return MetricInstance.from_arrays(np.array(client_pts, float), groups, np.array(fac_pts, float), costs)
+    return MetricInstance(np.array(client_pts, float), groups, np.array(fac_pts, float), costs)
 
 
 def enumerate_flfo(inst, budgets):
@@ -90,7 +91,7 @@ class TestExactFlfo:
             inst = random_instance(rng, max_n=9, max_m=4)
             budgets = random_budgets(rng, inst)
             perm = rng.permutation(inst.n_clients)
-            inst2 = MetricInstance.from_arrays(
+            inst2 = MetricInstance(
                 inst.client_coords[perm], inst.groups[perm], inst.facility_coords, inst.open_costs
             )
             a = exact_flfo(inst, budgets)
@@ -110,6 +111,19 @@ class TestExactFlfo:
         inst = tiny([[0.0]], [0], [[float(i)] for i in range(21)], [0.0] * 21)
         with pytest.raises(ValueError, match="guard"):
             exact_flfo(inst, OutlierBudgets((0,)))
+
+    def test_infinite_cost_leaving_the_subset(self):
+        # the Gray-code walk opens {0}, {0,1}, {1}, {1,2}, {0,1,2}, {0,2}, {2}:
+        # closing facility 1 must not poison the later subsets' opening costs
+        inst = tiny([[1.0], [1.0]], [0, 0], [[0.0], [5.0], [1.0]], [10.0, np.inf, 1.0])
+        sol = exact_flfo(inst, OutlierBudgets((0,)))
+        assert sol.open == frozenset({2})
+        assert sol.total_cost == 1.0
+
+    def test_no_finite_subset_raises(self):
+        inst = tiny([[0.0], [1.0]], [0, 0], [[0.0], [1.0]], [np.inf, np.inf])
+        with pytest.raises(OracleError, match="finite"):
+            exact_flfo(inst, OutlierBudgets((1,)))
 
 
 class TestExactKmfo:

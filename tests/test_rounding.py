@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -28,9 +29,12 @@ from conftest import random_budgets, random_instance
 
 
 def tiny(client_pts, groups, fac_pts, costs, pairs=None):
-    return MetricInstance.from_arrays(
-        np.array(client_pts, float), groups, np.array(fac_pts, float), costs, pairs
-    )
+    """Instance from point lists; ``pairs`` is a set of (fac, cli) tuples."""
+    inst = MetricInstance(np.array(client_pts, float), groups, np.array(fac_pts, float), costs)
+    if pairs is None:
+        return inst
+    fac, cli = zip(*sorted(pairs, key=lambda p: (p[1], p[0])))
+    return replace(inst, pair_fac=fac, pair_cli=cli)
 
 
 def frac_from(inst, x_entries, y, z, objective=0.0):
@@ -196,7 +200,7 @@ class TestRound:
     def test_separated_clusters_open_their_facilities(self, rng):
         centers = np.array([[0.0, 0.0], [100.0, 0.0], [0.0, 100.0]])
         clients = np.vstack([c + rng.normal(0, 0.1, (5, 2)) for c in centers])
-        inst = MetricInstance.from_arrays(
+        inst = MetricInstance(
             clients, np.zeros(15, int), centers, np.full(3, 1.0)
         )
         budgets = OutlierBudgets((0,))
