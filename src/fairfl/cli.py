@@ -411,7 +411,10 @@ def _chain_worker(payload) -> tuple[list[SweepRecord], list[float]]:
             if want_lp:
                 frac = chain.solved(budgets, PER_GROUP)
                 if frac is None:
-                    frac = solve_lp(build_flfo_lp(inst, budgets, PER_GROUP), chain=chain)
+                    model = chain.rebudget(inst, budgets, PER_GROUP)
+                    if model is None:
+                        model = build_flfo_lp(inst, budgets, PER_GROUP)
+                    frac = solve_lp(model, chain=chain)
                 lp_objs.append(frac.objective_value)
     return records, lp_objs
 

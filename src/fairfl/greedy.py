@@ -8,6 +8,14 @@ group stops participating once enough of its members are connected, and the
 clients it leaves behind become that group's outliers.  Event times are
 solved in closed form from the piecewise-linear surplus growth, never by
 time stepping.
+
+Opening times are kept between events and recomputed incrementally: a
+facility's time t is recomputed only when a client within t + 2*_TIME_TOL
+of it has left play since t was computed (zero-cost facilities, whose time
+is the clock, at every event).  Clients leaving beyond that radius cannot
+change t, so the event trace is bitwise the one full recomputation gives.
+Each recomputation reads only the active clients' sorted distances, and the
+sorted rows drop departed clients once half of them have left.
 """
 
 from __future__ import annotations
@@ -58,21 +66,24 @@ def _opening_times(
 ) -> np.ndarray:
     """Earliest clock at which each given facility's surplus covers its cost.
 
-    Rows are facilities (already restricted to closed ones); the surplus at
-    clock t is piecewise linear with breakpoints at client distances, so the
-    opening time is solved per distance-sorted prefix.
+    Rows are facilities (already restricted to closed ones) with their
+    distances sorted ascending, ``order`` naming the client at each sorted
+    position.  The surplus at clock t is piecewise linear with breakpoints
+    at the active clients' distances, so the opening time is solved per
+    prefix of the active sorted row.  ``active`` is one mask over clients,
+    so every row keeps the same number of active entries and the active
+    distances form a rectangular, still sorted array.
     """
-    act = active[order]
-    ds = dist_sorted
-    cnt = np.cumsum(act, axis=1)
-    ssum = np.cumsum(np.where(act, ds, 0.0), axis=1)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t = (costs[:, None] + ssum) / cnt
-    d_here = np.maximum.accumulate(np.where(act, ds, -np.inf), axis=1)
-    masked = np.where(act, ds, np.inf)
-    suffix = np.minimum.accumulate(masked[:, ::-1], axis=1)[:, ::-1]
-    d_next = np.concatenate([suffix[:, 1:], np.full((ds.shape[0], 1), np.inf)], axis=1)
-    valid = (cnt > 0) & (t >= d_here - _TIME_TOL) & (t <= d_next + _TIME_TOL)
+    rows = dist_sorted.shape[0]
+    n_act = int(np.count_nonzero(active))
+    if n_act == 0:
+        return np.where(costs <= 0.0, alpha, np.inf)
+    ds = dist_sorted[active[order]].reshape(rows, n_act)
+    t = (costs[:, None] + np.cumsum(ds, axis=1)) / np.arange(1, n_act + 1)
+    d_next = np.empty_like(ds)
+    d_next[:, :-1] = ds[:, 1:]
+    d_next[:, -1] = np.inf
+    valid = (t >= ds - _TIME_TOL) & (t <= d_next + _TIME_TOL)
     times = np.where(valid, t, np.inf).min(axis=1)
     return np.where(costs <= 0.0, alpha, times)
 
@@ -118,12 +129,31 @@ def _dual_fit(
             rest = (state.group_of == g) & ~state.withdrawn
             state.withdrawn[rest] = True
 
-    order = np.argsort(dist, axis=1, kind="stable")
+    order = np.argsort(dist, axis=1)  # tie order is immaterial: only sorted values are read
     dist_sorted = np.take_along_axis(dist, order, axis=1)
 
     # nearest open facility per client, lowest index on distance ties
     d_open = np.full(n, np.inf)
     fac_open = np.full(n, m, dtype=np.int64)
+    is_open = np.zeros(m, dtype=bool)
+
+    # Opening times are kept per facility and recomputed only where an event
+    # can change them.  Clients only ever leave play, which can only delay an
+    # opening.  If every client that left since a facility's time t was
+    # computed lies beyond t + 2*_TIME_TOL, a recompute returns t bitwise:
+    # the sorted prefix up to t's breakpoint is unchanged, positions before a
+    # removed client keep their time, and a breakpoint past a removed client
+    # needs a time >= d - _TIME_TOL > t + _TIME_TOL.  ``left_min`` is the
+    # distance to the nearest client that left since t was computed; a time
+    # not yet computed is inf, which every distance undercuts.  A zero-cost
+    # facility's time is the clock, so it is recomputed at every event; an
+    # infinite cost gives an infinite time whatever is active.
+    costs = inst.open_costs
+    open_time = np.full(m, np.inf)
+    left_min = np.full(m, np.inf)
+    recheck = costs <= 0.0
+    fixed = np.isinf(costs)
+    seen = np.zeros(n, dtype=bool)  # the active mask the kept times were computed with
 
     guard = n + m + 1
     while state.active_groups.any():
@@ -143,12 +173,26 @@ def _dual_fit(
             pairs = sorted((int(fac_open[j]), int(j)) for j in hits)
             best = (float(t_a), pairs[0][0], pairs[0][1], "connect")
 
-        closed = np.array([i for i in range(m) if i not in set(state.open)], dtype=np.int64)
+        closed = np.flatnonzero(~is_open)
         stale_bound = np.inf
         if closed.size:
-            times = _opening_times(
-                dist_sorted[closed], order[closed], active, inst.open_costs[closed], state.alpha
-            )
+            left = np.flatnonzero(seen & ~active)
+            if left.size:
+                np.minimum(left_min, dist[:, left].min(axis=1), out=left_min)
+            lost = recheck | ((left_min <= open_time + 2 * _TIME_TOL) & ~fixed)
+            stale = closed[lost[closed]]
+            if 2 * act_idx.size < order.shape[1]:
+                # clients never re-enter play: drop the departed ones from the sorted rows
+                keep = active[order]
+                dist_sorted = dist_sorted[keep].reshape(m, act_idx.size)
+                order = order[keep].reshape(m, act_idx.size)
+            if stale.size:
+                open_time[stale] = _opening_times(
+                    dist_sorted[stale], order[stale], active, costs[stale], state.alpha
+                )
+                left_min[stale] = np.inf
+            seen = active
+            times = open_time[closed]
             pos = int(np.argmin(times))  # first occurrence = lowest facility index
             cand = (float(times[pos]), int(closed[pos]), -1, "open")
             if cand[:3] < best[:3]:
@@ -171,6 +215,7 @@ def _dual_fit(
             # facility opens: in-range clients connect in ascending distance order
             state.open.append(facility)
             state.open.sort()
+            is_open[facility] = True
             row = dist[facility]
             better = (row < d_open) | ((row == d_open) & (facility < fac_open))
             d_open[better] = row[better]

@@ -17,7 +17,7 @@ before being returned.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
@@ -68,7 +68,9 @@ class LpModel:
     Column layout: assignment variables for each allowed pair (client-major
     order, mirrored in ``pair_fac``/``pair_cli``), then one opening variable
     per facility, then one outlier variable per client.  Row layout: client
-    coverage rows, pair capacity rows, then budget row(s).
+    coverage rows, pair capacity rows, then budget row(s).  ``source`` is
+    the instance the model was built from, which lets an ``LpChain`` set new
+    budgets on its held model instead of rebuilding it.
     """
 
     c: np.ndarray
@@ -81,6 +83,7 @@ class LpModel:
     n_clients: int
     n_budget_rows: int
     fairness: str
+    source: Optional[MetricInstance] = field(default=None, compare=False, repr=False)
 
     @property
     def n_pairs(self) -> int:
@@ -185,7 +188,7 @@ def build_flfo_lp(
     )
     senses = np.array(["G"] * n + ["L"] * (n_pairs + n_budget))
     rhs = np.concatenate([np.ones(n), np.zeros(n_pairs), budget_rhs])
-    return LpModel(c, a_matrix, senses, rhs, fac, cli, m, n, n_budget, fairness)
+    return LpModel(c, a_matrix, senses, rhs, fac, cli, m, n, n_budget, fairness, inst)
 
 
 def _verify_residuals(model: LpModel, values: np.ndarray) -> None:
@@ -292,7 +295,7 @@ def _same_except_budgets(a: LpModel, b: LpModel) -> bool:
         return False
     k = _budget_start(a)
     return all(
-        np.array_equal(u, v)
+        u is v or np.array_equal(u, v)
         for u, v in (
             (a.c, b.c),
             (a.senses, b.senses),
@@ -325,7 +328,9 @@ class LpChain:
     model from its last optimal basis after ``changeRowBounds`` on the
     budget rows when only those differ (dual simplex, typically tens of
     pivots where a cold solve takes thousands); any other model replaces
-    the held one and is solved cold.  Solutions are memoised by budget
+    the held one and is solved cold.  ``rebudget`` hands out the held model
+    with new budget rows, so a caller need not rebuild the model of the same
+    instance at every budget vector.  Solutions are memoised by budget
     vector, so a budget seen before returns the same point whatever was
     solved in between, and a chain's answers depend only on the order of
     its own calls.  Every returned point passes the residual check against
@@ -385,6 +390,22 @@ class LpChain:
             return None
         hit = held.memo.get(tuple(_budget_rhs(budgets, fairness).tolist()))
         return hit[1] if hit else None
+
+    def rebudget(
+        self, inst: MetricInstance, budgets: OutlierBudgets, fairness: str = PER_GROUP
+    ) -> Optional[LpModel]:
+        """The held ``fairness`` model with its budget rows set to
+        ``budgets``, when it was built from ``inst`` (the same object); None
+        otherwise.  Equal in every array to ``build_flfo_lp(inst, budgets,
+        fairness)`` and sharing all but the right-hand sides with the held
+        model, so ``solve`` recognises it without comparing the matrices."""
+        held = self._held.get(fairness)
+        if held is None or held.base.source is not inst:
+            return None
+        budgets.validate_for(inst)
+        base = held.base
+        rhs = np.concatenate([base.rhs[: _budget_start(base)], _budget_rhs(budgets, fairness)])
+        return replace(base, rhs=rhs)
 
     @staticmethod
     def _run(held: _HeldModel, model: LpModel, cap: int) -> tuple[np.ndarray, int]:

@@ -3,11 +3,32 @@ import subprocess
 import sys
 from pathlib import Path
 
+from typing import Optional
+
 import numpy as np
 import pytest
 
-from fairfl import GreedyError, MetricInstance, OutlierBudgets, gdf_f, gdf_nf, unfairness
-from fairfl.greedy import DualTrace, _dual_fit
+from fairfl import (
+    GreedyError,
+    MetricInstance,
+    OutlierBudgets,
+    SyntheticConfig,
+    gdf_f,
+    gdf_nf,
+    generate_synthetic,
+    unfairness,
+)
+from fairfl.cli import budgets_from_pct, build_parser, prepare_instance, resolve_config
+from fairfl.greedy import (
+    _TIME_TOL,
+    DualState,
+    DualTrace,
+    _connect,
+    _dual_fit,
+    _opening_times,
+    _withdrawn_by_group,
+)
+from fairfl.instance import assign_nearest, prune_pairs
 from conftest import random_budgets, random_instance
 
 
@@ -178,3 +199,302 @@ class TestGuards:
         out = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True,
                              env=dict(os.environ, PYTHONPATH=src), timeout=120)
         assert out.stdout.strip() == "raised", out.stderr
+
+
+# ---------------------------------------------------------------------------
+# Full recomputation of every opening time at every event: the event loop as
+# it was before opening times were kept between events, kept verbatim as the
+# reference the incremental loop must reproduce bit for bit.
+
+
+def _reference_opening_times(
+    dist_sorted: np.ndarray, order: np.ndarray, active: np.ndarray, costs: np.ndarray, alpha: float
+) -> np.ndarray:
+    """Earliest clock at which each given facility's surplus covers its cost.
+
+    Rows are facilities (already restricted to closed ones); the surplus at
+    clock t is piecewise linear with breakpoints at client distances, so the
+    opening time is solved per distance-sorted prefix.
+    """
+    act = active[order]
+    ds = dist_sorted
+    cnt = np.cumsum(act, axis=1)
+    ssum = np.cumsum(np.where(act, ds, 0.0), axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = (costs[:, None] + ssum) / cnt
+    d_here = np.maximum.accumulate(np.where(act, ds, -np.inf), axis=1)
+    masked = np.where(act, ds, np.inf)
+    suffix = np.minimum.accumulate(masked[:, ::-1], axis=1)[:, ::-1]
+    d_next = np.concatenate([suffix[:, 1:], np.full((ds.shape[0], 1), np.inf)], axis=1)
+    valid = (cnt > 0) & (t >= d_here - _TIME_TOL) & (t <= d_next + _TIME_TOL)
+    times = np.where(valid, t, np.inf).min(axis=1)
+    return np.where(costs <= 0.0, alpha, times)
+
+
+
+def _reference_dual_fit(
+    inst: MetricInstance,
+    group_of: np.ndarray,
+    targets: np.ndarray,
+    trace: Optional[DualTrace] = None,
+) -> DualState:
+    dist = inst.distances()
+    m, n = dist.shape
+    n_groups = len(targets)
+    state = DualState(
+        alpha=0.0,
+        connected=np.zeros(n, dtype=bool),
+        withdrawn=np.zeros(n, dtype=bool),
+        open=[],
+        coverage_target=np.asarray(targets, dtype=np.int64),
+        connected_count=np.zeros(n_groups, dtype=np.int64),
+        active_groups=np.ones(n_groups, dtype=bool),
+        dist=dist,
+        open_costs=inst.open_costs,
+        group_of=np.asarray(group_of, dtype=np.int64),
+    )
+    for g in range(n_groups):
+        if state.coverage_target[g] <= 0:
+            state.active_groups[g] = False
+            rest = (state.group_of == g) & ~state.withdrawn
+            state.withdrawn[rest] = True
+
+    order = np.argsort(dist, axis=1, kind="stable")
+    dist_sorted = np.take_along_axis(dist, order, axis=1)
+
+    # nearest open facility per client, lowest index on distance ties
+    d_open = np.full(n, np.inf)
+    fac_open = np.full(n, m, dtype=np.int64)
+
+    guard = n + m + 1
+    while state.active_groups.any():
+        guard -= 1
+        if guard < 0:
+            raise GreedyError("event loop failed to terminate")
+        active = state.active_clients()
+        if not active.any():
+            raise GreedyError("active group with no available clients")
+
+        best: tuple = (np.inf, m, n, "none")
+        act_idx = np.flatnonzero(active)
+        reachable = act_idx[np.isfinite(d_open[act_idx])]
+        if reachable.size:
+            t_a = d_open[reachable].min()
+            hits = reachable[d_open[reachable] == t_a]
+            pairs = sorted((int(fac_open[j]), int(j)) for j in hits)
+            best = (float(t_a), pairs[0][0], pairs[0][1], "connect")
+
+        closed = np.array([i for i in range(m) if i not in set(state.open)], dtype=np.int64)
+        stale_bound = np.inf
+        if closed.size:
+            times = _reference_opening_times(
+                dist_sorted[closed], order[closed], active, inst.open_costs[closed], state.alpha
+            )
+            pos = int(np.argmin(times))  # first occurrence = lowest facility index
+            cand = (float(times[pos]), int(closed[pos]), -1, "open")
+            if cand[:3] < best[:3]:
+                best = cand
+
+        t, facility, client, kind = best
+        if not np.isfinite(t):
+            raise GreedyError("no next event despite unmet coverage")
+        if t < state.alpha - _TIME_TOL:
+            raise GreedyError(f"next event at {t!r} precedes the clock {state.alpha!r}")
+        state.alpha = max(state.alpha, t)
+
+        if kind == "connect":
+            _connect(state, client)
+            if trace is not None:
+                trace.events.append(("connect", state.alpha, facility, (client,)))
+            if closed.size:
+                stale_bound = float(times.min())
+        else:
+            # facility opens: in-range clients connect in ascending distance order
+            state.open.append(facility)
+            state.open.sort()
+            row = dist[facility]
+            better = (row < d_open) | ((row == d_open) & (facility < fac_open))
+            d_open[better] = row[better]
+            fac_open[better] = facility
+            in_range = np.flatnonzero(active & (row <= state.alpha + _TIME_TOL))
+            batch = []
+            for j in in_range[np.lexsort((in_range, row[in_range]))]:
+                g = int(state.group_of[j])
+                if not state.active_groups[g]:
+                    continue
+                _connect(state, int(j))
+                batch.append(int(j))
+            if trace is not None:
+                trace.events.append(("open", state.alpha, facility, tuple(batch)))
+            still_closed = times[closed != facility] if closed.size else times[:0]
+            if still_closed.size:
+                stale_bound = float(still_closed.min())
+
+        # Cheap phase: removing clients from play only delays facility
+        # openings, so every connection strictly below the pre-event opening
+        # bound fires before any facility opens; drain them without
+        # recomputing opening times.
+        if not state.active_groups.any():
+            break
+        active = state.active_clients()
+        ready = np.flatnonzero(active & (d_open < stale_bound))
+        if ready.size:
+            for j in ready[np.lexsort((ready, fac_open[ready], d_open[ready]))]:
+                j = int(j)
+                if state.connected[j] or state.withdrawn[j]:
+                    continue
+                if not state.active_groups[state.group_of[j]]:
+                    continue
+                state.alpha = max(state.alpha, float(d_open[j]))
+                _connect(state, j)
+                if trace is not None:
+                    trace.events.append(("connect", state.alpha, int(fac_open[j]), (j,)))
+                if not state.active_groups.any():
+                    break
+    return state
+
+
+
+def _events(trace: DualTrace) -> list[tuple]:
+    return [(kind, float(t).hex(), fac, clients) for kind, t, fac, clients in trace.events]
+
+
+def assert_same_run(inst: MetricInstance, group_of, targets) -> Optional[DualTrace]:
+    """Run the incremental and the full-recomputation loop; their event
+    logs, final clocks, open sets, outliers and costs must be identical."""
+    fast, ref = DualTrace(), DualTrace()
+    try:
+        expected = _reference_dual_fit(inst, group_of, targets, ref)
+    except GreedyError as err:
+        with pytest.raises(GreedyError) as raised:
+            _dual_fit(inst, group_of, targets, fast)
+        assert str(raised.value) == str(err)
+        return None
+    got = _dual_fit(inst, group_of, targets, fast)
+    assert _events(fast) == _events(ref)
+    assert got.open == expected.open
+    assert float(got.alpha).hex() == float(expected.alpha).hex()
+    assert np.array_equal(got.withdrawn, expected.withdrawn)
+    cost = assign_nearest(inst, got.open, _withdrawn_by_group(inst, got)).total_cost
+    ref_cost = assign_nearest(inst, expected.open, _withdrawn_by_group(inst, expected)).total_cost
+    assert cost.hex() == ref_cost.hex()
+    return fast
+
+
+def assert_same_fair_and_nonfair(inst: MetricInstance, budgets: OutlierBudgets) -> None:
+    sizes = np.array([len(mem) for mem in inst.group_members], dtype=np.int64)
+    assert_same_run(inst, inst.groups, sizes - np.array(budgets.per_group, dtype=np.int64))
+    assert_same_run(inst, np.zeros(inst.n_clients, dtype=np.int64),
+                    np.array([inst.n_clients - budgets.total], dtype=np.int64))
+
+
+def _bits(a: np.ndarray) -> bytes:
+    return np.ascontiguousarray(a, dtype=np.float64).tobytes()
+
+
+class TestOpeningTimesKernel:
+    """The active-only kernel against the full-row masked reference."""
+
+    @staticmethod
+    def _case(rng, rows, n, grid):
+        if grid:  # integer distances: many ties
+            dist = rng.integers(0, 4, (rows, n)).astype(float)
+            costs = rng.integers(0, 4, rows).astype(float)
+        else:
+            dist = rng.random((rows, n)) * 10.0
+            costs = rng.random(rows) * 5.0
+        costs[rng.random(rows) < 0.2] = 0.0
+        costs[rng.random(rows) < 0.1] = np.inf
+        order = np.argsort(dist, axis=1, kind="stable")
+        return np.take_along_axis(dist, order, axis=1), order, costs
+
+    def test_bitwise_equal_to_reference(self, rng):
+        for trial in range(400):
+            rows, n = int(rng.integers(1, 7)), int(rng.integers(1, 12))
+            ds, order, costs = self._case(rng, rows, n, grid=trial % 2 == 0)
+            active = rng.random(n) < rng.choice([0.0, 0.3, 0.7, 1.0])
+            alpha = float(rng.random())
+            got = _opening_times(ds, order, active, costs, alpha)
+            want = _reference_opening_times(ds, order, active, costs, alpha)
+            assert _bits(got) == _bits(want), (ds, active, costs)
+
+    def test_edge_rows(self):
+        ds = np.array([[0.0, 1.0, 1.0, 3.0]] * 3)
+        order = np.tile(np.arange(4), (3, 1))
+        costs = np.array([0.0, np.inf, 2.0])
+        none = np.zeros(4, dtype=bool)
+        got = _opening_times(ds, order, none, costs, 0.25)
+        assert _bits(got) == _bits(_reference_opening_times(ds, order, none, costs, 0.25))
+        assert got.tolist() == [0.25, np.inf, np.inf]  # zero cost: the clock; else inf
+        some = np.array([False, True, True, False])
+        got = _opening_times(ds, order, some, costs, 0.25)
+        assert _bits(got) == _bits(_reference_opening_times(ds, order, some, costs, 0.25))
+        assert got.tolist() == [0.25, np.inf, 2.0]  # tie at d=1: surplus 2(t-1) = 2
+
+
+class TestIncrementalMatchesFullRecompute:
+    """The incremental event loop against ``_reference_dual_fit``."""
+
+    def test_random_suite(self, random_suite):
+        for inst, budgets in random_suite:
+            assert_same_fair_and_nonfair(inst, budgets)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_synthetic_sweep(self, seed):
+        inst, _ = generate_synthetic(SyntheticConfig(seed=seed))
+        inst = prune_pairs(inst)
+        for pct in range(1, 11):
+            assert_same_fair_and_nonfair(inst, budgets_from_pct(inst, float(pct)))
+
+    def test_large_csv_instance(self, tmp_path):
+        # the table, sample and k-means facilities of the 4500x100 acceptance sweep
+        rng = np.random.default_rng(7)
+        n_rows = 6000
+        features = np.column_stack(
+            [
+                rng.normal(50, 12, n_rows),
+                rng.exponential(8.0, n_rows),
+                rng.normal(0, 1, n_rows),
+                rng.uniform(0, 100, n_rows),
+                rng.normal(30, 5, n_rows),
+                rng.exponential(2.0, n_rows),
+            ]
+        )
+        groups = np.where(rng.random(n_rows) < 2 / 3, "A", "B")
+        path = tmp_path / "big.csv"
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write("c0,c1,c2,c3,c4,c5,grp\n")
+            for row, g in zip(features, groups):
+                fh.write(",".join(f"{v:.6f}" for v in row) + f",{g}\n")
+        args = build_parser().parse_args(
+            ["sweep", "--dataset", str(path), "--group-col", "grp", "--n", "4500",
+             "--m", "100", "--seed", "0"]
+        )
+        inst, _ = prepare_instance(resolve_config(args))
+        assert (inst.n_clients, inst.n_facilities) == (4500, 100)
+        assert_same_fair_and_nonfair(inst, budgets_from_pct(inst, 5.0))
+
+    def test_ties_and_zero_costs_on_integer_grid(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = pytest.importorskip("hypothesis.strategies")
+
+        @hypothesis.settings(max_examples=300, deadline=None, database=None)
+        @hypothesis.given(st.data())
+        def check(data):
+            n = data.draw(st.integers(1, 9))
+            m = data.draw(st.integers(1, 5))
+            n_groups = data.draw(st.integers(1, min(3, n)))
+            coord = st.integers(0, 3)
+            clients = data.draw(st.lists(st.tuples(coord, coord), min_size=n, max_size=n))
+            facilities = data.draw(st.lists(st.tuples(coord, coord), min_size=m, max_size=m))
+            costs = data.draw(st.lists(st.integers(0, 3), min_size=m, max_size=m))
+            extra = data.draw(st.lists(st.integers(0, n_groups - 1), min_size=n - n_groups,
+                                       max_size=n - n_groups))
+            inst = MetricInstance(np.array(clients, float), list(range(n_groups)) + extra,
+                                  np.array(facilities, float), np.array(costs, float))
+            budgets = OutlierBudgets(tuple(
+                data.draw(st.integers(0, len(mem))) for mem in inst.group_members
+            ))
+            assert_same_fair_and_nonfair(inst, budgets)
+
+        check()

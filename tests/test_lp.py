@@ -1,8 +1,11 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy import sparse
 
 import fairfl.lp
+import fairfl.rounding
 from fairfl import (
     AGGREGATE,
     PER_GROUP,
@@ -24,6 +27,7 @@ from fairfl import (
 )
 from fairfl.cli import budgets_from_pct
 from fairfl.lp import _verify_residuals
+from fairfl.rounding import RoundingConfig, lpr_pipeline
 from conftest import random_budgets, random_instance
 
 
@@ -225,6 +229,52 @@ class TestLpChain:
                 chain.solve(model, pivot_cap=1)
             frac = chain.solve(model)
         assert frac.objective_value == pytest.approx(solve_lp(model).objective_value, rel=1e-12)
+
+    def test_rebudget_equals_a_fresh_build(self, synthetic_seed0):
+        inst = synthetic_seed0
+        first, second = budgets_from_pct(inst, 2), budgets_from_pct(inst, 7)
+        for fairness, other in ((PER_GROUP, AGGREGATE), (AGGREGATE, PER_GROUP)):
+            with LpChain() as chain:
+                assert chain.rebudget(inst, second, fairness) is None  # nothing held yet
+                held = build_flfo_lp(inst, first, fairness)
+                chain.solve(held)
+                model = chain.rebudget(inst, second, fairness)
+                fresh = build_flfo_lp(inst, second, fairness)
+                for name in ("c", "senses", "rhs", "pair_fac", "pair_cli"):
+                    assert np.array_equal(getattr(model, name), getattr(fresh, name)), name
+                assert (model.a_matrix != fresh.a_matrix).nnz == 0
+                assert model.a_matrix is held.a_matrix and model.c is held.c
+                assert model.n_budget_rows == fresh.n_budget_rows and model.source is inst
+                # only the held mode of the same instance object is re-budgeted
+                assert chain.rebudget(inst, second, other) is None
+                assert chain.rebudget(replace(inst), second, fairness) is None
+                with pytest.raises(ValueError):
+                    chain.rebudget(inst, OutlierBudgets((10**6,) * inst.n_groups), fairness)
+                frac = chain.solve(model)
+                assert (chain.stats["cold"], chain.stats["warm"]) == (1, 1)
+            assert frac.objective_value == pytest.approx(
+                solve_lp(fresh).objective_value, rel=1e-9, abs=1e-12
+            )
+
+    def test_pipeline_builds_once_per_chain(self, monkeypatch, synthetic_seed0):
+        inst = synthetic_seed0
+        seq = [budgets_from_pct(inst, p) for p in (1, 2, 3, 2)]
+        builds = []
+        build = fairfl.rounding.build_flfo_lp
+        monkeypatch.setattr(fairfl.rounding, "build_flfo_lp", lambda *a: builds.append(a) or build(*a))
+
+        def run():
+            with LpChain() as chain:
+                return [lpr_pipeline(inst, b, RoundingConfig(), PER_GROUP, chain=chain) for b in seq]
+
+        reused = run()
+        assert len(builds) == 1
+        monkeypatch.setattr(LpChain, "rebudget", lambda self, *a: None)
+        rebuilt = run()
+        assert len(builds) == 1 + len(seq)
+        for (sol, frac), (sol_b, frac_b) in zip(reused, rebuilt):
+            assert np.array_equal(point(frac), point(frac_b))
+            assert sol.open == sol_b.open and sol.total_cost == sol_b.total_cost
 
     def test_linprog_fallback_agrees(self, monkeypatch, random_suite, synthetic_seed0):
         cases = [(inst, budgets, PER_GROUP) for inst, budgets in random_suite[:20]]
