@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .instance import MetricInstance
+from .instance import MetricInstance, row_blocks
 
 
 class DataError(ValueError):
@@ -182,7 +182,9 @@ def select_facilities_kmeans(
     rng = np.random.default_rng(seed)
     centers = _kmeans_pp(points, m, rng)
     for _ in range(max_iter):
-        d2 = ((points[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+        d2 = np.empty((n, m))
+        for rows in row_blocks(n, centers.nbytes):
+            d2[rows] = ((points[rows, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
         labels = np.argmin(d2, axis=1)
         new_centers = centers.copy()
         assigned_d2 = d2[np.arange(n), labels]
@@ -257,7 +259,9 @@ def build_instance(
     """
     facility_coords = np.asarray(facility_coords, dtype=float)
     if facility_costs is None:
-        diff = facility_coords[:, None, :] - table.features[None, :, :]
-        d_max = float(np.sqrt((diff**2).sum(axis=2)).max())
+        d_max = 0.0
+        for rows in row_blocks(len(facility_coords), table.features.nbytes):
+            diff = facility_coords[rows, None, :] - table.features[None, :, :]
+            d_max = max(d_max, float(np.sqrt((diff**2).sum(axis=2)).max()))
         facility_costs = np.full(len(facility_coords), d_max)
     return MetricInstance(table.features, table.groups, facility_coords, facility_costs)

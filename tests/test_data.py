@@ -14,6 +14,7 @@ from fairfl import (
     sample_clients,
     select_facilities_kmeans,
 )
+from fairfl import instance as instance_mod
 
 
 def write(tmp_path, text, name="data.csv"):
@@ -159,6 +160,15 @@ class TestKmeansFacilities:
         centers = select_facilities_kmeans(pts, 4, seed=0)
         assert centers.shape == (4, 2)
 
+    def test_row_blocks_do_not_change_centers(self, rng, monkeypatch):
+        # one block is the whole (points x centers x dim) computation
+        pts = rng.random((300, 4))
+        monkeypatch.setattr(instance_mod, "_BLOCK_BYTES", 1 << 40)
+        whole = select_facilities_kmeans(pts, 9, seed=3)
+        for block_bytes in (1, 200, 5000):
+            monkeypatch.setattr(instance_mod, "_BLOCK_BYTES", block_bytes)
+            assert select_facilities_kmeans(pts, 9, seed=3).tobytes() == whole.tobytes()
+
     def test_count_exact_on_random(self, rng):
         for m in (1, 3, 7):
             centers = select_facilities_kmeans(rng.random((12, 2)), m, seed=2)
@@ -209,6 +219,15 @@ class TestBuildInstance:
         inst = build_instance(table, fac)
         d_max = inst.distances().max()
         assert np.allclose(inst.open_costs, d_max)
+
+    def test_row_blocks_do_not_change_costs(self, rng, monkeypatch):
+        table = RawTable(rng.random((50, 3)), np.zeros(50, dtype=np.int64), ("g",), ("a", "b", "c"))
+        fac = rng.random((9, 3))
+        monkeypatch.setattr(instance_mod, "_BLOCK_BYTES", 1 << 40)
+        whole = build_instance(table, fac).open_costs
+        for block_bytes in (1, 1500, 5000):
+            monkeypatch.setattr(instance_mod, "_BLOCK_BYTES", block_bytes)
+            assert build_instance(table, fac).open_costs.tobytes() == whole.tobytes()
 
     def test_explicit_costs_respected(self, rng):
         table = RawTable(rng.random((4, 2)), np.zeros(4, dtype=np.int64), ("g",), ("a", "b"))

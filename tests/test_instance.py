@@ -13,6 +13,8 @@ from fairfl import (
     solution_cost,
     unfairness,
 )
+from fairfl import instance as instance_mod
+from fairfl.instance import row_blocks
 from conftest import random_budgets, random_instance
 
 
@@ -39,6 +41,33 @@ class TestDistance:
         for i in range(inst.n_facilities):
             for j in range(inst.n_clients):
                 assert inst.distance(i, j) == pytest.approx(small[i, j], abs=0)
+
+    @pytest.mark.parametrize("block_bytes", [1, 100, 1000, 1 << 40])
+    def test_blocked_matrix_equals_whole_product(self, rng, monkeypatch, block_bytes):
+        # row blocks only bound the temporaries: every entry is bitwise the
+        # one the whole (facilities x clients x dim) product gives
+        monkeypatch.setattr(instance_mod, "_BLOCK_BYTES", block_bytes)
+        for _ in range(20):
+            n, m, dim = rng.integers(1, 40), rng.integers(1, 12), rng.integers(1, 5)
+            clients, facs = rng.normal(0, 10, (n, dim)), rng.normal(0, 10, (m, dim))
+            inst = MetricInstance(clients, np.zeros(n, int), facs, np.ones(m))
+            diff = facs[:, None, :] - clients[None, :, :]
+            whole = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
+            assert inst.distances().tobytes() == whole.tobytes()
+
+    def test_blocked_matrix_at_large_csv_size(self, rng):
+        clients, facs = rng.random((4500, 6)), rng.random((100, 6))
+        inst = MetricInstance(clients, np.zeros(4500, int), facs, np.ones(100))
+        diff = facs[:, None, :] - clients[None, :, :]
+        whole = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
+        assert inst.distances().tobytes() == whole.tobytes()
+
+    def test_row_blocks_cover_rows_in_order(self):
+        for n_rows in (1, 7, 64):
+            for row_bytes in (1, 48, 1 << 19, 1 << 30):
+                blocks = row_blocks(n_rows, row_bytes)
+                assert [r for b in blocks for r in range(n_rows)[b]] == list(range(n_rows))
+                assert blocks[0].stop - blocks[0].start == max(1, (1 << 20) // row_bytes)
 
     def test_symmetry_and_triangle(self, rng):
         pts = rng.random((7, 3))
