@@ -16,8 +16,10 @@ assign over the full metric, so on a pruned instance their cost may fall
 below it.  A sweep runs one chain per algorithm: that algorithm's
 percentages in order, in one process, with the LP re-solved warm from one
 percentage to the next (see ``fairfl.lp.LpChain``), so output bytes do not
-depend on ``--jobs``.  Exit codes: 0 success, 2 configuration error, 3
-solver error.
+depend on ``--jobs``.  Every cell's cost and per-group outlier counts are
+re-checked against its solution before the row is written.  Exit codes: 0
+success, 2 configuration error, 3 solver error (or a cell that fails the
+re-check).
 """
 
 from __future__ import annotations
@@ -45,10 +47,13 @@ from .data import (
 )
 from .greedy import GreedyError, gdf_f, gdf_nf
 from .instance import (
+    FACILITY_LOCATION,
+    K_MEDIAN,
     IntegralSolution,
     MetricInstance,
     OutlierBudgets,
     prune_pairs,
+    solution_cost,
     unfairness,
 )
 from .kmedian import LocalSearchError, ls_nf, r_ls_f, r_ls_nf
@@ -73,6 +78,10 @@ CSV_HEADER = ["algo", "pct", "cost", "lp_obj", "unfairness", "group", "ell", "el
 
 class ConfigError(Exception):
     pass
+
+
+class CellCheckError(Exception):
+    """A sweep cell's solution disagrees with the figures reported for it."""
 
 
 @dataclass
@@ -379,6 +388,7 @@ def _cell_worker(payload) -> SweepRecord:
     sol = run_algorithm(algo, inst, budgets, params)
     ms = (time.perf_counter() - start) * 1000.0
     cost = sol.total_cost if problem == "fl" else sol.connection_cost
+    _verify_cell(algo, pct, inst, sol, cost, FACILITY_LOCATION if problem == "fl" else K_MEDIAN)
     return SweepRecord(
         algo=algo,
         pct=pct,
@@ -390,6 +400,27 @@ def _cell_worker(payload) -> SweepRecord:
         ms=ms,
         seed=seed,
     )
+
+
+def _verify_cell(algo: str, pct: float, inst: MetricInstance, sol: IntegralSolution,
+                 cost: float, objective: str) -> None:
+    """Recompute a cell's cost from its solution (``solution_cost``, to 1e-9
+    relative) and check that each group's outlier count is the number of
+    that group's clients the assignment leaves out."""
+    where = f"{algo} at pct {pct:g}"
+    try:
+        recomputed = solution_cost(inst, sol, objective)
+    except ValueError as exc:
+        raise CellCheckError(f"{where}: {exc}") from None
+    if not math.isclose(cost, recomputed, rel_tol=1e-9):
+        raise CellCheckError(f"{where}: reported cost {cost!r} != recomputed {recomputed!r}")
+    assigned = np.zeros(inst.n_clients, dtype=bool)
+    assigned[list(sol.assignment)] = True
+    left_out = tuple(np.bincount(inst.groups[~assigned], minlength=inst.n_groups).tolist())
+    if sol.outlier_counts() != left_out:
+        raise CellCheckError(
+            f"{where}: outlier counts {sol.outlier_counts()} != unassigned clients per group {left_out}"
+        )
 
 
 def _chain_worker(payload) -> tuple[list[SweepRecord], list[float]]:
@@ -666,7 +697,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (ConfigError, DataError, FileNotFoundError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (LpError, RoundingError, GreedyError, LocalSearchError, OracleError) as exc:
+    except (LpError, RoundingError, GreedyError, LocalSearchError, OracleError, CellCheckError) as exc:
         print(f"solver error: {exc}", file=sys.stderr)
         return 3
 

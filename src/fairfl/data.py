@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .instance import MetricInstance, row_blocks
+from .instance import MetricInstance
 
 
 class DataError(ValueError):
@@ -142,12 +142,82 @@ def sample_clients(table: RawTable, n: int, seed: int) -> RawTable:
     )
 
 
+# Rows of one output block of ``_sq_distances``: about this many bytes, so the
+# block and its running terms stay in cache while every coordinate passes.
+_KERNEL_BLOCK_BYTES = 1 << 18
+
+
+def _square_diff(points: np.ndarray, centers_t: np.ndarray, k: int, out: np.ndarray) -> None:
+    np.subtract(points[:, k, None], centers_t[k], out=out)
+    np.multiply(out, out, out=out)
+
+
+def _coordinate_sum(
+    points: np.ndarray, centers_t: np.ndarray, lo: int, count: int, out: np.ndarray, term: np.ndarray
+) -> None:
+    """``out`` = the squared differences over coordinates ``lo .. lo+count-1``,
+    added in the order numpy's pairwise summation adds a contiguous run."""
+    if count < 8:
+        _square_diff(points, centers_t, lo, out)
+        for k in range(lo + 1, lo + count):
+            _square_diff(points, centers_t, k, term)
+            out += term
+        return
+    if count > 128:
+        half = count // 2
+        half -= half % 8
+        _coordinate_sum(points, centers_t, lo, half, out, term)
+        right = np.empty_like(out)
+        _coordinate_sum(points, centers_t, lo + half, count - half, right, term)
+        out += right
+        return
+    # eight running sums over strides of 8, combined as a tree, then the tail
+    partial = [out] + [np.empty_like(out) for _ in range(7)]
+    for j in range(8):
+        _square_diff(points, centers_t, lo + j, partial[j])
+    whole = count - count % 8
+    for i in range(8, whole, 8):
+        for j in range(8):
+            _square_diff(points, centers_t, lo + i + j, term)
+            partial[j] += term
+    for step in (1, 2, 4):
+        for j in range(0, 8, 2 * step):
+            partial[j] += partial[j + step]
+    for k in range(lo + whole, lo + count):
+        _square_diff(points, centers_t, k, term)
+        out += term
+
+
+def _sq_distances(points: np.ndarray, centers: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Fill the (n, m) ``out`` with squared distances from every point to
+    every center, bit for bit as ``((points[:, None, :] - centers[None]) **
+    2).sum(axis=2)`` computes them, without that (n, m, d) temporary.
+
+    numpy sums a contiguous run of ``d`` values in a fixed order: one by one
+    below 8; from 8 to 128 in eight partial sums (coordinate ``k`` goes to
+    sum ``k % 8`` for the first ``d - d % 8`` coordinates) combined as
+    ``((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7))``, then the rest one by one; above
+    128 as the sum of both halves, split at half the run rounded down to a
+    multiple of 8.  The kernel adds whole (rows, m) blocks one coordinate
+    at a time in that same order.
+    """
+    n, m = out.shape
+    centers_t = np.ascontiguousarray(centers.T)
+    step = max(1, _KERNEL_BLOCK_BYTES // (8 * max(1, m)))
+    term = np.empty((min(step, n), m))
+    for lo in range(0, n, step):
+        block = out[lo:lo + step]
+        _coordinate_sum(points[lo:lo + step], centers_t, 0, points.shape[1], block, term[: len(block)])
+    return out
+
+
 def _kmeans_pp(points: np.ndarray, m: int, rng: np.random.Generator) -> np.ndarray:
     n = len(points)
     centers = np.empty((m, points.shape[1]))
     first = int(rng.integers(n))
     centers[0] = points[first]
-    d2 = ((points - centers[0]) ** 2).sum(axis=1)
+    d2 = _sq_distances(points, centers[:1], np.empty((n, 1)))[:, 0]
+    nearest = np.empty((n, 1))
     for c in range(1, m):
         total = d2.sum()
         if total > 0:
@@ -156,7 +226,7 @@ def _kmeans_pp(points: np.ndarray, m: int, rng: np.random.Generator) -> np.ndarr
         else:  # all remaining points coincide with chosen centers
             idx = int(rng.integers(n))
         centers[c] = points[idx]
-        d2 = np.minimum(d2, ((points - centers[c]) ** 2).sum(axis=1))
+        d2 = np.minimum(d2, _sq_distances(points, centers[c:c + 1], nearest)[:, 0])
     return centers
 
 
@@ -171,7 +241,16 @@ def select_facilities_kmeans(
 
     Iterates until centers move at most ``tol`` or ``max_iter`` rounds pass.
     An empty cluster is re-seeded at the point currently farthest from its
-    assigned center, so the center count never collapses.
+    assigned center (the farthest for the first empty cluster, the next
+    farthest for the second, and so on), so the center count never
+    collapses.
+
+    The result is bitwise reproducible and equal to the plain numpy
+    computation: every squared distance is summed over the coordinates in
+    numpy's pairwise order (see ``_sq_distances``), and every center sums
+    its cluster's points laid out as ``points[labels == c]`` lays them out
+    (contiguous, in input order), so numpy adds them in the order ``mean``
+    does: row by row, or pairwise when there is one coordinate.
     """
     points = np.asarray(points, dtype=float)
     n = len(points)
@@ -181,23 +260,24 @@ def select_facilities_kmeans(
         raise DataError("need at least one center")
     rng = np.random.default_rng(seed)
     centers = _kmeans_pp(points, m, rng)
+    d2 = np.empty((n, m))
     for _ in range(max_iter):
-        d2 = np.empty((n, m))
-        for rows in row_blocks(n, centers.nbytes):
-            d2[rows] = ((points[rows, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
-        labels = np.argmin(d2, axis=1)
-        new_centers = centers.copy()
-        assigned_d2 = d2[np.arange(n), labels]
-        taken: set[int] = set()
-        for c in range(m):
-            mask = labels == c
-            if mask.any():
-                new_centers[c] = points[mask].mean(axis=0)
-            else:
-                far_order = np.argsort(-assigned_d2, kind="stable")
-                pick = next(int(q) for q in far_order if int(q) not in taken)
-                taken.add(pick)
-                new_centers[c] = points[pick]
+        labels = np.argmin(_sq_distances(points, centers, d2), axis=1)
+        counts = np.bincount(labels, minlength=m)
+        # each cluster's rows as one contiguous slice, in input order, so its
+        # sum runs over the same layout as the boolean-mask selection
+        members = points[np.argsort(labels, kind="stable")]
+        new_centers = np.empty_like(centers)
+        lo = 0
+        for c, hi in enumerate(np.cumsum(counts).tolist()):
+            if hi > lo:
+                new_centers[c] = members[lo:hi].sum(axis=0) / counts[c]
+            lo = hi
+        empty = np.flatnonzero(counts == 0)
+        if empty.size:
+            assigned_d2 = d2[np.arange(n), labels]
+            farthest = np.argsort(-assigned_d2, kind="stable")[: empty.size]
+            new_centers[empty] = points[farthest]
         shift = float(np.sqrt(((new_centers - centers) ** 2).sum(axis=1)).max())
         centers = new_centers
         if shift <= tol:
@@ -259,9 +339,6 @@ def build_instance(
     """
     facility_coords = np.asarray(facility_coords, dtype=float)
     if facility_costs is None:
-        d_max = 0.0
-        for rows in row_blocks(len(facility_coords), table.features.nbytes):
-            diff = facility_coords[rows, None, :] - table.features[None, :, :]
-            d_max = max(d_max, float(np.sqrt((diff**2).sum(axis=2)).max()))
-        facility_costs = np.full(len(facility_coords), d_max)
+        d2 = _sq_distances(table.features, facility_coords, np.empty((table.n_rows, len(facility_coords))))
+        facility_costs = np.full(len(facility_coords), np.sqrt(d2.max(initial=0.0)))
     return MetricInstance(table.features, table.groups, facility_coords, facility_costs)

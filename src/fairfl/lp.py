@@ -222,7 +222,7 @@ def _linprog_values(model: LpModel, cap: int) -> tuple[np.ndarray, int]:
         bounds=(0.0, 1.0),
         method="highs",
         options={
-            "presolve": True,
+            "presolve": False,
             "maxiter": cap,
             "primal_feasibility_tolerance": 1e-9,
             "dual_feasibility_tolerance": 1e-9,
@@ -254,8 +254,11 @@ _LINPROG_STATUS = {} if _Highs is None else {
 
 
 def _highs_model(model: LpModel):
-    """A HiGHS instance holding ``model`` with the options ``linprog`` uses
-    (dual simplex after presolve), so a cold solve matches it exactly."""
+    """A HiGHS instance holding ``model`` with the options ``linprog`` is
+    given in ``_linprog_values`` (dual simplex, no presolve), so a cold solve
+    matches it exactly.  Presolve finds nothing to remove in these models
+    (every row and column survives it) and only costs time and a copy of
+    the LP."""
     a_ub, b_ub = _upper_form(model)
     a_csc = a_ub.tocsc()
     lp = HighsLp()
@@ -273,7 +276,7 @@ def _highs_model(model: LpModel):
     options = HighsOptions()
     options.output_flag = False
     options.log_to_console = False
-    options.presolve = "on"
+    options.presolve = "off"
     options.simplex_strategy = simplex_constants.SimplexStrategy.kSimplexStrategyDual
     options.primal_feasibility_tolerance = 1e-9
     options.dual_feasibility_tolerance = 1e-9

@@ -198,6 +198,47 @@ class TestSolverErrors:
         assert "no facility subset has a finite cost" in out.stderr
 
 
+_INCONSISTENT_SOLVER = """
+import sys
+from dataclasses import replace
+import fairfl.cli as cli
+
+fault = sys.argv.pop(1)
+solve = cli.run_algorithm
+
+def inconsistent(algo, inst, budgets, params):
+    sol = solve(algo, inst, budgets, params)
+    if fault == "cost":
+        return replace(sol, connection_cost=sol.connection_cost + 1.0)
+    # one assigned client also listed as an outlier of its group
+    client = min(sol.assignment)
+    group = int(inst.groups[client])
+    outliers = tuple(s | {client} if g == group else s for g, s in enumerate(sol.outliers))
+    return replace(sol, outliers=outliers)
+
+cli.run_algorithm = inconsistent
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+
+class TestCellVerification:
+    @pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimized"])
+    @pytest.mark.parametrize("fault,message", [
+        ("cost", "gdf-f at pct 10: reported cost"),
+        ("outliers", "gdf-f at pct 10: outlier counts"),
+    ])
+    def test_inconsistent_solution_exits_3(self, tmp_path, flags, fault, message):
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        out = subprocess.run(
+            [sys.executable, *flags, "-c", _INCONSISTENT_SOLVER, fault, "sweep",
+             "--config", small_config(tmp_path), "--algo", "gdf-f", "--pct", "10",
+             "--out", str(tmp_path / "sweep.csv")],
+            capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src), timeout=120,
+        )
+        assert out.returncode == 3, out.stderr
+        assert message in out.stderr
+
+
 class TestConfigFile:
     def test_parse_and_types(self, tmp_path):
         path = tmp_path / "c.txt"

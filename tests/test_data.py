@@ -14,7 +14,9 @@ from fairfl import (
     sample_clients,
     select_facilities_kmeans,
 )
-from fairfl import instance as instance_mod
+from fairfl import data as data_mod
+from fairfl.data import _sq_distances
+from fairfl.instance import row_blocks
 
 
 def write(tmp_path, text, name="data.csv"):
@@ -161,12 +163,12 @@ class TestKmeansFacilities:
         assert centers.shape == (4, 2)
 
     def test_row_blocks_do_not_change_centers(self, rng, monkeypatch):
-        # one block is the whole (points x centers x dim) computation
+        # one block is the whole (points x centers) computation
         pts = rng.random((300, 4))
-        monkeypatch.setattr(instance_mod, "_BLOCK_BYTES", 1 << 40)
+        monkeypatch.setattr(data_mod, "_KERNEL_BLOCK_BYTES", 1 << 40)
         whole = select_facilities_kmeans(pts, 9, seed=3)
         for block_bytes in (1, 200, 5000):
-            monkeypatch.setattr(instance_mod, "_BLOCK_BYTES", block_bytes)
+            monkeypatch.setattr(data_mod, "_KERNEL_BLOCK_BYTES", block_bytes)
             assert select_facilities_kmeans(pts, 9, seed=3).tobytes() == whole.tobytes()
 
     def test_count_exact_on_random(self, rng):
@@ -223,13 +225,225 @@ class TestBuildInstance:
     def test_row_blocks_do_not_change_costs(self, rng, monkeypatch):
         table = RawTable(rng.random((50, 3)), np.zeros(50, dtype=np.int64), ("g",), ("a", "b", "c"))
         fac = rng.random((9, 3))
-        monkeypatch.setattr(instance_mod, "_BLOCK_BYTES", 1 << 40)
+        monkeypatch.setattr(data_mod, "_KERNEL_BLOCK_BYTES", 1 << 40)
         whole = build_instance(table, fac).open_costs
         for block_bytes in (1, 1500, 5000):
-            monkeypatch.setattr(instance_mod, "_BLOCK_BYTES", block_bytes)
+            monkeypatch.setattr(data_mod, "_KERNEL_BLOCK_BYTES", block_bytes)
             assert build_instance(table, fac).open_costs.tobytes() == whole.tobytes()
 
     def test_explicit_costs_respected(self, rng):
         table = RawTable(rng.random((4, 2)), np.zeros(4, dtype=np.int64), ("g",), ("a", "b"))
         inst = build_instance(table, rng.random((2, 2)), np.array([1.0, 2.0]))
         assert inst.open_costs.tolist() == [1.0, 2.0]
+
+
+# ---------------------------------------------------------------------------
+# Facility selection and the uniform cost as they were computed from whole
+# broadcast (rows x centers x dim) products, kept verbatim as the reference
+# the squared-distance kernel must reproduce bit for bit.
+
+
+def _reference_kmeans_pp(points: np.ndarray, m: int, rng: np.random.Generator) -> np.ndarray:
+    n = len(points)
+    centers = np.empty((m, points.shape[1]))
+    first = int(rng.integers(n))
+    centers[0] = points[first]
+    d2 = ((points - centers[0]) ** 2).sum(axis=1)
+    for c in range(1, m):
+        total = d2.sum()
+        if total > 0:
+            probs = d2 / total
+            idx = int(rng.choice(n, p=probs))
+        else:  # all remaining points coincide with chosen centers
+            idx = int(rng.integers(n))
+        centers[c] = points[idx]
+        d2 = np.minimum(d2, ((points - centers[c]) ** 2).sum(axis=1))
+    return centers
+
+
+def _reference_select_facilities_kmeans(
+    points: np.ndarray,
+    m: int,
+    seed: int,
+    max_iter: int = 100,
+    tol: float = 1e-6,
+) -> np.ndarray:
+    points = np.asarray(points, dtype=float)
+    n = len(points)
+    if m > n:
+        raise DataError(f"cannot place {m} centers on {n} points")
+    if m == 0:
+        raise DataError("need at least one center")
+    rng = np.random.default_rng(seed)
+    centers = _reference_kmeans_pp(points, m, rng)
+    for _ in range(max_iter):
+        d2 = np.empty((n, m))
+        for rows in row_blocks(n, centers.nbytes):
+            d2[rows] = ((points[rows, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+        labels = np.argmin(d2, axis=1)
+        new_centers = centers.copy()
+        assigned_d2 = d2[np.arange(n), labels]
+        taken: set[int] = set()
+        for c in range(m):
+            mask = labels == c
+            if mask.any():
+                new_centers[c] = points[mask].mean(axis=0)
+            else:
+                far_order = np.argsort(-assigned_d2, kind="stable")
+                pick = next(int(q) for q in far_order if int(q) not in taken)
+                taken.add(pick)
+                new_centers[c] = points[pick]
+        shift = float(np.sqrt(((new_centers - centers) ** 2).sum(axis=1)).max())
+        centers = new_centers
+        if shift <= tol:
+            break
+    return centers
+
+
+def _reference_d_max(features: np.ndarray, facility_coords: np.ndarray) -> float:
+    d_max = 0.0
+    for rows in row_blocks(len(facility_coords), features.nbytes):
+        diff = facility_coords[rows, None, :] - features[None, :, :]
+        d_max = max(d_max, float(np.sqrt((diff**2).sum(axis=2)).max()))
+    return d_max
+
+
+def _mixed_points(rng, n, d):
+    """Signed coordinates spanning nine orders of magnitude."""
+    return rng.normal(size=(n, d)) * 10.0 ** rng.integers(-4, 5, size=(n, d))
+
+
+def _criterion_12_clients(tmp_path) -> np.ndarray:
+    """The normalized 4500 x 6 client sample of the 4500x100 acceptance sweep."""
+    rng = np.random.default_rng(7)
+    n_rows = 6000
+    features = np.column_stack(
+        [
+            rng.normal(50, 12, n_rows),
+            rng.exponential(8.0, n_rows),
+            rng.normal(0, 1, n_rows),
+            rng.uniform(0, 100, n_rows),
+            rng.normal(30, 5, n_rows),
+            rng.exponential(2.0, n_rows),
+        ]
+    )
+    groups = np.where(rng.random(n_rows) < 2 / 3, "A", "B")
+    path = tmp_path / "big.csv"
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("c0,c1,c2,c3,c4,c5,grp\n")
+        for row, g in zip(features, groups):
+            fh.write(",".join(f"{v:.6f}" for v in row) + f",{g}\n")
+    return sample_clients(normalize(load_csv(str(path), group_column="grp")), 4500, seed=0).features
+
+
+class TestSqDistancesKernel:
+    """``_sq_distances`` against the broadcast expression, compared as bytes."""
+
+    @staticmethod
+    def whole(points, centers):
+        return ((points[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+
+    @pytest.mark.parametrize("d", list(range(1, 41)) + [129, 136, 300])
+    def test_bitwise_equal_to_broadcast(self, d, monkeypatch):
+        rng = np.random.default_rng(d)
+        for block_bytes in (1, 700, 1 << 18):
+            monkeypatch.setattr(data_mod, "_KERNEL_BLOCK_BYTES", block_bytes)
+            for n, m in ((1, 1), (1, 7), (9, 1), (23, 5)):
+                points, centers = _mixed_points(rng, n, d), _mixed_points(rng, m, d)
+                got = _sq_distances(points, centers, np.empty((n, m)))
+                assert got.tobytes() == self.whole(points, centers).tobytes()
+
+    def test_row_form_of_one_center(self, rng):
+        # the seeding's distances to one new center: a 2-D sum over axis 1
+        for d in (1, 6, 8, 17, 130):
+            points, center = _mixed_points(rng, 50, d), _mixed_points(rng, 1, d)
+            got = _sq_distances(points, center, np.empty((50, 1)))[:, 0]
+            assert got.tobytes() == ((points - center[0]) ** 2).sum(axis=1).tobytes()
+
+    def test_large_csv_size(self, rng):
+        points, centers = rng.random((4500, 6)), rng.random((100, 6))
+        got = _sq_distances(points, centers, np.empty((4500, 100)))
+        assert got.tobytes() == self.whole(points, centers).tobytes()
+
+
+class TestKmeansMatchesReference:
+    """``select_facilities_kmeans`` against ``_reference_select_facilities_kmeans``."""
+
+    @staticmethod
+    def assert_same(points, m, seed, **kwargs):
+        want = _reference_select_facilities_kmeans(points, m, seed, **kwargs)
+        got = select_facilities_kmeans(points, m, seed, **kwargs)
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 6, 7, 8, 9, 16, 17, 40, 130])
+    def test_random_inputs(self, d):
+        rng = np.random.default_rng(100 + d)
+        for _ in range(4):
+            n = int(rng.integers(1, 120))
+            m = int(rng.integers(1, n + 1))
+            self.assert_same(_mixed_points(rng, n, d), m, seed=int(rng.integers(1000)))
+        # clusters of dozens of points, where numpy sums a one-coordinate
+        # cluster pairwise and a wider one row by row
+        self.assert_same(_mixed_points(rng, 300, d), 3, seed=d)
+
+    @pytest.mark.parametrize("d", [1, 2, 6])
+    def test_duplicate_points_force_empty_clusters(self, d):
+        rng = np.random.default_rng(d)
+        # three distinct locations, so every center beyond three starts empty
+        pts = np.repeat(rng.normal(size=(3, d)), [7, 2, 4], axis=0)
+        for m in (4, 6, 13):
+            self.assert_same(pts, m, seed=m)
+        # integer grid: ties in distance and in the farthest-point order
+        self.assert_same(rng.integers(0, 3, size=(60, d)).astype(float), 12, seed=1)
+
+    def test_run_that_hits_max_iter(self, rng):
+        pts = rng.random((400, 3))
+        # the unlimited run needs more rounds than the cap allows
+        for max_iter in (1, 2, 5):
+            self.assert_same(pts, 20, seed=4, max_iter=max_iter)
+        self.assert_same(pts, 20, seed=4, max_iter=5, tol=0.0)
+
+    def test_large_csv_draw(self, tmp_path):
+        clients = _criterion_12_clients(tmp_path)
+        assert clients.shape == (4500, 6)
+        self.assert_same(clients, 100, seed=0)
+
+    def test_property_on_small_grids(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = pytest.importorskip("hypothesis.strategies")
+
+        @hypothesis.settings(max_examples=200, deadline=None, database=None)
+        @hypothesis.given(st.data())
+        def check(data):
+            n = data.draw(st.integers(1, 30))
+            d = data.draw(st.integers(1, 10))
+            m = data.draw(st.integers(1, n))
+            value = st.one_of(st.integers(-3, 3).map(float),
+                              st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False))
+            pts = np.array(data.draw(st.lists(st.lists(value, min_size=d, max_size=d),
+                                              min_size=n, max_size=n)))
+            self.assert_same(pts, m, seed=data.draw(st.integers(0, 50)),
+                             max_iter=data.draw(st.integers(1, 30)))
+
+        check()
+
+
+class TestBuildInstanceMatchesReference:
+    @pytest.mark.parametrize("d", [1, 2, 6, 8, 13, 130])
+    def test_uniform_cost(self, d):
+        rng = np.random.default_rng(d)
+        for n, m in ((1, 1), (1, 4), (30, 1), (40, 9)):
+            features = _mixed_points(rng, n, d)
+            fac = _mixed_points(rng, m, d)
+            table = RawTable(features, np.zeros(n, dtype=np.int64), ("g",),
+                             tuple(f"c{k}" for k in range(d)))
+            costs = build_instance(table, fac).open_costs
+            assert costs.tobytes() == np.full(m, _reference_d_max(features, fac)).tobytes()
+
+    def test_large_csv_draw(self, tmp_path):
+        clients = _criterion_12_clients(tmp_path)
+        fac = select_facilities_kmeans(clients, 100, seed=0)
+        table = RawTable(clients, np.zeros(len(clients), dtype=np.int64), ("g",),
+                         tuple(f"c{k}" for k in range(6)))
+        costs = build_instance(table, fac).open_costs
+        assert costs.tobytes() == np.full(100, _reference_d_max(clients, fac)).tobytes()
