@@ -5,6 +5,11 @@ rows across outlier percentages), ``generate`` (materialize an instance),
 ``oracle`` (exact solver on tiny instances), ``gap-demo`` (LP vs integral
 optimum on the worst-case family).
 
+Configuration: ``CONFIG_KEYS`` declares every key once, with its parser,
+default and allowed values.  A value parses and is checked the same way
+whether it comes from a ``--config`` file or from a flag; a flag given wins
+over the file, and a list flag replaces the file's list.
+
 Sweep output is CSV with the resolved configuration embedded as leading
 ``#`` comment lines and the fixed header
 ``algo,pct,cost,lp_obj,unfairness,group,ell,ell_prime,ms,seed``: one row
@@ -30,8 +35,8 @@ import math
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
-from typing import Optional, Sequence
+from dataclasses import dataclass, fields, replace
+from typing import Any, Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -88,25 +93,23 @@ class CellCheckError(Exception):
 class RunParams:
     """Everything an algorithm cell needs besides the instance."""
 
-    epsilon: float = 0.1
-    open_threshold: float = 0.5
-    gamma: float = 0.5
-    eps_guess: float = 0.5
-    improve_frac: float = 0.01
-    k: int = 5
+    epsilon: float
+    open_threshold: float
+    gamma: float
+    eps_guess: float
+    improve_frac: float
+    k: int
     lp_chain: Optional[LpChain] = None  # shared by the LP solves of one sweep chain
+
+
+def _from_config(cls, cfg: dict, **extra):
+    """``cls`` with every field named like a configuration key taken from ``cfg``."""
+    return cls(**{f.name: cfg[f.name] for f in fields(cls) if f.name in cfg}, **extra)
 
 
 def run_params(cfg: dict) -> RunParams:
     """The algorithm parameters of a resolved configuration."""
-    return RunParams(
-        epsilon=cfg["epsilon"],
-        open_threshold=cfg["open_threshold"],
-        gamma=cfg["gamma"],
-        eps_guess=cfg["eps_guess"],
-        improve_frac=cfg["improve_frac"],
-        k=cfg["k"],
-    )
+    return _from_config(RunParams, cfg)
 
 
 @dataclass
@@ -125,105 +128,71 @@ class SweepRecord:
 # ---------------------------------------------------------------------------
 # configuration resolution
 
-_CONFIG_KEYS = {
-    "dataset": str,
-    "group_col": str,
-    "feature_cols": "strlist",
-    "n": int,
-    "m": int,
-    "problem": str,
-    "algos": "strlist",
-    "pcts": "floatlist",
-    "epsilon": float,
-    "open_threshold": float,
-    "gamma": float,
-    "eps_guess": float,
-    "improve_frac": float,
-    "k": int,
-    "seed": int,
-    "out": str,
-    "jobs": int,
-    "facility_cost": str,
-    "ell": "intlist",
-    "prune": "bool",
-    "delimiter": str,
-    "n_in": int,
-    "n_out": int,
-    "in_mean": float,
-    "in_sd": float,
-    "out_mean": float,
-    "out_sd": float,
-    "cost_near": float,
-    "cost_far": float,
-    "near_radius": float,
-    "dim": int,
-    "f": float,
-    "M": int,
-    "dump_mps": str,
+def _bool(raw: str) -> bool:
+    if raw.lower() in ("true", "yes", "1"):
+        return True
+    if raw.lower() in ("false", "no", "0"):
+        return False
+    raise ValueError(raw)
+
+
+def _list_of(item: Callable[[str], Any]) -> Callable[[str], list]:
+    """A parser of comma-separated ``item`` values; whitespace around items is
+    stripped and empty items are dropped."""
+    def parse(raw: str) -> list:
+        return [item(s.strip()) for s in raw.split(",") if s.strip()]
+    parse.__name__ = f"{item.__name__} list"  # argparse names the type in its errors
+    return parse
+
+
+class Key(NamedTuple):
+    """A configuration key: how its text parses, its default, and the values it
+    may take (each item's, for a list key; None for any)."""
+
+    parse: Callable[[str], Any]
+    default: Any = None
+    allowed: Optional[tuple[str, ...]] = None
+
+
+# The one declaration of every key.  Config-file values and flags both parse
+# through ``parse``, and ``resolve_config`` checks ``allowed`` whatever the
+# source, so a value means the same wherever it is given.
+CONFIG_KEYS = {
+    "dataset": Key(str, "synthetic"),
+    "group_col": Key(str),
+    "feature_cols": Key(_list_of(str)),
+    "n": Key(int),
+    "m": Key(int, 100),
+    "problem": Key(str, "fl", ("fl", "kmedian")),
+    "algos": Key(_list_of(str), [], FL_ALGOS + KM_ALGOS),
+    "pcts": Key(_list_of(float), []),
+    "epsilon": Key(float, 0.1),
+    "open_threshold": Key(float, 0.5),
+    "gamma": Key(float, 0.5),
+    "eps_guess": Key(float, 0.5),
+    "improve_frac": Key(float, 0.01),
+    "k": Key(int, 5),
+    "seed": Key(int, 0),
+    "out": Key(str),
+    "jobs": Key(int, 1),
+    "facility_cost": Key(str, None, ("uniform_dmax", "from_data")),
+    "ell": Key(_list_of(int)),
+    "prune": Key(_bool, True),
+    "delimiter": Key(str, ","),
+    "n_in": Key(int, 500),
+    "n_out": Key(int, 50),
+    "in_mean": Key(float, 0.0),
+    "in_sd": Key(float, 10.0),
+    "out_mean": Key(float, 10.0),
+    "out_sd": Key(float, 20.0),
+    "cost_near": Key(float, 80.0),
+    "cost_far": Key(float, 40.0),
+    "near_radius": Key(float, 10.0),
+    "dim": Key(int, 2),
+    "f": Key(float, 100.0),
+    "M": Key(int, 100),
+    "dump_mps": Key(str),
 }
-
-_DEFAULTS = {
-    "dataset": "synthetic",
-    "group_col": None,
-    "feature_cols": None,
-    "n": None,
-    "m": 100,
-    "problem": "fl",
-    "algos": [],
-    "pcts": [],
-    "epsilon": 0.1,
-    "open_threshold": 0.5,
-    "gamma": 0.5,
-    "eps_guess": 0.5,
-    "improve_frac": 0.01,
-    "k": 5,
-    "seed": 0,
-    "out": None,
-    "jobs": 1,
-    "facility_cost": None,
-    "ell": None,
-    "prune": True,
-    "delimiter": ",",
-    "n_in": 500,
-    "n_out": 50,
-    "in_mean": 0.0,
-    "in_sd": 10.0,
-    "out_mean": 10.0,
-    "out_sd": 20.0,
-    "cost_near": 80.0,
-    "cost_far": 40.0,
-    "near_radius": 10.0,
-    "dim": 2,
-    "f": 100.0,
-    "M": 100,
-    "dump_mps": None,
-}
-
-
-def _coerce(key: str, raw: str):
-    kind = _CONFIG_KEYS[key]
-    try:
-        if kind is str:
-            return raw
-        if kind is int:
-            return int(raw)
-        if kind is float:
-            return float(raw)
-        if kind == "bool":
-            if raw.lower() in ("true", "yes", "1"):
-                return True
-            if raw.lower() in ("false", "no", "0"):
-                return False
-            raise ValueError(raw)
-        if kind == "strlist":
-            return [s.strip() for s in raw.split(",") if s.strip()]
-        if kind == "floatlist":
-            return [float(s) for s in raw.split(",") if s.strip()]
-        if kind == "intlist":
-            return [int(s) for s in raw.split(",") if s.strip()]
-    except ValueError:
-        raise ConfigError(f"bad value for {key!r}: {raw!r}") from None
-    raise AssertionError(kind)
 
 
 def parse_config_file(path: str) -> dict:
@@ -239,22 +208,34 @@ def parse_config_file(path: str) -> dict:
                     raise ConfigError(f"{path}:{line_no}: expected key = value")
                 key, raw = (s.strip() for s in line.split("=", 1))
                 key = key.replace("-", "_")
-                if key not in _CONFIG_KEYS:
+                if key not in CONFIG_KEYS:
                     raise ConfigError(f"{path}:{line_no}: unknown key {key!r}")
-                values[key] = _coerce(key, raw)
+                try:
+                    values[key] = CONFIG_KEYS[key].parse(raw)
+                except ValueError:
+                    raise ConfigError(f"bad value for {key!r}: {raw!r}") from None
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from None
     return values
 
 
 def resolve_config(args: argparse.Namespace) -> dict:
-    cfg = dict(_DEFAULTS)
+    """Every key's value: its flag's if given, else the ``--config`` file's,
+    else the default.  A list flag replaces the file's list.  A value outside
+    the key's allowed values raises ``ConfigError``, whatever its source."""
+    cfg = {key: spec.default for key, spec in CONFIG_KEYS.items()}
     if getattr(args, "config", None):
         cfg.update(parse_config_file(args.config))
-    for key in _CONFIG_KEYS:
+    for key, spec in CONFIG_KEYS.items():
         value = getattr(args, key, None)
         if value is not None and value != []:
             cfg[key] = value
+        if spec.allowed:
+            for item in cfg[key] if isinstance(cfg[key], list) else [cfg[key]]:
+                if item is not None and item not in spec.allowed:
+                    raise ConfigError(
+                        f"bad value for {key!r}: {item!r} (expected one of {', '.join(spec.allowed)})"
+                    )
     return cfg
 
 
@@ -319,21 +300,7 @@ def prepare_instance(cfg: dict) -> tuple[MetricInstance, tuple[str, ...]]:
     """Build the (possibly pruned) instance a run operates on."""
     dataset = cfg["dataset"]
     if dataset == "synthetic":
-        syn = SyntheticConfig(
-            n_in=cfg["n_in"],
-            n_out=cfg["n_out"],
-            in_mean=cfg["in_mean"],
-            in_sd=cfg["in_sd"],
-            out_mean=cfg["out_mean"],
-            out_sd=cfg["out_sd"],
-            cost_near=cfg["cost_near"],
-            cost_far=cfg["cost_far"],
-            near_radius=cfg["near_radius"],
-            dim=cfg["dim"],
-            n_facilities=cfg["m"],
-            seed=cfg["seed"],
-        )
-        inst, names = generate_synthetic(syn)
+        inst, names = generate_synthetic(_from_config(SyntheticConfig, cfg, n_facilities=cfg["m"]))
         if cfg["facility_cost"] == "uniform_dmax":
             d_max = float(inst.distances().max())
             inst = replace(inst, open_costs=np.full(inst.n_facilities, d_max))
@@ -381,15 +348,22 @@ def run_algorithm(
     raise ConfigError(f"unknown algorithm {algo!r}")
 
 
-def _cell_worker(payload) -> SweepRecord:
-    """One sweep cell: one algorithm at one percentage."""
-    algo, pct, inst, budgets, params, problem, seed = payload
+def _cost(sol: IntegralSolution, problem: str) -> float:
+    """The objective value reported for ``problem``: facility plus connection
+    cost for facility location, connection cost alone for k-median."""
+    return sol.total_cost if problem == "fl" else sol.connection_cost
+
+
+def _cell_worker(algo: str, pct: float, inst: MetricInstance, budgets: OutlierBudgets,
+                 params: RunParams, problem: str, seed: int) -> tuple[SweepRecord, IntegralSolution]:
+    """One cell (one algorithm at one percentage) of a sweep or of ``solve``:
+    its record, re-checked against its solution, and the solution."""
     start = time.perf_counter()
     sol = run_algorithm(algo, inst, budgets, params)
     ms = (time.perf_counter() - start) * 1000.0
-    cost = sol.total_cost if problem == "fl" else sol.connection_cost
-    _verify_cell(algo, pct, inst, sol, cost, FACILITY_LOCATION if problem == "fl" else K_MEDIAN)
-    return SweepRecord(
+    cost = _cost(sol, problem)
+    _verify_cell(algo, pct, inst, sol, cost, problem)
+    record = SweepRecord(
         algo=algo,
         pct=pct,
         cost=cost,
@@ -400,16 +374,17 @@ def _cell_worker(payload) -> SweepRecord:
         ms=ms,
         seed=seed,
     )
+    return record, sol
 
 
 def _verify_cell(algo: str, pct: float, inst: MetricInstance, sol: IntegralSolution,
-                 cost: float, objective: str) -> None:
+                 cost: float, problem: str) -> None:
     """Recompute a cell's cost from its solution (``solution_cost``, to 1e-9
     relative) and check that each group's outlier count is the number of
     that group's clients the assignment leaves out."""
     where = f"{algo} at pct {pct:g}"
     try:
-        recomputed = solution_cost(inst, sol, objective)
+        recomputed = solution_cost(inst, sol, FACILITY_LOCATION if problem == "fl" else K_MEDIAN)
     except ValueError as exc:
         raise CellCheckError(f"{where}: {exc}") from None
     if not math.isclose(cost, recomputed, rel_tol=1e-9):
@@ -438,7 +413,7 @@ def _chain_worker(payload) -> tuple[list[SweepRecord], list[float]]:
         params = replace(params, lp_chain=chain)
         for pct, budgets in zip(pcts, budget_list):
             if algo is not None:
-                records.append(_cell_worker((algo, pct, inst, budgets, params, problem, seed)))
+                records.append(_cell_worker(algo, pct, inst, budgets, params, problem, seed)[0])
             if want_lp:
                 frac = chain.solved(budgets, PER_GROUP)
                 if frac is None:
@@ -452,13 +427,7 @@ def _chain_worker(payload) -> tuple[list[SweepRecord], list[float]]:
 
 def run_sweep(inst: MetricInstance, cfg: dict) -> list[SweepRecord]:
     problem = cfg["problem"]
-    if problem not in ("fl", "kmedian"):
-        raise ConfigError(f"unknown problem {cfg['problem']!r}")
     algos = list(cfg["algos"])
-    valid = FL_ALGOS + KM_ALGOS
-    for algo in algos:
-        if algo not in valid:
-            raise ConfigError(f"unknown algorithm {algo!r}")
     params = run_params(cfg)
     pcts = list(cfg["pcts"])
     budget_list = [budgets_from_pct(inst, pct) for pct in pcts]
@@ -519,43 +488,38 @@ def write_records(records: list[SweepRecord], cfg: dict, out_path: Optional[str]
 # ---------------------------------------------------------------------------
 # verbs
 
-def cmd_solve(args) -> int:
-    cfg = resolve_config(args)
-    inst, names = prepare_instance(cfg)
+def _budgets(inst: MetricInstance, cfg: dict) -> tuple[OutlierBudgets, float]:
+    """The one budget vector of ``solve`` and ``oracle``, with its percentage:
+    the explicit ``ell`` caps (percentage 0), else the first percentage's."""
     if cfg["ell"] is not None:
         budgets = OutlierBudgets(tuple(cfg["ell"]))
         budgets.validate_for(inst)
-        pct = 0.0
-    else:
-        if not cfg["pcts"]:
-            raise ConfigError("need --pct or --ell")
-        pct = cfg["pcts"][0]
-        budgets = budgets_from_pct(inst, pct)
-    params = run_params(cfg)
+        return budgets, 0.0
+    if not cfg["pcts"]:
+        raise ConfigError("need --pct or --ell")
+    return budgets_from_pct(inst, cfg["pcts"][0]), cfg["pcts"][0]
+
+
+def cmd_solve(args) -> int:
+    cfg = resolve_config(args)
+    inst, names = prepare_instance(cfg)
+    budgets, pct = _budgets(inst, cfg)
     if cfg["dump_mps"]:
         mode = AGGREGATE if args.algo == "lpr-nf" else PER_GROUP
         write_mps(build_flfo_lp(inst, budgets, mode), cfg["dump_mps"])
-    start = time.perf_counter()
-    sol = run_algorithm(args.algo, inst, budgets, params)
-    ms = (time.perf_counter() - start) * 1000.0
-    problem = cfg["problem"]
-    cost = sol.total_cost if problem == "fl" else sol.connection_cost
+    record, sol = _cell_worker(args.algo, pct, inst, budgets, run_params(cfg), cfg["problem"], cfg["seed"])
     print(f"algorithm: {args.algo}")
     print(f"clients: {inst.n_clients}  facilities: {inst.n_facilities}  groups: {inst.n_groups}")
     print(f"budgets: {budgets.per_group}")
     print(f"open facilities ({len(sol.open)}): {sorted(sol.open)}")
     print(f"facility cost: {sol.facility_cost:.6g}")
     print(f"connection cost: {sol.connection_cost:.6g}")
-    print(f"objective ({problem}): {cost:.6g}")
-    print(f"unfairness: {unfairness(budgets, sol):.6g}")
+    print(f"objective ({cfg['problem']}): {record.cost:.6g}")
+    print(f"unfairness: {record.unfair:.6g}")
     for g, name in enumerate(names):
-        print(f"group {g} ({name}): {len(sol.outliers[g])}/{budgets.per_group[g]} outliers")
-    print(f"wall time: {ms:.1f} ms")
+        print(f"group {g} ({name}): {record.ell_prime[g]}/{budgets.per_group[g]} outliers")
+    print(f"wall time: {record.ms:.1f} ms")
     if cfg["out"]:
-        record = SweepRecord(
-            args.algo, pct, cost, None, unfairness(budgets, sol),
-            budgets.per_group, sol.outlier_counts(), ms, cfg["seed"],
-        )
         write_records([record], cfg, cfg["out"])
     return 0
 
@@ -574,10 +538,7 @@ def cmd_generate(args) -> int:
     cfg = resolve_config(args)
     if not cfg["out"]:
         raise ConfigError("generate needs --out")
-    prune = cfg["prune"]
-    cfg["prune"] = False
-    inst, names = prepare_instance(cfg)
-    cfg["prune"] = prune
+    inst, names = prepare_instance(dict(cfg, prune=False))
     write_instance_csv(inst, names, cfg["out"])
     print(f"wrote {inst.n_clients} clients and {inst.n_facilities} facilities to {cfg['out']}")
     return 0
@@ -586,20 +547,10 @@ def cmd_generate(args) -> int:
 def cmd_oracle(args) -> int:
     cfg = resolve_config(args)
     inst, names = prepare_instance(cfg)
-    if cfg["ell"] is not None:
-        budgets = OutlierBudgets(tuple(cfg["ell"]))
-        budgets.validate_for(inst)
-    elif cfg["pcts"]:
-        budgets = budgets_from_pct(inst, cfg["pcts"][0])
-    else:
-        raise ConfigError("need --pct or --ell")
-    if cfg["problem"] == "fl":
-        sol = exact_flfo(inst, budgets)
-        cost = sol.total_cost
-    else:
-        sol = exact_kmfo(inst, budgets, cfg["k"])
-        cost = sol.connection_cost
-    print(f"exact optimum ({cfg['problem']}): {cost:.9g}")
+    budgets, _ = _budgets(inst, cfg)
+    problem = cfg["problem"]
+    sol = exact_flfo(inst, budgets) if problem == "fl" else exact_kmfo(inst, budgets, cfg["k"])
+    print(f"exact optimum ({problem}): {_cost(sol, problem):.9g}")
     print(f"open facilities: {sorted(sol.open)}")
     for g, name in enumerate(names):
         print(f"group {g} ({name}): outliers {sorted(sol.outliers[g])}")
@@ -623,27 +574,34 @@ def cmd_gap_demo(args) -> int:
 # ---------------------------------------------------------------------------
 # argument parsing
 
+def _flag(p: argparse.ArgumentParser, flag: str, key: Optional[str] = None, **kw) -> None:
+    """``flag`` sets config key ``key`` (by default the flag's name); its value
+    parses as the same key does in a config file."""
+    key = key or flag[2:].replace("-", "_")
+    spec = CONFIG_KEYS[key]
+    if spec.allowed:
+        kw["metavar"] = "{" + ",".join(spec.allowed) + "}"
+    p.add_argument(flag, dest=key, type=spec.parse, **kw)
+
+
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="flat key = value config file; flags override it")
-    p.add_argument("--dataset", help="'synthetic', a raw CSV path, or a generated instance file")
-    p.add_argument("--group-col", dest="group_col", help="group label column for raw CSVs")
-    p.add_argument("--feature-cols", dest="feature_cols", type=lambda s: s.split(","),
-                   help="comma-separated feature columns (default: all but the group column)")
-    p.add_argument("--n", type=int, help="client sample size for raw CSVs")
-    p.add_argument("--m", type=int, help="number of candidate facilities (default 100)")
-    p.add_argument("--problem", choices=["fl", "kmedian"], help="objective (default fl)")
-    p.add_argument("--epsilon", type=float, help="LP-outlier threshold parameter in (0, 1/2]")
-    p.add_argument("--gamma", type=float, help="penalty scale for the k-median reduction")
-    p.add_argument("--eps-guess", dest="eps_guess", type=float,
-                   help="geometric ratio minus one for the cost-guess grid")
-    p.add_argument("--k", type=int, help="facility cap for k-median algorithms")
-    p.add_argument("--seed", type=int, help="seed for sampling/generation (default 0)")
-    p.add_argument("--out", help="output file")
-    p.add_argument("--jobs", type=int, help="parallel sweep workers (default 1)")
-    p.add_argument("--facility-cost", dest="facility_cost", choices=["uniform_dmax", "from_data"],
-                   help="uniform_dmax: every facility costs the max pair distance")
-    p.add_argument("--ell", type=lambda s: [int(v) for v in s.split(",")],
-                   help="explicit per-group outlier budgets, comma separated")
+    _flag(p, "--dataset", help="'synthetic', a raw CSV path, or a generated instance file")
+    _flag(p, "--group-col", help="group label column for raw CSVs")
+    _flag(p, "--feature-cols",
+          help="comma-separated feature columns (default: all but the group column)")
+    _flag(p, "--n", help="client sample size for raw CSVs")
+    _flag(p, "--m", help="number of candidate facilities (default 100)")
+    _flag(p, "--problem", help="objective (default fl)")
+    _flag(p, "--epsilon", help="LP-outlier threshold parameter in (0, 1/2]")
+    _flag(p, "--gamma", help="penalty scale for the k-median reduction")
+    _flag(p, "--eps-guess", help="geometric ratio minus one for the cost-guess grid")
+    _flag(p, "--k", help="facility cap for k-median algorithms")
+    _flag(p, "--seed", help="seed for sampling/generation (default 0)")
+    _flag(p, "--out", help="output file")
+    _flag(p, "--jobs", help="parallel sweep workers (default 1)")
+    _flag(p, "--facility-cost", help="uniform_dmax: every facility costs the max pair distance")
+    _flag(p, "--ell", help="explicit per-group outlier budgets, comma separated")
     p.add_argument("--no-prune", dest="prune", action="store_const", const=False, default=None,
                    help="skip median distance-pair pruning")
 
@@ -659,17 +617,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve", help="run one algorithm on one instance")
     _add_common(p)
-    p.add_argument("--algo", required=True, choices=FL_ALGOS + KM_ALGOS)
-    p.add_argument("--pct", dest="pcts", action="append", type=float,
-                   help="outlier budget as percent of each group")
-    p.add_argument("--dump-mps", dest="dump_mps", help="also write the LP model in MPS format")
+    p.add_argument("--algo", required=True, choices=CONFIG_KEYS["algos"].allowed)
+    _flag(p, "--pct", "pcts", action="extend", help="outlier budget as percent of each group")
+    _flag(p, "--dump-mps", help="also write the LP model in MPS format")
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("sweep", help="run algorithms across outlier percentages")
     _add_common(p)
-    p.add_argument("--algo", dest="algos", action="append",
-                   choices=FL_ALGOS + KM_ALGOS, help="repeatable")
-    p.add_argument("--pct", dest="pcts", action="append", type=float, help="repeatable")
+    _flag(p, "--algo", "algos", action="extend", help="repeatable")
+    _flag(p, "--pct", "pcts", action="extend", help="repeatable")
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("generate", help="materialize an instance file")
@@ -678,13 +634,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("oracle", help="exact brute force on a tiny instance")
     _add_common(p)
-    p.add_argument("--pct", dest="pcts", action="append", type=float)
+    _flag(p, "--pct", "pcts", action="extend")
     p.set_defaults(func=cmd_oracle)
 
     p = sub.add_parser("gap-demo", help="LP vs integral optimum on the gap family")
     _add_common(p)
-    p.add_argument("--f", type=float, help="facility opening cost (default 100)")
-    p.add_argument("--M", type=int, help="number of co-located clients (default 100)")
+    _flag(p, "--f", help="facility opening cost (default 100)")
+    _flag(p, "--M", help="number of co-located clients (default 100)")
     p.set_defaults(func=cmd_gap_demo)
     return parser
 

@@ -31,7 +31,7 @@ from fairfl import (
     unfairness,
     RoundingConfig,
 )
-from fairfl.cli import _DEFAULTS, budgets_from_pct, main, run_sweep
+from fairfl.cli import budgets_from_pct, build_parser, main, resolve_config, run_sweep
 from fairfl.instance import prune_pairs
 from conftest import random_budgets, random_instance
 
@@ -39,7 +39,7 @@ PCTS = [float(p) for p in range(1, 11)]
 
 
 def sweep_config(**overrides):
-    cfg = dict(_DEFAULTS)
+    cfg = resolve_config(build_parser().parse_args(["sweep"]))
     cfg.update(
         {
             "dataset": "synthetic",

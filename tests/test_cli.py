@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from fairfl.cli import (
+    CONFIG_KEYS,
     CSV_HEADER,
     ConfigError,
     budgets_from_pct,
@@ -17,10 +18,6 @@ from fairfl.cli import (
 )
 from fairfl import MetricInstance, generate_synthetic, SyntheticConfig
 
-SMALL_SYNTH = [
-    "--dataset", "synthetic", "--config", None,  # placeholder, replaced below
-]
-
 
 def small_config(tmp_path, **extra):
     lines = {"n_in": 40, "n_out": 10, "m": 8, "seed": 1}
@@ -28,6 +25,15 @@ def small_config(tmp_path, **extra):
     path = tmp_path / "cfg.txt"
     path.write_text("".join(f"{k} = {v}\n" for k, v in lines.items()), encoding="utf-8")
     return str(path)
+
+
+def without_out_and_ms(path):
+    """A sweep CSV's lines without its ``out`` comment line and ``ms`` column."""
+    return [
+        line if line.startswith("#") else ",".join(c for i, c in enumerate(line.split(",")) if i != 8)
+        for line in Path(path).read_text(encoding="utf-8").splitlines()
+        if not line.startswith("# out = ")
+    ]
 
 
 def read_rows(path):
@@ -222,17 +228,18 @@ sys.exit(cli.main(sys.argv[1:]))
 
 
 class TestCellVerification:
+    @pytest.mark.parametrize("verb", ["sweep", "solve"])
     @pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimized"])
     @pytest.mark.parametrize("fault,message", [
         ("cost", "gdf-f at pct 10: reported cost"),
         ("outliers", "gdf-f at pct 10: outlier counts"),
     ])
-    def test_inconsistent_solution_exits_3(self, tmp_path, flags, fault, message):
+    def test_inconsistent_solution_exits_3(self, tmp_path, verb, flags, fault, message):
         src = str(Path(__file__).resolve().parent.parent / "src")
         out = subprocess.run(
-            [sys.executable, *flags, "-c", _INCONSISTENT_SOLVER, fault, "sweep",
+            [sys.executable, *flags, "-c", _INCONSISTENT_SOLVER, fault, verb,
              "--config", small_config(tmp_path), "--algo", "gdf-f", "--pct", "10",
-             "--out", str(tmp_path / "sweep.csv")],
+             "--out", str(tmp_path / "out.csv")],
             capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src), timeout=120,
         )
         assert out.returncode == 3, out.stderr
@@ -274,6 +281,90 @@ class TestConfigFile:
         path = tmp_path / "c.txt"
         path.write_text("m = twelve\n", encoding="utf-8")
         assert main(["sweep", "--config", str(path), "--pct", "5"]) == 2
+
+    @pytest.mark.parametrize("verb,key,value", [
+        (["solve", "--algo", "gdf-f"], "problem", "fl_typo"),
+        (["oracle"], "problem", "fl_typo"),
+        (["sweep", "--algo", "gdf-f"], "facility_cost", "uniform-dmax"),
+        (["solve", "--algo", "gdf-f"], "algos", "gdf-f, gdf_f"),
+        (["sweep"], "algos", "gdf-f, gdf_f"),
+    ], ids=["solve-problem", "oracle-problem", "sweep-facility_cost", "solve-algos", "sweep-algos"])
+    def test_file_value_outside_choices_exits_2(self, tmp_path, capsys, verb, key, value):
+        cfg = small_config(tmp_path, n_in=6, n_out=3, m=4, **{key: value})
+        assert main([*verb, "--config", cfg, "--pct", "20"]) == 2
+        assert f"bad value for {key!r}" in capsys.readouterr().err
+
+    def test_list_flag_parses_like_file(self, tmp_path):
+        rng = np.random.default_rng(3)
+        raw = tmp_path / "raw.csv"
+        raw.write_text("c0,c1,c2,grp\n" + "".join(
+            f"{a:.4f},{b:.4f},{c:.4f},{'AB'[i % 3 == 0]}\n" for i, (a, b, c) in enumerate(rng.random((30, 3)))
+        ), encoding="utf-8")
+        cfg = tmp_path / "c.txt"
+        cfg.write_text("feature_cols = c0, c1\n", encoding="utf-8")
+        args = ["sweep", "--dataset", str(raw), "--group-col", "grp", "--m", "4",
+                "--algo", "gdf-f", "--pct", "10"]
+        by_flag, by_file = tmp_path / "flag.csv", tmp_path / "file.csv"
+        assert main(args + ["--feature-cols", "c0, c1", "--out", str(by_flag)]) == 0
+        assert main(args + ["--config", str(cfg), "--out", str(by_file)]) == 0
+        assert "# feature_cols = c0,c1" in without_out_and_ms(by_flag)
+        assert without_out_and_ms(by_flag) == without_out_and_ms(by_file)
+
+    def test_embedded_config_block(self, tmp_path):
+        # list flags replace the file's lists; every key is written, sorted
+        cfg = small_config(tmp_path, pcts="1, 2", algos="lpr-f, ls-nf", epsilon=0.25,
+                           feature_cols="c0, c1", prune="no")
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", "--config", cfg, "--pct", "10", "--pct", "20",
+                     "--algo", "gdf-f", "--algo", "gdf-nf", "--out", str(out)]) == 0
+        comments, _, rows = read_rows(str(out))
+        assert comments == [
+            "# M = 100",
+            "# algos = gdf-f,gdf-nf",
+            "# cost_far = 40.0",
+            "# cost_near = 80.0",
+            "# dataset = synthetic",
+            "# delimiter = ,",
+            "# dim = 2",
+            "# dump_mps = None",
+            "# ell = None",
+            "# eps_guess = 0.5",
+            "# epsilon = 0.25",
+            "# f = 100.0",
+            "# facility_cost = None",
+            "# feature_cols = c0,c1",
+            "# gamma = 0.5",
+            "# group_col = None",
+            "# improve_frac = 0.01",
+            "# in_mean = 0.0",
+            "# in_sd = 10.0",
+            "# jobs = 1",
+            "# k = 5",
+            "# m = 8",
+            "# n = None",
+            "# n_in = 40",
+            "# n_out = 10",
+            "# near_radius = 10.0",
+            "# open_threshold = 0.5",
+            f"# out = {out}",
+            "# out_mean = 10.0",
+            "# out_sd = 20.0",
+            "# pcts = 10.0,20.0",
+            "# problem = fl",
+            "# prune = False",
+            "# seed = 1",
+        ]
+        assert len(comments) == len(CONFIG_KEYS) == 34
+        assert [(r[0], r[1]) for r in rows if r[5] == "all"] == [
+            ("gdf-f", "10"), ("gdf-nf", "10"), ("gdf-f", "20"), ("gdf-nf", "20")
+        ]
+
+    @pytest.mark.parametrize("verb", ["solve", "sweep", "generate", "oracle", "gap-demo"])
+    def test_help(self, capsys, verb):
+        with pytest.raises(SystemExit) as exc:
+            main([verb, "--help"])
+        assert exc.value.code == 0
+        assert "--config" in capsys.readouterr().out
 
 
 class TestSolveAndOracle:

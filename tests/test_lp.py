@@ -202,6 +202,21 @@ class TestLpChain:
             # a warm step costs a small fraction of the ~3,400 pivots of a cold one
             assert stats["simplex_iters"] < 3 * 4500
 
+    def test_warm_matches_cold_on_random_budget_chains(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = pytest.importorskip("hypothesis.strategies")
+
+        @hypothesis.settings(max_examples=100, deadline=None, database=None)
+        @hypothesis.given(st.data())
+        def check(data):
+            inst = random_instance(np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))))
+            budgets = st.tuples(*(st.integers(0, len(m)) for m in inst.group_members))
+            chain = data.draw(st.lists(budgets.map(OutlierBudgets), min_size=2, max_size=6))
+            for fairness in (PER_GROUP, AGGREGATE):
+                self.assert_warm_matches_cold(inst, chain, fairness)
+
+        check()
+
     def test_repeated_budgets_hit_the_memo(self, rng):
         inst = random_instance(rng, min_n=6)
         a, b = OutlierBudgets((0,) * inst.n_groups), random_budgets(rng, inst)
