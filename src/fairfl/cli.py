@@ -490,13 +490,18 @@ def write_records(records: list[SweepRecord], cfg: dict, out_path: Optional[str]
 
 def _budgets(inst: MetricInstance, cfg: dict) -> tuple[OutlierBudgets, float]:
     """The one budget vector of ``solve`` and ``oracle``, with its percentage:
-    the explicit ``ell`` caps (percentage 0), else the first percentage's."""
+    the explicit ``ell`` caps (percentage 0), else the one percentage's."""
     if cfg["ell"] is not None:
         budgets = OutlierBudgets(tuple(cfg["ell"]))
         budgets.validate_for(inst)
         return budgets, 0.0
     if not cfg["pcts"]:
         raise ConfigError("need --pct or --ell")
+    if len(cfg["pcts"]) > 1:
+        raise ConfigError(
+            f"'pcts' has {len(cfg['pcts'])} values ({', '.join(f'{p:g}' for p in cfg['pcts'])}); "
+            "solve and oracle take one (sweep runs several)"
+        )
     return budgets_from_pct(inst, cfg["pcts"][0]), cfg["pcts"][0]
 
 
@@ -520,7 +525,9 @@ def cmd_solve(args) -> int:
         print(f"group {g} ({name}): {record.ell_prime[g]}/{budgets.per_group[g]} outliers")
     print(f"wall time: {record.ms:.1f} ms")
     if cfg["out"]:
-        write_records([record], cfg, cfg["out"])
+        # the embedded configuration names what this row ran, not the file's lists
+        ran = dict(cfg, algos=[args.algo], pcts=[] if cfg["ell"] is not None else [pct])
+        write_records([record], ran, cfg["out"])
     return 0
 
 

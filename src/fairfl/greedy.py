@@ -14,8 +14,10 @@ facility's time t is recomputed only when a client within t + 2*_TIME_TOL
 of it has left play since t was computed (zero-cost facilities, whose time
 is the clock, at every event).  Clients leaving beyond that radius cannot
 change t, so the event trace is bitwise the one full recomputation gives.
-Each recomputation reads only the active clients' sorted distances, and the
-sorted rows drop departed clients once half of them have left.
+Each recomputation reads only the active clients' sorted distances, and only
+as far along them as the opening time can still fall (see
+``_opening_times``); the sorted rows drop departed clients once half of them
+have left.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ import numpy as np
 from .instance import IntegralSolution, MetricInstance, OutlierBudgets, assign_nearest
 
 _TIME_TOL = 1e-9
+_FIRST_WIDTH = 64  # first column block of ``_opening_times``
 
 
 class GreedyError(RuntimeError):
@@ -62,30 +65,69 @@ class DualTrace:
 
 
 def _opening_times(
-    dist_sorted: np.ndarray, order: np.ndarray, active: np.ndarray, costs: np.ndarray, alpha: float
+    dist_sorted: np.ndarray,
+    order: np.ndarray,
+    active: np.ndarray,
+    costs: np.ndarray,
+    alpha: float,
+    rows: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """Earliest clock at which each given facility's surplus covers its cost.
 
-    Rows are facilities (already restricted to closed ones) with their
-    distances sorted ascending, ``order`` naming the client at each sorted
-    position.  The surplus at clock t is piecewise linear with breakpoints
-    at the active clients' distances, so the opening time is solved per
-    prefix of the active sorted row.  ``active`` is one mask over clients,
-    so every row keeps the same number of active entries and the active
-    distances form a rectangular, still sorted array.
+    Rows are facilities with their distances sorted ascending, ``order``
+    naming the client at each sorted position; ``rows`` picks the ones to
+    solve (default all), one cost each.  The surplus at clock t is piecewise
+    linear with breakpoints at the active clients' distances, so the opening
+    time is solved per prefix of the active sorted row.  ``active`` is one
+    mask over clients, so every row keeps the same number of active entries
+    and the active distances form a rectangular, still sorted array.
+
+    Prefixes are solved in column blocks of growing width.  Each block is
+    read from a prefix of the sorted rows, doubled from ``_FIRST_WIDTH`` as
+    needed, that holds the block and the active distance after it in every
+    remaining row.  The running sum is carried into each block's first
+    column, so every prefix sum is the one a sequential ``cumsum`` of the
+    whole active row gives.  A row is done once its next active distance
+    minus ``_TIME_TOL`` exceeds its best valid time: a later prefix is valid
+    only at a time not below that, so none gives a smaller time.
     """
-    rows = dist_sorted.shape[0]
+    if rows is None:
+        rows = np.arange(dist_sorted.shape[0])
+    times = np.where(costs <= 0.0, alpha, np.inf)
     n_act = int(np.count_nonzero(active))
-    if n_act == 0:
-        return np.where(costs <= 0.0, alpha, np.inf)
-    ds = dist_sorted[active[order]].reshape(rows, n_act)
-    t = (costs[:, None] + np.cumsum(ds, axis=1)) / np.arange(1, n_act + 1)
-    d_next = np.empty_like(ds)
-    d_next[:, :-1] = ds[:, 1:]
-    d_next[:, -1] = np.inf
-    valid = (t >= ds - _TIME_TOL) & (t <= d_next + _TIME_TOL)
-    times = np.where(valid, t, np.inf).min(axis=1)
-    return np.where(costs <= 0.0, alpha, times)
+    todo = np.flatnonzero((costs > 0.0) & (costs < np.inf)) if n_act else rows[:0]
+    width = dist_sorted.shape[1]
+    sums = np.zeros(len(rows))  # prefix sum carried into the next block
+    lo, raw = 0, _FIRST_WIDTH
+    while todo.size:
+        raw = min(raw, width)
+        act = active[order[rows[todo], :raw]]
+        # every remaining row's first w active distances lie in the prefix;
+        # a block may end before the last of them unless it ends the row
+        w = n_act
+        if raw < width:
+            w = int(act.sum(axis=1).min())
+            act &= np.cumsum(act, axis=1) <= w
+        hi = w if w == n_act else w - 1
+        if hi > lo:
+            ds = dist_sorted[rows[todo], :raw][act].reshape(todo.size, w)
+            here = ds[:, lo:hi]
+            acc = here.copy()
+            acc[:, 0] += sums[todo]
+            np.cumsum(acc, axis=1, out=acc)
+            sums[todo] = acc[:, -1]
+            t = (costs[todo, None] + acc) / np.arange(lo + 1, hi + 1)
+            nxt = np.empty_like(here)
+            nxt[:, :-1] = here[:, 1:]
+            nxt[:, -1] = np.inf if hi == n_act else ds[:, hi]
+            valid = (t >= here - _TIME_TOL) & (t <= nxt + _TIME_TOL)
+            times[todo] = np.minimum(times[todo], np.where(valid, t, np.inf).min(axis=1))
+            if hi == n_act:
+                break
+            todo = todo[nxt[:, -1] - _TIME_TOL <= times[todo]]
+            lo = hi
+        raw *= 2
+    return times
 
 
 def _connect(state: DualState, j: int) -> bool:
@@ -188,7 +230,7 @@ def _dual_fit(
                 order = order[keep].reshape(m, act_idx.size)
             if stale.size:
                 open_time[stale] = _opening_times(
-                    dist_sorted[stale], order[stale], active, costs[stale], state.alpha
+                    dist_sorted, order, active, costs[stale], state.alpha, stale
                 )
                 left_min[stale] = np.inf
             seen = active

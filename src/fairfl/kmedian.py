@@ -16,7 +16,7 @@ from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
-from .instance import IntegralSolution, MetricInstance, OutlierBudgets, assign_nearest
+from .instance import IntegralSolution, MetricInstance, OutlierBudgets, assign_nearest, row_blocks
 
 
 class LocalSearchError(RuntimeError):
@@ -82,15 +82,15 @@ def _two_nearest(dist: np.ndarray, open_list: Sequence[int]) -> tuple[np.ndarray
     when only one facility is open.
     """
     rows = np.asarray(sorted(open_list), dtype=np.int64)
-    sub = dist[rows]
+    sub = dist[rows]  # a copy: the nearest entries are masked out below
     n = dist.shape[1]
     if len(rows) == 1:
         return sub[0].copy(), np.full(n, rows[0]), np.full(n, np.inf)
-    order = np.argsort(sub, axis=0, kind="stable")
     cols = np.arange(n)
-    d1 = sub[order[0], cols]
-    d2 = sub[order[1], cols]
-    return d1, rows[order[0]], d2
+    first = np.argmin(sub, axis=0)  # first occurrence = lowest index on ties
+    d1 = sub[first, cols]
+    sub[first, cols] = np.inf
+    return d1, rows[first], sub.min(axis=0)
 
 
 def _canonical_solution(pinst: PenaltyInstance, open_list: Sequence[int]) -> PenaltySolution:
@@ -98,7 +98,8 @@ def _canonical_solution(pinst: PenaltyInstance, open_list: Sequence[int]) -> Pen
     d1, a1, _ = _two_nearest(dist, open_list)
     pays = pinst.penalty < d1  # ties serve
     paying = frozenset(np.flatnonzero(pays).tolist())
-    assignment = {int(j): int(a1[j]) for j in np.flatnonzero(~pays)}
+    served = np.flatnonzero(~pays)
+    assignment = dict(zip(served.tolist(), a1[served].tolist()))
     service = float(d1[~pays].sum())
     paid = float(pinst.penalty[pays].sum())
     return PenaltySolution(frozenset(int(i) for i in open_list), paying, assignment, service, paid)
@@ -111,6 +112,14 @@ def local_search_penalties(pinst: PenaltyInstance, improve_frac: float = 0.01) -
     lexicographic (outgoing, incoming) order, accepting the first swap that
     cuts the current cost by at least ``improve_frac`` of itself; stops when
     a full scan finds none.
+
+    A swap's cost is ``sum_j min(base_j, d_in_j, p_j)``, with ``base`` the
+    nearest distance left once the outgoing facility closes.  ``min`` is
+    exact, so clipping ``base`` at the penalties once per outgoing facility
+    gives every candidate's terms bit for bit.  The incoming candidates are
+    scanned in ascending row blocks (open rows are summed too, then masked
+    out), each row one contiguous sum as a whole-matrix sum gives it, and
+    the scan stops at the first block holding an accepted swap.
     """
     if not (0 < improve_frac < 1):
         raise ValueError("improve_frac must be in (0, 1)")
@@ -123,25 +132,30 @@ def local_search_penalties(pinst: PenaltyInstance, improve_frac: float = 0.01) -
     start_cost = cost
     accepted = 0
 
+    blocks = row_blocks(m, dist[0].nbytes)
+    buf = np.empty_like(dist[blocks[0]])
     improved = True
     while improved:
         improved = False
-        open_sorted = sorted(open_list)
-        closed = np.array([i for i in range(m) if i not in set(open_list)], dtype=np.int64)
-        if closed.size == 0:
+        is_closed = np.ones(m, dtype=bool)
+        is_closed[open_list] = False
+        if not is_closed.any():
             break
-        for f_out in open_sorted:
-            base_d = np.where(a1 == f_out, d2, d1)
-            cand = np.minimum(base_d[None, :], dist[closed])
-            cand_cost = np.minimum(cand, pen[None, :]).sum(axis=1)
-            hits = np.flatnonzero((cand_cost <= cost * (1.0 - improve_frac)) & (cand_cost < cost))
-            if hits.size:
-                f_in = int(closed[hits[0]])
-                open_list = sorted(set(open_list) - {f_out} | {f_in})
-                d1, a1, d2 = _two_nearest(dist, open_list)
-                cost = float(np.minimum(d1, pen).sum())
-                accepted += 1
-                improved = True
+        target = cost * (1.0 - improve_frac)
+        for f_out in open_list:
+            base = np.minimum(np.where(a1 == f_out, d2, d1), pen)
+            for rows in blocks:
+                part = dist[rows]
+                cand_cost = np.minimum(part, base, out=buf[: len(part)]).sum(axis=1)
+                hits = np.flatnonzero(is_closed[rows] & (cand_cost <= target) & (cand_cost < cost))
+                if hits.size:
+                    open_list = sorted(set(open_list) - {f_out} | {rows.start + int(hits[0])})
+                    d1, a1, d2 = _two_nearest(dist, open_list)
+                    cost = float(np.minimum(d1, pen).sum())
+                    accepted += 1
+                    improved = True
+                    break
+            if improved:
                 break
 
     if accepted and cost > 0:

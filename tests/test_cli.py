@@ -390,6 +390,76 @@ class TestSolveAndOracle:
         assert header == CSV_HEADER
         assert len(rows) == 3
 
+    @pytest.mark.parametrize("verb", ["solve", "oracle"])
+    @pytest.mark.parametrize("source", ["flags", "one flag", "file"])
+    def test_several_pcts_exit_2_naming_pcts(self, tmp_path, capsys, verb, source):
+        # one budget vector only: a second percentage used to be ignored silently
+        cfg = small_config(tmp_path, n_in=6, n_out=3, m=4, **({"pcts": "5, 10"} if source == "file" else {}))
+        base = [verb, "--config", cfg] + (["--algo", "gdf-f"] if verb == "solve" else [])
+        args = base + {"flags": ["--pct", "5", "--pct", "10"], "one flag": ["--pct", "5,10"],
+                       "file": []}[source]
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert "'pcts'" in err and "5, 10" in err
+        assert main(args + ["--ell", "1,1"]) == 0  # explicit caps: no percentage is read
+        assert main(base + ["--pct", "5"]) == 0  # one flag replaces the file's list
+
+    def test_solve_out_records_what_ran(self, tmp_path):
+        # the file's lists are overridden by the one algorithm and percentage
+        cfg = small_config(tmp_path, algos="lpr-f, lpr-nf", pcts="1, 2", epsilon=0.25)
+        out = tmp_path / "row.csv"
+        assert main(["solve", "--config", cfg, "--algo", "gdf-f", "--pct", "10",
+                     "--out", str(out)]) == 0
+        comments, header, rows = read_rows(str(out))
+        assert comments == [
+            "# M = 100",
+            "# algos = gdf-f",
+            "# cost_far = 40.0",
+            "# cost_near = 80.0",
+            "# dataset = synthetic",
+            "# delimiter = ,",
+            "# dim = 2",
+            "# dump_mps = None",
+            "# ell = None",
+            "# eps_guess = 0.5",
+            "# epsilon = 0.25",
+            "# f = 100.0",
+            "# facility_cost = None",
+            "# feature_cols = None",
+            "# gamma = 0.5",
+            "# group_col = None",
+            "# improve_frac = 0.01",
+            "# in_mean = 0.0",
+            "# in_sd = 10.0",
+            "# jobs = 1",
+            "# k = 5",
+            "# m = 8",
+            "# n = None",
+            "# n_in = 40",
+            "# n_out = 10",
+            "# near_radius = 10.0",
+            "# open_threshold = 0.5",
+            f"# out = {out}",
+            "# out_mean = 10.0",
+            "# out_sd = 20.0",
+            "# pcts = 10.0",
+            "# problem = fl",
+            "# prune = True",
+            "# seed = 1",
+        ]
+        assert header == CSV_HEADER
+        assert [r[:2] + r[5:8] for r in rows] == [
+            ["gdf-f", "10", "0", "4", "4"], ["gdf-f", "10", "1", "1", "1"],
+            ["gdf-f", "10", "all", "5", "5"],
+        ]
+        # explicit caps: percentage 0 and no percentage list
+        assert main(["solve", "--config", cfg, "--algo", "gdf-nf", "--ell", "3,1",
+                     "--out", str(out)]) == 0
+        comments, _, rows = read_rows(str(out))
+        assert "# algos = gdf-nf" in comments and "# pcts = " in comments
+        assert "# ell = 3,1" in comments
+        assert [r[:2] for r in rows] == [["gdf-nf", "0"]] * 3
+
     def test_dump_mps(self, tmp_path):
         cfg = small_config(tmp_path)
         target = tmp_path / "model.mps"

@@ -18,8 +18,10 @@ from fairfl import (
     generate_synthetic,
     unfairness,
 )
+from fairfl import greedy as greedy_mod
 from fairfl.cli import budgets_from_pct, build_parser, prepare_instance, resolve_config
 from fairfl.greedy import (
+    _FIRST_WIDTH,
     _TIME_TOL,
     DualState,
     DualTrace,
@@ -432,6 +434,88 @@ class TestOpeningTimesKernel:
         assert got.tolist() == [0.25, np.inf, 2.0]  # tie at d=1: surplus 2(t-1) = 2
 
 
+class TestBlockedOpeningTimes:
+    """Block edges, early exits and row subsets of the blocked kernel, against
+    the full-row masked reference."""
+
+    @staticmethod
+    def _rows_with_breakpoints(rng, active, targets, grid):
+        """One sorted row per target: its own client order, and a cost that
+        puts its opening time at the target's active position ``pos``, at
+        the distance there (``low``), at the next one (``high``) or between."""
+        n = active.size
+        rows, orders, costs = [], [], []
+        for pos, where in targets:
+            dist = rng.integers(0, 40, n).astype(float) if grid else rng.random(n) * 10.0
+            order = np.argsort(dist, kind="stable")
+            ds = dist[order]
+            act = ds[active[order]]
+            here = act[pos]
+            after = act[pos + 1] if pos + 1 < act.size else here + 1.0
+            t = {"low": here, "mid": (here + after) / 2, "high": after}[where]
+            rows.append(ds)
+            orders.append(order)
+            costs.append(float(np.sum(t - act[: pos + 1])))
+        return np.array(rows), np.array(orders), np.array(costs)
+
+    def _check(self, ds, order, active, costs, alpha=0.5):
+        want = _reference_opening_times(ds, order, active, costs, alpha)
+        assert _bits(_opening_times(ds, order, active, costs, alpha)) == _bits(want)
+        for rows in (np.arange(0, len(ds), 2), np.arange(len(ds))[::-1], np.arange(0)):
+            got = _opening_times(ds, order, active, costs[rows], alpha, rows)
+            assert _bits(got) == _bits(want[rows])
+        return want
+
+    @pytest.mark.parametrize("grid", [False, True])
+    def test_breakpoints_on_block_edges(self, rng, grid):
+        # all clients active: the first blocks end after positions 63, 127
+        # and 255; rows finish in different blocks, zero and infinite costs
+        # sit among them
+        active = np.ones(600, dtype=bool)
+        edges = [0, 1, 61, 62, 63, 64, 65, 126, 127, 128, 129, 254, 255, 256, 257, 598, 599]
+        targets = [(pos, where) for pos in edges for where in ("low", "mid", "high")]
+        ds, order, costs = self._rows_with_breakpoints(rng, active, targets, grid)
+        costs[::7] = 0.0
+        costs[3::11] = np.inf
+        times = self._check(ds, order, active, costs)
+        assert np.isfinite(times[costs < np.inf]).all()
+
+    @pytest.mark.parametrize("density", [0.9, 0.5, 0.2])
+    def test_breakpoints_with_inactive_clients(self, rng, density):
+        # inactive clients shift each row's block edges differently
+        for _ in range(5):
+            active = rng.random(700) < density
+            n_act = int(active.sum())
+            positions = rng.integers(0, n_act, 30).tolist() + [n_act - 1]
+            targets = [(int(p), str(rng.choice(["low", "mid", "high"]))) for p in positions]
+            ds, order, costs = self._rows_with_breakpoints(rng, active, targets, grid=False)
+            costs[rng.random(costs.size) < 0.1] = 0.0
+            costs[rng.random(costs.size) < 0.1] = np.inf
+            self._check(ds, order, active, costs)
+
+    def test_fewer_active_than_first_width(self, rng):
+        assert _FIRST_WIDTH > 8
+        for n_act in (1, 2, 5, _FIRST_WIDTH - 1, _FIRST_WIDTH, _FIRST_WIDTH + 1):
+            for n in (n_act, n_act + 3, 300):
+                active = np.zeros(n, dtype=bool)
+                active[rng.permutation(n)[:n_act]] = True
+                targets = [(int(p), "mid") for p in rng.integers(0, n_act, 8)]
+                ds, order, costs = self._rows_with_breakpoints(rng, active, targets, grid=True)
+                costs[0] = 0.0
+                costs[-1] = np.inf
+                self._check(ds, order, active, costs)
+
+    @pytest.mark.parametrize("first_width", [1, 2, 3, 5])
+    def test_random_rows_at_small_first_widths(self, rng, monkeypatch, first_width):
+        monkeypatch.setattr(greedy_mod, "_FIRST_WIDTH", first_width)
+        for trial in range(200):
+            rows, n = int(rng.integers(1, 9)), int(rng.integers(1, 40))
+            ds, order, costs = TestOpeningTimesKernel._case(rng, rows, n, grid=trial % 2 == 0)
+            costs[costs > 0] *= float(rng.choice([0.1, 1.0, 20.0]))
+            active = rng.random(n) < rng.choice([0.1, 0.5, 1.0])
+            self._check(ds, order, active, costs, float(rng.random()))
+
+
 class TestIncrementalMatchesFullRecompute:
     """The incremental event loop against ``_reference_dual_fit``."""
 
@@ -445,6 +529,15 @@ class TestIncrementalMatchesFullRecompute:
         inst = prune_pairs(inst)
         for pct in range(1, 11):
             assert_same_fair_and_nonfair(inst, budgets_from_pct(inst, float(pct)))
+
+    @pytest.mark.parametrize("first_width", [1, 2])
+    def test_small_first_widths(self, random_suite, monkeypatch, first_width):
+        monkeypatch.setattr(greedy_mod, "_FIRST_WIDTH", first_width)
+        for inst, budgets in random_suite[::4]:
+            assert_same_fair_and_nonfair(inst, budgets)
+        inst = prune_pairs(generate_synthetic(SyntheticConfig(seed=0))[0])
+        for pct in (1.0, 6.0):
+            assert_same_fair_and_nonfair(inst, budgets_from_pct(inst, pct))
 
     def test_large_csv_instance(self, tmp_path):
         # the table, sample and k-means facilities of the 4500x100 acceptance sweep
@@ -496,5 +589,44 @@ class TestIncrementalMatchesFullRecompute:
                 data.draw(st.integers(0, len(mem))) for mem in inst.group_members
             ))
             assert_same_fair_and_nonfair(inst, budgets)
+
+        check()
+
+
+class TestFairEqualsNonfairOnOneGroup:
+    def test_same_events_and_solution(self):
+        # with one group, GDF-F's per-group target is GDF-NF's global one
+        hypothesis = pytest.importorskip("hypothesis")
+        st = pytest.importorskip("hypothesis.strategies")
+
+        @hypothesis.settings(max_examples=300, deadline=None, database=None)
+        @hypothesis.given(st.data())
+        def check(data):
+            n = data.draw(st.integers(1, 12))
+            m = data.draw(st.integers(1, 5))
+            coord = st.one_of(st.integers(0, 3), st.floats(0.0, 3.0))
+            clients = data.draw(st.lists(st.tuples(coord, coord), min_size=n, max_size=n))
+            facilities = data.draw(st.lists(st.tuples(coord, coord), min_size=m, max_size=m))
+            costs = data.draw(st.lists(
+                st.one_of(st.sampled_from([0.0, 1.0, 2.0, np.inf]), st.floats(0.0, 5.0)),
+                min_size=m, max_size=m))
+            budget = data.draw(st.integers(0, n))
+            inst = MetricInstance(np.array(clients, float), np.zeros(n, dtype=np.int64),
+                                  np.array(facilities, float), np.array(costs))
+            fair_trace, nonfair_trace = DualTrace(), DualTrace()
+            try:
+                fair = gdf_f(inst, OutlierBudgets((budget,)), fair_trace)
+            except GreedyError as err:
+                with pytest.raises(GreedyError) as raised:
+                    gdf_nf(inst, budget, nonfair_trace)
+                assert str(raised.value) == str(err)
+                return
+            nonfair = gdf_nf(inst, budget, nonfair_trace)
+            assert _events(fair_trace) == _events(nonfair_trace)
+            assert fair.open == nonfair.open
+            assert fair.outliers == nonfair.outliers
+            assert fair.assignment == nonfair.assignment
+            assert fair.facility_cost.hex() == nonfair.facility_cost.hex()
+            assert fair.connection_cost.hex() == nonfair.connection_cost.hex()
 
         check()

@@ -1,4 +1,5 @@
 import math
+from typing import Optional
 
 import numpy as np
 import pytest
@@ -7,9 +8,11 @@ from fairfl import (
     MetricInstance,
     OutlierBudgets,
     PenaltyInstance,
+    SyntheticConfig,
     build_guess_grid,
     exact_kmfo,
     exact_kmp,
+    generate_synthetic,
     local_search_penalties,
     ls_nf,
     make_penalties,
@@ -17,7 +20,10 @@ from fairfl import (
     r_ls_nf,
     unfairness,
 )
-from fairfl.kmedian import _two_nearest
+from fairfl import instance as instance_mod
+from fairfl import kmedian
+from fairfl.cli import budgets_from_pct
+from fairfl.kmedian import LocalSearchError, PenaltySolution, _grid_from_totals, _two_nearest
 from conftest import random_budgets, random_instance
 
 
@@ -255,3 +261,280 @@ class TestPlainLocalSearchBaseline:
         full = ls_nf(inst, 0, k=1)
         dropped = ls_nf(inst, 2, k=1)
         assert dropped.connection_cost <= full.connection_cost + 1e-12
+
+
+# ---------------------------------------------------------------------------
+# The swap scan as it was before the blocked, penalty-clipped kernel (full
+# candidate matrices per outgoing facility, a stable argsort for the two
+# nearest), kept verbatim as the reference the kernel must reproduce bit for
+# bit.
+
+
+def _reference_two_nearest(dist: np.ndarray, open_list) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Nearest and second-nearest open distances per client.
+
+    Ties resolve toward the lowest facility index.  Second distance is +inf
+    when only one facility is open.
+    """
+    rows = np.asarray(sorted(open_list), dtype=np.int64)
+    sub = dist[rows]
+    n = dist.shape[1]
+    if len(rows) == 1:
+        return sub[0].copy(), np.full(n, rows[0]), np.full(n, np.inf)
+    order = np.argsort(sub, axis=0, kind="stable")
+    cols = np.arange(n)
+    d1 = sub[order[0], cols]
+    d2 = sub[order[1], cols]
+    return d1, rows[order[0]], d2
+
+
+def _reference_canonical_solution(pinst: PenaltyInstance, open_list) -> PenaltySolution:
+    dist = pinst.base.distances()
+    d1, a1, _ = _reference_two_nearest(dist, open_list)
+    pays = pinst.penalty < d1  # ties serve
+    paying = frozenset(np.flatnonzero(pays).tolist())
+    assignment = {int(j): int(a1[j]) for j in np.flatnonzero(~pays)}
+    service = float(d1[~pays].sum())
+    paid = float(pinst.penalty[pays].sum())
+    return PenaltySolution(frozenset(int(i) for i in open_list), paying, assignment, service, paid)
+
+
+def _reference_local_search_penalties(pinst: PenaltyInstance, improve_frac: float = 0.01) -> PenaltySolution:
+    """Single-swap local search on the serve-or-pay objective.
+
+    Starts from the k lowest-index facilities and scans swaps in
+    lexicographic (outgoing, incoming) order, accepting the first swap that
+    cuts the current cost by at least ``improve_frac`` of itself; stops when
+    a full scan finds none.
+    """
+    if not (0 < improve_frac < 1):
+        raise ValueError("improve_frac must be in (0, 1)")
+    dist = pinst.base.distances()
+    m = pinst.base.n_facilities
+    pen = pinst.penalty
+    open_list = list(range(pinst.k))
+    d1, a1, d2 = _reference_two_nearest(dist, open_list)
+    cost = float(np.minimum(d1, pen).sum())
+    start_cost = cost
+    accepted = 0
+
+    improved = True
+    while improved:
+        improved = False
+        open_sorted = sorted(open_list)
+        closed = np.array([i for i in range(m) if i not in set(open_list)], dtype=np.int64)
+        if closed.size == 0:
+            break
+        for f_out in open_sorted:
+            base_d = np.where(a1 == f_out, d2, d1)
+            cand = np.minimum(base_d[None, :], dist[closed])
+            cand_cost = np.minimum(cand, pen[None, :]).sum(axis=1)
+            hits = np.flatnonzero((cand_cost <= cost * (1.0 - improve_frac)) & (cand_cost < cost))
+            if hits.size:
+                f_in = int(closed[hits[0]])
+                open_list = sorted(set(open_list) - {f_out} | {f_in})
+                d1, a1, d2 = _reference_two_nearest(dist, open_list)
+                cost = float(np.minimum(d1, pen).sum())
+                accepted += 1
+                improved = True
+                break
+
+    if accepted and cost > 0:
+        # each accepted swap shrinks cost by factor <= (1 - improve_frac)
+        bound = math.log(start_cost / cost) / math.log(1.0 / (1.0 - improve_frac))
+        if accepted > bound + 1e-6:
+            raise LocalSearchError(f"{accepted} swaps exceeds decay bound {bound:.3f}")
+    return _reference_canonical_solution(pinst, open_list)
+
+
+def _solution_bytes(sol: PenaltySolution) -> tuple:
+    """A search result as bytes: open and paying sets, the assignment, and
+    the bits of the service and penalty totals."""
+    return (
+        np.array(sorted(sol.open), dtype=np.int64).tobytes(),
+        np.array(sorted(sol.paying), dtype=np.int64).tobytes(),
+        np.array(sorted(sol.assignment.items()), dtype=np.int64).tobytes(),
+        float(sol.service_cost).hex(),
+        float(sol.penalty_paid).hex(),
+    )
+
+
+def assert_same_search(pinst: PenaltyInstance, improve_frac: float) -> PenaltySolution:
+    """The kernel and the reference return the same bytes (or raise alike)."""
+    try:
+        want = _reference_local_search_penalties(pinst, improve_frac)
+    except LocalSearchError as err:
+        with pytest.raises(LocalSearchError) as raised:
+            local_search_penalties(pinst, improve_frac)
+        assert str(raised.value) == str(err)
+        return None
+    got = local_search_penalties(pinst, improve_frac)
+    assert _solution_bytes(got) == _solution_bytes(want)
+    return got
+
+
+def _block_rows(monkeypatch, inst: MetricInstance, rows: Optional[int]) -> None:
+    """Scan ``rows`` facilities per block (None: the default block size)."""
+    if rows is not None:
+        monkeypatch.setattr(instance_mod, "_BLOCK_BYTES", rows * 8 * inst.n_clients)
+
+
+def _penalty_case(rng, grid: bool) -> tuple[PenaltyInstance, float]:
+    """A random penalty instance with a mix of finite, zero, infinite and
+    distance-equal penalties, and a random improve_frac in [1e-3, 0.5]."""
+    n, m = int(rng.integers(1, 40)), int(rng.integers(1, 13))
+    dim = int(rng.integers(1, 4))
+    if grid:  # integer coordinates: many tied distances and tied swap costs
+        clients = rng.integers(0, 4, (n, dim)).astype(float)
+        facilities = rng.integers(0, 4, (m, dim)).astype(float)
+    else:
+        clients, facilities = rng.random((n, dim)), rng.random((m, dim))
+    inst = MetricInstance(clients, np.zeros(n, dtype=np.int64), facilities, np.zeros(m))
+    dist = inst.distances()
+    kind = rng.random(n)
+    pen = rng.random(n) * float(rng.choice([0.1, 1.0, 10.0])) * max(float(dist.max()), 1.0)
+    pen[kind < 0.25] = np.inf
+    pen[(kind >= 0.25) & (kind < 0.35)] = 0.0
+    ties = (kind >= 0.35) & (kind < 0.5)  # penalty equal to some facility's distance
+    pen[ties] = dist[rng.integers(0, m, int(ties.sum())), np.flatnonzero(ties)]
+    k = int(rng.choice([1, m, int(rng.integers(1, m + 1))]))
+    if grid and rng.random() < 0.5:  # a swap may cut the cost by exactly this much
+        improve_frac = float(rng.choice([0.125, 0.25, 0.5]))
+    else:
+        improve_frac = float(np.exp(rng.uniform(np.log(1e-3), np.log(0.5))))
+    return PenaltyInstance(inst, k, pen), improve_frac
+
+
+class TestTwoNearestMatchesReference:
+    def test_random_and_tied_rows(self, rng):
+        for trial in range(300):
+            m, n = int(rng.integers(1, 9)), int(rng.integers(1, 30))
+            if trial % 2:
+                dist = rng.integers(0, 3, (m, n)).astype(float)
+            else:
+                dist = rng.random((m, n))
+            k = int(rng.integers(1, m + 1))
+            open_list = rng.permutation(m)[:k].tolist()
+            got = _two_nearest(dist, open_list)
+            want = _reference_two_nearest(dist, open_list)
+            for a, b in zip(got, want):
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+class TestSwapScanMatchesReference:
+    """The blocked, penalty-clipped swap scan against the full-matrix one."""
+
+    @pytest.mark.parametrize("rows", [1, 2, 5, None])
+    def test_random_cases(self, rng, monkeypatch, rows):
+        for trial in range(120):
+            pinst, improve_frac = _penalty_case(rng, grid=trial % 2 == 0)
+            _block_rows(monkeypatch, pinst.base, rows)
+            assert_same_search(pinst, improve_frac)
+
+    @pytest.mark.parametrize("improve_frac", [1e-3, 0.01, 0.1, 0.5])
+    def test_reduction_penalties_on_synthetic_draw(self, monkeypatch, improve_frac):
+        # the penalties R+LS-F builds on the default 550x100 instance
+        inst, _ = generate_synthetic(SyntheticConfig(seed=0))
+        budgets = budgets_from_pct(inst, 5.0)
+        grid = _grid_from_totals(inst, budgets.total, 0.5)
+        for rows in (1, None):
+            _block_rows(monkeypatch, inst, rows)
+            for guess in grid.values[::4]:
+                assert_same_search(make_penalties(inst, budgets, 5, guess, 0.5), improve_frac)
+
+    def test_hypothesis_property(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = pytest.importorskip("hypothesis.strategies")
+
+        @hypothesis.settings(max_examples=300, deadline=None, database=None)
+        @hypothesis.given(st.data())
+        def check(data):
+            n = data.draw(st.integers(1, 12))
+            m = data.draw(st.integers(1, 7))
+            coord = st.integers(0, 3)
+            clients = data.draw(st.lists(st.tuples(coord, coord), min_size=n, max_size=n))
+            facilities = data.draw(st.lists(st.tuples(coord, coord), min_size=m, max_size=m))
+            inst = MetricInstance(np.array(clients, float), np.zeros(n, dtype=np.int64),
+                                  np.array(facilities, float), np.zeros(m))
+            pen = data.draw(st.lists(
+                st.one_of(st.just(np.inf), st.sampled_from([0.0, 1.0, 2.0, 2.5, 3.0]),
+                          st.floats(0.0, 6.0)),
+                min_size=n, max_size=n))
+            k = data.draw(st.integers(1, m))
+            improve_frac = data.draw(st.one_of(st.sampled_from([0.125, 0.25, 0.5]),
+                                               st.floats(1e-3, 0.5)))
+            rows = data.draw(st.integers(1, m))
+            old = instance_mod._BLOCK_BYTES
+            instance_mod._BLOCK_BYTES = rows * 8 * n
+            try:
+                assert_same_search(PenaltyInstance(inst, k, np.array(pen)), improve_frac)
+            finally:
+                instance_mod._BLOCK_BYTES = old
+
+        check()
+
+    def test_reduction_matches_reference_search(self, random_suite, monkeypatch):
+        # R+LS-F/NF and LS-NF end to end, with the reference search swapped in
+        for inst, budgets in random_suite[:60]:
+            k = 1 + inst.n_clients % inst.n_facilities
+            got = (r_ls_f(inst, budgets, k), r_ls_nf(inst, budgets.total, k),
+                   ls_nf(inst, budgets.total, k))
+            with monkeypatch.context() as patch:
+                patch.setattr(kmedian, "local_search_penalties", _reference_local_search_penalties)
+                patch.setattr(kmedian, "_two_nearest", _reference_two_nearest)
+                want = (r_ls_f(inst, budgets, k), r_ls_nf(inst, budgets.total, k),
+                        ls_nf(inst, budgets.total, k))
+            for a, b in zip(got, want):
+                assert a.open == b.open and a.outliers == b.outliers
+                assert a.assignment == b.assignment
+                assert a.connection_cost.hex() == b.connection_cost.hex()
+
+
+class TestSearchContract:
+    def test_one_search_per_grid_value(self, rng, monkeypatch):
+        # the reduction calls the module's local_search_penalties once per
+        # guess-grid value, so a wrapper on that attribute sees every search
+        calls = []
+        original = kmedian.local_search_penalties
+
+        def counting(pinst, improve_frac):
+            calls.append(pinst)
+            return original(pinst, improve_frac)
+
+        monkeypatch.setattr(kmedian, "local_search_penalties", counting)
+        for _ in range(10):
+            inst = random_instance(rng, max_n=10, max_m=5)
+            budgets = random_budgets(rng, inst)
+            for run, total in ((lambda: r_ls_f(inst, budgets, 1), budgets.total),
+                               (lambda: r_ls_nf(inst, budgets.total, 1), budgets.total)):
+                calls.clear()
+                run()
+                assert len(calls) == len(_grid_from_totals(inst, total, 0.5).values)
+            calls.clear()
+            ls_nf(inst, budgets.total, 1)
+            assert len(calls) == 1
+
+    def test_swap_cutting_exactly_improve_frac_is_accepted(self):
+        # from {0} (cost 3 + 1) the swap to {1} (cost 1 + 1) halves the cost
+        inst = tiny([[0.0], [2.0]], [0, 0], [[3.0], [1.0]])
+        pinst = PenaltyInstance(inst, 1, np.full(2, np.inf))
+        assert assert_same_search(pinst, 0.5).open == frozenset({1})
+
+    def test_result_is_improve_frac_local_optimum(self, rng):
+        # brute force over every single swap: none cuts the cost by the
+        # accepted fraction, each cost summed as the scan sums it
+        for trial in range(150):
+            pinst, improve_frac = _penalty_case(rng, grid=trial % 3 == 0)
+            sol = local_search_penalties(pinst, improve_frac)
+            dist, pen = pinst.base.distances(), pinst.penalty
+
+            def cost_of(open_set):
+                return float(np.minimum(dist[sorted(open_set)].min(axis=0), pen).sum())
+
+            cost = cost_of(sol.open)
+            target = cost * (1.0 - improve_frac)
+            closed = set(range(pinst.base.n_facilities)) - sol.open
+            for f_out in sol.open:
+                for f_in in closed:
+                    cand = cost_of(sol.open - {f_out} | {f_in})
+                    assert not (cand <= target and cand < cost), (f_out, f_in, cand, cost)
