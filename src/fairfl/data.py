@@ -211,6 +211,75 @@ def _sq_distances(points: np.ndarray, centers: np.ndarray, out: np.ndarray) -> n
     return out
 
 
+def _pair_sq_distances(points: np.ndarray, centers: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Squared distances from ``points[rows[i]]`` to ``centers[cols[i]]``, each
+    bit for bit as ``_sq_distances`` gives it: the same coordinate order, run
+    on (pairs, 1) columns in blocks of about ``_KERNEL_BLOCK_BYTES``."""
+    d = points.shape[1]
+    out = np.empty((len(rows), 1))
+    step = max(1, _KERNEL_BLOCK_BYTES // (8 * d))
+    term = np.empty((min(step, len(rows)), 1))
+    for lo in range(0, len(rows), step):
+        pick, block = slice(lo, lo + step), out[lo:lo + step]
+        # centers_t[k] is then a (pairs, 1) column, one center per pair
+        centers_t = centers[cols[pick]].T[:, :, None]
+        _coordinate_sum(points[rows[pick]], centers_t, 0, d, block, term[: len(block)])
+    return out[:, 0]
+
+
+# u, eta and the overflow margin of the screen's bound in ``_nearest_centers``
+_UNIT_ROUNDOFF = 2.0**-53
+_SMALLEST_SUBNORMAL = 2.0**-1074
+_REACH_MAX = np.finfo(float).max / 16
+
+
+def _nearest_centers(
+    points: np.ndarray, lifted: np.ndarray, norms: np.ndarray, centers: np.ndarray, out: np.ndarray
+) -> np.ndarray:
+    """Each point's nearest center, equal to ``np.argmin(_sq_distances(points,
+    centers, out), axis=1)`` (first index on ties), mostly without the kernel.
+
+    ``lifted`` is ``points`` with a column of ones appended and ``norms`` the
+    points' Euclidean norms.  One GEMM fills ``out`` with the screen
+    ``S_c = |c|² - 2 p·c`` (the -2 is folded into the centers, which is
+    exact; ``|p|²`` is the same for every center of a row, so it is left
+    out), and ``a = argmin S``.  For any summation order, with or without FMA,
+    a dot product errs by at most ``gamma_k |x|·|y|`` (Higham, *Accuracy and
+    Stability of Numerical Algorithms*, 2002, §3.1), and the kernel's value
+    ``D_c`` errs from the exact ``|p - c|²`` by at most ``gamma_{d+2} |p - c|²``.
+    Together ``S_c + |p|²`` lies within ``(3d + 3)u R²`` of ``D_c``, plus at
+    most one ``eta`` per underflowing operation, which ``tol = 8(d + 4)(u R² +
+    eta)`` covers twice over.  So every center with ``D_c <= D_a``, the
+    kernel's argmin included, has ``S_c <= S_a + 2 tol``.  Rows where only
+    ``a`` passes take it; the others compute ``D_c`` of the passing centers
+    with the kernel and take the smallest, first index on ties.  Rows whose
+    ``R²`` is not finite or within 16x of overflow (below that nothing in the
+    screen overflows) compute every ``D_c``.  The GEMM only preselects, so
+    the result does not depend on the BLAS.
+    """
+    n, d = points.shape
+    rows = np.arange(n)
+    with np.errstate(over="ignore", invalid="ignore"):  # such rows fall back below
+        sq = (centers * centers).sum(axis=1)
+        np.dot(lifted, np.vstack([-2.0 * centers.T, sq]), out=out)
+        labels = out.argmin(axis=1)
+        reach = norms + np.sqrt(sq.max())
+        reach *= reach
+        tol = 8 * (d + 4) * (_UNIT_ROUNDOFF * reach + _SMALLEST_SUBNORMAL)
+        cand = out <= (out[rows, labels] + 2 * tol)[:, None]
+    cand[~(reach <= _REACH_MAX)] = True
+    cand[rows, labels] = False
+    settle = np.flatnonzero(cand.any(axis=1))
+    if settle.size:
+        cand[settle, labels[settle]] = True
+        sub, cols = np.nonzero(cand[settle])
+        exact = out[: settle.size]
+        exact.fill(np.inf)
+        exact[sub, cols] = _pair_sq_distances(points, centers, settle[sub], cols)
+        labels[settle] = exact.argmin(axis=1)
+    return labels
+
+
 def _kmeans_pp(points: np.ndarray, m: int, rng: np.random.Generator) -> np.ndarray:
     n = len(points)
     centers = np.empty((m, points.shape[1]))
@@ -251,6 +320,14 @@ def select_facilities_kmeans(
     its cluster's points laid out as ``points[labels == c]`` lays them out
     (contiguous, in input order), so numpy adds them in the order ``mean``
     does: row by row, or pairwise when there is one coordinate.
+
+    Each Lloyd assignment is screened with one GEMM, ``|c|² - 2 p·c``.  A
+    rigorous per-row bound on its rounding error, valid for any BLAS order
+    (``8(d + 4)(u R² + eta)``, see ``_nearest_centers``), keeps every center
+    that could be nearest; only rows with more than one such center compute
+    the exact squared distances, and only for those centers.  The labels are
+    therefore the exact kernel's argmin bit for bit, and the output does not
+    depend on the BLAS build or its threads.
     """
     points = np.asarray(points, dtype=float)
     n = len(points)
@@ -260,9 +337,11 @@ def select_facilities_kmeans(
         raise DataError("need at least one center")
     rng = np.random.default_rng(seed)
     centers = _kmeans_pp(points, m, rng)
-    d2 = np.empty((n, m))
+    lifted = np.hstack([points, np.ones((n, 1))])
+    norms = np.sqrt((points * points).sum(axis=1))
+    screen = np.empty((n, m))
     for _ in range(max_iter):
-        labels = np.argmin(_sq_distances(points, centers, d2), axis=1)
+        labels = _nearest_centers(points, lifted, norms, centers, screen)
         counts = np.bincount(labels, minlength=m)
         # each cluster's rows as one contiguous slice, in input order, so its
         # sum runs over the same layout as the boolean-mask selection
@@ -275,7 +354,7 @@ def select_facilities_kmeans(
             lo = hi
         empty = np.flatnonzero(counts == 0)
         if empty.size:
-            assigned_d2 = d2[np.arange(n), labels]
+            assigned_d2 = _pair_sq_distances(points, centers, np.arange(n), labels)
             farthest = np.argsort(-assigned_d2, kind="stable")[: empty.size]
             new_centers[empty] = points[farthest]
         shift = float(np.sqrt(((new_centers - centers) ** 2).sum(axis=1)).max())

@@ -252,16 +252,19 @@ def assign_nearest(
     outlier_sets = tuple(frozenset(int(j) for j in grp) for grp in outliers)
     if len(outlier_sets) != inst.n_groups:
         raise ValueError("need one outlier set per group")
-    dropped = set().union(*outlier_sets) if outlier_sets else set()
-    served = [j for j in range(inst.n_clients) if j not in dropped]
+    dropped = np.zeros(inst.n_clients, dtype=bool)
+    for grp in outlier_sets:
+        idx = np.fromiter(grp, dtype=np.int64, count=len(grp))
+        dropped[idx[(idx >= 0) & (idx < inst.n_clients)]] = True  # others name no client
+    served = np.flatnonzero(~dropped)
     facility_cost = float(inst.open_costs[sorted(open_set)].sum()) if open_set else 0.0
-    if not served:
+    if not served.size:
         return IntegralSolution(open_set, outlier_sets, {}, facility_cost, 0.0)
     if not open_set:
         raise ValueError("no open facility but some clients are not outliers")
     dist, fac = nearest_open(inst, sorted(open_set))
-    assignment = {j: int(fac[j]) for j in served}
-    connection = float(sum(dist[j] for j in served))
+    assignment = dict(zip(served.tolist(), fac[served].tolist()))
+    connection = float(np.cumsum(dist[served])[-1])  # summed left to right
     return IntegralSolution(open_set, outlier_sets, assignment, facility_cost, connection)
 
 
@@ -274,14 +277,19 @@ def solution_cost(inst: MetricInstance, sol: IntegralSolution, objective: str) -
     """
     if objective not in (FACILITY_LOCATION, K_MEDIAN):
         raise ValueError(f"unknown objective {objective!r}")
-    for j, i in sol.assignment.items():
-        if i not in sol.open:
-            raise ValueError(f"client {j} assigned to closed facility {i}")
-    connection = sum(inst.distance(i, j) for j, i in sol.assignment.items())
+    size = len(sol.assignment)
+    clients = np.fromiter(sol.assignment.keys(), dtype=np.int64, count=size)
+    facilities = np.fromiter(sol.assignment.values(), dtype=np.int64, count=size)
+    closed = np.flatnonzero(~np.isin(facilities, list(sol.open)))
+    if closed.size:
+        p = closed[0]
+        raise ValueError(f"client {clients[p]} assigned to closed facility {facilities[p]}")
+    # left to right in the assignment's order
+    connection = float(np.cumsum(inst.distances()[facilities, clients])[-1]) if size else 0.0
     if objective == K_MEDIAN:
-        return float(connection)
+        return connection
     facility = float(inst.open_costs[sorted(sol.open)].sum()) if sol.open else 0.0
-    return facility + float(connection)
+    return facility + connection
 
 
 def unfairness(budgets: OutlierBudgets, sol: IntegralSolution) -> float:

@@ -86,10 +86,11 @@ def _two_nearest(dist: np.ndarray, open_list: Sequence[int]) -> tuple[np.ndarray
     n = dist.shape[1]
     if len(rows) == 1:
         return sub[0].copy(), np.full(n, rows[0]), np.full(n, np.inf)
-    cols = np.arange(n)
-    first = np.argmin(sub, axis=0)  # first occurrence = lowest index on ties
-    d1 = sub[first, cols]
-    sub[first, cols] = np.inf
+    d1 = sub.min(axis=0)
+    first = np.zeros(n, dtype=np.int64)
+    for r in range(len(rows) - 1, -1, -1):  # the lowest row holding d1 is written last
+        first[sub[r] == d1] = r
+    sub[first, np.arange(n)] = np.inf
     return d1, rows[first], sub.min(axis=0)
 
 

@@ -447,3 +447,150 @@ class TestBuildInstanceMatchesReference:
                          tuple(f"c{k}" for k in range(6)))
         costs = build_instance(table, fac).open_costs
         assert costs.tobytes() == np.full(100, _reference_d_max(clients, fac)).tobytes()
+
+
+def _reference_labels(points, centers):
+    """The reference's assignment step: argmin of the broadcast distances."""
+    return np.argmin(((points[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2), axis=1)
+
+
+def _screened_labels(points, centers):
+    n = len(points)
+    lifted = np.hstack([points, np.ones((n, 1))])
+    norms = np.sqrt((points * points).sum(axis=1))
+    return data_mod._nearest_centers(points, lifted, norms, centers, np.empty((n, len(centers))))
+
+
+def _perturbing_dot(monkeypatch):
+    """Patch ``np.dot`` so that each screen entry moves by half the documented
+    bound ``8(d + 4) u R²``: up for the exact nearest center (lowest index on
+    ties), down for every other center, so a bound that does not hold shows."""
+    real_dot = np.dot
+
+    def dot(a, b, out=None):
+        res = real_dot(a, b)
+        d = a.shape[1] - 1
+        p, c = a[:, :d], -0.5 * b[:d].T  # undo the folded -2, exactly
+        reach = np.sqrt((p * p).sum(axis=1)) + np.sqrt((c * c).sum(axis=1)).max()
+        half = 4 * (d + 4) * 2.0**-53 * reach * reach
+        exact = _reference_labels(p, c)
+        shift = np.repeat(-half[:, None], len(c), axis=1)
+        shift[np.arange(len(p)), exact] = half
+        res += shift
+        if out is None:
+            return res
+        out[...] = res
+        return out
+
+    monkeypatch.setattr(np, "dot", dot)
+
+
+class TestScreenedAssignment:
+    """The GEMM screen with its exact settle against the broadcast argmin and
+    the reference k-means, compared as bytes."""
+
+    @staticmethod
+    def assert_same_labels(points, centers):
+        assert _screened_labels(points, centers).tobytes() == _reference_labels(points, centers).tobytes()
+
+    @pytest.mark.parametrize("d", [1, 7, 8, 9, 128, 129, 300])
+    def test_dimensions(self, d):
+        rng = np.random.default_rng(500 + d)
+        for n, m in ((1, 1), (30, 1), (1, 9), (40, 9)):
+            self.assert_same_labels(rng.random((n, d)), rng.random((m, d)))
+            self.assert_same_labels(_mixed_points(rng, n, d), _mixed_points(rng, m, d))
+        for m in (1, 2, 7):
+            points = rng.random((60, d))
+            TestKmeansMatchesReference.assert_same(points, m, seed=d)
+
+    @pytest.mark.parametrize("d", [1, 2, 6, 9])
+    def test_exact_ties(self, d):
+        rng = np.random.default_rng(600 + d)
+        # duplicate centers: the lower index must win every tie
+        base = rng.random((5, d))
+        centers = base[[3, 0, 3, 1, 0, 4, 2, 4]]
+        self.assert_same_labels(rng.random((80, d)), centers)
+        self.assert_same_labels(base[rng.integers(0, 5, 80)], centers)
+        # integer grids: many points equidistant from several centers
+        grid = rng.integers(-2, 3, (120, d)).astype(float)
+        self.assert_same_labels(grid, grid[rng.integers(0, 120, 15)] + 0.5)
+        self.assert_same_labels(grid, rng.integers(-2, 3, (15, d)).astype(float))
+        TestKmeansMatchesReference.assert_same(grid, 14, seed=d)
+        TestKmeansMatchesReference.assert_same(np.repeat(base, 6, axis=0), 8, seed=d)
+
+    @pytest.mark.parametrize("offset", [1e4, 1e6, 1e8])
+    def test_large_common_offset(self, offset):
+        # |p|² and p·c cancel to a few digits, so the screen must defer to the kernel
+        rng = np.random.default_rng(int(np.log10(offset)))
+        for d in (1, 3, 6):
+            points = offset + rng.random((150, d))
+            self.assert_same_labels(points, offset + rng.random((12, d)))
+            TestKmeansMatchesReference.assert_same(points, 12, seed=d)
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("scale", [1e-320, 1e-310, 1e-162, 1e-155, 1e150, 1e152, 1e153, 1e155, 1e160])
+    def test_extreme_scales(self, scale):
+        # subnormal and underflowing products need the floor; overflowing
+        # products need the fallback to the kernel
+        rng = np.random.default_rng(7)
+        for d in (1, 2, 6):
+            points = rng.normal(size=(80, d)) * scale
+            self.assert_same_labels(points, rng.normal(size=(9, d)) * scale)
+            self.assert_same_labels(points, rng.normal(size=(9, d)))
+            if scale < 1e153:
+                TestKmeansMatchesReference.assert_same(points, 9, seed=d, max_iter=20)
+            else:  # the seeding's probabilities overflow; one center needs none
+                TestKmeansMatchesReference.assert_same(points, 1, seed=d, max_iter=20)
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid value:RuntimeWarning")
+    def test_overflow_rows_beside_ordinary_rows(self):
+        rng = np.random.default_rng(8)
+        points = rng.random((50, 4))
+        points[::7] *= 1e155  # these rows' bound overflows; the others screen
+        points[3] = 1e308
+        centers = rng.random((6, 4))
+        centers[2] = centers[4]
+        self.assert_same_labels(points, centers)
+
+    def test_perturbed_gemm_changes_nothing(self, monkeypatch):
+        rng = np.random.default_rng(9)
+        cases = []
+        for d in (1, 2, 6, 9):
+            grid = rng.integers(0, 4, (90, d)).astype(float)
+            cases.append((grid, grid[rng.integers(0, 90, 10)] + rng.integers(0, 2, (10, d)) * 0.5, 10))
+            cases.append((rng.random((90, d)), rng.random((10, d)), 10))
+            cases.append((1e6 + rng.random((90, d)), 1e6 + rng.random((10, d)), 10))
+        want = [(_reference_labels(p, c), _reference_select_facilities_kmeans(p, m, seed=3)) for p, c, m in cases]
+        _perturbing_dot(monkeypatch)
+        for (points, centers, m), (labels, km) in zip(cases, want):
+            assert _screened_labels(points, centers).tobytes() == labels.tobytes()
+            assert select_facilities_kmeans(points, m, seed=3).tobytes() == km.tobytes()
+
+    def test_screen_alone_settles_the_large_csv_draw(self, tmp_path, monkeypatch):
+        # on normalized data the bound is about 1e-14, far below any gap, so
+        # no row of the 4500-point draw needs the kernel
+        clients = _criterion_12_clients(tmp_path)
+        pairs = []
+
+        def counting(points, centers, rows, cols):
+            pairs.append(len(rows))
+            return pair_sq_distances(points, centers, rows, cols)
+
+        pair_sq_distances = data_mod._pair_sq_distances
+        monkeypatch.setattr(data_mod, "_pair_sq_distances", counting)
+        centers = select_facilities_kmeans(clients, 100, seed=0)
+        assert sum(pairs) == 0
+        assert centers.tobytes() == _reference_select_facilities_kmeans(clients, 100, seed=0).tobytes()
+
+
+class TestPairSqDistances:
+    @pytest.mark.parametrize("d", [1, 6, 8, 17, 129, 300])
+    def test_bitwise_equal_to_kernel(self, d, monkeypatch):
+        rng = np.random.default_rng(d)
+        points, centers = _mixed_points(rng, 20, d), _mixed_points(rng, 7, d)
+        full = _sq_distances(points, centers, np.empty((20, 7)))
+        rows, cols = rng.integers(0, 20, 90), rng.integers(0, 7, 90)
+        for block_bytes in (1, 700, 1 << 18):
+            monkeypatch.setattr(data_mod, "_KERNEL_BLOCK_BYTES", block_bytes)
+            got = data_mod._pair_sq_distances(points, centers, rows, cols)
+            assert got.tobytes() == full[rows, cols].tobytes()

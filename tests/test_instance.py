@@ -1,11 +1,14 @@
 import math
 import pickle
+import sys
 from dataclasses import replace
+from typing import Iterable, Sequence
 
 import numpy as np
 import pytest
 
 from fairfl import (
+    IntegralSolution,
     MetricInstance,
     OutlierBudgets,
     assign_nearest,
@@ -14,7 +17,7 @@ from fairfl import (
     unfairness,
 )
 from fairfl import instance as instance_mod
-from fairfl.instance import row_blocks
+from fairfl.instance import FACILITY_LOCATION, K_MEDIAN, nearest_open, row_blocks
 from conftest import random_budgets, random_instance
 
 
@@ -283,3 +286,132 @@ class TestUnfairness:
             assert value >= 1.0
             within = all(u <= c for c, u in zip(caps, used))
             assert (value == 1.0) == within
+
+
+# ---------------------------------------------------------------------------
+# assign_nearest and solution_cost as they were written with per-client
+# Python loops, kept verbatim as the reference the array forms must reproduce
+# bit for bit (cost bits and the assignment's order).
+
+
+def _reference_assign_nearest(
+    inst: MetricInstance,
+    open_facilities: Iterable[int],
+    outliers: Sequence[Iterable[int]],
+) -> IntegralSolution:
+    open_set = frozenset(int(i) for i in open_facilities)
+    outlier_sets = tuple(frozenset(int(j) for j in grp) for grp in outliers)
+    if len(outlier_sets) != inst.n_groups:
+        raise ValueError("need one outlier set per group")
+    dropped = set().union(*outlier_sets) if outlier_sets else set()
+    served = [j for j in range(inst.n_clients) if j not in dropped]
+    facility_cost = float(inst.open_costs[sorted(open_set)].sum()) if open_set else 0.0
+    if not served:
+        return IntegralSolution(open_set, outlier_sets, {}, facility_cost, 0.0)
+    if not open_set:
+        raise ValueError("no open facility but some clients are not outliers")
+    dist, fac = nearest_open(inst, sorted(open_set))
+    assignment = {j: int(fac[j]) for j in served}
+    connection = float(sum(dist[j] for j in served))
+    return IntegralSolution(open_set, outlier_sets, assignment, facility_cost, connection)
+
+
+def _reference_solution_cost(inst: MetricInstance, sol: IntegralSolution, objective: str) -> float:
+    if objective not in (FACILITY_LOCATION, K_MEDIAN):
+        raise ValueError(f"unknown objective {objective!r}")
+    for j, i in sol.assignment.items():
+        if i not in sol.open:
+            raise ValueError(f"client {j} assigned to closed facility {i}")
+    connection = sum(inst.distance(i, j) for j, i in sol.assignment.items())
+    if objective == K_MEDIAN:
+        return float(connection)
+    facility = float(inst.open_costs[sorted(sol.open)].sum()) if sol.open else 0.0
+    return facility + float(connection)
+
+
+# From Python 3.12 on, ``sum`` adds Python floats with compensation, so the
+# reference's cost (a sum of Python floats) is then no longer left to right.
+_SUM_IS_LEFT_TO_RIGHT = sys.version_info < (3, 12)
+
+
+def _solution_parts(sol: IntegralSolution) -> tuple:
+    return (sol.open, sol.outliers, list(sol.assignment.items()),
+            float(sol.facility_cost).hex(), float(sol.connection_cost).hex())
+
+
+class TestArrayFormsMatchReference:
+    """``assign_nearest`` and ``solution_cost`` against the loop versions."""
+
+    @staticmethod
+    def random_case(rng):
+        grid = rng.random() < 0.5  # integer coordinates: tied distances
+        inst = random_instance(rng, max_n=40, max_m=8, dim=int(rng.integers(1, 4)))
+        if grid:
+            inst = MetricInstance(rng.integers(0, 4, inst.client_coords.shape).astype(float), inst.groups,
+                                  rng.integers(0, 4, inst.facility_coords.shape).astype(float),
+                                  inst.open_costs)
+        m = inst.n_facilities
+        opens = rng.permutation(m)[: int(rng.integers(0, m + 1))].tolist()
+        drop = rng.random(inst.n_clients) < rng.choice([0.0, 0.3, 1.0])
+        outliers = [set(np.flatnonzero(drop & (inst.groups == g)).tolist()) for g in range(inst.n_groups)]
+        return inst, opens, outliers
+
+    def test_random_cases(self, rng):
+        compared = 0
+        for _ in range(300):
+            inst, opens, outliers = self.random_case(rng)
+            try:
+                want = _reference_assign_nearest(inst, opens, outliers)
+            except ValueError as err:
+                with pytest.raises(ValueError, match=str(err)):
+                    assign_nearest(inst, opens, outliers)
+                continue
+            got = assign_nearest(inst, opens, outliers)
+            assert _solution_parts(got) == _solution_parts(want)
+            for objective in (FACILITY_LOCATION, K_MEDIAN):
+                cost = solution_cost(inst, got, objective)
+                ref = _reference_solution_cost(inst, got, objective)
+                if _SUM_IS_LEFT_TO_RIGHT:
+                    assert cost.hex() == ref.hex()
+                else:
+                    assert cost == pytest.approx(ref, rel=1e-12)
+            compared += 1
+        assert compared > 200
+
+    def test_large_draw_cost_bits(self, rng):
+        inst = MetricInstance(rng.random((4500, 6)), np.zeros(4500, dtype=np.int64),
+                              rng.random((100, 6)), np.ones(100))
+        outliers = [set(rng.choice(4500, 225, replace=False).tolist())]
+        got = assign_nearest(inst, [3, 17, 40, 41, 90], outliers)
+        want = _reference_assign_nearest(inst, [3, 17, 40, 41, 90], outliers)
+        assert _solution_parts(got) == _solution_parts(want)
+        assert solution_cost(inst, got, K_MEDIAN) == got.connection_cost
+        if _SUM_IS_LEFT_TO_RIGHT:
+            assert solution_cost(inst, got, K_MEDIAN).hex() == _reference_solution_cost(inst, got, K_MEDIAN).hex()
+
+    def test_out_of_range_outliers_name_no_client(self):
+        inst = simple_instance([[0.0], [2.0], [5.0]], [0, 0, 0], [[1.0]], [1.0])
+        for outliers in ([{-1, 7}], [{-3, 1, 3}], [set()]):
+            got = assign_nearest(inst, [0], outliers)
+            want = _reference_assign_nearest(inst, [0], outliers)
+            assert _solution_parts(got) == _solution_parts(want)
+
+    def test_closed_facility_error_names_first_client_in_dict_order(self, rng):
+        inst = random_instance(rng, max_n=12, max_m=6, min_n=6)
+        sol = assign_nearest(inst, range(inst.n_facilities), [set()] * inst.n_groups)
+        # a dict whose order is not ascending, with two clients on closed facilities
+        order = [5, 2, 4, 0, 1, 3]
+        assignment = {j: (9 if j in (4, 1) else sol.assignment[j]) for j in order}
+        bad = replace(sol, assignment=assignment)
+        for objective in (FACILITY_LOCATION, K_MEDIAN):
+            with pytest.raises(ValueError) as want:
+                _reference_solution_cost(inst, bad, objective)
+            with pytest.raises(ValueError) as got:
+                solution_cost(inst, bad, objective)
+            assert str(got.value) == str(want.value) == "client 4 assigned to closed facility 9"
+
+    def test_empty_assignment(self):
+        inst = simple_instance([[0.0]], [0], [[1.0]], [3.0])
+        sol = assign_nearest(inst, [0], [{0}])
+        for objective in (FACILITY_LOCATION, K_MEDIAN):
+            assert solution_cost(inst, sol, objective).hex() == _reference_solution_cost(inst, sol, objective).hex()

@@ -413,8 +413,21 @@ class TestTwoNearestMatchesReference:
                 dist = rng.integers(0, 3, (m, n)).astype(float)
             else:
                 dist = rng.random((m, n))
+            if trial % 3 == 0:  # infinite distances, whole columns of them included
+                dist[rng.random((m, n)) < 0.3] = np.inf
+                dist[:, rng.random(n) < 0.2] = np.inf
             k = int(rng.integers(1, m + 1))
             open_list = rng.permutation(m)[:k].tolist()
+            got = _two_nearest(dist, open_list)
+            want = _reference_two_nearest(dist, open_list)
+            for a, b in zip(got, want):
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+    def test_large_draw(self, rng):
+        # the lpfree-csv shape: k = 5 of 100 open rows over 4500 clients
+        dist = rng.random((100, 4500))
+        dist[:, ::7] = dist[40, ::7]  # rows tied with an open row on some columns
+        for open_list in ([3, 17, 40, 41, 90], [41, 40], [99], list(range(100))):
             got = _two_nearest(dist, open_list)
             want = _reference_two_nearest(dist, open_list)
             for a, b in zip(got, want):
