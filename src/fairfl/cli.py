@@ -222,7 +222,8 @@ def parse_config_file(path: str) -> dict:
 def resolve_config(args: argparse.Namespace) -> dict:
     """Every key's value: its flag's if given, else the ``--config`` file's,
     else the default.  A list flag replaces the file's list.  A value outside
-    the key's allowed values raises ``ConfigError``, whatever its source."""
+    the key's allowed values, or a ``jobs`` below 1, raises ``ConfigError``,
+    whatever its source."""
     cfg = {key: spec.default for key, spec in CONFIG_KEYS.items()}
     if getattr(args, "config", None):
         cfg.update(parse_config_file(args.config))
@@ -236,6 +237,8 @@ def resolve_config(args: argparse.Namespace) -> dict:
                     raise ConfigError(
                         f"bad value for {key!r}: {item!r} (expected one of {', '.join(spec.allowed)})"
                     )
+    if cfg["jobs"] < 1:
+        raise ConfigError(f"bad value for 'jobs': {cfg['jobs']} (expected at least 1)")
     return cfg
 
 

@@ -289,6 +289,8 @@ def _kmeans_pp(points: np.ndarray, m: int, rng: np.random.Generator) -> np.ndarr
     nearest = np.empty((n, 1))
     for c in range(1, m):
         total = d2.sum()
+        if np.isinf(total):
+            raise DataError("squared distances overflow in k-means++ seeding; rescale the features")
         if total > 0:
             probs = d2 / total
             idx = int(rng.choice(n, p=probs))

@@ -300,13 +300,6 @@ def _dual_fit(
     return state
 
 
-def _withdrawn_by_group(inst: MetricInstance, state: DualState) -> list[set[int]]:
-    outliers: list[set[int]] = [set() for _ in range(inst.n_groups)]
-    for j in np.flatnonzero(state.withdrawn):
-        outliers[int(inst.groups[j])].add(int(j))
-    return outliers
-
-
 def gdf_f(
     inst: MetricInstance, budgets: OutlierBudgets, trace: Optional[DualTrace] = None
 ) -> IntegralSolution:
@@ -318,7 +311,7 @@ def gdf_f(
     sizes = np.array([len(mem) for mem in inst.group_members], dtype=np.int64)
     targets = sizes - np.array(budgets.per_group, dtype=np.int64)
     state = _dual_fit(inst, inst.groups, targets, trace)
-    return assign_nearest(inst, state.open, _withdrawn_by_group(inst, state))
+    return assign_nearest(inst, state.open, np.flatnonzero(state.withdrawn))
 
 
 def gdf_nf(
@@ -329,4 +322,4 @@ def gdf_nf(
         raise ValueError("total budget out of range")
     targets = np.array([inst.n_clients - total_budget], dtype=np.int64)
     state = _dual_fit(inst, np.zeros(inst.n_clients, dtype=np.int64), targets, trace)
-    return assign_nearest(inst, state.open, _withdrawn_by_group(inst, state))
+    return assign_nearest(inst, state.open, np.flatnonzero(state.withdrawn))

@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Mapping, Optional
 
 import numpy as np
 
@@ -228,44 +228,52 @@ class IntegralSolution:
         return tuple(len(s) for s in self.outliers)
 
 
-def nearest_open(inst: MetricInstance, open_facilities: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
-    """Per-client nearest facility among ``open_facilities``.
+def nearest_rows(sub: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each column's minimum over the rows of ``sub`` and the first row
+    holding it.
 
-    Returns (distance, facility index) arrays; ties resolve to the lowest
-    facility index.
+    With the open facilities' distance rows in ascending index order, this
+    is every client's nearest open distance and, on ties, the position of
+    the lowest facility index.
     """
-    order = np.sort(np.asarray(list(open_facilities), dtype=np.int64))
-    if order.size == 0:
-        raise ValueError("no open facilities")
-    sub = inst.distances()[order]
-    pos = np.argmin(sub, axis=0)  # first occurrence = lowest index after sort
-    return sub[pos, np.arange(inst.n_clients)], order[pos]
+    low = sub.min(axis=0)
+    first = np.zeros(sub.shape[1], dtype=np.int64)
+    for r in range(len(sub) - 1, -1, -1):  # the lowest row holding the minimum is written last
+        first[sub[r] == low] = r
+    return low, first
 
 
 def assign_nearest(
     inst: MetricInstance,
     open_facilities: Iterable[int],
-    outliers: Sequence[Iterable[int]],
+    dropped: Iterable[int],
 ) -> IntegralSolution:
-    """Build a valid IntegralSolution from an open set and outlier choice."""
+    """Build a valid IntegralSolution from an open set and the dropped clients.
+
+    ``dropped`` is one flat collection of client indices; each group's
+    outlier set is the dropped clients ``inst.groups`` files under it.  An
+    index outside ``[0, n_clients)`` raises ``ValueError``.
+    """
+    n = inst.n_clients
     open_set = frozenset(int(i) for i in open_facilities)
-    outlier_sets = tuple(frozenset(int(j) for j in grp) for grp in outliers)
-    if len(outlier_sets) != inst.n_groups:
-        raise ValueError("need one outlier set per group")
-    dropped = np.zeros(inst.n_clients, dtype=bool)
-    for grp in outlier_sets:
-        idx = np.fromiter(grp, dtype=np.int64, count=len(grp))
-        dropped[idx[(idx >= 0) & (idx < inst.n_clients)]] = True  # others name no client
-    served = np.flatnonzero(~dropped)
+    idx = np.fromiter(dropped, dtype=np.int64)
+    stray = idx[(idx < 0) | (idx >= n)]
+    if stray.size:
+        raise ValueError(f"dropped index {stray[0]} names no client (there are {n})")
+    is_dropped = np.zeros(n, dtype=bool)
+    is_dropped[idx] = True
+    outliers = tuple(frozenset(mem[is_dropped[mem]].tolist()) for mem in inst.group_members)
+    served = np.flatnonzero(~is_dropped)
     facility_cost = float(inst.open_costs[sorted(open_set)].sum()) if open_set else 0.0
     if not served.size:
-        return IntegralSolution(open_set, outlier_sets, {}, facility_cost, 0.0)
+        return IntegralSolution(open_set, outliers, {}, facility_cost, 0.0)
     if not open_set:
         raise ValueError("no open facility but some clients are not outliers")
-    dist, fac = nearest_open(inst, sorted(open_set))
-    assignment = dict(zip(served.tolist(), fac[served].tolist()))
+    rows = np.array(sorted(open_set), dtype=np.int64)
+    dist, pos = nearest_rows(inst.distances()[rows])
+    assignment = dict(zip(served.tolist(), rows[pos[served]].tolist()))
     connection = float(np.cumsum(dist[served])[-1])  # summed left to right
-    return IntegralSolution(open_set, outlier_sets, assignment, facility_cost, connection)
+    return IntegralSolution(open_set, outliers, assignment, facility_cost, connection)
 
 
 def solution_cost(inst: MetricInstance, sol: IntegralSolution, objective: str) -> float:

@@ -12,11 +12,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
-from .instance import IntegralSolution, MetricInstance, OutlierBudgets, assign_nearest, row_blocks
+from .instance import (
+    IntegralSolution,
+    MetricInstance,
+    OutlierBudgets,
+    assign_nearest,
+    nearest_rows,
+    row_blocks,
+)
 
 
 class LocalSearchError(RuntimeError):
@@ -56,23 +63,12 @@ class PenaltySolution:
 
     open: frozenset[int]
     paying: frozenset[int]
-    assignment: Mapping[int, int]
     service_cost: float
     penalty_paid: float
 
     @property
     def total_cost(self) -> float:
         return self.service_cost + self.penalty_paid
-
-
-@dataclass(frozen=True)
-class GuessGrid:
-    """Geometric candidate values lo * ratio^t covering [lo, hi]."""
-
-    lo: float
-    hi: float
-    ratio: float
-    values: tuple[float, ...]
 
 
 def _two_nearest(dist: np.ndarray, open_list: Sequence[int]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -86,24 +82,18 @@ def _two_nearest(dist: np.ndarray, open_list: Sequence[int]) -> tuple[np.ndarray
     n = dist.shape[1]
     if len(rows) == 1:
         return sub[0].copy(), np.full(n, rows[0]), np.full(n, np.inf)
-    d1 = sub.min(axis=0)
-    first = np.zeros(n, dtype=np.int64)
-    for r in range(len(rows) - 1, -1, -1):  # the lowest row holding d1 is written last
-        first[sub[r] == d1] = r
+    d1, first = nearest_rows(sub)
     sub[first, np.arange(n)] = np.inf
     return d1, rows[first], sub.min(axis=0)
 
 
 def _canonical_solution(pinst: PenaltyInstance, open_list: Sequence[int]) -> PenaltySolution:
-    dist = pinst.base.distances()
-    d1, a1, _ = _two_nearest(dist, open_list)
+    d1 = pinst.base.distances()[np.asarray(sorted(open_list), dtype=np.int64)].min(axis=0)
     pays = pinst.penalty < d1  # ties serve
     paying = frozenset(np.flatnonzero(pays).tolist())
-    served = np.flatnonzero(~pays)
-    assignment = dict(zip(served.tolist(), a1[served].tolist()))
     service = float(d1[~pays].sum())
     paid = float(pinst.penalty[pays].sum())
-    return PenaltySolution(frozenset(int(i) for i in open_list), paying, assignment, service, paid)
+    return PenaltySolution(frozenset(int(i) for i in open_list), paying, service, paid)
 
 
 def local_search_penalties(pinst: PenaltyInstance, improve_frac: float = 0.01) -> PenaltySolution:
@@ -169,31 +159,22 @@ def local_search_penalties(pinst: PenaltyInstance, improve_frac: float = 0.01) -
 
 def _penalties_for(groups: np.ndarray, caps: Sequence[int], guess: float, gamma: float) -> np.ndarray:
     """Per-client penalty guess / (gamma * cap of the client's group); +inf
-    where that cap is zero."""
+    where that cap is zero, so those clients can never pay."""
+    if not 0 < gamma < math.inf:
+        raise ValueError(f"gamma must be positive and finite, got {gamma!r}")
     caps_arr = np.array(caps, dtype=float)
     per_group = np.where(caps_arr > 0, guess / (gamma * np.maximum(caps_arr, 1e-300)), np.inf)
     return per_group[groups]
 
 
-def make_penalties(
-    inst: MetricInstance,
-    budgets: OutlierBudgets,
-    k: int,
-    guess_cost: float,
-    gamma: float,
-) -> PenaltyInstance:
-    """Penalty instance with p_j = guess_cost / (gamma * budget of j's group).
+def _grid_from_totals(inst: MetricInstance, total_budget: int, eps_guess: float) -> tuple[float, ...]:
+    """Geometric guesses lo * (1 + eps_guess)^t for the optimal service cost,
+    from lo up to the first value reaching hi.
 
-    Groups with a zero budget get +inf so their clients can never pay.
+    Every served client contributes between the smallest positive and the
+    largest facility-client distance, which gives lo and hi; a single 0.0
+    when nobody is served or every distance is zero.
     """
-    if not gamma > 0:
-        raise ValueError("gamma must be positive")
-    budgets.validate_for(inst)
-    penalty = _penalties_for(inst.groups, budgets.per_group, guess_cost, gamma)
-    return PenaltyInstance(inst, k, penalty)
-
-
-def _grid_from_totals(inst: MetricInstance, total_budget: int, eps_guess: float) -> GuessGrid:
     if not eps_guess > 0:
         raise ValueError("eps_guess must be positive")
     n = inst.n_clients
@@ -203,7 +184,7 @@ def _grid_from_totals(inst: MetricInstance, total_budget: int, eps_guess: float)
     dist = inst.distances()
     positive = dist[dist > 0]
     if served == 0 or positive.size == 0:
-        return GuessGrid(0.0, 0.0, 1.0 + eps_guess, (0.0,))
+        return (0.0,)
     lo = served * float(positive.min())
     hi = served * float(dist.max())
     values = [lo]
@@ -211,17 +192,7 @@ def _grid_from_totals(inst: MetricInstance, total_budget: int, eps_guess: float)
     while v < hi * (1.0 - 1e-12):
         v *= 1.0 + eps_guess
         values.append(v)
-    return GuessGrid(lo, hi, 1.0 + eps_guess, tuple(values))
-
-
-def build_guess_grid(inst: MetricInstance, budgets: OutlierBudgets, eps_guess: float) -> GuessGrid:
-    """Grid of candidate service costs bracketing the optimum.
-
-    Bounds follow from every served client contributing between the
-    smallest positive and the largest facility-client distance.
-    """
-    budgets.validate_for(inst)
-    return _grid_from_totals(inst, budgets.total, eps_guess)
+    return tuple(values)
 
 
 def _reduce_and_search(
@@ -245,7 +216,7 @@ def _reduce_and_search(
     slack = n_groups + gamma
 
     def candidates():
-        for t, guess in enumerate(grid.values):
+        for t, guess in enumerate(grid):
             pinst = PenaltyInstance(inst, k, _penalties_for(groups, caps, guess, gamma))
             psol = local_search_penalties(pinst, improve_frac)
             counts = np.bincount(groups[sorted(psol.paying)], minlength=n_groups) if psol.paying else np.zeros(n_groups, dtype=int)
@@ -263,11 +234,23 @@ def _reduce_and_search(
     return min(candidates(), key=lambda c: c[:4])[4]
 
 
-def _to_integral(inst: MetricInstance, psol: PenaltySolution) -> IntegralSolution:
-    outliers = [set() for _ in range(inst.n_groups)]
-    for j in psol.paying:
-        outliers[int(inst.groups[j])].add(j)
-    return assign_nearest(inst, psol.open, outliers)
+def _drop_farthest(
+    group_members: Sequence[np.ndarray], nearest: np.ndarray, caps: Sequence[int]
+) -> tuple[float, list[int]]:
+    """Optimal outliers for a fixed open set: per group, the ``cap`` clients
+    farthest from it (ties toward the lower client index).  Returns the kept
+    connection cost and the dropped clients."""
+    kept = 0.0
+    dropped: list[int] = []
+    for members, cap in zip(group_members, caps):
+        vals = nearest[members]
+        if cap == 0:
+            kept += float(vals.sum())
+            continue
+        order = np.lexsort((members, -vals))
+        dropped += members[order[:cap]].tolist()
+        kept += float(vals[order[cap:]].sum())
+    return kept, dropped
 
 
 def r_ls_f(
@@ -285,7 +268,7 @@ def r_ls_f(
     psol = _reduce_and_search(
         inst, inst.groups, budgets.per_group, k, gamma, eps_guess, improve_frac
     )
-    return _to_integral(inst, psol)
+    return assign_nearest(inst, psol.open, psol.paying)
 
 
 def r_ls_nf(
@@ -303,7 +286,7 @@ def r_ls_nf(
         gamma = eps_guess
     merged = np.zeros(inst.n_clients, dtype=np.int64)
     psol = _reduce_and_search(inst, merged, (total_budget,), k, gamma, eps_guess, improve_frac)
-    return _to_integral(inst, psol)
+    return assign_nearest(inst, psol.open, psol.paying)
 
 
 def ls_nf(
@@ -323,9 +306,5 @@ def ls_nf(
     pinst = PenaltyInstance(inst, k, np.full(inst.n_clients, np.inf))
     psol = local_search_penalties(pinst, improve_frac)
     d1, _, _ = _two_nearest(inst.distances(), sorted(psol.open))
-    order = np.lexsort((np.arange(inst.n_clients), -d1))
-    dropped = order[:total_budget]
-    outliers = [set() for _ in range(inst.n_groups)]
-    for j in dropped:
-        outliers[int(inst.groups[j])].add(int(j))
-    return assign_nearest(inst, psol.open, outliers)
+    _, dropped = _drop_farthest([np.arange(inst.n_clients)], d1, [total_budget])
+    return assign_nearest(inst, psol.open, dropped)

@@ -8,12 +8,12 @@ rather than approximate.
 from __future__ import annotations
 
 from itertools import chain, combinations
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 import numpy as np
 
 from .instance import IntegralSolution, MetricInstance, OutlierBudgets, assign_nearest
-from .kmedian import PenaltyInstance, PenaltySolution, _canonical_solution
+from .kmedian import PenaltyInstance, PenaltySolution, _canonical_solution, _drop_farthest
 
 SIZE_GUARD = 20
 
@@ -27,26 +27,6 @@ def _check_guard(inst: MetricInstance) -> None:
         raise ValueError(
             f"{inst.n_facilities} facilities exceeds the enumeration guard of {SIZE_GUARD}"
         )
-
-
-def _drop_farthest(
-    group_members: Sequence[np.ndarray], nearest: np.ndarray, budgets: OutlierBudgets
-) -> tuple[float, list[list[int]]]:
-    """Optimal outliers for a fixed open set: per group, the clients
-    farthest from it (ties toward the lower client index).  Returns the kept
-    connection cost and the per-group dropped clients."""
-    kept = 0.0
-    dropped: list[list[int]] = []
-    for members, cap in zip(group_members, budgets.per_group):
-        vals = nearest[members]
-        if cap == 0:
-            kept += float(vals.sum())
-            dropped.append([])
-            continue
-        order = np.lexsort((members, -vals))
-        dropped.append([int(members[q]) for q in order[:cap]])
-        kept += float(vals[order[cap:]].sum())
-    return kept, dropped
 
 
 def _all_droppable(inst: MetricInstance, budgets: OutlierBudgets) -> bool:
@@ -113,7 +93,7 @@ def exact_flfo(inst: MetricInstance, budgets: OutlierBudgets) -> IntegralSolutio
             else:
                 open_rows.append(bit)
                 nearest = np.minimum(nearest, dist[bit])
-            kept, _ = _drop_farthest(members, nearest, budgets)
+            kept, _ = _drop_farthest(members, nearest, budgets.per_group)
             yield (np.inf if n_inf else f_sum + kept), tuple(sorted(open_rows))
 
     empty = [(0.0, ())] if _all_droppable(inst, budgets) else []
@@ -130,7 +110,7 @@ def _rebuild(
         nearest = inst.distances()[np.asarray(subset)].min(axis=0)
     else:
         nearest = np.full(inst.n_clients, np.inf)
-    _, dropped = _drop_farthest(inst.group_members, nearest, budgets)
+    _, dropped = _drop_farthest(inst.group_members, nearest, budgets.per_group)
     return assign_nearest(inst, subset, dropped)
 
 
@@ -143,7 +123,7 @@ def exact_kmfo(inst: MetricInstance, budgets: OutlierBudgets, k: int) -> Integra
     dist = inst.distances()
     empty = [(0.0, ())] if _all_droppable(inst, budgets) else []
     scored = (
-        (_drop_farthest(inst.group_members, dist[np.asarray(s)].min(axis=0), budgets)[0], s)
+        (_drop_farthest(inst.group_members, dist[np.asarray(s)].min(axis=0), budgets.per_group)[0], s)
         for s in _subsets(inst.n_facilities, k)
     )
     _, best_subset = _cheapest(chain(empty, scored))
@@ -166,5 +146,5 @@ def exact_kmp(pinst: PenaltyInstance) -> PenaltySolution:
     _, best_subset = _cheapest(chain([(float(pen.sum()), ())], scored))
     if not best_subset:
         paying = frozenset(range(pinst.base.n_clients))
-        return PenaltySolution(frozenset(), paying, {}, 0.0, float(pen.sum()))
+        return PenaltySolution(frozenset(), paying, 0.0, float(pen.sum()))
     return _canonical_solution(pinst, best_subset)

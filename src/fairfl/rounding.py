@@ -170,7 +170,7 @@ def round_facility_location(
                     best = int(options[np.argmax(y[options])])  # lowest index on ties
                     is_open[best] = True
                     open_set.add(best)
-    return assign_nearest(inst, open_set, part.outliers)
+    return assign_nearest(inst, open_set, frozenset().union(*part.outliers))
 
 
 def lpr_pipeline(

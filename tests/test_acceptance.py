@@ -17,7 +17,6 @@ from fairfl import (
     PenaltyInstance,
     build_flfo_lp,
     build_gap_instance,
-    build_guess_grid,
     exact_flfo,
     exact_kmp,
     gdf_f,
@@ -33,6 +32,7 @@ from fairfl import (
 )
 from fairfl.cli import budgets_from_pct, build_parser, main, resolve_config, run_sweep
 from fairfl.instance import prune_pairs
+from fairfl.kmedian import _grid_from_totals
 from conftest import random_budgets, random_instance
 
 PCTS = [float(p) for p in range(1, 11)]
@@ -222,12 +222,19 @@ def test_criterion_11_guess_grid_property():
         inst = random_instance(rng, max_n=12, max_m=6)
         budgets = random_budgets(rng, inst)
         eps = float(rng.uniform(0.05, 1.5))
-        grid = build_guess_grid(inst, budgets, eps)
-        assert grid.values[0] == grid.lo
-        assert grid.values[-1] >= grid.hi * (1 - 1e-12)
-        if grid.hi > grid.lo > 0:
-            bound = math.ceil(math.log(grid.hi / grid.lo) / math.log(1 + eps)) + 1
-            assert len(grid.values) <= bound + 1
+        grid = _grid_from_totals(inst, budgets.total, eps)
+        # every served client pays between the smallest positive and the
+        # largest distance
+        served = inst.n_clients - budgets.total
+        dist = inst.distances()
+        positive = dist[dist > 0]
+        lo = served * float(positive.min()) if served and positive.size else 0.0
+        hi = served * float(dist.max()) if served and positive.size else 0.0
+        assert grid[0] == lo
+        assert grid[-1] >= hi * (1 - 1e-12)
+        if hi > lo > 0:
+            bound = math.ceil(math.log(hi / lo) / math.log(1 + eps)) + 1
+            assert len(grid) <= bound + 1
     print("ACCEPTANCE 11 PASS: grid brackets its range within the logarithmic size bound")
 
 

@@ -294,6 +294,22 @@ class TestConfigFile:
         assert main([*verb, "--config", cfg, "--pct", "20"]) == 2
         assert f"bad value for {key!r}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    @pytest.mark.parametrize("source", ["flag", "file"])
+    def test_jobs_below_one_exits_2(self, tmp_path, capsys, jobs, source):
+        cfg = small_config(tmp_path, n_in=6, n_out=3, m=4, **({"jobs": jobs} if source == "file" else {}))
+        flags = ["--jobs", jobs] if source == "flag" else []
+        assert main(["sweep", "--config", cfg, "--algo", "gdf-f", "--pct", "20", *flags]) == 2
+        assert "bad value for 'jobs'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("algo", ["rls-f", "rls-nf"])
+    @pytest.mark.parametrize("gamma", ["0", "-0.5", "nan", "inf"])
+    def test_nonpositive_gamma_exits_2(self, tmp_path, capsys, algo, gamma):
+        cfg = small_config(tmp_path)
+        args = ["solve", "--config", cfg, "--problem", "kmedian", "--algo", algo, "--pct", "5"]
+        assert main([*args, "--gamma", gamma]) == 2
+        assert "gamma must be positive" in capsys.readouterr().err
+
     def test_list_flag_parses_like_file(self, tmp_path):
         rng = np.random.default_rng(3)
         raw = tmp_path / "raw.csv"

@@ -543,6 +543,27 @@ class TestScreenedAssignment:
                 TestKmeansMatchesReference.assert_same(points, 1, seed=d, max_iter=20)
 
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("scale", [1e153, 1e155, 1e160])
+    def test_seeding_overflow_is_a_data_error(self, scale):
+        # the inputs of test_extreme_scales: where the squared distances
+        # overflow, numpy's sampler fails on NaN probabilities in the
+        # reference, and the seeding names the overflow instead
+        rng = np.random.default_rng(7)
+        raised = 0
+        for d in (1, 2, 6):
+            points = rng.normal(size=(80, d)) * scale
+            rng.normal(size=(9, d)), rng.normal(size=(9, d))  # the centers drawn there
+            try:
+                want = _reference_select_facilities_kmeans(points, 9, seed=d, max_iter=20)
+            except ValueError:
+                with pytest.raises(DataError, match="overflow"):
+                    select_facilities_kmeans(points, 9, seed=d, max_iter=20)
+                raised += 1
+            else:
+                assert select_facilities_kmeans(points, 9, seed=d, max_iter=20).tobytes() == want.tobytes()
+        assert raised >= (2 if scale == 1e153 else 3)
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid value:RuntimeWarning")
     def test_overflow_rows_beside_ordinary_rows(self):
         rng = np.random.default_rng(8)
         points = rng.random((50, 4))

@@ -28,7 +28,6 @@ from fairfl.greedy import (
     _connect,
     _dual_fit,
     _opening_times,
-    _withdrawn_by_group,
 )
 from fairfl.instance import assign_nearest, prune_pairs
 from conftest import random_budgets, random_instance
@@ -377,8 +376,8 @@ def assert_same_run(inst: MetricInstance, group_of, targets) -> Optional[DualTra
     assert got.open == expected.open
     assert float(got.alpha).hex() == float(expected.alpha).hex()
     assert np.array_equal(got.withdrawn, expected.withdrawn)
-    cost = assign_nearest(inst, got.open, _withdrawn_by_group(inst, got)).total_cost
-    ref_cost = assign_nearest(inst, expected.open, _withdrawn_by_group(inst, expected)).total_cost
+    cost = assign_nearest(inst, got.open, np.flatnonzero(got.withdrawn)).total_cost
+    ref_cost = assign_nearest(inst, expected.open, np.flatnonzero(expected.withdrawn)).total_cost
     assert cost.hex() == ref_cost.hex()
     return fast
 

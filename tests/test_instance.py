@@ -17,7 +17,7 @@ from fairfl import (
     unfairness,
 )
 from fairfl import instance as instance_mod
-from fairfl.instance import FACILITY_LOCATION, K_MEDIAN, nearest_open, row_blocks
+from fairfl.instance import FACILITY_LOCATION, K_MEDIAN, row_blocks
 from conftest import random_budgets, random_instance
 
 
@@ -197,7 +197,7 @@ class TestPrunePairs:
 class TestSolutionCost:
     def make(self):
         inst = simple_instance([[2.0]], [0], [[0.0]], [5.0])
-        sol = assign_nearest(inst, [0], [set()])
+        sol = assign_nearest(inst, [0], [])
         return inst, sol
 
     def test_facility_location_objective(self):
@@ -210,7 +210,7 @@ class TestSolutionCost:
 
     def test_all_outliers_only_facility_cost(self):
         inst = simple_instance([[2.0]], [0], [[0.0]], [5.0])
-        sol = assign_nearest(inst, [0], [{0}])
+        sol = assign_nearest(inst, [0], [0])
         assert solution_cost(inst, sol, "facility_location") == pytest.approx(5.0)
 
     def test_rejects_closed_facility(self):
@@ -233,8 +233,8 @@ class TestSolutionCost:
                 inst.client_coords[perm], inst.groups[perm], inst.facility_coords, inst.open_costs
             )
             opens = [0]
-            sol1 = assign_nearest(inst, opens, [set() for _ in range(inst.n_groups)])
-            sol2 = assign_nearest(inst2, opens, [set() for _ in range(inst2.n_groups)])
+            sol1 = assign_nearest(inst, opens, [])
+            sol2 = assign_nearest(inst2, opens, [])
             assert solution_cost(inst, sol1, "facility_location") == pytest.approx(
                 solution_cost(inst2, sol2, "facility_location")
             )
@@ -243,18 +243,50 @@ class TestSolutionCost:
 class TestAssignNearest:
     def test_tie_breaks_to_lowest_facility_index(self):
         inst = simple_instance([[0.0]], [0], [[1.0], [-1.0]], [0.0, 0.0])
-        sol = assign_nearest(inst, [1, 0], [set()])
+        sol = assign_nearest(inst, [1, 0], [])
         assert sol.assignment[0] == 0
 
     def test_no_open_facility_with_served_client(self):
         inst = simple_instance([[0.0]], [0], [[1.0]], [0.0])
         with pytest.raises(ValueError, match="no open facility"):
-            assign_nearest(inst, [], [set()])
+            assign_nearest(inst, [], [])
 
     def test_empty_open_all_outliers_ok(self):
         inst = simple_instance([[0.0]], [0], [[1.0]], [3.0])
-        sol = assign_nearest(inst, [], [{0}])
+        sol = assign_nearest(inst, [], [0])
         assert sol.facility_cost == 0.0 and sol.connection_cost == 0.0
+
+    def test_dropped_clients_are_filed_by_their_group(self):
+        inst = simple_instance([[0.0], [1.0], [2.0]], [0, 1, 1], [[0.0]], [1.0])
+        sol = assign_nearest(inst, [0], [1])
+        assert sol.outliers == (frozenset(), frozenset({1}))
+        assert sol.outlier_counts() == (0, 1)
+        assert unfairness(OutlierBudgets((0, 1)), sol) == 1.0
+        # repeats and any iterable of indices
+        for dropped in ([2, 1, 2], {1, 2}, np.array([2, 1]), range(1, 3)):
+            assert assign_nearest(inst, [0], dropped).outliers == (frozenset(), frozenset({1, 2}))
+
+    def test_outliers_equal_dropped_filed_by_groups(self, rng):
+        for _ in range(100):
+            inst = random_instance(rng, max_n=20, max_m=5, max_groups=4)
+            dropped = rng.integers(0, inst.n_clients, int(rng.integers(0, inst.n_clients + 3)))
+            sol = assign_nearest(inst, range(inst.n_facilities), dropped.tolist())
+            for g, chosen in enumerate(sol.outliers):
+                assert chosen == {int(j) for j in dropped if inst.groups[j] == g}
+            assert set(sol.assignment) == set(range(inst.n_clients)) - set(dropped.tolist())
+
+    @pytest.mark.parametrize("dropped", [[99], [-1], [0, 3], [-3, 1]])
+    def test_rejects_index_outside_the_clients(self, dropped):
+        inst = simple_instance([[0.0], [1.0], [2.0]], [0, 1, 1], [[0.0]], [1.0])
+        with pytest.raises(ValueError, match="names no client"):
+            assign_nearest(inst, [0], dropped)
+
+    def test_rejects_per_group_sets(self):
+        # the dropped clients are one flat collection, not one set per group
+        inst = simple_instance([[0.0], [1.0]], [0, 1], [[0.0]], [1.0])
+        for dropped in ([set(), {1}], [[0], [1]], np.array([[0], [1]])):
+            with pytest.raises((TypeError, ValueError)):
+                assign_nearest(inst, [0], dropped)
 
 
 class TestUnfairness:
@@ -290,8 +322,23 @@ class TestUnfairness:
 
 # ---------------------------------------------------------------------------
 # assign_nearest and solution_cost as they were written with per-client
-# Python loops, kept verbatim as the reference the array forms must reproduce
-# bit for bit (cost bits and the assignment's order).
+# Python loops, and the strided argmin scan they called, kept verbatim as the
+# reference the array forms must reproduce bit for bit (cost bits and the
+# assignment's order).  The reference takes one outlier set per group.
+
+
+def nearest_open(inst: MetricInstance, open_facilities: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+    """Per-client nearest facility among ``open_facilities``.
+
+    Returns (distance, facility index) arrays; ties resolve to the lowest
+    facility index.
+    """
+    order = np.sort(np.asarray(list(open_facilities), dtype=np.int64))
+    if order.size == 0:
+        raise ValueError("no open facilities")
+    sub = inst.distances()[order]
+    pos = np.argmin(sub, axis=0)  # first occurrence = lowest index after sort
+    return sub[pos, np.arange(inst.n_clients)], order[pos]
 
 
 def _reference_assign_nearest(
@@ -364,9 +411,9 @@ class TestArrayFormsMatchReference:
                 want = _reference_assign_nearest(inst, opens, outliers)
             except ValueError as err:
                 with pytest.raises(ValueError, match=str(err)):
-                    assign_nearest(inst, opens, outliers)
+                    assign_nearest(inst, opens, set().union(*outliers))
                 continue
-            got = assign_nearest(inst, opens, outliers)
+            got = assign_nearest(inst, opens, set().union(*outliers))
             assert _solution_parts(got) == _solution_parts(want)
             for objective in (FACILITY_LOCATION, K_MEDIAN):
                 cost = solution_cost(inst, got, objective)
@@ -382,23 +429,39 @@ class TestArrayFormsMatchReference:
         inst = MetricInstance(rng.random((4500, 6)), np.zeros(4500, dtype=np.int64),
                               rng.random((100, 6)), np.ones(100))
         outliers = [set(rng.choice(4500, 225, replace=False).tolist())]
-        got = assign_nearest(inst, [3, 17, 40, 41, 90], outliers)
+        got = assign_nearest(inst, [3, 17, 40, 41, 90], outliers[0])
         want = _reference_assign_nearest(inst, [3, 17, 40, 41, 90], outliers)
         assert _solution_parts(got) == _solution_parts(want)
         assert solution_cost(inst, got, K_MEDIAN) == got.connection_cost
         if _SUM_IS_LEFT_TO_RIGHT:
             assert solution_cost(inst, got, K_MEDIAN).hex() == _reference_solution_cost(inst, got, K_MEDIAN).hex()
 
+    def test_many_open_rows_with_ties(self, rng):
+        # 60 of 100 facilities open over 4500 clients; integer coordinates and
+        # copies of facility 4 tie many distances
+        clients = rng.integers(0, 6, (4500, 3)).astype(float)
+        facilities = rng.integers(0, 6, (100, 3)).astype(float)
+        facilities[::9] = facilities[4]
+        inst = MetricInstance(clients, rng.integers(0, 3, 4500), facilities, np.ones(100))
+        opens = rng.permutation(100)[:60].tolist() + [4]
+        drop = rng.random(4500) < 0.05
+        outliers = [set(np.flatnonzero(drop & (inst.groups == g)).tolist()) for g in range(3)]
+        got = assign_nearest(inst, opens, np.flatnonzero(drop))
+        want = _reference_assign_nearest(inst, opens, outliers)
+        assert _solution_parts(got) == _solution_parts(want)
+
     def test_out_of_range_outliers_name_no_client(self):
+        # an index outside the clients is an error, not a silent no-op
         inst = simple_instance([[0.0], [2.0], [5.0]], [0, 0, 0], [[1.0]], [1.0])
-        for outliers in ([{-1, 7}], [{-3, 1, 3}], [set()]):
-            got = assign_nearest(inst, [0], outliers)
-            want = _reference_assign_nearest(inst, [0], outliers)
-            assert _solution_parts(got) == _solution_parts(want)
+        for dropped in ({-1, 7}, {-3, 1, 3}):
+            with pytest.raises(ValueError, match="names no client"):
+                assign_nearest(inst, [0], dropped)
+        got = assign_nearest(inst, [0], set())
+        assert _solution_parts(got) == _solution_parts(_reference_assign_nearest(inst, [0], [set()]))
 
     def test_closed_facility_error_names_first_client_in_dict_order(self, rng):
         inst = random_instance(rng, max_n=12, max_m=6, min_n=6)
-        sol = assign_nearest(inst, range(inst.n_facilities), [set()] * inst.n_groups)
+        sol = assign_nearest(inst, range(inst.n_facilities), [])
         # a dict whose order is not ascending, with two clients on closed facilities
         order = [5, 2, 4, 0, 1, 3]
         assignment = {j: (9 if j in (4, 1) else sol.assignment[j]) for j in order}
@@ -412,6 +475,6 @@ class TestArrayFormsMatchReference:
 
     def test_empty_assignment(self):
         inst = simple_instance([[0.0]], [0], [[1.0]], [3.0])
-        sol = assign_nearest(inst, [0], [{0}])
+        sol = assign_nearest(inst, [0], [0])
         for objective in (FACILITY_LOCATION, K_MEDIAN):
             assert solution_cost(inst, sol, objective).hex() == _reference_solution_cost(inst, sol, objective).hex()

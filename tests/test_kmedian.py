@@ -9,13 +9,11 @@ from fairfl import (
     OutlierBudgets,
     PenaltyInstance,
     SyntheticConfig,
-    build_guess_grid,
     exact_kmfo,
     exact_kmp,
     generate_synthetic,
     local_search_penalties,
     ls_nf,
-    make_penalties,
     r_ls_f,
     r_ls_nf,
     unfairness,
@@ -23,7 +21,13 @@ from fairfl import (
 from fairfl import instance as instance_mod
 from fairfl import kmedian
 from fairfl.cli import budgets_from_pct
-from fairfl.kmedian import LocalSearchError, PenaltySolution, _grid_from_totals, _two_nearest
+from fairfl.kmedian import (
+    LocalSearchError,
+    PenaltySolution,
+    _grid_from_totals,
+    _penalties_for,
+    _two_nearest,
+)
 from conftest import random_budgets, random_instance
 
 
@@ -73,7 +77,7 @@ class TestLocalSearch:
         inst = tiny([[3.0]], [0], [[0.0]])
         sol = local_search_penalties(PenaltyInstance(inst, 1, np.array([3.0])))
         assert sol.paying == frozenset()
-        assert sol.assignment == {0: 0}
+        assert sol.service_cost == 3.0 and sol.penalty_paid == 0.0
 
     def test_open_set_size_never_exceeds_k(self, rng):
         for _ in range(10):
@@ -119,68 +123,82 @@ class TestLocalSearch:
 
 
 class TestPenaltyConstruction:
+    # p_j = guess / (gamma * budget of j's group), as the reduction builds it
     def test_direct_formula(self):
-        inst = tiny([[0.0]] * 4, [0] * 4, [[0.0]])
-        pinst = make_penalties(inst, OutlierBudgets((4,)), k=1, guess_cost=100.0, gamma=0.5)
-        assert np.allclose(pinst.penalty, 50.0)
+        penalty = _penalties_for(np.zeros(4, dtype=np.int64), (4,), 100.0, 0.5)
+        assert np.allclose(penalty, 50.0)
 
     def test_per_group_budgets(self):
-        inst = tiny([[0.0]] * 7, [0, 0, 1, 1, 1, 1, 1], [[0.0]])
-        pinst = make_penalties(inst, OutlierBudgets((2, 5)), k=1, guess_cost=100.0, gamma=1.0)
-        assert np.allclose(pinst.penalty[:2], 50.0)
-        assert np.allclose(pinst.penalty[2:], 20.0)
+        penalty = _penalties_for(np.array([0, 0, 1, 1, 1, 1, 1]), (2, 5), 100.0, 1.0)
+        assert np.allclose(penalty[:2], 50.0)
+        assert np.allclose(penalty[2:], 20.0)
 
     def test_zero_budget_gets_infinite_penalty(self):
-        inst = tiny([[0.0], [1.0]], [0, 1], [[0.0]])
-        pinst = make_penalties(inst, OutlierBudgets((0, 1)), k=1, guess_cost=10.0, gamma=0.5)
-        assert pinst.penalty[0] == np.inf
-        assert pinst.penalty[1] == pytest.approx(20.0)
+        penalty = _penalties_for(np.array([0, 1]), (0, 1), 10.0, 0.5)
+        assert penalty[0] == np.inf
+        assert penalty[1] == pytest.approx(20.0)
 
     def test_gamma_validation(self):
-        inst = tiny([[0.0]], [0], [[0.0]])
-        with pytest.raises(ValueError):
-            make_penalties(inst, OutlierBudgets((1,)), k=1, guess_cost=1.0, gamma=0.0)
+        # checked where the penalties are computed, so the solvers reject it too
+        inst = tiny([[0.0], [1.0], [2.0]], [0, 0, 1], [[0.0], [2.0]])
+        for gamma in (0.0, -0.5, math.nan, math.inf):
+            with pytest.raises(ValueError, match="gamma must be positive"):
+                _penalties_for(inst.groups, (1, 1), 1.0, gamma)
+            with pytest.raises(ValueError, match="gamma must be positive"):
+                r_ls_f(inst, OutlierBudgets((1, 1)), k=1, gamma=gamma)
+            with pytest.raises(ValueError, match="gamma must be positive"):
+                r_ls_nf(inst, 2, k=1, gamma=gamma)
+
+
+def grid_range(inst: MetricInstance, total_budget: int) -> tuple[float, float]:
+    """The service-cost range the guess grid must cover: every served client
+    pays between the smallest positive and the largest distance (0, 0 when
+    nobody is served or no distance is positive)."""
+    served = inst.n_clients - total_budget
+    dist = inst.distances()
+    positive = dist[dist > 0]
+    if served == 0 or positive.size == 0:
+        return 0.0, 0.0
+    return served * float(positive.min()), served * float(dist.max())
 
 
 class TestGuessGrid:
     def test_geometric_sequence(self):
-        # 10 clients minus 2 outliers, distances spanning [1, 4]
+        # 10 clients minus 2 outliers, distances spanning [1, 4]: [8, 32]
         clients = [[float(v)] for v in (1, 1, 1, 1, 1, 1, 1, 2, 3, 4)]
         inst = tiny(clients, [0] * 10, [[0.0]])
-        grid = build_guess_grid(inst, OutlierBudgets((2,)), eps_guess=0.5)
-        assert grid.lo == pytest.approx(8.0)
-        assert grid.hi == pytest.approx(32.0)
-        assert np.allclose(grid.values, [8.0, 12.0, 18.0, 27.0, 40.5])
+        grid = _grid_from_totals(inst, 2, eps_guess=0.5)
+        assert np.allclose(grid, [8.0, 12.0, 18.0, 27.0, 40.5])
 
     def test_single_value_when_distances_equal(self):
         inst = tiny([[1.0], [-1.0]], [0, 0], [[0.0]])
-        grid = build_guess_grid(inst, OutlierBudgets((1,)), eps_guess=0.5)
-        assert grid.values == (1.0,)
+        assert _grid_from_totals(inst, 1, eps_guess=0.5) == (1.0,)
 
     def test_all_but_one_dropped(self):
+        # one served client, distances spanning [1, 4]
         clients = [[float(v)] for v in (1, 2, 4)]
         inst = tiny(clients, [0, 0, 0], [[0.0]])
-        grid = build_guess_grid(inst, OutlierBudgets((2,)), eps_guess=0.5)
-        assert grid.lo == pytest.approx(1.0)
-        assert grid.hi == pytest.approx(4.0)
+        grid = _grid_from_totals(inst, 2, eps_guess=0.5)
+        assert grid[0] == pytest.approx(1.0)
+        assert grid[-2] < 4.0 <= grid[-1]
 
     def test_zero_distances_degenerate(self):
         inst = tiny([[0.0], [0.0]], [0, 0], [[0.0]])
-        grid = build_guess_grid(inst, OutlierBudgets((0,)), eps_guess=0.5)
-        assert grid.values == (0.0,)
+        assert _grid_from_totals(inst, 0, eps_guess=0.5) == (0.0,)
 
     def test_size_bound_and_bracketing(self, rng):
         for _ in range(50):
             inst = random_instance(rng, max_n=10, max_m=4)
             budgets = random_budgets(rng, inst)
             eps = float(rng.uniform(0.05, 1.0))
-            grid = build_guess_grid(inst, budgets, eps)
-            assert grid.values[0] == grid.lo
-            assert grid.values[-1] >= grid.hi * (1 - 1e-12)
-            if grid.hi > grid.lo > 0:
-                bound = math.ceil(math.log(grid.hi / grid.lo) / math.log(1 + eps)) + 1
-                assert len(grid.values) <= bound + 1  # +1 absorbs float fuzz at the seam
-            for a, b in zip(grid.values, grid.values[1:]):
+            grid = _grid_from_totals(inst, budgets.total, eps)
+            lo, hi = grid_range(inst, budgets.total)
+            assert grid[0] == lo
+            assert grid[-1] >= hi * (1 - 1e-12)
+            if hi > lo > 0:
+                bound = math.ceil(math.log(hi / lo) / math.log(1 + eps)) + 1
+                assert len(grid) <= bound + 1  # +1 absorbs float fuzz at the seam
+            for a, b in zip(grid, grid[1:]):
                 assert b / a == pytest.approx(1 + eps)
 
 
@@ -293,10 +311,9 @@ def _reference_canonical_solution(pinst: PenaltyInstance, open_list) -> PenaltyS
     d1, a1, _ = _reference_two_nearest(dist, open_list)
     pays = pinst.penalty < d1  # ties serve
     paying = frozenset(np.flatnonzero(pays).tolist())
-    assignment = {int(j): int(a1[j]) for j in np.flatnonzero(~pays)}
     service = float(d1[~pays].sum())
     paid = float(pinst.penalty[pays].sum())
-    return PenaltySolution(frozenset(int(i) for i in open_list), paying, assignment, service, paid)
+    return PenaltySolution(frozenset(int(i) for i in open_list), paying, service, paid)
 
 
 def _reference_local_search_penalties(pinst: PenaltyInstance, improve_frac: float = 0.01) -> PenaltySolution:
@@ -348,12 +365,11 @@ def _reference_local_search_penalties(pinst: PenaltyInstance, improve_frac: floa
 
 
 def _solution_bytes(sol: PenaltySolution) -> tuple:
-    """A search result as bytes: open and paying sets, the assignment, and
-    the bits of the service and penalty totals."""
+    """A search result as bytes: open and paying sets and the bits of the
+    service and penalty totals."""
     return (
         np.array(sorted(sol.open), dtype=np.int64).tobytes(),
         np.array(sorted(sol.paying), dtype=np.int64).tobytes(),
-        np.array(sorted(sol.assignment.items()), dtype=np.int64).tobytes(),
         float(sol.service_cost).hex(),
         float(sol.penalty_paid).hex(),
     )
@@ -452,8 +468,9 @@ class TestSwapScanMatchesReference:
         grid = _grid_from_totals(inst, budgets.total, 0.5)
         for rows in (1, None):
             _block_rows(monkeypatch, inst, rows)
-            for guess in grid.values[::4]:
-                assert_same_search(make_penalties(inst, budgets, 5, guess, 0.5), improve_frac)
+            for guess in grid[::4]:
+                penalty = _penalties_for(inst.groups, budgets.per_group, guess, 0.5)
+                assert_same_search(PenaltyInstance(inst, 5, penalty), improve_frac)
 
     def test_hypothesis_property(self):
         hypothesis = pytest.importorskip("hypothesis")
@@ -522,7 +539,7 @@ class TestSearchContract:
                                (lambda: r_ls_nf(inst, budgets.total, 1), budgets.total)):
                 calls.clear()
                 run()
-                assert len(calls) == len(_grid_from_totals(inst, total, 0.5).values)
+                assert len(calls) == len(_grid_from_totals(inst, total, 0.5))
             calls.clear()
             ls_nf(inst, budgets.total, 1)
             assert len(calls) == 1

@@ -77,7 +77,7 @@ class TestExactFlfo:
             nearest = dist.min(axis=0)
             from fairfl.oracle import _drop_farthest
 
-            kept, _ = _drop_farthest(inst.group_members, nearest, budgets)
+            kept, _ = _drop_farthest(inst.group_members, nearest, budgets.per_group)
             best = 0.0
             for members, cap in zip(inst.group_members, budgets.per_group):
                 group_best = np.inf

@@ -8,6 +8,7 @@ from fairfl import (
     AGGREGATE,
     PER_GROUP,
     FractionalSolution,
+    LpChain,
     MetricInstance,
     OutlierBudgets,
     PartitionedClients,
@@ -21,6 +22,7 @@ from fairfl import (
     lpr_f,
     lpr_nf,
     lpr_pipeline,
+    prune_pairs,
     rescale,
     round_facility_location,
     solve_lp,
@@ -259,7 +261,7 @@ class TestPipelines:
         inst = tiny([[1.0]], [0], [[0.0], [2.0]], [0.0, 0.0])
 
         def open_everything(inst_, part, rescaled, cfg):
-            return assign_nearest(inst_, range(inst_.n_facilities), part.outliers)
+            return assign_nearest(inst_, range(inst_.n_facilities), frozenset().union(*part.outliers))
 
         sol, _ = lpr_pipeline(
             inst, OutlierBudgets((0,)), RoundingConfig(0.25), PER_GROUP, rounder=open_everything
@@ -273,3 +275,86 @@ class TestPipelines:
         budgets = random_budgets(rng, inst)
         sol, frac = lpr_pipeline(inst, budgets, RoundingConfig(0.25), PER_GROUP)
         assert sol.total_cost >= frac.objective_value - 1e-7
+
+
+# ---------------------------------------------------------------------------
+# With one group, the per-group budget row is the aggregate one, so LPR-F and
+# LPR-NF solve the same model and must agree bit for bit.
+
+
+def _model_bytes(model) -> tuple:
+    a = model.a_matrix
+    return (model.c.tobytes(), a.shape, a.indptr.tobytes(), a.indices.tobytes(), a.data.tobytes(),
+            model.senses.tobytes(), model.rhs.tobytes(), model.pair_fac.tobytes(),
+            model.pair_cli.tobytes(), model.n_budget_rows)
+
+
+def _frac_bytes(frac: FractionalSolution) -> tuple:
+    return (frac.pair_fac.tobytes(), frac.pair_cli.tobytes(), frac.x_values.tobytes(),
+            frac.y.tobytes(), frac.z.tobytes(), float(frac.objective_value).hex())
+
+
+def _solution_parts(sol) -> tuple:
+    return (sol.open, sol.outliers, list(sol.assignment.items()),
+            float(sol.facility_cost).hex(), float(sol.connection_cost).hex())
+
+
+def assert_lpr_fair_equals_nonfair(inst, budget_list, cfg, chained=False) -> None:
+    """Models, fractional solutions and rounded solutions of LPR-F and
+    LPR-NF are identical at every budget (solved on one chain per mode when
+    ``chained``, as a sweep solves them)."""
+    with LpChain() as fair_chain, LpChain() as nonfair_chain:
+        for budgets in budget_list:
+            assert _model_bytes(build_flfo_lp(inst, budgets, PER_GROUP)) == \
+                _model_bytes(build_flfo_lp(inst, budgets, AGGREGATE))
+            runs = []
+            for mode, chain in ((PER_GROUP, fair_chain), (AGGREGATE, nonfair_chain)):
+                try:
+                    runs.append(lpr_pipeline(inst, budgets, cfg, mode, chain=chain if chained else None))
+                except RoundingError as err:
+                    runs.append(type(err))
+            fair, nonfair = runs
+            if fair is RoundingError or nonfair is RoundingError:
+                assert fair is nonfair
+                continue
+            assert _frac_bytes(fair[1]) == _frac_bytes(nonfair[1])
+            assert _solution_parts(fair[0]) == _solution_parts(nonfair[0])
+
+
+class TestFairEqualsNonfairOnOneGroup:
+    def test_random_suite_merged_into_one_group(self, random_suite):
+        for t, (inst, budgets) in enumerate(random_suite):
+            one = MetricInstance(inst.client_coords, np.zeros(inst.n_clients, dtype=np.int64),
+                                 inst.facility_coords, inst.open_costs)
+            if t % 2:
+                one = prune_pairs(one)
+            cfg = RoundingConfig((0.1, 0.25, 0.5)[t % 3])
+            totals = sorted({budgets.total, inst.n_clients // 2, 0})
+            assert_lpr_fair_equals_nonfair(one, [OutlierBudgets((b,)) for b in totals], cfg,
+                                           chained=t % 4 < 2)
+
+    def test_hypothesis_property(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = pytest.importorskip("hypothesis.strategies")
+
+        @hypothesis.settings(max_examples=200, deadline=None, database=None)
+        @hypothesis.given(st.data())
+        def check(data):
+            n = data.draw(st.integers(1, 12))
+            m = data.draw(st.integers(1, 5))
+            coord = st.one_of(st.integers(0, 3), st.floats(0.0, 3.0))
+            clients = data.draw(st.lists(st.tuples(coord, coord), min_size=n, max_size=n))
+            facilities = data.draw(st.lists(st.tuples(coord, coord), min_size=m, max_size=m))
+            costs = data.draw(st.lists(
+                st.one_of(st.sampled_from([0.0, 1.0, 2.0]), st.floats(0.0, 5.0)),
+                min_size=m, max_size=m))
+            inst = MetricInstance(np.array(clients, float), np.zeros(n, dtype=np.int64),
+                                  np.array(facilities, float), np.array(costs))
+            if data.draw(st.booleans()):
+                inst = prune_pairs(inst)
+            budgets = [OutlierBudgets((b,)) for b in data.draw(st.lists(st.integers(0, n), min_size=1, max_size=3))]
+            cfg = RoundingConfig(data.draw(st.sampled_from([0.1, 0.25, 0.5])),
+                                 data.draw(st.sampled_from([0.5, 1.0])))
+            assert_lpr_fair_equals_nonfair(inst, budgets, cfg, chained=data.draw(st.booleans()))
+
+        check()
