@@ -243,6 +243,14 @@ def nearest_rows(sub: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return low, first
 
 
+def _client_index(j):
+    """``j`` checked to be an integer: a float or bool, which the int64
+    conversion would truncate or read as 0/1, raises ``ValueError``."""
+    if isinstance(j, (bool, np.bool_)) or not isinstance(j, (int, np.integer)):
+        raise ValueError(f"dropped client {j} is not an integer index")
+    return j
+
+
 def assign_nearest(
     inst: MetricInstance,
     open_facilities: Iterable[int],
@@ -250,13 +258,14 @@ def assign_nearest(
 ) -> IntegralSolution:
     """Build a valid IntegralSolution from an open set and the dropped clients.
 
-    ``dropped`` is one flat collection of client indices; each group's
-    outlier set is the dropped clients ``inst.groups`` files under it.  An
-    index outside ``[0, n_clients)`` raises ``ValueError``.
+    ``dropped`` is one flat collection of integer client indices; each
+    group's outlier set is the dropped clients ``inst.groups`` files under
+    it.  An index outside ``[0, n_clients)``, or a float or bool entry,
+    raises ``ValueError``.
     """
     n = inst.n_clients
     open_set = frozenset(int(i) for i in open_facilities)
-    idx = np.fromiter(dropped, dtype=np.int64)
+    idx = np.fromiter(map(_client_index, dropped), dtype=np.int64)
     stray = idx[(idx < 0) | (idx >= n)]
     if stray.size:
         raise ValueError(f"dropped index {stray[0]} names no client (there are {n})")

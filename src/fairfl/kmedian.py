@@ -175,17 +175,17 @@ def _grid_from_totals(inst: MetricInstance, total_budget: int, eps_guess: float)
     largest facility-client distance, which gives lo and hi; a single 0.0
     when nobody is served or every distance is zero.
     """
-    if not eps_guess > 0:
-        raise ValueError("eps_guess must be positive")
+    if not 0 < eps_guess < math.inf:
+        raise ValueError(f"eps_guess must be positive and finite, got {eps_guess!r}")
     n = inst.n_clients
     if total_budget > n:
         raise ValueError("total budget exceeds client count")
     served = n - total_budget
     dist = inst.distances()
-    positive = dist[dist > 0]
-    if served == 0 or positive.size == 0:
+    positive = dist > 0
+    if served == 0 or not positive.any():
         return (0.0,)
-    lo = served * float(positive.min())
+    lo = served * float(dist.min(where=positive, initial=np.inf))
     hi = served * float(dist.max())
     values = [lo]
     v = lo
@@ -210,15 +210,32 @@ def _reduce_and_search(
     (n_groups + gamma) times its cap; the cheapest admissible candidate by
     service cost wins, falling back to the smallest violation ratio (then
     cost) when none is admissible.  Ties resolve to the earliest grid value.
+
+    A guess whose penalties all reach each client's farthest facility is
+    penalty-free: a penalty enters the search only through
+    ``min(x, p_j)`` with ``x`` one of client j's distances (at k = 1 the
+    clipped ``base`` is ``p_j`` instead of inf, and it only meets such an
+    ``x``), so every cost, comparison and swap is the all-inf search's, bit
+    for bit, and nobody pays.  Every penalty-free guess therefore shares the
+    first one's search; each guess with a binding penalty gets its own.
     """
     n_groups = len(caps)
     grid = _grid_from_totals(inst, int(sum(caps)), eps_guess)
     slack = n_groups + gamma
+    farthest = inst.distances().max(axis=0)
+    free = None  # the one search every penalty-free guess shares
 
     def candidates():
+        nonlocal free
         for t, guess in enumerate(grid):
-            pinst = PenaltyInstance(inst, k, _penalties_for(groups, caps, guess, gamma))
-            psol = local_search_penalties(pinst, improve_frac)
+            penalty = _penalties_for(groups, caps, guess, gamma)
+            penalty_free = bool(np.all(penalty >= farthest))
+            if penalty_free and free is not None:
+                psol = free
+            else:
+                psol = local_search_penalties(PenaltyInstance(inst, k, penalty), improve_frac)
+            if penalty_free:
+                free = psol
             counts = np.bincount(groups[sorted(psol.paying)], minlength=n_groups) if psol.paying else np.zeros(n_groups, dtype=int)
             viol = 0.0
             for g in range(n_groups):

@@ -310,6 +310,14 @@ class TestConfigFile:
         assert main([*args, "--gamma", gamma]) == 2
         assert "gamma must be positive" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("algo", ["rls-f", "rls-nf"])
+    @pytest.mark.parametrize("eps", ["0", "-0.5", "nan", "inf"])
+    def test_nonpositive_or_infinite_eps_guess_exits_2(self, tmp_path, capsys, algo, eps):
+        cfg = small_config(tmp_path)
+        args = ["solve", "--config", cfg, "--problem", "kmedian", "--algo", algo, "--pct", "5"]
+        assert main([*args, "--eps-guess", eps]) == 2
+        assert "eps_guess must be positive and finite" in capsys.readouterr().err
+
     def test_list_flag_parses_like_file(self, tmp_path):
         rng = np.random.default_rng(3)
         raw = tmp_path / "raw.csv"

@@ -281,6 +281,26 @@ class TestAssignNearest:
         with pytest.raises(ValueError, match="names no client"):
             assign_nearest(inst, [0], dropped)
 
+    @pytest.mark.parametrize("dropped, value", [
+        ([1.5], "1.5"), ([True, False], "True"), ([2, True], "True"), ([np.float64(1.0)], "1.0"),
+        (np.array([1.0]), "1.0"), (np.array([False, True, True]), "False"), ((np.bool_(True),), "True"),
+    ])
+    def test_rejects_float_and_bool_entries(self, dropped, value):
+        # an integer conversion would drop client 1 for 1.5, and read a mask as indices
+        inst = simple_instance([[0.0], [1.0], [2.0]], [0, 1, 1], [[0.0]], [1.0])
+        with pytest.raises(ValueError, match=f"dropped client {value} is not an integer index"):
+            assign_nearest(inst, [0], dropped)
+
+    def test_accepts_empty_collections_and_integer_arrays(self):
+        inst = simple_instance([[0.0], [1.0], [2.0]], [0, 1, 1], [[0.0]], [1.0])
+        for dropped in ([], (), set(), frozenset(), np.array([]), np.array([], dtype=bool), iter([])):
+            assert assign_nearest(inst, [0], dropped).outliers == (frozenset(), frozenset())
+        for dtype in (np.int8, np.uint8, np.int16, np.uint16, np.int32, np.uint32, np.int64, np.uint64):
+            sol = assign_nearest(inst, [0], np.array([2, 1], dtype=dtype))
+            assert sol.outliers == (frozenset(), frozenset({1, 2}))
+        sol = assign_nearest(inst, [0], [np.int32(2), 1, np.uint8(1)])
+        assert sol.outliers == (frozenset(), frozenset({1, 2}))
+
     def test_rejects_per_group_sets(self):
         # the dropped clients are one flat collection, not one set per group
         inst = simple_instance([[0.0], [1.0]], [0, 1], [[0.0]], [1.0])

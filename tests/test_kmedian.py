@@ -202,6 +202,41 @@ class TestGuessGrid:
                 assert b / a == pytest.approx(1 + eps)
 
 
+def _reference_grid_from_totals(inst: MetricInstance, total_budget: int, eps_guess: float) -> tuple[float, ...]:
+    """The guess grid as it was computed from a copy of the positive
+    distances, kept verbatim (but for the eps_guess check) as the reference."""
+    n = inst.n_clients
+    served = n - total_budget
+    dist = inst.distances()
+    positive = dist[dist > 0]
+    if served == 0 or positive.size == 0:
+        return (0.0,)
+    lo = served * float(positive.min())
+    hi = served * float(dist.max())
+    values = [lo]
+    v = lo
+    while v < hi * (1.0 - 1e-12):
+        v *= 1.0 + eps_guess
+        values.append(v)
+    return tuple(values)
+
+
+class TestGuessGridMatchesReference:
+    def test_zero_and_positive_distances(self, rng):
+        # integer coordinates put clients on facilities: zero distances
+        # beside positive ones, and some instances with none positive
+        for trial in range(200):
+            n, m = int(rng.integers(1, 15)), int(rng.integers(1, 6))
+            span = int(rng.choice([1, 2, 4])) if trial % 2 else 100
+            clients = rng.integers(0, span, (n, 2)).astype(float) / span
+            facilities = rng.integers(0, span, (m, 2)).astype(float) / span
+            inst = MetricInstance(clients, np.zeros(n, dtype=np.int64), facilities, np.zeros(m))
+            total = int(rng.integers(0, n + 1))
+            eps = float(rng.choice([0.05, 0.5, 2.0]))
+            got = _grid_from_totals(inst, total, eps)
+            assert [v.hex() for v in got] == [v.hex() for v in _reference_grid_from_totals(inst, total, eps)]
+
+
 class TestReductionPipeline:
     def test_tight_cluster_generous_budget(self):
         # colocated cluster: nothing pays, cost equals the exact optimum (0)
@@ -239,6 +274,17 @@ class TestReductionPipeline:
             # the largest guess gives infinite-ish penalties, so a candidate
             # with zero outliers always qualifies
             assert worst <= 1.0 + 1e-9
+
+    def test_eps_guess_validation(self):
+        # an infinite ratio made the grid (lo, inf)
+        inst = tiny([[0.0], [1.0], [2.0]], [0, 0, 1], [[0.0], [2.0]])
+        for eps in (0.0, -0.5, math.nan, math.inf):
+            with pytest.raises(ValueError, match="eps_guess must be positive and finite"):
+                _grid_from_totals(inst, 2, eps)
+            with pytest.raises(ValueError, match="eps_guess must be positive and finite"):
+                r_ls_f(inst, OutlierBudgets((1, 1)), k=1, eps_guess=eps)
+            with pytest.raises(ValueError, match="eps_guess must be positive and finite"):
+                r_ls_nf(inst, 2, k=1, eps_guess=eps)
 
     def test_budget_validation(self):
         inst = tiny([[0.0]], [0], [[0.0]])
@@ -520,29 +566,228 @@ class TestSwapScanMatchesReference:
                 assert a.connection_cost.hex() == b.connection_cost.hex()
 
 
+# ---------------------------------------------------------------------------
+# The reduction as it was before the guesses whose penalties never bind
+# shared one search (one search per guess-grid value), kept verbatim as the
+# reference the shared search must reproduce bit for bit.
+
+
+def _reference_reduce_and_search(
+    inst: MetricInstance,
+    groups: np.ndarray,
+    caps,
+    k: int,
+    gamma: float,
+    eps_guess: float,
+    improve_frac: float,
+) -> PenaltySolution:
+    """Run the guess grid and pick a winner.
+
+    A candidate is admissible when every group's outlier count stays within
+    (n_groups + gamma) times its cap; the cheapest admissible candidate by
+    service cost wins, falling back to the smallest violation ratio (then
+    cost) when none is admissible.  Ties resolve to the earliest grid value.
+    """
+    n_groups = len(caps)
+    grid = _grid_from_totals(inst, int(sum(caps)), eps_guess)
+    slack = n_groups + gamma
+
+    def candidates():
+        for t, guess in enumerate(grid):
+            pinst = PenaltyInstance(inst, k, _penalties_for(groups, caps, guess, gamma))
+            psol = local_search_penalties(pinst, improve_frac)
+            counts = np.bincount(groups[sorted(psol.paying)], minlength=n_groups) if psol.paying else np.zeros(n_groups, dtype=int)
+            viol = 0.0
+            for g in range(n_groups):
+                if counts[g] == 0:
+                    continue
+                viol = max(viol, counts[g] / (slack * caps[g]))
+            if viol <= 1.0:
+                yield (0, psol.service_cost, viol, t, psol)
+            else:
+                yield (1, viol, psol.service_cost, t, psol)
+
+    # the grid is never empty, and t makes every key distinct
+    return min(candidates(), key=lambda c: c[:4])[4]
+
+
+def assert_same_reduction(monkeypatch, inst: MetricInstance, budgets: OutlierBudgets, k: int,
+                          **params) -> None:
+    """R+LS-F and R+LS-NF return the reference reduction's solutions: open
+    and outlier sets, assignment and connection-cost bits."""
+    got = (r_ls_f(inst, budgets, k, **params), r_ls_nf(inst, budgets.total, k, **params))
+    with monkeypatch.context() as patch:
+        patch.setattr(kmedian, "_reduce_and_search", _reference_reduce_and_search)
+        want = (r_ls_f(inst, budgets, k, **params), r_ls_nf(inst, budgets.total, k, **params))
+    for a, b in zip(got, want):
+        assert a.open == b.open and a.outliers == b.outliers
+        assert a.assignment == b.assignment
+        assert a.connection_cost.hex() == b.connection_cost.hex()
+
+
+def penalty_kinds(inst: MetricInstance, groups, caps, gamma: float = 0.5, eps_guess: float = 0.5) -> list[bool]:
+    """Per guess-grid value: True when its penalties never bind."""
+    farthest = inst.distances().max(axis=0)
+    return [bool(np.all(_penalties_for(groups, caps, guess, gamma) >= farthest))
+            for guess in _grid_from_totals(inst, sum(caps), eps_guess)]
+
+
+class TestSharedSearchMatchesReference:
+    """R+LS with one search shared by the penalty-free guesses against one
+    search per guess."""
+
+    def test_random_suite(self, random_suite, monkeypatch):
+        mixed = 0
+        for inst, budgets in random_suite:
+            for k in {1, 1 + inst.n_clients % inst.n_facilities}:
+                assert_same_reduction(monkeypatch, inst, budgets, k)
+            free = penalty_kinds(inst, inst.groups, budgets.per_group)
+            mixed += 0 < free.count(True) < len(free) and free.count(True) > 1
+        assert mixed > 50
+
+    def test_gamma_eps_and_improve_frac(self, rng, monkeypatch):
+        for _ in range(40):
+            inst = random_instance(rng, max_n=12, max_m=6)
+            budgets = random_budgets(rng, inst)
+            k = int(rng.integers(1, inst.n_facilities + 1))
+            params = dict(gamma=float(rng.choice([0.1, 0.5, 2.0])),
+                          eps_guess=float(rng.choice([0.05, 0.5, 3.0])),
+                          improve_frac=float(rng.choice([1e-3, 0.01, 0.3])))
+            assert_same_reduction(monkeypatch, inst, budgets, k, **params)
+
+    def test_zero_caps_give_infinite_penalties(self, rng, monkeypatch):
+        for _ in range(30):
+            inst = random_instance(rng, max_n=12, max_m=6)
+            budgets = random_budgets(rng, inst)
+            zeroed = OutlierBudgets(tuple(c if g % 2 else 0 for g, c in enumerate(budgets.per_group)))
+            for caps in (zeroed, OutlierBudgets((0,) * inst.n_groups)):
+                for k in (1, inst.n_facilities):
+                    assert_same_reduction(monkeypatch, inst, caps, k)
+
+    def test_all_zero_distances(self, monkeypatch):
+        # the grid is (0.0,): zero penalties, and every distance is zero
+        inst = tiny([[1.0]] * 5, [0, 0, 1, 1, 1], [[1.0], [1.0], [1.0]])
+        for budgets in (OutlierBudgets((1, 2)), OutlierBudgets((0, 0)), OutlierBudgets((2, 3))):
+            assert _grid_from_totals(inst, budgets.total, 0.5) == (0.0,)
+            assert penalty_kinds(inst, inst.groups, budgets.per_group) == [True]
+            for k in (1, 2, 3):
+                assert_same_reduction(monkeypatch, inst, budgets, k)
+
+    def test_penalty_equal_to_farthest_distance(self, monkeypatch):
+        # clients at 1 and 2 from one facility, one outlier: the grid is
+        # (1, 1.5, 2.25); gamma 0.5 makes the first penalty 2, equal to the
+        # farther client's distance, and gamma 1 makes two guesses bind
+        inst = tiny([[1.0], [2.0]], [0, 0], [[0.0]])
+        budgets = OutlierBudgets((1,))
+        assert _penalties_for(inst.groups, (1,), 1.0, 0.5)[1] == inst.distances().max()
+        assert penalty_kinds(inst, inst.groups, (1,), gamma=0.5) == [True, True, True]
+        assert penalty_kinds(inst, inst.groups, (1,), gamma=1.0) == [False, False, True]
+        for gamma in (0.5, 1.0):
+            assert_same_reduction(monkeypatch, inst, budgets, 1, gamma=gamma)
+        # the same on a wider draw: several facilities, k = 1 and k = 2
+        inst = tiny([[0.0], [1.0], [2.0], [4.0]], [0, 0, 1, 1], [[0.0], [2.0], [4.0]])
+        budgets = OutlierBudgets((1, 1))
+        equal = 0
+        for guess in _grid_from_totals(inst, 2, 0.5):
+            for j, far in enumerate(inst.distances().max(axis=0)):
+                gamma = guess / far  # the penalty guess / (gamma * 1) is far
+                if _penalties_for(inst.groups, (1, 1), guess, gamma)[j] == far:
+                    equal += 1
+                    for k in (1, 2):
+                        assert_same_reduction(monkeypatch, inst, budgets, k, gamma=gamma)
+        assert equal == 20
+
+    @pytest.mark.parametrize("pct", [2.0, 10.0])
+    def test_synthetic_draw(self, monkeypatch, pct):
+        inst, _ = generate_synthetic(SyntheticConfig(seed=0))
+        budgets = budgets_from_pct(inst, pct)
+        free = penalty_kinds(inst, inst.groups, budgets.per_group)
+        assert 1 < free.count(True) < len(free)
+        assert_same_reduction(monkeypatch, inst, budgets, 5)
+
+
+class TestPenaltyFreeSearch:
+    def test_penalties_reaching_farthest_distance_never_bind(self):
+        # the lemma the shared search rests on: penalties at or above each
+        # client's farthest distance give the all-inf search's solution
+        hypothesis = pytest.importorskip("hypothesis")
+        st = pytest.importorskip("hypothesis.strategies")
+
+        @hypothesis.settings(max_examples=300, deadline=None, database=None)
+        @hypothesis.given(st.data())
+        def check(data):
+            n = data.draw(st.integers(1, 12))
+            m = data.draw(st.integers(1, 7))
+            coord = st.integers(0, 3)
+            clients = data.draw(st.lists(st.tuples(coord, coord), min_size=n, max_size=n))
+            facilities = data.draw(st.lists(st.tuples(coord, coord), min_size=m, max_size=m))
+            inst = MetricInstance(np.array(clients, float), np.zeros(n, dtype=np.int64),
+                                  np.array(facilities, float), np.zeros(m))
+            excess = data.draw(st.lists(
+                st.one_of(st.just(0.0), st.just(np.inf), st.floats(0.0, 6.0)),
+                min_size=n, max_size=n))
+            penalty = inst.distances().max(axis=0) + np.array(excess)
+            k = data.draw(st.one_of(st.just(1), st.integers(1, m)))
+            improve_frac = data.draw(st.one_of(st.sampled_from([0.125, 0.25, 0.5]),
+                                               st.floats(1e-3, 0.5)))
+            got = local_search_penalties(PenaltyInstance(inst, k, penalty), improve_frac)
+            want = local_search_penalties(PenaltyInstance(inst, k, np.full(n, np.inf)), improve_frac)
+            assert _solution_bytes(got) == _solution_bytes(want)
+            assert got.paying == frozenset() and got.penalty_paid == 0.0
+
+        check()
+
+
 class TestSearchContract:
-    def test_one_search_per_grid_value(self, rng, monkeypatch):
-        # the reduction calls the module's local_search_penalties once per
-        # guess-grid value, so a wrapper on that attribute sees every search
+    def test_searches_run_once_per_binding_grid_value(self, rng, monkeypatch):
+        # the reduction searches each guess with a binding penalty, and only
+        # the first guess whose penalties all reach each client's farthest
+        # facility; a wrapper on the module's local_search_penalties sees
+        # every search it runs
         calls = []
         original = kmedian.local_search_penalties
 
         def counting(pinst, improve_frac):
-            calls.append(pinst)
+            calls.append(pinst.penalty)
             return original(pinst, improve_frac)
 
         monkeypatch.setattr(kmedian, "local_search_penalties", counting)
-        for _ in range(10):
+        shared = mixed = 0
+        for _ in range(20):
             inst = random_instance(rng, max_n=10, max_m=5)
             budgets = random_budgets(rng, inst)
-            for run, total in ((lambda: r_ls_f(inst, budgets, 1), budgets.total),
-                               (lambda: r_ls_nf(inst, budgets.total, 1), budgets.total)):
+            k = int(rng.integers(1, inst.n_facilities + 1))
+            merged = np.zeros(inst.n_clients, dtype=np.int64)
+            for run, groups, caps in ((lambda: r_ls_f(inst, budgets, k), inst.groups, budgets.per_group),
+                                      (lambda: r_ls_nf(inst, budgets.total, k), merged, (budgets.total,))):
+                penalties = [_penalties_for(groups, caps, guess, 0.5)
+                             for guess in _grid_from_totals(inst, sum(caps), 0.5)]
+                free = [bool(np.all(p >= inst.distances().max(axis=0))) for p in penalties]
+                want = [p for t, p in enumerate(penalties) if not free[t] or t == free.index(True)]
+                assert len(want) == int(any(free)) + free.count(False)
                 calls.clear()
                 run()
-                assert len(calls) == len(_grid_from_totals(inst, total, 0.5))
+                assert [p.tobytes() for p in calls] == [p.tobytes() for p in want]
+                shared += free.count(True) > 1
+                mixed += 0 < free.count(True) < len(free)
             calls.clear()
-            ls_nf(inst, budgets.total, 1)
+            ls_nf(inst, budgets.total, k)
             assert len(calls) == 1
+        assert shared and mixed  # the draws exercise both kinds of guess
+
+    def test_penalty_equal_to_farthest_is_penalty_free(self, monkeypatch):
+        # clients at 1 and 2 from one facility, one outlier: guesses
+        # (1, 1.5, 2.25); with gamma 0.5 the first penalty, 2, equals the
+        # farther distance, so one search serves all three guesses
+        calls = []
+        original = kmedian.local_search_penalties
+        monkeypatch.setattr(kmedian, "local_search_penalties",
+                            lambda pinst, frac: calls.append(pinst) or original(pinst, frac))
+        inst = tiny([[1.0], [2.0]], [0, 0], [[0.0]])
+        for gamma, searches in ((0.5, 1), (1.0, 3)):
+            calls.clear()
+            r_ls_f(inst, OutlierBudgets((1,)), 1, gamma=gamma)
+            assert len(calls) == searches
 
     def test_swap_cutting_exactly_improve_frac_is_accepted(self):
         # from {0} (cost 3 + 1) the swap to {1} (cost 1 + 1) halves the cost
