@@ -9,6 +9,12 @@ clients it leaves behind become that group's outliers.  Event times are
 solved in closed form from the piecewise-linear surplus growth, never by
 time stepping.
 
+One rule orders the events: a client reaching its nearest open facility f'
+at time d connects before facility f opens at time t exactly when (d, f')
+orders before (t, f).  Clients only leave play, which can only delay an
+opening, so a kept opening time bounds that facility's next one from below
+and connections ordering before the earliest kept time need no recompute.
+
 Opening times are kept between events and recomputed incrementally: a
 facility's time t is recomputed only when a client within t + 2*_TIME_TOL
 of it has left play since t was computed (zero-cost facilities, whose time
@@ -23,7 +29,7 @@ have left.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -48,8 +54,6 @@ class DualState:
     coverage_target: np.ndarray
     connected_count: np.ndarray
     active_groups: np.ndarray
-    dist: np.ndarray
-    open_costs: np.ndarray
     group_of: np.ndarray
 
     def active_clients(self) -> np.ndarray:
@@ -130,9 +134,9 @@ def _opening_times(
     return times
 
 
-def _connect(state: DualState, j: int) -> bool:
-    """Connect one client; returns True if its group just met its target,
-    in which case the group's remaining clients withdraw."""
+def _connect(state: DualState, j: int) -> None:
+    """Connect one client; if its group just met its target, the group's
+    remaining clients withdraw."""
     state.connected[j] = True
     g = int(state.group_of[j])
     state.connected_count[g] += 1
@@ -140,8 +144,6 @@ def _connect(state: DualState, j: int) -> bool:
         state.active_groups[g] = False
         rest = (state.group_of == g) & ~state.connected & ~state.withdrawn
         state.withdrawn[rest] = True
-        return True
-    return False
 
 
 def _dual_fit(
@@ -152,24 +154,19 @@ def _dual_fit(
 ) -> DualState:
     dist = inst.distances()
     m, n = dist.shape
-    n_groups = len(targets)
+    group_of = np.asarray(group_of, dtype=np.int64)
+    targets = np.asarray(targets, dtype=np.int64)
+    playing = targets > 0  # a group with nothing to cover withdraws at the start
     state = DualState(
         alpha=0.0,
         connected=np.zeros(n, dtype=bool),
-        withdrawn=np.zeros(n, dtype=bool),
+        withdrawn=~playing[group_of],
         open=[],
-        coverage_target=np.asarray(targets, dtype=np.int64),
-        connected_count=np.zeros(n_groups, dtype=np.int64),
-        active_groups=np.ones(n_groups, dtype=bool),
-        dist=dist,
-        open_costs=inst.open_costs,
-        group_of=np.asarray(group_of, dtype=np.int64),
+        coverage_target=targets,
+        connected_count=np.zeros(len(targets), dtype=np.int64),
+        active_groups=playing,
+        group_of=group_of,
     )
-    for g in range(n_groups):
-        if state.coverage_target[g] <= 0:
-            state.active_groups[g] = False
-            rest = (state.group_of == g) & ~state.withdrawn
-            state.withdrawn[rest] = True
 
     order = np.argsort(dist, axis=1)  # tie order is immaterial: only sorted values are read
     dist_sorted = np.take_along_axis(dist, order, axis=1)
@@ -179,10 +176,14 @@ def _dual_fit(
     fac_open = np.full(n, m, dtype=np.int64)
     is_open = np.zeros(m, dtype=bool)
 
+    # ``drain`` applies the ordering rule: at the top of the loop below the
+    # earliest fresh opening time, after an opening below the earliest kept
+    # one, a lower bound on every later opening.  Open facilities keep an
+    # infinite time, so ``argmin(open_time)`` is the earliest closed one.
+    #
     # Opening times are kept per facility and recomputed only where an event
-    # can change them.  Clients only ever leave play, which can only delay an
-    # opening.  If every client that left since a facility's time t was
-    # computed lies beyond t + 2*_TIME_TOL, a recompute returns t bitwise:
+    # can change them.  If every client that left since a facility's time t
+    # was computed lies beyond t + 2*_TIME_TOL, a recompute returns t bitwise:
     # the sorted prefix up to t's breakpoint is unchanged, positions before a
     # removed client keep their time, and a breakpoint past a removed client
     # needs a time >= d - _TIME_TOL > t + _TIME_TOL.  ``left_min`` is the
@@ -197,6 +198,21 @@ def _dual_fit(
     fixed = np.isinf(costs)
     seen = np.zeros(n, dtype=bool)  # the active mask the kept times were computed with
 
+    def drain(t: float, f: int) -> bool:
+        """Connect, in (time, facility, client) order, every client in play
+        that reaches its nearest open facility before an opening at (t, f);
+        True if any did."""
+        ready = np.flatnonzero(
+            state.active_clients() & ((d_open < t) | ((d_open == t) & (fac_open < f)))
+        )
+        for j in ready[np.lexsort((ready, fac_open[ready], d_open[ready]))].tolist():
+            if state.active_groups[state.group_of[j]]:
+                state.alpha = max(state.alpha, float(d_open[j]))
+                _connect(state, j)
+                if trace is not None:
+                    trace.events.append(("connect", state.alpha, int(fac_open[j]), (j,)))
+        return ready.size > 0
+
     guard = n + m + 1
     while state.active_groups.any():
         guard -= 1
@@ -206,97 +222,52 @@ def _dual_fit(
         if not active.any():
             raise GreedyError("active group with no available clients")
 
-        best: tuple = (np.inf, m, n, "none")
-        act_idx = np.flatnonzero(active)
-        reachable = act_idx[np.isfinite(d_open[act_idx])]
-        if reachable.size:
-            t_a = d_open[reachable].min()
-            hits = reachable[d_open[reachable] == t_a]
-            pairs = sorted((int(fac_open[j]), int(j)) for j in hits)
-            best = (float(t_a), pairs[0][0], pairs[0][1], "connect")
-
-        closed = np.flatnonzero(~is_open)
-        stale_bound = np.inf
-        if closed.size:
-            left = np.flatnonzero(seen & ~active)
-            if left.size:
-                np.minimum(left_min, dist[:, left].min(axis=1), out=left_min)
-            lost = recheck | ((left_min <= open_time + 2 * _TIME_TOL) & ~fixed)
-            stale = closed[lost[closed]]
-            if 2 * act_idx.size < order.shape[1]:
-                # clients never re-enter play: drop the departed ones from the sorted rows
-                keep = active[order]
-                dist_sorted = dist_sorted[keep].reshape(m, act_idx.size)
-                order = order[keep].reshape(m, act_idx.size)
-            if stale.size:
-                open_time[stale] = _opening_times(
-                    dist_sorted, order, active, costs[stale], state.alpha, stale
-                )
-                left_min[stale] = np.inf
-            seen = active
-            times = open_time[closed]
-            pos = int(np.argmin(times))  # first occurrence = lowest facility index
-            cand = (float(times[pos]), int(closed[pos]), -1, "open")
-            if cand[:3] < best[:3]:
-                best = cand
-
-        t, facility, client, kind = best
+        left = np.flatnonzero(seen & ~active)
+        if left.size:
+            np.minimum(left_min, dist[:, left].min(axis=1), out=left_min)
+        lost = recheck | ((left_min <= open_time + 2 * _TIME_TOL) & ~fixed)
+        stale = np.flatnonzero(lost & ~is_open)
+        n_act = int(np.count_nonzero(active))
+        if 2 * n_act < order.shape[1]:
+            # clients never re-enter play: drop the departed ones from the sorted rows
+            keep = active[order]
+            dist_sorted = dist_sorted[keep].reshape(m, n_act)
+            order = order[keep].reshape(m, n_act)
+        if stale.size:
+            open_time[stale] = _opening_times(
+                dist_sorted, order, active, costs[stale], state.alpha, stale
+            )
+            left_min[stale] = np.inf
+        seen = active
+        facility = int(np.argmin(open_time))  # first occurrence = lowest facility index
+        t = float(open_time[facility])
+        if drain(t, facility):
+            continue
         if not np.isfinite(t):
             raise GreedyError("no next event despite unmet coverage")
         if t < state.alpha - _TIME_TOL:
             raise GreedyError(f"next event at {t!r} precedes the clock {state.alpha!r}")
         state.alpha = max(state.alpha, t)
 
-        if kind == "connect":
-            _connect(state, client)
-            if trace is not None:
-                trace.events.append(("connect", state.alpha, facility, (client,)))
-            if closed.size:
-                stale_bound = float(times.min())
-        else:
-            # facility opens: in-range clients connect in ascending distance order
-            state.open.append(facility)
-            state.open.sort()
-            is_open[facility] = True
-            row = dist[facility]
-            better = (row < d_open) | ((row == d_open) & (facility < fac_open))
-            d_open[better] = row[better]
-            fac_open[better] = facility
-            in_range = np.flatnonzero(active & (row <= state.alpha + _TIME_TOL))
-            batch = []
-            for j in in_range[np.lexsort((in_range, row[in_range]))]:
-                g = int(state.group_of[j])
-                if not state.active_groups[g]:
-                    continue
-                _connect(state, int(j))
-                batch.append(int(j))
-            if trace is not None:
-                trace.events.append(("open", state.alpha, facility, tuple(batch)))
-            still_closed = times[closed != facility] if closed.size else times[:0]
-            if still_closed.size:
-                stale_bound = float(still_closed.min())
-
-        # Cheap phase: removing clients from play only delays facility
-        # openings, so every connection strictly below the pre-event opening
-        # bound fires before any facility opens; drain them without
-        # recomputing opening times.
-        if not state.active_groups.any():
-            break
-        active = state.active_clients()
-        ready = np.flatnonzero(active & (d_open < stale_bound))
-        if ready.size:
-            for j in ready[np.lexsort((ready, fac_open[ready], d_open[ready]))]:
-                j = int(j)
-                if state.connected[j] or state.withdrawn[j]:
-                    continue
-                if not state.active_groups[state.group_of[j]]:
-                    continue
-                state.alpha = max(state.alpha, float(d_open[j]))
+        # facility opens: in-range clients connect in ascending distance order
+        state.open.append(facility)
+        state.open.sort()
+        is_open[facility] = True
+        open_time[facility] = np.inf
+        row = dist[facility]
+        better = (row < d_open) | ((row == d_open) & (facility < fac_open))
+        d_open[better] = row[better]
+        fac_open[better] = facility
+        in_range = np.flatnonzero(active & (row <= state.alpha + _TIME_TOL))
+        batch = []
+        for j in in_range[np.lexsort((in_range, row[in_range]))].tolist():
+            if state.active_groups[state.group_of[j]]:
                 _connect(state, j)
-                if trace is not None:
-                    trace.events.append(("connect", state.alpha, int(fac_open[j]), (j,)))
-                if not state.active_groups.any():
-                    break
+                batch.append(j)
+        if trace is not None:
+            trace.events.append(("open", state.alpha, facility, tuple(batch)))
+        facility = int(np.argmin(open_time))
+        drain(float(open_time[facility]), facility)
     return state
 
 

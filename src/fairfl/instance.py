@@ -243,11 +243,14 @@ def nearest_rows(sub: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return low, first
 
 
-def _client_index(j):
-    """``j`` checked to be an integer: a float or bool, which the int64
-    conversion would truncate or read as 0/1, raises ``ValueError``."""
+def _index(j, count: int, role: str, noun: str):
+    """``j`` checked to be an index into ``range(count)``.  A float or bool,
+    which the int64 conversion would truncate or read as 0/1, or an integer
+    outside the range raises ``ValueError`` naming it."""
     if isinstance(j, (bool, np.bool_)) or not isinstance(j, (int, np.integer)):
-        raise ValueError(f"dropped client {j} is not an integer index")
+        raise ValueError(f"{role} {noun} {j} is not an integer index")
+    if not 0 <= j < count:
+        raise ValueError(f"{role} index {j} names no {noun} (there are {count})")
     return j
 
 
@@ -260,15 +263,13 @@ def assign_nearest(
 
     ``dropped`` is one flat collection of integer client indices; each
     group's outlier set is the dropped clients ``inst.groups`` files under
-    it.  An index outside ``[0, n_clients)``, or a float or bool entry,
-    raises ``ValueError``.
+    it.  ``open_facilities`` holds integer facility indices.  A float or bool
+    entry in either, or an index outside ``[0, n_clients)`` or
+    ``[0, n_facilities)`` respectively, raises ``ValueError``.
     """
-    n = inst.n_clients
-    open_set = frozenset(int(i) for i in open_facilities)
-    idx = np.fromiter(map(_client_index, dropped), dtype=np.int64)
-    stray = idx[(idx < 0) | (idx >= n)]
-    if stray.size:
-        raise ValueError(f"dropped index {stray[0]} names no client (there are {n})")
+    n, m = inst.n_clients, inst.n_facilities
+    open_set = frozenset(int(_index(i, m, "open", "facility")) for i in open_facilities)
+    idx = np.fromiter((_index(j, n, "dropped", "client") for j in dropped), dtype=np.int64)
     is_dropped = np.zeros(n, dtype=bool)
     is_dropped[idx] = True
     outliers = tuple(frozenset(mem[is_dropped[mem]].tolist()) for mem in inst.group_members)
@@ -289,7 +290,8 @@ def solution_cost(inst: MetricInstance, sol: IntegralSolution, objective: str) -
     """Recompute a solution's objective value from first principles.
 
     ``facility_location`` counts opening plus connection cost; ``k_median``
-    counts connection cost only.  Raises if any client is assigned to a
+    counts connection cost only.  Raises ``ValueError`` if an assigned client
+    or an open facility is out of range, or if a client is assigned to a
     facility outside the open set.
     """
     if objective not in (FACILITY_LOCATION, K_MEDIAN):
@@ -297,10 +299,16 @@ def solution_cost(inst: MetricInstance, sol: IntegralSolution, objective: str) -
     size = len(sol.assignment)
     clients = np.fromiter(sol.assignment.keys(), dtype=np.int64, count=size)
     facilities = np.fromiter(sol.assignment.values(), dtype=np.int64, count=size)
+    stray = clients[(clients < 0) | (clients >= inst.n_clients)]
+    if stray.size:
+        raise ValueError(f"assigned index {stray[0]} names no client (there are {inst.n_clients})")
     closed = np.flatnonzero(~np.isin(facilities, list(sol.open)))
     if closed.size:
         p = closed[0]
         raise ValueError(f"client {clients[p]} assigned to closed facility {facilities[p]}")
+    stray = sorted(i for i in sol.open if not 0 <= i < inst.n_facilities)
+    if stray:
+        raise ValueError(f"open index {stray[0]} names no facility (there are {inst.n_facilities})")
     # left to right in the assignment's order
     connection = float(np.cumsum(inst.distances()[facilities, clients])[-1]) if size else 0.0
     if objective == K_MEDIAN:

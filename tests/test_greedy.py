@@ -59,6 +59,24 @@ class TestEventMechanics:
         assert [e[1] for e in connects] == pytest.approx([0.5, 2.0])
         assert sol.total_cost == pytest.approx(2.5)
 
+    @pytest.mark.parametrize("swap", [False, True])
+    def test_connection_and_opening_tied_in_time_go_by_facility_index(self, swap):
+        # client 0 reaches the free facility at t = 2, when the other one's
+        # surplus (2t from clients 1 and 2 at distance 0) covers its cost 4;
+        # the lower facility index goes first
+        fac, costs = [[0.0], [10.0]], [0.0, 4.0]
+        if swap:
+            fac, costs = fac[::-1], costs[::-1]
+        inst = tiny([[2.0], [10.0], [10.0]], [0, 0, 0], fac, costs)
+        trace = DualTrace()
+        gdf_f(inst, OutlierBudgets((0,)), trace)
+        if swap:
+            assert trace.events == [("open", 0.0, 1, ()), ("open", 2.0, 0, (1, 2)),
+                                    ("connect", 2.0, 1, (0,))]
+        else:
+            assert trace.events == [("open", 0.0, 0, ()), ("connect", 2.0, 0, (0,)),
+                                    ("open", 2.0, 1, (1, 2))]
+
     def test_alpha_nondecreasing_and_unique_events(self, rng):
         for _ in range(20):
             inst = random_instance(rng, max_n=14, max_m=5)
@@ -250,8 +268,6 @@ def _reference_dual_fit(
         coverage_target=np.asarray(targets, dtype=np.int64),
         connected_count=np.zeros(n_groups, dtype=np.int64),
         active_groups=np.ones(n_groups, dtype=bool),
-        dist=dist,
-        open_costs=inst.open_costs,
         group_of=np.asarray(group_of, dtype=np.int64),
     )
     for g in range(n_groups):
@@ -513,6 +529,28 @@ class TestBlockedOpeningTimes:
             costs[costs > 0] *= float(rng.choice([0.1, 1.0, 20.0]))
             active = rng.random(n) < rng.choice([0.1, 0.5, 1.0])
             self._check(ds, order, active, costs, float(rng.random()))
+
+
+class TestOpeningTimeWork:
+    def test_recomputed_rows_on_the_synthetic_sweep(self, monkeypatch):
+        # kept opening times are recomputed only where an event can change
+        # them, and connections that order before the earliest kept opening
+        # are drained without any recompute; a wrapper on the module's
+        # _opening_times sees every recompute
+        work = [0, 0]
+
+        def counting(dist_sorted, order, active, costs, alpha, rows=None):
+            work[0] += 1
+            work[1] += dist_sorted.shape[0] if rows is None else len(rows)
+            return _opening_times(dist_sorted, order, active, costs, alpha, rows)
+
+        monkeypatch.setattr(greedy_mod, "_opening_times", counting)
+        inst = prune_pairs(generate_synthetic(SyntheticConfig(seed=0))[0])
+        for pct in range(1, 11):
+            budgets = budgets_from_pct(inst, float(pct))
+            gdf_f(inst, budgets)
+            gdf_nf(inst, budgets.total)
+        assert work == [693, 43221]
 
 
 class TestIncrementalMatchesFullRecompute:

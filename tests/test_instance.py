@@ -240,6 +240,23 @@ class TestSolutionCost:
             )
 
 
+    @pytest.mark.parametrize("assignment, opens, message", [
+        ({0: -1, 1: -1, 2: -1}, {-1}, "open index -1 names no facility"),
+        ({0: 2}, {0, 2}, "open index 2 names no facility"),
+        ({}, {5}, "open index 5 names no facility"),
+        ({-1: 0}, {0}, "assigned index -1 names no client"),
+        ({0: 0, 3: 0}, {0}, "assigned index 3 names no client"),
+    ])
+    def test_rejects_indices_that_name_nothing(self, assignment, opens, message):
+        # negative indices would wrap: facility -1 would be costed as facility 1
+        # and client -1 as client 2
+        inst = simple_instance([[0.0], [1.0], [5.0]], [0, 0, 0], [[0.0], [5.0]], [1.0, 4.0])
+        bad = IntegralSolution(frozenset(opens), (frozenset(),), assignment, 0.0, 0.0)
+        for objective in (FACILITY_LOCATION, K_MEDIAN):
+            with pytest.raises(ValueError, match=message):
+                solution_cost(inst, bad, objective)
+
+
 class TestAssignNearest:
     def test_tie_breaks_to_lowest_facility_index(self):
         inst = simple_instance([[0.0]], [0], [[1.0], [-1.0]], [0.0, 0.0])
@@ -290,6 +307,30 @@ class TestAssignNearest:
         inst = simple_instance([[0.0], [1.0], [2.0]], [0, 1, 1], [[0.0]], [1.0])
         with pytest.raises(ValueError, match=f"dropped client {value} is not an integer index"):
             assign_nearest(inst, [0], dropped)
+
+    @pytest.mark.parametrize("opens, message", [
+        ([-1], "open index -1 names no facility"), ([7], "open index 7 names no facility"),
+        ([0, 2], "open index 2 names no facility"), (np.array([1, -2]), "open index -2"),
+        ([1.5], "open facility 1.5 is not an integer index"),
+        ([True], "open facility True is not an integer index"),
+        ([np.float64(1.0)], "open facility 1.0 is not an integer index"),
+        (np.array([False, True]), "open facility False is not an integer index"),
+    ])
+    def test_rejects_open_entries_that_name_no_facility(self, opens, message):
+        # -1 would open facility 1 under the name -1, 1.5 and True would open
+        # facility 1, and 7 would fail with an IndexError
+        inst = simple_instance([[0.0], [1.0], [2.0]], [0, 1, 1], [[0.0], [3.0]], [1.0, 2.0])
+        for dropped in ([], [0, 1, 2]):
+            with pytest.raises(ValueError, match=message):
+                assign_nearest(inst, opens, dropped)
+
+    def test_accepts_integer_open_facilities_of_any_width(self):
+        inst = simple_instance([[0.0], [1.0], [2.0]], [0, 1, 1], [[0.0], [3.0]], [1.0, 2.0])
+        want = assign_nearest(inst, [1, 0], [])
+        for dtype in (np.int8, np.uint8, np.int16, np.uint16, np.int32, np.uint32, np.int64, np.uint64):
+            sol = assign_nearest(inst, np.array([1, 0], dtype=dtype), [])
+            assert sol == want
+            assert {type(i) for i in sol.open} == {int}
 
     def test_accepts_empty_collections_and_integer_arrays(self):
         inst = simple_instance([[0.0], [1.0], [2.0]], [0, 1, 1], [[0.0]], [1.0])
