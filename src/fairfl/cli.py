@@ -282,6 +282,10 @@ def read_instance_csv(path: str) -> tuple[MetricInstance, tuple[str, ...]]:
         header = next(reader)
         dim = len(header) - 3
         for row in reader:
+            if len(row) != len(header):
+                raise DataError(
+                    f"{path}, line {reader.line_num}: {len(row)} cells, the header has {len(header)}"
+                )
             kind = row[0]
             coords = [float(v) for v in row[3 : 3 + dim]]
             if kind == "client":
@@ -383,8 +387,8 @@ def _cell_worker(algo: str, pct: float, inst: MetricInstance, budgets: OutlierBu
 def _verify_cell(algo: str, pct: float, inst: MetricInstance, sol: IntegralSolution,
                  cost: float, problem: str) -> None:
     """Recompute a cell's cost from its solution (``solution_cost``, to 1e-9
-    relative) and check that each group's outlier count is the number of
-    that group's clients the assignment leaves out."""
+    relative) and check that each group's outliers are exactly that group's
+    clients the assignment leaves out."""
     where = f"{algo} at pct {pct:g}"
     try:
         recomputed = solution_cost(inst, sol, FACILITY_LOCATION if problem == "fl" else K_MEDIAN)
@@ -399,6 +403,14 @@ def _verify_cell(algo: str, pct: float, inst: MetricInstance, sol: IntegralSolut
         raise CellCheckError(
             f"{where}: outlier counts {sol.outlier_counts()} != unassigned clients per group {left_out}"
         )
+    for g, (members, outliers) in enumerate(zip(inst.group_members, sol.outliers)):
+        named = np.sort(np.fromiter(outliers, dtype=np.int64, count=len(outliers)))
+        unassigned = members[~assigned[members]]
+        if not np.array_equal(named, unassigned):
+            client = np.setxor1d(named, unassigned)[0]
+            raise CellCheckError(
+                f"{where}: group {g}'s outliers are not its unassigned clients (client {client})"
+            )
 
 
 def _chain_worker(payload) -> tuple[list[SweepRecord], list[float]]:

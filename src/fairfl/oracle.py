@@ -29,12 +29,6 @@ def _check_guard(inst: MetricInstance) -> None:
         )
 
 
-def _all_droppable(inst: MetricInstance, budgets: OutlierBudgets) -> bool:
-    return all(
-        cap >= len(members) for cap, members in zip(budgets.per_group, inst.group_members)
-    )
-
-
 def _cheapest(scored: Iterable[tuple[float, tuple[int, ...]]]) -> tuple[float, tuple[int, ...]]:
     """The cheapest (cost, subset) of a non-empty stream.  Costs within
     1e-12 (relative) tie, and ties resolve to the lexicographically smallest
@@ -55,63 +49,44 @@ def _subsets(m: int, k: int) -> Iterator[tuple[int, ...]]:
         yield from combinations(range(m), size)
 
 
+def _exact(
+    inst: MetricInstance, budgets: OutlierBudgets, k: int, fees: np.ndarray
+) -> IntegralSolution:
+    """The cheapest solution over every subset of at most ``k`` facilities,
+    the empty one included.
+
+    A subset costs its directly summed ``fees`` plus the kept connection
+    cost of its per-group farthest drop, the optimal outliers for a fixed
+    open set.  With nobody open every client is infinitely far, so the empty
+    subset costs 0 when every group may drop all its clients and +inf
+    otherwise.  Raises ``OracleError`` when every subset costs +inf.
+    """
+    dist = inst.distances()
+
+    def score(subset: tuple[int, ...]) -> tuple[float, list[int]]:
+        rows = np.array(subset, dtype=np.intp)
+        nearest = dist.take(rows, axis=0).min(axis=0, initial=np.inf)
+        kept, dropped = _drop_farthest(inst.group_members, nearest, budgets.per_group)
+        return float(fees.take(rows).sum()) + kept, dropped
+
+    subsets = chain([()], _subsets(inst.n_facilities, k))
+    cost, best = _cheapest((score(s)[0], s) for s in subsets)
+    if not np.isfinite(cost):
+        raise OracleError("no facility subset has a finite cost")
+    return assign_nearest(inst, best, score(best)[1])
+
+
 def exact_flfo(inst: MetricInstance, budgets: OutlierBudgets) -> IntegralSolution:
     """Brute-force optimum for facility location with per-group outliers.
 
-    Walks all facility subsets in Gray-code order, maintaining each client's
-    distance to the current subset incrementally; for a fixed subset the
-    best outliers are the per-group farthest clients.  Cost ties resolve to
-    the lexicographically smallest open set.  Raises ``OracleError`` when
-    every subset that can serve the non-outliers costs +inf.
+    Scores every facility subset; for a fixed subset the best outliers are
+    the per-group farthest clients.  Cost ties resolve to the
+    lexicographically smallest open set.  Raises ``OracleError`` when every
+    subset that can serve the non-outliers costs +inf.
     """
     _check_guard(inst)
     budgets.validate_for(inst)
-    dist = inst.distances()
-    costs = inst.open_costs
-    members = inst.group_members
-
-    def gray_walk():
-        nearest = np.full(inst.n_clients, np.inf)
-        open_rows: list[int] = []
-        # finite opening costs are summed; infinite ones only counted, so
-        # that closing one never leaves inf - inf in the sum
-        f_sum, n_inf = 0.0, 0
-        for step in range(1, 1 << inst.n_facilities):
-            bit = (step & -step).bit_length() - 1
-            sign = -1 if bit in open_rows else 1
-            if np.isinf(costs[bit]):
-                n_inf += sign
-            else:
-                f_sum += sign * costs[bit]
-            if sign < 0:
-                open_rows.remove(bit)
-                affected = dist[bit] <= nearest
-                if open_rows:
-                    nearest[affected] = dist[np.asarray(open_rows)][:, affected].min(axis=0)
-                else:
-                    nearest[affected] = np.inf
-            else:
-                open_rows.append(bit)
-                nearest = np.minimum(nearest, dist[bit])
-            kept, _ = _drop_farthest(members, nearest, budgets.per_group)
-            yield (np.inf if n_inf else f_sum + kept), tuple(sorted(open_rows))
-
-    empty = [(0.0, ())] if _all_droppable(inst, budgets) else []
-    best_cost, best_subset = _cheapest(chain(empty, gray_walk()))
-    if not np.isfinite(best_cost):
-        raise OracleError("no facility subset has a finite cost")
-    return _rebuild(inst, budgets, best_subset)
-
-
-def _rebuild(
-    inst: MetricInstance, budgets: OutlierBudgets, subset: tuple[int, ...]
-) -> IntegralSolution:
-    if subset:
-        nearest = inst.distances()[np.asarray(subset)].min(axis=0)
-    else:
-        nearest = np.full(inst.n_clients, np.inf)
-    _, dropped = _drop_farthest(inst.group_members, nearest, budgets.per_group)
-    return assign_nearest(inst, subset, dropped)
+    return _exact(inst, budgets, inst.n_facilities, inst.open_costs)
 
 
 def exact_kmfo(inst: MetricInstance, budgets: OutlierBudgets, k: int) -> IntegralSolution:
@@ -120,14 +95,7 @@ def exact_kmfo(inst: MetricInstance, budgets: OutlierBudgets, k: int) -> Integra
     budgets.validate_for(inst)
     if not 1 <= k <= inst.n_facilities:
         raise ValueError(f"k={k} outside [1, {inst.n_facilities}]")
-    dist = inst.distances()
-    empty = [(0.0, ())] if _all_droppable(inst, budgets) else []
-    scored = (
-        (_drop_farthest(inst.group_members, dist[np.asarray(s)].min(axis=0), budgets.per_group)[0], s)
-        for s in _subsets(inst.n_facilities, k)
-    )
-    _, best_subset = _cheapest(chain(empty, scored))
-    return _rebuild(inst, budgets, best_subset)
+    return _exact(inst, budgets, k, np.zeros(inst.n_facilities))
 
 
 def exact_kmp(pinst: PenaltyInstance) -> PenaltySolution:

@@ -10,13 +10,15 @@ import pytest
 from fairfl.cli import (
     CONFIG_KEYS,
     CSV_HEADER,
+    CellCheckError,
     ConfigError,
+    _verify_cell,
     budgets_from_pct,
     main,
     parse_config_file,
     read_instance_csv,
 )
-from fairfl import MetricInstance, generate_synthetic, SyntheticConfig
+from fairfl import IntegralSolution, MetricInstance, generate_synthetic, SyntheticConfig
 
 
 def small_config(tmp_path, **extra):
@@ -244,6 +246,16 @@ class TestCellVerification:
         )
         assert out.returncode == 3, out.stderr
         assert message in out.stderr
+
+    def test_outlier_sets_must_be_the_unassigned_clients(self):
+        # client 0 is served and named an outlier, client 1 is neither; the
+        # counts agree (one outlier, one unassigned client) and so does the cost
+        inst = MetricInstance(np.array([[0.0], [5.0], [2.0]]), [0, 0, 0], np.array([[0.0]]), [1.0])
+        sol = IntegralSolution(frozenset({0}), (frozenset({0}),), {0: 0, 2: 0}, 1.0, 2.0)
+        with pytest.raises(CellCheckError, match=r"gdf-f at pct 10: group 0's outliers .*client 0"):
+            _verify_cell("gdf-f", 10.0, inst, sol, 3.0, "fl")
+        fixed = IntegralSolution(frozenset({0}), (frozenset({1}),), {0: 0, 2: 0}, 1.0, 2.0)
+        _verify_cell("gdf-f", 10.0, inst, fixed, 3.0, "fl")
 
 
 class TestConfigFile:
@@ -522,6 +534,14 @@ class TestGenerate:
         main(["generate", "--config", cfg, "--out", str(out)])
         rc = main(["solve", "--dataset", str(out), "--algo", "gdf-f", "--pct", "10"])
         assert rc == 0
+
+    @pytest.mark.parametrize("row", ["client", "facility,,1.0"])
+    def test_short_row_exits_2(self, tmp_path, capsys, row):
+        path = tmp_path / "inst.csv"
+        path.write_text(f"kind,group,cost,x0,x1\nclient,a,,0.0,1.0\n{row}\n", encoding="utf-8")
+        assert main(["solve", "--dataset", str(path), "--algo", "gdf-f", "--pct", "10"]) == 2
+        err = capsys.readouterr().err
+        assert f"{path}, line 3: {len(row.split(','))} cells, the header has 5" in err
 
     def test_generate_needs_out(self, tmp_path):
         cfg = small_config(tmp_path)

@@ -327,6 +327,60 @@ class TestPlainLocalSearchBaseline:
         assert dropped.connection_cost <= full.connection_cost + 1e-12
 
 
+class TestNeverBeatsOracles:
+    """The local searches are lower-bounded by the exhaustive optima on
+    instances with up to six facilities.  Only the bound is asserted; the
+    5x factor is asserted only with every penalty infinite
+    (``TestLocalSearch`` and acceptance criterion 9)."""
+
+    @staticmethod
+    def _instance(data, st, n_groups):
+        n = data.draw(st.integers(n_groups, 10))
+        m = data.draw(st.integers(1, 6))
+        coord = st.one_of(st.integers(0, 3).map(float), st.floats(0.0, 4.0))
+        clients = data.draw(st.lists(st.tuples(coord, coord), min_size=n, max_size=n))
+        facilities = data.draw(st.lists(st.tuples(coord, coord), min_size=m, max_size=m))
+        groups = np.arange(n) % n_groups
+        costs = data.draw(st.lists(st.floats(0.0, 2.0), min_size=m, max_size=m))
+        return MetricInstance(np.array(clients), groups, np.array(facilities), costs)
+
+    def test_penalty_search_costs_at_least_exact_kmp(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = pytest.importorskip("hypothesis.strategies")
+
+        @hypothesis.settings(max_examples=200, deadline=None, database=None)
+        @hypothesis.given(st.data())
+        def check(data):
+            inst = self._instance(data, st, data.draw(st.integers(1, 3)))
+            n = inst.n_clients
+            pen = data.draw(st.lists(
+                st.one_of(st.just(np.inf), st.just(0.0), st.floats(0.0, 6.0)),
+                min_size=n, max_size=n))
+            k = data.draw(st.integers(1, inst.n_facilities))
+            improve_frac = data.draw(st.sampled_from([1e-3, 0.01, 0.1, 0.5]))
+            pinst = PenaltyInstance(inst, k, np.array(pen))
+            sol = local_search_penalties(pinst, improve_frac)
+            assert sol.total_cost >= exact_kmp(pinst).total_cost - 1e-9
+
+        check()
+
+    def test_ls_nf_costs_at_least_exact_kmfo_on_one_group(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = pytest.importorskip("hypothesis.strategies")
+
+        @hypothesis.settings(max_examples=200, deadline=None, database=None)
+        @hypothesis.given(st.data())
+        def check(data):
+            inst = self._instance(data, st, 1)
+            total = data.draw(st.integers(0, inst.n_clients))
+            k = data.draw(st.integers(1, inst.n_facilities))
+            sol = ls_nf(inst, total, k)
+            best = exact_kmfo(inst, OutlierBudgets((total,)), k)
+            assert sol.connection_cost >= best.connection_cost - 1e-9
+
+        check()
+
+
 # ---------------------------------------------------------------------------
 # The swap scan as it was before the blocked, penalty-clipped kernel (full
 # candidate matrices per outgoing facility, a stable argsort for the two

@@ -1,4 +1,4 @@
-from itertools import combinations
+from itertools import chain, combinations
 
 import numpy as np
 import pytest
@@ -13,6 +13,9 @@ from fairfl import (
     exact_kmfo,
     exact_kmp,
 )
+from fairfl.instance import assign_nearest
+from fairfl.kmedian import _drop_farthest
+from fairfl.oracle import _cheapest, _check_guard, _subsets
 from conftest import random_budgets, random_instance
 
 
@@ -113,12 +116,27 @@ class TestExactFlfo:
             exact_flfo(inst, OutlierBudgets((0,)))
 
     def test_infinite_cost_leaving_the_subset(self):
-        # the Gray-code walk opens {0}, {0,1}, {1}, {1,2}, {0,1,2}, {0,2}, {2}:
-        # closing facility 1 must not poison the later subsets' opening costs
+        # facility 1 costs +inf: every subset holding it must cost +inf and
+        # every subset without it a finite sum, so {2} wins
         inst = tiny([[1.0], [1.0]], [0, 0], [[0.0], [5.0], [1.0]], [10.0, np.inf, 1.0])
         sol = exact_flfo(inst, OutlierBudgets((0,)))
         assert sol.open == frozenset({2})
         assert sol.total_cost == 1.0
+
+    def test_equal_cheapest_costs_open_the_lower_index(self):
+        # one client on 16 co-located facilities whose two cheapest opening
+        # costs are equal: an opening-cost sum carried from subset to subset
+        # across all 2^16 of them drifts past the 1e-12 tie tolerance and
+        # opens the higher index (draw 3: {15} instead of {10})
+        rng = np.random.default_rng(3)
+        for _ in range(4):
+            costs = rng.uniform(1, 1000, 16)
+            a, b = sorted(rng.choice(16, 2, replace=False))
+            costs[a] = costs[b] = costs.min() * 0.5
+            inst = tiny([[0.0, 0.0]], [0], np.zeros((16, 2)), costs)
+            sol = exact_flfo(inst, OutlierBudgets((0,)))
+            assert sol.open == frozenset({int(a)})
+            assert sol.total_cost == costs[a]
 
     def test_no_finite_subset_raises(self):
         inst = tiny([[0.0], [1.0]], [0, 0], [[0.0], [1.0]], [np.inf, np.inf])
@@ -191,3 +209,134 @@ class TestExactKmp:
         inst = tiny([[0.0]], [0], [[float(i)] for i in range(21)], [0.0] * 21)
         with pytest.raises(ValueError, match="guard"):
             exact_kmp(PenaltyInstance(inst, 1, np.zeros(1)))
+
+
+# ---------------------------------------------------------------------------
+# exact_flfo and exact_kmfo as they were before one direct enumeration served
+# both, kept verbatim as the differential reference: exact_flfo walked the
+# subsets in Gray-code order and kept a running opening-cost sum
+
+
+def _all_droppable(inst: MetricInstance, budgets: OutlierBudgets) -> bool:
+    return all(
+        cap >= len(members) for cap, members in zip(budgets.per_group, inst.group_members)
+    )
+
+
+def _reference_exact_flfo(inst: MetricInstance, budgets: OutlierBudgets):
+    _check_guard(inst)
+    budgets.validate_for(inst)
+    dist = inst.distances()
+    costs = inst.open_costs
+    members = inst.group_members
+
+    def gray_walk():
+        nearest = np.full(inst.n_clients, np.inf)
+        open_rows: list[int] = []
+        # finite opening costs are summed; infinite ones only counted, so
+        # that closing one never leaves inf - inf in the sum
+        f_sum, n_inf = 0.0, 0
+        for step in range(1, 1 << inst.n_facilities):
+            bit = (step & -step).bit_length() - 1
+            sign = -1 if bit in open_rows else 1
+            if np.isinf(costs[bit]):
+                n_inf += sign
+            else:
+                f_sum += sign * costs[bit]
+            if sign < 0:
+                open_rows.remove(bit)
+                affected = dist[bit] <= nearest
+                if open_rows:
+                    nearest[affected] = dist[np.asarray(open_rows)][:, affected].min(axis=0)
+                else:
+                    nearest[affected] = np.inf
+            else:
+                open_rows.append(bit)
+                nearest = np.minimum(nearest, dist[bit])
+            kept, _ = _drop_farthest(members, nearest, budgets.per_group)
+            yield (np.inf if n_inf else f_sum + kept), tuple(sorted(open_rows))
+
+    empty = [(0.0, ())] if _all_droppable(inst, budgets) else []
+    best_cost, best_subset = _cheapest(chain(empty, gray_walk()))
+    if not np.isfinite(best_cost):
+        raise OracleError("no facility subset has a finite cost")
+    return _reference_rebuild(inst, budgets, best_subset)
+
+
+def _reference_rebuild(inst: MetricInstance, budgets: OutlierBudgets, subset: tuple[int, ...]):
+    if subset:
+        nearest = inst.distances()[np.asarray(subset)].min(axis=0)
+    else:
+        nearest = np.full(inst.n_clients, np.inf)
+    _, dropped = _drop_farthest(inst.group_members, nearest, budgets.per_group)
+    return assign_nearest(inst, subset, dropped)
+
+
+def _reference_exact_kmfo(inst: MetricInstance, budgets: OutlierBudgets, k: int):
+    _check_guard(inst)
+    budgets.validate_for(inst)
+    if not 1 <= k <= inst.n_facilities:
+        raise ValueError(f"k={k} outside [1, {inst.n_facilities}]")
+    dist = inst.distances()
+    empty = [(0.0, ())] if _all_droppable(inst, budgets) else []
+    scored = (
+        (_drop_farthest(inst.group_members, dist[np.asarray(s)].min(axis=0), budgets.per_group)[0], s)
+        for s in _subsets(inst.n_facilities, k)
+    )
+    _, best_subset = _cheapest(chain(empty, scored))
+    return _reference_rebuild(inst, budgets, best_subset)
+
+
+def _outcome(solve, *args):
+    try:
+        sol = solve(*args)
+    except OracleError as exc:
+        return ("OracleError", str(exc))
+    return sol.open, sol.outliers, sol.total_cost.hex()
+
+
+def _differential_cases(rng, count):
+    """Random instances with up to 10 facilities, some with infinite opening
+    costs, and budgets that sometimes let every group drop all its clients."""
+    for trial in range(count):
+        inst = random_instance(rng, max_n=10, max_m=10)
+        if trial % 3 == 0:
+            costs = inst.open_costs.copy()
+            costs[rng.random(inst.n_facilities) < 0.4] = np.inf
+            inst = MetricInstance(inst.client_coords, inst.groups, inst.facility_coords, costs)
+        if trial % 5 == 0:
+            budgets = OutlierBudgets(tuple(len(g) for g in inst.group_members))
+        else:
+            budgets = random_budgets(rng, inst)
+        yield inst, budgets
+
+
+class TestMatchesGrayCodeWalk:
+    """One direct enumeration against the parent's two loops: the same open
+    set, outliers and cost bits wherever the walk's running sum stays within
+    the tie tolerance, which it does at these sizes."""
+
+    def test_exact_flfo(self, random_suite):
+        rng = np.random.default_rng(5150)
+        cases = chain(random_suite, _differential_cases(rng, 300))
+        kinds = {"raised": 0, "empty": 0, "inf_cost": 0}
+        for inst, budgets in cases:
+            got = _outcome(exact_flfo, inst, budgets)
+            assert got == _outcome(_reference_exact_flfo, inst, budgets)
+            kinds["raised"] += got[0] == "OracleError"
+            kinds["empty"] += got[0] == frozenset()
+            kinds["inf_cost"] += bool(np.isinf(inst.open_costs).any())
+        # the suite reaches the all-droppable empty set, infinite opening
+        # costs and the no-finite-subset error
+        assert all(kinds.values()), kinds
+
+    def test_exact_kmfo(self, random_suite):
+        rng = np.random.default_rng(5151)
+        cases = chain(random_suite, _differential_cases(rng, 300))
+        empty = 0
+        for inst, budgets in cases:
+            k = int(rng.integers(1, inst.n_facilities + 1))
+            got = _outcome(exact_kmfo, inst, budgets, k)
+            assert got == _outcome(_reference_exact_kmfo, inst, budgets, k)
+            empty += got[0] == frozenset()
+        assert empty
