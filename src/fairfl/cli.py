@@ -281,24 +281,31 @@ def read_instance_csv(path: str) -> tuple[MetricInstance, tuple[str, ...]]:
         reader = csv.reader(fh)
         header = next(reader)
         dim = len(header) - 3
+
+        def number(col: int) -> float:
+            """The current row's cell ``col`` as a float."""
+            try:
+                return float(row[col])
+            except ValueError:
+                raise DataError(f"{where}: {header[col]} cell {row[col]!r} is not a number") from None
+
         for row in reader:
+            where = f"{path}, line {reader.line_num}"
             if len(row) != len(header):
-                raise DataError(
-                    f"{path}, line {reader.line_num}: {len(row)} cells, the header has {len(header)}"
-                )
+                raise DataError(f"{where}: {len(row)} cells, the header has {len(header)}")
             kind = row[0]
-            coords = [float(v) for v in row[3 : 3 + dim]]
+            if kind not in ("client", "facility"):
+                raise DataError(f"{where}: unknown row kind {kind!r}")
+            coords = [number(col) for col in range(3, 3 + dim)]
             if kind == "client":
                 label = row[1]
                 if label not in names:
                     names[label] = len(names)
                 groups.append(names[label])
                 client_coords.append(coords)
-            elif kind == "facility":
-                costs.append(float(row[2]))
-                fac_coords.append(coords)
             else:
-                raise DataError(f"{path}: unknown row kind {kind!r}")
+                costs.append(number(2))
+                fac_coords.append(coords)
     inst = MetricInstance(np.array(client_coords), groups, np.array(fac_coords), costs)
     return inst, tuple(names)
 

@@ -22,18 +22,42 @@ is the clock, at every event).  Clients leaving beyond that radius cannot
 change t, so the event trace is bitwise the one full recomputation gives.
 Each recomputation reads only the active clients' sorted distances, and only
 as far along them as the opening time can still fall (see
-``_opening_times``); the sorted rows drop departed clients once half of them
-have left.
+``_opening_times``); a run sorts only the clients in play at its start, and
+the sorted rows drop departed clients once half of them have left.
+
+Targets act only through withdrawal, so until the first group meets its
+target every run on an instance makes the same events.  The loop therefore
+runs once per instance object with no group ever withdrawing (the free run,
+kept while the instance lives), and each call resumes it at the start of the
+loop iteration that holds the first connection at which one of its groups
+meets its target.  The resume restores the connected and open sets, the
+clock and every client's nearest open facility (lowest index on ties),
+replays the trace prefix and recomputes every closed facility's opening
+time.  Up to that connection the call's run and the free run are the same
+run, and a recompute gives every kept time bitwise, so the resumed events
+are the ones a run from the clock's start gives.  A group with target <= 0
+withdraws at the start, so such a call resumes at iteration 0: the plain
+run.  The iteration guard counts the replayed iterations, and a
+``GreedyError`` of the free run is raised again by a call resumed at the
+iteration that raised it.
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
-from .instance import IntegralSolution, MetricInstance, OutlierBudgets, assign_nearest
+from .instance import (
+    IntegralSolution,
+    MetricInstance,
+    OutlierBudgets,
+    assign_nearest,
+    check_total_budget,
+    nearest_rows,
+)
 
 _TIME_TOL = 1e-9
 _FIRST_WIDTH = 64  # first column block of ``_opening_times``
@@ -146,35 +170,148 @@ def _connect(state: DualState, j: int) -> None:
         state.withdrawn[rest] = True
 
 
+@dataclass(frozen=True)
+class _FreeRun:
+    """One instance's event loop run with no group ever withdrawing, until
+    it raises (at the latest when no client is left in play).
+
+    ``clients`` holds the clients in connection order.  Event e happens at
+    clock ``time[e]``: facility ``fac[e]`` opens (``opens[e]``) or a client
+    connects through it, and ``clients[ends[e]:ends[e + 1]]`` connect.
+    Loop iteration i starts once ``starts[i]`` events have happened.  Only
+    arrays of at most n + m + 1 entries are held, none of them the instance's.
+    """
+
+    clients: np.ndarray
+    opens: np.ndarray
+    time: np.ndarray
+    fac: np.ndarray
+    ends: np.ndarray
+    starts: np.ndarray
+
+    def resume_point(self, group_of: np.ndarray, targets: np.ndarray) -> int:
+        """The last loop iteration starting before the first connection at
+        which a group meets its (positive) target; the last recorded one if
+        no group meets its target within the record."""
+        seq = group_of[self.clients]
+        hit = self.clients.size
+        for g, target in enumerate(targets.tolist()):
+            pos = np.flatnonzero(seq == g)
+            if target <= pos.size:
+                hit = min(hit, int(pos[target - 1]))
+        return int(np.searchsorted(self.ends[self.starts], hit, side="right")) - 1
+
+    def replay(self, count: int) -> list[tuple]:
+        """The first ``count`` events as ``DualTrace`` records them."""
+        clients, ends = self.clients.tolist(), self.ends.tolist()
+        return [
+            ("open" if is_open else "connect", t, f, tuple(clients[ends[e] : ends[e + 1]]))
+            for e, (is_open, t, f) in enumerate(
+                zip(self.opens[:count].tolist(), self.time[:count].tolist(),
+                    self.fac[:count].tolist())
+            )
+        ]
+
+
+# free runs by instance object; an entry dies with its instance
+_free_runs: weakref.WeakKeyDictionary[MetricInstance, _FreeRun] = weakref.WeakKeyDictionary()
+
+
+def _free_run(inst: MetricInstance) -> _FreeRun:
+    """Run the event loop on ``inst`` with one group whose target exceeds
+    the client count, so nobody withdraws, and record it."""
+    n = inst.n_clients
+    state = DualState(
+        alpha=0.0,
+        connected=np.zeros(n, dtype=bool),
+        withdrawn=np.zeros(n, dtype=bool),
+        open=[],
+        coverage_target=np.array([n + 1], dtype=np.int64),
+        connected_count=np.zeros(1, dtype=np.int64),
+        active_groups=np.ones(1, dtype=bool),
+        group_of=np.zeros(n, dtype=np.int64),
+    )
+    trace, starts = DualTrace(), []
+    try:
+        _event_loop(inst, state, trace, n + inst.n_facilities + 1, starts)
+    except GreedyError:
+        pass  # a run resumed at the iteration that raised raises it again
+    events = trace.events
+    return _FreeRun(
+        clients=np.array([j for e in events for j in e[3]], dtype=np.int64),
+        opens=np.array([e[0] == "open" for e in events], dtype=bool),
+        time=np.array([e[1] for e in events], dtype=float),
+        fac=np.array([e[2] for e in events], dtype=np.int64),
+        ends=np.cumsum([0] + [len(e[3]) for e in events], dtype=np.int64),
+        starts=np.array(starts, dtype=np.int64),
+    )
+
+
 def _dual_fit(
     inst: MetricInstance,
     group_of: np.ndarray,
     targets: np.ndarray,
     trace: Optional[DualTrace] = None,
 ) -> DualState:
-    dist = inst.distances()
-    m, n = dist.shape
     group_of = np.asarray(group_of, dtype=np.int64)
     targets = np.asarray(targets, dtype=np.int64)
     playing = targets > 0  # a group with nothing to cover withdraws at the start
+    run = _free_runs.get(inst)
+    if run is None:
+        run = _free_runs[inst] = _free_run(inst)
+    # the free run's state at the start of iteration ``it`` is this run's
+    it = run.resume_point(group_of, targets) if playing.all() else 0
+    events = int(run.starts[it])
+    done = run.clients[: run.ends[events]]
+    connected = np.zeros(inst.n_clients, dtype=bool)
+    connected[done] = True
     state = DualState(
-        alpha=0.0,
-        connected=np.zeros(n, dtype=bool),
+        alpha=float(run.time[events - 1]) if events else 0.0,
+        connected=connected,
         withdrawn=~playing[group_of],
-        open=[],
+        open=sorted(run.fac[:events][run.opens[:events]].tolist()),
         coverage_target=targets,
-        connected_count=np.zeros(len(targets), dtype=np.int64),
+        connected_count=np.bincount(group_of[done], minlength=len(targets)),
         active_groups=playing,
         group_of=group_of,
     )
+    if trace is not None:
+        trace.events.extend(run.replay(events))
+    return _event_loop(inst, state, trace, inst.n_clients + inst.n_facilities + 1 - it)
 
-    order = np.argsort(dist, axis=1)  # tie order is immaterial: only sorted values are read
-    dist_sorted = np.take_along_axis(dist, order, axis=1)
+
+def _event_loop(
+    inst: MetricInstance,
+    state: DualState,
+    trace: Optional[DualTrace],
+    guard: int,
+    starts: Optional[list] = None,
+) -> DualState:
+    """Run the event loop from ``state`` while a group plays, at most
+    ``guard`` more iterations, with every closed facility's opening time
+    computed afresh at the first.  ``starts``, if given, gets the trace
+    length at each iteration's start."""
+    dist = inst.distances()
+    m, n = dist.shape
+    # only the clients in play are sorted, and in place: the two m x n_play
+    # arrays are all this allocates.  The tie order is immaterial, since
+    # only sorted values are read.
+    cols = np.flatnonzero(state.active_clients())
+    dist_sorted = dist[:, cols]
+    order = np.argsort(dist_sorted, axis=1)
+    dist_sorted.sort(axis=1)
+    for r in range(m):  # sorted positions to clients, one row at a time
+        order[r] = cols[order[r]]
 
     # nearest open facility per client, lowest index on distance ties
     d_open = np.full(n, np.inf)
     fac_open = np.full(n, m, dtype=np.int64)
     is_open = np.zeros(m, dtype=bool)
+    if state.open:
+        rows = np.array(state.open, dtype=np.int64)
+        is_open[rows] = True
+        d_open, first = nearest_rows(dist[rows])
+        fac_open = rows[first]
 
     # ``drain`` applies the ordering rule: at the top of the loop below the
     # earliest fresh opening time, after an opening below the earliest kept
@@ -213,8 +350,9 @@ def _dual_fit(
                     trace.events.append(("connect", state.alpha, int(fac_open[j]), (j,)))
         return ready.size > 0
 
-    guard = n + m + 1
     while state.active_groups.any():
+        if starts is not None:
+            starts.append(len(trace.events))
         guard -= 1
         if guard < 0:
             raise GreedyError("event loop failed to terminate")
@@ -289,8 +427,6 @@ def gdf_nf(
     inst: MetricInstance, total_budget: int, trace: Optional[DualTrace] = None
 ) -> IntegralSolution:
     """Non-fair baseline: one global coverage target n - total_budget."""
-    if not 0 <= total_budget <= inst.n_clients:
-        raise ValueError("total budget out of range")
-    targets = np.array([inst.n_clients - total_budget], dtype=np.int64)
+    targets = np.array([inst.n_clients - check_total_budget(inst, total_budget)], dtype=np.int64)
     state = _dual_fit(inst, np.zeros(inst.n_clients, dtype=np.int64), targets, trace)
     return assign_nearest(inst, state.open, np.flatnonzero(state.withdrawn))

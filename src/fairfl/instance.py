@@ -243,15 +243,31 @@ def nearest_rows(sub: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return low, first
 
 
+def _is_integer(v) -> bool:
+    """True for Python and numpy integers; False for a bool, which would
+    read as 0/1, a float, which would be truncated, and anything else."""
+    return isinstance(v, (int, np.integer)) and not isinstance(v, (bool, np.bool_))
+
+
 def _index(j, count: int, role: str, noun: str):
-    """``j`` checked to be an index into ``range(count)``.  A float or bool,
-    which the int64 conversion would truncate or read as 0/1, or an integer
-    outside the range raises ``ValueError`` naming it."""
-    if isinstance(j, (bool, np.bool_)) or not isinstance(j, (int, np.integer)):
+    """``j`` checked to be an index into ``range(count)``.  A non-integer
+    (see ``_is_integer``) or an integer outside the range raises
+    ``ValueError`` naming it."""
+    if not _is_integer(j):
         raise ValueError(f"{role} {noun} {j} is not an integer index")
     if not 0 <= j < count:
         raise ValueError(f"{role} index {j} names no {noun} (there are {count})")
     return j
+
+
+def check_total_budget(inst: MetricInstance, total_budget) -> int:
+    """The non-fair algorithms' one outlier budget, checked to be an integer
+    (see ``_is_integer``) in ``[0, n_clients]``; ``ValueError`` otherwise."""
+    if not _is_integer(total_budget):
+        raise ValueError(f"total budget {total_budget!r} is not an integer")
+    if not 0 <= total_budget <= inst.n_clients:
+        raise ValueError("total budget out of range")
+    return int(total_budget)
 
 
 def assign_nearest(

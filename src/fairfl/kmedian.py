@@ -21,6 +21,7 @@ from .instance import (
     MetricInstance,
     OutlierBudgets,
     assign_nearest,
+    check_total_budget,
     nearest_rows,
     row_blocks,
 )
@@ -297,8 +298,7 @@ def r_ls_nf(
     improve_frac: float = 0.01,
 ) -> IntegralSolution:
     """Non-fair baseline: same reduction with one merged outlier budget."""
-    if not 0 <= total_budget <= inst.n_clients:
-        raise ValueError("total budget out of range")
+    total_budget = check_total_budget(inst, total_budget)
     if gamma is None:
         gamma = eps_guess
     merged = np.zeros(inst.n_clients, dtype=np.int64)
@@ -318,8 +318,7 @@ def ls_nf(
     become outliers (ties toward the lower client index); the reported cost
     excludes them.
     """
-    if not 0 <= total_budget <= inst.n_clients:
-        raise ValueError("total budget out of range")
+    total_budget = check_total_budget(inst, total_budget)
     pinst = PenaltyInstance(inst, k, np.full(inst.n_clients, np.inf))
     psol = local_search_penalties(pinst, improve_frac)
     d1, _, _ = _two_nearest(inst.distances(), sorted(psol.open))

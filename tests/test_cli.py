@@ -543,6 +543,20 @@ class TestGenerate:
         err = capsys.readouterr().err
         assert f"{path}, line 3: {len(row.split(','))} cells, the header has 5" in err
 
+    @pytest.mark.parametrize("row, message", [
+        ("client,a,,0.0,abc", "x1 cell 'abc' is not a number"),
+        ("client,a,,,1.0", "x0 cell '' is not a number"),
+        ("facility,,,0.0,1.0", "cost cell '' is not a number"),
+        ("facility,,cheap,0.0,1.0", "cost cell 'cheap' is not a number"),
+        ("depot,,1.0,0.0,1.0", "unknown row kind 'depot'"),
+    ])
+    def test_bad_cell_exits_2_naming_the_line(self, tmp_path, capsys, row, message):
+        path = tmp_path / "inst.csv"
+        path.write_text(f"kind,group,cost,x0,x1\nclient,a,,0.0,1.0\n{row}\nfacility,,1.0,0.0,0.0\n",
+                        encoding="utf-8")
+        assert main(["solve", "--dataset", str(path), "--algo", "gdf-f", "--pct", "10"]) == 2
+        assert f"{path}, line 3: {message}" in capsys.readouterr().err
+
     def test_generate_needs_out(self, tmp_path):
         cfg = small_config(tmp_path)
         assert main(["generate", "--config", cfg]) == 2

@@ -1,5 +1,8 @@
+import gc
 import os
+import pickle
 import subprocess
+import weakref
 import sys
 from pathlib import Path
 
@@ -550,7 +553,7 @@ class TestOpeningTimeWork:
             budgets = budgets_from_pct(inst, float(pct))
             gdf_f(inst, budgets)
             gdf_nf(inst, budgets.total)
-        assert work == [693, 43221]
+        assert work == [110, 8723]
 
 
 class TestIncrementalMatchesFullRecompute:
@@ -628,6 +631,153 @@ class TestIncrementalMatchesFullRecompute:
             assert_same_fair_and_nonfair(inst, budgets)
 
         check()
+
+
+def _fresh(inst: MetricInstance) -> MetricInstance:
+    """An equal instance object whose free run is not built yet."""
+    return pickle.loads(pickle.dumps(inst))
+
+
+def _targets(inst: MetricInstance, budgets: OutlierBudgets, fair: bool) -> tuple:
+    """``_dual_fit``'s (group_of, targets) for GDF-F or GDF-NF."""
+    if fair:
+        sizes = np.array([len(mem) for mem in inst.group_members], dtype=np.int64)
+        return inst.groups, sizes - np.array(budgets.per_group, dtype=np.int64)
+    return (np.zeros(inst.n_clients, dtype=np.int64),
+            np.array([inst.n_clients - budgets.total], dtype=np.int64))
+
+
+def _call_orders(budget_list) -> dict:
+    """(fair, budgets) call sequences on one instance object: GDF-NF first,
+    budgets descending, and every call twice."""
+    up = sorted(budget_list, key=lambda b: (b.total, b.per_group))
+    return {
+        "nf-first": [(fair, b) for b in up for fair in (False, True)],
+        "descending": [(fair, b) for b in up[::-1] for fair in (True, False)],
+        "repeats": [(fair, b) for b in up for fair in (True, False) for _ in range(2)],
+    }
+
+
+def assert_calls_match_reference(inst: MetricInstance, calls) -> None:
+    for fair, budgets in calls:
+        assert_same_run(inst, *_targets(inst, budgets, fair))
+
+
+class TestResumeMatchesReference:
+    """Every call on an instance object resumes the object's free run; its
+    events and solution must be those of ``_reference_dual_fit``, whatever
+    ran on the object before."""
+
+    def test_random_suite_in_several_orders(self, random_suite):
+        rng = np.random.default_rng(31)
+        for inst, budgets in random_suite[::2]:
+            sizes = [len(mem) for mem in inst.group_members]
+            budget_list = [
+                budgets,
+                OutlierBudgets((0,) * len(sizes)),  # every group covers all its clients
+                OutlierBudgets(tuple(sizes[:1]) + (0,) * (len(sizes) - 1)),  # group 0: target 0
+                random_budgets(rng, inst),
+            ]
+            for calls in _call_orders(budget_list).values():
+                assert_calls_match_reference(_fresh(inst), calls)
+
+    def test_synthetic_sweep_in_several_orders(self):
+        inst = prune_pairs(generate_synthetic(SyntheticConfig(seed=1))[0])
+        budget_list = [budgets_from_pct(inst, float(pct)) for pct in (1, 4, 10)]
+        for calls in _call_orders(budget_list).values():
+            assert_calls_match_reference(_fresh(inst), calls)
+
+    def test_two_groups_meet_their_targets_in_one_iteration(self):
+        # facility 0 opens first and connects one client of each group; the
+        # opening of facility 1 then connects two of each, and both groups
+        # meet their target of 2 within that one loop iteration
+        inst = tiny([[0.0], [0.0], [100.0], [100.0], [100.0], [100.0]], [0, 1, 0, 0, 1, 1],
+                    [[0.0], [100.0]], [1.0, 4.0])
+        budgets = OutlierBudgets((1, 1))
+        fast = assert_same_run(inst, *_targets(inst, budgets, True))
+        run = greedy_mod._free_runs[inst]
+        conns = run.ends[run.starts]
+        hits = [int(np.flatnonzero(inst.groups[run.clients] == g)[1]) for g in (0, 1)]
+        iterations = [int(np.searchsorted(conns, hit, side="right")) - 1 for hit in hits]
+        assert iterations[0] == iterations[1] > 0
+        assert run.resume_point(inst.groups, np.array([2, 2])) == iterations[0]
+        assert [e[0] for e in fast.events] == ["open", "open"]
+        assert fast.events[1][3] == (2, 4)  # one of each group connects, then both withdraw
+
+    def test_zero_and_infinite_costs(self, rng):
+        for _ in range(30):
+            inst = random_instance(rng, max_n=12, max_m=6)
+            costs = inst.open_costs.copy()
+            costs[rng.random(costs.size) < 0.3] = 0.0
+            costs[rng.random(costs.size) < 0.3] = np.inf
+            inst = MetricInstance(inst.client_coords, inst.groups, inst.facility_coords, costs)
+            budget_list = [random_budgets(rng, inst) for _ in range(3)]
+            assert_calls_match_reference(inst, _call_orders(budget_list)["repeats"])
+
+    def test_pickled_copy_builds_its_own_free_run(self, rng, monkeypatch):
+        built = []
+        original = greedy_mod._free_run
+        monkeypatch.setattr(greedy_mod, "_free_run", lambda inst: built.append(1) or original(inst))
+        inst = random_instance(rng, max_n=12, max_m=5)
+        budgets = random_budgets(rng, inst)
+        assert_same_fair_and_nonfair(inst, budgets)
+        copy = pickle.loads(pickle.dumps(inst))
+        assert copy not in greedy_mod._free_runs
+        assert_same_fair_and_nonfair(copy, budgets)
+        assert len(built) == 2
+        for fair in (True, False):
+            a, b = DualTrace(), DualTrace()
+            _dual_fit(inst, *_targets(inst, budgets, fair), a)
+            _dual_fit(copy, *_targets(copy, budgets, fair), b)
+            assert _events(a) == _events(b)
+
+    def test_calls_in_any_order(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = pytest.importorskip("hypothesis.strategies")
+
+        @hypothesis.settings(max_examples=200, deadline=None, database=None)
+        @hypothesis.given(st.data())
+        def check(data):
+            n = data.draw(st.integers(1, 10))
+            m = data.draw(st.integers(1, 5))
+            n_groups = data.draw(st.integers(1, min(3, n)))
+            coord = st.integers(0, 3)
+            clients = data.draw(st.lists(st.tuples(coord, coord), min_size=n, max_size=n))
+            facilities = data.draw(st.lists(st.tuples(coord, coord), min_size=m, max_size=m))
+            costs = data.draw(st.lists(st.sampled_from([0.0, 1.0, 2.0, 3.0, 0.5, np.inf]),
+                                       min_size=m, max_size=m))
+            extra = data.draw(st.lists(st.integers(0, n_groups - 1), min_size=n - n_groups,
+                                       max_size=n - n_groups))
+            inst = MetricInstance(np.array(clients, float), list(range(n_groups)) + extra,
+                                  np.array(facilities, float), np.array(costs))
+            budgets = st.builds(lambda caps: OutlierBudgets(tuple(caps)), st.tuples(
+                *(st.integers(0, len(mem)) for mem in inst.group_members)))
+            calls = data.draw(st.lists(st.tuples(st.booleans(), budgets), min_size=1, max_size=6))
+            assert_calls_match_reference(inst, calls)
+
+        check()
+
+
+class TestFreeRunCache:
+    def test_built_once_per_instance_and_freed_with_it(self, monkeypatch):
+        built = []
+        original = greedy_mod._free_run
+        monkeypatch.setattr(greedy_mod, "_free_run", lambda inst: built.append(1) or original(inst))
+        monkeypatch.setattr(greedy_mod, "_free_runs", weakref.WeakKeyDictionary())
+        inst = prune_pairs(generate_synthetic(SyntheticConfig(seed=0))[0])
+        for pct in (10.0, 1.0, 5.0, 1.0):
+            budgets = budgets_from_pct(inst, pct)
+            gdf_f(inst, budgets)
+            gdf_nf(inst, budgets.total)
+        assert len(built) == 1
+        copy = pickle.loads(pickle.dumps(inst))
+        gdf_nf(copy, 3)
+        assert len(built) == 2 and len(greedy_mod._free_runs) == 2
+        alive = weakref.ref(inst)
+        del inst, copy
+        gc.collect()
+        assert alive() is None  # the record holds no reference back to its instance
+        assert len(greedy_mod._free_runs) == 0
 
 
 class TestFairEqualsNonfairOnOneGroup:

@@ -1,5 +1,6 @@
 import math
 import pickle
+import re
 import sys
 from dataclasses import replace
 from typing import Iterable, Sequence
@@ -12,7 +13,10 @@ from fairfl import (
     MetricInstance,
     OutlierBudgets,
     assign_nearest,
+    gdf_nf,
+    ls_nf,
     prune_pairs,
+    r_ls_nf,
     solution_cost,
     unfairness,
 )
@@ -348,6 +352,39 @@ class TestAssignNearest:
         for dropped in ([set(), {1}], [[0], [1]], np.array([[0], [1]])):
             with pytest.raises((TypeError, ValueError)):
                 assign_nearest(inst, [0], dropped)
+
+
+class TestTotalBudget:
+    """The non-fair algorithms share one check of their total budget."""
+
+    ALGOS = {
+        "gdf_nf": lambda inst, total: gdf_nf(inst, total),
+        "ls_nf": lambda inst, total: ls_nf(inst, total, 1),
+        "r_ls_nf": lambda inst, total: r_ls_nf(inst, total, 1),
+    }
+
+    @staticmethod
+    def _instance():
+        rng = np.random.default_rng(5)
+        return simple_instance(rng.random((10, 2)).tolist(), [0] * 6 + [1] * 4,
+                               rng.random((3, 2)).tolist(), [0.5, 1.0, 2.0])
+
+    @pytest.mark.parametrize("algo", sorted(ALGOS))
+    @pytest.mark.parametrize("total", [2.5, 2.0, np.float64(2.0), True, np.bool_(True)])
+    def test_rejects_float_and_bool(self, algo, total):
+        # 2.5 made gdf_nf drop 3 clients and r_ls_nf run; True dropped 1
+        with pytest.raises(ValueError, match=re.escape(f"total budget {total!r} is not an integer")):
+            self.ALGOS[algo](self._instance(), total)
+
+    @pytest.mark.parametrize("algo", sorted(ALGOS))
+    def test_range_and_integer_widths(self, algo):
+        inst = self._instance()
+        for total in (-1, 11, np.int64(11)):
+            with pytest.raises(ValueError, match="total budget out of range"):
+                self.ALGOS[algo](inst, total)
+        want = self.ALGOS[algo](inst, 2)
+        for total in (np.int8(2), np.uint16(2), np.int64(2)):
+            assert self.ALGOS[algo](inst, total) == want
 
 
 class TestUnfairness:
