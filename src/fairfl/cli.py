@@ -679,7 +679,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, DataError, FileNotFoundError, ValueError) as exc:
+    except (ConfigError, DataError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (LpError, RoundingError, GreedyError, LocalSearchError, OracleError, CellCheckError) as exc:

@@ -185,7 +185,11 @@ class OutlierBudgets:
     per_group: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "per_group", tuple(int(v) for v in self.per_group))
+        caps = tuple(self.per_group)
+        for g, v in enumerate(caps):
+            if not _is_integer(v):
+                raise ValueError(f"budget {v!r} for group {g} is not an integer")
+        object.__setattr__(self, "per_group", tuple(int(v) for v in caps))
         if any(v < 0 for v in self.per_group):
             raise ValueError("outlier budgets must be non-negative")
 
@@ -268,6 +272,16 @@ def check_total_budget(inst: MetricInstance, total_budget) -> int:
     if not 0 <= total_budget <= inst.n_clients:
         raise ValueError("total budget out of range")
     return int(total_budget)
+
+
+def check_k(inst: MetricInstance, k) -> int:
+    """The k-median algorithms' facility count, checked to be an integer
+    (see ``_is_integer``) in ``[1, n_facilities]``; ``ValueError`` otherwise."""
+    if not _is_integer(k):
+        raise ValueError(f"k={k!r} is not an integer")
+    if not 1 <= k <= inst.n_facilities:
+        raise ValueError(f"k={k} outside [1, {inst.n_facilities}]")
+    return int(k)
 
 
 def assign_nearest(

@@ -21,6 +21,7 @@ from .instance import (
     MetricInstance,
     OutlierBudgets,
     assign_nearest,
+    check_k,
     check_total_budget,
     nearest_rows,
     row_blocks,
@@ -44,8 +45,7 @@ class PenaltyInstance:
     penalty: np.ndarray
 
     def __post_init__(self):
-        if not (1 <= self.k <= self.base.n_facilities):
-            raise ValueError(f"k={self.k} outside [1, {self.base.n_facilities}]")
+        object.__setattr__(self, "k", check_k(self.base, self.k))
         pen = np.asarray(self.penalty, dtype=float)
         if pen.shape != (self.base.n_clients,):
             raise ValueError("need one penalty per client")

@@ -22,20 +22,16 @@ from typing import Optional
 
 import numpy as np
 from scipy import sparse
-from scipy.optimize import linprog
-
-try:  # private module: scipy releases without it fall back to linprog
-    from scipy.optimize._highspy._core import (
-        HighsLp,
-        HighsModelStatus,
-        HighsOptions,
-        MatrixFormat,
-        _Highs,
-        kHighsInf,
-        simplex_constants,
-    )
-except ImportError:
-    _Highs = None
+from scipy.optimize import linprog  # noqa: F401  patch point of perfbench/tracing.py
+from scipy.optimize._highspy._core import (
+    HighsLp,
+    HighsModelStatus,
+    HighsOptions,
+    MatrixFormat,
+    _Highs,
+    kHighsInf,
+    simplex_constants,
+)
 
 from .instance import MetricInstance, OutlierBudgets
 
@@ -211,54 +207,23 @@ def _upper_form(model: LpModel) -> tuple[sparse.csr_matrix, np.ndarray]:
     return model.a_matrix.multiply(sign[:, None]).tocsr(), sign * model.rhs
 
 
-def _linprog_values(model: LpModel, cap: int) -> tuple[np.ndarray, int]:
-    """Cold solve through ``scipy.optimize.linprog``, for scipy releases
-    without the bundled HiGHS class; (point, simplex iterations)."""
-    a_ub, b_ub = _upper_form(model)
-    res = linprog(
-        model.c,
-        A_ub=a_ub,
-        b_ub=b_ub,
-        bounds=(0.0, 1.0),
-        method="highs",
-        options={
-            "presolve": False,
-            "maxiter": cap,
-            "primal_feasibility_tolerance": 1e-9,
-            "dual_feasibility_tolerance": 1e-9,
-        },
-    )
-    _raise_for_status(res.status, cap, res.message)
-    return np.asarray(res.x, dtype=float), int(res.nit)
-
-
-def _raise_for_status(status: int, cap: int, message: str) -> None:
-    """Map a ``linprog`` status code (0 optimal, 1 iteration limit,
-    2 infeasible, 3 unbounded, else failed) to the matching error."""
-    if status == 1:
+def _raise_for_status(status: HighsModelStatus, cap: int, message: str) -> None:
+    """Map a HiGHS model status to the matching error; return on optimal."""
+    if status == HighsModelStatus.kOptimal:
+        return
+    if status == HighsModelStatus.kIterationLimit:
         raise IterationLimitError(f"pivot cap {cap} reached")
-    if status == 2:
+    if status == HighsModelStatus.kInfeasible:
         raise InfeasibleError("budget rows make the relaxation infeasible")
-    if status == 3:
+    if status == HighsModelStatus.kUnbounded:
         raise UnboundedError("relaxation reported unbounded")
-    if status != 0:
-        raise LpError(f"solver failed: {message}")
-
-
-_LINPROG_STATUS = {} if _Highs is None else {
-    HighsModelStatus.kOptimal: 0,
-    HighsModelStatus.kIterationLimit: 1,
-    HighsModelStatus.kInfeasible: 2,
-    HighsModelStatus.kUnbounded: 3,
-}
+    raise LpError(f"solver failed: {message}")
 
 
 def _highs_model(model: LpModel):
-    """A HiGHS instance holding ``model`` with the options ``linprog`` is
-    given in ``_linprog_values`` (dual simplex, no presolve), so a cold solve
-    matches it exactly.  Presolve finds nothing to remove in these models
-    (every row and column survives it) and only costs time and a copy of
-    the LP."""
+    """A HiGHS instance holding ``model``, solved by dual simplex without
+    presolve.  Presolve finds nothing to remove in these models (every row
+    and column survives it) and only costs time and a copy of the LP."""
     a_ub, b_ub = _upper_form(model)
     a_csc = a_ub.tocsc()
     lp = HighsLp()
@@ -315,11 +280,11 @@ def _same_except_budgets(a: LpModel, b: LpModel) -> bool:
 @dataclass
 class _HeldModel:
     """One fairness mode's model inside a chain: the LpModel it was built
-    from, its HiGHS copy (None on the linprog fallback), the budget rows'
-    current upper bounds, and the solutions found so far by budget vector."""
+    from, its HiGHS copy, the budget rows' current upper bounds, and the
+    solutions found so far by budget vector."""
 
     base: LpModel
-    highs: object
+    highs: _Highs
     budget_upper: np.ndarray
     memo: dict = field(default_factory=dict)
 
@@ -360,11 +325,7 @@ class LpChain:
         warm = held is not None and _same_except_budgets(held.base, model)
         if not warm:
             self._held.pop(model.fairness, None)  # release before building anew
-            held = _HeldModel(
-                model,
-                _highs_model(model) if _Highs is not None else None,
-                model.rhs[_budget_start(model) :].copy(),
-            )
+            held = _HeldModel(model, _highs_model(model), model.rhs[_budget_start(model) :].copy())
             self._held[model.fairness] = held
         key = tuple(model.rhs[_budget_start(model) :].tolist())
         if key in held.memo:
@@ -376,7 +337,7 @@ class LpChain:
             except LpError:
                 del self._held[model.fairness]  # next solve starts cold
                 raise
-            self.stats["warm" if warm and held.highs is not None else "cold"] += 1
+            self.stats["warm" if warm else "cold"] += 1
             self.stats["simplex_iters"] += iters
             held.memo[key] = (values, _fractional(model, values))
         values, frac = held.memo[key]
@@ -412,8 +373,6 @@ class LpChain:
 
     @staticmethod
     def _run(held: _HeldModel, model: LpModel, cap: int) -> tuple[np.ndarray, int]:
-        if held.highs is None:
-            return _linprog_values(model, cap)
         highs = held.highs
         start = _budget_start(model)
         for r in np.flatnonzero(model.rhs[start:] != held.budget_upper):
@@ -424,7 +383,7 @@ class LpChain:
         highs.setOptionValue("simplex_iteration_limit", cap)
         highs.run()
         status = highs.getModelStatus()
-        _raise_for_status(_LINPROG_STATUS.get(status, -1), cap, highs.modelStatusToString(status))
+        _raise_for_status(status, cap, highs.modelStatusToString(status))
         values = np.asarray(highs.getSolution().col_value, dtype=float)
         return values, int(highs.getInfo().simplex_iteration_count)
 

@@ -12,7 +12,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .instance import IntegralSolution, MetricInstance, OutlierBudgets, assign_nearest
+from .instance import IntegralSolution, MetricInstance, OutlierBudgets, assign_nearest, check_k
 from .kmedian import PenaltyInstance, PenaltySolution, _canonical_solution, _drop_farthest
 
 SIZE_GUARD = 20
@@ -93,9 +93,7 @@ def exact_kmfo(inst: MetricInstance, budgets: OutlierBudgets, k: int) -> Integra
     """Brute-force optimum for k-median with per-group outliers."""
     _check_guard(inst)
     budgets.validate_for(inst)
-    if not 1 <= k <= inst.n_facilities:
-        raise ValueError(f"k={k} outside [1, {inst.n_facilities}]")
-    return _exact(inst, budgets, k, np.zeros(inst.n_facilities))
+    return _exact(inst, budgets, check_k(inst, k), np.zeros(inst.n_facilities))
 
 
 def exact_kmp(pinst: PenaltyInstance) -> PenaltySolution:

@@ -177,6 +177,11 @@ class TestSweep:
         cfg = small_config(tmp_path)
         assert main(["sweep", "--config", cfg, "--algo", "gdf-f"]) == 2
 
+    def test_out_is_a_directory_exits_2(self, tmp_path, capsys):
+        cfg = small_config(tmp_path)
+        assert main(["sweep", "--config", cfg, "--algo", "gdf-f", "--pct", "5", "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
 
 class TestSolverErrors:
     def test_greedy_without_next_event_exits_3(self, tmp_path, capsys):
@@ -404,6 +409,11 @@ class TestConfigFile:
 
 
 class TestSolveAndOracle:
+    def test_dataset_is_a_directory_exits_2(self, tmp_path, capsys):
+        argv = ["solve", "--dataset", str(tmp_path), "--group-col", "g", "--algo", "gdf-f", "--pct", "5"]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_solve_report_fields(self, tmp_path, capsys):
         cfg = small_config(tmp_path)
         rc = main(["solve", "--config", cfg, "--algo", "lpr-f", "--pct", "10"])

@@ -12,10 +12,13 @@ from fairfl import (
     IntegralSolution,
     MetricInstance,
     OutlierBudgets,
+    PenaltyInstance,
     assign_nearest,
+    exact_kmfo,
     gdf_nf,
     ls_nf,
     prune_pairs,
+    r_ls_f,
     r_ls_nf,
     solution_cost,
     unfairness,
@@ -144,6 +147,16 @@ class TestValidation:
             OutlierBudgets((1,)).validate_for(inst)
         with pytest.raises(ValueError):
             OutlierBudgets((-1, 0))
+
+    @pytest.mark.parametrize("cap", [2.5, 2.0, np.float64(2.0), True, np.bool_(True), "2"])
+    def test_budget_entries_must_be_integers(self, cap):
+        # 2.5 was truncated to 2 and True read as 1
+        with pytest.raises(ValueError, match=re.escape(f"budget {cap!r} for group 1 is not an integer")):
+            OutlierBudgets((2, cap))
+
+    def test_budget_integer_widths(self):
+        caps = OutlierBudgets((np.int8(2), np.uint16(1), np.int64(0))).per_group
+        assert caps == (2, 1, 0) and all(type(c) is int for c in caps)
 
 
 class TestPrunePairs:
@@ -385,6 +398,35 @@ class TestTotalBudget:
         want = self.ALGOS[algo](inst, 2)
         for total in (np.int8(2), np.uint16(2), np.int64(2)):
             assert self.ALGOS[algo](inst, total) == want
+
+
+class TestK:
+    """The k-median algorithms and oracle share one check of ``k``."""
+
+    ALGOS = {
+        "ls_nf": lambda inst, k: ls_nf(inst, 2, k),
+        "r_ls_f": lambda inst, k: r_ls_f(inst, OutlierBudgets((1, 1)), k),
+        "r_ls_nf": lambda inst, k: r_ls_nf(inst, 2, k),
+        "exact_kmfo": lambda inst, k: exact_kmfo(inst, OutlierBudgets((1, 1)), k),
+        "PenaltyInstance": lambda inst, k: PenaltyInstance(inst, k, np.ones(inst.n_clients)).k,
+    }
+
+    @pytest.mark.parametrize("algo", sorted(ALGOS))
+    @pytest.mark.parametrize("k", [2.5, 2.0, np.float64(2.0), True, np.bool_(True)])
+    def test_rejects_float_and_bool(self, algo, k):
+        # True ran as k = 1; 2.5 and np.float64(2.0) raised a TypeError from range
+        with pytest.raises(ValueError, match=re.escape(f"k={k!r} is not an integer")):
+            self.ALGOS[algo](TestTotalBudget._instance(), k)
+
+    @pytest.mark.parametrize("algo", sorted(ALGOS))
+    def test_range_and_integer_widths(self, algo):
+        inst = TestTotalBudget._instance()
+        for k in (0, 4, np.int64(4)):
+            with pytest.raises(ValueError, match=r"outside \[1, 3\]"):
+                self.ALGOS[algo](inst, k)
+        want = self.ALGOS[algo](inst, 2)
+        for k in (np.int8(2), np.uint16(2), np.int64(2)):
+            assert self.ALGOS[algo](inst, k) == want
 
 
 class TestUnfairness:

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 from scipy import sparse
 
-import fairfl.lp
 import fairfl.rounding
 from fairfl import (
     AGGREGATE,
@@ -17,6 +16,7 @@ from fairfl import (
     MetricInstance,
     OutlierBudgets,
     SyntheticConfig,
+    UnboundedError,
     build_flfo_lp,
     build_gap_instance,
     exact_flfo,
@@ -26,7 +26,7 @@ from fairfl import (
     write_mps,
 )
 from fairfl.cli import budgets_from_pct
-from fairfl.lp import _verify_residuals
+from fairfl.lp import HighsModelStatus, _raise_for_status, _verify_residuals
 from fairfl.rounding import RoundingConfig, lpr_pipeline
 from conftest import random_budgets, random_instance
 
@@ -145,6 +145,29 @@ class TestSolve:
             _verify_residuals(model, np.zeros(model.n_vars))  # coverage violated
         with pytest.raises(LpError):
             _verify_residuals(model, np.full(model.n_vars, 2.0))  # bounds violated
+
+    def test_optimal_status_returns(self):
+        assert _raise_for_status(HighsModelStatus.kOptimal, 10, "Optimal") is None
+
+    @pytest.mark.parametrize(
+        "status, error",
+        [
+            (HighsModelStatus.kIterationLimit, IterationLimitError),
+            (HighsModelStatus.kInfeasible, InfeasibleError),
+            (HighsModelStatus.kUnbounded, UnboundedError),
+        ],
+    )
+    def test_status_maps_to_its_error(self, status, error):
+        with pytest.raises(error):
+            _raise_for_status(status, 10, "text")
+
+    @pytest.mark.parametrize(
+        "status", [HighsModelStatus.kUnboundedOrInfeasible, HighsModelStatus.kSolveError]
+    )
+    def test_other_status_raises_lp_error_with_its_text(self, status):
+        with pytest.raises(LpError, match="Solve error text") as info:
+            _raise_for_status(status, 10, "Solve error text")
+        assert type(info.value) is LpError
 
     def test_feasible_within_tolerance_on_random(self, rng):
         for _ in range(10):
@@ -290,24 +313,6 @@ class TestLpChain:
         for (sol, frac), (sol_b, frac_b) in zip(reused, rebuilt):
             assert np.array_equal(point(frac), point(frac_b))
             assert sol.open == sol_b.open and sol.total_cost == sol_b.total_cost
-
-    def test_linprog_fallback_agrees(self, monkeypatch, random_suite, synthetic_seed0):
-        cases = [(inst, budgets, PER_GROUP) for inst, budgets in random_suite[:20]]
-        # two budgets of one model: the fallback re-solves the second cold
-        cases += [(synthetic_seed0, budgets_from_pct(synthetic_seed0, p), AGGREGATE) for p in (3, 4)]
-        models = [build_flfo_lp(inst, budgets, fairness) for inst, budgets, fairness in cases]
-        highs = [solve_lp(model) for model in models]
-        calls = []
-        linprog = fairfl.lp.linprog
-        monkeypatch.setattr(fairfl.lp, "_Highs", None)
-        monkeypatch.setattr(fairfl.lp, "linprog", lambda *a, **k: calls.append(1) or linprog(*a, **k))
-        with LpChain() as chain:
-            fallback = [solve_lp(model, chain=chain) for model in models]
-            assert chain.stats["warm"] == 0
-        assert len(calls) == len(models)
-        for a, b in zip(highs, fallback):
-            assert b.objective_value == pytest.approx(a.objective_value, rel=1e-9, abs=1e-12)
-            np.testing.assert_allclose(point(b), point(a), atol=1e-7)
 
 
 class TestGapInstance:
