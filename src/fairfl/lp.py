@@ -10,9 +10,27 @@ Solving goes through the HiGHS solver bundled with scipy, which is
 deterministic for a fixed sequence of operations.  An ``LpChain`` keeps one
 HiGHS model per fairness mode and re-solves it from the previous optimal
 basis when only the budget rows change, as they do across the outlier
-percentages of a sweep; ``solve_lp`` is a chain of one solve.  Every
-solution is re-verified against the model by an independent residual pass
-before being returned.
+percentages of a sweep; ``solve_lp`` is a chain of one solve.
+
+The held model is priced (column generation for facility location; Avella,
+Sassano & Vasil'ev, Math. Prog. 2007).  It starts from every client's
+``START_PAIRS`` nearest allowed pairs, by (distance, facility index), plus
+every opening and outlier column and the budget rows; a client with at most
+``START_PAIRS`` allowed pairs brings all of them, so on such models HiGHS
+gets the whole LP.  After each optimal run the coverage duals
+``v_j = max(0, -row_dual_j)`` price the omitted pairs: every one with
+``d_ij < v_j - PRICE_TOL`` is appended (its column and its capacity row) and
+the model is re-solved warm from the last basis, until none prices in.  The
+point is then read back in the full ``LpModel`` layout, omitted pairs at
+zero.
+
+Every solution is certified twice before being returned: an independent
+residual pass checks it against the full model's rows, and the Lagrangian
+bound of the duals (Cornuejols, Fisher & Nemhauser, Mgmt. Sci. 1977), with
+the coverage and budget rows relaxed and summed over *all* allowed pairs,
+must reach the objective within ``CERTIFICATE_TOL`` relative.  The bound is
+valid for any ``v, u >= 0`` because every variable is boxed to [0, 1], so
+it certifies both the solver's optimality and the pricing's stopping rule.
 """
 
 from __future__ import annotations
@@ -24,10 +42,12 @@ import numpy as np
 from scipy import sparse
 from scipy.optimize import linprog  # noqa: F401  patch point of perfbench/tracing.py
 from scipy.optimize._highspy._core import (
-    HighsLp,
+    HighsBasisStatus,
     HighsModelStatus,
     HighsOptions,
+    HighsStatus,
     MatrixFormat,
+    ObjSense,
     _Highs,
     kHighsInf,
     simplex_constants,
@@ -39,6 +59,9 @@ PER_GROUP = "per_group"
 AGGREGATE = "aggregate"
 
 RESIDUAL_TOL = 1e-7
+START_PAIRS = 20  # each client's nearest allowed pairs in a held model's first solve
+PRICE_TOL = 1e-9  # an omitted pair prices in when d_ij < v_j - PRICE_TOL
+CERTIFICATE_TOL = 1e-9  # objective - dual bound, relative to max(1, |objective|)
 
 
 class LpError(RuntimeError):
@@ -55,6 +78,10 @@ class UnboundedError(LpError):
 
 class IterationLimitError(LpError):
     pass
+
+
+class LpCertificateError(LpError):
+    """The duals' Lagrangian bound falls short of the reported objective."""
 
 
 @dataclass(frozen=True)
@@ -126,6 +153,7 @@ class FractionalSolution:
     y: np.ndarray
     z: np.ndarray
     objective_value: float
+    dual_bound: Optional[float] = None  # Lagrangian bound certifying an LP optimum
 
     def assignment_sums(self) -> np.ndarray:
         """Per-client total assignment mass (sum over allowed facilities)."""
@@ -201,12 +229,6 @@ def _verify_residuals(model: LpModel, values: np.ndarray) -> None:
         raise LpError(f"inequality residual {worst:.2e} beyond tolerance")
 
 
-def _upper_form(model: LpModel) -> tuple[sparse.csr_matrix, np.ndarray]:
-    """Rows negated where needed so that every row reads ``a x <= b``."""
-    sign = np.where(model.senses == "G", -1.0, 1.0)
-    return model.a_matrix.multiply(sign[:, None]).tocsr(), sign * model.rhs
-
-
 def _raise_for_status(status: HighsModelStatus, cap: int, message: str) -> None:
     """Map a HiGHS model status to the matching error; return on optimal."""
     if status == HighsModelStatus.kOptimal:
@@ -220,24 +242,28 @@ def _raise_for_status(status: HighsModelStatus, cap: int, message: str) -> None:
     raise LpError(f"solver failed: {message}")
 
 
-def _highs_model(model: LpModel):
-    """A HiGHS instance holding ``model``, solved by dual simplex without
+def _start_pairs(model: LpModel) -> np.ndarray:
+    """Each client's ``START_PAIRS`` nearest allowed pairs by (distance,
+    facility index), as ascending pair indices: every pair when no client
+    has more."""
+    n_pairs = model.n_pairs
+    order = np.lexsort((model.pair_fac, model.c[:n_pairs], model.pair_cli))
+    cli = model.pair_cli[order]
+    counts = np.bincount(cli, minlength=model.n_clients)
+    rank = np.arange(n_pairs) - (np.cumsum(counts) - counts)[cli]
+    return np.sort(order[rank < START_PAIRS])
+
+
+def _highs_model(model: LpModel, cols: np.ndarray, rows: np.ndarray):
+    """A HiGHS instance holding the ``cols`` columns and ``rows`` rows of
+    ``model``, every row read as ``a x <= b``, solved by dual simplex without
     presolve.  Presolve finds nothing to remove in these models (every row
-    and column survives it) and only costs time and a copy of the LP."""
-    a_ub, b_ub = _upper_form(model)
-    a_csc = a_ub.tocsc()
-    lp = HighsLp()
-    lp.num_col_ = lp.a_matrix_.num_col_ = model.n_vars
-    lp.num_row_ = lp.a_matrix_.num_row_ = model.n_rows
-    lp.a_matrix_.format_ = MatrixFormat.kColwise
-    lp.a_matrix_.start_ = a_csc.indptr
-    lp.a_matrix_.index_ = a_csc.indices
-    lp.a_matrix_.value_ = a_csc.data
-    lp.col_cost_ = model.c
-    lp.col_lower_ = np.zeros(model.n_vars)
-    lp.col_upper_ = np.ones(model.n_vars)
-    lp.row_lower_ = np.full(model.n_rows, -kHighsInf)
-    lp.row_upper_ = b_ub
+    and column survives it) and only costs time and a copy of the LP.  The
+    arrays go through ``passModel``'s array overload, which copies each in
+    one block; it needs an explicit all-zero (continuous) integrality."""
+    sign = np.where(model.senses[rows] == "G", -1.0, 1.0)
+    a_csc = model.a_matrix[rows][:, cols].multiply(sign[:, None]).tocsc()
+    n_col, n_row = len(cols), len(rows)
     options = HighsOptions()
     options.output_flag = False
     options.log_to_console = False
@@ -247,7 +273,15 @@ def _highs_model(model: LpModel):
     options.dual_feasibility_tolerance = 1e-9
     highs = _Highs()
     highs.passOptions(options)
-    highs.passModel(lp)
+    status = highs.passModel(
+        n_col, n_row, a_csc.nnz, int(MatrixFormat.kColwise), int(ObjSense.kMinimize), 0.0,
+        model.c[cols], np.zeros(n_col), np.ones(n_col),
+        np.full(n_row, -kHighsInf), sign * model.rhs[rows],
+        a_csc.indptr.astype(np.int32), a_csc.indices.astype(np.int32), a_csc.data,
+        np.zeros(n_col, dtype=np.int32),
+    )
+    if status == HighsStatus.kError:
+        raise LpError("HiGHS rejected the model")
     return highs
 
 
@@ -277,39 +311,153 @@ def _same_except_budgets(a: LpModel, b: LpModel) -> bool:
     )
 
 
+def _duals(model: LpModel, n_start: int, row_dual) -> tuple[np.ndarray, np.ndarray]:
+    """Coverage duals ``v`` and budget duals ``u`` (both >= 0) from the row
+    duals of a held model with ``n_start`` start pairs.  HiGHS signs the
+    dual of an active ``a x <= b`` row at or below zero in a minimisation,
+    and the coverage rows are held negated."""
+    dual = np.asarray(row_dual)
+    first = model.n_clients + n_start  # the first budget row
+    v = np.maximum(0.0, -dual[: model.n_clients])
+    return v, np.maximum(0.0, -dual[first : first + model.n_budget_rows])
+
+
+def _priced_in(model: LpModel, cols: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """The pairs not among ``cols`` whose reduced cost ``d_ij - v_j`` is
+    below ``-PRICE_TOL``, ascending."""
+    n_pairs = model.n_pairs
+    held = np.zeros(n_pairs, dtype=bool)
+    held[cols[cols < n_pairs]] = True
+    return np.flatnonzero(~held & (model.c[:n_pairs] < v[model.pair_cli] - PRICE_TOL))
+
+
+def _dual_bound(model: LpModel, v: np.ndarray, u: np.ndarray) -> float:
+    """The Lagrangian bound at coverage duals ``v`` and budget duals ``u``:
+    ``sum v - u.B + sum_i min(0, f_i + sum_(i,j) min(0, d_ij - v_j))
+    + sum_j min(0, u_g(j) - v_j)``, summed over every allowed pair.  The
+    capacity rows and the [0, 1] boxes stay in the inner problem, so this is
+    a lower bound on the relaxation for any ``v, u >= 0``."""
+    n_pairs, m = model.n_pairs, model.n_facilities
+    z_off, start = n_pairs + m, _budget_start(model)
+    pair_term = np.minimum(0.0, model.c[:n_pairs] - v[model.pair_cli])
+    open_term = model.c[n_pairs:z_off] + np.bincount(model.pair_fac, weights=pair_term, minlength=m)
+    z_price = model.a_matrix[start:, z_off:].T @ u  # u_g(j) for each client j
+    outlier_term = model.c[z_off:] + z_price - v
+    return float(
+        model.rhs[: model.n_clients] @ v
+        - model.rhs[start:] @ u
+        + np.minimum(0.0, open_term).sum()
+        + np.minimum(0.0, outlier_term).sum()
+    )
+
+
 @dataclass
 class _HeldModel:
-    """One fairness mode's model inside a chain: the LpModel it was built
-    from, its HiGHS copy, the budget rows' current upper bounds, and the
-    solutions found so far by budget vector."""
+    """One fairness mode's model inside a chain: the LpModel last solved,
+    its priced HiGHS copy, the ``base`` column and row behind each HiGHS
+    column and row, the number of start pairs, and the solutions found so
+    far by budget vector.  HiGHS holds the start pairs' columns, the opening
+    and outlier columns (the first opening column at index ``n_start``),
+    then the pairs priced in; and the coverage rows, the start pairs'
+    capacity rows, the budget rows (the first at ``n_clients + n_start``),
+    then the priced pairs' capacity rows."""
 
     base: LpModel
     highs: _Highs
-    budget_upper: np.ndarray
+    cols: np.ndarray
+    rows: np.ndarray
+    n_start: int
     memo: dict = field(default_factory=dict)
+
+    @classmethod
+    def start(cls, model: LpModel) -> "_HeldModel":
+        n, n_pairs = model.n_clients, model.n_pairs
+        pairs = _start_pairs(model)
+        cols = np.concatenate([pairs, np.arange(n_pairs, model.n_vars)])
+        rows = np.concatenate([np.arange(n), n + pairs, np.arange(n + n_pairs, model.n_rows)])
+        return cls(model, _highs_model(model, cols, rows), cols, rows, len(pairs))
+
+    def add_pairs(self, pairs: np.ndarray) -> None:
+        """Append the assignment columns and capacity rows of ``pairs`` and
+        start from the last optimal basis, the new columns at zero and the
+        new rows basic.  The HiGHS copy is rebuilt rather than extended by
+        ``addCols``/``addRows``: the extended copy keeps about 5 MB of its
+        old solver state per round, so the process's peak memory would
+        follow the number of rounds priced."""
+        basis = self.highs.getBasis()
+        self.highs = None  # release before building anew
+        k = len(pairs)
+        self.cols = np.concatenate([self.cols, pairs])
+        self.rows = np.concatenate([self.rows, self.base.n_clients + pairs])
+        self.highs = _highs_model(self.base, self.cols, self.rows)
+        basis.col_status = list(basis.col_status) + [HighsBasisStatus.kLower] * k
+        basis.row_status = list(basis.row_status) + [HighsBasisStatus.kBasic] * k
+        if self.highs.setBasis(basis) == HighsStatus.kError:
+            raise LpError("HiGHS rejected the extended basis")
+
+    def run(self, model: LpModel, cap: int) -> tuple[np.ndarray, float, int, int, int]:
+        """Set ``model``'s budget rows, solve, and price until no omitted
+        pair prices in, with at most ``cap`` simplex iterations over all
+        rounds.  Returns the certified point in ``model``'s layout, its dual
+        bound, and the iterations, pricing rounds and pairs added."""
+        start = _budget_start(model)
+        for r in np.flatnonzero(model.rhs[start:] != self.base.rhs[start:]):
+            row = start + int(r)
+            upper = float(model.rhs[row]) * (-1.0 if model.senses[row] == "G" else 1.0)
+            self.highs.changeRowBounds(model.n_clients + self.n_start + int(r), -kHighsInf, upper)
+        self.base = model
+        iters = rounds = added = 0
+        while True:
+            self.highs.setOptionValue("simplex_iteration_limit", cap - iters)
+            self.highs.run()
+            iters += int(self.highs.getInfo().simplex_iteration_count)
+            status = self.highs.getModelStatus()
+            _raise_for_status(status, cap, self.highs.modelStatusToString(status))
+            solution = self.highs.getSolution()
+            v, u = _duals(model, self.n_start, solution.row_dual)
+            pairs = _priced_in(model, self.cols, v)
+            if not pairs.size:
+                break
+            self.add_pairs(pairs)
+            rounds += 1
+            added += len(pairs)
+        values = np.zeros(model.n_vars)
+        values[self.cols] = solution.col_value
+        objective = float(model.c @ values)
+        bound = _dual_bound(model, v, u)
+        if objective - bound > CERTIFICATE_TOL * max(1.0, abs(objective)):
+            raise LpCertificateError(
+                f"dual bound {bound!r} is {objective - bound:.2e} below the objective {objective!r}"
+            )
+        return values, bound, iters, rounds, added
 
 
 class LpChain:
     """Solves a sequence of relaxations that differ only in their budgets.
 
-    Holds one HiGHS model per fairness mode.  ``solve`` re-solves the held
-    model from its last optimal basis after ``changeRowBounds`` on the
+    Holds one priced HiGHS model per fairness mode.  ``solve`` re-solves the
+    held model from its last optimal basis after ``changeRowBounds`` on the
     budget rows when only those differ (dual simplex, typically tens of
-    pivots where a cold solve takes thousands); any other model replaces
-    the held one and is solved cold.  ``rebudget`` hands out the held model
-    with new budget rows, so a caller need not rebuild the model of the same
-    instance at every budget vector.  Solutions are memoised by budget
-    vector, so a budget seen before returns the same point whatever was
-    solved in between, and a chain's answers depend only on the order of
-    its own calls.  Every returned point passes the residual check against
-    the model it was asked for.  Use as a context manager, or call
-    ``close``, to release the HiGHS models.  ``stats`` counts cold, warm
-    and memoised solves and the simplex iterations spent.
+    pivots where a cold solve takes thousands), pricing in any pair the new
+    duals call for; pairs priced in stay for later solves.  Any other model
+    replaces the held one and is solved cold from its start pairs.
+    ``rebudget`` hands out the held model with new budget rows, so a caller
+    need not rebuild the model of the same instance at every budget vector.
+    Solutions are memoised by budget vector, so a budget seen before returns
+    the same point whatever was solved in between, and a chain's answers
+    depend only on the order of its own calls.  Every returned point passes
+    the residual check against the model it was asked for and carries its
+    dual bound.  Use as a context manager, or call ``close``, to release the
+    HiGHS models.  ``stats`` counts cold, warm and memoised solves, the
+    simplex iterations spent over all pricing rounds, the pricing rounds
+    run and the pairs they added.
     """
 
     def __init__(self):
         self._held: dict[str, _HeldModel] = {}
-        self.stats = {"cold": 0, "warm": 0, "memo": 0, "simplex_iters": 0}
+        self.stats = {
+            "cold": 0, "warm": 0, "memo": 0, "simplex_iters": 0, "pricing_rounds": 0, "priced_pairs": 0,
+        }
 
     def __enter__(self) -> "LpChain":
         return self
@@ -325,21 +473,22 @@ class LpChain:
         warm = held is not None and _same_except_budgets(held.base, model)
         if not warm:
             self._held.pop(model.fairness, None)  # release before building anew
-            held = _HeldModel(model, _highs_model(model), model.rhs[_budget_start(model) :].copy())
-            self._held[model.fairness] = held
+            held = self._held[model.fairness] = _HeldModel.start(model)
         key = tuple(model.rhs[_budget_start(model) :].tolist())
         if key in held.memo:
             self.stats["memo"] += 1
         else:
             cap = int(pivot_cap) if pivot_cap is not None else 50 * (model.n_rows + model.n_vars)
             try:
-                values, iters = self._run(held, model, cap)
+                values, bound, iters, rounds, added = held.run(model, cap)
             except LpError:
                 del self._held[model.fairness]  # next solve starts cold
                 raise
             self.stats["warm" if warm else "cold"] += 1
             self.stats["simplex_iters"] += iters
-            held.memo[key] = (values, _fractional(model, values))
+            self.stats["pricing_rounds"] += rounds
+            self.stats["priced_pairs"] += added
+            held.memo[key] = (values, _fractional(model, values, bound))
         values, frac = held.memo[key]
         _verify_residuals(model, values)
         return frac
@@ -371,24 +520,8 @@ class LpChain:
         rhs = np.concatenate([base.rhs[: _budget_start(base)], _budget_rhs(budgets, fairness)])
         return replace(base, rhs=rhs)
 
-    @staticmethod
-    def _run(held: _HeldModel, model: LpModel, cap: int) -> tuple[np.ndarray, int]:
-        highs = held.highs
-        start = _budget_start(model)
-        for r in np.flatnonzero(model.rhs[start:] != held.budget_upper):
-            row = start + int(r)
-            upper = float(model.rhs[row]) * (-1.0 if model.senses[row] == "G" else 1.0)
-            highs.changeRowBounds(row, -kHighsInf, upper)
-            held.budget_upper[r] = model.rhs[row]
-        highs.setOptionValue("simplex_iteration_limit", cap)
-        highs.run()
-        status = highs.getModelStatus()
-        _raise_for_status(status, cap, highs.modelStatusToString(status))
-        values = np.asarray(highs.getSolution().col_value, dtype=float)
-        return values, int(highs.getInfo().simplex_iteration_count)
 
-
-def _fractional(model: LpModel, values: np.ndarray) -> FractionalSolution:
+def _fractional(model: LpModel, values: np.ndarray, bound: float) -> FractionalSolution:
     n_pairs = model.n_pairs
     return FractionalSolution(
         pair_fac=model.pair_fac,
@@ -397,6 +530,7 @@ def _fractional(model: LpModel, values: np.ndarray) -> FractionalSolution:
         y=values[n_pairs : n_pairs + model.n_facilities],
         z=values[n_pairs + model.n_facilities :],
         objective_value=float(model.c @ values),
+        dual_bound=bound,
     )
 
 
@@ -410,8 +544,10 @@ def solve_lp(
     it is a chain of one cold solve.  Raises InfeasibleError /
     UnboundedError / IterationLimitError on the corresponding solver
     statuses, the last when more than ``pivot_cap`` simplex iterations are
-    needed.  The returned point is checked against the model's rows within
-    1e-7 by a residual pass independent of the solver's own bookkeeping.
+    needed over all pricing rounds.  The returned point is checked against
+    the model's rows within 1e-7 by a residual pass independent of the
+    solver's own bookkeeping, and its objective against its dual bound
+    (LpCertificateError when they differ by more than ``CERTIFICATE_TOL``).
     """
     if chain is not None:
         return chain.solve(model, pivot_cap)

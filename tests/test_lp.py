@@ -1,8 +1,20 @@
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy import sparse
+from scipy.optimize._highspy._core import (
+    HighsLp,
+    HighsOptions,
+    MatrixFormat,
+    _Highs,
+    kHighsInf,
+    simplex_constants,
+)
 
 import fairfl.rounding
 from fairfl import (
@@ -10,6 +22,7 @@ from fairfl import (
     PER_GROUP,
     InfeasibleError,
     IterationLimitError,
+    LpCertificateError,
     LpChain,
     LpError,
     LpModel,
@@ -25,8 +38,16 @@ from fairfl import (
     solve_lp,
     write_mps,
 )
-from fairfl.cli import budgets_from_pct
-from fairfl.lp import HighsModelStatus, _raise_for_status, _verify_residuals
+import fairfl.lp
+from fairfl.cli import budgets_from_pct, main
+from fairfl.lp import (
+    START_PAIRS,
+    HighsModelStatus,
+    _dual_bound,
+    _raise_for_status,
+    _start_pairs,
+    _verify_residuals,
+)
 from fairfl.rounding import RoundingConfig, lpr_pipeline
 from conftest import random_budgets, random_instance
 
@@ -313,6 +334,259 @@ class TestLpChain:
         for (sol, frac), (sol_b, frac_b) in zip(reused, rebuilt):
             assert np.array_equal(point(frac), point(frac_b))
             assert sol.open == sol_b.open and sol.total_cost == sol_b.total_cost
+
+
+# The full-model path as it stood before pricing, kept verbatim as the
+# reference: every allowed pair handed to HiGHS through the per-attribute
+# HighsLp setters, then one cold run.
+def _upper_form(model: LpModel) -> tuple[sparse.csr_matrix, np.ndarray]:
+    """Rows negated where needed so that every row reads ``a x <= b``."""
+    sign = np.where(model.senses == "G", -1.0, 1.0)
+    return model.a_matrix.multiply(sign[:, None]).tocsr(), sign * model.rhs
+
+
+def _highs_model(model: LpModel):
+    """A HiGHS instance holding ``model``, solved by dual simplex without
+    presolve.  Presolve finds nothing to remove in these models (every row
+    and column survives it) and only costs time and a copy of the LP."""
+    a_ub, b_ub = _upper_form(model)
+    a_csc = a_ub.tocsc()
+    lp = HighsLp()
+    lp.num_col_ = lp.a_matrix_.num_col_ = model.n_vars
+    lp.num_row_ = lp.a_matrix_.num_row_ = model.n_rows
+    lp.a_matrix_.format_ = MatrixFormat.kColwise
+    lp.a_matrix_.start_ = a_csc.indptr
+    lp.a_matrix_.index_ = a_csc.indices
+    lp.a_matrix_.value_ = a_csc.data
+    lp.col_cost_ = model.c
+    lp.col_lower_ = np.zeros(model.n_vars)
+    lp.col_upper_ = np.ones(model.n_vars)
+    lp.row_lower_ = np.full(model.n_rows, -kHighsInf)
+    lp.row_upper_ = b_ub
+    options = HighsOptions()
+    options.output_flag = False
+    options.log_to_console = False
+    options.presolve = "off"
+    options.simplex_strategy = simplex_constants.SimplexStrategy.kSimplexStrategyDual
+    options.primal_feasibility_tolerance = 1e-9
+    options.dual_feasibility_tolerance = 1e-9
+    highs = _Highs()
+    highs.passOptions(options)
+    highs.passModel(lp)
+    return highs
+
+
+def full_solve(model: LpModel) -> np.ndarray:
+    """The reference point: the whole model solved cold in one run."""
+    highs = _highs_model(model)
+    cap = 50 * (model.n_rows + model.n_vars)
+    highs.setOptionValue("simplex_iteration_limit", cap)
+    highs.run()
+    status = highs.getModelStatus()
+    _raise_for_status(status, cap, highs.modelStatusToString(status))
+    return np.asarray(highs.getSolution().col_value, dtype=float)
+
+
+def priced_instance(rng):
+    """Clients and 15-30 dear facilities in the unit square, and 1-10 cheap
+    ones farther out, so that a client's cheapest service is often past its
+    START_PAIRS nearest pairs and a pricing round runs."""
+    n_groups = int(rng.integers(1, 4))
+    n = int(rng.integers(max(3, n_groups), 13))
+    near, far = int(rng.integers(15, 31)), int(rng.integers(1, 11))
+    groups = np.concatenate([np.arange(n_groups), rng.integers(0, n_groups, n - n_groups)])
+    facilities = np.vstack([rng.random((near, 2)), 1.0 + 4.0 * rng.random((far, 2))])
+    costs = np.concatenate([10.0 ** rng.uniform(0, 2, near), 10.0 ** rng.uniform(-2, 0, far)])
+    return MetricInstance(rng.random((n, 2)), groups, facilities, costs)
+
+
+def far_cheap_instance():
+    """Six clients amid 25 facilities of cost 100 and one free facility at
+    (5, 5): every client is best served from the free one, which is not
+    among its START_PAIRS nearest."""
+    rng = np.random.default_rng(7)
+    facilities = np.vstack([rng.random((25, 2)), [[5.0, 5.0]]])
+    costs = np.concatenate([np.full(25, 100.0), [0.0]])
+    return tiny(rng.random((6, 2)), np.array([0, 0, 0, 1, 1, 1]), facilities, costs)
+
+
+def assert_priced_matches_full(model, frac):
+    full = model.c @ full_solve(model)
+    assert frac.objective_value == pytest.approx(full, rel=1e-9, abs=1e-12)
+
+
+class TestPricing:
+    """The priced held model against the verbatim full-model path."""
+
+    def test_start_pairs_are_each_clients_nearest(self):
+        inst, _ = generate_synthetic(SyntheticConfig(seed=3))
+        model = build_flfo_lp(inst, budgets_from_pct(inst, 5))
+        start = _start_pairs(model)
+        assert np.all(np.diff(start) > 0)
+        assert np.array_equal(np.bincount(model.pair_cli[start]), np.full(inst.n_clients, START_PAIRS))
+        dist = inst.distances()
+        for j in (0, 17, inst.n_clients - 1):
+            nearest = sorted(range(inst.n_facilities), key=lambda i: (dist[i, j], i))[:START_PAIRS]
+            assert sorted(model.pair_fac[start[model.pair_cli[start] == j]]) == sorted(nearest)
+
+    def test_start_is_the_whole_model_with_few_pairs(self, random_suite):
+        """No client of the random suite has more than START_PAIRS pairs, so
+        HiGHS gets today's full input and the points are bit for bit equal."""
+        for inst, budgets in random_suite:
+            for fairness in (PER_GROUP, AGGREGATE):
+                model = build_flfo_lp(inst, budgets, fairness)
+                assert len(_start_pairs(model)) == model.n_pairs
+                with LpChain() as chain:
+                    frac = chain.solve(model)
+                    assert chain.stats["pricing_rounds"] == 0
+                full = full_solve(model)
+                assert np.array_equal(point(frac), full)
+                assert frac.objective_value == float(model.c @ full)
+
+    @pytest.mark.parametrize("seed", [0, 71, 1, 2])
+    def test_priced_matches_full_on_synthetic_sweeps(self, seed):
+        inst, _ = generate_synthetic(SyntheticConfig(seed=seed))
+        inst = prune_pairs(inst)
+        for fairness in (PER_GROUP, AGGREGATE):
+            with LpChain() as chain:
+                for pct in range(1, 11):
+                    model = build_flfo_lp(inst, budgets_from_pct(inst, pct), fairness)
+                    frac = chain.solve(model)
+                    if pct in (1, 4, 7, 10):
+                        assert_priced_matches_full(model, frac)
+
+    def test_priced_matches_full_on_random_budget_chains(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = pytest.importorskip("hypothesis.strategies")
+        rounds = []
+
+        @hypothesis.settings(max_examples=60, deadline=None, database=None)
+        @hypothesis.given(st.data())
+        def check(data):
+            inst = priced_instance(np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))))
+            budgets = st.tuples(*(st.integers(0, len(m)) for m in inst.group_members))
+            seq = data.draw(st.lists(budgets.map(OutlierBudgets), min_size=2, max_size=5))
+            for fairness in (PER_GROUP, AGGREGATE):
+                with LpChain() as chain:
+                    for b in seq:
+                        model = build_flfo_lp(inst, b, fairness)
+                        assert_priced_matches_full(model, chain.solve(model))
+                    rounds.append(chain.stats["pricing_rounds"])
+
+        check()
+        assert sum(r > 0 for r in rounds) >= len(rounds) // 4  # pricing really ran
+
+    def test_far_pairs_price_in(self):
+        inst = far_cheap_instance()
+        model = build_flfo_lp(inst, OutlierBudgets((0, 0)))
+        with LpChain() as chain:
+            frac = chain.solve(model)
+            assert chain.stats["pricing_rounds"] >= 1 and chain.stats["priced_pairs"] >= 1
+        assert_priced_matches_full(model, frac)
+        assert frac.y[25] == pytest.approx(1.0)
+
+    def test_counters_on_synthetic_sweeps(self):
+        """Pinned pricing work of the pct 1..10 chains; seed 1 prices."""
+        expected = {
+            (0, PER_GROUP): (0, 0), (0, AGGREGATE): (0, 0),
+            (1, PER_GROUP): (2, 37), (1, AGGREGATE): (1, 33),
+        }
+        for seed in (0, 1):
+            inst, _ = generate_synthetic(SyntheticConfig(seed=seed))
+            inst = prune_pairs(inst)
+            for fairness in (PER_GROUP, AGGREGATE):
+                with LpChain() as chain:
+                    for pct in range(1, 11):
+                        chain.solve(build_flfo_lp(inst, budgets_from_pct(inst, pct), fairness))
+                    stats = chain.stats
+                assert (stats["cold"], stats["warm"], stats["memo"]) == (1, 9, 0)
+                assert (stats["pricing_rounds"], stats["priced_pairs"]) == expected[seed, fairness]
+
+    def test_pivot_cap_spans_pricing_rounds(self, monkeypatch):
+        model = build_flfo_lp(far_cheap_instance(), OutlierBudgets((0, 0)))
+        with LpChain() as chain:
+            frac = chain.solve(model)
+            total = chain.stats["simplex_iters"]
+        priced = []
+        original = fairfl.lp._priced_in
+        monkeypatch.setattr(fairfl.lp, "_priced_in", lambda *a: priced.append(1) or original(*a))
+        # as for a single run, HiGHS stops at the cap even when that pivot is the last
+        with pytest.raises(IterationLimitError):
+            solve_lp(model, pivot_cap=total)
+        assert priced  # the first round finished within the cap; a later one hit it
+        assert solve_lp(model, pivot_cap=total + 1).objective_value == frac.objective_value
+
+    def test_parallel_sweep_matches_serial_where_pricing_runs(self, tmp_path, monkeypatch):
+        added = []
+        add_pairs = fairfl.lp._HeldModel.add_pairs
+        monkeypatch.setattr(fairfl.lp._HeldModel, "add_pairs",
+                            lambda self, pairs: added.append(len(pairs)) or add_pairs(self, pairs))
+        args = ["sweep", "--dataset", "synthetic", "--seed", "1", "--algo", "lpr-f", "--algo", "lpr-nf",
+                "--pct", "3", "--pct", "4"]
+        out1, out2 = tmp_path / "s.csv", tmp_path / "p.csv"
+        assert main(args + ["--out", str(out1), "--jobs", "1"]) == 0
+        assert added
+        assert main(args + ["--out", str(out2), "--jobs", "2"]) == 0
+        strip = lambda p: [
+            ",".join(c for i, c in enumerate(r.split(",")) if i != 8)  # wall time
+            for r in p.read_text().splitlines()
+            if not r.startswith(("# jobs", "# out"))
+        ]
+        assert strip(out1) == strip(out2)
+
+
+class TestCertificate:
+    def test_bound_is_tight_and_below_for_any_duals(self, random_suite):
+        rng = np.random.default_rng(99)
+        for inst, budgets in random_suite[:50]:
+            for fairness in (PER_GROUP, AGGREGATE):
+                model = build_flfo_lp(inst, budgets, fairness)
+                frac = solve_lp(model)
+                tol = 1e-9 * max(1.0, abs(frac.objective_value))
+                assert abs(frac.objective_value - frac.dual_bound) <= tol
+                for _ in range(5):
+                    v = rng.exponential(0.5, inst.n_clients)
+                    u = rng.exponential(0.5, model.n_budget_rows)
+                    assert _dual_bound(model, v, u) <= frac.objective_value + tol
+
+    def test_perturbed_dual_raises(self, monkeypatch, synthetic_seed0):
+        model = build_flfo_lp(synthetic_seed0, budgets_from_pct(synthetic_seed0, 5))
+        duals = fairfl.lp._duals
+
+        def perturbed(*a):
+            v, u = duals(*a)
+            return v * 1.01, u
+
+        with LpChain() as chain:
+            monkeypatch.setattr(fairfl.lp, "_duals", perturbed)
+            with pytest.raises(LpCertificateError):
+                chain.solve(model)
+            monkeypatch.setattr(fairfl.lp, "_duals", duals)
+            frac = chain.solve(model)  # the failed model was dropped; this one is certified
+            assert chain.stats["cold"] == 1
+        assert frac.objective_value - frac.dual_bound <= 1e-9 * frac.objective_value
+
+    def test_skipped_candidate_raises(self, monkeypatch):
+        model = build_flfo_lp(far_cheap_instance(), OutlierBudgets((0, 0)))
+        priced_in = fairfl.lp._priced_in
+        # the last candidate is the last client's pair to the free facility
+        monkeypatch.setattr(fairfl.lp, "_priced_in", lambda *a: priced_in(*a)[:-1])
+        with pytest.raises(LpCertificateError):
+            solve_lp(model)
+
+    def test_certificate_survives_optimized_mode(self):
+        code = (
+            "import fairfl.lp as lp\n"
+            "from fairfl.cli import main\n"
+            "duals = lp._duals\n"
+            "lp._duals = lambda *a: (duals(*a)[0] * 1.01, duals(*a)[1])\n"
+            "print(main(['solve', '--dataset', 'synthetic', '--algo', 'lpr-f', '--pct', '5']))\n"
+        )
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        out = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True,
+                             env=dict(os.environ, PYTHONPATH=src), timeout=120)
+        assert out.stdout.strip().splitlines()[-1] == "3", out.stderr
+        assert "dual bound" in out.stderr
 
 
 class TestGapInstance:
