@@ -425,9 +425,9 @@ def _chain_worker(payload) -> tuple[list[SweepRecord], list[float]]:
     module-level so process pools can pickle it.
 
     ``algo`` None runs no cells.  With ``want_lp`` the fair LP optimum at
-    each percentage is returned too, read from the chain's memo when the
-    algorithm already solved that LP (lpr-f) and solved on the chain
-    otherwise.  The chain's HiGHS models are released when it ends.
+    each percentage is returned too, solved on the chain, whose memo
+    answers it when the algorithm already solved that LP (lpr-f).  The
+    chain's HiGHS models are released when it ends.
     """
     algo, pcts, budget_list, inst, params, problem, seed, want_lp = payload
     records, lp_objs = [], []
@@ -437,12 +437,7 @@ def _chain_worker(payload) -> tuple[list[SweepRecord], list[float]]:
             if algo is not None:
                 records.append(_cell_worker(algo, pct, inst, budgets, params, problem, seed)[0])
             if want_lp:
-                frac = chain.solved(budgets, PER_GROUP)
-                if frac is None:
-                    model = chain.rebudget(inst, budgets, PER_GROUP)
-                    if model is None:
-                        model = build_flfo_lp(inst, budgets, PER_GROUP)
-                    frac = solve_lp(model, chain=chain)
+                frac = solve_lp(build_flfo_lp(inst, budgets, PER_GROUP), chain=chain)
                 lp_objs.append(frac.objective_value)
     return records, lp_objs
 

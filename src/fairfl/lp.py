@@ -6,6 +6,10 @@ opening value per facility, one outlier value per client, all boxed to
 never exceeds opening, and outlier mass per group (or in total, for the
 non-fair variant) stays within budget.
 
+An ``LpModel`` describes the relaxation by the instance's pair arrays, its
+costs and the budget right-hand sides; the full constraint matrix is built
+only when read (``write_mps`` and tests read it), never to solve.
+
 Solving goes through the HiGHS solver bundled with scipy, which is
 deterministic for a fixed sequence of operations.  An ``LpChain`` keeps one
 HiGHS model per fairness mode and re-solves it from the previous optimal
@@ -25,17 +29,19 @@ point is then read back in the full ``LpModel`` layout, omitted pairs at
 zero.
 
 Every solution is certified twice before being returned: an independent
-residual pass checks it against the full model's rows, and the Lagrangian
-bound of the duals (Cornuejols, Fisher & Nemhauser, Mgmt. Sci. 1977), with
-the coverage and budget rows relaxed and summed over *all* allowed pairs,
-must reach the objective within ``CERTIFICATE_TOL`` relative.  The bound is
-valid for any ``v, u >= 0`` because every variable is boxed to [0, 1], so
-it certifies both the solver's optimality and the pricing's stopping rule.
+residual pass checks it against every row of the model, computed from the
+pair arrays, and the Lagrangian bound of the duals (Cornuejols, Fisher &
+Nemhauser, Mgmt. Sci. 1977), with the coverage and budget rows relaxed and
+summed over *all* allowed pairs, must reach the objective within
+``CERTIFICATE_TOL`` relative.  The bound is valid for any ``v, u >= 0``
+because every variable is boxed to [0, 1], so it certifies both the
+solver's optimality and the pricing's stopping rule.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -86,27 +92,36 @@ class LpCertificateError(LpError):
 
 @dataclass(frozen=True)
 class LpModel:
-    """Sparse LP in natural row senses ('G' for >=, 'L' for <=).
+    """The relaxation of ``inst`` at one budget vector, described by the
+    instance's pair arrays, the column costs ``c`` and the budget
+    right-hand sides; the constraint matrix ``a_matrix`` (natural row
+    senses, 'G' for >=, 'L' for <=, in ``senses``, with ``rhs``) is built
+    only when read.
 
     Column layout: assignment variables for each allowed pair (client-major
     order, mirrored in ``pair_fac``/``pair_cli``), then one opening variable
     per facility, then one outlier variable per client.  Row layout: client
-    coverage rows, pair capacity rows, then budget row(s).  ``source`` is
-    the instance the model was built from, which lets an ``LpChain`` set new
-    budgets on its held model instead of rebuilding it.
+    coverage rows, pair capacity rows, then budget row(s).
     """
 
-    c: np.ndarray
-    a_matrix: sparse.csr_matrix
-    senses: np.ndarray
-    rhs: np.ndarray
+    inst: MetricInstance = field(repr=False)
+    fairness: str
+    budget_rhs: np.ndarray
     pair_fac: np.ndarray
     pair_cli: np.ndarray
-    n_facilities: int
-    n_clients: int
-    n_budget_rows: int
-    fairness: str
-    source: Optional[MetricInstance] = field(default=None, compare=False, repr=False)
+    c: np.ndarray
+
+    @property
+    def n_facilities(self) -> int:
+        return self.inst.n_facilities
+
+    @property
+    def n_clients(self) -> int:
+        return self.inst.n_clients
+
+    @property
+    def n_budget_rows(self) -> int:
+        return len(self.budget_rhs)
 
     @property
     def n_pairs(self) -> int:
@@ -119,6 +134,36 @@ class LpModel:
     @property
     def n_rows(self) -> int:
         return self.n_clients + self.n_pairs + self.n_budget_rows
+
+    @cached_property
+    def budget_row(self) -> np.ndarray:
+        """Each client's budget row: its group, or 0 for the aggregate row."""
+        if self.fairness == PER_GROUP:
+            return self.inst.groups
+        return np.zeros(self.n_clients, dtype=np.int64)
+
+    @cached_property
+    def a_matrix(self) -> sparse.csr_matrix:
+        n, n_pairs = self.n_clients, self.n_pairs
+        p_idx = np.arange(n_pairs)
+        z_cols = n_pairs + self.n_facilities + np.arange(n)
+        ones = np.ones(n_pairs)
+        # coverage: sum_i x_ij + z_j >= 1; capacity: x_ij - y_i <= 0; budgets on z
+        rows = [self.pair_cli, np.arange(n), n + p_idx, n + p_idx, n + n_pairs + self.budget_row]
+        cols = [p_idx, z_cols, p_idx, n_pairs + self.pair_fac, z_cols]
+        data = [ones, np.ones(n), ones, -ones, np.ones(n)]
+        return sparse.csr_matrix(
+            (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
+            shape=(self.n_rows, self.n_vars),
+        )
+
+    @cached_property
+    def senses(self) -> np.ndarray:
+        return np.array(["G"] * self.n_clients + ["L"] * (self.n_pairs + self.n_budget_rows))
+
+    @cached_property
+    def rhs(self) -> np.ndarray:
+        return np.concatenate([np.ones(self.n_clients), np.zeros(self.n_pairs), self.budget_rhs])
 
     def var_role(self, var: int) -> tuple:
         """('x', facility, client) | ('y', facility) | ('z', client)."""
@@ -160,16 +205,10 @@ class FractionalSolution:
         return np.bincount(self.pair_cli, weights=self.x_values, minlength=len(self.z))
 
 
-def _budget_rhs(budgets: OutlierBudgets, fairness: str) -> np.ndarray:
-    """Right-hand sides of the budget rows: one per group, or their total."""
-    caps = budgets.per_group if fairness == PER_GROUP else (budgets.total,)
-    return np.array(caps, dtype=float)
-
-
 def build_flfo_lp(
     inst: MetricInstance, budgets: OutlierBudgets, fairness: str = PER_GROUP
 ) -> LpModel:
-    """Assemble the relaxation for an instance and budget vector.
+    """Describe the relaxation for an instance and budget vector.
 
     ``per_group`` emits one budget row per group; ``aggregate`` collapses
     them into a single row capping the total outlier mass, which is the
@@ -179,54 +218,26 @@ def build_flfo_lp(
         raise ValueError(f"unknown fairness mode {fairness!r}")
     budgets.validate_for(inst)
     fac, cli = inst.pair_arrays
-    n_pairs = len(fac)
-    n, m = inst.n_clients, inst.n_facilities
-    dist = inst.distances()
-
-    c = np.concatenate([dist[fac, cli], inst.open_costs, np.zeros(n)])
-
-    y_off = n_pairs
-    z_off = n_pairs + m
-    p_idx = np.arange(n_pairs)
-
-    # coverage: sum_i x_ij + z_j >= 1
-    rows = [cli, np.arange(n)]
-    cols = [p_idx, z_off + np.arange(n)]
-    data = [np.ones(n_pairs), np.ones(n)]
-    # capacity: x_ij - y_i <= 0
-    rows += [n + p_idx, n + p_idx]
-    cols += [p_idx, y_off + fac]
-    data += [np.ones(n_pairs), -np.ones(n_pairs)]
-    # budgets on z
-    budget_rhs = _budget_rhs(budgets, fairness)
-    n_budget = len(budget_rhs)
-    budget_row = inst.groups if fairness == PER_GROUP else np.zeros(n, dtype=np.int64)
-    rows.append(n + n_pairs + budget_row)
-    cols.append(z_off + np.arange(n))
-    data.append(np.ones(n))
-
-    n_rows = n + n_pairs + n_budget
-    a_matrix = sparse.csr_matrix(
-        (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(n_rows, n_pairs + m + n),
-    )
-    senses = np.array(["G"] * n + ["L"] * (n_pairs + n_budget))
-    rhs = np.concatenate([np.ones(n), np.zeros(n_pairs), budget_rhs])
-    return LpModel(c, a_matrix, senses, rhs, fac, cli, m, n, n_budget, fairness, inst)
+    caps = budgets.per_group if fairness == PER_GROUP else (budgets.total,)
+    c = np.concatenate([inst.distances()[fac, cli], inst.open_costs, np.zeros(inst.n_clients)])
+    return LpModel(inst, fairness, np.array(caps, dtype=float), fac, cli, c)
 
 
 def _verify_residuals(model: LpModel, values: np.ndarray) -> None:
+    """Check ``values`` against the variable boxes and every row of
+    ``model``, each row computed from the pair arrays."""
     if values.min() < -RESIDUAL_TOL or values.max() > 1.0 + RESIDUAL_TOL:
         raise LpError("solution violates variable bounds beyond tolerance")
-    lhs = model.a_matrix @ values
-    geq = model.senses == "G"
-    if np.any(lhs[geq] < model.rhs[geq] - RESIDUAL_TOL):
-        worst = float((model.rhs[geq] - lhs[geq]).max())
-        raise LpError(f"coverage residual {worst:.2e} beyond tolerance")
-    leq = ~geq
-    if np.any(lhs[leq] > model.rhs[leq] + RESIDUAL_TOL):
-        worst = float((lhs[leq] - model.rhs[leq]).max())
-        raise LpError(f"inequality residual {worst:.2e} beyond tolerance")
+    n_pairs, m = model.n_pairs, model.n_facilities
+    x, y, z = values[:n_pairs], values[n_pairs : n_pairs + m], values[n_pairs + m :]
+    cover = np.bincount(model.pair_cli, weights=x, minlength=model.n_clients) + z
+    if np.any(cover < 1.0 - RESIDUAL_TOL):
+        raise LpError(f"coverage residual {float((1.0 - cover).max()):.2e} beyond tolerance")
+    capacity = x - y[model.pair_fac]
+    load = np.bincount(model.budget_row, weights=z, minlength=model.n_budget_rows)
+    if np.any(capacity > RESIDUAL_TOL) or np.any(load > model.budget_rhs + RESIDUAL_TOL):
+        worst = max(capacity.max(initial=0.0), (load - model.budget_rhs).max())
+        raise LpError(f"inequality residual {float(worst):.2e} beyond tolerance")
 
 
 def _raise_for_status(status: HighsModelStatus, cap: int, message: str) -> None:
@@ -254,16 +265,33 @@ def _start_pairs(model: LpModel) -> np.ndarray:
     return np.sort(order[rank < START_PAIRS])
 
 
-def _highs_model(model: LpModel, cols: np.ndarray, rows: np.ndarray):
-    """A HiGHS instance holding the ``cols`` columns and ``rows`` rows of
-    ``model``, every row read as ``a x <= b``, solved by dual simplex without
-    presolve.  Presolve finds nothing to remove in these models (every row
-    and column survives it) and only costs time and a copy of the LP.  The
-    arrays go through ``passModel``'s array overload, which copies each in
-    one block; it needs an explicit all-zero (continuous) integrality."""
-    sign = np.where(model.senses[rows] == "G", -1.0, 1.0)
-    a_csc = model.a_matrix[rows][:, cols].multiply(sign[:, None]).tocsc()
-    n_col, n_row = len(cols), len(rows)
+def _highs_model(model: LpModel, pairs: np.ndarray, n_start: int):
+    """A HiGHS instance holding the assignment columns and capacity rows of
+    ``pairs``, the first ``n_start`` of them placed before the opening,
+    outlier and budget rows and columns and the rest after (the layout of
+    ``_HeldModel``), every row read as ``a x <= b``, solved by dual simplex
+    without presolve.  Presolve finds nothing to remove in these models
+    (every row and column survives it) and only costs time and a copy of
+    the LP.  The arrays go through ``passModel``'s array overload, which
+    copies each in one block; it needs an explicit all-zero (continuous)
+    integrality."""
+    n, m, n_budget = model.n_clients, model.n_facilities, model.n_budget_rows
+    k = len(pairs)
+    late = np.arange(k) >= n_start
+    x_cols = np.arange(k) + late * (m + n)
+    cap_rows = n + np.arange(k) + late * n_budget
+    z_cols = n_start + m + np.arange(n)
+    # coverage -x_ij - z_j <= -1; capacity x_ij - y_i <= 0; budgets on z
+    rows = [model.pair_cli[pairs], cap_rows, cap_rows, np.arange(n), n + n_start + model.budget_row]
+    cols = [x_cols, x_cols, n_start + model.pair_fac[pairs], z_cols, z_cols]
+    data = [np.full(k, -1.0), np.ones(k), np.full(k, -1.0), np.full(n, -1.0), np.ones(n)]
+    n_col, n_row = k + m + n, k + n + n_budget
+    a_csc = sparse.coo_matrix(
+        (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))), shape=(n_row, n_col)
+    ).tocsc()
+    n_pairs = model.n_pairs
+    cost = np.concatenate([model.c[pairs[:n_start]], model.c[n_pairs:], model.c[pairs[n_start:]]])
+    upper = np.concatenate([np.full(n, -1.0), np.zeros(n_start), model.budget_rhs, np.zeros(k - n_start)])
     options = HighsOptions()
     options.output_flag = False
     options.log_to_console = False
@@ -275,40 +303,13 @@ def _highs_model(model: LpModel, cols: np.ndarray, rows: np.ndarray):
     highs.passOptions(options)
     status = highs.passModel(
         n_col, n_row, a_csc.nnz, int(MatrixFormat.kColwise), int(ObjSense.kMinimize), 0.0,
-        model.c[cols], np.zeros(n_col), np.ones(n_col),
-        np.full(n_row, -kHighsInf), sign * model.rhs[rows],
+        cost, np.zeros(n_col), np.ones(n_col), np.full(n_row, -kHighsInf), upper,
         a_csc.indptr.astype(np.int32), a_csc.indices.astype(np.int32), a_csc.data,
         np.zeros(n_col, dtype=np.int32),
     )
     if status == HighsStatus.kError:
         raise LpError("HiGHS rejected the model")
     return highs
-
-
-def _budget_start(model: LpModel) -> int:
-    return model.n_rows - model.n_budget_rows
-
-
-def _same_except_budgets(a: LpModel, b: LpModel) -> bool:
-    """True when the two models differ at most in their budget-row bounds."""
-    if a is b:
-        return True
-    if a.a_matrix.shape != b.a_matrix.shape or a.n_budget_rows != b.n_budget_rows:
-        return False
-    k = _budget_start(a)
-    return all(
-        u is v or np.array_equal(u, v)
-        for u, v in (
-            (a.c, b.c),
-            (a.senses, b.senses),
-            (a.rhs[:k], b.rhs[:k]),
-            (a.pair_fac, b.pair_fac),
-            (a.pair_cli, b.pair_cli),
-            (a.a_matrix.indptr, b.a_matrix.indptr),
-            (a.a_matrix.indices, b.a_matrix.indices),
-            (a.a_matrix.data, b.a_matrix.data),
-        )
-    )
 
 
 def _duals(model: LpModel, n_start: int, row_dual) -> tuple[np.ndarray, np.ndarray]:
@@ -322,13 +323,13 @@ def _duals(model: LpModel, n_start: int, row_dual) -> tuple[np.ndarray, np.ndarr
     return v, np.maximum(0.0, -dual[first : first + model.n_budget_rows])
 
 
-def _priced_in(model: LpModel, cols: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """The pairs not among ``cols`` whose reduced cost ``d_ij - v_j`` is
+def _priced_in(model: LpModel, held: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """The pairs not among ``held`` whose reduced cost ``d_ij - v_j`` is
     below ``-PRICE_TOL``, ascending."""
     n_pairs = model.n_pairs
-    held = np.zeros(n_pairs, dtype=bool)
-    held[cols[cols < n_pairs]] = True
-    return np.flatnonzero(~held & (model.c[:n_pairs] < v[model.pair_cli] - PRICE_TOL))
+    omitted = np.ones(n_pairs, dtype=bool)
+    omitted[held] = False
+    return np.flatnonzero(omitted & (model.c[:n_pairs] < v[model.pair_cli] - PRICE_TOL))
 
 
 def _dual_bound(model: LpModel, v: np.ndarray, u: np.ndarray) -> float:
@@ -338,14 +339,13 @@ def _dual_bound(model: LpModel, v: np.ndarray, u: np.ndarray) -> float:
     capacity rows and the [0, 1] boxes stay in the inner problem, so this is
     a lower bound on the relaxation for any ``v, u >= 0``."""
     n_pairs, m = model.n_pairs, model.n_facilities
-    z_off, start = n_pairs + m, _budget_start(model)
+    z_off = n_pairs + m
     pair_term = np.minimum(0.0, model.c[:n_pairs] - v[model.pair_cli])
     open_term = model.c[n_pairs:z_off] + np.bincount(model.pair_fac, weights=pair_term, minlength=m)
-    z_price = model.a_matrix[start:, z_off:].T @ u  # u_g(j) for each client j
-    outlier_term = model.c[z_off:] + z_price - v
+    outlier_term = model.c[z_off:] + u[model.budget_row] - v
     return float(
-        model.rhs[: model.n_clients] @ v
-        - model.rhs[start:] @ u
+        v.sum()
+        - model.budget_rhs @ u
         + np.minimum(0.0, open_term).sum()
         + np.minimum(0.0, outlier_term).sum()
     )
@@ -354,28 +354,24 @@ def _dual_bound(model: LpModel, v: np.ndarray, u: np.ndarray) -> float:
 @dataclass
 class _HeldModel:
     """One fairness mode's model inside a chain: the LpModel last solved,
-    its priced HiGHS copy, the ``base`` column and row behind each HiGHS
-    column and row, the number of start pairs, and the solutions found so
-    far by budget vector.  HiGHS holds the start pairs' columns, the opening
-    and outlier columns (the first opening column at index ``n_start``),
-    then the pairs priced in; and the coverage rows, the start pairs'
-    capacity rows, the budget rows (the first at ``n_clients + n_start``),
-    then the priced pairs' capacity rows."""
+    its priced HiGHS copy, the held ``pairs`` (the first ``n_start`` of them
+    the start pairs, then those priced in, in order), and the solutions
+    found so far by budget vector.  HiGHS holds the start pairs' columns,
+    the opening and outlier columns (the first opening column at index
+    ``n_start``), then the pairs priced in; and the coverage rows, the start
+    pairs' capacity rows, the budget rows (the first at ``n_clients +
+    n_start``), then the priced pairs' capacity rows."""
 
     base: LpModel
     highs: _Highs
-    cols: np.ndarray
-    rows: np.ndarray
+    pairs: np.ndarray
     n_start: int
     memo: dict = field(default_factory=dict)
 
     @classmethod
     def start(cls, model: LpModel) -> "_HeldModel":
-        n, n_pairs = model.n_clients, model.n_pairs
         pairs = _start_pairs(model)
-        cols = np.concatenate([pairs, np.arange(n_pairs, model.n_vars)])
-        rows = np.concatenate([np.arange(n), n + pairs, np.arange(n + n_pairs, model.n_rows)])
-        return cls(model, _highs_model(model, cols, rows), cols, rows, len(pairs))
+        return cls(model, _highs_model(model, pairs, len(pairs)), pairs, len(pairs))
 
     def add_pairs(self, pairs: np.ndarray) -> None:
         """Append the assignment columns and capacity rows of ``pairs`` and
@@ -387,9 +383,8 @@ class _HeldModel:
         basis = self.highs.getBasis()
         self.highs = None  # release before building anew
         k = len(pairs)
-        self.cols = np.concatenate([self.cols, pairs])
-        self.rows = np.concatenate([self.rows, self.base.n_clients + pairs])
-        self.highs = _highs_model(self.base, self.cols, self.rows)
+        self.pairs = np.concatenate([self.pairs, pairs])
+        self.highs = _highs_model(self.base, self.pairs, self.n_start)
         basis.col_status = list(basis.col_status) + [HighsBasisStatus.kLower] * k
         basis.row_status = list(basis.row_status) + [HighsBasisStatus.kBasic] * k
         if self.highs.setBasis(basis) == HighsStatus.kError:
@@ -400,29 +395,30 @@ class _HeldModel:
         pair prices in, with at most ``cap`` simplex iterations over all
         rounds.  Returns the certified point in ``model``'s layout, its dual
         bound, and the iterations, pricing rounds and pairs added."""
-        start = _budget_start(model)
-        for r in np.flatnonzero(model.rhs[start:] != self.base.rhs[start:]):
-            row = start + int(r)
-            upper = float(model.rhs[row]) * (-1.0 if model.senses[row] == "G" else 1.0)
-            self.highs.changeRowBounds(model.n_clients + self.n_start + int(r), -kHighsInf, upper)
+        for r in np.flatnonzero(model.budget_rhs != self.base.budget_rhs):
+            row = model.n_clients + self.n_start + int(r)
+            self.highs.changeRowBounds(row, -kHighsInf, float(model.budget_rhs[r]))
         self.base = model
         iters = rounds = added = 0
         while True:
-            self.highs.setOptionValue("simplex_iteration_limit", cap - iters)
+            # HiGHS stops at its limit even when that pivot ends the solve
+            self.highs.setOptionValue("simplex_iteration_limit", cap - iters + 1)
             self.highs.run()
             iters += int(self.highs.getInfo().simplex_iteration_count)
             status = self.highs.getModelStatus()
             _raise_for_status(status, cap, self.highs.modelStatusToString(status))
             solution = self.highs.getSolution()
             v, u = _duals(model, self.n_start, solution.row_dual)
-            pairs = _priced_in(model, self.cols, v)
+            pairs = _priced_in(model, self.pairs, v)
             if not pairs.size:
                 break
             self.add_pairs(pairs)
             rounds += 1
             added += len(pairs)
+        n_start, n_pairs = self.n_start, model.n_pairs
+        cols = np.concatenate([self.pairs[:n_start], np.arange(n_pairs, model.n_vars), self.pairs[n_start:]])
         values = np.zeros(model.n_vars)
-        values[self.cols] = solution.col_value
+        values[cols] = solution.col_value
         objective = float(model.c @ values)
         bound = _dual_bound(model, v, u)
         if objective - bound > CERTIFICATE_TOL * max(1.0, abs(objective)):
@@ -437,20 +433,18 @@ class LpChain:
 
     Holds one priced HiGHS model per fairness mode.  ``solve`` re-solves the
     held model from its last optimal basis after ``changeRowBounds`` on the
-    budget rows when only those differ (dual simplex, typically tens of
-    pivots where a cold solve takes thousands), pricing in any pair the new
-    duals call for; pairs priced in stay for later solves.  Any other model
-    replaces the held one and is solved cold from its start pairs.
-    ``rebudget`` hands out the held model with new budget rows, so a caller
-    need not rebuild the model of the same instance at every budget vector.
-    Solutions are memoised by budget vector, so a budget seen before returns
-    the same point whatever was solved in between, and a chain's answers
-    depend only on the order of its own calls.  Every returned point passes
-    the residual check against the model it was asked for and carries its
-    dual bound.  Use as a context manager, or call ``close``, to release the
-    HiGHS models.  ``stats`` counts cold, warm and memoised solves, the
-    simplex iterations spent over all pricing rounds, the pricing rounds
-    run and the pairs they added.
+    budget rows when the model is of the same instance object (dual
+    simplex, typically tens of pivots where a cold solve takes thousands),
+    pricing in any pair the new duals call for; pairs priced in stay for
+    later solves.  A model of any other instance replaces the held one and
+    is solved cold from its start pairs.  Solutions are memoised by budget
+    vector, so a budget seen before returns the same point whatever was
+    solved in between, and a chain's answers depend only on the order of its
+    own calls.  Every returned point passes the residual check against the
+    model it was asked for and carries its dual bound.  Use as a context
+    manager, or call ``close``, to release the HiGHS models.  ``stats``
+    counts cold, warm and memoised solves, the simplex iterations spent over
+    all pricing rounds, the pricing rounds run and the pairs they added.
     """
 
     def __init__(self):
@@ -470,11 +464,11 @@ class LpChain:
 
     def solve(self, model: LpModel, pivot_cap: Optional[int] = None) -> FractionalSolution:
         held = self._held.get(model.fairness)
-        warm = held is not None and _same_except_budgets(held.base, model)
+        warm = held is not None and held.base.inst is model.inst
         if not warm:
             self._held.pop(model.fairness, None)  # release before building anew
             held = self._held[model.fairness] = _HeldModel.start(model)
-        key = tuple(model.rhs[_budget_start(model) :].tolist())
+        key = tuple(model.budget_rhs.tolist())
         if key in held.memo:
             self.stats["memo"] += 1
         else:
@@ -492,33 +486,6 @@ class LpChain:
         values, frac = held.memo[key]
         _verify_residuals(model, values)
         return frac
-
-    def solved(
-        self, budgets: OutlierBudgets, fairness: str = PER_GROUP
-    ) -> Optional[FractionalSolution]:
-        """The memoised solution of the held ``fairness`` model at
-        ``budgets``, or None if this chain has not solved it."""
-        held = self._held.get(fairness)
-        if held is None:
-            return None
-        hit = held.memo.get(tuple(_budget_rhs(budgets, fairness).tolist()))
-        return hit[1] if hit else None
-
-    def rebudget(
-        self, inst: MetricInstance, budgets: OutlierBudgets, fairness: str = PER_GROUP
-    ) -> Optional[LpModel]:
-        """The held ``fairness`` model with its budget rows set to
-        ``budgets``, when it was built from ``inst`` (the same object); None
-        otherwise.  Equal in every array to ``build_flfo_lp(inst, budgets,
-        fairness)`` and sharing all but the right-hand sides with the held
-        model, so ``solve`` recognises it without comparing the matrices."""
-        held = self._held.get(fairness)
-        if held is None or held.base.source is not inst:
-            return None
-        budgets.validate_for(inst)
-        base = held.base
-        rhs = np.concatenate([base.rhs[: _budget_start(base)], _budget_rhs(budgets, fairness)])
-        return replace(base, rhs=rhs)
 
 
 def _fractional(model: LpModel, values: np.ndarray, bound: float) -> FractionalSolution:
@@ -539,14 +506,14 @@ def solve_lp(
 ) -> FractionalSolution:
     """Solve to optimality; deterministic for a fixed model.
 
-    With ``chain`` the solve is one step of that chain (warm when only the
-    budgets changed since its last solve of this fairness mode); without,
+    With ``chain`` the solve is one step of that chain (warm when its last
+    solve of this fairness mode was of the same instance object); without,
     it is a chain of one cold solve.  Raises InfeasibleError /
     UnboundedError / IterationLimitError on the corresponding solver
     statuses, the last when more than ``pivot_cap`` simplex iterations are
     needed over all pricing rounds.  The returned point is checked against
-    the model's rows within 1e-7 by a residual pass independent of the
-    solver's own bookkeeping, and its objective against its dual bound
+    every row of the model within 1e-7 by a residual pass independent of
+    the solver's own bookkeeping, and its objective against its dual bound
     (LpCertificateError when they differ by more than ``CERTIFICATE_TOL``).
     """
     if chain is not None:
@@ -573,9 +540,10 @@ def build_gap_instance(f: float, m_clients: int) -> tuple[MetricInstance, Outlie
 
 
 def write_mps(model: LpModel, path: str, name: str = "FAIRFL") -> None:
-    """Dump the model in fixed-format MPS for cross-checking with external
-    solvers.  Rows are named R%07d by row id and columns C%07d by variable
-    id; use ``LpModel.var_role``/``row_role`` to translate back."""
+    """Dump the model in free-format MPS for cross-checking with external
+    solvers, every number written by ``repr`` so it reads back exactly.
+    Rows are named R%07d by row id and columns C%07d by variable id; use
+    ``LpModel.var_role``/``row_role`` to translate back."""
     sense_tag = {"G": " G", "L": " L"}
     with open(path, "w", encoding="ascii") as fh:
         fh.write(f"NAME          {name}\n")
@@ -597,12 +565,12 @@ def write_mps(model: LpModel, path: str, name: str = "FAIRFL") -> None:
                 chunk = entries[k : k + 2]
                 line = f"    {col:<8}"
                 for row_name, val in chunk:
-                    line += f"  {row_name:<8}  {val:<12.8g}"
-                fh.write(line.rstrip() + "\n")
+                    line += f"  {row_name:<8}  {float(val)!r}"
+                fh.write(line + "\n")
         fh.write("RHS\n")
         for r in range(model.n_rows):
             if model.rhs[r] != 0.0:
-                fh.write(f"    RHS       R{r:07d}  {model.rhs[r]:<12.8g}".rstrip() + "\n")
+                fh.write(f"    RHS       R{r:07d}  {float(model.rhs[r])!r}\n")
         fh.write("BOUNDS\n")
         for v in range(model.n_vars):
             fh.write(f" UP BND       C{v:07d}  1\n")

@@ -187,15 +187,12 @@ def lpr_pipeline(
     removal; any algorithm with the signature of
     ``round_facility_location`` can be plugged in, the threshold heuristic
     being the default.  ``chain``, when given, solves the relaxation warm
-    from its previous solve at other budgets, and re-budgets its held model
-    of ``inst`` instead of building a new one (see ``LpChain``).  Returns the
-    integral solution together with the optimal fractional solution so
-    callers can report the LP bound without re-solving.
+    from its previous solve of ``inst`` at other budgets, or answers from
+    its memo a budget vector it has solved before (see ``LpChain``).
+    Returns the integral solution together with the optimal fractional
+    solution so callers can report the LP bound without re-solving.
     """
-    model = chain.rebudget(inst, budgets, fairness) if chain is not None else None
-    if model is None:
-        model = build_flfo_lp(inst, budgets, fairness)
-    frac = solve_lp(model, chain=chain)
+    frac = solve_lp(build_flfo_lp(inst, budgets, fairness), chain=chain)
     part = identify_outliers(inst, frac, budgets, cfg.epsilon, fairness)
     rescaled = rescale(inst, frac, part, cfg.epsilon)
     sol = rounder(inst, part, rescaled, cfg)

@@ -1,7 +1,6 @@
 import os
 import subprocess
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -16,7 +15,6 @@ from scipy.optimize._highspy._core import (
     simplex_constants,
 )
 
-import fairfl.rounding
 from fairfl import (
     AGGREGATE,
     PER_GROUP,
@@ -41,14 +39,15 @@ from fairfl import (
 import fairfl.lp
 from fairfl.cli import budgets_from_pct, main
 from fairfl.lp import (
+    RESIDUAL_TOL,
     START_PAIRS,
     HighsModelStatus,
+    HighsStatus,
     _dual_bound,
     _raise_for_status,
     _start_pairs,
     _verify_residuals,
 )
-from fairfl.rounding import RoundingConfig, lpr_pipeline
 from conftest import random_budgets, random_instance
 
 
@@ -141,23 +140,6 @@ class TestSolve:
         model = build_flfo_lp(inst, budgets)
         with pytest.raises(IterationLimitError):
             solve_lp(model, pivot_cap=1)
-
-    def test_infeasible_raises(self):
-        # hand-built contradictory model: single opening variable >= 2
-        model = LpModel(
-            c=np.zeros(1),
-            a_matrix=sparse.csr_matrix(np.array([[1.0]])),
-            senses=np.array(["G"]),
-            rhs=np.array([2.0]),
-            pair_fac=np.zeros(0, dtype=np.int64),
-            pair_cli=np.zeros(0, dtype=np.int64),
-            n_facilities=1,
-            n_clients=0,
-            n_budget_rows=1,
-            fairness="per_group",
-        )
-        with pytest.raises(InfeasibleError):
-            solve_lp(model)
 
     def test_residual_pass_rejects_bad_point(self):
         inst = tiny([[7.0]], [0], [[0.0]], [0.0])
@@ -268,10 +250,7 @@ class TestLpChain:
             first = chain.solve(build_flfo_lp(inst, a))
             chain.solve(build_flfo_lp(inst, b))
             assert chain.solve(build_flfo_lp(inst, a)) is first
-            assert chain.solved(a) is first
-            assert chain.solved(a, AGGREGATE) is None
             assert chain.stats["memo"] == 1
-        assert chain.solved(a) is None  # closing released the models
 
     def test_other_instance_starts_cold(self, rng):
         with LpChain() as chain:
@@ -288,52 +267,6 @@ class TestLpChain:
                 chain.solve(model, pivot_cap=1)
             frac = chain.solve(model)
         assert frac.objective_value == pytest.approx(solve_lp(model).objective_value, rel=1e-12)
-
-    def test_rebudget_equals_a_fresh_build(self, synthetic_seed0):
-        inst = synthetic_seed0
-        first, second = budgets_from_pct(inst, 2), budgets_from_pct(inst, 7)
-        for fairness, other in ((PER_GROUP, AGGREGATE), (AGGREGATE, PER_GROUP)):
-            with LpChain() as chain:
-                assert chain.rebudget(inst, second, fairness) is None  # nothing held yet
-                held = build_flfo_lp(inst, first, fairness)
-                chain.solve(held)
-                model = chain.rebudget(inst, second, fairness)
-                fresh = build_flfo_lp(inst, second, fairness)
-                for name in ("c", "senses", "rhs", "pair_fac", "pair_cli"):
-                    assert np.array_equal(getattr(model, name), getattr(fresh, name)), name
-                assert (model.a_matrix != fresh.a_matrix).nnz == 0
-                assert model.a_matrix is held.a_matrix and model.c is held.c
-                assert model.n_budget_rows == fresh.n_budget_rows and model.source is inst
-                # only the held mode of the same instance object is re-budgeted
-                assert chain.rebudget(inst, second, other) is None
-                assert chain.rebudget(replace(inst), second, fairness) is None
-                with pytest.raises(ValueError):
-                    chain.rebudget(inst, OutlierBudgets((10**6,) * inst.n_groups), fairness)
-                frac = chain.solve(model)
-                assert (chain.stats["cold"], chain.stats["warm"]) == (1, 1)
-            assert frac.objective_value == pytest.approx(
-                solve_lp(fresh).objective_value, rel=1e-9, abs=1e-12
-            )
-
-    def test_pipeline_builds_once_per_chain(self, monkeypatch, synthetic_seed0):
-        inst = synthetic_seed0
-        seq = [budgets_from_pct(inst, p) for p in (1, 2, 3, 2)]
-        builds = []
-        build = fairfl.rounding.build_flfo_lp
-        monkeypatch.setattr(fairfl.rounding, "build_flfo_lp", lambda *a: builds.append(a) or build(*a))
-
-        def run():
-            with LpChain() as chain:
-                return [lpr_pipeline(inst, b, RoundingConfig(), PER_GROUP, chain=chain) for b in seq]
-
-        reused = run()
-        assert len(builds) == 1
-        monkeypatch.setattr(LpChain, "rebudget", lambda self, *a: None)
-        rebuilt = run()
-        assert len(builds) == 1 + len(seq)
-        for (sol, frac), (sol_b, frac_b) in zip(reused, rebuilt):
-            assert np.array_equal(point(frac), point(frac_b))
-            assert sol.open == sol_b.open and sol.total_cost == sol_b.total_cost
 
 
 # The full-model path as it stood before pricing, kept verbatim as the
@@ -385,6 +318,35 @@ def full_solve(model: LpModel) -> np.ndarray:
     status = highs.getModelStatus()
     _raise_for_status(status, cap, highs.modelStatusToString(status))
     return np.asarray(highs.getSolution().col_value, dtype=float)
+
+
+# The matrix forms of the residual check, of the outlier price in the dual
+# bound and of the HiGHS hand-off, as they stood when the solve path read
+# the full matrix, kept as references for the array forms.
+def matrix_residuals_pass(model: LpModel, values: np.ndarray) -> bool:
+    if values.min() < -RESIDUAL_TOL or values.max() > 1.0 + RESIDUAL_TOL:
+        return False
+    lhs = model.a_matrix @ values
+    geq = model.senses == "G"
+    return not (np.any(lhs[geq] < model.rhs[geq] - RESIDUAL_TOL)
+                or np.any(lhs[~geq] > model.rhs[~geq] + RESIDUAL_TOL))
+
+
+def matrix_z_price(model: LpModel, u: np.ndarray) -> np.ndarray:
+    start, z_off = model.n_rows - model.n_budget_rows, model.n_pairs + model.n_facilities
+    return model.a_matrix[start:, z_off:].T @ u
+
+
+def sliced_hand_off(model: LpModel, pairs: np.ndarray, n_start: int):
+    """The CSC matrix, column costs and row upper bounds of a held model
+    holding ``pairs``, sliced out of the full matrix and sign-flipped."""
+    n, n_pairs = model.n_clients, model.n_pairs
+    cols = np.concatenate([pairs[:n_start], np.arange(n_pairs, model.n_vars), pairs[n_start:]])
+    rows = np.concatenate([np.arange(n), n + pairs[:n_start], np.arange(n + n_pairs, model.n_rows),
+                           n + pairs[n_start:]])
+    sign = np.where(model.senses[rows] == "G", -1.0, 1.0)
+    a_csc = model.a_matrix[rows][:, cols].multiply(sign[:, None]).tocsc()
+    return a_csc, model.c[cols], sign * model.rhs[rows]
 
 
 def priced_instance(rng):
@@ -510,11 +472,11 @@ class TestPricing:
         priced = []
         original = fairfl.lp._priced_in
         monkeypatch.setattr(fairfl.lp, "_priced_in", lambda *a: priced.append(1) or original(*a))
-        # as for a single run, HiGHS stops at the cap even when that pivot is the last
+        assert solve_lp(model, pivot_cap=total).objective_value == frac.objective_value
+        priced.clear()
         with pytest.raises(IterationLimitError):
-            solve_lp(model, pivot_cap=total)
+            solve_lp(model, pivot_cap=total - 1)
         assert priced  # the first round finished within the cap; a later one hit it
-        assert solve_lp(model, pivot_cap=total + 1).objective_value == frac.objective_value
 
     def test_parallel_sweep_matches_serial_where_pricing_runs(self, tmp_path, monkeypatch):
         added = []
@@ -533,6 +495,111 @@ class TestPricing:
             if not r.startswith(("# jobs", "# out"))
         ]
         assert strip(out1) == strip(out2)
+
+
+class TestArrayForms:
+    """What the solve path computes from the pair arrays against the same
+    quantities read from the full matrix."""
+
+    @staticmethod
+    def passes(model, values):
+        try:
+            _verify_residuals(model, values)
+        except LpError:
+            return False
+        return True
+
+    def test_residual_check_matches_the_matrix_form(self, random_suite):
+        rng = np.random.default_rng(2718)
+        verdicts = []
+        for inst, budgets in random_suite:
+            for fairness in (PER_GROUP, AGGREGATE):
+                model = build_flfo_lp(inst, budgets, fairness)
+                x = point(solve_lp(model))
+                n_pairs, m = model.n_pairs, model.n_facilities
+                y, z = x[n_pairs : n_pairs + m], x[n_pairs + m :]
+                points = [x, x + rng.uniform(-3e-7, 3e-7, len(x))]
+                # one capacity row over by 2e-7
+                low = np.flatnonzero(y[model.pair_fac] <= 0.5)
+                if low.size:
+                    p = int(low[0])
+                    capacity = x.copy()
+                    capacity[p] = y[model.pair_fac[p]] + 2e-7
+                    points.append(capacity)
+                    assert not self.passes(model, capacity)
+                # one budget row over: every client of a row with more clients than budget
+                over = np.flatnonzero(np.bincount(model.budget_row) > model.budget_rhs)
+                if over.size:
+                    budget = x.copy()
+                    budget[n_pairs + m + np.flatnonzero(model.budget_row == over[0])] = 1.0
+                    points.append(budget)
+                    with pytest.raises(LpError, match="inequality residual"):
+                        _verify_residuals(model, budget)
+                for values in points:
+                    verdict = self.passes(model, values)
+                    assert verdict == matrix_residuals_pass(model, values)
+                    verdicts.append(verdict)
+                u = rng.exponential(0.5, model.n_budget_rows)
+                assert np.array_equal(u[model.budget_row], matrix_z_price(model, u))
+        assert 0.1 < np.mean(verdicts) < 0.9  # both verdicts are exercised
+
+    @pytest.mark.parametrize("fairness", [PER_GROUP, AGGREGATE])
+    def test_hand_off_equals_the_sliced_matrix(self, monkeypatch, fairness):
+        """The start model and every model rebuilt after a pricing round
+        reach HiGHS byte for byte as sliced out of the full matrix."""
+        passed, built = [], []
+
+        class Recording(_Highs):
+            def passModel(self, *args):
+                passed.append(args)
+                return super().passModel(*args)
+
+        highs_model = fairfl.lp._highs_model
+        monkeypatch.setattr(fairfl.lp, "_Highs", Recording)
+        monkeypatch.setattr(fairfl.lp, "_highs_model",
+                            lambda *a: built.append((a[0], a[1].copy(), a[2])) or highs_model(*a))
+        seed1 = prune_pairs(generate_synthetic(SyntheticConfig(seed=1))[0])
+        cases = [
+            (far_cheap_instance(), [OutlierBudgets((0, 0))]),
+            (seed1, [budgets_from_pct(seed1, p) for p in range(1, 11)]),
+        ]
+        for inst, seq in cases:
+            passed.clear()
+            built.clear()
+            with LpChain() as chain:
+                for budgets in seq:
+                    chain.solve(build_flfo_lp(inst, budgets, fairness))
+                assert chain.stats["pricing_rounds"] >= 1
+                assert len(passed) == len(built) == 1 + chain.stats["pricing_rounds"]
+            for args, (model, pairs, n_start) in zip(passed, built):
+                a_csc, cost, upper = sliced_hand_off(model, pairs, n_start)
+                assert args[:3] == (a_csc.shape[1], a_csc.shape[0], a_csc.nnz)
+                assert args[6].tobytes() == cost.tobytes()
+                assert args[10].tobytes() == upper.tobytes()
+                for got, want in zip(args[11:14], (a_csc.indptr, a_csc.indices, a_csc.data)):
+                    assert got.tobytes() == want.astype(got.dtype).tobytes()
+
+    def test_solve_path_never_builds_the_full_matrix(self, tmp_path, monkeypatch):
+        def refuse(self):
+            raise AssertionError("the full constraint matrix was built")
+
+        added = []
+        add_pairs = fairfl.lp._HeldModel.add_pairs
+        monkeypatch.setattr(fairfl.lp._HeldModel, "add_pairs",
+                            lambda self, pairs: added.append(len(pairs)) or add_pairs(self, pairs))
+        for name in ("a_matrix", "senses", "rhs"):
+            monkeypatch.setattr(LpModel, name, property(refuse))
+        args = ["--dataset", "synthetic", "--seed", "1", "--algo", "lpr-f"]
+        assert main(["sweep", *args, "--algo", "lpr-nf", "--pct", "3", "--pct", "4",
+                     "--out", str(tmp_path / "s.csv")]) == 0
+        assert added  # the sweep priced
+        monkeypatch.undo()
+        target = tmp_path / "model.mps"
+        assert main(["solve", *args, "--pct", "3", "--dump-mps", str(target)]) == 0
+        inst = prune_pairs(generate_synthetic(SyntheticConfig(seed=1))[0])
+        model = build_flfo_lp(inst, budgets_from_pct(inst, 3))
+        section = target.read_text().split("ROWS\n")[1].split("COLUMNS\n")[0]
+        assert len(section.splitlines()) == 1 + model.n_rows
 
 
 class TestCertificate:
@@ -653,4 +720,18 @@ class TestMpsWriter:
         for v in range(model.n_vars):
             expected = model.c[v]
             got = coeffs.get(f"C{v:07d}", 0.0)
-            assert got == pytest.approx(expected, rel=1e-7, abs=1e-12)
+            assert got == expected  # written in full precision
+
+    @pytest.mark.parametrize("fairness", [PER_GROUP, AGGREGATE])
+    def test_solver_reads_the_dump_back(self, tmp_path, synthetic_seed0, fairness):
+        model = build_flfo_lp(synthetic_seed0, budgets_from_pct(synthetic_seed0, 5), fairness)
+        path = tmp_path / "model.mps"
+        write_mps(model, str(path))
+        highs = _Highs()
+        highs.setOptionValue("output_flag", False)
+        assert highs.readModel(str(path)) == HighsStatus.kOk
+        assert np.asarray(highs.getLp().col_cost_).tobytes() == model.c.tobytes()  # full precision
+        highs.run()
+        assert highs.getModelStatus() == HighsModelStatus.kOptimal
+        objective = highs.getInfo().objective_function_value
+        assert objective == pytest.approx(solve_lp(model).objective_value, rel=1e-9)
