@@ -18,13 +18,16 @@ LP optimum at that percentage (facility-location sweeps only), taken over
 the allowed facility-client pairs only: it lower-bounds the solutions that
 keep within the budgets and assign through allowed pairs, while LPR and GDF
 assign over the full metric, so on a pruned instance their cost may fall
-below it.  A sweep runs one chain per algorithm: that algorithm's
-percentages in order, in one process, with the LP re-solved warm from one
-percentage to the next (see ``fairfl.lp.LpChain``), so output bytes do not
-depend on ``--jobs``.  Every cell's cost and per-group outlier counts are
-re-checked against its solution before the row is written.  Exit codes: 0
-success, 2 configuration error, 3 solver error (or a cell that fails the
-re-check).
+below it.  A sweep runs one LP chain per instance, fair then aggregate,
+in one process: lpr-f's cells (or the fair LP alone, for ``lp_obj``) at
+every percentage in order, then lpr-nf's, the LP re-solved warm from one
+percentage to the next and the aggregate LP started from the fair LP's
+optimal basis (see ``fairfl.lp.LpChain``).  Every other algorithm runs on a
+chain of its own.  The chains are the same whatever ``--jobs`` is, so
+output bytes do not depend on it.  Every cell's cost and per-group outlier
+counts are re-checked against its solution before the row is written.  Exit
+codes: 0 success, 2 configuration error, 3 solver error (or a cell that
+fails the re-check).
 """
 
 from __future__ import annotations
@@ -421,24 +424,26 @@ def _verify_cell(algo: str, pct: float, inst: MetricInstance, sol: IntegralSolut
 
 
 def _chain_worker(payload) -> tuple[list[SweepRecord], list[float]]:
-    """One algorithm's cells at every percentage, in order, on one LpChain;
-    module-level so process pools can pickle it.
+    """The cells of ``algos``, one algorithm after the other, each at every
+    percentage in order, on one LpChain; module-level so process pools can
+    pickle it.
 
-    ``algo`` None runs no cells.  With ``want_lp`` the fair LP optimum at
-    each percentage is returned too, solved on the chain, whose memo
-    answers it when the algorithm already solved that LP (lpr-f).  The
-    chain's HiGHS models are released when it ends.
+    An algorithm None runs no cells.  For facility location, the pass of
+    lpr-f or None also returns the fair LP optimum at each percentage,
+    solved on the chain, whose memo answers it when lpr-f already solved
+    that LP.  The chain's HiGHS model is released when it ends.
     """
-    algo, pcts, budget_list, inst, params, problem, seed, want_lp = payload
+    algos, pcts, budget_list, inst, params, problem, seed = payload
     records, lp_objs = [], []
     with LpChain() as chain:
         params = replace(params, lp_chain=chain)
-        for pct, budgets in zip(pcts, budget_list):
-            if algo is not None:
-                records.append(_cell_worker(algo, pct, inst, budgets, params, problem, seed)[0])
-            if want_lp:
-                frac = solve_lp(build_flfo_lp(inst, budgets, PER_GROUP), chain=chain)
-                lp_objs.append(frac.objective_value)
+        for algo in algos:
+            for pct, budgets in zip(pcts, budget_list):
+                if algo is not None:
+                    records.append(_cell_worker(algo, pct, inst, budgets, params, problem, seed)[0])
+                if problem == "fl" and algo in ("lpr-f", None):
+                    frac = solve_lp(build_flfo_lp(inst, budgets, PER_GROUP), chain=chain)
+                    lp_objs.append(frac.objective_value)
     return records, lp_objs
 
 
@@ -448,17 +453,16 @@ def run_sweep(inst: MetricInstance, cfg: dict) -> list[SweepRecord]:
     params = run_params(cfg)
     pcts = list(cfg["pcts"])
     budget_list = [budgets_from_pct(inst, pct) for pct in pcts]
-    # one chain per distinct algorithm; the lpr-f chain also reports lp_obj,
-    # and without lpr-f a chain of its own solves the fair LP
-    wants_lp = problem == "fl" and bool(algos)
-    chains = list(dict.fromkeys(algos))
-    if wants_lp and "lpr-f" not in chains:
-        chains.append(None)
-    payloads = [
-        (algo, pcts, budget_list, inst, params, problem, cfg["seed"],
-         wants_lp and algo in ("lpr-f", None))
-        for algo in chains
-    ]
+    # one LP chain per instance: the fair pass (lpr-f's cells, or the fair LP
+    # alone for lp_obj), then lpr-nf's cells, the aggregate LP starting from
+    # the fair LP's basis; every other algorithm runs on a chain of its own
+    distinct = list(dict.fromkeys(algos))
+    lp_chain = [algo for algo in ("lpr-f", "lpr-nf") if algo in distinct]
+    if problem == "fl" and algos and "lpr-f" not in lp_chain:
+        lp_chain.insert(0, None)
+    chains = [lp_chain] if lp_chain else []
+    chains += [[algo] for algo in distinct if algo not in lp_chain]
+    payloads = [(chain, pcts, budget_list, inst, params, problem, cfg["seed"]) for chain in chains]
     if cfg["jobs"] > 1 and len(payloads) > 1:
         with ProcessPoolExecutor(max_workers=min(cfg["jobs"], len(payloads))) as pool:
             outputs = list(pool.map(_chain_worker, payloads))
@@ -467,8 +471,8 @@ def run_sweep(inst: MetricInstance, cfg: dict) -> list[SweepRecord]:
 
     results: dict = {}
     lp_obj: dict = {}
-    for algo, (records, lp_objs) in zip(chains, outputs):
-        results.update(((algo, rec.pct), rec) for rec in records)
+    for records, lp_objs in outputs:
+        results.update(((rec.algo, rec.pct), rec) for rec in records)
         lp_obj.update(zip(pcts, lp_objs))
     records = []
     for pct in pcts:

@@ -11,10 +11,15 @@ costs and the budget right-hand sides; the full constraint matrix is built
 only when read (``write_mps`` and tests read it), never to solve.
 
 Solving goes through the HiGHS solver bundled with scipy, which is
-deterministic for a fixed sequence of operations.  An ``LpChain`` keeps one
-HiGHS model per fairness mode and re-solves it from the previous optimal
-basis when only the budget rows change, as they do across the outlier
-percentages of a sweep; ``solve_lp`` is a chain of one solve.
+deterministic for a fixed sequence of operations.  An ``LpChain`` holds one
+HiGHS model at a time and re-solves it from the previous optimal basis when
+only the budget rows change, as they do across the outlier percentages of a
+sweep.  Asked for the same instance in the other fairness mode, it releases
+that copy and builds the new mode's over the same pairs, started from the
+old optimal basis with the budget rows swapped (counted as a ``switch``), so
+a sweep's aggregate LP starts from its fair LP's basis; ``solve_lp`` is a
+chain of one solve.  Each released copy's heap pages are handed back to the
+system (glibc's ``malloc_trim``).
 
 The held model is priced (column generation for facility location; Avella,
 Sassano & Vasil'ev, Math. Prog. 2007).  It starts from every client's
@@ -40,6 +45,7 @@ solver's optimality and the pricing's stopping rule.
 
 from __future__ import annotations
 
+import ctypes
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Optional
@@ -68,6 +74,13 @@ RESIDUAL_TOL = 1e-7
 START_PAIRS = 20  # each client's nearest allowed pairs in a held model's first solve
 PRICE_TOL = 1e-9  # an omitted pair prices in when d_ij < v_j - PRICE_TOL
 CERTIFICATE_TOL = 1e-9  # objective - dual bound, relative to max(1, |objective|)
+
+try:  # glibc's, for _HeldModel.release
+    _MALLOC_TRIM = ctypes.CDLL(None).malloc_trim
+    _MALLOC_TRIM.argtypes = [ctypes.c_size_t]
+    _MALLOC_TRIM.restype = ctypes.c_int
+except (AttributeError, OSError, TypeError):  # another C library
+    _MALLOC_TRIM = None
 
 
 class LpError(RuntimeError):
@@ -256,13 +269,27 @@ def _raise_for_status(status: HighsModelStatus, cap: int, message: str) -> None:
 def _start_pairs(model: LpModel) -> np.ndarray:
     """Each client's ``START_PAIRS`` nearest allowed pairs by (distance,
     facility index), as ascending pair indices: every pair when no client
-    has more."""
-    n_pairs = model.n_pairs
-    order = np.lexsort((model.pair_fac, model.c[:n_pairs], model.pair_cli))
-    cli = model.pair_cli[order]
-    counts = np.bincount(cli, minlength=model.n_clients)
-    rank = np.arange(n_pairs) - (np.cumsum(counts) - counts)[cli]
-    return np.sort(order[rank < START_PAIRS])
+    has more.  The pairs are client-major with facilities ascending, so each
+    client's cut-off distance is its ``START_PAIRS``-th smallest, found in
+    its own row of a padded client-by-rank table, and the pairs tied at the
+    cut-off are taken in order while the client has room."""
+    n_pairs, n = model.n_pairs, model.n_clients
+    cli, dist = model.pair_cli, model.c[:n_pairs]
+    counts = np.bincount(cli, minlength=n)
+    if counts.max() <= START_PAIRS:
+        return np.arange(n_pairs)
+    table = np.full((n, counts.max()), np.inf)
+    table[np.arange(counts.max()) < counts[:, None]] = dist  # row-major fill is client-major
+    table.partition(START_PAIRS - 1, axis=1)
+    cut = table[:, START_PAIRS - 1].copy()
+    del table  # before the pair-length arrays
+    cut = np.repeat(cut, counts)
+    chosen, tied = dist < cut, np.flatnonzero(dist == cut)
+    room = START_PAIRS - np.bincount(cli[chosen], minlength=n)
+    tied_cli = cli[tied]
+    rank = np.arange(len(tied)) - np.searchsorted(tied_cli, tied_cli)  # among the client's ties
+    chosen[tied[rank < room[tied_cli]]] = True
+    return np.flatnonzero(chosen)
 
 
 def _highs_model(model: LpModel, pairs: np.ndarray, n_start: int):
@@ -353,25 +380,50 @@ def _dual_bound(model: LpModel, v: np.ndarray, u: np.ndarray) -> float:
 
 @dataclass
 class _HeldModel:
-    """One fairness mode's model inside a chain: the LpModel last solved,
-    its priced HiGHS copy, the held ``pairs`` (the first ``n_start`` of them
-    the start pairs, then those priced in, in order), and the solutions
-    found so far by budget vector.  HiGHS holds the start pairs' columns,
-    the opening and outlier columns (the first opening column at index
-    ``n_start``), then the pairs priced in; and the coverage rows, the start
-    pairs' capacity rows, the budget rows (the first at ``n_clients +
+    """The model a chain holds: the LpModel last solved, its priced HiGHS
+    copy, and the held ``pairs`` (the first ``n_start`` of them the start
+    pairs, then those priced in, in order).  HiGHS holds the start pairs'
+    columns, the opening and outlier columns (the first opening column at
+    index ``n_start``), then the pairs priced in; and the coverage rows, the
+    start pairs' capacity rows, the budget rows (the first at ``n_clients +
     n_start``), then the priced pairs' capacity rows."""
 
     base: LpModel
-    highs: _Highs
+    highs: Optional[_Highs]
     pairs: np.ndarray
     n_start: int
-    memo: dict = field(default_factory=dict)
 
     @classmethod
     def start(cls, model: LpModel) -> "_HeldModel":
         pairs = _start_pairs(model)
         return cls(model, _highs_model(model, pairs, len(pairs)), pairs, len(pairs))
+
+    def release(self) -> None:
+        """Free the HiGHS copy and hand the heap pages it held back to the
+        system; glibc keeps them otherwise, so the resident set would follow
+        allocation order.  Without glibc's ``malloc_trim`` only the copy is
+        freed."""
+        self.highs = None
+        if _MALLOC_TRIM is not None:
+            _MALLOC_TRIM(0)
+
+    def switch_mode(self, model: LpModel) -> None:
+        """Hold ``model``, of the same instance in the other fairness mode,
+        over the same pairs, starting from the last optimal basis with the
+        old budget rows' statuses replaced by ``model``'s budget rows, all
+        basic.  The basis goes in as alien, since its count of basic
+        variables no longer matches the rows, and HiGHS completes it."""
+        basis = self.highs.getBasis()
+        self.release()  # one HiGHS copy at a time
+        first = model.n_clients + self.n_start  # the first budget row
+        rows = list(basis.row_status)
+        rows[first : first + self.base.n_budget_rows] = [HighsBasisStatus.kBasic] * model.n_budget_rows
+        basis.row_status = rows
+        basis.alien = True
+        self.base = model
+        self.highs = _highs_model(model, self.pairs, self.n_start)
+        if self.highs.setBasis(basis) == HighsStatus.kError:
+            raise LpError("HiGHS rejected the other mode's basis")
 
     def add_pairs(self, pairs: np.ndarray) -> None:
         """Append the assignment columns and capacity rows of ``pairs`` and
@@ -381,7 +433,7 @@ class _HeldModel:
         old solver state per round, so the process's peak memory would
         follow the number of rounds priced."""
         basis = self.highs.getBasis()
-        self.highs = None  # release before building anew
+        self.release()  # before building anew
         k = len(pairs)
         self.pairs = np.concatenate([self.pairs, pairs])
         self.highs = _highs_model(self.base, self.pairs, self.n_start)
@@ -429,28 +481,38 @@ class _HeldModel:
 
 
 class LpChain:
-    """Solves a sequence of relaxations that differ only in their budgets.
+    """Solves a sequence of relaxations of one instance that differ only in
+    their budget rows.
 
-    Holds one priced HiGHS model per fairness mode.  ``solve`` re-solves the
-    held model from its last optimal basis after ``changeRowBounds`` on the
-    budget rows when the model is of the same instance object (dual
-    simplex, typically tens of pivots where a cold solve takes thousands),
-    pricing in any pair the new duals call for; pairs priced in stay for
-    later solves.  A model of any other instance replaces the held one and
-    is solved cold from its start pairs.  Solutions are memoised by budget
-    vector, so a budget seen before returns the same point whatever was
-    solved in between, and a chain's answers depend only on the order of its
-    own calls.  Every returned point passes the residual check against the
-    model it was asked for and carries its dual bound.  Use as a context
-    manager, or call ``close``, to release the HiGHS models.  ``stats``
-    counts cold, warm and memoised solves, the simplex iterations spent over
-    all pricing rounds, the pricing rounds run and the pairs they added.
+    Holds one priced HiGHS model at a time.  ``solve`` re-solves the held
+    model from its last optimal basis after ``changeRowBounds`` on the
+    budget rows when the model is of the same instance object and fairness
+    mode (dual simplex, typically tens of pivots where a cold solve takes
+    thousands), pricing in any pair the new duals call for; pairs priced in
+    stay for later solves.  A model of the same instance in the other mode
+    is a mode switch: the held copy is released and the new mode's is built
+    over the same pairs, started from the old optimal basis with its budget
+    rows swapped (``_HeldModel.switch_mode``), which takes a small share of
+    a cold solve's pivots.  With one group the two modes are the same LP:
+    no switch happens, and a budget solved in one mode answers the other.
+    A model of any other instance replaces the held one and is solved cold
+    from its start pairs.  Solutions of the held instance are memoised by
+    budget vector, so a budget seen before returns the same point whatever
+    was solved in between, and a chain's answers depend only on the order
+    of its own calls.  Every returned point passes the residual check
+    against the model it was asked for and carries its dual bound.  Use as
+    a context manager, or call ``close``, to release the HiGHS model.
+    ``stats`` counts cold, warm, mode-switch and memoised solves, the
+    simplex iterations spent over all pricing rounds, the pricing rounds
+    run and the pairs they added.
     """
 
     def __init__(self):
-        self._held: dict[str, _HeldModel] = {}
+        self._held: Optional[_HeldModel] = None
+        self._memo: dict = {}
         self.stats = {
-            "cold": 0, "warm": 0, "memo": 0, "simplex_iters": 0, "pricing_rounds": 0, "priced_pairs": 0,
+            "cold": 0, "warm": 0, "switch": 0, "memo": 0,
+            "simplex_iters": 0, "pricing_rounds": 0, "priced_pairs": 0,
         }
 
     def __enter__(self) -> "LpChain":
@@ -460,30 +522,40 @@ class LpChain:
         self.close()
 
     def close(self) -> None:
-        self._held.clear()
+        """Release the held model and forget its solutions."""
+        if self._held is not None:
+            self._held.release()
+            self._held = None
+        self._memo.clear()
 
     def solve(self, model: LpModel, pivot_cap: Optional[int] = None) -> FractionalSolution:
-        held = self._held.get(model.fairness)
-        warm = held is not None and held.base.inst is model.inst
-        if not warm:
-            self._held.pop(model.fairness, None)  # release before building anew
-            held = self._held[model.fairness] = _HeldModel.start(model)
+        if self._held is not None and self._held.base.inst is not model.inst:
+            self.close()
+        # the budget vector's length tells the modes apart, except with one
+        # group, where both modes are the same LP and share their solutions
         key = tuple(model.budget_rhs.tolist())
-        if key in held.memo:
+        if key in self._memo:
             self.stats["memo"] += 1
         else:
             cap = int(pivot_cap) if pivot_cap is not None else 50 * (model.n_rows + model.n_vars)
             try:
-                values, bound, iters, rounds, added = held.run(model, cap)
+                if self._held is None:
+                    kind, self._held = "cold", _HeldModel.start(model)
+                elif self._held.base.n_budget_rows != model.n_budget_rows:
+                    kind = "switch"
+                    self._held.switch_mode(model)
+                else:
+                    kind = "warm"
+                values, bound, iters, rounds, added = self._held.run(model, cap)
             except LpError:
-                del self._held[model.fairness]  # next solve starts cold
+                self.close()  # the next solve starts cold
                 raise
-            self.stats["warm" if warm else "cold"] += 1
+            self.stats[kind] += 1
             self.stats["simplex_iters"] += iters
             self.stats["pricing_rounds"] += rounds
             self.stats["priced_pairs"] += added
-            held.memo[key] = (values, _fractional(model, values, bound))
-        values, frac = held.memo[key]
+            self._memo[key] = (values, _fractional(model, values, bound))
+        values, frac = self._memo[key]
         _verify_residuals(model, values)
         return frac
 

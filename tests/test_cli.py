@@ -139,22 +139,28 @@ class TestSweep:
         assert data_rows(out1) == data_rows(out2)
 
     def test_parallel_jobs_match_serial(self, tmp_path):
-        cfg = small_config(tmp_path)
-        out1, out2 = tmp_path / "s.csv", tmp_path / "p.csv"
-        args = ["sweep", "--config", cfg, "--algo", "gdf-f", "--algo", "gdf-nf",
-                "--algo", "lpr-f", "--algo", "lpr-nf",
-                "--pct", "6", "--pct", "12", "--pct", "20", "--pct", "30"]
-        main(args + ["--out", str(out1), "--jobs", "1"])
-        main(args + ["--out", str(out2), "--jobs", "2"])
         strip = lambda p: [
             ",".join(c for i, c in enumerate(r.split(",")) if i != 8)
             for r in p.read_text().splitlines()
             if not r.startswith("#") or "jobs" not in r
         ]
-        assert strip(out1) == strip(out2)
-        _, _, rows = read_rows(str(out1))
-        assert {r[0] for r in rows} == {"gdf-f", "gdf-nf", "lpr-f", "lpr-nf"}
-        assert len({r[3] for r in rows}) == 4 and "" not in {r[3] for r in rows}
+        four = ["--config", small_config(tmp_path), "--algo", "gdf-f", "--algo", "gdf-nf",
+                "--algo", "lpr-f", "--algo", "lpr-nf",
+                "--pct", "6", "--pct", "12", "--pct", "20", "--pct", "30"]
+        # seed 1 at pct 3 and 4 prices pairs in; lpr-nf alone shares its
+        # chain with the fair LP solved for lp_obj
+        seed1 = ["--dataset", "synthetic", "--seed", "1", "--pct", "3", "--pct", "4"]
+        cases = [(four, {"gdf-f", "gdf-nf", "lpr-f", "lpr-nf"}, 4),
+                 (seed1 + ["--algo", "lpr-f", "--algo", "lpr-nf"], {"lpr-f", "lpr-nf"}, 2),
+                 (seed1 + ["--algo", "lpr-nf"], {"lpr-nf"}, 2)]
+        for args, algos, n_pcts in cases:
+            out1, out2 = tmp_path / "s.csv", tmp_path / "p.csv"
+            assert main(["sweep", *args, "--out", str(out1), "--jobs", "1"]) == 0
+            assert main(["sweep", *args, "--out", str(out2), "--jobs", "2"]) == 0
+            assert strip(out1) == strip(out2)
+            _, _, rows = read_rows(str(out1))
+            assert {r[0] for r in rows} == algos
+            assert len({r[3] for r in rows}) == n_pcts and "" not in {r[3] for r in rows}
 
     def test_lp_obj_without_lpr_f_matches_lpr_f_chain(self, tmp_path):
         cfg = small_config(tmp_path)

@@ -37,8 +37,9 @@ from fairfl import (
     write_mps,
 )
 import fairfl.lp
-from fairfl.cli import budgets_from_pct, main
+from fairfl.cli import budgets_from_pct, build_parser, main, prepare_instance, resolve_config, run_sweep
 from fairfl.lp import (
+    CERTIFICATE_TOL,
     RESIDUAL_TOL,
     START_PAIRS,
     HighsModelStatus,
@@ -259,6 +260,88 @@ class TestLpChain:
                 chain.solve(build_flfo_lp(inst, random_budgets(rng, inst)))
             assert chain.stats["cold"] == 3 and chain.stats["warm"] == 0
 
+    @staticmethod
+    def assert_switch_matches_cold(inst, budget_seq, first, second):
+        """Solves ``budget_seq`` in mode ``first`` and then in mode
+        ``second`` on one chain, each of the latter against a cold solve;
+        returns the chain's counters after the first and after the second
+        pass."""
+        with LpChain() as chain:
+            for budgets in budget_seq:
+                chain.solve(build_flfo_lp(inst, budgets, first))
+            before = dict(chain.stats)
+            for budgets in budget_seq:
+                model = build_flfo_lp(inst, budgets, second)
+                switched = chain.solve(model)
+                cold = solve_lp(model)
+                _verify_residuals(model, point(switched))
+                objective = switched.objective_value
+                assert objective == pytest.approx(cold.objective_value, rel=1e-9, abs=1e-12)
+                assert objective - switched.dual_bound <= CERTIFICATE_TOL * max(1.0, abs(objective))
+            return before, dict(chain.stats)
+
+    @pytest.mark.parametrize("first,second", [(PER_GROUP, AGGREGATE), (AGGREGATE, PER_GROUP)])
+    def test_mode_switch_matches_cold_on_random_suite(self, random_suite, first, second):
+        rng = np.random.default_rng(6174)
+        for inst, budgets in random_suite:
+            seq = [budgets, random_budgets(rng, inst), random_budgets(rng, inst)]
+            _, stats = self.assert_switch_matches_cold(inst, seq, first, second)
+            # with one group both modes are the same LP: no switch
+            assert (stats["cold"], stats["switch"]) == (1, int(inst.n_groups > 1))
+            assert stats["cold"] + stats["switch"] + stats["warm"] + stats["memo"] == 6
+
+    @pytest.mark.parametrize("seed", [0, 1, 71])
+    @pytest.mark.parametrize("first,second", [(PER_GROUP, AGGREGATE), (AGGREGATE, PER_GROUP)])
+    def test_mode_switch_matches_cold_on_synthetic_sweeps(self, seed, first, second):
+        inst = prune_pairs(generate_synthetic(SyntheticConfig(seed=seed))[0])
+        seq = [budgets_from_pct(inst, p) for p in range(1, 11)]
+        before, after = self.assert_switch_matches_cold(inst, seq, first, second)
+        assert (after["cold"], after["warm"], after["switch"], after["memo"]) == (1, 18, 1, 0)
+        if seed == 1:  # the first pass priced pairs in, and the switch keeps them
+            assert before["priced_pairs"] > 0
+
+    def test_mode_switch_starts_from_the_other_modes_basis(self, synthetic_seed0):
+        """A switch costs a small share of the cold solve's pivots, so a
+        silent fall-back to a cold start fails here."""
+        aggregate = build_flfo_lp(synthetic_seed0, budgets_from_pct(synthetic_seed0, 1), AGGREGATE)
+        with LpChain() as chain:
+            for pct in range(1, 11):
+                chain.solve(build_flfo_lp(synthetic_seed0, budgets_from_pct(synthetic_seed0, pct)))
+            fair_iters = chain.stats["simplex_iters"]
+            chain.solve(aggregate)
+            switch_iters = chain.stats["simplex_iters"] - fair_iters
+            assert chain.stats["switch"] == 1
+        with LpChain() as cold:
+            cold.solve(aggregate)
+            assert cold.stats["cold"] == 1
+        assert switch_iters < cold.stats["simplex_iters"] / 4
+
+    def test_one_highs_copy_at_a_time(self, monkeypatch):
+        """Through pricing rounds and a mode switch the chain keeps at most
+        one HiGHS copy alive, and trims the heap at each release."""
+        live, peak, trims = [0], [0], []
+
+        class Counted(_Highs):
+            def __init__(self):
+                super().__init__()
+                live[0] += 1
+                peak[0] = max(peak[0], live[0])
+
+            def __del__(self):
+                live[0] -= 1
+
+        monkeypatch.setattr(fairfl.lp, "_Highs", Counted)
+        monkeypatch.setattr(fairfl.lp, "_MALLOC_TRIM", trims.append)
+        inst = prune_pairs(generate_synthetic(SyntheticConfig(seed=1))[0])
+        with LpChain() as chain:
+            for fairness, pcts in ((PER_GROUP, (2, 5)), (AGGREGATE, (2, 8)), (PER_GROUP, (3, 8))):
+                for pct in pcts:
+                    chain.solve(build_flfo_lp(inst, budgets_from_pct(inst, pct), fairness))
+            built = 1 + chain.stats["switch"] + chain.stats["pricing_rounds"]
+            assert chain.stats["switch"] == 2 and chain.stats["pricing_rounds"] >= 1
+        assert (peak[0], live[0]) == (1, 0)
+        assert trims == [0] * built
+
     def test_failed_solve_leaves_chain_usable(self, rng):
         inst = random_instance(rng, max_n=12, max_m=6, min_n=8)
         model = build_flfo_lp(inst, random_budgets(rng, inst))
@@ -391,6 +474,34 @@ class TestPricing:
             nearest = sorted(range(inst.n_facilities), key=lambda i: (dist[i, j], i))[:START_PAIRS]
             assert sorted(model.pair_fac[start[model.pair_cli[start] == j]]) == sorted(nearest)
 
+    def test_start_pairs_equal_the_sorted_reference(self):
+        """The per-client selection against a global (client, distance,
+        facility) sort, bit for bit, also where integer coordinates tie
+        many distances at a client's cut-off."""
+
+        def sorted_reference(model):
+            n_pairs = model.n_pairs
+            order = np.lexsort((model.pair_fac, model.c[:n_pairs], model.pair_cli))
+            cli = model.pair_cli[order]
+            counts = np.bincount(cli, minlength=model.n_clients)
+            rank = np.arange(n_pairs) - (np.cumsum(counts) - counts)[cli]
+            return np.sort(order[rank < START_PAIRS])
+
+        rng = np.random.default_rng(1729)
+        cases = []
+        for seed in (0, 3):
+            inst, _ = generate_synthetic(SyntheticConfig(seed=seed))
+            cases += [inst, prune_pairs(inst)]
+        for t in range(40):
+            n, m = int(rng.integers(2, 60)), int(rng.integers(2, 80))
+            inst = tiny(rng.integers(0, 4, (n, 2)), rng.integers(0, 2, n), rng.integers(0, 4, (m, 2)), np.ones(m))
+            cases.append(prune_pairs(inst) if t % 2 else inst)
+        for inst in cases:
+            model = build_flfo_lp(inst, OutlierBudgets((0,) * inst.n_groups))
+            start = _start_pairs(model)
+            assert start.dtype == np.int64
+            assert np.array_equal(start, sorted_reference(model))
+
     def test_start_is_the_whole_model_with_few_pairs(self, random_suite):
         """No client of the random suite has more than START_PAIRS pairs, so
         HiGHS gets today's full input and the points are bit for bit equal."""
@@ -463,6 +574,30 @@ class TestPricing:
                     stats = chain.stats
                 assert (stats["cold"], stats["warm"], stats["memo"]) == (1, 9, 0)
                 assert (stats["pricing_rounds"], stats["priced_pairs"]) == expected[seed, fairness]
+
+    def test_counters_on_merged_sweep_chains(self, monkeypatch):
+        """Pinned work of a sweep's one LP chain over pct 1..10: the fair
+        pass (lpr-f, or the fair LP alone for lp_obj), one switch, then the
+        aggregate pass; lp_obj after lpr-f comes from the memo."""
+        stats = []
+
+        class Recording(LpChain):
+            def close(self):
+                stats.append(dict(self.stats))
+                super().close()
+
+        monkeypatch.setattr(fairfl.cli, "LpChain", Recording)
+        pricing = {0: (0, 0), 1: (2, 37)}
+        for seed in (0, 1):
+            cfg = resolve_config(build_parser().parse_args(["sweep", "--dataset", "synthetic", "--seed", str(seed)]))
+            inst, _ = prepare_instance(cfg)
+            for algos, memo in ((["lpr-f", "lpr-nf"], 10), (["lpr-nf"], 0)):
+                stats.clear()
+                run_sweep(inst, dict(cfg, algos=algos, pcts=list(range(1, 11))))
+                assert len(stats) == 1
+                got = stats[0]
+                assert (got["cold"], got["warm"], got["switch"], got["memo"]) == (1, 18, 1, memo)
+                assert (got["pricing_rounds"], got["priced_pairs"]) == pricing[seed]
 
     def test_pivot_cap_spans_pricing_rounds(self, monkeypatch):
         model = build_flfo_lp(far_cheap_instance(), OutlierBudgets((0, 0)))
@@ -641,19 +776,34 @@ class TestCertificate:
         with pytest.raises(LpCertificateError):
             solve_lp(model)
 
-    def test_certificate_survives_optimized_mode(self):
+    @staticmethod
+    def assert_raises_optimized(command, perturbed):
+        """Under ``python -O``, ``main(command)`` exits 3 with the dual-bound
+        error when the coverage duals of each model for which ``perturbed``
+        (an expression in the model ``m``) holds are raised by 1%."""
         code = (
+            "import os\n"
             "import fairfl.lp as lp\n"
             "from fairfl.cli import main\n"
             "duals = lp._duals\n"
-            "lp._duals = lambda *a: (duals(*a)[0] * 1.01, duals(*a)[1])\n"
-            "print(main(['solve', '--dataset', 'synthetic', '--algo', 'lpr-f', '--pct', '5']))\n"
+            f"lp._duals = lambda m, *a: (duals(m, *a)[0] * (1.01 if {perturbed} else 1.0), duals(m, *a)[1])\n"
+            f"print(main({command}))\n"
         )
         src = str(Path(__file__).resolve().parent.parent / "src")
         out = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True,
                              env=dict(os.environ, PYTHONPATH=src), timeout=120)
         assert out.stdout.strip().splitlines()[-1] == "3", out.stderr
         assert "dual bound" in out.stderr
+
+    def test_certificate_survives_optimized_mode(self):
+        self.assert_raises_optimized(
+            "['solve', '--dataset', 'synthetic', '--algo', 'lpr-f', '--pct', '5']", "True")
+
+    def test_switched_certificate_survives_optimized_mode(self):
+        """The aggregate LP of a sweep, started from the fair LP's basis."""
+        self.assert_raises_optimized(
+            "['sweep', '--dataset', 'synthetic', '--algo', 'lpr-nf', '--pct', '5', '--out', os.devnull]",
+            "m.fairness == lp.AGGREGATE")
 
 
 class TestGapInstance:

@@ -23,10 +23,13 @@ from fairfl import (
     lpr_nf,
     lpr_pipeline,
     prune_pairs,
+    SyntheticConfig,
+    generate_synthetic,
     rescale,
     round_facility_location,
     solve_lp,
 )
+from fairfl.cli import build_parser, resolve_config, run_sweep
 from conftest import random_budgets, random_instance
 
 
@@ -302,7 +305,7 @@ def _solution_parts(sol) -> tuple:
 def assert_lpr_fair_equals_nonfair(inst, budget_list, cfg, chained=False) -> None:
     """Models, fractional solutions and rounded solutions of LPR-F and
     LPR-NF are identical at every budget (solved on one chain per mode when
-    ``chained``, as a sweep solves them)."""
+    ``chained``)."""
     with LpChain() as fair_chain, LpChain() as nonfair_chain:
         for budgets in budget_list:
             assert _model_bytes(build_flfo_lp(inst, budgets, PER_GROUP)) == \
@@ -332,6 +335,19 @@ class TestFairEqualsNonfairOnOneGroup:
             totals = sorted({budgets.total, inst.n_clients // 2, 0})
             assert_lpr_fair_equals_nonfair(one, [OutlierBudgets((b,)) for b in totals], cfg,
                                            chained=t % 4 < 2)
+
+    def test_sweep_rows_agree(self):
+        """A sweep solves both on one LP chain, the fair pass first; with
+        one group the aggregate pass reuses the fair solutions."""
+        inst, _ = generate_synthetic(SyntheticConfig(seed=4))  # a switch would move pct 7-9
+        one = prune_pairs(MetricInstance(inst.client_coords, np.zeros(inst.n_clients, dtype=np.int64),
+                                         inst.facility_coords, inst.open_costs))
+        cfg = resolve_config(build_parser().parse_args(
+            ["sweep", "--algo", "lpr-f", "--algo", "lpr-nf", "--pct", "2", "--pct", "7", "--pct", "8", "--pct", "9"]))
+        records = run_sweep(one, cfg)
+        fair = [(r.pct, r.cost, r.unfair, r.ell_prime) for r in records if r.algo == "lpr-f"]
+        nonfair = [(r.pct, r.cost, r.unfair, r.ell_prime) for r in records if r.algo == "lpr-nf"]
+        assert len(fair) == 4 and fair == nonfair
 
     def test_hypothesis_property(self):
         hypothesis = pytest.importorskip("hypothesis")
