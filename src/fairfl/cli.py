@@ -225,8 +225,8 @@ def parse_config_file(path: str) -> dict:
 def resolve_config(args: argparse.Namespace) -> dict:
     """Every key's value: its flag's if given, else the ``--config`` file's,
     else the default.  A list flag replaces the file's list.  A value outside
-    the key's allowed values, or a ``jobs`` below 1, raises ``ConfigError``,
-    whatever its source."""
+    the key's allowed values, a ``jobs`` below 1 or a ``delimiter`` that is
+    not one character raises ``ConfigError``, whatever its source."""
     cfg = {key: spec.default for key, spec in CONFIG_KEYS.items()}
     if getattr(args, "config", None):
         cfg.update(parse_config_file(args.config))
@@ -242,6 +242,8 @@ def resolve_config(args: argparse.Namespace) -> dict:
                     )
     if cfg["jobs"] < 1:
         raise ConfigError(f"bad value for 'jobs': {cfg['jobs']} (expected at least 1)")
+    if len(cfg["delimiter"]) != 1:
+        raise ConfigError(f"bad value for 'delimiter': {cfg['delimiter']!r} (expected one character)")
     return cfg
 
 
@@ -284,6 +286,8 @@ def read_instance_csv(path: str) -> tuple[MetricInstance, tuple[str, ...]]:
         reader = csv.reader(fh)
         header = next(reader)
         dim = len(header) - 3
+        if [h.strip().lower() for h in header[:3]] != ["kind", "group", "cost"] or dim < 1:
+            raise DataError(f"{path}, line 1: the header must be kind,group,cost then coordinate columns")
 
         def number(col: int) -> float:
             """The current row's cell ``col`` as a float."""

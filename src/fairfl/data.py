@@ -415,9 +415,10 @@ def build_instance(
 ) -> MetricInstance:
     """Clients from a table plus explicit facility candidates.
 
-    Without explicit costs, every facility costs the largest facility-client
-    distance of the instance (the uniform policy used for real datasets).
-    """
+    Without explicit costs, every facility costs the square root of the
+    largest squared facility-client distance as ``_sq_distances`` sums it
+    (the uniform policy used for real datasets), which can differ in the
+    last bit from ``inst.distances().max()``."""
     facility_coords = np.asarray(facility_coords, dtype=float)
     if facility_costs is None:
         d2 = _sq_distances(table.features, facility_coords, np.empty((table.n_rows, len(facility_coords))))

@@ -12,14 +12,15 @@ only when read (``write_mps`` and tests read it), never to solve.
 
 Solving goes through the HiGHS solver bundled with scipy, which is
 deterministic for a fixed sequence of operations.  An ``LpChain`` holds one
-HiGHS model at a time and re-solves it from the previous optimal basis when
+HiGHS copy at a time and re-solves it from the previous optimal basis when
 only the budget rows change, as they do across the outlier percentages of a
-sweep.  Asked for the same instance in the other fairness mode, it releases
-that copy and builds the new mode's over the same pairs, started from the
-old optimal basis with the budget rows swapped (counted as a ``switch``), so
-a sweep's aggregate LP starts from its fair LP's basis; ``solve_lp`` is a
-chain of one solve.  Each released copy's heap pages are handed back to the
-system (glibc's ``malloc_trim``).
+sweep.  Every copy is built by one method, ``LpChain._build``: the cold
+start, each pricing round, and the switch to the same instance's other
+fairness mode (counted as a ``switch``), which keeps the pairs and swaps the
+budget rows.  It releases the held copy before building the next and
+carries that copy's optimal basis, so a sweep's aggregate LP starts from its
+fair LP's basis; ``solve_lp`` is a chain of one solve.  Each released copy's
+heap pages are handed back to the system (glibc's ``malloc_trim``).
 
 The held model is priced (column generation for facility location; Avella,
 Sassano & Vasil'ev, Math. Prog. 2007).  It starts from every client's
@@ -75,7 +76,7 @@ START_PAIRS = 20  # each client's nearest allowed pairs in a held model's first 
 PRICE_TOL = 1e-9  # an omitted pair prices in when d_ij < v_j - PRICE_TOL
 CERTIFICATE_TOL = 1e-9  # objective - dual bound, relative to max(1, |objective|)
 
-try:  # glibc's, for _HeldModel.release
+try:  # glibc's, for LpChain._release
     _MALLOC_TRIM = ctypes.CDLL(None).malloc_trim
     _MALLOC_TRIM.argtypes = [ctypes.c_size_t]
     _MALLOC_TRIM.restype = ctypes.c_int
@@ -294,9 +295,13 @@ def _start_pairs(model: LpModel) -> np.ndarray:
 
 def _highs_model(model: LpModel, pairs: np.ndarray, n_start: int):
     """A HiGHS instance holding the assignment columns and capacity rows of
-    ``pairs``, the first ``n_start`` of them placed before the opening,
-    outlier and budget rows and columns and the rest after (the layout of
-    ``_HeldModel``), every row read as ``a x <= b``, solved by dual simplex
+    ``pairs``, the first ``n_start`` of them (the start pairs) placed before
+    the opening, outlier and budget rows and columns and the rest (the pairs
+    priced in) after.  Columns: the start pairs, the opening and outlier
+    columns (the first opening column at index ``n_start``), the priced
+    pairs.  Rows: coverage, the start pairs' capacity rows, the budget rows
+    (the first at ``n_clients + n_start``), the priced pairs' capacity rows.
+    Every row reads ``a x <= b``; the model is solved by dual simplex
     without presolve.  Presolve finds nothing to remove in these models
     (every row and column survives it) and only costs time and a copy of
     the LP.  The arrays go through ``passModel``'s array overload, which
@@ -378,137 +383,39 @@ def _dual_bound(model: LpModel, v: np.ndarray, u: np.ndarray) -> float:
     )
 
 
-@dataclass
-class _HeldModel:
-    """The model a chain holds: the LpModel last solved, its priced HiGHS
-    copy, and the held ``pairs`` (the first ``n_start`` of them the start
-    pairs, then those priced in, in order).  HiGHS holds the start pairs'
-    columns, the opening and outlier columns (the first opening column at
-    index ``n_start``), then the pairs priced in; and the coverage rows, the
-    start pairs' capacity rows, the budget rows (the first at ``n_clients +
-    n_start``), then the priced pairs' capacity rows."""
-
-    base: LpModel
-    highs: Optional[_Highs]
-    pairs: np.ndarray
-    n_start: int
-
-    @classmethod
-    def start(cls, model: LpModel) -> "_HeldModel":
-        pairs = _start_pairs(model)
-        return cls(model, _highs_model(model, pairs, len(pairs)), pairs, len(pairs))
-
-    def release(self) -> None:
-        """Free the HiGHS copy and hand the heap pages it held back to the
-        system; glibc keeps them otherwise, so the resident set would follow
-        allocation order.  Without glibc's ``malloc_trim`` only the copy is
-        freed."""
-        self.highs = None
-        if _MALLOC_TRIM is not None:
-            _MALLOC_TRIM(0)
-
-    def switch_mode(self, model: LpModel) -> None:
-        """Hold ``model``, of the same instance in the other fairness mode,
-        over the same pairs, starting from the last optimal basis with the
-        old budget rows' statuses replaced by ``model``'s budget rows, all
-        basic.  The basis goes in as alien, since its count of basic
-        variables no longer matches the rows, and HiGHS completes it."""
-        basis = self.highs.getBasis()
-        self.release()  # one HiGHS copy at a time
-        first = model.n_clients + self.n_start  # the first budget row
-        rows = list(basis.row_status)
-        rows[first : first + self.base.n_budget_rows] = [HighsBasisStatus.kBasic] * model.n_budget_rows
-        basis.row_status = rows
-        basis.alien = True
-        self.base = model
-        self.highs = _highs_model(model, self.pairs, self.n_start)
-        if self.highs.setBasis(basis) == HighsStatus.kError:
-            raise LpError("HiGHS rejected the other mode's basis")
-
-    def add_pairs(self, pairs: np.ndarray) -> None:
-        """Append the assignment columns and capacity rows of ``pairs`` and
-        start from the last optimal basis, the new columns at zero and the
-        new rows basic.  The HiGHS copy is rebuilt rather than extended by
-        ``addCols``/``addRows``: the extended copy keeps about 5 MB of its
-        old solver state per round, so the process's peak memory would
-        follow the number of rounds priced."""
-        basis = self.highs.getBasis()
-        self.release()  # before building anew
-        k = len(pairs)
-        self.pairs = np.concatenate([self.pairs, pairs])
-        self.highs = _highs_model(self.base, self.pairs, self.n_start)
-        basis.col_status = list(basis.col_status) + [HighsBasisStatus.kLower] * k
-        basis.row_status = list(basis.row_status) + [HighsBasisStatus.kBasic] * k
-        if self.highs.setBasis(basis) == HighsStatus.kError:
-            raise LpError("HiGHS rejected the extended basis")
-
-    def run(self, model: LpModel, cap: int) -> tuple[np.ndarray, float, int, int, int]:
-        """Set ``model``'s budget rows, solve, and price until no omitted
-        pair prices in, with at most ``cap`` simplex iterations over all
-        rounds.  Returns the certified point in ``model``'s layout, its dual
-        bound, and the iterations, pricing rounds and pairs added."""
-        for r in np.flatnonzero(model.budget_rhs != self.base.budget_rhs):
-            row = model.n_clients + self.n_start + int(r)
-            self.highs.changeRowBounds(row, -kHighsInf, float(model.budget_rhs[r]))
-        self.base = model
-        iters = rounds = added = 0
-        while True:
-            # HiGHS stops at its limit even when that pivot ends the solve
-            self.highs.setOptionValue("simplex_iteration_limit", cap - iters + 1)
-            self.highs.run()
-            iters += int(self.highs.getInfo().simplex_iteration_count)
-            status = self.highs.getModelStatus()
-            _raise_for_status(status, cap, self.highs.modelStatusToString(status))
-            solution = self.highs.getSolution()
-            v, u = _duals(model, self.n_start, solution.row_dual)
-            pairs = _priced_in(model, self.pairs, v)
-            if not pairs.size:
-                break
-            self.add_pairs(pairs)
-            rounds += 1
-            added += len(pairs)
-        n_start, n_pairs = self.n_start, model.n_pairs
-        cols = np.concatenate([self.pairs[:n_start], np.arange(n_pairs, model.n_vars), self.pairs[n_start:]])
-        values = np.zeros(model.n_vars)
-        values[cols] = solution.col_value
-        objective = float(model.c @ values)
-        bound = _dual_bound(model, v, u)
-        if objective - bound > CERTIFICATE_TOL * max(1.0, abs(objective)):
-            raise LpCertificateError(
-                f"dual bound {bound!r} is {objective - bound:.2e} below the objective {objective!r}"
-            )
-        return values, bound, iters, rounds, added
-
-
 class LpChain:
     """Solves a sequence of relaxations of one instance that differ only in
     their budget rows.
 
-    Holds one priced HiGHS model at a time.  ``solve`` re-solves the held
-    model from its last optimal basis after ``changeRowBounds`` on the
+    Holds the LpModel last solved, the held ``pairs`` (the first
+    ``n_start`` of them the start pairs, then those priced in, in order) and
+    one HiGHS copy over them, built by ``_build``.  ``solve`` re-solves the
+    held copy from its last optimal basis after ``changeRowBounds`` on the
     budget rows when the model is of the same instance object and fairness
     mode (dual simplex, typically tens of pivots where a cold solve takes
     thousands), pricing in any pair the new duals call for; pairs priced in
     stay for later solves.  A model of the same instance in the other mode
-    is a mode switch: the held copy is released and the new mode's is built
-    over the same pairs, started from the old optimal basis with its budget
-    rows swapped (``_HeldModel.switch_mode``), which takes a small share of
-    a cold solve's pivots.  With one group the two modes are the same LP:
-    no switch happens, and a budget solved in one mode answers the other.
-    A model of any other instance replaces the held one and is solved cold
-    from its start pairs.  Solutions of the held instance are memoised by
-    budget vector, so a budget seen before returns the same point whatever
-    was solved in between, and a chain's answers depend only on the order
-    of its own calls.  Every returned point passes the residual check
-    against the model it was asked for and carries its dual bound.  Use as
-    a context manager, or call ``close``, to release the HiGHS model.
+    is a mode switch: the new mode's copy is built over the same pairs from
+    the old optimal basis, which takes a small share of a cold solve's
+    pivots.  With one group the two modes are the same LP: no switch
+    happens, and a budget solved in one mode answers the other.  A model of
+    any other instance replaces the held one and is solved cold from its
+    start pairs.  Solutions of the held instance are memoised by budget
+    vector, so a budget seen before returns the same point whatever was
+    solved in between, and a chain's answers depend only on the order of
+    its own calls.  Every returned point passes the residual check against
+    the model it was asked for and carries its dual bound.  Use as a
+    context manager, or call ``close``, to release the HiGHS copy.
     ``stats`` counts cold, warm, mode-switch and memoised solves, the
-    simplex iterations spent over all pricing rounds, the pricing rounds
-    run and the pairs they added.
+    simplex iterations spent over all pricing rounds, the pricing rounds run
+    and the pairs they added.
     """
 
     def __init__(self):
-        self._held: Optional[_HeldModel] = None
+        self._base: Optional[LpModel] = None
+        self._highs: Optional[_Highs] = None
+        self._pairs: Optional[np.ndarray] = None
+        self._n_start = 0
         self._memo: dict = {}
         self.stats = {
             "cold": 0, "warm": 0, "switch": 0, "memo": 0,
@@ -522,14 +429,92 @@ class LpChain:
         self.close()
 
     def close(self) -> None:
-        """Release the held model and forget its solutions."""
-        if self._held is not None:
-            self._held.release()
-            self._held = None
+        """Release the held copy and forget its solutions."""
+        if self._highs is not None:
+            self._release()
+        self._base = self._pairs = None
         self._memo.clear()
 
+    def _release(self) -> None:
+        """Free the HiGHS copy and hand the heap pages it held back to the
+        system; glibc keeps them otherwise, so the resident set would follow
+        allocation order.  Without glibc's ``malloc_trim`` only the copy is
+        freed."""
+        self._highs = None
+        if _MALLOC_TRIM is not None:
+            _MALLOC_TRIM(0)
+
+    def _build(self, model: LpModel, pairs: np.ndarray) -> None:
+        """Hold a HiGHS copy of ``model`` over ``pairs``, releasing the held
+        copy first so that one is alive at a time.  With no copy held these
+        are the start pairs.  Otherwise they are the held pairs, then any
+        appended, and the held copy's optimal basis carries over: appended
+        pairs enter with their columns at zero and their capacity rows
+        basic; when the count of budget rows changes (a mode switch) the new
+        budget rows enter basic and the basis goes in as alien, which HiGHS
+        completes.  A copy is rebuilt rather than extended by
+        ``addCols``/``addRows``, which would keep about 5 MB of old solver
+        state per pricing round."""
+        basis = None
+        if self._highs is not None:
+            basis = self._highs.getBasis()
+            self._release()  # one copy at a time
+            basic, k = HighsBasisStatus.kBasic, len(pairs) - len(self._pairs)
+            rows = list(basis.row_status) + [basic] * k
+            if model.n_budget_rows != self._base.n_budget_rows:
+                first = model.n_clients + self._n_start  # the first budget row
+                rows[first : first + self._base.n_budget_rows] = [basic] * model.n_budget_rows
+                basis.alien = True
+            basis.row_status = rows
+            del rows  # one Python object per status: none stays alive through the build
+            if k:  # a switch appends none
+                basis.col_status = list(basis.col_status) + [HighsBasisStatus.kLower] * k
+        else:
+            self._n_start = len(pairs)
+        self._base, self._pairs = model, pairs
+        self._highs = _highs_model(model, pairs, self._n_start)
+        if basis is not None and self._highs.setBasis(basis) == HighsStatus.kError:
+            raise LpError("HiGHS rejected the carried basis")
+
+    def _run(self, model: LpModel, cap: int) -> tuple[np.ndarray, float, int, int, int]:
+        """Set ``model``'s budget rows, solve, and price until no omitted
+        pair prices in, with at most ``cap`` simplex iterations over all
+        rounds.  Returns the certified point in ``model``'s layout, its dual
+        bound, and the iterations, pricing rounds and pairs added."""
+        for r in np.flatnonzero(model.budget_rhs != self._base.budget_rhs):
+            row = model.n_clients + self._n_start + int(r)
+            self._highs.changeRowBounds(row, -kHighsInf, float(model.budget_rhs[r]))
+        self._base = model
+        iters = rounds = added = 0
+        while True:
+            # HiGHS stops at its limit even when that pivot ends the solve
+            self._highs.setOptionValue("simplex_iteration_limit", cap - iters + 1)
+            self._highs.run()
+            iters += int(self._highs.getInfo().simplex_iteration_count)
+            status = self._highs.getModelStatus()
+            _raise_for_status(status, cap, self._highs.modelStatusToString(status))
+            solution = self._highs.getSolution()
+            v, u = _duals(model, self._n_start, solution.row_dual)
+            pairs = _priced_in(model, self._pairs, v)
+            if not pairs.size:
+                break
+            self._build(model, np.concatenate([self._pairs, pairs]))
+            rounds += 1
+            added += len(pairs)
+        held, n_start = self._pairs, self._n_start
+        cols = np.concatenate([held[:n_start], np.arange(model.n_pairs, model.n_vars), held[n_start:]])
+        values = np.zeros(model.n_vars)
+        values[cols] = solution.col_value
+        objective = float(model.c @ values)
+        bound = _dual_bound(model, v, u)
+        if objective - bound > CERTIFICATE_TOL * max(1.0, abs(objective)):
+            raise LpCertificateError(
+                f"dual bound {bound!r} is {objective - bound:.2e} below the objective {objective!r}"
+            )
+        return values, bound, iters, rounds, added
+
     def solve(self, model: LpModel, pivot_cap: Optional[int] = None) -> FractionalSolution:
-        if self._held is not None and self._held.base.inst is not model.inst:
+        if self._highs is not None and self._base.inst is not model.inst:
             self.close()
         # the budget vector's length tells the modes apart, except with one
         # group, where both modes are the same LP and share their solutions
@@ -539,14 +524,15 @@ class LpChain:
         else:
             cap = int(pivot_cap) if pivot_cap is not None else 50 * (model.n_rows + model.n_vars)
             try:
-                if self._held is None:
-                    kind, self._held = "cold", _HeldModel.start(model)
-                elif self._held.base.n_budget_rows != model.n_budget_rows:
+                if self._highs is None:
+                    kind = "cold"
+                    self._build(model, _start_pairs(model))
+                elif self._base.n_budget_rows != model.n_budget_rows:
                     kind = "switch"
-                    self._held.switch_mode(model)
+                    self._build(model, self._pairs)
                 else:
                     kind = "warm"
-                values, bound, iters, rounds, added = self._held.run(model, cap)
+                values, bound, iters, rounds, added = self._run(model, cap)
             except LpError:
                 self.close()  # the next solve starts cold
                 raise

@@ -305,6 +305,16 @@ class TestConfigFile:
         path.write_text("m = twelve\n", encoding="utf-8")
         assert main(["sweep", "--config", str(path), "--pct", "5"]) == 2
 
+    @pytest.mark.parametrize("value", [";;", ""], ids=["two-chars", "empty"])
+    def test_delimiter_not_one_character_exits_2(self, tmp_path, capsys, value):
+        data, cfg = tmp_path / "t.csv", tmp_path / "c.txt"
+        data.write_text("a,b,grp\n1,2,x\n3,4,y\n5,6,x\n7,8,y\n", encoding="utf-8")
+        cfg.write_text(f"delimiter = {value}\n", encoding="utf-8")
+        args = ["sweep", "--config", str(cfg), "--dataset", str(data), "--group-col", "grp", "--m", "2",
+                "--algo", "gdf-f", "--pct", "10"]
+        assert main(args) == 2
+        assert f"error: bad value for 'delimiter': {value!r}" in capsys.readouterr().err
+
     @pytest.mark.parametrize("verb,key,value", [
         (["solve", "--algo", "gdf-f"], "problem", "fl_typo"),
         (["oracle"], "problem", "fl_typo"),
@@ -572,6 +582,14 @@ class TestGenerate:
                         encoding="utf-8")
         assert main(["solve", "--dataset", str(path), "--algo", "gdf-f", "--pct", "10"]) == 2
         assert f"{path}, line 3: {message}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("header", ["kind,group", "kind,group,cost", "kind,group,x0,x1"])
+    def test_short_header_exits_2(self, tmp_path, capsys, header):
+        path = tmp_path / "inst.csv"
+        extra = header.count(",") - 1  # cells after the first two
+        path.write_text(f"{header}\nclient,a{',0.0' * extra}\nfacility,{',1.0' * extra}\n", encoding="utf-8")
+        assert main(["solve", "--dataset", str(path), "--algo", "gdf-f", "--pct", "10"]) == 2
+        assert f"{path}, line 1: the header must be kind,group,cost then coordinate columns" in capsys.readouterr().err
 
     def test_generate_needs_out(self, tmp_path):
         cfg = small_config(tmp_path)

@@ -352,6 +352,20 @@ class TestLpChain:
         assert frac.objective_value == pytest.approx(solve_lp(model).objective_value, rel=1e-12)
 
 
+def record_priced_pairs(monkeypatch) -> list:
+    """Hook ``LpChain._build`` to record the count of pairs each pricing
+    round appends to the held copy."""
+    added, build = [], LpChain._build
+
+    def recording(self, model, pairs):
+        if self._highs is not None and len(pairs) > len(self._pairs):
+            added.append(len(pairs) - len(self._pairs))
+        build(self, model, pairs)
+
+    monkeypatch.setattr(LpChain, "_build", recording)
+    return added
+
+
 # The full-model path as it stood before pricing, kept verbatim as the
 # reference: every allowed pair handed to HiGHS through the per-attribute
 # HighsLp setters, then one cold run.
@@ -578,26 +592,43 @@ class TestPricing:
     def test_counters_on_merged_sweep_chains(self, monkeypatch):
         """Pinned work of a sweep's one LP chain over pct 1..10: the fair
         pass (lpr-f, or the fair LP alone for lp_obj), one switch, then the
-        aggregate pass; lp_obj after lpr-f comes from the memo."""
+        aggregate pass; lp_obj after lpr-f comes from the memo.  One HiGHS
+        copy is built for the cold start, the switch and each pricing round,
+        and at most one is alive at a time."""
         stats = []
+        copies = {"built": 0, "live": 0, "peak": 0}
 
         class Recording(LpChain):
             def close(self):
                 stats.append(dict(self.stats))
                 super().close()
 
+        class Counted(_Highs):
+            def __init__(self):
+                super().__init__()
+                copies["built"] += 1
+                copies["live"] += 1
+                copies["peak"] = max(copies["peak"], copies["live"])
+
+            def __del__(self):
+                copies["live"] -= 1
+
         monkeypatch.setattr(fairfl.cli, "LpChain", Recording)
+        monkeypatch.setattr(fairfl.lp, "_Highs", Counted)
         pricing = {0: (0, 0), 1: (2, 37)}
         for seed in (0, 1):
             cfg = resolve_config(build_parser().parse_args(["sweep", "--dataset", "synthetic", "--seed", str(seed)]))
             inst, _ = prepare_instance(cfg)
             for algos, memo in ((["lpr-f", "lpr-nf"], 10), (["lpr-nf"], 0)):
                 stats.clear()
+                copies.update(built=0, peak=0)
                 run_sweep(inst, dict(cfg, algos=algos, pcts=list(range(1, 11))))
                 assert len(stats) == 1
                 got = stats[0]
                 assert (got["cold"], got["warm"], got["switch"], got["memo"]) == (1, 18, 1, memo)
                 assert (got["pricing_rounds"], got["priced_pairs"]) == pricing[seed]
+                assert copies["built"] == got["cold"] + got["switch"] + got["pricing_rounds"]
+                assert (copies["peak"], copies["live"]) == (1, 0)
 
     def test_pivot_cap_spans_pricing_rounds(self, monkeypatch):
         model = build_flfo_lp(far_cheap_instance(), OutlierBudgets((0, 0)))
@@ -614,16 +645,23 @@ class TestPricing:
         assert priced  # the first round finished within the cap; a later one hit it
 
     def test_parallel_sweep_matches_serial_where_pricing_runs(self, tmp_path, monkeypatch):
-        added = []
-        add_pairs = fairfl.lp._HeldModel.add_pairs
-        monkeypatch.setattr(fairfl.lp._HeldModel, "add_pairs",
-                            lambda self, pairs: added.append(len(pairs)) or add_pairs(self, pairs))
+        """gdf-f runs on a chain of its own, so ``--jobs 2`` sends the LP
+        chain to the process pool."""
+        added, pools = record_priced_pairs(monkeypatch), []
+
+        class Recording(fairfl.cli.ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                pools.append(1)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(fairfl.cli, "ProcessPoolExecutor", Recording)
         args = ["sweep", "--dataset", "synthetic", "--seed", "1", "--algo", "lpr-f", "--algo", "lpr-nf",
-                "--pct", "3", "--pct", "4"]
+                "--algo", "gdf-f", "--pct", "3", "--pct", "4"]
         out1, out2 = tmp_path / "s.csv", tmp_path / "p.csv"
         assert main(args + ["--out", str(out1), "--jobs", "1"]) == 0
-        assert added
+        assert added and not pools
         assert main(args + ["--out", str(out2), "--jobs", "2"]) == 0
+        assert pools
         strip = lambda p: [
             ",".join(c for i, c in enumerate(r.split(",")) if i != 8)  # wall time
             for r in p.read_text().splitlines()
@@ -718,10 +756,7 @@ class TestArrayForms:
         def refuse(self):
             raise AssertionError("the full constraint matrix was built")
 
-        added = []
-        add_pairs = fairfl.lp._HeldModel.add_pairs
-        monkeypatch.setattr(fairfl.lp._HeldModel, "add_pairs",
-                            lambda self, pairs: added.append(len(pairs)) or add_pairs(self, pairs))
+        added = record_priced_pairs(monkeypatch)
         for name in ("a_matrix", "senses", "rhs"):
             monkeypatch.setattr(LpModel, name, property(refuse))
         args = ["--dataset", "synthetic", "--seed", "1", "--algo", "lpr-f"]
