@@ -61,6 +61,7 @@ from .instance import (
     MetricInstance,
     OutlierBudgets,
     prune_pairs,
+    same_points,
     solution_cost,
     unfairness,
 )
@@ -260,13 +261,17 @@ def budgets_from_pct(inst: MetricInstance, pct: float) -> OutlierBudgets:
     return OutlierBudgets(caps)
 
 
-def _is_instance_file(path: str) -> bool:
+def _is_instance_file(path: str, group_col: Optional[str]) -> bool:
+    """True when ``path`` is read as an instance file: its header starts
+    with ``kind,group,cost``, or with ``kind`` and no ``--group-col`` names
+    a raw CSV's column, so that a short instance header gets the instance
+    reader's error."""
     try:
         with open(path, encoding="utf-8") as fh:
-            first = fh.readline()
+            first = [h.strip().lower() for h in fh.readline().split(",")]
     except OSError:
         return False
-    return first.strip().lower().startswith("kind,")
+    return first[:3] == ["kind", "group", "cost"] or (first[0] == "kind" and not group_col)
 
 
 def write_instance_csv(inst: MetricInstance, group_names: Sequence[str], path: str) -> None:
@@ -324,8 +329,8 @@ def prepare_instance(cfg: dict) -> tuple[MetricInstance, tuple[str, ...]]:
         inst, names = generate_synthetic(_from_config(SyntheticConfig, cfg, n_facilities=cfg["m"]))
         if cfg["facility_cost"] == "uniform_dmax":
             d_max = float(inst.distances().max())
-            inst = replace(inst, open_costs=np.full(inst.n_facilities, d_max))
-    elif _is_instance_file(dataset):
+            inst = same_points(inst, open_costs=np.full(inst.n_facilities, d_max))
+    elif _is_instance_file(dataset, cfg["group_col"]):
         inst, names = read_instance_csv(dataset)
     else:
         if not cfg["group_col"]:

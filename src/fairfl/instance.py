@@ -360,12 +360,25 @@ def unfairness(budgets: OutlierBudgets, sol: IntegralSolution) -> float:
     return worst
 
 
+def same_points(inst: MetricInstance, **changes) -> MetricInstance:
+    """``replace(inst, **changes)`` for changes that keep the coordinates.
+
+    The copy takes ``inst``'s distance matrix (computing it if need be)
+    instead of recomputing the same bits.  A pickled copy still computes
+    its own (see ``MetricInstance.__reduce__``).
+    """
+    copy = replace(inst, **changes)
+    vars(copy)["_distances"] = inst.distances()  # the cached_property's slot
+    return copy
+
+
 def prune_pairs(inst: MetricInstance) -> MetricInstance:
     """Restrict assignment pairs to distances strictly below the median.
 
     The median is taken over the full facility-by-client distance multiset.
     A client whose every pair would be pruned keeps its single nearest
-    facility (lowest index on ties) so downstream LPs stay feasible.
+    facility (lowest index on ties) so downstream LPs stay feasible.  The
+    pruned instance shares ``inst``'s distance matrix (``same_points``).
     """
     if inst.pair_fac is not None:
         raise ValueError("instance already has allowed pairs")
@@ -376,4 +389,4 @@ def prune_pairs(inst: MetricInstance) -> MetricInstance:
     nearest = np.argmin(dist[:, stranded], axis=0) if stranded.size else np.empty(0, int)
     keep[nearest, stranded] = True
     cli, fac = np.nonzero(keep.T)  # client-major
-    return replace(inst, pair_fac=fac, pair_cli=cli)
+    return same_points(inst, pair_fac=fac, pair_cli=cli)

@@ -11,6 +11,7 @@ and drop the farthest clients after a plain k-median search.
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -158,6 +159,27 @@ def local_search_penalties(pinst: PenaltyInstance, improve_frac: float = 0.01) -
     return _canonical_solution(pinst, open_list)
 
 
+# penalty-free searches by instance object, then (k, improve_frac); an
+# entry dies with its instance
+_free_searches: weakref.WeakKeyDictionary[MetricInstance, dict[tuple[int, float], PenaltySolution]] = (
+    weakref.WeakKeyDictionary()
+)
+
+
+def _free_search(inst: MetricInstance, k: int, improve_frac: float) -> PenaltySolution:
+    """The search with no penalties (all +inf) on ``inst``, run once per
+    instance object, ``k`` and ``improve_frac``; ``k`` and ``improve_frac``
+    are checked on every call, cached or not."""
+    k = check_k(inst, k)
+    if not (0 < improve_frac < 1):
+        raise ValueError("improve_frac must be in (0, 1)")
+    searches = _free_searches.setdefault(inst, {})
+    if (k, improve_frac) not in searches:
+        pinst = PenaltyInstance(inst, k, np.full(inst.n_clients, np.inf))
+        searches[k, improve_frac] = local_search_penalties(pinst, improve_frac)
+    return searches[k, improve_frac]
+
+
 def _penalties_for(groups: np.ndarray, caps: Sequence[int], guess: float, gamma: float) -> np.ndarray:
     """Per-client penalty guess / (gamma * cap of the client's group); +inf
     where that cap is zero, so those clients can never pay."""
@@ -217,26 +239,23 @@ def _reduce_and_search(
     ``min(x, p_j)`` with ``x`` one of client j's distances (at k = 1 the
     clipped ``base`` is ``p_j`` instead of inf, and it only meets such an
     ``x``), so every cost, comparison and swap is the all-inf search's, bit
-    for bit, and nobody pays.  Every penalty-free guess therefore shares the
-    first one's search; each guess with a binding penalty gets its own.
+    for bit, and nobody pays.  Every penalty-free guess therefore reads the
+    instance's one penalty-free search (``_free_search``), which ``ls_nf``
+    and every other call with the same ``k`` and ``improve_frac`` share;
+    each guess with a binding penalty gets its own.
     """
     n_groups = len(caps)
     grid = _grid_from_totals(inst, int(sum(caps)), eps_guess)
     slack = n_groups + gamma
     farthest = inst.distances().max(axis=0)
-    free = None  # the one search every penalty-free guess shares
 
     def candidates():
-        nonlocal free
         for t, guess in enumerate(grid):
             penalty = _penalties_for(groups, caps, guess, gamma)
-            penalty_free = bool(np.all(penalty >= farthest))
-            if penalty_free and free is not None:
-                psol = free
+            if np.all(penalty >= farthest):
+                psol = _free_search(inst, k, improve_frac)
             else:
                 psol = local_search_penalties(PenaltyInstance(inst, k, penalty), improve_frac)
-            if penalty_free:
-                free = psol
             counts = np.bincount(groups[sorted(psol.paying)], minlength=n_groups) if psol.paying else np.zeros(n_groups, dtype=int)
             viol = 0.0
             for g in range(n_groups):
@@ -316,11 +335,11 @@ def ls_nf(
 
     The ``total_budget`` clients farthest from their nearest open facility
     become outliers (ties toward the lower client index); the reported cost
-    excludes them.
+    excludes them.  The search is the instance's one penalty-free search
+    (``_free_search``), which R+LS's penalty-free guesses share.
     """
     total_budget = check_total_budget(inst, total_budget)
-    pinst = PenaltyInstance(inst, k, np.full(inst.n_clients, np.inf))
-    psol = local_search_penalties(pinst, improve_frac)
+    psol = _free_search(inst, k, improve_frac)
     d1, _, _ = _two_nearest(inst.distances(), sorted(psol.open))
     _, dropped = _drop_farthest([np.arange(inst.n_clients)], d1, [total_budget])
     return assign_nearest(inst, psol.open, dropped)

@@ -479,19 +479,30 @@ class LpChain:
     def _run(self, model: LpModel, cap: int) -> tuple[np.ndarray, float, int, int, int]:
         """Set ``model``'s budget rows, solve, and price until no omitted
         pair prices in, with at most ``cap`` simplex iterations over all
-        rounds.  Returns the certified point in ``model``'s layout, its dual
-        bound, and the iterations, pricing rounds and pairs added."""
+        rounds.  A copy whose run ends with HiGHS status ``kUnknown`` is
+        cleared (``clearSolver``) and run once more before that status
+        raises; the re-run's iterations count too.  Returns the certified
+        point in ``model``'s layout, its dual bound, and the iterations,
+        pricing rounds and pairs added."""
         for r in np.flatnonzero(model.budget_rhs != self._base.budget_rhs):
             row = model.n_clients + self._n_start + int(r)
             self._highs.changeRowBounds(row, -kHighsInf, float(model.budget_rhs[r]))
         self._base = model
         iters = rounds = added = 0
+        cleared = False  # whether the held copy has been re-run from scratch
         while True:
             # HiGHS stops at its limit even when that pivot ends the solve
             self._highs.setOptionValue("simplex_iteration_limit", cap - iters + 1)
             self._highs.run()
             iters += int(self._highs.getInfo().simplex_iteration_count)
             status = self._highs.getModelStatus()
+            if status == HighsModelStatus.kUnknown and not cleared:
+                # a carried basis can leave HiGHS with a small dual
+                # infeasibility it gives up on; the same copy without its
+                # solver state solves as a cold start does
+                self._highs.clearSolver()
+                cleared = True
+                continue
             _raise_for_status(status, cap, self._highs.modelStatusToString(status))
             solution = self._highs.getSolution()
             v, u = _duals(model, self._n_start, solution.row_dual)
@@ -499,6 +510,7 @@ class LpChain:
             if not pairs.size:
                 break
             self._build(model, np.concatenate([self._pairs, pairs]))
+            cleared = False
             rounds += 1
             added += len(pairs)
         held, n_start = self._pairs, self._n_start

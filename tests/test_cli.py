@@ -14,9 +14,12 @@ from fairfl.cli import (
     ConfigError,
     _verify_cell,
     budgets_from_pct,
+    build_parser,
     main,
     parse_config_file,
+    prepare_instance,
     read_instance_csv,
+    resolve_config,
 )
 from fairfl import IntegralSolution, MetricInstance, generate_synthetic, SyntheticConfig
 
@@ -590,6 +593,31 @@ class TestGenerate:
         path.write_text(f"{header}\nclient,a{',0.0' * extra}\nfacility,{',1.0' * extra}\n", encoding="utf-8")
         assert main(["solve", "--dataset", str(path), "--algo", "gdf-f", "--pct", "10"]) == 2
         assert f"{path}, line 1: the header must be kind,group,cost then coordinate columns" in capsys.readouterr().err
+
+    def test_raw_csv_whose_first_column_is_kind_loads_with_its_group_col(self, tmp_path, capsys):
+        path = tmp_path / "kindcol.csv"
+        path.write_text("kind,b,grp\n1,0.0,x\n2,1.0,y\n3,4.0,x\n4,5.0,y\n", encoding="utf-8")
+        cfg = resolve_config(build_parser().parse_args(
+            ["solve", "--dataset", str(path), "--group-col", "grp", "--m", "2", "--algo", "gdf-f", "--pct", "10"]))
+        inst, names = prepare_instance(cfg)
+        assert names == ("x", "y") and inst.dim == 2 and inst.n_clients == 4
+        argv = ["solve", "--dataset", str(path), "--group-col", "grp", "--m", "2", "--algo", "gdf-f", "--pct", "10"]
+        assert main(argv) == 0
+
+    def test_instance_file_loads_whatever_the_group_col(self, tmp_path, capsys):
+        cfg = small_config(tmp_path)
+        out = tmp_path / "inst.csv"
+        assert main(["generate", "--config", cfg, "--out", str(out)]) == 0
+        assert main(["solve", "--dataset", str(out), "--group-col", "group", "--algo", "gdf-f", "--pct", "10"]) == 0
+
+    @pytest.mark.parametrize("prune", ["true", "false"])
+    def test_uniform_dmax_keeps_the_distance_matrix(self, tmp_path, prune):
+        cfg = small_config(tmp_path, facility_cost="uniform_dmax", prune=prune)
+        inst, _ = prepare_instance(resolve_config(build_parser().parse_args(["sweep", "--config", cfg])))
+        assert "_distances" in vars(inst)  # handed over, not recomputed on first use
+        fresh = MetricInstance(inst.client_coords, inst.groups, inst.facility_coords, inst.open_costs)
+        assert inst.distances().tobytes() == fresh.distances().tobytes()
+        assert np.all(inst.open_costs == fresh.distances().max())
 
     def test_generate_needs_out(self, tmp_path):
         cfg = small_config(tmp_path)

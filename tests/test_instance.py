@@ -210,6 +210,19 @@ class TestPrunePairs:
             covered = {j for _, j in pruned.allowed_pairs}
             assert covered == set(range(inst.n_clients))
 
+    def test_pruned_instance_keeps_the_distance_matrix(self, rng):
+        for _ in range(10):
+            inst = random_instance(rng, max_n=30, max_m=12, dim=3)
+            pruned = prune_pairs(inst)
+            assert pruned.distances() is inst.distances()
+            fresh = MetricInstance(inst.client_coords, inst.groups, inst.facility_coords, inst.open_costs)
+            assert pruned.distances().tobytes() == fresh.distances().tobytes()
+            copy = pickle.loads(pickle.dumps(pruned))  # as sent to a sweep worker
+            assert "_distances" not in vars(copy)  # recomputed on first use
+            assert copy.distances() is not inst.distances()
+            assert copy.distances().tobytes() == fresh.distances().tobytes()
+
+
 
 class TestSolutionCost:
     def make(self):

@@ -1,4 +1,7 @@
+import gc
 import math
+import pickle
+import weakref
 from typing import Optional
 
 import numpy as np
@@ -609,11 +612,12 @@ class TestSwapScanMatchesReference:
             k = 1 + inst.n_clients % inst.n_facilities
             got = (r_ls_f(inst, budgets, k), r_ls_nf(inst, budgets.total, k),
                    ls_nf(inst, budgets.total, k))
+            copy = pickle.loads(pickle.dumps(inst))  # its penalty-free search is not cached yet
             with monkeypatch.context() as patch:
                 patch.setattr(kmedian, "local_search_penalties", _reference_local_search_penalties)
                 patch.setattr(kmedian, "_two_nearest", _reference_two_nearest)
-                want = (r_ls_f(inst, budgets, k), r_ls_nf(inst, budgets.total, k),
-                        ls_nf(inst, budgets.total, k))
+                want = (r_ls_f(copy, budgets, k), r_ls_nf(copy, budgets.total, k),
+                        ls_nf(copy, budgets.total, k))
             for a, b in zip(got, want):
                 assert a.open == b.open and a.outliers == b.outliers
                 assert a.assignment == b.assignment
@@ -794,10 +798,11 @@ class TestPenaltyFreeSearch:
 
 class TestSearchContract:
     def test_searches_run_once_per_binding_grid_value(self, rng, monkeypatch):
-        # the reduction searches each guess with a binding penalty, and only
-        # the first guess whose penalties all reach each client's farthest
-        # facility; a wrapper on the module's local_search_penalties sees
-        # every search it runs
+        # per instance object, k and improve_frac, R+LS-F, R+LS-NF and LS-NF
+        # run one penalty-free search between them, all-inf and at the first
+        # guess whose penalties all reach each client's farthest facility,
+        # and one search per guess with a binding penalty; a wrapper on the
+        # module's local_search_penalties sees every search they run
         calls = []
         original = kmedian.local_search_penalties
 
@@ -812,36 +817,53 @@ class TestSearchContract:
             budgets = random_budgets(rng, inst)
             k = int(rng.integers(1, inst.n_facilities + 1))
             merged = np.zeros(inst.n_clients, dtype=np.int64)
-            for run, groups, caps in ((lambda: r_ls_f(inst, budgets, k), inst.groups, budgets.per_group),
-                                      (lambda: r_ls_nf(inst, budgets.total, k), merged, (budgets.total,))):
-                penalties = [_penalties_for(groups, caps, guess, 0.5)
-                             for guess in _grid_from_totals(inst, sum(caps), 0.5)]
-                free = [bool(np.all(p >= inst.distances().max(axis=0))) for p in penalties]
-                want = [p for t, p in enumerate(penalties) if not free[t] or t == free.index(True)]
-                assert len(want) == int(any(free)) + free.count(False)
+            free_search = np.full(inst.n_clients, np.inf)
+            searched_free = False
+            for _ in range(2):  # a repeat runs only the binding guesses' searches
                 calls.clear()
-                run()
+                want = []
+                for groups, caps in ((inst.groups, budgets.per_group), (merged, (budgets.total,))):
+                    penalties = [_penalties_for(groups, caps, guess, 0.5)
+                                 for guess in _grid_from_totals(inst, sum(caps), 0.5)]
+                    free = [bool(np.all(p >= inst.distances().max(axis=0))) for p in penalties]
+                    for t, p in enumerate(penalties):
+                        if not free[t]:
+                            want.append(p)
+                        elif not searched_free:
+                            want.append(free_search)
+                            searched_free = True
+                    shared += free.count(True) > 1
+                    mixed += 0 < free.count(True) < len(free)
+                if not searched_free:
+                    want.append(free_search)  # LS-NF's
+                    searched_free = True
+                r_ls_f(inst, budgets, k)
+                r_ls_nf(inst, budgets.total, k)
+                ls_nf(inst, budgets.total, k)
                 assert [p.tobytes() for p in calls] == [p.tobytes() for p in want]
-                shared += free.count(True) > 1
-                mixed += 0 < free.count(True) < len(free)
-            calls.clear()
-            ls_nf(inst, budgets.total, k)
-            assert len(calls) == 1
         assert shared and mixed  # the draws exercise both kinds of guess
 
     def test_penalty_equal_to_farthest_is_penalty_free(self, monkeypatch):
         # clients at 1 and 2 from one facility, one outlier: guesses
         # (1, 1.5, 2.25); with gamma 0.5 the first penalty, 2, equals the
-        # farther distance, so one search serves all three guesses
+        # farther distance, so the instance's one penalty-free search serves
+        # all three guesses; with gamma 1 two guesses bind and the third
+        # reads that same search, as LS-NF does
         calls = []
         original = kmedian.local_search_penalties
         monkeypatch.setattr(kmedian, "local_search_penalties",
                             lambda pinst, frac: calls.append(pinst) or original(pinst, frac))
         inst = tiny([[1.0], [2.0]], [0, 0], [[0.0]])
-        for gamma, searches in ((0.5, 1), (1.0, 3)):
+        for gamma, searches in ((0.5, 1), (1.0, 2)):
             calls.clear()
             r_ls_f(inst, OutlierBudgets((1,)), 1, gamma=gamma)
             assert len(calls) == searches
+        calls.clear()
+        ls_nf(inst, 1, 1)
+        assert not calls
+        fresh = tiny([[1.0], [2.0]], [0, 0], [[0.0]])
+        r_ls_f(fresh, OutlierBudgets((1,)), 1, gamma=1.0)
+        assert len(calls) == 3
 
     def test_swap_cutting_exactly_improve_frac_is_accepted(self):
         # from {0} (cost 3 + 1) the swap to {1} (cost 1 + 1) halves the cost
@@ -867,3 +889,46 @@ class TestSearchContract:
                 for f_in in closed:
                     cand = cost_of(sol.open - {f_out} | {f_in})
                     assert not (cand <= target and cand < cost), (f_out, f_in, cand, cost)
+
+
+class TestFreeSearchCache:
+    def test_one_search_per_instance_k_and_improve_frac(self, monkeypatch):
+        built = []
+        original = kmedian.local_search_penalties
+        monkeypatch.setattr(kmedian, "local_search_penalties",
+                            lambda pinst, frac: built.append((pinst.k, frac)) or original(pinst, frac))
+        monkeypatch.setattr(kmedian, "_free_searches", weakref.WeakKeyDictionary())
+        inst = tiny([[0.0], [1.0], [5.0], [6.0]], [0, 0, 1, 1], [[0.0], [6.0], [3.0]])
+        for k, frac in ((1, 0.01), (2, 0.01), (1, 0.01), (np.int64(2), 0.01), (2, 0.1)):
+            ls_nf(inst, 1, k, improve_frac=frac)
+        assert built == [(1, 0.01), (2, 0.01), (2, 0.1)]
+        assert len(kmedian._free_searches[inst]) == 3
+
+    def test_entry_dies_with_its_instance(self):
+        inst, _ = generate_synthetic(SyntheticConfig(n_in=40, n_out=10, n_facilities=8, seed=0))
+        budgets = budgets_from_pct(inst, 10.0)
+        r_ls_f(inst, budgets, 3)
+        ls_nf(inst, budgets.total, 3)
+        copy = pickle.loads(pickle.dumps(inst))
+        ls_nf(copy, budgets.total, 3)
+        assert inst in kmedian._free_searches and copy in kmedian._free_searches
+        alive = weakref.ref(inst), weakref.ref(copy)
+        del inst, copy
+        gc.collect()
+        assert alive[0]() is None and alive[1]() is None  # nothing holds its instance alive
+
+    def test_cache_hit_still_checks_k_and_improve_frac(self):
+        inst = tiny([[0.0], [1.0], [5.0]], [0, 0, 1], [[0.0], [5.0]])
+        budgets = OutlierBudgets((0, 0))
+        ls_nf(inst, 0, 1)  # caches k = 1 (True hashes as 1) and improve_frac 0.01
+        r_ls_f(inst, budgets, 2)  # and k = 2
+        for bad_k in (True, 2.5):
+            for run in (lambda: ls_nf(inst, 0, bad_k), lambda: r_ls_f(inst, budgets, bad_k),
+                        lambda: r_ls_nf(inst, 0, bad_k)):
+                with pytest.raises(ValueError, match="not an integer"):
+                    run()
+        for bad_frac in (0.0, 1.0, math.nan):
+            with pytest.raises(ValueError, match="improve_frac"):
+                ls_nf(inst, 0, 1, improve_frac=bad_frac)
+            with pytest.raises(ValueError, match="improve_frac"):
+                r_ls_f(inst, budgets, 1, improve_frac=bad_frac)
