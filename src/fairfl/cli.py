@@ -61,9 +61,9 @@ from .instance import (
     MetricInstance,
     OutlierBudgets,
     prune_pairs,
-    same_points,
     solution_cost,
     unfairness,
+    uniform_dmax,
 )
 from .kmedian import LocalSearchError, ls_nf, r_ls_f, r_ls_nf
 from .lp import (
@@ -179,7 +179,7 @@ CONFIG_KEYS = {
     "seed": Key(int, 0),
     "out": Key(str),
     "jobs": Key(int, 1),
-    "facility_cost": Key(str, None, ("uniform_dmax", "from_data")),
+    "facility_cost": Key(str, None, ("uniform_dmax",)),
     "ell": Key(_list_of(int)),
     "prune": Key(_bool, True),
     "delimiter": Key(str, ","),
@@ -323,13 +323,10 @@ def read_instance_csv(path: str) -> tuple[MetricInstance, tuple[str, ...]]:
 
 
 def prepare_instance(cfg: dict) -> tuple[MetricInstance, tuple[str, ...]]:
-    """Build the (possibly pruned) instance a run operates on."""
+    """Build the (possibly re-costed, possibly pruned) instance a run operates on."""
     dataset = cfg["dataset"]
     if dataset == "synthetic":
         inst, names = generate_synthetic(_from_config(SyntheticConfig, cfg, n_facilities=cfg["m"]))
-        if cfg["facility_cost"] == "uniform_dmax":
-            d_max = float(inst.distances().max())
-            inst = same_points(inst, open_costs=np.full(inst.n_facilities, d_max))
     elif _is_instance_file(dataset, cfg["group_col"]):
         inst, names = read_instance_csv(dataset)
     else:
@@ -340,10 +337,10 @@ def prepare_instance(cfg: dict) -> tuple[MetricInstance, tuple[str, ...]]:
         if cfg["n"] is not None and cfg["n"] < table.n_rows:
             table = sample_clients(table, cfg["n"], cfg["seed"])
         centers = select_facilities_kmeans(table.features, cfg["m"], cfg["seed"])
-        if cfg["facility_cost"] not in (None, "uniform_dmax"):
-            raise ConfigError("CSV datasets support only facility_cost=uniform_dmax")
         inst = build_instance(table, centers)
         names = table.group_names
+    if cfg["facility_cost"] == "uniform_dmax":
+        inst = uniform_dmax(inst)
     if cfg["prune"]:
         inst = prune_pairs(inst)
     return inst, names
@@ -637,7 +634,7 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     _flag(p, "--seed", help="seed for sampling/generation (default 0)")
     _flag(p, "--out", help="output file")
     _flag(p, "--jobs", help="parallel sweep workers (default 1)")
-    _flag(p, "--facility-cost", help="uniform_dmax: every facility costs the max pair distance")
+    _flag(p, "--facility-cost", help="uniform_dmax: each facility costs the max distance (default: own costs)")
     _flag(p, "--ell", help="explicit per-group outlier budgets, comma separated")
     p.add_argument("--no-prune", dest="prune", action="store_const", const=False, default=None,
                    help="skip median distance-pair pruning")

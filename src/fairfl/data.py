@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .instance import MetricInstance
+from .instance import MetricInstance, _pair_sq_distances, _sq_distances, uniform_dmax
 
 
 class DataError(ValueError):
@@ -140,91 +140,6 @@ def sample_clients(table: RawTable, n: int, seed: int) -> RawTable:
     return RawTable(
         table.features[chosen], table.groups[chosen], table.group_names, table.columns
     )
-
-
-# Rows of one output block of ``_sq_distances``: about this many bytes, so the
-# block and its running terms stay in cache while every coordinate passes.
-_KERNEL_BLOCK_BYTES = 1 << 18
-
-
-def _square_diff(points: np.ndarray, centers_t: np.ndarray, k: int, out: np.ndarray) -> None:
-    np.subtract(points[:, k, None], centers_t[k], out=out)
-    np.multiply(out, out, out=out)
-
-
-def _coordinate_sum(
-    points: np.ndarray, centers_t: np.ndarray, lo: int, count: int, out: np.ndarray, term: np.ndarray
-) -> None:
-    """``out`` = the squared differences over coordinates ``lo .. lo+count-1``,
-    added in the order numpy's pairwise summation adds a contiguous run."""
-    if count < 8:
-        _square_diff(points, centers_t, lo, out)
-        for k in range(lo + 1, lo + count):
-            _square_diff(points, centers_t, k, term)
-            out += term
-        return
-    if count > 128:
-        half = count // 2
-        half -= half % 8
-        _coordinate_sum(points, centers_t, lo, half, out, term)
-        right = np.empty_like(out)
-        _coordinate_sum(points, centers_t, lo + half, count - half, right, term)
-        out += right
-        return
-    # eight running sums over strides of 8, combined as a tree, then the tail
-    partial = [out] + [np.empty_like(out) for _ in range(7)]
-    for j in range(8):
-        _square_diff(points, centers_t, lo + j, partial[j])
-    whole = count - count % 8
-    for i in range(8, whole, 8):
-        for j in range(8):
-            _square_diff(points, centers_t, lo + i + j, term)
-            partial[j] += term
-    for step in (1, 2, 4):
-        for j in range(0, 8, 2 * step):
-            partial[j] += partial[j + step]
-    for k in range(lo + whole, lo + count):
-        _square_diff(points, centers_t, k, term)
-        out += term
-
-
-def _sq_distances(points: np.ndarray, centers: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Fill the (n, m) ``out`` with squared distances from every point to
-    every center, bit for bit as ``((points[:, None, :] - centers[None]) **
-    2).sum(axis=2)`` computes them, without that (n, m, d) temporary.
-
-    numpy sums a contiguous run of ``d`` values in a fixed order: one by one
-    below 8; from 8 to 128 in eight partial sums (coordinate ``k`` goes to
-    sum ``k % 8`` for the first ``d - d % 8`` coordinates) combined as
-    ``((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7))``, then the rest one by one; above
-    128 as the sum of both halves, split at half the run rounded down to a
-    multiple of 8.  The kernel adds whole (rows, m) blocks one coordinate
-    at a time in that same order.
-    """
-    n, m = out.shape
-    centers_t = np.ascontiguousarray(centers.T)
-    step = max(1, _KERNEL_BLOCK_BYTES // (8 * max(1, m)))
-    term = np.empty((min(step, n), m))
-    for lo in range(0, n, step):
-        block = out[lo:lo + step]
-        _coordinate_sum(points[lo:lo + step], centers_t, 0, points.shape[1], block, term[: len(block)])
-    return out
-
-
-def _pair_sq_distances(points: np.ndarray, centers: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """Squared distances from ``points[rows[i]]`` to ``centers[cols[i]]``, each
-    bit for bit as ``_sq_distances`` gives it: the same coordinate order, run
-    on (pairs, 1) columns in blocks of about ``_KERNEL_BLOCK_BYTES``."""
-    d = points.shape[1]
-    out = np.empty((len(rows), 1))
-    step = max(1, _KERNEL_BLOCK_BYTES // (8 * d))
-    term = np.empty((min(step, len(rows)), 1))
-    for lo in range(0, len(rows), step):
-        pick, block = slice(lo, lo + step), out[lo:lo + step]
-        # centers_t[k] is then a (pairs, 1) column, one center per pair
-        centers_t = centers[cols[pick]].T[:, :, None]
-        _coordinate_sum(points[rows[pick]], centers_t, 0, d, block, term[: len(block)])
-    return out[:, 0]
 
 
 # u, eta and the overflow margin of the screen's bound in ``_nearest_centers``
@@ -408,19 +323,10 @@ def generate_synthetic(cfg: SyntheticConfig) -> tuple[MetricInstance, tuple[str,
     return inst, ("in", "out")
 
 
-def build_instance(
-    table: RawTable,
-    facility_coords: np.ndarray,
-    facility_costs: Optional[np.ndarray] = None,
-) -> MetricInstance:
-    """Clients from a table plus explicit facility candidates.
-
-    Without explicit costs, every facility costs the square root of the
-    largest squared facility-client distance as ``_sq_distances`` sums it
-    (the uniform policy used for real datasets), which can differ in the
-    last bit from ``inst.distances().max()``."""
-    facility_coords = np.asarray(facility_coords, dtype=float)
-    if facility_costs is None:
-        d2 = _sq_distances(table.features, facility_coords, np.empty((table.n_rows, len(facility_coords))))
-        facility_costs = np.full(len(facility_coords), np.sqrt(d2.max(initial=0.0)))
-    return MetricInstance(table.features, table.groups, facility_coords, facility_costs)
+def build_instance(table: RawTable, facility_coords: np.ndarray) -> MetricInstance:
+    """Clients from a table plus explicit facility candidates, every facility
+    costing the largest facility-client distance (``uniform_dmax``, the
+    policy for real datasets), the instance's own matrix entry bit for bit.
+    The instance keeps the matrix it was costed from."""
+    costs = np.zeros(len(facility_coords))
+    return uniform_dmax(MetricInstance(table.features, table.groups, facility_coords, costs))

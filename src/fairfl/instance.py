@@ -18,10 +18,8 @@ from typing import Iterable, Mapping, Optional
 
 import numpy as np
 
-# Pairwise computations run over row blocks whose temporaries stay near this
-# size: a whole (rows x cols x dim) product is 21.6 MB at 4500x100x6 and,
-# computed at once, sets the process's peak memory.  Every entry is computed
-# as the whole product computes it, so blocking changes no bit of a result.
+# Row-blocked scans keep their temporaries near this size; every entry is
+# computed as the whole computation computes it, so no bit of a result changes.
 _BLOCK_BYTES = 1 << 20
 
 
@@ -30,6 +28,92 @@ def row_blocks(n_rows: int, row_bytes: int) -> list[slice]:
     of temporaries when one row takes ``row_bytes``."""
     step = max(1, _BLOCK_BYTES // max(1, row_bytes))
     return [slice(lo, lo + step) for lo in range(0, n_rows, step)]
+
+
+# Rows of one output block of ``_sq_distances``: about this many bytes, so the
+# block and its running terms stay in cache while every coordinate passes.
+_KERNEL_BLOCK_BYTES = 1 << 18
+
+
+def _square_diff(points: np.ndarray, centers_t: np.ndarray, k: int, out: np.ndarray) -> None:
+    np.subtract(points[:, k, None], centers_t[k], out=out)
+    np.multiply(out, out, out=out)
+
+
+def _coordinate_sum(
+    points: np.ndarray, centers_t: np.ndarray, lo: int, count: int, out: np.ndarray, term: np.ndarray
+) -> None:
+    """``out`` = the squared differences over coordinates ``lo .. lo+count-1``,
+    added in the order numpy's pairwise summation adds a contiguous run."""
+    if count < 8:
+        _square_diff(points, centers_t, lo, out)
+        for k in range(lo + 1, lo + count):
+            _square_diff(points, centers_t, k, term)
+            out += term
+        return
+    if count > 128:
+        half = count // 2
+        half -= half % 8
+        _coordinate_sum(points, centers_t, lo, half, out, term)
+        right = np.empty_like(out)
+        _coordinate_sum(points, centers_t, lo + half, count - half, right, term)
+        out += right
+        return
+    # eight running sums over strides of 8, combined as a tree, then the tail
+    partial = [out] + [np.empty_like(out) for _ in range(7)]
+    for j in range(8):
+        _square_diff(points, centers_t, lo + j, partial[j])
+    whole = count - count % 8
+    for i in range(8, whole, 8):
+        for j in range(8):
+            _square_diff(points, centers_t, lo + i + j, term)
+            partial[j] += term
+    for step in (1, 2, 4):
+        for j in range(0, 8, 2 * step):
+            partial[j] += partial[j + step]
+    for k in range(lo + whole, lo + count):
+        _square_diff(points, centers_t, k, term)
+        out += term
+
+
+def _sq_distances(points: np.ndarray, centers: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Fill the (n, m) ``out`` with squared distances from every point to
+    every center, bit for bit as ``((points[:, None, :] - centers[None]) **
+    2).sum(axis=2)`` computes them, without that (n, m, d) temporary.
+
+    numpy sums a contiguous run of ``d`` values in a fixed order: one by one
+    below 8; from 8 to 128 in eight partial sums (coordinate ``k`` goes to
+    sum ``k % 8`` for the first ``d - d % 8`` coordinates) combined as
+    ``((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7))``, then the rest one by one; above
+    128 as the sum of both halves, split at half the run rounded down to a
+    multiple of 8.  The kernel adds whole (rows, m) blocks one coordinate
+    at a time in that same order.  Swapping ``points`` and ``centers``
+    transposes the result bit for bit; k-means and ``MetricInstance`` share it.
+    """
+    n, m = out.shape
+    centers_t = np.ascontiguousarray(centers.T)
+    step = max(1, _KERNEL_BLOCK_BYTES // (8 * max(1, m)))
+    term = np.empty((min(step, n), m))
+    for lo in range(0, n, step):
+        block = out[lo:lo + step]
+        _coordinate_sum(points[lo:lo + step], centers_t, 0, points.shape[1], block, term[: len(block)])
+    return out
+
+
+def _pair_sq_distances(points: np.ndarray, centers: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Squared distances from ``points[rows[i]]`` to ``centers[cols[i]]``, each
+    bit for bit as ``_sq_distances`` gives it: the same coordinate order, run
+    on (pairs, 1) columns in blocks of about ``_KERNEL_BLOCK_BYTES``."""
+    d = points.shape[1]
+    out = np.empty((len(rows), 1))
+    step = max(1, _KERNEL_BLOCK_BYTES // (8 * d))
+    term = np.empty((min(step, len(rows)), 1))
+    for lo in range(0, len(rows), step):
+        pick, block = slice(lo, lo + step), out[lo:lo + step]
+        # centers_t[k] is then a (pairs, 1) column, one center per pair
+        centers_t = centers[cols[pick]].T[:, :, None]
+        _coordinate_sum(points[rows[pick]], centers_t, 0, d, block, term[: len(block)])
+    return out[:, 0]
 
 
 FACILITY_LOCATION = "facility_location"
@@ -141,16 +225,14 @@ class MetricInstance:
 
     @cached_property
     def _distances(self) -> np.ndarray:
-        fac, cli = self.facility_coords, self.client_coords
-        dist = np.empty((len(fac), len(cli)))
-        for rows in row_blocks(len(fac), cli.nbytes):
-            diff = fac[rows, None, :] - cli[None, :, :]
-            np.sqrt(np.einsum("ijk,ijk->ij", diff, diff), out=dist[rows])
+        dist = np.empty((self.n_facilities, self.n_clients))
+        np.sqrt(_sq_distances(self.facility_coords, self.client_coords, dist), out=dist)
         dist.flags.writeable = False
         return dist
 
     def distances(self) -> np.ndarray:
-        """Full (facilities x clients) distance matrix, computed once."""
+        """Full (facilities x clients) distance matrix, computed once by
+        ``_sq_distances``: bit for bit ``np.sqrt(((f[:, None] - c[None]) ** 2).sum(axis=2))``."""
         return self._distances
 
     def distance(self, facility: int, client: int) -> float:
@@ -370,6 +452,12 @@ def same_points(inst: MetricInstance, **changes) -> MetricInstance:
     copy = replace(inst, **changes)
     vars(copy)["_distances"] = inst.distances()  # the cached_property's slot
     return copy
+
+
+def uniform_dmax(inst: MetricInstance) -> MetricInstance:
+    """``inst`` with every facility's opening cost the largest entry of its
+    distance matrix, which the copy shares (``same_points``)."""
+    return same_points(inst, open_costs=np.full(inst.n_facilities, inst.distances().max()))
 
 
 def prune_pairs(inst: MetricInstance) -> MetricInstance:

@@ -30,7 +30,7 @@ from .instance import (
 
 
 class LocalSearchError(RuntimeError):
-    """Local search broke its checked swap-count bound."""
+    """Local search broke its checked swap-count bound or found no admissible guess."""
 
 
 @dataclass(frozen=True)
@@ -231,8 +231,11 @@ def _reduce_and_search(
 
     A candidate is admissible when every group's outlier count stays within
     (n_groups + gamma) times its cap; the cheapest admissible candidate by
-    service cost wins, falling back to the smallest violation ratio (then
-    cost) when none is admissible.  Ties resolve to the earliest grid value.
+    service cost wins, ties to the smaller violation ratio, then the earliest
+    grid value.  The last guess, at least ``served * d_max * (1 - 1e-12)``,
+    is admissible up to that margin (group g pays only if ``served < gamma *
+    cap_g``, and then has at most ``served + cap_g`` payers), so a grid with
+    none raises ``LocalSearchError``.
 
     A guess whose penalties all reach each client's farthest facility is
     penalty-free: a penalty enters the search only through
@@ -249,26 +252,24 @@ def _reduce_and_search(
     slack = n_groups + gamma
     farthest = inst.distances().max(axis=0)
 
-    def candidates():
+    def admissible():
         for t, guess in enumerate(grid):
             penalty = _penalties_for(groups, caps, guess, gamma)
             if np.all(penalty >= farthest):
                 psol = _free_search(inst, k, improve_frac)
             else:
                 psol = local_search_penalties(PenaltyInstance(inst, k, penalty), improve_frac)
-            counts = np.bincount(groups[sorted(psol.paying)], minlength=n_groups) if psol.paying else np.zeros(n_groups, dtype=int)
-            viol = 0.0
-            for g in range(n_groups):
-                if counts[g] == 0:
-                    continue
-                viol = max(viol, counts[g] / (slack * caps[g]))
+            counts = np.bincount(groups[sorted(psol.paying)], minlength=n_groups)
+            viol = max((c / (slack * cap) for c, cap in zip(counts.tolist(), caps) if c), default=0.0)
             if viol <= 1.0:
-                yield (0, psol.service_cost, viol, t, psol)
-            else:
-                yield (1, viol, psol.service_cost, t, psol)
+                yield psol.service_cost, viol, t, psol
 
-    # the grid is never empty, and t makes every key distinct
-    return min(candidates(), key=lambda c: c[:4])[4]
+    # t makes every key distinct
+    best = min(admissible(), key=lambda c: c[:3], default=None)
+    if best is None:
+        raise LocalSearchError(f"no guess of the {len(grid)}-value grid keeps every group "
+                               f"within {slack:g} times its cap")
+    return best[3]
 
 
 def _drop_farthest(

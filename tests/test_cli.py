@@ -619,6 +619,56 @@ class TestGenerate:
         assert inst.distances().tobytes() == fresh.distances().tobytes()
         assert np.all(inst.open_costs == fresh.distances().max())
 
+    def test_uniform_dmax_recosts_an_instance_file(self, tmp_path):
+        cfg = small_config(tmp_path, n_in=30, n_out=5, dim=6)
+        out = tmp_path / "inst.csv"
+        assert main(["generate", "--config", cfg, "--out", str(out)]) == 0
+        argv = ["solve", "--dataset", str(out), "--algo", "gdf-f", "--pct", "10"]
+        own, _ = prepare_instance(resolve_config(build_parser().parse_args(argv)))
+        assert set(own.open_costs.tolist()) <= {40.0, 80.0}  # the file's costs
+        argv += ["--facility-cost", "uniform_dmax"]
+        inst, _ = prepare_instance(resolve_config(build_parser().parse_args(argv)))
+        assert inst.open_costs.tobytes() == np.full(8, inst.distances().max()).tobytes()
+        assert inst.distances().tobytes() == own.distances().tobytes()
+
+    @pytest.mark.parametrize("raw_csv", [False, True], ids=["synthetic", "raw-csv"])
+    def test_from_data_exits_2_naming_the_allowed_values(self, tmp_path, capsys, raw_csv):
+        argv = ["sweep", "--config", small_config(tmp_path), "--algo", "gdf-f", "--pct", "10",
+                "--facility-cost", "from_data"]
+        if raw_csv:
+            path = tmp_path / "t.csv"
+            path.write_text("a,b,grp\n1,2,x\n3,4,y\n5,6,x\n7,8,y\n", encoding="utf-8")
+            argv += ["--dataset", str(path), "--group-col", "grp", "--m", "2"]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "bad value for 'facility_cost': 'from_data' (expected one of uniform_dmax)" in err
+
+    @pytest.mark.parametrize("prune", ["true", "false"])
+    @pytest.mark.parametrize("facility_cost", [None, "uniform_dmax"])
+    def test_raw_csv_set_up_computes_the_matrix_once(self, tmp_path, monkeypatch, prune, facility_cost):
+        from fairfl import data as data_mod, instance as instance_mod
+
+        rng = np.random.default_rng(3)
+        path = tmp_path / "t.csv"
+        rows = (",".join(map(repr, row.tolist())) + f",{'xy'[i % 2]}\n" for i, row in enumerate(rng.random((30, 3))))
+        path.write_text("a,b,c,grp\n" + "".join(rows), encoding="utf-8")
+        shapes = []
+        kernel = instance_mod._sq_distances
+
+        def counting(points, centers, out):
+            shapes.append(out.shape)
+            return kernel(points, centers, out)
+
+        monkeypatch.setattr(instance_mod, "_sq_distances", counting)
+        monkeypatch.setattr(data_mod, "_sq_distances", counting)
+        extra = {"facility_cost": facility_cost} if facility_cost else {}
+        cfg = small_config(tmp_path, group_col="grp", m=4, prune=prune, **extra)
+        inst, _ = prepare_instance(resolve_config(build_parser().parse_args(
+            ["sweep", "--config", cfg, "--dataset", str(path)])))
+        assert shapes.count((4, 30)) == 1 and shapes.count((30, 4)) == 0
+        assert "_distances" in vars(inst)  # handed over, not recomputed on first use
+        assert inst.open_costs.tobytes() == np.full(4, inst.distances().max()).tobytes()
+
     def test_generate_needs_out(self, tmp_path):
         cfg = small_config(tmp_path)
         assert main(["generate", "--config", cfg]) == 2

@@ -15,8 +15,8 @@ from fairfl import (
     select_facilities_kmeans,
 )
 from fairfl import data as data_mod
-from fairfl.data import _sq_distances
-from fairfl.instance import row_blocks
+from fairfl import instance as instance_mod
+from fairfl.instance import _sq_distances, row_blocks
 
 
 def write(tmp_path, text, name="data.csv"):
@@ -165,10 +165,10 @@ class TestKmeansFacilities:
     def test_row_blocks_do_not_change_centers(self, rng, monkeypatch):
         # one block is the whole (points x centers) computation
         pts = rng.random((300, 4))
-        monkeypatch.setattr(data_mod, "_KERNEL_BLOCK_BYTES", 1 << 40)
+        monkeypatch.setattr(instance_mod, "_KERNEL_BLOCK_BYTES", 1 << 40)
         whole = select_facilities_kmeans(pts, 9, seed=3)
         for block_bytes in (1, 200, 5000):
-            monkeypatch.setattr(data_mod, "_KERNEL_BLOCK_BYTES", block_bytes)
+            monkeypatch.setattr(instance_mod, "_KERNEL_BLOCK_BYTES", block_bytes)
             assert select_facilities_kmeans(pts, 9, seed=3).tobytes() == whole.tobytes()
 
     def test_count_exact_on_random(self, rng):
@@ -219,22 +219,16 @@ class TestBuildInstance:
         table = RawTable(rng.random((8, 2)), np.zeros(8, dtype=np.int64), ("g",), ("a", "b"))
         fac = rng.random((3, 2))
         inst = build_instance(table, fac)
-        d_max = inst.distances().max()
-        assert np.allclose(inst.open_costs, d_max)
+        assert inst.open_costs.tobytes() == np.full(3, inst.distances().max()).tobytes()
 
     def test_row_blocks_do_not_change_costs(self, rng, monkeypatch):
         table = RawTable(rng.random((50, 3)), np.zeros(50, dtype=np.int64), ("g",), ("a", "b", "c"))
         fac = rng.random((9, 3))
-        monkeypatch.setattr(data_mod, "_KERNEL_BLOCK_BYTES", 1 << 40)
+        monkeypatch.setattr(instance_mod, "_KERNEL_BLOCK_BYTES", 1 << 40)
         whole = build_instance(table, fac).open_costs
         for block_bytes in (1, 1500, 5000):
-            monkeypatch.setattr(data_mod, "_KERNEL_BLOCK_BYTES", block_bytes)
+            monkeypatch.setattr(instance_mod, "_KERNEL_BLOCK_BYTES", block_bytes)
             assert build_instance(table, fac).open_costs.tobytes() == whole.tobytes()
-
-    def test_explicit_costs_respected(self, rng):
-        table = RawTable(rng.random((4, 2)), np.zeros(4, dtype=np.int64), ("g",), ("a", "b"))
-        inst = build_instance(table, rng.random((2, 2)), np.array([1.0, 2.0]))
-        assert inst.open_costs.tolist() == [1.0, 2.0]
 
 
 # ---------------------------------------------------------------------------
@@ -347,7 +341,7 @@ class TestSqDistancesKernel:
     def test_bitwise_equal_to_broadcast(self, d, monkeypatch):
         rng = np.random.default_rng(d)
         for block_bytes in (1, 700, 1 << 18):
-            monkeypatch.setattr(data_mod, "_KERNEL_BLOCK_BYTES", block_bytes)
+            monkeypatch.setattr(instance_mod, "_KERNEL_BLOCK_BYTES", block_bytes)
             for n, m in ((1, 1), (1, 7), (9, 1), (23, 5)):
                 points, centers = _mixed_points(rng, n, d), _mixed_points(rng, m, d)
                 got = _sq_distances(points, centers, np.empty((n, m)))
@@ -612,6 +606,6 @@ class TestPairSqDistances:
         full = _sq_distances(points, centers, np.empty((20, 7)))
         rows, cols = rng.integers(0, 20, 90), rng.integers(0, 7, 90)
         for block_bytes in (1, 700, 1 << 18):
-            monkeypatch.setattr(data_mod, "_KERNEL_BLOCK_BYTES", block_bytes)
-            got = data_mod._pair_sq_distances(points, centers, rows, cols)
+            monkeypatch.setattr(instance_mod, "_KERNEL_BLOCK_BYTES", block_bytes)
+            got = instance_mod._pair_sq_distances(points, centers, rows, cols)
             assert got.tobytes() == full[rows, cols].tobytes()

@@ -52,25 +52,27 @@ class TestDistance:
             for j in range(inst.n_clients):
                 assert inst.distance(i, j) == pytest.approx(small[i, j], abs=0)
 
+    @staticmethod
+    def whole(facs, clients):
+        """The plain numpy expression the matrix must equal bit for bit."""
+        return np.sqrt(((facs[:, None] - clients[None]) ** 2).sum(axis=2))
+
     @pytest.mark.parametrize("block_bytes", [1, 100, 1000, 1 << 40])
     def test_blocked_matrix_equals_whole_product(self, rng, monkeypatch, block_bytes):
-        # row blocks only bound the temporaries: every entry is bitwise the
-        # one the whole (facilities x clients x dim) product gives
-        monkeypatch.setattr(instance_mod, "_BLOCK_BYTES", block_bytes)
-        for _ in range(20):
-            n, m, dim = rng.integers(1, 40), rng.integers(1, 12), rng.integers(1, 5)
+        # the kernel's row blocks only bound the temporaries: every entry is
+        # bitwise the one the whole (facilities x clients x dim) product
+        # gives, in numpy's summation order over the coordinates
+        monkeypatch.setattr(instance_mod, "_KERNEL_BLOCK_BYTES", block_bytes)
+        for dim in list(range(1, 41)) + [129, 300]:
+            n, m = rng.integers(1, 40), rng.integers(1, 12)
             clients, facs = rng.normal(0, 10, (n, dim)), rng.normal(0, 10, (m, dim))
             inst = MetricInstance(clients, np.zeros(n, int), facs, np.ones(m))
-            diff = facs[:, None, :] - clients[None, :, :]
-            whole = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
-            assert inst.distances().tobytes() == whole.tobytes()
+            assert inst.distances().tobytes() == self.whole(facs, clients).tobytes()
 
     def test_blocked_matrix_at_large_csv_size(self, rng):
         clients, facs = rng.random((4500, 6)), rng.random((100, 6))
         inst = MetricInstance(clients, np.zeros(4500, int), facs, np.ones(100))
-        diff = facs[:, None, :] - clients[None, :, :]
-        whole = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
-        assert inst.distances().tobytes() == whole.tobytes()
+        assert inst.distances().tobytes() == self.whole(facs, clients).tobytes()
 
     def test_row_blocks_cover_rows_in_order(self):
         for n_rows in (1, 7, 64):

@@ -1,7 +1,11 @@
 import gc
 import math
+import os
 import pickle
+import subprocess
+import sys
 import weakref
+from pathlib import Path
 from typing import Optional
 
 import numpy as np
@@ -295,6 +299,51 @@ class TestReductionPipeline:
             r_ls_nf(inst, 2, k=1)
         with pytest.raises(ValueError):
             ls_nf(inst, -1, k=1)
+
+
+class TestAdmissibleGuess:
+    """The reduction keeps only admissible candidates; its grid's last guess
+    always is one."""
+
+    @pytest.mark.parametrize("gamma", [0.1, 1 / 3, 0.5, 1.0])
+    def test_last_guess_is_admissible_on_the_random_suite(self, random_suite, monkeypatch, gamma):
+        grid = kmedian._grid_from_totals
+        monkeypatch.setattr(kmedian, "_grid_from_totals", lambda inst, total, eps: grid(inst, total, eps)[-1:])
+        for inst, budgets in random_suite:
+            merged = np.zeros(inst.n_clients, dtype=np.int64)
+            for groups, caps in ((inst.groups, budgets.per_group), (merged, (budgets.total,))):
+                for k in {1, 1 + inst.n_clients % inst.n_facilities}:
+                    psol = kmedian._reduce_and_search(inst, groups, caps, k, gamma, 0.5, 0.01)
+                    counts = np.bincount(groups[sorted(psol.paying)], minlength=len(caps))
+                    for used, cap in zip(counts.tolist(), caps):
+                        assert used <= (len(caps) + gamma) * cap
+
+    def test_no_admissible_guess_raises(self, monkeypatch):
+        # one binding guess: each penalty, 1e-3 / (0.5 * 1), is below every
+        # distance, so all four clients pay, beyond (1 + 0.5) * 1
+        inst = tiny([[1.0], [2.0], [3.0], [4.0]], [0, 0, 0, 0], [[0.0]])
+        monkeypatch.setattr(kmedian, "_grid_from_totals", lambda inst, total, eps: (1e-3,))
+        with pytest.raises(LocalSearchError, match="no guess of the 1-value grid"):
+            r_ls_f(inst, OutlierBudgets((1,)), 1)
+        with pytest.raises(LocalSearchError, match="no guess of the 1-value grid"):
+            r_ls_nf(inst, 1, 1)
+
+    def test_raise_survives_optimize_flag(self):
+        code = (
+            "import numpy as np\n"
+            "from fairfl import LocalSearchError, MetricInstance, OutlierBudgets, r_ls_f\n"
+            "from fairfl import kmedian\n"
+            "kmedian._grid_from_totals = lambda inst, total, eps: (1e-3,)\n"
+            "inst = MetricInstance(np.array([[1.0], [2.0], [3.0], [4.0]]), [0] * 4, np.array([[0.0]]), [0.0])\n"
+            "try:\n"
+            "    r_ls_f(inst, OutlierBudgets((1,)), 1)\n"
+            "except LocalSearchError:\n"
+            "    print('raised')\n"
+        )
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        out = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True,
+                             env=dict(os.environ, PYTHONPATH=src), timeout=120)
+        assert out.stdout.strip() == "raised", out.stderr
 
 
 class TestPlainLocalSearchBaseline:

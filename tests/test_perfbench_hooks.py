@@ -1,8 +1,12 @@
 """The benchmark's tracer patches functions of ``fairfl`` by name from
-outside the package; a program change that removes or renames one of them
-breaks the benchmark.  This reads ``perfbench/`` and changes nothing there."""
+outside the package, and its output checks read solutions and instances
+through the program's own types; a program change that removes or renames
+one of them breaks the benchmark.  This reads ``perfbench/`` and changes
+nothing there."""
 
 from pathlib import Path
+
+import numpy as np
 
 import fairfl.cli as cli
 
@@ -38,3 +42,29 @@ def test_tracer_hooks_reach_every_layer(monkeypatch):
     assert patched
     for target, attr, original in patched:
         assert getattr(target, attr) is original, (target, attr)
+
+
+def test_output_checks_read_a_captured_pruned_fl_sweep(monkeypatch):
+    # every check runs on every cell here, whereas a benchmark run reaches
+    # ``pruned_assignments`` only when a gdf-f cell undercuts lp_obj
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import checks
+    import run
+    import workloads
+
+    cfg = _sweep_config(workloads.FL_ALGOS, "fl")
+    inst, _ = cli.prepare_instance(cfg)
+    assert inst.pair_fac is not None  # pruned
+    with run.Capture(cli) as capture:
+        records = cli.run_sweep(inst, cfg)
+    assert len(capture.solutions) == len(records)
+    assert checks.check_cells(inst, records, capture.solutions, "fl", workloads.EPSILON) == {}
+    assert checks.check_lp_objectives(records, None) == {}
+    assert checks.check_lp_objectives(records, checks.lp_values(records)) == {}
+    allowed = np.zeros((inst.n_facilities, inst.n_clients), dtype=bool)
+    allowed[inst.pair_fac, inst.pair_cli] = True
+    counts = []
+    for sol in capture.solutions.values():
+        counts.append(checks.pruned_assignments(inst, sol))
+        assert counts[-1] == sum(not allowed[i, j] for j, i in sol.assignment.items())
+    assert max(counts) > 0  # GDF assigns through pruned pairs here
