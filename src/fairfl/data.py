@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .instance import MetricInstance, _pair_sq_distances, _sq_distances, uniform_dmax
+from .instance import MetricInstance, _pair_sq_distances, _sq_distances, row_blocks, uniform_dmax
 
 
 class DataError(ValueError):
@@ -58,9 +58,12 @@ def load_csv(
     """Parse a headered CSV into features + group labels.
 
     ``feature_columns`` defaults to every column except the group column.
-    Group labels are indexed in order of first appearance.  Non-numeric or
-    missing feature cells raise ParseError naming the offending line and
-    column.
+    Group labels are indexed in order of first appearance.  Non-numeric,
+    missing or non-finite feature cells (``nan``, ``inf``, or a value such as
+    ``1e309`` that overflows) raise ParseError naming the first offending line
+    and column.  Each cell is parsed by one ``float()``, which ignores
+    surrounding whitespace, and one ``np.isfinite`` checks the whole array;
+    the offending cell is looked up only when a check fails.
     """
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh, delimiter=delimiter)
@@ -83,27 +86,24 @@ def load_csv(
 
         rows: list[list[float]] = []
         labels: list[str] = []
+        blank_lines: list[int] = []
         for line_no, row in enumerate(reader, start=2):
             if not row or all(not cell.strip() for cell in row):
+                blank_lines.append(line_no)
                 continue
             if len(row) != len(header):
                 raise ParseError(f"{path}: line {line_no}: expected {len(header)} cells, got {len(row)}")
-            parsed = []
-            for col, pos in zip(feature_columns, feat_pos):
-                cell = row[pos].strip()
-                try:
-                    value = float(cell)
-                except ValueError:
-                    raise ParseError(
-                        f"{path}: line {line_no}, column {col!r}: {cell!r} is not numeric"
-                    ) from None
-                if not math.isfinite(value):
-                    raise ParseError(f"{path}: line {line_no}, column {col!r}: non-finite value")
-                parsed.append(value)
-            rows.append(parsed)
+            try:
+                rows.append([float(row[pos]) for pos in feat_pos])
+            except ValueError:
+                # a non-finite cell on an earlier line comes first
+                _require_finite(path, np.array(rows).reshape(-1, len(feat_pos)), blank_lines, feature_columns)
+                raise _cell_error(path, line_no, row, feature_columns, feat_pos) from None
             labels.append(row[group_pos].strip())
     if not rows:
         raise ParseError(f"{path}: no data rows")
+    features = np.array(rows, dtype=float)
+    _require_finite(path, features, blank_lines, feature_columns)
 
     seen: dict[str, int] = {}
     group_idx = []
@@ -112,11 +112,36 @@ def load_csv(
             seen[lab] = len(seen)
         group_idx.append(seen[lab])
     return RawTable(
-        features=np.array(rows, dtype=float),
+        features=features,
         groups=np.array(group_idx, dtype=np.int64),
         group_names=tuple(seen),
         columns=tuple(feature_columns),
     )
+
+
+def _require_finite(path: str, features: np.ndarray, blank_lines: list[int], columns: Sequence[str]) -> None:
+    """Raise for the first non-finite cell; data row ``i`` is on line ``i + 2``
+    plus the blank lines skipped before it."""
+    finite = np.isfinite(features)
+    if not finite.all():
+        i, k = np.argwhere(~finite)[0]
+        line_no = i + 2
+        for blank in blank_lines:
+            line_no += blank <= line_no
+        raise ParseError(f"{path}: line {line_no}, column {columns[k]!r}: non-finite value")
+
+
+def _cell_error(path: str, line_no: int, row: list[str], columns: Sequence[str], positions: list[int]) -> ParseError:
+    """The error for the first cell of ``row`` that is not a finite number."""
+    for col, pos in zip(columns, positions):
+        cell = row[pos].strip()
+        try:
+            if math.isfinite(float(cell)):
+                continue
+        except ValueError:
+            return ParseError(f"{path}: line {line_no}, column {col!r}: {cell!r} is not numeric")
+        return ParseError(f"{path}: line {line_no}, column {col!r}: non-finite value")
+    raise AssertionError("a row that failed to parse has no bad cell")
 
 
 def normalize(table: RawTable) -> RawTable:
@@ -142,57 +167,128 @@ def sample_clients(table: RawTable, n: int, seed: int) -> RawTable:
     )
 
 
-# u, eta and the overflow margin of the screen's bound in ``_nearest_centers``
+# u, eta and the overflow margin of the screen's bound in ``_Assignment``
 _UNIT_ROUNDOFF = 2.0**-53
 _SMALLEST_SUBNORMAL = 2.0**-1074
 _REACH_MAX = np.finfo(float).max / 16
 
 
-def _nearest_centers(
-    points: np.ndarray, lifted: np.ndarray, norms: np.ndarray, centers: np.ndarray, out: np.ndarray
-) -> np.ndarray:
-    """Each point's nearest center, equal to ``np.argmin(_sq_distances(points,
-    centers, out), axis=1)`` (first index on ties), mostly without the kernel.
+def _kernel_argmin(points: np.ndarray, centers: np.ndarray, rows: np.ndarray, cand: np.ndarray) -> np.ndarray:
+    """Each row's nearest center among those ``cand[i]`` marks for
+    ``points[rows[i]]``, by the exact kernel, first index on ties."""
+    sub, cols = np.nonzero(cand)
+    exact = np.full(cand.shape, np.inf)
+    exact[sub, cols] = _pair_sq_distances(points, centers, rows[sub], cols)
+    return exact.argmin(axis=1)
 
-    ``lifted`` is ``points`` with a column of ones appended and ``norms`` the
-    points' Euclidean norms.  One GEMM fills ``out`` with the screen
-    ``S_c = |c|² - 2 p·c`` (the -2 is folded into the centers, which is
-    exact; ``|p|²`` is the same for every center of a row, so it is left
-    out), and ``a = argmin S``.  For any summation order, with or without FMA,
-    a dot product errs by at most ``gamma_k |x|·|y|`` (Higham, *Accuracy and
-    Stability of Numerical Algorithms*, 2002, §3.1), and the kernel's value
-    ``D_c`` errs from the exact ``|p - c|²`` by at most ``gamma_{d+2} |p - c|²``.
-    Together ``S_c + |p|²`` lies within ``(3d + 3)u R²`` of ``D_c``, plus at
-    most one ``eta`` per underflowing operation, which ``tol = 8(d + 4)(u R² +
-    eta)`` covers twice over.  So every center with ``D_c <= D_a``, the
-    kernel's argmin included, has ``S_c <= S_a + 2 tol``.  Rows where only
-    ``a`` passes take it; the others compute ``D_c`` of the passing centers
-    with the kernel and take the smallest, first index on ties.  Rows whose
-    ``R²`` is not finite or within 16x of overflow (below that nothing in the
-    screen overflows) compute every ``D_c``.  The GEMM only preselects, so
-    the result does not depend on the BLAS.
+
+class _Assignment:
+    """Each point's nearest center, carried across Lloyd iterations: after
+    every ``update``, ``labels`` equals ``np.argmin(_sq_distances(points,
+    centers, out), axis=1)`` (first index on ties), found mostly without the
+    kernel.
+
+    A GEMM of ``lifted`` (the points with a column of ones appended) gives
+    the screen ``S_c = |c|² - 2 p·c`` (the -2 is folded into the centers,
+    which is exact; ``|p|²`` is the same for every center of a row, so it is
+    left out).  For any summation order, with or without FMA, a dot product
+    errs by at most ``gamma_k |x|·|y|`` (Higham, *Accuracy and Stability of
+    Numerical Algorithms*, 2002, §3.1), and the kernel's value ``D_c`` errs
+    from the exact ``|p - c|²`` by at most ``gamma_{d+2} |p - c|²``.
+    Together ``S_c + |p|²`` lies within ``(3d + 3)u R²`` of ``D_c``, ``R =
+    |p| + max |c|``, plus at most one ``eta`` per underflowing operation,
+    which ``tol = 8(d + 4)(u R² + eta)`` covers twice over.  So every center
+    with ``D_c <= D_a``, the kernel's argmin included, has ``S_c <= S_a + 2
+    tol`` for any screen value ``S_a``.  Rows where only the screen's argmin
+    passes take it and are *settled*; the others compute ``D_c`` of the
+    passing centers with the kernel and take the smallest, first index on
+    ties.  Rows whose ``R²`` is not finite or within 16x of overflow (below
+    that nothing in the screen overflows) compute every ``D_c``.  The GEMM
+    only preselects, so the result does not depend on the BLAS.
+
+    ``moved`` marks the centers whose bytes changed since the last update
+    (all of them on the first).  A row is screened against every center when
+    it is not settled, its label moved, or its bound is near overflow.  Every
+    other row was settled with ``D_c > D_a`` for each ``c != a``, and a
+    center that did not move keeps its ``D_c``, so only a moved center can
+    now be as near as ``a``: such a row compares the moved centers alone
+    with its stored ``S_a`` (``values``).  That value is still a GEMM value
+    of the same pair, and ``R`` bounds its error as before, since ``a`` is
+    one of the current centers.  Rows with no moved center in range keep
+    ``a``; the others take the screen over ``a`` and the moved centers.
     """
-    n, d = points.shape
-    rows = np.arange(n)
-    with np.errstate(over="ignore", invalid="ignore"):  # such rows fall back below
-        sq = (centers * centers).sum(axis=1)
-        np.dot(lifted, np.vstack([-2.0 * centers.T, sq]), out=out)
-        labels = out.argmin(axis=1)
-        reach = norms + np.sqrt(sq.max())
-        reach *= reach
-        tol = 8 * (d + 4) * (_UNIT_ROUNDOFF * reach + _SMALLEST_SUBNORMAL)
-        cand = out <= (out[rows, labels] + 2 * tol)[:, None]
-    cand[~(reach <= _REACH_MAX)] = True
-    cand[rows, labels] = False
-    settle = np.flatnonzero(cand.any(axis=1))
-    if settle.size:
-        cand[settle, labels[settle]] = True
-        sub, cols = np.nonzero(cand[settle])
-        exact = out[: settle.size]
-        exact.fill(np.inf)
-        exact[sub, cols] = _pair_sq_distances(points, centers, settle[sub], cols)
-        labels[settle] = exact.argmin(axis=1)
-    return labels
+
+    def __init__(self, points: np.ndarray):
+        n = len(points)
+        self.points = points
+        self.lifted = np.hstack([points, np.ones((n, 1))])
+        self.norms = np.sqrt((points * points).sum(axis=1))
+        self.labels = np.zeros(n, dtype=np.intp)
+        self.values = np.empty(n)
+        self.settled = np.zeros(n, dtype=bool)
+
+    def update(self, centers: np.ndarray, moved: np.ndarray) -> np.ndarray:
+        d = self.points.shape[1]
+        with np.errstate(over="ignore", invalid="ignore"):  # wide rows compare every center exactly
+            sq = (centers * centers).sum(axis=1)
+            coef = np.vstack([-2.0 * centers.T, sq])
+            reach = self.norms + np.sqrt(sq.max())
+            reach *= reach
+            tol2 = 16 * (d + 4) * (_UNIT_ROUNDOFF * reach + _SMALLEST_SUBNORMAL)
+            wide = ~(reach <= _REACH_MAX)
+            full = ~self.settled | moved[self.labels] | wide
+            self._full_screen(centers, coef, tol2, wide, np.flatnonzero(full))
+            rest = np.flatnonzero(~full)
+            if rest.size and moved.any():
+                self._moved_screen(centers, coef, tol2, np.flatnonzero(moved), rest)
+        return self.labels
+
+    def _full_screen(self, centers, coef, tol2, wide, rows) -> None:
+        """Screen ``rows`` against every center, in row blocks."""
+        for block in row_blocks(len(rows), 8 * len(centers)):
+            r = rows[block]
+            out = np.dot(self.lifted[r], coef)
+            i = np.arange(len(r))
+            lab = out.argmin(axis=1)
+            val = out[i, lab]
+            lim = val + tol2[r]
+            out[i, lab] = np.inf  # the runner-up decides, without a (rows, m) mask
+            amb = (out.min(axis=1) <= lim) | wide[r]
+            if amb.any():
+                cand = out[amb] <= lim[amb, None]
+                cand[wide[r[amb]]] = True
+                cand[np.arange(len(cand)), lab[amb]] = True
+                lab[amb] = _kernel_argmin(self.points, centers, r[amb], cand)
+            self.labels[r], self.values[r], self.settled[r] = lab, val, ~amb
+
+    def _moved_screen(self, centers, coef, tol2, cols, rows) -> None:
+        """Screen settled ``rows`` whose label did not move against the
+        centers ``cols`` that moved, one product of those centers' columns."""
+        labels, values = self.labels, self.values
+        block_coef = np.ascontiguousarray(coef[:, cols])
+        for block in row_blocks(len(rows), 8 * len(cols)):
+            r = rows[block]
+            out = np.dot(self.lifted[r], block_coef)
+            hit = out.min(axis=1) <= values[r] + tol2[r]
+            if not hit.any():
+                continue
+            r, out = r[hit], out[hit]
+            i = np.arange(len(r))
+            k = out.argmin(axis=1)
+            lim = np.minimum(values[r], out[i, k]) + tol2[r]
+            cand = out <= lim[:, None]
+            keep = values[r] <= lim
+            amb = cand.sum(axis=1) + keep > 1
+            take = ~keep & ~amb  # a moved center alone can be nearest
+            labels[r[take]] = cols[k[take]]
+            values[r[take]] = out[i[take], k[take]]
+            if amb.any():
+                r = r[amb]
+                every = np.zeros((len(r), len(centers)), dtype=bool)
+                every[:, cols] = cand[amb]
+                every[np.arange(len(r)), labels[r]] |= keep[amb]
+                labels[r] = _kernel_argmin(self.points, centers, r, every)
+                self.settled[r] = False
 
 
 def _kmeans_pp(points: np.ndarray, m: int, rng: np.random.Generator) -> np.ndarray:
@@ -216,6 +312,25 @@ def _kmeans_pp(points: np.ndarray, m: int, rng: np.random.Generator) -> np.ndarr
     return centers
 
 
+def _cluster_sums(points: np.ndarray, labels: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Each cluster's coordinate sums, bit for bit as ``points[labels ==
+    c].sum(axis=0)`` gives them.  numpy adds the rows of a wider cluster one
+    by one in input order, starting from 0.0, and so does ``bincount``; it
+    sums a one-coordinate cluster pairwise, so that case sums each cluster's
+    contiguous slice."""
+    m, d = len(counts), points.shape[1]
+    if d > 1:
+        return np.column_stack([np.bincount(labels, weights=points[:, k], minlength=m) for k in range(d)])
+    members = points[np.argsort(labels, kind="stable"), 0]
+    sums = np.zeros((m, 1))
+    lo = 0
+    for c, hi in enumerate(np.cumsum(counts).tolist()):
+        if hi > lo:
+            sums[c] = members[lo:hi].sum()
+        lo = hi
+    return sums
+
+
 def select_facilities_kmeans(
     points: np.ndarray,
     m: int,
@@ -233,18 +348,22 @@ def select_facilities_kmeans(
 
     The result is bitwise reproducible and equal to the plain numpy
     computation: every squared distance is summed over the coordinates in
-    numpy's pairwise order (see ``_sq_distances``), and every center sums
-    its cluster's points laid out as ``points[labels == c]`` lays them out
-    (contiguous, in input order), so numpy adds them in the order ``mean``
-    does: row by row, or pairwise when there is one coordinate.
+    numpy's pairwise order (see ``_sq_distances``), and every center is its
+    cluster's sum, added as ``points[labels == c].sum(axis=0)`` adds it,
+    divided by its count (see ``_cluster_sums``): in input order, one
+    ``bincount`` per coordinate, or pairwise when there is one coordinate.
 
     Each Lloyd assignment is screened with one GEMM, ``|c|² - 2 p·c``.  A
     rigorous per-row bound on its rounding error, valid for any BLAS order
-    (``8(d + 4)(u R² + eta)``, see ``_nearest_centers``), keeps every center
+    (``8(d + 4)(u R² + eta)``, see ``_Assignment``), keeps every center
     that could be nearest; only rows with more than one such center compute
-    the exact squared distances, and only for those centers.  The labels are
-    therefore the exact kernel's argmin bit for bit, and the output does not
-    depend on the BLAS build or its threads.
+    the exact squared distances, and only for those centers.  After the
+    first iteration only the rows whose center moved, or that needed the
+    kernel, are screened against every center; every other row compares
+    the centers that moved with its stored screen value, since a center
+    that did not move cannot come nearer than the one it lost to.  The
+    labels are therefore the exact kernel's argmin bit for bit, and the
+    output does not depend on the BLAS build or its threads.
     """
     points = np.asarray(points, dtype=float)
     n = len(points)
@@ -254,26 +373,18 @@ def select_facilities_kmeans(
         raise DataError("need at least one center")
     rng = np.random.default_rng(seed)
     centers = _kmeans_pp(points, m, rng)
-    lifted = np.hstack([points, np.ones((n, 1))])
-    norms = np.sqrt((points * points).sum(axis=1))
-    screen = np.empty((n, m))
+    assignment = _Assignment(points)
+    moved = np.ones(m, dtype=bool)
     for _ in range(max_iter):
-        labels = _nearest_centers(points, lifted, norms, centers, screen)
+        labels = assignment.update(centers, moved)
         counts = np.bincount(labels, minlength=m)
-        # each cluster's rows as one contiguous slice, in input order, so its
-        # sum runs over the same layout as the boolean-mask selection
-        members = points[np.argsort(labels, kind="stable")]
-        new_centers = np.empty_like(centers)
-        lo = 0
-        for c, hi in enumerate(np.cumsum(counts).tolist()):
-            if hi > lo:
-                new_centers[c] = members[lo:hi].sum(axis=0) / counts[c]
-            lo = hi
+        new_centers = _cluster_sums(points, labels, counts) / np.maximum(counts, 1)[:, None]
         empty = np.flatnonzero(counts == 0)
         if empty.size:
             assigned_d2 = _pair_sq_distances(points, centers, np.arange(n), labels)
             farthest = np.argsort(-assigned_d2, kind="stable")[: empty.size]
             new_centers[empty] = points[farthest]
+        moved = (new_centers.view(np.uint64) != centers.view(np.uint64)).any(axis=1)
         shift = float(np.sqrt(((new_centers - centers) ** 2).sum(axis=1)).max())
         centers = new_centers
         if shift <= tol:

@@ -75,6 +75,55 @@ class TestLoadCsv:
         table = load_csv(path, group_column="g", delimiter=";")
         assert table.features[0, 0] == 1.0
 
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "1e309", " NaN ", "-1e400"])
+    def test_non_finite_cell_names_line_and_column(self, tmp_path, cell):
+        path = write(tmp_path, f"a,b,g\n1,2,x\n3,4,y\n5,{cell},z\n")
+        with pytest.raises(ParseError, match=r"line 4, column 'b': non-finite value"):
+            load_csv(path, group_column="g")
+
+    def test_first_bad_cell_is_named(self, tmp_path):
+        # a non-finite cell on an earlier line, or earlier in the same row,
+        # comes before a non-numeric one
+        path = write(tmp_path, "a,b,g\n1,inf,x\n3,4,y\noops,6,z\n")
+        with pytest.raises(ParseError, match=r"line 2, column 'b': non-finite value"):
+            load_csv(path, group_column="g")
+        path = write(tmp_path, "a,b,g\n1,2,x\nnan,oops,y\n")
+        with pytest.raises(ParseError, match=r"line 3, column 'a': non-finite value"):
+            load_csv(path, group_column="g")
+        path = write(tmp_path, "a,b,g\n1,2,x\n3, oops ,y\n5,inf,z\n")
+        with pytest.raises(ParseError, match=r"line 3, column 'b': 'oops' is not numeric"):
+            load_csv(path, group_column="g")
+
+    def test_missing_cell_is_not_numeric(self, tmp_path):
+        path = write(tmp_path, "a,b,g\n1,2,x\n3,  ,y\n")
+        with pytest.raises(ParseError, match=r"line 3, column 'b': '' is not numeric"):
+            load_csv(path, group_column="g")
+
+    def test_whitespace_padded_numbers(self, tmp_path):
+        path = write(tmp_path, "a , b,g\n 1.5,\t2 , x \n-3e2 ,4\t, y\n")
+        table = load_csv(path, group_column="g")
+        assert table.columns == ("a", "b")
+        assert table.features.tolist() == [[1.5, 2.0], [-300.0, 4.0]]
+        assert table.group_names == ("x", "y")
+
+    def test_whitespace_only_rows_are_skipped(self, tmp_path):
+        # skipped rows still count toward the line numbers that errors name
+        path = write(tmp_path, "a,g\n1,x\n , \n\n  \t\n2,y\nbad,z\n")
+        with pytest.raises(ParseError, match=r"line 7, column 'a'"):
+            load_csv(path, group_column="g")
+        path = write(tmp_path, "a,g\n\n1,x\n , \n\n2,y\n\n3,z\n4,z\ninf,z\n5,y\n")
+        with pytest.raises(ParseError, match=r"line 10, column 'a': non-finite value"):
+            load_csv(path, group_column="g")
+        path = write(tmp_path, "a,g\n1,x\n , \n\n  \t\n2,y\n")
+        table = load_csv(path, group_column="g")
+        assert table.features.tolist() == [[1.0], [2.0]]
+        assert list(table.groups) == [0, 1]
+
+    def test_only_whitespace_rows_is_no_data(self, tmp_path):
+        path = write(tmp_path, "a,g\n , \n\n")
+        with pytest.raises(ParseError, match="no data rows"):
+            load_csv(path, group_column="g")
+
 
 class TestNormalize:
     def make(self, cols):
@@ -448,20 +497,36 @@ def _reference_labels(points, centers):
     return np.argmin(((points[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2), axis=1)
 
 
+def _screen_steps(points, steps):
+    """The k-means assignment step run over a sequence of center arrays, the
+    state carried as Lloyd's loop carries it; each step's labels."""
+    assignment = data_mod._Assignment(points)
+    out, previous = [], None
+    for centers in steps:
+        if previous is None:
+            moved = np.ones(len(centers), dtype=bool)
+        else:
+            moved = (centers.view(np.uint64) != previous.view(np.uint64)).any(axis=1)
+        out.append(assignment.update(centers, moved).copy())
+        previous = centers
+    return out
+
+
 def _screened_labels(points, centers):
-    n = len(points)
-    lifted = np.hstack([points, np.ones((n, 1))])
-    norms = np.sqrt((points * points).sum(axis=1))
-    return data_mod._nearest_centers(points, lifted, norms, centers, np.empty((n, len(centers))))
+    """The k-means assignment step on its first iteration: every center moved."""
+    return _screen_steps(points, [centers])[0]
 
 
 def _perturbing_dot(monkeypatch):
     """Patch ``np.dot`` so that each screen entry moves by half the documented
     bound ``8(d + 4) u R²``: up for the exact nearest center (lowest index on
-    ties), down for every other center, so a bound that does not hold shows."""
+    ties), down for every other center, so a bound that does not hold shows.
+    Returns the list of the center counts of the products it perturbed."""
     real_dot = np.dot
+    widths = []
 
-    def dot(a, b, out=None):
+    def dot(a, b):
+        widths.append(b.shape[1])
         res = real_dot(a, b)
         d = a.shape[1] - 1
         p, c = a[:, :d], -0.5 * b[:d].T  # undo the folded -2, exactly
@@ -470,13 +535,10 @@ def _perturbing_dot(monkeypatch):
         exact = _reference_labels(p, c)
         shift = np.repeat(-half[:, None], len(c), axis=1)
         shift[np.arange(len(p)), exact] = half
-        res += shift
-        if out is None:
-            return res
-        out[...] = res
-        return out
+        return res + shift
 
     monkeypatch.setattr(np, "dot", dot)
+    return widths
 
 
 class TestScreenedAssignment:
@@ -576,10 +638,66 @@ class TestScreenedAssignment:
             cases.append((rng.random((90, d)), rng.random((10, d)), 10))
             cases.append((1e6 + rng.random((90, d)), 1e6 + rng.random((10, d)), 10))
         want = [(_reference_labels(p, c), _reference_select_facilities_kmeans(p, m, seed=3)) for p, c, m in cases]
-        _perturbing_dot(monkeypatch)
+        widths = _perturbing_dot(monkeypatch)
         for (points, centers, m), (labels, km) in zip(cases, want):
             assert _screened_labels(points, centers).tobytes() == labels.tobytes()
             assert select_facilities_kmeans(points, m, seed=3).tobytes() == km.tobytes()
+        # the moved-centers screen was perturbed too, not only the full one
+        assert min(widths) < 10
+
+    @pytest.mark.parametrize("d", [1, 2, 6, 9])
+    def test_carried_state_after_some_centers_move(self, d):
+        rng = np.random.default_rng(700 + d)
+        grid = rng.integers(-2, 3, (150, d)).astype(float)
+        for points in (grid, rng.random((150, d)), 1e6 + rng.random((150, d))):
+            steps = [points[rng.choice(150, 12, replace=False)] + 0.5]
+            nxt = steps[-1].copy()
+            nxt[[1, 5, 8]] = points[rng.choice(150, 3)] + rng.integers(0, 2, (3, d)) * 0.5
+            steps.append(nxt)
+            nxt = nxt.copy()
+            nxt[9] = nxt[2]  # an exact duplicate: the lower index keeps every tie
+            nxt[0] = nxt[0] + 1e-9
+            steps.append(nxt)
+            nxt = nxt.copy()
+            nxt[2] = points[rng.integers(150)]  # the duplicate's original moves away
+            nxt[11, 0] = 0.0
+            steps.append(nxt)
+            nxt = nxt.copy()
+            nxt[11, 0] = -0.0  # same values, other bytes
+            steps.append(nxt)
+            steps.append(steps[0])
+            for centers, labels in zip(steps, _screen_steps(points, steps)):
+                assert labels.tobytes() == _reference_labels(points, centers).tobytes()
+
+    def test_row_settled_by_the_kernel_is_screened_in_full_next(self):
+        # two moved centers tie nearer than the label, so the kernel picks
+        # center 0 and the stored screen value (center 2's) no longer applies;
+        # center 3 then moves between them and must not take the point
+        points = np.array([[0.0], [100.0]])
+        steps = [np.array([[50.0], [60.0], [1.0], [70.0]])]
+        steps.append(np.array([[-0.5], [0.5], [1.0], [70.0]]))
+        steps.append(np.array([[-0.5], [0.5], [1.0], [0.8]]))
+        got = _screen_steps(points, steps)
+        assert [labels[0] for labels in got] == [2, 0, 0]
+        for centers, labels in zip(steps, got):
+            assert labels.tobytes() == _reference_labels(points, centers).tobytes()
+
+    def test_large_csv_draw_rescreens_only_rows_whose_center_moved(self, tmp_path, monkeypatch):
+        clients = _criterion_12_clients(tmp_path)
+        counts = []
+
+        def counting(self, centers, coef, tol2, wide, rows):
+            counts.append(len(rows))
+            return full_screen(self, centers, coef, tol2, wide, rows)
+
+        full_screen = data_mod._Assignment._full_screen
+        monkeypatch.setattr(data_mod._Assignment, "_full_screen", counting)
+        select_facilities_kmeans(clients, 100, seed=0)
+        # every row on the first of 53 iterations; after it, every row is
+        # settled by the screen, so only rows whose center moved: 38% of
+        # n x iterations
+        assert len(counts) == 53 and counts[0] == 4500
+        assert sum(counts[1:]) == 91723
 
     def test_screen_alone_settles_the_large_csv_draw(self, tmp_path, monkeypatch):
         # on normalized data the bound is about 1e-14, far below any gap, so
