@@ -302,9 +302,10 @@ def _kmeans_pp(points: np.ndarray, m: int, rng: np.random.Generator) -> np.ndarr
         total = d2.sum()
         if np.isinf(total):
             raise DataError("squared distances overflow in k-means++ seeding; rescale the features")
-        if total > 0:
-            probs = d2 / total
-            idx = int(rng.choice(n, p=probs))
+        if total > 0:  # rng.choice(n, p=d2 / total)'s draw, without its checks of p
+            cdf = (d2 / total).cumsum()
+            cdf /= cdf[-1]
+            idx = int(cdf.searchsorted(rng.random(), side="right"))
         else:  # all remaining points coincide with chosen centers
             idx = int(rng.integers(n))
         centers[c] = points[idx]

@@ -57,6 +57,7 @@ from .instance import (
     assign_nearest,
     check_total_budget,
     nearest_rows,
+    row_blocks,
 )
 
 _TIME_TOL = 1e-9
@@ -158,16 +159,25 @@ def _opening_times(
     return times
 
 
-def _connect(state: DualState, j: int) -> None:
-    """Connect one client; if its group just met its target, the group's
-    remaining clients withdraw."""
-    state.connected[j] = True
-    g = int(state.group_of[j])
-    state.connected_count[g] += 1
-    if state.connected_count[g] >= state.coverage_target[g]:
-        state.active_groups[g] = False
-        rest = (state.group_of == g) & ~state.connected & ~state.withdrawn
-        state.withdrawn[rest] = True
+def _connect(state: DualState, batch: np.ndarray) -> np.ndarray:
+    """Connect the clients of ``batch``, all in play, one by one in batch
+    order while their group plays: each group's first target - count of
+    them.  A group that meets its target stops playing and its remaining
+    clients withdraw.  Returns the connected clients in batch order."""
+    groups = state.group_of[batch]
+    by_group = np.argsort(groups, kind="stable")
+    grouped = groups[by_group]
+    rank = np.empty(batch.size, dtype=np.int64)  # among the batch's clients of its group
+    rank[by_group] = np.arange(batch.size) - np.searchsorted(grouped, grouped)
+    joined = rank < (state.coverage_target - state.connected_count)[groups]
+    batch = batch[joined]
+    state.connected[batch] = True
+    state.connected_count += np.bincount(groups[joined], minlength=len(state.connected_count))
+    met = state.active_groups & (state.connected_count >= state.coverage_target)
+    if met.any():
+        state.active_groups[met] = False
+        state.withdrawn |= met[state.group_of] & ~state.connected
+    return batch
 
 
 @dataclass(frozen=True)
@@ -342,13 +352,17 @@ def _event_loop(
         ready = np.flatnonzero(
             state.active_clients() & ((d_open < t) | ((d_open == t) & (fac_open < f)))
         )
-        for j in ready[np.lexsort((ready, fac_open[ready], d_open[ready]))].tolist():
-            if state.active_groups[state.group_of[j]]:
-                state.alpha = max(state.alpha, float(d_open[j]))
-                _connect(state, j)
-                if trace is not None:
-                    trace.events.append(("connect", state.alpha, int(fac_open[j]), (j,)))
-        return ready.size > 0
+        if not ready.size:
+            return False
+        batch = _connect(state, ready[np.lexsort((ready, fac_open[ready], d_open[ready]))])
+        clock = np.maximum.accumulate(np.concatenate([[state.alpha], d_open[batch]]))
+        state.alpha = float(clock[-1])
+        if trace is not None:
+            trace.events.extend(
+                ("connect", a, i, (j,))
+                for a, i, j in zip(clock[1:].tolist(), fac_open[batch].tolist(), batch.tolist())
+            )
+        return True
 
     while state.active_groups.any():
         if starts is not None:
@@ -367,10 +381,14 @@ def _event_loop(
         stale = np.flatnonzero(lost & ~is_open)
         n_act = int(np.count_nonzero(active))
         if 2 * n_act < order.shape[1]:
-            # clients never re-enter play: drop the departed ones from the sorted rows
-            keep = active[order]
-            dist_sorted = dist_sorted[keep].reshape(m, n_act)
-            order = order[keep].reshape(m, n_act)
+            # clients never re-enter play: drop the departed ones from the
+            # sorted rows, block by block by their flat positions
+            kept_dist, kept_order = np.empty((m, n_act)), np.empty((m, n_act), dtype=order.dtype)
+            for blk in row_blocks(m, 8 * order.shape[1]):
+                pos = np.flatnonzero(active[order[blk]])
+                dist_sorted[blk].take(pos, out=kept_dist[blk].reshape(-1))
+                order[blk].take(pos, out=kept_order[blk].reshape(-1))
+            dist_sorted, order = kept_dist, kept_order
         if stale.size:
             open_time[stale] = _opening_times(
                 dist_sorted, order, active, costs[stale], state.alpha, stale
@@ -397,13 +415,9 @@ def _event_loop(
         d_open[better] = row[better]
         fac_open[better] = facility
         in_range = np.flatnonzero(active & (row <= state.alpha + _TIME_TOL))
-        batch = []
-        for j in in_range[np.lexsort((in_range, row[in_range]))].tolist():
-            if state.active_groups[state.group_of[j]]:
-                _connect(state, j)
-                batch.append(j)
+        batch = _connect(state, in_range[np.lexsort((in_range, row[in_range]))])
         if trace is not None:
-            trace.events.append(("open", state.alpha, facility, tuple(batch)))
+            trace.events.append(("open", state.alpha, facility, tuple(batch.tolist())))
         facility = int(np.argmin(open_time))
         drain(float(open_time[facility]), facility)
     return state

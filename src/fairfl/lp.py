@@ -11,16 +11,22 @@ costs and the budget right-hand sides; the full constraint matrix is built
 only when read (``write_mps`` and tests read it), never to solve.
 
 Solving goes through the HiGHS solver bundled with scipy, which is
-deterministic for a fixed sequence of operations.  An ``LpChain`` holds one
-HiGHS copy at a time and re-solves it from the previous optimal basis when
-only the budget rows change, as they do across the outlier percentages of a
-sweep.  Every copy is built by one method, ``LpChain._build``: the cold
-start, each pricing round, and the switch to the same instance's other
-fairness mode (counted as a ``switch``), which keeps the pairs and swaps the
-budget rows.  It releases the held copy before building the next and
-carries that copy's optimal basis, so a sweep's aggregate LP starts from its
-fair LP's basis; ``solve_lp`` is a chain of one solve.  Each released copy's
-heap pages are handed back to the system (glibc's ``malloc_trim``).
+deterministic for a fixed sequence of operations.  Importing this module
+loads no part of scipy: the HiGHS bindings and ``scipy.sparse`` load when
+the first HiGHS copy is built (``_load_highs``; a missing or older scipy
+raises ``LpError`` there), and ``scipy.sparse`` alone when ``a_matrix`` is
+first read, so the LP-free algorithms never load them.
+
+An ``LpChain`` holds one HiGHS copy at a time and re-solves it from the
+previous optimal basis when only the budget rows change, as they do across
+the outlier percentages of a sweep.  Every copy is built by one method,
+``LpChain._build``: the cold start, each pricing round, and the switch to
+the same instance's other fairness mode (counted as a ``switch``), which
+keeps the pairs and swaps the budget rows.  It releases the held copy before
+building the next and carries that copy's optimal basis, so a sweep's
+aggregate LP starts from its fair LP's basis; ``solve_lp`` is a chain of one
+solve.  Each released copy's heap pages are handed back to the system
+(glibc's ``malloc_trim``).
 
 The held model is priced (column generation for facility location; Avella,
 Sassano & Vasil'ev, Math. Prog. 2007).  It starts from every client's
@@ -49,24 +55,15 @@ from __future__ import annotations
 import ctypes
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 import numpy as np
-from scipy import sparse
-from scipy.optimize import linprog  # noqa: F401  patch point of perfbench/tracing.py
-from scipy.optimize._highspy._core import (
-    HighsBasisStatus,
-    HighsModelStatus,
-    HighsOptions,
-    HighsStatus,
-    MatrixFormat,
-    ObjSense,
-    _Highs,
-    kHighsInf,
-    simplex_constants,
-)
 
 from .instance import MetricInstance, OutlierBudgets
+
+if TYPE_CHECKING:  # annotations only; scipy loads with the first LP
+    from scipy import sparse
+    from scipy.optimize._highspy._core import HighsModelStatus, _Highs
 
 PER_GROUP = "per_group"
 AGGREGATE = "aggregate"
@@ -102,6 +99,39 @@ class IterationLimitError(LpError):
 
 class LpCertificateError(LpError):
     """The duals' Lagrangian bound falls short of the reported objective."""
+
+
+# scipy's HiGHS names, bound in this module by ``_load_highs``
+_HIGHS_NAMES = (
+    "HighsBasisStatus", "HighsModelStatus", "HighsOptions", "HighsStatus", "MatrixFormat",
+    "ObjSense", "_Highs", "kHighsInf", "simplex_constants",
+)
+
+
+def _load_highs() -> None:
+    """Bind scipy's HiGHS bindings and ``linprog`` (the patch point of
+    perfbench/tracing.py) in this module, importing them on the first call.
+    A name already bound, such as a test's patch, is kept."""
+    try:
+        from scipy.optimize import linprog
+        from scipy.optimize._highspy import _core
+    except ImportError as exc:
+        raise LpError(
+            "the LP solver needs scipy >= 1.15, whose scipy.optimize._highspy._core "
+            f"holds the HiGHS bindings: {exc}"
+        ) from exc
+    names = globals()
+    names.setdefault("linprog", linprog)
+    for name in _HIGHS_NAMES:
+        names.setdefault(name, getattr(_core, name))
+
+
+def __getattr__(name: str):
+    """Load the HiGHS names on first access from outside (PEP 562)."""
+    if name != "linprog" and name not in _HIGHS_NAMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    _load_highs()
+    return globals()[name]
 
 
 @dataclass(frozen=True)
@@ -158,6 +188,8 @@ class LpModel:
 
     @cached_property
     def a_matrix(self) -> sparse.csr_matrix:
+        from scipy import sparse
+
         n, n_pairs = self.n_clients, self.n_pairs
         p_idx = np.arange(n_pairs)
         z_cols = n_pairs + self.n_facilities + np.arange(n)
@@ -307,6 +339,9 @@ def _highs_model(model: LpModel, pairs: np.ndarray, n_start: int):
     the LP.  The arrays go through ``passModel``'s array overload, which
     copies each in one block; it needs an explicit all-zero (continuous)
     integrality."""
+    _load_highs()
+    from scipy import sparse
+
     n, m, n_budget = model.n_clients, model.n_facilities, model.n_budget_rows
     k = len(pairs)
     late = np.arange(k) >= n_start

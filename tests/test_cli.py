@@ -1,3 +1,4 @@
+import json
 import math
 import os
 import subprocess
@@ -270,6 +271,76 @@ class TestCellVerification:
             _verify_cell("gdf-f", 10.0, inst, sol, 3.0, "fl")
         fixed = IntegralSolution(frozenset({0}), (frozenset({1}),), {0: 0, 2: 0}, 1.0, 2.0)
         _verify_cell("gdf-f", 10.0, inst, fixed, 3.0, "fl")
+
+
+_LP_STACK_AFTER = """
+import json
+import sys
+
+if sys.argv[1] == "blocked":  # as if scipy were older than 1.15
+    sys.modules["scipy.optimize._highspy._core"] = None
+import fairfl
+import fairfl.cli
+
+def lp_stack():
+    return [name for name in ("scipy.optimize", "scipy.sparse") if name in sys.modules]
+
+print(json.dumps([None, lp_stack()]))
+for argv in json.loads(sys.argv[2]):
+    print(json.dumps([fairfl.cli.main(argv), lp_stack()]), flush=True)
+"""
+
+
+def _lp_stack_after(tmp_path, argvs, mode="plain"):
+    """Run ``argvs`` through ``main`` in one fresh process; each verb's exit
+    code and the LP modules loaded after it, after the import first."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    out = subprocess.run(
+        [sys.executable, "-c", _LP_STACK_AFTER, mode, json.dumps(argvs)],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src), timeout=300,
+        cwd=tmp_path,
+    )
+    assert out.returncode == 0, out.stderr
+    lines = [json.loads(line) for line in out.stdout.splitlines() if line.startswith("[")]
+    return [tuple(line) for line in lines], out.stderr
+
+
+class TestLpStackLoadsOnFirstLp:
+    """scipy's HiGHS bindings and ``scipy.sparse`` load with the first LP:
+    the LP-free algorithms and verbs run without them."""
+
+    def test_lp_free_verbs_load_no_lp_stack(self, tmp_path):
+        cfg = small_config(tmp_path, k=2)
+        (tmp_path / "tiny").mkdir()
+        tiny = small_config(tmp_path / "tiny", n_in=6, n_out=3, m=4)
+        argvs = [["solve", "--config", cfg, "--algo", algo, "--pct", "10"] for algo in ("gdf-f", "gdf-nf")]
+        argvs += [["solve", "--config", cfg, "--problem", "kmedian", "--algo", algo, "--pct", "10"]
+                  for algo in ("rls-f", "rls-nf", "ls-nf")]
+        argvs += [
+            ["sweep", "--config", cfg, "--problem", "kmedian", "--algo", "rls-f", "--algo", "ls-nf",
+             "--pct", "5", "--pct", "10", "--out", "km.csv"],
+            ["generate", "--config", cfg, "--out", "inst.csv"],
+            ["oracle", "--config", tiny, "--pct", "20"],
+        ]
+        steps, _ = _lp_stack_after(tmp_path, argvs)
+        assert steps == [(None, [])] + [(0, [])] * len(argvs)
+
+    def test_lpr_f_loads_the_lp_stack(self, tmp_path):
+        cfg = small_config(tmp_path)
+        steps, _ = _lp_stack_after(tmp_path, [["solve", "--config", cfg, "--algo", "lpr-f", "--pct", "10"]])
+        assert steps == [(None, []), (0, ["scipy.optimize", "scipy.sparse"])]
+
+    def test_missing_highs_bindings_fail_only_the_lp(self, tmp_path):
+        cfg = small_config(tmp_path, k=2)
+        argvs = [
+            ["solve", "--config", cfg, "--algo", "gdf-f", "--pct", "10"],
+            ["solve", "--config", cfg, "--algo", "lpr-f", "--pct", "10"],
+            ["solve", "--config", cfg, "--problem", "kmedian", "--algo", "ls-nf", "--pct", "10"],
+        ]
+        steps, err = _lp_stack_after(tmp_path, argvs, mode="blocked")
+        assert [code for code, _ in steps] == [None, 0, 3, 0]
+        assert "solver error: the LP solver needs scipy >= 1.15" in err
+        assert "scipy.optimize._highspy._core" in err
 
 
 class TestConfigFile:

@@ -471,6 +471,24 @@ class TestKmeansMatchesReference:
         check()
 
 
+class TestKmeansPpSeeding:
+    def test_draws_and_generator_state_match_rng_choice(self):
+        # the seeding samples from the cumulative weights itself; it must take
+        # the random numbers rng.choice(n, p=d2 / total) takes, and the same
+        # draws; each location holds about 8 points, so every chosen center
+        # gives its copies zero weight
+        rng = np.random.default_rng(57)
+        for seed in range(40):
+            n = int(rng.integers(2, 3000))
+            sites = n // 8 + 2
+            points = rng.normal(size=(sites, 3))[rng.integers(0, sites, n)]
+            m = int(rng.integers(2, 40))
+            got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            got = data_mod._kmeans_pp(points, m, got_rng)
+            assert got.tobytes() == _reference_kmeans_pp(points, m, want_rng).tobytes()
+            assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+
 class TestBuildInstanceMatchesReference:
     @pytest.mark.parametrize("d", [1, 2, 6, 8, 13, 130])
     def test_uniform_cost(self, d):

@@ -1,3 +1,4 @@
+import copy
 import gc
 import os
 import pickle
@@ -22,6 +23,7 @@ from fairfl import (
     unfairness,
 )
 from fairfl import greedy as greedy_mod
+from fairfl import instance as instance_mod
 from fairfl.cli import budgets_from_pct, build_parser, prepare_instance, resolve_config
 from fairfl.greedy import (
     _FIRST_WIDTH,
@@ -254,6 +256,18 @@ def _reference_opening_times(
 
 
 
+def _connect_one(state: DualState, j: int) -> None:
+    """Connect one client; if its group just met its target, the group's
+    remaining clients withdraw."""
+    state.connected[j] = True
+    g = int(state.group_of[j])
+    state.connected_count[g] += 1
+    if state.connected_count[g] >= state.coverage_target[g]:
+        state.active_groups[g] = False
+        rest = (state.group_of == g) & ~state.connected & ~state.withdrawn
+        state.withdrawn[rest] = True
+
+
 def _reference_dual_fit(
     inst: MetricInstance,
     group_of: np.ndarray,
@@ -323,7 +337,7 @@ def _reference_dual_fit(
         state.alpha = max(state.alpha, t)
 
         if kind == "connect":
-            _connect(state, client)
+            _connect_one(state, client)
             if trace is not None:
                 trace.events.append(("connect", state.alpha, facility, (client,)))
             if closed.size:
@@ -342,7 +356,7 @@ def _reference_dual_fit(
                 g = int(state.group_of[j])
                 if not state.active_groups[g]:
                     continue
-                _connect(state, int(j))
+                _connect_one(state, int(j))
                 batch.append(int(j))
             if trace is not None:
                 trace.events.append(("open", state.alpha, facility, tuple(batch)))
@@ -366,7 +380,7 @@ def _reference_dual_fit(
                 if not state.active_groups[state.group_of[j]]:
                     continue
                 state.alpha = max(state.alpha, float(d_open[j]))
-                _connect(state, j)
+                _connect_one(state, j)
                 if trace is not None:
                     trace.events.append(("connect", state.alpha, int(fac_open[j]), (j,)))
                 if not state.active_groups.any():
@@ -817,3 +831,69 @@ class TestFairEqualsNonfairOnOneGroup:
             assert fair.connection_cost.hex() == nonfair.connection_cost.hex()
 
         check()
+
+
+class TestBatchSteps:
+    """``_connect`` takes a batch in one step, and the sorted rows are
+    compacted in row blocks; both give what the one-client loop and a
+    single block give."""
+
+    @staticmethod
+    def _state(group_of, targets, counts) -> DualState:
+        n = len(group_of)
+        return DualState(
+            alpha=0.0,
+            connected=np.zeros(n, dtype=bool),
+            withdrawn=np.zeros(n, dtype=bool),
+            open=[],
+            coverage_target=np.array(targets, dtype=np.int64),
+            connected_count=np.array(counts, dtype=np.int64),
+            active_groups=np.array(counts) < np.array(targets),
+            group_of=np.array(group_of, dtype=np.int64),
+        )
+
+    @staticmethod
+    def _check(state: DualState, batch: np.ndarray) -> None:
+        expected = copy.deepcopy(state)
+        joined = []
+        for j in batch.tolist():
+            if expected.active_groups[expected.group_of[j]]:
+                _connect_one(expected, j)
+                joined.append(j)
+        assert _connect(state, batch).tolist() == joined
+        for name in ("connected", "withdrawn", "connected_count", "active_groups"):
+            assert getattr(state, name).tolist() == getattr(expected, name).tolist(), name
+
+    def test_group_meets_its_target_mid_batch(self):
+        # group 0 needs 2 of its 3 batch clients and withdraws its fourth
+        # client; group 1 connects all 3 of its batch clients and keeps playing
+        state = self._state([0, 1, 0, 1, 0, 0, 1, 1], targets=[2, 5], counts=[0, 1])
+        self._check(state, np.array([1, 0, 6, 2, 4, 3]))
+        assert np.flatnonzero(state.connected).tolist() == [0, 1, 2, 3, 6]
+        assert np.flatnonzero(state.withdrawn).tolist() == [4, 5]
+        assert state.active_groups.tolist() == [False, True]
+
+    def test_random_batches(self):
+        rng = np.random.default_rng(23)
+        for _ in range(300):
+            n, n_groups = int(rng.integers(1, 30)), int(rng.integers(1, 4))
+            group_of = rng.integers(0, n_groups, n)
+            counts = rng.integers(0, 4, n_groups)
+            state = self._state(group_of, counts + rng.integers(1, 6, n_groups), counts)
+            in_play = np.flatnonzero(state.active_groups[group_of])
+            self._check(state, rng.permutation(in_play)[: int(rng.integers(0, in_play.size + 1))])
+
+    def test_drain_batch_where_both_groups_meet_their_targets(self):
+        # facility 0 opens at once; one drain then reaches every client, and
+        # group 0 meets its target at the third connection, group 1 at the last
+        inst = tiny([[1.0], [2.0], [3.0], [4.0], [5.0], [6.0]], [0, 1, 0, 1, 0, 1],
+                    [[0.0], [100.0]], [0.0, 1e6])
+        trace = assert_same_run(inst, inst.groups, np.array([2, 3]))
+        assert [(kind, fac, clients) for kind, _, fac, clients in trace.events] == [
+            ("open", 0, ()), *(("connect", 0, (j,)) for j in (0, 1, 2, 3, 5))
+        ]
+
+    def test_compaction_in_one_row_blocks(self, random_suite, monkeypatch):
+        monkeypatch.setattr(instance_mod, "_BLOCK_BYTES", 1)
+        for inst, budgets in random_suite[::4]:
+            assert_same_fair_and_nonfair(_fresh(inst), budgets)
