@@ -18,16 +18,18 @@ LP optimum at that percentage (facility-location sweeps only), taken over
 the allowed facility-client pairs only: it lower-bounds the solutions that
 keep within the budgets and assign through allowed pairs, while LPR and GDF
 assign over the full metric, so on a pruned instance their cost may fall
-below it.  A sweep runs one LP chain per instance, fair then aggregate,
-in one process: lpr-f's cells (or the fair LP alone, for ``lp_obj``) at
-every percentage in order, then lpr-nf's, the LP re-solved warm from one
-percentage to the next and the aggregate LP started from the fair LP's
-optimal basis (see ``fairfl.lp.LpChain``).  Every other algorithm runs on a
-chain of its own.  The chains are the same whatever ``--jobs`` is, so
-output bytes do not depend on it.  Every cell's cost and per-group outlier
-counts are re-checked against its solution before the row is written.  Exit
-codes: 0 success, 2 configuration error, 3 solver error (or a cell that
-fails the re-check).
+below it.  Set-up prunes the instance (``prune_pairs``), but its pairs are
+computed when an LP first reads them: ``lp_obj``, LPR or ``--dump-mps``.
+GDF and the k-median searches never build them.  A sweep runs one LP chain
+per instance, fair then aggregate, in one process: lpr-f's cells (or the
+fair LP alone, for ``lp_obj``) at every percentage in order, then lpr-nf's,
+the LP re-solved warm from one percentage to the next and the aggregate LP
+started from the fair LP's optimal basis (see ``fairfl.lp.LpChain``).  Every
+other algorithm runs on a chain of its own.  The chains are the same
+whatever ``--jobs`` is, so output bytes do not depend on it.  Every cell's
+cost and per-group outlier counts are re-checked against its solution before
+the row is written.  Exit codes: 0 success, 2 configuration error, 3 solver
+error (or a cell that fails the re-check).
 """
 
 from __future__ import annotations

@@ -22,8 +22,12 @@ is the clock, at every event).  Clients leaving beyond that radius cannot
 change t, so the event trace is bitwise the one full recomputation gives.
 Each recomputation reads only the active clients' sorted distances, and only
 as far along them as the opening time can still fall (see
-``_opening_times``); a run sorts only the clients in play at its start, and
-the sorted rows drop departed clients once half of them have left.
+``_opening_times``).  A run sorts only a prefix of each facility's row: its
+4 * _FIRST_WIDTH nearest clients in play.  When a recomputation needs an
+active client past a row's prefix, the width doubles and the prefixes are
+rebuilt from the clients then in play; they are also rebuilt, at the same
+width, once fewer than half the clients they were built from are in play.
+A prefix that holds every client in play is the whole sorted row.
 
 Targets act only through withdrawal, so until the first group meets its
 target every run on an instance makes the same events.  The loop therefore
@@ -100,7 +104,7 @@ def _opening_times(
     costs: np.ndarray,
     alpha: float,
     rows: Optional[np.ndarray] = None,
-) -> np.ndarray:
+) -> Optional[np.ndarray]:
     """Earliest clock at which each given facility's surplus covers its cost.
 
     Rows are facilities with their distances sorted ascending, ``order``
@@ -108,8 +112,14 @@ def _opening_times(
     solve (default all), one cost each.  The surplus at clock t is piecewise
     linear with breakpoints at the active clients' distances, so the opening
     time is solved per prefix of the active sorted row.  ``active`` is one
-    mask over clients, so every row keeps the same number of active entries
-    and the active distances form a rectangular, still sorted array.
+    mask over clients, so the first w active distances of every row form a
+    rectangular, still sorted array.
+
+    A row may hold only a sorted prefix of its clients (``_sorted_prefix``):
+    its nearest ones, every active client left out lying no nearer than
+    the last one held.  A row that holds all ``active.sum()`` active clients
+    is whole.  When a row that is not done needs an active distance past its
+    prefix, the call returns None.
 
     Prefixes are solved in column blocks of growing width.  Each block is
     read from a prefix of the sorted rows, doubled from ``_FIRST_WIDTH`` as
@@ -133,9 +143,8 @@ def _opening_times(
         act = active[order[rows[todo], :raw]]
         # every remaining row's first w active distances lie in the prefix;
         # a block may end before the last of them unless it ends the row
-        w = n_act
-        if raw < width:
-            w = int(act.sum(axis=1).min())
+        w = int(act.sum(axis=1).min())
+        if w < n_act:
             act &= np.cumsum(act, axis=1) <= w
         hi = w if w == n_act else w - 1
         if hi > lo:
@@ -155,8 +164,33 @@ def _opening_times(
                 break
             todo = todo[nxt[:, -1] - _TIME_TOL <= times[todo]]
             lo = hi
+        if raw == width and todo.size:
+            return None  # whole rows end at hi == n_act, so these are prefixes
         raw *= 2
     return times
+
+
+def _sorted_prefix(dist: np.ndarray, cols: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's ``width`` nearest clients of ``cols`` (all of them if
+    fewer) by ascending distance: their distances and the clients.
+
+    Any client of ``cols`` left out lies no nearer than the last one held.
+    The tie order is immaterial, since only sorted values are read.  Rows
+    are taken in blocks of about ``_BLOCK_BYTES`` of temporaries.
+    """
+    width = min(width, cols.size)
+    dist_sorted = np.empty((dist.shape[0], width))
+    order = np.empty((dist.shape[0], width), dtype=np.int64)
+    for blk in row_blocks(dist.shape[0], 32 * cols.size):
+        sub = dist[blk][:, cols]
+        near = None
+        if width < cols.size:
+            near = np.argpartition(sub, width - 1, axis=1)[:, :width]
+            sub = np.take_along_axis(sub, near, axis=1)
+        rank = np.argsort(sub, axis=1)
+        dist_sorted[blk] = np.take_along_axis(sub, rank, axis=1)
+        order[blk] = cols[rank if near is None else np.take_along_axis(near, rank, axis=1)]
+    return dist_sorted, order
 
 
 def _connect(state: DualState, batch: np.ndarray) -> np.ndarray:
@@ -303,15 +337,13 @@ def _event_loop(
     length at each iteration's start."""
     dist = inst.distances()
     m, n = dist.shape
-    # only the clients in play are sorted, and in place: the two m x n_play
-    # arrays are all this allocates.  The tie order is immaterial, since
-    # only sorted values are read.
+    # each row holds a sorted prefix of the clients in play (``cols``): its
+    # ``width`` nearest.  Clients never re-enter play, so the prefixes are
+    # rebuilt from the clients then in play once fewer than half of ``cols``
+    # are, and with ``width`` doubled when ``_opening_times`` needs more.
+    width = 4 * _FIRST_WIDTH
     cols = np.flatnonzero(state.active_clients())
-    dist_sorted = dist[:, cols]
-    order = np.argsort(dist_sorted, axis=1)
-    dist_sorted.sort(axis=1)
-    for r in range(m):  # sorted positions to clients, one row at a time
-        order[r] = cols[order[r]]
+    dist_sorted, order = _sorted_prefix(dist, cols, width)
 
     # nearest open facility per client, lowest index on distance ties
     d_open = np.full(n, np.inf)
@@ -379,20 +411,19 @@ def _event_loop(
             np.minimum(left_min, dist[:, left].min(axis=1), out=left_min)
         lost = recheck | ((left_min <= open_time + 2 * _TIME_TOL) & ~fixed)
         stale = np.flatnonzero(lost & ~is_open)
-        n_act = int(np.count_nonzero(active))
-        if 2 * n_act < order.shape[1]:
-            # clients never re-enter play: drop the departed ones from the
-            # sorted rows, block by block by their flat positions
-            kept_dist, kept_order = np.empty((m, n_act)), np.empty((m, n_act), dtype=order.dtype)
-            for blk in row_blocks(m, 8 * order.shape[1]):
-                pos = np.flatnonzero(active[order[blk]])
-                dist_sorted[blk].take(pos, out=kept_dist[blk].reshape(-1))
-                order[blk].take(pos, out=kept_order[blk].reshape(-1))
-            dist_sorted, order = kept_dist, kept_order
+        if 2 * np.count_nonzero(active) < cols.size:
+            cols = np.flatnonzero(active)
+            del dist_sorted, order  # freed before their rebuild
+            dist_sorted, order = _sorted_prefix(dist, cols, width)
         if stale.size:
-            open_time[stale] = _opening_times(
+            while (times := _opening_times(
                 dist_sorted, order, active, costs[stale], state.alpha, stale
-            )
+            )) is None:
+                width *= 2
+                cols = np.flatnonzero(active)
+                del dist_sorted, order
+                dist_sorted, order = _sorted_prefix(dist, cols, width)
+            open_time[stale] = times
             left_min[stale] = np.inf
         seen = active
         facility = int(np.argmin(open_time))  # first occurrence = lowest facility index

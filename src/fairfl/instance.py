@@ -4,9 +4,11 @@ An instance is a set of clients (each tagged with a demographic group) and a
 set of candidate facilities with opening costs, embedded in Euclidean space.
 It is stored as read-only arrays: client and facility coordinates, a group
 label per client, an opening cost per facility and, once pruned, the allowed
-(facility, client) pairs as two client-major index arrays.  Solutions open a
-subset of facilities, designate per-group outliers, and assign every
-remaining client to its nearest open facility.
+(facility, client) pairs as two client-major index arrays.  The copy that
+``prune_pairs`` returns computes its pairs when they are first read, so a
+run that builds no LP never builds them.  Solutions open a subset of
+facilities, designate per-group outliers, and assign every remaining client
+to its nearest open facility.
 """
 
 from __future__ import annotations
@@ -126,6 +128,24 @@ def _read_only(values, dtype) -> np.ndarray:
     return arr
 
 
+class _PairField:
+    """The ``pair_fac`` and ``pair_cli`` fields of ``MetricInstance``: the
+    constructor's value waits in ``_given_<name>`` for ``__post_init__`` to
+    validate, and a read returns that half of ``pruned_pairs``."""
+
+    def __set_name__(self, owner, name):
+        self.name, self.half = name, ("pair_fac", "pair_cli").index(name)
+
+    def __get__(self, inst, owner=None):
+        if inst is None:
+            return None  # the field's default
+        pairs = inst.pruned_pairs
+        return None if pairs is None else pairs[self.half]
+
+    def __set__(self, inst, value):
+        inst.__dict__["_given_" + self.name] = value
+
+
 @dataclass(frozen=True, eq=False)
 class MetricInstance:
     """Immutable clients + facilities with an l2 distance oracle.
@@ -138,15 +158,15 @@ class MetricInstance:
     ``pair_fac``/``pair_cli``, when present, restrict which (facility,
     client) assignments the LP may use: they are sorted client-major (by
     client, then facility) without repeats, and every client keeps at least
-    one allowed facility.
+    one allowed facility.  Both read ``pruned_pairs``.
     """
 
     client_coords: np.ndarray
     groups: np.ndarray
     facility_coords: np.ndarray
     open_costs: np.ndarray
-    pair_fac: Optional[np.ndarray] = None
-    pair_cli: Optional[np.ndarray] = None
+    pair_fac: Optional[np.ndarray] = _PairField()
+    pair_cli: Optional[np.ndarray] = _PairField()
 
     def __post_init__(self):
         clients = _read_only(self.client_coords, float)
@@ -176,12 +196,14 @@ class MetricInstance:
         for name, value in (("client_coords", clients), ("groups", groups),
                             ("facility_coords", facilities), ("open_costs", costs)):
             object.__setattr__(self, name, value)
-        if (self.pair_fac is None) != (self.pair_cli is None):
+        given_fac = self.__dict__.pop("_given_pair_fac")
+        given_cli = self.__dict__.pop("_given_pair_cli")
+        if (given_fac is None) != (given_cli is None):
             raise ValueError("pair_fac and pair_cli must be given together")
-        if self.pair_fac is None:
+        if given_fac is None:
             return
-        fac = _read_only(self.pair_fac, np.int64)
-        cli = _read_only(self.pair_cli, np.int64)
+        fac = _read_only(given_fac, np.int64)
+        cli = _read_only(given_cli, np.int64)
         if fac.ndim != 1 or fac.shape != cli.shape:
             raise ValueError("pair_fac and pair_cli must be 1-D arrays of equal length")
         bad = (fac < 0) | (fac >= m) | (cli < 0) | (cli >= n)
@@ -193,15 +215,16 @@ class MetricInstance:
         missing = np.flatnonzero(np.bincount(cli, minlength=n) == 0)
         if missing.size:
             raise ValueError(f"clients with no allowed facility: {missing.tolist()}")
-        object.__setattr__(self, "pair_fac", fac)
-        object.__setattr__(self, "pair_cli", cli)
+        self.__dict__["pruned_pairs"] = (fac, cli)  # the cached_property's slot
 
     def __reduce__(self):
         # unpickled copies (a sweep worker's) go through the constructor too,
-        # so they are validated and read-only; cached values are recomputed
-        fields = (self.client_coords, self.groups, self.facility_coords, self.open_costs,
-                  self.pair_fac, self.pair_cli)
-        return MetricInstance, fields
+        # so they are validated and read-only; cached values are recomputed,
+        # the below-median pairs of a ``prune_pairs`` copy among them
+        below_median = self.__dict__.get("_below_median", False)
+        pairs = (None, None) if below_median else (self.pair_fac, self.pair_cli)
+        fields = (self.client_coords, self.groups, self.facility_coords, self.open_costs, *pairs)
+        return MetricInstance, fields, {"_below_median": True} if below_median else None
 
     @property
     def n_clients(self) -> int:
@@ -239,14 +262,25 @@ class MetricInstance:
         return float(self._distances[facility, client])
 
     @cached_property
+    def pruned_pairs(self) -> Optional[tuple[np.ndarray, np.ndarray]]:
+        """The allowed pairs ``(pair_fac, pair_cli)``, or None when every
+        pair is allowed; every reader of the pairs goes through here.
+
+        Pairs given to the constructor are stored here by it.  A copy that
+        ``prune_pairs`` returns computes its below-median pairs on the first
+        read, as read-only arrays.
+        """
+        return _below_median_pairs(self.distances()) if self.__dict__.get("_below_median") else None
+
+    @cached_property
     def pair_arrays(self) -> tuple[np.ndarray, np.ndarray]:
         """Allowed (facility, client) pairs as parallel index arrays.
 
         Sorted client-major so that all pairs of one client are contiguous.
         Defaults to the full product when no pruning has been applied.
         """
-        if self.pair_fac is not None:
-            return self.pair_fac, self.pair_cli
+        if self.pruned_pairs is not None:
+            return self.pruned_pairs
         cli = np.repeat(np.arange(self.n_clients), self.n_facilities)
         fac = np.tile(np.arange(self.n_facilities), self.n_clients)
         return fac, cli
@@ -254,10 +288,11 @@ class MetricInstance:
     @cached_property
     def allowed_pairs(self) -> Optional[frozenset[tuple[int, int]]]:
         """The allowed pairs as a set of (facility, client) tuples, derived
-        from ``pair_fac``/``pair_cli``; None when the instance is unpruned."""
-        if self.pair_fac is None:
+        from ``pruned_pairs``; None when the instance is unpruned."""
+        if self.pruned_pairs is None:
             return None
-        return frozenset(zip(self.pair_fac.tolist(), self.pair_cli.tolist()))
+        fac, cli = self.pruned_pairs
+        return frozenset(zip(fac.tolist(), cli.tolist()))
 
 
 @dataclass(frozen=True)
@@ -460,21 +495,30 @@ def uniform_dmax(inst: MetricInstance) -> MetricInstance:
     return same_points(inst, open_costs=np.full(inst.n_facilities, inst.distances().max()))
 
 
+def _below_median_pairs(dist: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``prune_pairs``' rule on the distance matrix: read-only client-major
+    ``(fac, cli)`` index arrays."""
+    median = float(np.median(dist))
+    keep = dist < median
+    stranded = np.flatnonzero(~keep.any(axis=0))
+    nearest = np.argmin(dist[:, stranded], axis=0) if stranded.size else np.empty(0, int)
+    keep[nearest, stranded] = True
+    cli, fac = (np.ascontiguousarray(idx) for idx in np.nonzero(keep.T))  # client-major
+    fac.flags.writeable = cli.flags.writeable = False
+    return fac, cli
+
+
 def prune_pairs(inst: MetricInstance) -> MetricInstance:
     """Restrict assignment pairs to distances strictly below the median.
 
     The median is taken over the full facility-by-client distance multiset.
     A client whose every pair would be pruned keeps its single nearest
     facility (lowest index on ties) so downstream LPs stay feasible.  The
-    pruned instance shares ``inst``'s distance matrix (``same_points``).
+    pruned instance shares ``inst``'s distance matrix (``same_points``) and
+    computes its pairs when they are first read (``pruned_pairs``).
     """
-    if inst.pair_fac is not None:
+    if inst.pruned_pairs is not None:
         raise ValueError("instance already has allowed pairs")
-    dist = inst.distances()
-    median = float(np.median(dist))
-    keep = dist < median
-    stranded = np.flatnonzero(~keep.any(axis=0))
-    nearest = np.argmin(dist[:, stranded], axis=0) if stranded.size else np.empty(0, int)
-    keep[nearest, stranded] = True
-    cli, fac = np.nonzero(keep.T)  # client-major
-    return same_points(inst, pair_fac=fac, pair_cli=cli)
+    pruned = same_points(inst)
+    vars(pruned)["_below_median"] = True
+    return pruned

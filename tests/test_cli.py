@@ -23,6 +23,9 @@ from fairfl.cli import (
     resolve_config,
 )
 from fairfl import IntegralSolution, MetricInstance, generate_synthetic, SyntheticConfig
+from fairfl import instance as instance_mod
+import fairfl.cli as cli_mod
+from conftest import eager_prune
 
 
 def small_config(tmp_path, **extra):
@@ -341,6 +344,68 @@ class TestLpStackLoadsOnFirstLp:
         assert [code for code, _ in steps] == [None, 0, 3, 0]
         assert "solver error: the LP solver needs scipy >= 1.15" in err
         assert "scipy.optimize._highspy._core" in err
+
+
+class TestPairsOnFirstRead:
+    """Set-up prunes the instance, but its pairs are computed when an LP
+    first reads them; LP paths see the pairs an eagerly pruned instance has."""
+
+    def test_lp_free_verbs_compute_no_pairs(self, tmp_path, monkeypatch):
+        calls, prepared = [], []
+        real_pairs, real_prepare = instance_mod._below_median_pairs, cli_mod.prepare_instance
+        monkeypatch.setattr(instance_mod, "_below_median_pairs", lambda d: calls.append(1) or real_pairs(d))
+        monkeypatch.setattr(cli_mod, "prepare_instance",
+                            lambda cfg: prepared.append(real_prepare(cfg)) or prepared[-1])
+        cfg = small_config(tmp_path, k=2)
+        argvs = [["solve", "--config", cfg, "--algo", algo, "--pct", "10"] for algo in ("gdf-f", "gdf-nf")]
+        argvs += [["solve", "--config", cfg, "--problem", "kmedian", "--algo", algo, "--pct", "10"]
+                  for algo in ("rls-f", "rls-nf", "ls-nf")]
+        argvs.append(["sweep", "--config", cfg, "--problem", "kmedian", "--algo", "rls-f", "--algo", "ls-nf",
+                      "--pct", "5", "--pct", "10", "--out", str(tmp_path / "km.csv")])
+        for argv in argvs:
+            assert main(argv) == 0
+        assert calls == []
+        assert len(prepared) == len(argvs)
+        assert all(inst.pair_fac is not None for inst, _ in prepared)  # pruned all the same
+        # an LP reads them: lpr-f, an FL sweep's lp_obj (gdf-f alone), --dump-mps
+        calls.clear()
+        lp_argvs = [
+            ["solve", "--config", cfg, "--algo", "lpr-f", "--pct", "10"],
+            ["sweep", "--config", cfg, "--algo", "gdf-f", "--pct", "10", "--out", str(tmp_path / "fl.csv")],
+            ["solve", "--config", cfg, "--algo", "gdf-nf", "--pct", "10", "--dump-mps", str(tmp_path / "m.mps")],
+        ]
+        for k, argv in enumerate(lp_argvs, 1):
+            assert main(argv) == 0
+            assert len(calls) == k
+
+    def test_lp_paths_match_an_eagerly_pruned_instance(self, tmp_path, monkeypatch):
+        cfg = small_config(tmp_path)
+        # seed 1 at pct 3 and 4 prices pairs in; --jobs 2 runs two chains in the pool
+        sweeps = [
+            ["--config", cfg, "--algo", "gdf-f", "--pct", "5", "--pct", "15"],
+            ["--dataset", "synthetic", "--seed", "1", "--pct", "3", "--pct", "4", "--algo", "lpr-f", "--algo", "lpr-nf"],
+            ["--config", cfg, "--algo", "gdf-f", "--algo", "lpr-f", "--algo", "lpr-nf",
+             "--pct", "10", "--pct", "20", "--jobs", "2"],
+        ]
+        dumps = [["--config", cfg, "--algo", algo, "--pct", "10"] for algo in ("gdf-f", "lpr-nf")]
+
+        def outputs():
+            got = []
+            for k, args in enumerate(sweeps):
+                out = tmp_path / f"sweep{k}.csv"
+                assert main(["sweep", *args, "--out", str(out)]) == 0
+                got.append(without_out_and_ms(out))
+            for k, args in enumerate(dumps):
+                mps = tmp_path / f"model{k}.mps"
+                assert main(["solve", *args, "--dump-mps", str(mps)]) == 0
+                got.append(mps.read_bytes())
+            return got
+
+        lazy = outputs()
+        _, _, rows = read_rows(str(tmp_path / "sweep0.csv"))
+        assert all(r[3] for r in rows)  # the gdf-f sweep carries lp_obj
+        monkeypatch.setattr(cli_mod, "prune_pairs", eager_prune)
+        assert outputs() == lazy
 
 
 class TestConfigFile:

@@ -3,8 +3,10 @@ import gc
 import os
 import pickle
 import subprocess
+import tracemalloc
 import weakref
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from typing import Optional
@@ -570,6 +572,34 @@ class TestOpeningTimeWork:
         assert work == [110, 8723]
 
 
+def _large_csv_instance(tmp_path) -> MetricInstance:
+    """The table, sample and k-means facilities of the 4500x100 acceptance
+    sweep, prepared as ``fairfl sweep`` prepares it."""
+    rng = np.random.default_rng(7)
+    n_rows = 6000
+    features = np.column_stack(
+        [
+            rng.normal(50, 12, n_rows),
+            rng.exponential(8.0, n_rows),
+            rng.normal(0, 1, n_rows),
+            rng.uniform(0, 100, n_rows),
+            rng.normal(30, 5, n_rows),
+            rng.exponential(2.0, n_rows),
+        ]
+    )
+    groups = np.where(rng.random(n_rows) < 2 / 3, "A", "B")
+    path = tmp_path / "big.csv"
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("c0,c1,c2,c3,c4,c5,grp\n")
+        for row, g in zip(features, groups):
+            fh.write(",".join(f"{v:.6f}" for v in row) + f",{g}\n")
+    args = build_parser().parse_args(
+        ["sweep", "--dataset", str(path), "--group-col", "grp", "--n", "4500",
+         "--m", "100", "--seed", "0"]
+    )
+    return prepare_instance(resolve_config(args))[0]
+
+
 class TestIncrementalMatchesFullRecompute:
     """The incremental event loop against ``_reference_dual_fit``."""
 
@@ -594,30 +624,7 @@ class TestIncrementalMatchesFullRecompute:
             assert_same_fair_and_nonfair(inst, budgets_from_pct(inst, pct))
 
     def test_large_csv_instance(self, tmp_path):
-        # the table, sample and k-means facilities of the 4500x100 acceptance sweep
-        rng = np.random.default_rng(7)
-        n_rows = 6000
-        features = np.column_stack(
-            [
-                rng.normal(50, 12, n_rows),
-                rng.exponential(8.0, n_rows),
-                rng.normal(0, 1, n_rows),
-                rng.uniform(0, 100, n_rows),
-                rng.normal(30, 5, n_rows),
-                rng.exponential(2.0, n_rows),
-            ]
-        )
-        groups = np.where(rng.random(n_rows) < 2 / 3, "A", "B")
-        path = tmp_path / "big.csv"
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("c0,c1,c2,c3,c4,c5,grp\n")
-            for row, g in zip(features, groups):
-                fh.write(",".join(f"{v:.6f}" for v in row) + f",{g}\n")
-        args = build_parser().parse_args(
-            ["sweep", "--dataset", str(path), "--group-col", "grp", "--n", "4500",
-             "--m", "100", "--seed", "0"]
-        )
-        inst, _ = prepare_instance(resolve_config(args))
+        inst = _large_csv_instance(tmp_path)
         assert (inst.n_clients, inst.n_facilities) == (4500, 100)
         assert_same_fair_and_nonfair(inst, budgets_from_pct(inst, 5.0))
 
@@ -834,9 +841,9 @@ class TestFairEqualsNonfairOnOneGroup:
 
 
 class TestBatchSteps:
-    """``_connect`` takes a batch in one step, and the sorted rows are
-    compacted in row blocks; both give what the one-client loop and a
-    single block give."""
+    """``_connect`` takes a batch in one step, and the sorted prefixes are
+    built in row blocks; both give what the one-client loop and a single
+    block give."""
 
     @staticmethod
     def _state(group_of, targets, counts) -> DualState:
@@ -897,3 +904,108 @@ class TestBatchSteps:
         monkeypatch.setattr(instance_mod, "_BLOCK_BYTES", 1)
         for inst, budgets in random_suite[::4]:
             assert_same_fair_and_nonfair(_fresh(inst), budgets)
+
+
+def _reference_free_run(inst: MetricInstance) -> dict:
+    """``_FreeRun``'s arrays, but for ``starts``, from ``_reference_dual_fit``
+    with one group whose target exceeds the client count."""
+    n, trace = inst.n_clients, DualTrace()
+    try:
+        _reference_dual_fit(inst, np.zeros(n, dtype=np.int64), np.array([n + 1]), trace)
+    except GreedyError:
+        pass
+    events = trace.events
+    return {
+        "clients": np.array([j for e in events for j in e[3]], dtype=np.int64),
+        "opens": np.array([e[0] == "open" for e in events], dtype=bool),
+        "time": np.array([e[1] for e in events], dtype=float),
+        "fac": np.array([e[2] for e in events], dtype=np.int64),
+        "ends": np.cumsum([0] + [len(e[3]) for e in events], dtype=np.int64),
+    }
+
+
+class TestSortedPrefix:
+    """Each facility's row holds only a sorted prefix of the clients in play,
+    rebuilt wider when a recompute needs more and from the clients still in
+    play once half have left; the events are those of whole sorted rows."""
+
+    @staticmethod
+    def _cases(random_suite) -> list:
+        rng = np.random.default_rng(41)
+        cases = list(random_suite)
+        for inst, budgets in random_suite[::2]:
+            costs = inst.open_costs.copy()
+            costs[rng.random(costs.size) < 0.3] = 0.0
+            costs[rng.random(costs.size) < 0.3] = np.inf
+            cases.append((replace(inst, open_costs=costs), budgets))
+        return cases
+
+    def _check_free_runs_and_resumes(self, random_suite) -> None:
+        for inst, budgets in self._cases(random_suite):
+            inst = _fresh(inst)
+            assert_same_fair_and_nonfair(inst, budgets)  # the first call builds the free run
+            run = greedy_mod._free_runs[inst]
+            for name, want in _reference_free_run(inst).items():
+                got = getattr(run, name)
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
+            full = OutlierBudgets((0,) * inst.n_groups)
+            assert_calls_match_reference(inst, [(True, full), (False, budgets), (True, budgets)])
+
+    def test_free_runs_and_resumes_match_the_reference(self, random_suite):
+        self._check_free_runs_and_resumes(random_suite)
+
+    def test_from_a_one_column_prefix(self, random_suite, monkeypatch):
+        # the loop asks for 4 * _FIRST_WIDTH columns first and doubles that;
+        # scaled down, its first prefix holds one column, so every rebuild
+        # runs: wider after a recompute ran out, and from fewer clients
+        real, asked = greedy_mod._sorted_prefix, []
+
+        def narrow(dist, cols, width):
+            asked.append((cols.size, width // (4 * _FIRST_WIDTH)))
+            return real(dist, cols, max(1, asked[-1][1]))
+
+        monkeypatch.setattr(greedy_mod, "_sorted_prefix", narrow)
+        monkeypatch.setattr(instance_mod, "_BLOCK_BYTES", 1)  # one row per block
+        self._check_free_runs_and_resumes(random_suite)
+        assert {width for _, width in asked} >= {1, 2, 4}
+        assert any(b[1] == a[1] and b[0] < a[0] for a, b in zip(asked, asked[1:]))
+
+    @pytest.mark.parametrize("first_width", [1, 3, _FIRST_WIDTH])
+    def test_kernel_on_prefixes_of_whole_rows(self, rng, monkeypatch, first_width):
+        # the first k sorted columns of a whole row are a prefix: the kernel
+        # gives the whole rows' times, bit for bit, or None when one of its
+        # rows that is not done needs more columns
+        monkeypatch.setattr(greedy_mod, "_FIRST_WIDTH", first_width)
+        outcomes = set()
+        for trial in range(150):
+            rows, n = int(rng.integers(1, 7)), int(rng.integers(1, 30))
+            ds, order, costs = TestOpeningTimesKernel._case(rng, rows, n, grid=trial % 2 == 0)
+            costs[costs > 0] *= float(rng.choice([0.1, 1.0, 20.0]))
+            active = rng.random(n) < rng.choice([0.2, 0.6, 1.0])
+            alpha = float(rng.random())
+            want = _reference_opening_times(ds, order, active, costs, alpha)
+            for k in range(1, n + 1):
+                got = _opening_times(ds[:, :k], order[:, :k], active, costs, alpha)
+                outcomes.add(got is None)
+                assert got is None or _bits(got) == _bits(want)
+                if active[order[:, :k]].sum(axis=1).min() == active.sum():
+                    assert got is not None  # every row holds every active client
+        assert outcomes == {True, False}
+
+
+class TestGdfMemory:
+    def test_one_gdf_f_allocates_less_than_one_distance_matrix(self, tmp_path):
+        # a fresh instance as set-up leaves it: distance matrix computed,
+        # pairs pruned but not read, no free run yet.  Whole sorted rows
+        # took about 12.6 MB here; GDF never reads the pairs (3.6 MB more).
+        inst = _large_csv_instance(tmp_path)
+        budgets = budgets_from_pct(inst, 5.0)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            gdf_f(inst, budgets)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert "pruned_pairs" not in vars(inst)
+        assert peak < inst.distances().nbytes  # 3.6 MB

@@ -25,7 +25,7 @@ from fairfl import (
 )
 from fairfl import instance as instance_mod
 from fairfl.instance import FACILITY_LOCATION, K_MEDIAN, row_blocks
-from conftest import random_budgets, random_instance
+from conftest import eager_prune, random_budgets, random_instance
 
 
 def simple_instance(client_pts, groups, fac_pts, costs):
@@ -224,6 +224,90 @@ class TestPrunePairs:
             assert copy.distances() is not inst.distances()
             assert copy.distances().tobytes() == fresh.distances().tobytes()
 
+
+def _stranding_instances(rng):
+    """Instances where some client's every pair is cut: far clusters,
+    equidistant clients and integer-grid ties."""
+    cases = []
+    for _ in range(20):
+        n, m = int(rng.integers(2, 15)), int(rng.integers(1, 6))
+        far = rng.random(n) < 0.5
+        far[0] = True
+        clients = rng.random((n, 2)) + 10.0 * far[:, None]
+        cases.append(MetricInstance(clients, np.zeros(n, dtype=np.int64), rng.random((m, 2)), np.ones(m)))
+        grid = rng.integers(0, 3, (n, 2)).astype(float)
+        cases.append(MetricInstance(grid, np.zeros(n, dtype=np.int64),
+                                    rng.integers(0, 3, (m, 2)).astype(float), np.ones(m)))
+    cases.append(MetricInstance(np.array([[1.0], [-1.0], [1.0]]), [0, 0, 0], np.zeros((1, 1)), [0.0]))
+    return cases
+
+
+def _assert_pairs_equal(pruned: MetricInstance, eager: MetricInstance) -> None:
+    for got, want in ((pruned.pair_fac, eager.pair_fac), (pruned.pair_cli, eager.pair_cli)):
+        assert got.dtype == want.dtype == np.int64
+        assert got.tobytes() == want.tobytes()
+        assert not got.flags.writeable and got.flags.c_contiguous
+
+
+class TestPairsOnFirstRead:
+    """``prune_pairs`` returns a copy that computes its pairs when first read."""
+
+    def test_first_read_equals_the_eager_reference(self, random_suite, rng):
+        cases = [inst for inst, _ in random_suite] + _stranding_instances(rng)
+        assert any(prune_pairs(inst).pair_arrays[1].size > np.count_nonzero(
+            inst.distances() < np.median(inst.distances())) for inst in cases)  # a fallback runs
+        for inst in cases:
+            eager = eager_prune(inst)
+            # every accessor computes the pairs, whichever is read first
+            for first in ("pair_fac", "pair_cli", "pair_arrays", "allowed_pairs", "pruned_pairs"):
+                pruned = prune_pairs(inst)
+                assert "pruned_pairs" not in vars(pruned)
+                getattr(pruned, first)
+                assert "pruned_pairs" in vars(pruned)
+                _assert_pairs_equal(pruned, eager)
+                assert pruned.pair_arrays == pruned.pruned_pairs
+                assert pruned.pair_arrays[0] is pruned.pair_fac
+                assert pruned.allowed_pairs == eager.allowed_pairs
+
+    def test_computed_once_and_only_when_read(self, rng, monkeypatch):
+        calls = []
+        real = instance_mod._below_median_pairs
+        monkeypatch.setattr(instance_mod, "_below_median_pairs", lambda d: calls.append(1) or real(d))
+        inst = random_instance(rng, max_n=30, max_m=8)
+        pruned = prune_pairs(inst)
+        gdf_nf(pruned, 2)
+        ls_nf(pruned, 2, 1)
+        assert calls == []
+        for _ in range(2):
+            pruned.pair_fac, pruned.pair_cli, pruned.pair_arrays, pruned.allowed_pairs
+        assert calls == [1]
+        assert inst.pruned_pairs is None and calls == [1]  # the parent stays unpruned
+
+    def test_pickled_copy_carries_the_marker_not_the_arrays(self, rng):
+        inst = random_instance(rng, max_n=40, max_m=10, min_n=30)
+        pruned = prune_pairs(inst)
+        size = len(pickle.dumps(pruned))
+        eager = eager_prune(inst)
+        assert size < len(pickle.dumps(eager))
+        pruned.pair_fac  # computing the pairs leaves the pickle as it was
+        assert len(pickle.dumps(pruned)) == size
+        copy = pickle.loads(pickle.dumps(pruned))  # as sent to a sweep worker
+        assert "pruned_pairs" not in vars(copy)
+        _assert_pairs_equal(copy, eager)
+        for arr in copy.pair_arrays:
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 1
+        # a pickled eagerly pruned copy keeps its arrays and their checks
+        _assert_pairs_equal(pickle.loads(pickle.dumps(eager)), eager)
+
+    def test_copies_keep_the_pairs(self, rng):
+        inst = random_instance(rng, max_n=20, max_m=6)
+        pruned = prune_pairs(inst)
+        eager = eager_prune(inst)
+        # replace() reads the pairs and passes them through the constructor
+        _assert_pairs_equal(replace(pruned, open_costs=inst.open_costs * 2), eager)
+        with pytest.raises(ValueError, match="already"):
+            prune_pairs(pruned)
 
 
 class TestSolutionCost:
