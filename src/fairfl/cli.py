@@ -20,8 +20,9 @@ keep within the budgets and assign through allowed pairs, while LPR and GDF
 assign over the full metric, so on a pruned instance their cost may fall
 below it.  Set-up prunes the instance (``prune_pairs``), but its pairs are
 computed when an LP first reads them: ``lp_obj``, LPR or ``--dump-mps``.
-GDF and the k-median searches never build them.  A sweep runs one LP chain
-per instance, fair then aggregate, in one process: lpr-f's cells (or the
+GDF and the k-median searches never build them.  ``--dump-mps`` writes the
+facility-location LP, so it needs ``--problem fl``.  A sweep runs one LP
+chain per instance, fair then aggregate, in one process: lpr-f's cells (or the
 fair LP alone, for ``lp_obj``) at every percentage in order, then lpr-nf's,
 the LP re-solved warm from one percentage to the next and the aggregate LP
 started from the fair LP's optimal basis (see ``fairfl.lp.LpChain``).  Every
@@ -536,6 +537,8 @@ def _budgets(inst: MetricInstance, cfg: dict) -> tuple[OutlierBudgets, float]:
 
 def cmd_solve(args) -> int:
     cfg = resolve_config(args)
+    if cfg["dump_mps"] and cfg["problem"] != "fl":
+        raise ConfigError("dump_mps writes the facility-location LP; it needs --problem fl")
     inst, names = prepare_instance(cfg)
     budgets, pct = _budgets(inst, cfg)
     if cfg["dump_mps"]:
@@ -655,7 +658,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--algo", required=True, choices=CONFIG_KEYS["algos"].allowed)
     _flag(p, "--pct", "pcts", action="extend", help="outlier budget as percent of each group")
-    _flag(p, "--dump-mps", help="also write the LP model in MPS format")
+    _flag(p, "--dump-mps", help="also write the facility-location LP in MPS format (--problem fl)")
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("sweep", help="run algorithms across outlier percentages")

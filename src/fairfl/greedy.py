@@ -352,8 +352,7 @@ def _event_loop(
     if state.open:
         rows = np.array(state.open, dtype=np.int64)
         is_open[rows] = True
-        d_open, first = nearest_rows(dist[rows])
-        fac_open = rows[first]
+        d_open, fac_open = nearest_rows(dist, rows)
 
     # ``drain`` applies the ordering rule: at the top of the loop below the
     # earliest fresh opening time, after an opening below the earliest kept

@@ -3,10 +3,10 @@
 An instance is a set of clients (each tagged with a demographic group) and a
 set of candidate facilities with opening costs, embedded in Euclidean space.
 It is stored as read-only arrays: client and facility coordinates, a group
-label per client, an opening cost per facility and, once pruned, the allowed
-(facility, client) pairs as two client-major index arrays.  The copy that
-``prune_pairs`` returns computes its pairs when they are first read, so a
-run that builds no LP never builds them.  Solutions open a subset of
+label per client, an opening cost per facility and a ``pruned`` flag.  A
+pruned instance lets the LP use only ``prune_pairs``' below-median
+(facility, client) pairs, which ``pair_arrays`` computes when they are first
+read, so a run that builds no LP never builds them.  Solutions open a subset of
 facilities, designate per-group outliers, and assign every remaining client
 to its nearest open facility.
 """
@@ -128,24 +128,6 @@ def _read_only(values, dtype) -> np.ndarray:
     return arr
 
 
-class _PairField:
-    """The ``pair_fac`` and ``pair_cli`` fields of ``MetricInstance``: the
-    constructor's value waits in ``_given_<name>`` for ``__post_init__`` to
-    validate, and a read returns that half of ``pruned_pairs``."""
-
-    def __set_name__(self, owner, name):
-        self.name, self.half = name, ("pair_fac", "pair_cli").index(name)
-
-    def __get__(self, inst, owner=None):
-        if inst is None:
-            return None  # the field's default
-        pairs = inst.pruned_pairs
-        return None if pairs is None else pairs[self.half]
-
-    def __set__(self, inst, value):
-        inst.__dict__["_given_" + self.name] = value
-
-
 @dataclass(frozen=True, eq=False)
 class MetricInstance:
     """Immutable clients + facilities with an l2 distance oracle.
@@ -155,18 +137,15 @@ class MetricInstance:
     non-negative (possibly infinite) opening cost per facility.  The
     constructor copies every array and stores it read-only.
 
-    ``pair_fac``/``pair_cli``, when present, restrict which (facility,
-    client) assignments the LP may use: they are sorted client-major (by
-    client, then facility) without repeats, and every client keeps at least
-    one allowed facility.  Both read ``pruned_pairs``.
+    ``pruned`` (a bool) restricts the (facility, client) assignments the LP
+    may use to ``prune_pairs``' rule; ``pair_arrays`` holds them.
     """
 
     client_coords: np.ndarray
     groups: np.ndarray
     facility_coords: np.ndarray
     open_costs: np.ndarray
-    pair_fac: Optional[np.ndarray] = _PairField()
-    pair_cli: Optional[np.ndarray] = _PairField()
+    pruned: bool = False
 
     def __post_init__(self):
         clients = _read_only(self.client_coords, float)
@@ -196,35 +175,16 @@ class MetricInstance:
         for name, value in (("client_coords", clients), ("groups", groups),
                             ("facility_coords", facilities), ("open_costs", costs)):
             object.__setattr__(self, name, value)
-        given_fac = self.__dict__.pop("_given_pair_fac")
-        given_cli = self.__dict__.pop("_given_pair_cli")
-        if (given_fac is None) != (given_cli is None):
-            raise ValueError("pair_fac and pair_cli must be given together")
-        if given_fac is None:
-            return
-        fac = _read_only(given_fac, np.int64)
-        cli = _read_only(given_cli, np.int64)
-        if fac.ndim != 1 or fac.shape != cli.shape:
-            raise ValueError("pair_fac and pair_cli must be 1-D arrays of equal length")
-        bad = (fac < 0) | (fac >= m) | (cli < 0) | (cli >= n)
-        if bad.any():
-            p = int(np.argmax(bad))
-            raise ValueError(f"pair ({fac[p]}, {cli[p]}) out of range")
-        if np.any(np.diff(cli * m + fac) <= 0):
-            raise ValueError("pairs must be sorted client-major without repeats")
-        missing = np.flatnonzero(np.bincount(cli, minlength=n) == 0)
-        if missing.size:
-            raise ValueError(f"clients with no allowed facility: {missing.tolist()}")
-        self.__dict__["pruned_pairs"] = (fac, cli)  # the cached_property's slot
+        if not isinstance(self.pruned, (bool, np.bool_)):
+            raise ValueError(f"pruned={self.pruned!r} is not a bool")
+        object.__setattr__(self, "pruned", bool(self.pruned))
 
     def __reduce__(self):
         # unpickled copies (a sweep worker's) go through the constructor too,
-        # so they are validated and read-only; cached values are recomputed,
-        # the below-median pairs of a ``prune_pairs`` copy among them
-        below_median = self.__dict__.get("_below_median", False)
-        pairs = (None, None) if below_median else (self.pair_fac, self.pair_cli)
-        fields = (self.client_coords, self.groups, self.facility_coords, self.open_costs, *pairs)
-        return MetricInstance, fields, {"_below_median": True} if below_median else None
+        # so they are validated and read-only; cached values, the pairs of a
+        # pruned instance among them, are recomputed
+        return MetricInstance, (self.client_coords, self.groups, self.facility_coords,
+                                self.open_costs, self.pruned)
 
     @property
     def n_clients(self) -> int:
@@ -262,36 +222,28 @@ class MetricInstance:
         return float(self._distances[facility, client])
 
     @cached_property
-    def pruned_pairs(self) -> Optional[tuple[np.ndarray, np.ndarray]]:
-        """The allowed pairs ``(pair_fac, pair_cli)``, or None when every
-        pair is allowed; every reader of the pairs goes through here.
-
-        Pairs given to the constructor are stored here by it.  A copy that
-        ``prune_pairs`` returns computes its below-median pairs on the first
-        read, as read-only arrays.
-        """
-        return _below_median_pairs(self.distances()) if self.__dict__.get("_below_median") else None
-
-    @cached_property
     def pair_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """Allowed (facility, client) pairs as parallel index arrays.
+        """Allowed (facility, client) pairs as parallel index arrays, sorted
+        client-major so that all pairs of one client are contiguous.
 
-        Sorted client-major so that all pairs of one client are contiguous.
-        Defaults to the full product when no pruning has been applied.
+        The full product on an unpruned instance.  A pruned one computes its
+        below-median pairs (``prune_pairs``) on the first read, as read-only
+        arrays.
         """
-        if self.pruned_pairs is not None:
-            return self.pruned_pairs
+        if self.pruned:
+            return _below_median_pairs(self.distances())
         cli = np.repeat(np.arange(self.n_clients), self.n_facilities)
         fac = np.tile(np.arange(self.n_facilities), self.n_clients)
         return fac, cli
 
     @cached_property
     def allowed_pairs(self) -> Optional[frozenset[tuple[int, int]]]:
-        """The allowed pairs as a set of (facility, client) tuples, derived
-        from ``pruned_pairs``; None when the instance is unpruned."""
-        if self.pruned_pairs is None:
+        """A pruned instance's ``pair_arrays`` as a set of (facility, client)
+        tuples; None when the instance is unpruned.  Only the benchmark
+        (``perfbench/``) reads it."""
+        if not self.pruned:
             return None
-        fac, cli = self.pruned_pairs
+        fac, cli = self.pair_arrays
         return frozenset(zip(fac.tolist(), cli.tolist()))
 
 
@@ -349,18 +301,21 @@ class IntegralSolution:
         return tuple(len(s) for s in self.outliers)
 
 
-def nearest_rows(sub: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Each column's minimum over the rows of ``sub`` and the first row
-    holding it.
+def nearest_rows(dist: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each column's minimum over ``dist[rows]`` and the row holding it,
+    without copying those rows.
 
-    With the open facilities' distance rows in ascending index order, this
-    is every client's nearest open distance and, on ties, the position of
-    the lowest facility index.
+    A running minimum in the order of ``rows`` (non-empty): a later row
+    takes a column only when strictly nearer, so with ``rows`` ascending a
+    tie goes to the lowest row.
     """
-    low = sub.min(axis=0)
-    first = np.zeros(sub.shape[1], dtype=np.int64)
-    for r in range(len(sub) - 1, -1, -1):  # the lowest row holding the minimum is written last
-        first[sub[r] == low] = r
+    low = dist[rows[0]].copy()
+    first = np.full(dist.shape[1], rows[0], dtype=np.int64)
+    closer = np.empty(dist.shape[1], dtype=bool)
+    for r in rows[1:]:
+        np.less(dist[r], low, out=closer)
+        np.copyto(low, dist[r], where=closer)
+        first[closer] = r
     return low, first
 
 
@@ -427,8 +382,8 @@ def assign_nearest(
     if not open_set:
         raise ValueError("no open facility but some clients are not outliers")
     rows = np.array(sorted(open_set), dtype=np.int64)
-    dist, pos = nearest_rows(inst.distances()[rows])
-    assignment = dict(zip(served.tolist(), rows[pos[served]].tolist()))
+    dist, nearest = nearest_rows(inst.distances(), rows)
+    assignment = dict(zip(served.tolist(), nearest[served].tolist()))
     connection = float(np.cumsum(dist[served])[-1])  # summed left to right
     return IntegralSolution(open_set, outliers, assignment, facility_cost, connection)
 
@@ -515,10 +470,8 @@ def prune_pairs(inst: MetricInstance) -> MetricInstance:
     A client whose every pair would be pruned keeps its single nearest
     facility (lowest index on ties) so downstream LPs stay feasible.  The
     pruned instance shares ``inst``'s distance matrix (``same_points``) and
-    computes its pairs when they are first read (``pruned_pairs``).
+    computes its pairs when they are first read (``pair_arrays``).
     """
-    if inst.pruned_pairs is not None:
+    if inst.pruned:
         raise ValueError("instance already has allowed pairs")
-    pruned = same_points(inst)
-    vars(pruned)["_below_median"] = True
-    return pruned
+    return same_points(inst, pruned=True)

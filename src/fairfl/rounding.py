@@ -154,8 +154,8 @@ def round_facility_location(
     if part.retained:
         if not open_set:
             open_set.add(int(np.argmax(y)))
-        if inst.pruned_pairs is not None:
-            fac, cli = inst.pruned_pairs
+        if inst.pruned:
+            fac, cli = inst.pair_arrays
             bounds = np.searchsorted(cli, np.arange(inst.n_clients + 1))
             is_open = np.zeros(inst.n_facilities, dtype=bool)
             is_open[list(open_set)] = True

@@ -1,5 +1,3 @@
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
@@ -20,19 +18,18 @@ def random_instance(rng, max_n=12, max_m=6, max_groups=3, dim=2, min_n=2, cost_s
     )
 
 
-def eager_prune(inst):
-    """The below-median pairs built at once and passed through the
-    constructor: the reference for the pairs a ``prune_pairs`` copy computes
-    on first read.  A client whose every pair is cut keeps its nearest
-    facility, lowest index on ties."""
-    dist = inst.distances()
+def eager_pairs(dist):
+    """The below-median pairs of the distance matrix ``dist``, built at once
+    as client-major ``(fac, cli)`` index arrays: the reference for the pairs
+    a pruned instance computes on first read.  A client whose every pair is
+    cut keeps its nearest facility, lowest index on ties."""
     median = float(np.median(dist))
     keep = dist < median
     stranded = np.flatnonzero(~keep.any(axis=0))
     nearest = np.argmin(dist[:, stranded], axis=0) if stranded.size else np.empty(0, int)
     keep[nearest, stranded] = True
     cli, fac = np.nonzero(keep.T)  # client-major
-    return replace(inst, pair_fac=fac, pair_cli=cli)
+    return fac, cli
 
 
 def random_budgets(rng, inst):

@@ -25,7 +25,7 @@ from fairfl.cli import (
 from fairfl import IntegralSolution, MetricInstance, generate_synthetic, SyntheticConfig
 from fairfl import instance as instance_mod
 import fairfl.cli as cli_mod
-from conftest import eager_prune
+from conftest import eager_pairs
 
 
 def small_config(tmp_path, **extra):
@@ -366,7 +366,7 @@ class TestPairsOnFirstRead:
             assert main(argv) == 0
         assert calls == []
         assert len(prepared) == len(argvs)
-        assert all(inst.pair_fac is not None for inst, _ in prepared)  # pruned all the same
+        assert all(inst.pruned for inst, _ in prepared)
         # an LP reads them: lpr-f, an FL sweep's lp_obj (gdf-f alone), --dump-mps
         calls.clear()
         lp_argvs = [
@@ -404,7 +404,7 @@ class TestPairsOnFirstRead:
         lazy = outputs()
         _, _, rows = read_rows(str(tmp_path / "sweep0.csv"))
         assert all(r[3] for r in rows)  # the gdf-f sweep carries lp_obj
-        monkeypatch.setattr(cli_mod, "prune_pairs", eager_prune)
+        monkeypatch.setattr(instance_mod, "_below_median_pairs", eager_pairs)
         assert outputs() == lazy
 
 
@@ -668,6 +668,19 @@ class TestSolveAndOracle:
               "--dump-mps", str(target)])
         text = target.read_text()
         assert text.startswith("NAME") and text.rstrip().endswith("ENDATA")
+
+    def test_dump_mps_needs_the_facility_location_problem(self, tmp_path, capsys):
+        # the dump is the facility-location LP, which no k-median algorithm solves
+        target = tmp_path / "model.mps"
+        flag = small_config(tmp_path, k=2)
+        argvs = [["solve", "--config", flag, "--dump-mps", str(target)]]
+        from_file = tmp_path / "file"
+        from_file.mkdir()
+        argvs.append(["solve", "--config", small_config(from_file, k=2, dump_mps=target)])
+        for argv in argvs:
+            assert main([*argv, "--problem", "kmedian", "--algo", "ls-nf", "--pct", "10"]) == 2
+            assert "needs --problem fl" in capsys.readouterr().err
+            assert not target.exists()
 
     def test_oracle_verb(self, tmp_path, capsys):
         cfg = small_config(tmp_path, n_in=6, n_out=3, m=4)

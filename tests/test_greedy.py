@@ -1007,5 +1007,5 @@ class TestGdfMemory:
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
-        assert "pruned_pairs" not in vars(inst)
+        assert "pair_arrays" not in vars(inst)
         assert peak < inst.distances().nbytes  # 3.6 MB

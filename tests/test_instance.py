@@ -2,6 +2,7 @@ import math
 import pickle
 import re
 import sys
+import tracemalloc
 from dataclasses import replace
 from typing import Iterable, Sequence
 
@@ -24,8 +25,8 @@ from fairfl import (
     unfairness,
 )
 from fairfl import instance as instance_mod
-from fairfl.instance import FACILITY_LOCATION, K_MEDIAN, row_blocks
-from conftest import eager_prune, random_budgets, random_instance
+from fairfl.instance import FACILITY_LOCATION, K_MEDIAN, nearest_rows, row_blocks
+from conftest import eager_pairs, random_budgets, random_instance
 
 
 def simple_instance(client_pts, groups, fac_pts, costs):
@@ -119,14 +120,15 @@ class TestValidation:
         # an infinite opening cost is allowed
         MetricInstance(np.zeros((1, 1)), [0], np.zeros((1, 1)), [math.inf])
 
-    def test_allowed_pairs_must_cover_clients(self):
-        base = simple_instance([[0.0], [1.0]], [0, 0], [[0.0]], [0.0])
-        with pytest.raises(ValueError, match="no allowed facility"):
-            replace(base, pair_fac=[0], pair_cli=[0])
-        with pytest.raises(ValueError, match="out of range"):
-            replace(base, pair_fac=[0, 1], pair_cli=[0, 1])
-        with pytest.raises(ValueError, match="sorted client-major"):
-            replace(base, pair_fac=[0, 0], pair_cli=[1, 0])
+    @pytest.mark.parametrize("flag", [1, 0, "yes", None, np.int64(1), 1.0])
+    def test_pruned_must_be_a_bool(self, flag):
+        with pytest.raises(ValueError, match=re.escape(f"pruned={flag!r} is not a bool")):
+            MetricInstance(np.zeros((1, 1)), [0], np.zeros((1, 1)), [0.0], pruned=flag)
+
+    def test_pruned_flag_is_stored_as_a_bool(self):
+        inst = MetricInstance(np.zeros((1, 1)), [0], np.zeros((1, 1)), [0.0], pruned=np.bool_(True))
+        assert inst.pruned is True
+        assert MetricInstance(np.zeros((1, 1)), [0], np.zeros((1, 1)), [0.0]).pruned is False
 
     def test_stored_arrays_are_read_only(self):
         coords = np.array([[0.0], [1.0]])
@@ -135,7 +137,7 @@ class TestValidation:
         assert inst.client_coords[0, 0] == 0.0
         pruned = pickle.loads(pickle.dumps(prune_pairs(inst)))  # as sent to a sweep worker
         arrays = (pruned.client_coords, pruned.groups, pruned.facility_coords,
-                  pruned.open_costs, pruned.pair_fac, pruned.pair_cli, pruned.distances())
+                  pruned.open_costs, *pruned.pair_arrays, pruned.distances())
         for arr in arrays:
             with pytest.raises(ValueError, match="read-only"):
                 arr[0] = 1
@@ -197,13 +199,15 @@ class TestPrunePairs:
                     kept = [min(range(inst.n_facilities), key=lambda i: (dist[i, j], i))]
                 expected += [(i, j) for i in kept]
             pruned = prune_pairs(inst)
-            got = list(zip(pruned.pair_fac.tolist(), pruned.pair_cli.tolist()))
+            got = list(zip(*(half.tolist() for half in pruned.pair_arrays)))
             assert got == expected
             assert pruned.allowed_pairs == frozenset(expected)
 
     def test_unpruned_has_no_allowed_pairs(self):
         inst = simple_instance([[1.0]], [0], [[0.0]], [0.0])
-        assert inst.allowed_pairs is None and inst.pair_fac is None
+        assert inst.allowed_pairs is None and not inst.pruned
+        fac, cli = inst.pair_arrays  # the full product
+        assert list(zip(fac.tolist(), cli.tolist())) == [(0, 0)]
 
     def test_never_strands_a_client(self, rng):
         for _ in range(25):
@@ -242,8 +246,8 @@ def _stranding_instances(rng):
     return cases
 
 
-def _assert_pairs_equal(pruned: MetricInstance, eager: MetricInstance) -> None:
-    for got, want in ((pruned.pair_fac, eager.pair_fac), (pruned.pair_cli, eager.pair_cli)):
+def _assert_pairs_equal(pruned: MetricInstance, eager) -> None:
+    for got, want in zip(pruned.pair_arrays, eager, strict=True):
         assert got.dtype == want.dtype == np.int64
         assert got.tobytes() == want.tobytes()
         assert not got.flags.writeable and got.flags.c_contiguous
@@ -257,17 +261,15 @@ class TestPairsOnFirstRead:
         assert any(prune_pairs(inst).pair_arrays[1].size > np.count_nonzero(
             inst.distances() < np.median(inst.distances())) for inst in cases)  # a fallback runs
         for inst in cases:
-            eager = eager_prune(inst)
-            # every accessor computes the pairs, whichever is read first
-            for first in ("pair_fac", "pair_cli", "pair_arrays", "allowed_pairs", "pruned_pairs"):
+            eager = eager_pairs(inst.distances())
+            # either accessor computes the pairs, whichever is read first
+            for first in ("pair_arrays", "allowed_pairs"):
                 pruned = prune_pairs(inst)
-                assert "pruned_pairs" not in vars(pruned)
+                assert pruned.pruned and "pair_arrays" not in vars(pruned)
                 getattr(pruned, first)
-                assert "pruned_pairs" in vars(pruned)
+                assert "pair_arrays" in vars(pruned)
                 _assert_pairs_equal(pruned, eager)
-                assert pruned.pair_arrays == pruned.pruned_pairs
-                assert pruned.pair_arrays[0] is pruned.pair_fac
-                assert pruned.allowed_pairs == eager.allowed_pairs
+                assert pruned.allowed_pairs == frozenset(zip(eager[0].tolist(), eager[1].tolist()))
 
     def test_computed_once_and_only_when_read(self, rng, monkeypatch):
         calls = []
@@ -279,33 +281,32 @@ class TestPairsOnFirstRead:
         ls_nf(pruned, 2, 1)
         assert calls == []
         for _ in range(2):
-            pruned.pair_fac, pruned.pair_cli, pruned.pair_arrays, pruned.allowed_pairs
+            pruned.pair_arrays, pruned.allowed_pairs
         assert calls == [1]
-        assert inst.pruned_pairs is None and calls == [1]  # the parent stays unpruned
+        inst.pair_arrays  # the parent stays unpruned: its full product
+        assert not inst.pruned and calls == [1]
 
-    def test_pickled_copy_carries_the_marker_not_the_arrays(self, rng):
+    def test_pickled_copy_carries_the_flag_not_the_arrays(self, rng):
         inst = random_instance(rng, max_n=40, max_m=10, min_n=30)
         pruned = prune_pairs(inst)
-        size = len(pickle.dumps(pruned))
-        eager = eager_prune(inst)
-        assert size < len(pickle.dumps(eager))
-        pruned.pair_fac  # computing the pairs leaves the pickle as it was
-        assert len(pickle.dumps(pruned)) == size
-        copy = pickle.loads(pickle.dumps(pruned))  # as sent to a sweep worker
-        assert "pruned_pairs" not in vars(copy)
+        blob = pickle.dumps(pruned)
+        eager = eager_pairs(inst.distances())
+        for arr in (*eager, inst.distances()):
+            assert arr.tobytes() not in blob
+        pruned.pair_arrays  # computing the pairs leaves the pickle as it was
+        assert len(pickle.dumps(pruned)) == len(blob)
+        copy = pickle.loads(blob)  # as sent to a sweep worker
+        assert copy.pruned is True and "pair_arrays" not in vars(copy)
         _assert_pairs_equal(copy, eager)
         for arr in copy.pair_arrays:
             with pytest.raises(ValueError, match="read-only"):
                 arr[0] = 1
-        # a pickled eagerly pruned copy keeps its arrays and their checks
-        _assert_pairs_equal(pickle.loads(pickle.dumps(eager)), eager)
 
     def test_copies_keep_the_pairs(self, rng):
         inst = random_instance(rng, max_n=20, max_m=6)
         pruned = prune_pairs(inst)
-        eager = eager_prune(inst)
-        # replace() reads the pairs and passes them through the constructor
-        _assert_pairs_equal(replace(pruned, open_costs=inst.open_costs * 2), eager)
+        # replace() carries the flag, so the copy computes the same pairs
+        _assert_pairs_equal(replace(pruned, open_costs=inst.open_costs * 2), eager_pairs(inst.distances()))
         with pytest.raises(ValueError, match="already"):
             prune_pairs(pruned)
 
@@ -717,3 +718,42 @@ class TestArrayFormsMatchReference:
         sol = assign_nearest(inst, [0], [0])
         for objective in (FACILITY_LOCATION, K_MEDIAN):
             assert solution_cost(inst, sol, objective).hex() == _reference_solution_cost(inst, sol, objective).hex()
+
+
+def _two_step_nearest_rows(sub: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The former ``nearest_rows`` on the copied rows ``sub``: each column's
+    minimum, then the first row holding it."""
+    low = sub.min(axis=0)
+    first = np.zeros(sub.shape[1], dtype=np.int64)
+    for r in range(len(sub) - 1, -1, -1):  # the lowest row holding the minimum is written last
+        first[sub[r] == low] = r
+    return low, first
+
+
+class TestNearestRows:
+    def test_matches_the_two_step_scan_with_ties(self, rng):
+        for _ in range(200):
+            m, n = int(rng.integers(1, 12)), int(rng.integers(1, 40))
+            dist = rng.integers(0, 4, (m, n)).astype(float)  # few values: many ties
+            dist[rng.integers(0, m, n // 2 + 1)] = dist[0]  # whole rows tie too
+            dist += rng.choice([0.0, 0.5], (m, n)) * rng.random((m, n))
+            rows = np.sort(rng.permutation(m)[: int(rng.integers(1, m + 1))])
+            low, first = nearest_rows(dist, rows)
+            want_low, want_pos = _two_step_nearest_rows(dist[rows])
+            assert low.tobytes() == want_low.tobytes()
+            assert first.dtype == np.int64 and first.tobytes() == rows[want_pos].tobytes()
+
+    def test_assign_nearest_copies_no_open_rows(self, rng):
+        # 50 open rows over 4500 clients take 1.8 MB; copying them was the peak
+        inst = MetricInstance(rng.random((4500, 6)), np.zeros(4500, dtype=np.int64),
+                              rng.random((100, 6)), np.ones(100))
+        opens = rng.permutation(100)[:50].tolist()
+        rows_bytes = inst.distances()[opens].nbytes
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            assign_nearest(inst, opens, [])
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < rows_bytes / 2

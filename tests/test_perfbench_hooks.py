@@ -54,7 +54,7 @@ def test_output_checks_read_a_captured_pruned_fl_sweep(monkeypatch):
 
     cfg = _sweep_config(workloads.FL_ALGOS, "fl")
     inst, _ = cli.prepare_instance(cfg)
-    assert inst.pair_fac is not None  # pruned
+    assert inst.pruned
     with run.Capture(cli) as capture:
         records = cli.run_sweep(inst, cfg)
     assert len(capture.solutions) == len(records)
@@ -62,7 +62,7 @@ def test_output_checks_read_a_captured_pruned_fl_sweep(monkeypatch):
     assert checks.check_lp_objectives(records, None) == {}
     assert checks.check_lp_objectives(records, checks.lp_values(records)) == {}
     allowed = np.zeros((inst.n_facilities, inst.n_clients), dtype=bool)
-    allowed[inst.pair_fac, inst.pair_cli] = True
+    allowed[inst.pair_arrays] = True
     counts = []
     for sol in capture.solutions.values():
         counts.append(checks.pruned_assignments(inst, sol))

@@ -1,5 +1,4 @@
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -33,13 +32,9 @@ from fairfl.cli import build_parser, resolve_config, run_sweep
 from conftest import random_budgets, random_instance
 
 
-def tiny(client_pts, groups, fac_pts, costs, pairs=None):
-    """Instance from point lists; ``pairs`` is a set of (fac, cli) tuples."""
-    inst = MetricInstance(np.array(client_pts, float), groups, np.array(fac_pts, float), costs)
-    if pairs is None:
-        return inst
-    fac, cli = zip(*sorted(pairs, key=lambda p: (p[1], p[0])))
-    return replace(inst, pair_fac=fac, pair_cli=cli)
+def tiny(client_pts, groups, fac_pts, costs):
+    """Instance from point lists."""
+    return MetricInstance(np.array(client_pts, float), groups, np.array(fac_pts, float), costs)
 
 
 def frac_from(inst, x_entries, y, z, objective=0.0):
@@ -195,8 +190,8 @@ class TestRound:
 
     def test_stranded_client_opens_allowed_argmax(self):
         # client 1 is only allowed facility 1; thresholding opens facility 0
-        pairs = frozenset({(0, 0), (1, 1)})
-        inst = tiny([[0.0], [10.0]], [0, 0], [[0.0], [10.0]], [1.0, 1.0], pairs)
+        inst = prune_pairs(tiny([[0.0], [10.0]], [0, 0], [[0.0], [10.0]], [1.0, 1.0]))
+        assert inst.allowed_pairs == frozenset({(0, 0), (1, 1)})
         rescaled = frac_from(inst, {(0, 0): 1.0, (1, 1): 1.0}, [0.9, 0.4], [0.0, 0.0])
         part = PartitionedClients((frozenset(),), frozenset({0, 1}))
         sol = round_facility_location(inst, part, rescaled, RoundingConfig(0.1, 0.5))
