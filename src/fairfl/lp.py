@@ -10,12 +10,16 @@ An ``LpModel`` describes the relaxation by the instance's pair arrays, its
 costs and the budget right-hand sides; the full constraint matrix is built
 only when read (``write_mps`` and tests read it), never to solve.
 
-Solving goes through the HiGHS solver bundled with scipy, which is
-deterministic for a fixed sequence of operations.  Importing this module
-loads no part of scipy: the HiGHS bindings and ``scipy.sparse`` load when
-the first HiGHS copy is built (``_load_highs``; a missing or older scipy
-raises ``LpError`` there), and ``scipy.sparse`` alone when ``a_matrix`` is
-first read, so the LP-free algorithms never load them.
+Solving goes through the HiGHS solver bundled with scipy (dual simplex;
+Huangfu & Hall, Math. Prog. Comp. 2018), which is deterministic for a fixed
+sequence of operations.  Importing this module loads no part of scipy.
+Only scipy's compiled HiGHS bindings load, when the first HiGHS copy is
+built (``_load_highs``; a missing or older scipy raises ``LpError`` there):
+the solve path imports neither ``scipy.optimize`` nor ``scipy.sparse``, and
+builds each copy's matrix with numpy.  ``scipy.sparse`` loads when
+``a_matrix`` is first read (``write_mps``, tests), and ``scipy.optimize``
+when ``linprog`` is read from this module.  The LP-free algorithms load
+none of them.
 
 An ``LpChain`` holds one HiGHS copy at a time and re-solves it from the
 previous optimal basis when only the budget rows change, as they do across
@@ -47,12 +51,16 @@ Nemhauser, Mgmt. Sci. 1977), with the coverage and budget rows relaxed and
 summed over *all* allowed pairs, must reach the objective within
 ``CERTIFICATE_TOL`` relative.  The bound is valid for any ``v, u >= 0``
 because every variable is boxed to [0, 1], so it certifies both the
-solver's optimality and the pricing's stopping rule.
+solver's optimality and the pricing's stopping rule.  A copy whose bound
+falls short is re-run once by primal simplex, at a lower dual tolerance,
+before that raises (``LpChain._run``).
 """
 
 from __future__ import annotations
 
 import ctypes
+import os
+import sys
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import TYPE_CHECKING, Optional
@@ -72,6 +80,8 @@ RESIDUAL_TOL = 1e-7
 START_PAIRS = 20  # each client's nearest allowed pairs in a held model's first solve
 PRICE_TOL = 1e-9  # an omitted pair prices in when d_ij < v_j - PRICE_TOL
 CERTIFICATE_TOL = 1e-9  # objective - dual bound, relative to max(1, |objective|)
+FEASIBILITY_TOL = 1e-9  # HiGHS's primal and dual feasibility tolerances
+POLISH_DUAL_TOL = 1e-10  # HiGHS's dual feasibility tolerance in a polish, the lowest it accepts
 
 try:  # glibc's, for LpChain._release
     _MALLOC_TRIM = ctypes.CDLL(None).malloc_trim
@@ -106,29 +116,62 @@ _HIGHS_NAMES = (
     "HighsBasisStatus", "HighsModelStatus", "HighsOptions", "HighsStatus", "MatrixFormat",
     "ObjSense", "_Highs", "kHighsInf", "simplex_constants",
 )
+_CORE = "scipy.optimize._highspy._core"
 
 
 def _load_highs() -> None:
-    """Bind scipy's HiGHS bindings and ``linprog`` (the patch point of
-    perfbench/tracing.py) in this module, importing them on the first call.
-    A name already bound, such as a test's patch, is kept."""
-    try:
-        from scipy.optimize import linprog
-        from scipy.optimize._highspy import _core
-    except ImportError as exc:
-        raise LpError(
-            "the LP solver needs scipy >= 1.15, whose scipy.optimize._highspy._core "
-            f"holds the HiGHS bindings: {exc}"
-        ) from exc
+    """Bind scipy's HiGHS bindings in this module, loading them on the first
+    call.  Only the compiled module ``scipy.optimize._highspy._core`` loads,
+    from scipy's package directory: neither ``scipy.optimize`` nor
+    ``scipy.sparse`` is imported.  It is registered in ``sys.modules`` under
+    its own name, so a later ``import scipy.optimize`` reuses it, and a
+    module already there is used as it is.  A name already bound, such as a
+    test's patch, is kept."""
+    core = sys.modules.get(_CORE)
+    if core is None:
+        try:
+            core = _import_core()
+        except ImportError as exc:
+            raise LpError(
+                f"the LP solver needs scipy >= 1.15, whose {_CORE} holds the HiGHS bindings: {exc}"
+            ) from exc
     names = globals()
-    names.setdefault("linprog", linprog)
     for name in _HIGHS_NAMES:
-        names.setdefault(name, getattr(_core, name))
+        names.setdefault(name, getattr(core, name))
+
+
+def _import_core():
+    """Load and register the extension module, or raise ImportError."""
+    if _CORE in sys.modules:  # None there blocks the import
+        raise ImportError(f"import of {_CORE} halted; None in sys.modules")
+    import scipy
+    from importlib.machinery import PathFinder
+    from importlib.util import module_from_spec, spec_from_file_location
+
+    package = os.path.join(os.path.dirname(scipy.__file__), "optimize", "_highspy")
+    found = PathFinder.find_spec("_core", [package])
+    if found is None:
+        raise ImportError(f"no module named {_CORE!r}")
+    spec = spec_from_file_location(_CORE, found.origin)
+    core = module_from_spec(spec)
+    sys.modules[_CORE] = core
+    try:
+        spec.loader.exec_module(core)
+    except BaseException:
+        del sys.modules[_CORE]
+        raise
+    return core
 
 
 def __getattr__(name: str):
-    """Load the HiGHS names on first access from outside (PEP 562)."""
-    if name != "linprog" and name not in _HIGHS_NAMES:
+    """Load the HiGHS names on first access from outside (PEP 562), and
+    ``scipy.optimize.linprog``, the patch point of perfbench/tracing.py,
+    which the solve path never calls."""
+    if name == "linprog":
+        from scipy.optimize import linprog
+
+        return linprog
+    if name not in _HIGHS_NAMES:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     _load_highs()
     return globals()[name]
@@ -325,6 +368,31 @@ def _start_pairs(model: LpModel) -> np.ndarray:
     return np.flatnonzero(chosen)
 
 
+def _held_matrix(model: LpModel, pairs: np.ndarray, n_start: int) -> tuple[np.ndarray, ...]:
+    """The constraint matrix of a held copy (layout in ``_highs_model``) in
+    compressed-column form: ``indptr``, ``indices`` (int32) and ``data``.
+    The entries are listed so that each column's rows ascend (x: coverage,
+    then capacity; y: capacity rows in pair order; z: coverage, then
+    budget), so a stable sort by column gives the canonical form, the
+    arrays scipy's ``coo_matrix(...).tocsc()`` builds from them."""
+    n, m, n_budget = model.n_clients, model.n_facilities, model.n_budget_rows
+    k = len(pairs)
+    late = np.arange(k) >= n_start
+    x_cols = np.arange(k) + late * (m + n)
+    cap_rows = n + np.arange(k) + late * n_budget
+    z_cols = n_start + m + np.arange(n)
+    # coverage -x_ij - z_j <= -1; capacity x_ij - y_i <= 0; budgets on z
+    rows = np.concatenate(
+        [model.pair_cli[pairs], cap_rows, cap_rows, np.arange(n), n + n_start + model.budget_row]
+    )
+    cols = np.concatenate([x_cols, x_cols, n_start + model.pair_fac[pairs], z_cols, z_cols])
+    data = np.concatenate([np.full(k, -1.0), np.ones(k), np.full(k, -1.0), np.full(n, -1.0), np.ones(n)])
+    order = np.argsort(cols, kind="stable")
+    indptr = np.zeros(k + m + n + 1, dtype=np.int32)
+    np.cumsum(np.bincount(cols, minlength=k + m + n), out=indptr[1:])
+    return indptr, rows[order].astype(np.int32), data[order]
+
+
 def _highs_model(model: LpModel, pairs: np.ndarray, n_start: int):
     """A HiGHS instance holding the assignment columns and capacity rows of
     ``pairs``, the first ``n_start`` of them (the start pairs) placed before
@@ -340,23 +408,9 @@ def _highs_model(model: LpModel, pairs: np.ndarray, n_start: int):
     copies each in one block; it needs an explicit all-zero (continuous)
     integrality."""
     _load_highs()
-    from scipy import sparse
-
-    n, m, n_budget = model.n_clients, model.n_facilities, model.n_budget_rows
-    k = len(pairs)
-    late = np.arange(k) >= n_start
-    x_cols = np.arange(k) + late * (m + n)
-    cap_rows = n + np.arange(k) + late * n_budget
-    z_cols = n_start + m + np.arange(n)
-    # coverage -x_ij - z_j <= -1; capacity x_ij - y_i <= 0; budgets on z
-    rows = [model.pair_cli[pairs], cap_rows, cap_rows, np.arange(n), n + n_start + model.budget_row]
-    cols = [x_cols, x_cols, n_start + model.pair_fac[pairs], z_cols, z_cols]
-    data = [np.full(k, -1.0), np.ones(k), np.full(k, -1.0), np.full(n, -1.0), np.ones(n)]
-    n_col, n_row = k + m + n, k + n + n_budget
-    a_csc = sparse.coo_matrix(
-        (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))), shape=(n_row, n_col)
-    ).tocsc()
-    n_pairs = model.n_pairs
+    n, n_pairs, k = model.n_clients, model.n_pairs, len(pairs)
+    indptr, indices, data = _held_matrix(model, pairs, n_start)
+    n_col, n_row = k + model.n_facilities + n, k + n + model.n_budget_rows
     cost = np.concatenate([model.c[pairs[:n_start]], model.c[n_pairs:], model.c[pairs[n_start:]]])
     upper = np.concatenate([np.full(n, -1.0), np.zeros(n_start), model.budget_rhs, np.zeros(k - n_start)])
     options = HighsOptions()
@@ -364,15 +418,14 @@ def _highs_model(model: LpModel, pairs: np.ndarray, n_start: int):
     options.log_to_console = False
     options.presolve = "off"
     options.simplex_strategy = simplex_constants.SimplexStrategy.kSimplexStrategyDual
-    options.primal_feasibility_tolerance = 1e-9
-    options.dual_feasibility_tolerance = 1e-9
+    options.primal_feasibility_tolerance = FEASIBILITY_TOL
+    options.dual_feasibility_tolerance = FEASIBILITY_TOL
     highs = _Highs()
     highs.passOptions(options)
     status = highs.passModel(
-        n_col, n_row, a_csc.nnz, int(MatrixFormat.kColwise), int(ObjSense.kMinimize), 0.0,
+        n_col, n_row, len(data), int(MatrixFormat.kColwise), int(ObjSense.kMinimize), 0.0,
         cost, np.zeros(n_col), np.ones(n_col), np.full(n_row, -kHighsInf), upper,
-        a_csc.indptr.astype(np.int32), a_csc.indices.astype(np.int32), a_csc.data,
-        np.zeros(n_col, dtype=np.int32),
+        indptr, indices, data, np.zeros(n_col, dtype=np.int32),
     )
     if status == HighsStatus.kError:
         raise LpError("HiGHS rejected the model")
@@ -442,8 +495,9 @@ class LpChain:
     the model it was asked for and carries its dual bound.  Use as a
     context manager, or call ``close``, to release the HiGHS copy.
     ``stats`` counts cold, warm, mode-switch and memoised solves, the
-    simplex iterations spent over all pricing rounds, the pricing rounds run
-    and the pairs they added.
+    simplex iterations spent over all pricing rounds, the pricing rounds run,
+    the pairs they added, and the polishing re-runs by primal simplex
+    (``_run``).
     """
 
     def __init__(self):
@@ -454,7 +508,7 @@ class LpChain:
         self._memo: dict = {}
         self.stats = {
             "cold": 0, "warm": 0, "switch": 0, "memo": 0,
-            "simplex_iters": 0, "pricing_rounds": 0, "priced_pairs": 0,
+            "simplex_iters": 0, "pricing_rounds": 0, "priced_pairs": 0, "polished": 0,
         }
 
     def __enter__(self) -> "LpChain":
@@ -511,20 +565,27 @@ class LpChain:
         if basis is not None and self._highs.setBasis(basis) == HighsStatus.kError:
             raise LpError("HiGHS rejected the carried basis")
 
-    def _run(self, model: LpModel, cap: int) -> tuple[np.ndarray, float, int, int, int]:
-        """Set ``model``'s budget rows, solve, and price until no omitted
-        pair prices in, with at most ``cap`` simplex iterations over all
-        rounds.  A copy whose run ends with HiGHS status ``kUnknown`` is
-        cleared (``clearSolver``) and run once more before that status
-        raises; the re-run's iterations count too.  Returns the certified
-        point in ``model``'s layout, its dual bound, and the iterations,
-        pricing rounds and pairs added."""
+    def _run(self, model: LpModel, cap: int) -> tuple[np.ndarray, float, int, int, int, int]:
+        """Set ``model``'s budget rows, solve by dual simplex, and price
+        until no omitted pair prices in, with at most ``cap`` simplex
+        iterations over all rounds.  A copy whose run ends with HiGHS status
+        ``kUnknown`` is cleared (``clearSolver``) and run once more.  A copy
+        whose run still ends ``kUnknown``, or whose dual bound falls short of
+        the objective by more than ``CERTIFICATE_TOL``, is polished: run once
+        more by primal simplex from its own basis, at ``POLISH_DUAL_TOL``.
+        Only then does either raise.  Every re-run's iterations count.  Returns the certified point
+        in ``model``'s layout, its dual bound, and the iterations, pricing
+        rounds, pairs added and polishing re-runs."""
+        strategy = simplex_constants.SimplexStrategy
+        # a copy polished in an earlier solve goes back to dual simplex
+        self._highs.setOptionValue("simplex_strategy", int(strategy.kSimplexStrategyDual))
+        self._highs.setOptionValue("dual_feasibility_tolerance", FEASIBILITY_TOL)
         for r in np.flatnonzero(model.budget_rhs != self._base.budget_rhs):
             row = model.n_clients + self._n_start + int(r)
             self._highs.changeRowBounds(row, -kHighsInf, float(model.budget_rhs[r]))
         self._base = model
-        iters = rounds = added = 0
-        cleared = False  # whether the held copy has been re-run from scratch
+        iters = rounds = added = polishes = 0
+        cleared = polished = False  # whether the held copy was re-run from scratch, by primal simplex
         while True:
             # HiGHS stops at its limit even when that pivot ends the solve
             self._highs.setOptionValue("simplex_iteration_limit", cap - iters + 1)
@@ -538,27 +599,43 @@ class LpChain:
                 self._highs.clearSolver()
                 cleared = True
                 continue
-            _raise_for_status(status, cap, self._highs.modelStatusToString(status))
-            solution = self._highs.getSolution()
-            v, u = _duals(model, self._n_start, solution.row_dual)
-            pairs = _priced_in(model, self._pairs, v)
-            if not pairs.size:
+            short = status == HighsModelStatus.kUnknown
+            if not short:
+                _raise_for_status(status, cap, self._highs.modelStatusToString(status))
+                solution = self._highs.getSolution()
+                v, u = _duals(model, self._n_start, solution.row_dual)
+                pairs = _priced_in(model, self._pairs, v)
+                if pairs.size:
+                    self._build(model, np.concatenate([self._pairs, pairs]))
+                    cleared = polished = False
+                    rounds += 1
+                    added += len(pairs)
+                    continue
+                held, n_start = self._pairs, self._n_start
+                cols = np.concatenate([held[:n_start], np.arange(model.n_pairs, model.n_vars), held[n_start:]])
+                values = np.zeros(model.n_vars)
+                values[cols] = solution.col_value
+                objective = float(model.c @ values)
+                bound = _dual_bound(model, v, u)
+                short = objective - bound > CERTIFICATE_TOL * max(1.0, abs(objective))
+            if not short or polished:
                 break
-            self._build(model, np.concatenate([self._pairs, pairs]))
-            cleared = False
-            rounds += 1
-            added += len(pairs)
-        held, n_start = self._pairs, self._n_start
-        cols = np.concatenate([held[:n_start], np.arange(model.n_pairs, model.n_vars), held[n_start:]])
-        values = np.zeros(model.n_vars)
-        values[cols] = solution.col_value
-        objective = float(model.c @ values)
-        bound = _dual_bound(model, v, u)
-        if objective - bound > CERTIFICATE_TOL * max(1.0, abs(objective)):
+            # dual simplex can stop "optimal" with a reduced cost still
+            # negative beyond its tolerance, as small as a coordinate offset,
+            # and several reduced costs each within it can add up to more
+            # than the certificate allows; a bare run after the switch takes
+            # no pivot, setting the basis makes it re-run from there
+            self._highs.setOptionValue("simplex_strategy", int(strategy.kSimplexStrategyPrimal))
+            self._highs.setOptionValue("dual_feasibility_tolerance", POLISH_DUAL_TOL)
+            self._highs.setBasis(self._highs.getBasis())
+            polished = True
+            polishes += 1
+        _raise_for_status(status, cap, self._highs.modelStatusToString(status))  # a kUnknown the polish left
+        if short:
             raise LpCertificateError(
                 f"dual bound {bound!r} is {objective - bound:.2e} below the objective {objective!r}"
             )
-        return values, bound, iters, rounds, added
+        return values, bound, iters, rounds, added, polishes
 
     def solve(self, model: LpModel, pivot_cap: Optional[int] = None) -> FractionalSolution:
         if self._highs is not None and self._base.inst is not model.inst:
@@ -579,7 +656,7 @@ class LpChain:
                     self._build(model, self._pairs)
                 else:
                     kind = "warm"
-                values, bound, iters, rounds, added = self._run(model, cap)
+                values, bound, iters, rounds, added, polishes = self._run(model, cap)
             except LpError:
                 self.close()  # the next solve starts cold
                 raise
@@ -587,6 +664,7 @@ class LpChain:
             self.stats["simplex_iters"] += iters
             self.stats["pricing_rounds"] += rounds
             self.stats["priced_pairs"] += added
+            self.stats["polished"] += polishes
             self._memo[key] = (values, _fractional(model, values, bound))
         values, frac = self._memo[key]
         _verify_residuals(model, values)

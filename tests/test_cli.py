@@ -286,7 +286,8 @@ import fairfl
 import fairfl.cli
 
 def lp_stack():
-    return [name for name in ("scipy.optimize", "scipy.sparse") if name in sys.modules]
+    names = ("scipy.optimize", "scipy.optimize._highspy._core", "scipy.sparse")
+    return [name for name in names if name in sys.modules]
 
 print(json.dumps([None, lp_stack()]))
 for argv in json.loads(sys.argv[2]):
@@ -308,9 +309,45 @@ def _lp_stack_after(tmp_path, argvs, mode="plain"):
     return [tuple(line) for line in lines], out.stderr
 
 
+_AFTER_AN_LP = """
+import json
+import sys
+
+import fairfl.cli
+import fairfl.lp
+
+assert fairfl.cli.main(sys.argv[1:]) == 0
+after = {"linprog_bound": "linprog" in vars(fairfl.lp), "optimize": "scipy.optimize" in sys.modules}
+core = sys.modules["scipy.optimize._highspy._core"]
+import scipy.optimize
+from scipy.optimize._highspy import _core
+
+after["same_core"] = _core is core
+after["same_basis_status"] = fairfl.lp.HighsBasisStatus is _core.HighsBasisStatus
+res = scipy.optimize.linprog([1.0, 2.0], A_ub=[[-1.0, -1.0]], b_ub=[-1.0], bounds=[(0, 1)] * 2)
+after["linprog"] = [res.status, res.x.tolist()]
+print(json.dumps(after))
+"""
+
+
+def _after_an_lp(tmp_path):
+    """Solve with lpr-f in a fresh process, then import ``scipy.optimize``;
+    what the process held before and after that import."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    argv = ["solve", "--config", small_config(tmp_path), "--algo", "lpr-f", "--pct", "10"]
+    out = subprocess.run(
+        [sys.executable, "-c", _AFTER_AN_LP, *argv],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src), timeout=300,
+        cwd=tmp_path,
+    )
+    assert out.returncode == 0, out.stderr
+    return json.loads(out.stdout.splitlines()[-1])
+
+
 class TestLpStackLoadsOnFirstLp:
-    """scipy's HiGHS bindings and ``scipy.sparse`` load with the first LP:
-    the LP-free algorithms and verbs run without them."""
+    """scipy's compiled HiGHS bindings load with the first LP, and neither
+    ``scipy.optimize`` nor ``scipy.sparse`` does: the LP-free algorithms and
+    verbs run without any of them."""
 
     def test_lp_free_verbs_load_no_lp_stack(self, tmp_path):
         cfg = small_config(tmp_path, k=2)
@@ -331,7 +368,26 @@ class TestLpStackLoadsOnFirstLp:
     def test_lpr_f_loads_the_lp_stack(self, tmp_path):
         cfg = small_config(tmp_path)
         steps, _ = _lp_stack_after(tmp_path, [["solve", "--config", cfg, "--algo", "lpr-f", "--pct", "10"]])
-        assert steps == [(None, []), (0, ["scipy.optimize", "scipy.sparse"])]
+        assert steps == [(None, []), (0, ["scipy.optimize._highspy._core"])]
+
+    def test_dump_mps_loads_scipy_sparse_alone(self, tmp_path):
+        cfg = small_config(tmp_path)
+        argv = ["solve", "--config", cfg, "--algo", "lpr-nf", "--pct", "10", "--dump-mps", "model.mps"]
+        steps, _ = _lp_stack_after(tmp_path, [argv])
+        assert steps == [(None, []), (0, ["scipy.optimize._highspy._core", "scipy.sparse"])]
+
+    def test_scipy_optimize_reuses_the_loaded_bindings(self, tmp_path):
+        """A later ``import scipy.optimize`` finds the bindings the LP
+        loaded, the same module object, and its ``linprog`` solves."""
+        after = _after_an_lp(tmp_path)
+        assert not after["optimize"]
+        assert after["same_core"] and after["same_basis_status"]
+        assert after["linprog"] == [0, [1.0, 0.0]]
+
+    def test_solve_path_binds_no_linprog(self, tmp_path):
+        """``fairfl.lp.linprog``, the tracer's patch point, resolves through
+        the module's ``__getattr__``; an untraced solve never binds it."""
+        assert not _after_an_lp(tmp_path)["linprog_bound"]
 
     def test_missing_highs_bindings_fail_only_the_lp(self, tmp_path):
         cfg = small_config(tmp_path, k=2)

@@ -1,3 +1,4 @@
+import itertools
 import os
 import subprocess
 import sys
@@ -40,11 +41,14 @@ import fairfl.lp
 from fairfl.cli import budgets_from_pct, build_parser, main, prepare_instance, resolve_config, run_sweep
 from fairfl.lp import (
     CERTIFICATE_TOL,
+    FEASIBILITY_TOL,
+    POLISH_DUAL_TOL,
     RESIDUAL_TOL,
     START_PAIRS,
     HighsModelStatus,
     HighsStatus,
     _dual_bound,
+    _held_matrix,
     _raise_for_status,
     _start_pairs,
     _verify_residuals,
@@ -793,6 +797,48 @@ class TestArrayForms:
                 for got, want in zip(args[11:14], (a_csc.indptr, a_csc.indices, a_csc.data)):
                     assert got.tobytes() == want.astype(got.dtype).tobytes()
 
+    @staticmethod
+    def scipy_held_matrix(model, pairs, n_start):
+        """A held copy's matrix as scipy assembles it from the same entries:
+        ``coo_matrix(...).tocsc()``, with int32 index arrays."""
+        n, m, n_budget = model.n_clients, model.n_facilities, model.n_budget_rows
+        k = len(pairs)
+        late = np.arange(k) >= n_start
+        x_cols = np.arange(k) + late * (m + n)
+        cap_rows = n + np.arange(k) + late * n_budget
+        z_cols = n_start + m + np.arange(n)
+        rows = [model.pair_cli[pairs], cap_rows, cap_rows, np.arange(n), n + n_start + model.budget_row]
+        cols = [x_cols, x_cols, n_start + model.pair_fac[pairs], z_cols, z_cols]
+        data = [np.full(k, -1.0), np.ones(k), np.full(k, -1.0), np.full(n, -1.0), np.ones(n)]
+        a_csc = sparse.coo_matrix(
+            (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
+            shape=(k + n + n_budget, k + m + n),
+        ).tocsc()
+        return a_csc.indptr.astype(np.int32), a_csc.indices.astype(np.int32), a_csc.data
+
+    def test_held_matrix_equals_scipys_csc(self):
+        """The numpy assembly gives scipy's arrays byte for byte, dtypes
+        included, on a cold start, on a copy holding priced pairs after its
+        start pairs, and on both budget layouts (one row, one per group)."""
+        rng = np.random.default_rng(5)
+        seed1 = prune_pairs(generate_synthetic(SyntheticConfig(seed=1))[0])
+        layouts = 0
+        for inst in (far_cheap_instance(), seed1):
+            start = None
+            for fairness in (PER_GROUP, AGGREGATE):  # the switch keeps the pairs
+                model = build_flfo_lp(inst, budgets_from_pct(inst, 5), fairness)
+                start = _start_pairs(model) if start is None else start
+                omitted = np.setdiff1d(np.arange(model.n_pairs), start)
+                priced = np.sort(rng.choice(omitted, size=min(len(omitted), 300), replace=False))
+                assert len(priced) > 0
+                for pairs in (start, np.concatenate([start, priced])):
+                    got = _held_matrix(model, pairs, len(start))
+                    want = self.scipy_held_matrix(model, pairs, len(start))
+                    for g, w in zip(got, want):
+                        assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
+                    layouts += 1
+        assert layouts == 8
+
     def test_solve_path_never_builds_the_full_matrix(self, tmp_path, monkeypatch):
         def refuse(self):
             raise AssertionError("the full constraint matrix was built")
@@ -880,6 +926,158 @@ class TestCertificate:
         self.assert_raises_optimized(
             "['sweep', '--dataset', 'synthetic', '--algo', 'lpr-nf', '--pct', '5', '--out', os.devnull]",
             "m.fairness == lp.AGGREGATE")
+
+
+def offset_instance(clients, facilities) -> MetricInstance:
+    """One group, zero opening costs, pruned."""
+    return prune_pairs(tiny(clients, np.zeros(len(clients), dtype=np.int64), facilities,
+                            np.zeros(len(facilities))))
+
+
+def offset_scan(n_offsets=2, low=-9.0, high=-4.0):
+    """The draws of an offset scan: clients (0,0)x6, (1,0), then (1,a) for
+    each of ``n_offsets`` offsets a log-uniform in [10**low, 10**high] from
+    ``default_rng(0)``, then (1,1), (2,1); facilities (1,1.5), (2,0), (3,0),
+    (1,0.75).  Every odd draw permutes the clients and then the facilities.
+    Each draw is solved at a budget of all clients but three."""
+    rng = np.random.default_rng(0)
+    for draw in itertools.count():
+        offsets = 10.0 ** rng.uniform(low, high, n_offsets)
+        clients = np.array([(0, 0)] * 6 + [(1, 0)] + [(1, a) for a in offsets] + [(1, 1), (2, 1)], float)
+        facilities = np.array([(1, 1.5), (2, 0), (3, 0), (1, 0.75)], float)
+        if draw % 2:
+            clients, facilities = clients[rng.permutation(len(clients))], facilities[rng.permutation(4)]
+        yield clients, facilities
+
+
+# draw 269 of the two-offset scan (a = 3.25e-8, b = 1.82e-9): dual simplex
+# ends "optimal" with the dual bound 1.82e-9 short of the objective, beyond
+# the allowed 1.75e-9
+DRAW_269 = (
+    [(0, 0), (1, 0), (1, 1), (2, 1), (0, 0), (1, 1.8153042427835124e-09), (0, 0), (0, 0), (0, 0),
+     (0, 0), (1, 3.250264029858843e-08)],
+    [(3, 0), (1, 0.75), (2, 0), (1, 1.5)],
+)
+# draw 1823 of the two-offset scan (a = 1.32e-7, b = 3.48e-7): dual simplex
+# ends kUnknown, also after the cleared re-run
+DRAW_1823 = (
+    [(0, 0), (1, 0), (1, 1), (0, 0), (0, 0), (0, 0), (2, 1), (1, 3.4825754409075567e-07),
+     (1, 1.3162536463099644e-07), (0, 0), (0, 0)],
+    [(1, 1.5), (1, 0.75), (2, 0), (3, 0)],
+)
+# four offsets of 3.6e-10 to 4.0e-9: the bound falls 1.93e-9 short, and a
+# polish at the usual dual tolerance leaves it so, since the reduced costs
+# left are each within 1e-9
+FOUR_OFFSETS = (
+    [(1, 8.820555908472555e-10), (1, 1), (1, 3.981144453780151e-09), (0, 0), (0, 0), (1, 0), (2, 1),
+     (0, 0), (1, 3.56758429810575e-10), (0, 0), (1, 6.931253941269508e-10), (0, 0), (0, 0)],
+    [(1, 1.5), (2, 0), (3, 0), (1, 0.75)],
+)
+DUAL = int(simplex_constants.SimplexStrategy.kSimplexStrategyDual)
+PRIMAL = int(simplex_constants.SimplexStrategy.kSimplexStrategyPrimal)
+
+
+def certified(frac) -> bool:
+    return frac.objective_value - frac.dual_bound <= CERTIFICATE_TOL * max(1.0, abs(frac.objective_value))
+
+
+def offset_budget(inst) -> OutlierBudgets:
+    return OutlierBudgets((inst.n_clients - 3,))
+
+
+class TestPolish:
+    """Dual simplex can stop "optimal" with a reduced cost still negative by
+    about a coordinate offset, beyond its own tolerance, or give up with
+    kUnknown.  The chain then re-runs the held copy by primal simplex from
+    its own basis at the lowest dual tolerance HiGHS accepts (a polish), and
+    the next solve is by dual simplex at the usual tolerance again."""
+
+    @staticmethod
+    def log_runs(monkeypatch) -> list:
+        """Record each HiGHS run's simplex strategy, dual feasibility
+        tolerance and model status, and each ``clearSolver``."""
+        runs = []
+
+        class Logged(_Highs):
+            def run(self):
+                status = super().run()
+                runs.append((self.getOptionValue("simplex_strategy")[1],
+                             self.getOptionValue("dual_feasibility_tolerance")[1], self.getModelStatus()))
+                return status
+
+            def clearSolver(self):
+                runs.append("clear")
+                return super().clearSolver()
+
+        monkeypatch.setattr(fairfl.lp, "_Highs", Logged)
+        return runs
+
+    @pytest.mark.parametrize("fairness", [PER_GROUP, AGGREGATE])
+    @pytest.mark.parametrize("draw", [DRAW_269, FOUR_OFFSETS], ids=["draw269", "four_offsets"])
+    def test_certificate_shortfall_is_polished(self, monkeypatch, draw, fairness):
+        runs = self.log_runs(monkeypatch)
+        inst = offset_instance(*draw)
+        with LpChain() as chain:
+            frac = chain.solve(build_flfo_lp(inst, offset_budget(inst), fairness))
+            assert chain.stats["polished"] == 1
+        optimal = HighsModelStatus.kOptimal
+        assert runs == [(DUAL, FEASIBILITY_TOL, optimal), (PRIMAL, POLISH_DUAL_TOL, optimal)]
+        assert certified(frac)
+
+    @pytest.mark.parametrize("fairness", [PER_GROUP, AGGREGATE])
+    def test_near_zero_opening_cost_is_polished(self, monkeypatch, fairness):
+        """One client on four facilities of cost 1, 0, 0 and 1e-9: dual
+        simplex opens the last, for an objective of 1e-9 and a bound of
+        -1e-9; primal simplex at the lower tolerance opens a free one."""
+        runs = self.log_runs(monkeypatch)
+        inst = tiny([(0, 0)], [0], [(0, 0)] * 4, [1.0, 0.0, 0.0, 1e-9])
+        with LpChain() as chain:
+            frac = chain.solve(build_flfo_lp(inst, OutlierBudgets((0,)), fairness))
+            assert chain.stats["polished"] == 1
+        optimal = HighsModelStatus.kOptimal
+        assert runs == [(DUAL, FEASIBILITY_TOL, optimal), (PRIMAL, POLISH_DUAL_TOL, optimal)]
+        assert (frac.objective_value, frac.dual_bound) == (0.0, 0.0)
+
+    @pytest.mark.parametrize("fairness", [PER_GROUP, AGGREGATE])
+    def test_unknown_after_the_cleared_rerun_is_polished(self, monkeypatch, fairness):
+        runs = self.log_runs(monkeypatch)
+        inst = offset_instance(*DRAW_1823)
+        with LpChain() as chain:
+            frac = chain.solve(build_flfo_lp(inst, offset_budget(inst), fairness))
+            assert chain.stats["polished"] == 1
+        unknown = (DUAL, FEASIBILITY_TOL, HighsModelStatus.kUnknown)
+        assert runs == [unknown, "clear", unknown, (PRIMAL, POLISH_DUAL_TOL, HighsModelStatus.kOptimal)]
+        assert certified(frac)
+
+    @pytest.mark.parametrize("draw", [DRAW_269, DRAW_1823, FOUR_OFFSETS])
+    def test_next_warm_solve_is_by_dual_simplex(self, monkeypatch, draw):
+        runs = self.log_runs(monkeypatch)
+        inst = offset_instance(*draw)
+        with LpChain() as chain:
+            chain.solve(build_flfo_lp(inst, offset_budget(inst)))
+            assert runs[-1][:2] == (PRIMAL, POLISH_DUAL_TOL)
+            runs.clear()
+            model = build_flfo_lp(inst, OutlierBudgets((inst.n_clients - 4,)))
+            frac = chain.solve(model)
+            assert (chain.stats["warm"], chain.stats["polished"]) == (1, 1)
+        assert runs == [(DUAL, FEASIBILITY_TOL, HighsModelStatus.kOptimal)]
+        assert certified(frac)
+        assert frac.objective_value == pytest.approx(solve_lp(model).objective_value, rel=1e-9)
+
+    @pytest.mark.parametrize("n_offsets, low, high, first", [(2, -9.0, -4.0, 200), (8, -11.0, -9.0, 0)])
+    def test_scan_slice_certifies(self, n_offsets, low, high, first):
+        """200 draws of a scan, every solve certified in both modes.  Draws
+        200-399 of the two-offset scan hold three draws whose solves failed
+        without the polish (269, 327 and 357).  Draws 0-199 of the
+        eight-offset scan need the polish's lower dual tolerance."""
+        polished = 0
+        for clients, facilities in itertools.islice(offset_scan(n_offsets, low, high), first, first + 200):
+            inst = offset_instance(clients, facilities)
+            for fairness in (PER_GROUP, AGGREGATE):
+                with LpChain() as chain:
+                    assert certified(chain.solve(build_flfo_lp(inst, offset_budget(inst), fairness)))
+                    polished += chain.stats["polished"]
+        assert polished > 0
 
 
 class TestGapInstance:
