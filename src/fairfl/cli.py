@@ -270,7 +270,7 @@ def _is_instance_file(path: str, group_col: Optional[str]) -> bool:
     a raw CSV's column, so that a short instance header gets the instance
     reader's error."""
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             first = [h.strip().lower() for h in fh.readline().split(",")]
     except OSError:
         return False
@@ -290,7 +290,7 @@ def write_instance_csv(inst: MetricInstance, group_names: Sequence[str], path: s
 def read_instance_csv(path: str) -> tuple[MetricInstance, tuple[str, ...]]:
     client_coords, groups, fac_coords, costs = [], [], [], []
     names: dict[str, int] = {}
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         header = next(reader)
         dim = len(header) - 3

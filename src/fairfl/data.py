@@ -2,15 +2,19 @@
 
 Real tables come in as CSV with one categorical group column and numeric
 feature columns, get min-max normalized per column, subsampled, and paired
-with facility candidates chosen by k-means.  The synthetic generator plants
-a large tight in-group population and a small dispersed out-group so that
-budget-blind outlier removal visibly concentrates on the out-group.
+with facility candidates chosen by k-means.  numpy's C reader parses a
+table's data lines; a file it refuses goes through ``csv.reader`` and
+``float()``, which read every file it accepts to the same table.  The
+synthetic generator plants a large tight in-group population and a small
+dispersed out-group so that budget-blind outlier removal visibly
+concentrates on the out-group.
 """
 
 from __future__ import annotations
 
 import csv
 import math
+import warnings
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -58,14 +62,25 @@ def load_csv(
     """Parse a headered CSV into features + group labels.
 
     ``feature_columns`` defaults to every column except the group column.
-    Group labels are indexed in order of first appearance.  Non-numeric,
-    missing or non-finite feature cells (``nan``, ``inf``, or a value such as
-    ``1e309`` that overflows) raise ParseError naming the first offending line
-    and column.  Each cell is parsed by one ``float()``, which ignores
-    surrounding whitespace, and one ``np.isfinite`` checks the whole array;
-    the offending cell is looked up only when a check fails.
+    Group labels are indexed in order of first appearance.  The file is read
+    as UTF-8, and a leading byte-order mark is dropped.  A header that names
+    the group column or a read feature column twice raises DataError.
+    Non-numeric, missing or non-finite feature cells (``nan``, ``inf``, or a
+    value such as ``1e309`` that overflows) raise ParseError naming the first
+    offending line and column.
+
+    The header goes through ``csv.reader``.  When it fills one line of a
+    seekable file, numpy's C reader (``np.loadtxt``, see ``_read_fast``)
+    parses every data line in one call.  It reads a subset of what
+    ``float()`` reads, to the same value, and refuses any quote character,
+    so a table it returns is the one ``csv.reader`` and ``float()`` give.
+    Any other file goes through the Python loop below, which builds the
+    table or raises the error: each cell is parsed by one ``float()``, which
+    ignores surrounding whitespace, rows of blank cells are skipped, and one
+    ``np.isfinite`` checks the whole array; the offending cell is looked up
+    only when a check fails.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh, delimiter=delimiter)
         try:
             header = next(reader)
@@ -81,8 +96,15 @@ def load_csv(
             raise MissingColumnError(f"{path}: columns not in header: {missing}")
         if not feature_columns:
             raise DataError(f"{path}: no feature columns left")
+        for name in [group_column, *feature_columns]:
+            if header.count(name) > 1:
+                raise DataError(f"{path}: column {name!r} appears more than once in header")
         feat_pos = [header.index(c) for c in feature_columns]
         group_pos = header.index(group_column)
+        if reader.line_num == 1 and fh.seekable() and delimiter not in "\r\n" and group_pos not in feat_pos:
+            read = _read_fast(path, delimiter, len(header), feat_pos, group_pos)
+            if read is not None:
+                return RawTable(*read, columns=tuple(feature_columns))
 
         rows: list[list[float]] = []
         labels: list[str] = []
@@ -117,6 +139,45 @@ def load_csv(
         group_names=tuple(seen),
         columns=tuple(feature_columns),
     )
+
+
+def _read_fast(
+    path: str, delimiter: str, width: int, feat_pos: list[int], group_pos: int
+) -> Optional[tuple[np.ndarray, np.ndarray, tuple[str, ...]]]:
+    """Features, group indices and group names of the data lines after a
+    one-line header, by one ``np.loadtxt`` call, or None when the C reader
+    refuses the file or its table is not one ``load_csv`` returns as read:
+    a width other than the header's, a non-finite cell, no data rows, or a
+    quote character, which ``csv.reader`` may split elsewhere.  Unread
+    columns pass through a constant converter, not ``usecols``, so a row of
+    any other width is refused."""
+    seen: dict[str, int] = {}
+
+    def group_index(cell: str) -> int:
+        if '"' in cell:
+            raise ValueError("a quoted cell")
+        return seen.setdefault(cell.strip(), len(seen))
+
+    def unread(cell: str) -> float:
+        if '"' in cell:
+            raise ValueError("a quoted cell")
+        return 0.0
+
+    converters = {pos: unread for pos in range(width) if pos not in feat_pos}
+    converters[group_pos] = group_index
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # numpy warns when there are no data rows
+            cells = np.loadtxt(path, delimiter=delimiter, comments=None, skiprows=1, converters=converters,
+                               ndmin=2, encoding="utf-8-sig")
+    except ValueError:
+        return None
+    if not len(cells) or cells.shape[1] != width:
+        return None
+    features = cells[:, feat_pos]
+    if not np.isfinite(features).all():
+        return None
+    return features, cells[:, group_pos].astype(np.int64), tuple(seen)
 
 
 def _require_finite(path: str, features: np.ndarray, blank_lines: list[int], columns: Sequence[str]) -> None:
@@ -253,7 +314,7 @@ class _Assignment:
             val = out[i, lab]
             lim = val + tol2[r]
             out[i, lab] = np.inf  # the runner-up decides, without a (rows, m) mask
-            amb = (out.min(axis=1) <= lim) | wide[r]
+            amb = (out[i, out.argmin(axis=1)] <= lim) | wide[r]  # argmin and a gather beat a second min
             if amb.any():
                 cand = out[amb] <= lim[amb, None]
                 cand[wide[r[amb]]] = True
@@ -269,12 +330,12 @@ class _Assignment:
         for block in row_blocks(len(rows), 8 * len(cols)):
             r = rows[block]
             out = np.dot(self.lifted[r], block_coef)
-            hit = out.min(axis=1) <= values[r] + tol2[r]
+            k = out.argmin(axis=1)
+            hit = out[np.arange(len(r)), k] <= values[r] + tol2[r]
             if not hit.any():
                 continue
-            r, out = r[hit], out[hit]
+            r, out, k = r[hit], out[hit], k[hit]
             i = np.arange(len(r))
-            k = out.argmin(axis=1)
             lim = np.minimum(values[r], out[i, k]) + tol2[r]
             cand = out <= lim[:, None]
             keep = values[r] <= lim

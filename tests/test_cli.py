@@ -809,6 +809,31 @@ class TestGenerate:
         argv = ["solve", "--dataset", str(path), "--group-col", "grp", "--m", "2", "--algo", "gdf-f", "--pct", "10"]
         assert main(argv) == 0
 
+    def test_byte_order_mark_is_dropped(self, tmp_path):
+        raw = tmp_path / "raw.csv"
+        raw.write_bytes(b"\xef\xbb\xbfg,a,b\n" + b"".join(f"{'xy'[i % 2]},{i},{i * i % 7}\n".encode() for i in range(8)))
+        argv = ["solve", "--dataset", str(raw), "--group-col", "g", "--m", "2", "--algo", "gdf-f", "--pct", "10"]
+        assert main(argv) == 0
+        cfg = small_config(tmp_path)
+        inst_path = tmp_path / "inst.csv"
+        assert main(["generate", "--config", cfg, "--out", str(inst_path)]) == 0
+        marked = tmp_path / "marked.csv"
+        marked.write_bytes(b"\xef\xbb\xbf" + inst_path.read_bytes())
+        argv = ["solve", "--dataset", str(inst_path), "--algo", "gdf-f", "--pct", "10"]
+        want, want_names = prepare_instance(resolve_config(build_parser().parse_args(argv)))
+        argv[2] = str(marked)
+        got, got_names = prepare_instance(resolve_config(build_parser().parse_args(argv)))
+        assert got_names == want_names
+        for name in ("client_coords", "groups", "facility_coords", "open_costs"):
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+
+    def test_duplicate_header_name_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "dup.csv"
+        path.write_text("a,a,g\n1,2,x\n3,4,y\n", encoding="utf-8")
+        argv = ["solve", "--dataset", str(path), "--group-col", "g", "--m", "2", "--algo", "gdf-f", "--pct", "10"]
+        assert main(argv) == 2
+        assert "column 'a' appears more than once in header" in capsys.readouterr().err
+
     def test_instance_file_loads_whatever_the_group_col(self, tmp_path, capsys):
         cfg = small_config(tmp_path)
         out = tmp_path / "inst.csv"

@@ -1,3 +1,7 @@
+import csv
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -123,6 +127,28 @@ class TestLoadCsv:
         path = write(tmp_path, "a,g\n , \n\n")
         with pytest.raises(ParseError, match="no data rows"):
             load_csv(path, group_column="g")
+
+    def test_byte_order_mark_is_dropped(self, tmp_path):
+        text = "g,a,b\nx,1,2\ny,3,4\n"
+        plain = load_csv(write(tmp_path, text), group_column="g")
+        (tmp_path / "bom.csv").write_bytes(b"\xef\xbb\xbf" + text.encode())
+        marked = load_csv(str(tmp_path / "bom.csv"), group_column="g")
+        assert marked.columns == plain.columns == ("a", "b")
+        assert marked.group_names == plain.group_names
+        assert marked.features.tobytes() == plain.features.tobytes()
+        assert marked.groups.tobytes() == plain.groups.tobytes()
+
+    @pytest.mark.parametrize("header, name", [("a,a,g", "a"), ("a,g,g", "g"), ("a,g,b,a", "a")])
+    def test_duplicate_read_column_is_a_data_error(self, tmp_path, header, name):
+        width = header.count(",") + 1
+        path = write(tmp_path, f"{header}\n" + ",".join(["1"] * width) + "\n")
+        with pytest.raises(DataError, match=f"column {name!r} appears more than once in header"):
+            load_csv(path, group_column="g")
+
+    def test_duplicate_unread_column_is_allowed(self, tmp_path):
+        path = write(tmp_path, "a,a,b,g\n1,2,3,x\n4,5,6,y\n")
+        table = load_csv(path, group_column="g", feature_columns=["b"])
+        assert table.features.tolist() == [[3.0], [6.0]]
 
 
 class TestNormalize:
@@ -356,10 +382,10 @@ def _mixed_points(rng, n, d):
     return rng.normal(size=(n, d)) * 10.0 ** rng.integers(-4, 5, size=(n, d))
 
 
-def _criterion_12_clients(tmp_path) -> np.ndarray:
-    """The normalized 4500 x 6 client sample of the 4500x100 acceptance sweep."""
-    rng = np.random.default_rng(7)
-    n_rows = 6000
+def _write_table(path, n_rows: int, seed: int) -> str:
+    """Six-feature, two-group (2:1) table, the generator of the large-CSV
+    acceptance test and of the benchmark's CSV workload."""
+    rng = np.random.default_rng(seed)
     features = np.column_stack(
         [
             rng.normal(50, 12, n_rows),
@@ -371,12 +397,17 @@ def _criterion_12_clients(tmp_path) -> np.ndarray:
         ]
     )
     groups = np.where(rng.random(n_rows) < 2 / 3, "A", "B")
-    path = tmp_path / "big.csv"
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("c0,c1,c2,c3,c4,c5,grp\n")
         for row, g in zip(features, groups):
             fh.write(",".join(f"{v:.6f}" for v in row) + f",{g}\n")
-    return sample_clients(normalize(load_csv(str(path), group_column="grp")), 4500, seed=0).features
+    return str(path)
+
+
+def _criterion_12_clients(tmp_path) -> np.ndarray:
+    """The normalized 4500 x 6 client sample of the 4500x100 acceptance sweep."""
+    path = _write_table(tmp_path / "big.csv", 6000, seed=7)
+    return sample_clients(normalize(load_csv(path, group_column="grp")), 4500, seed=0).features
 
 
 class TestSqDistancesKernel:
@@ -745,3 +776,229 @@ class TestPairSqDistances:
             monkeypatch.setattr(instance_mod, "_KERNEL_BLOCK_BYTES", block_bytes)
             got = instance_mod._pair_sq_distances(points, centers, rows, cols)
             assert got.tobytes() == full[rows, cols].tobytes()
+
+
+# ---------------------------------------------------------------------------
+# The loader as it parsed every file with csv.reader and one float() per
+# cell, kept verbatim (helpers included) as the reference numpy's C reader
+# must reproduce: the same RawTable bytes, or the same exception and message.
+
+
+def _reference_load_csv(
+    path: str,
+    group_column: str,
+    feature_columns=None,
+    delimiter: str = ",",
+) -> RawTable:
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh, delimiter=delimiter)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise ParseError(f"{path}: empty file") from None
+        header = [h.strip() for h in header]
+        if group_column not in header:
+            raise MissingColumnError(f"{path}: no column {group_column!r} in header")
+        if feature_columns is None:
+            feature_columns = [h for h in header if h != group_column]
+        missing = [c for c in feature_columns if c not in header]
+        if missing:
+            raise MissingColumnError(f"{path}: columns not in header: {missing}")
+        if not feature_columns:
+            raise DataError(f"{path}: no feature columns left")
+        feat_pos = [header.index(c) for c in feature_columns]
+        group_pos = header.index(group_column)
+
+        rows: list[list[float]] = []
+        labels: list[str] = []
+        blank_lines: list[int] = []
+        for line_no, row in enumerate(reader, start=2):
+            if not row or all(not cell.strip() for cell in row):
+                blank_lines.append(line_no)
+                continue
+            if len(row) != len(header):
+                raise ParseError(f"{path}: line {line_no}: expected {len(header)} cells, got {len(row)}")
+            try:
+                rows.append([float(row[pos]) for pos in feat_pos])
+            except ValueError:
+                # a non-finite cell on an earlier line comes first
+                _reference_require_finite(path, np.array(rows).reshape(-1, len(feat_pos)), blank_lines,
+                                          feature_columns)
+                raise _reference_cell_error(path, line_no, row, feature_columns, feat_pos) from None
+            labels.append(row[group_pos].strip())
+    if not rows:
+        raise ParseError(f"{path}: no data rows")
+    features = np.array(rows, dtype=float)
+    _reference_require_finite(path, features, blank_lines, feature_columns)
+
+    seen: dict[str, int] = {}
+    group_idx = []
+    for lab in labels:
+        if lab not in seen:
+            seen[lab] = len(seen)
+        group_idx.append(seen[lab])
+    return RawTable(
+        features=features,
+        groups=np.array(group_idx, dtype=np.int64),
+        group_names=tuple(seen),
+        columns=tuple(feature_columns),
+    )
+
+
+def _reference_require_finite(path, features, blank_lines, columns) -> None:
+    finite = np.isfinite(features)
+    if not finite.all():
+        i, k = np.argwhere(~finite)[0]
+        line_no = i + 2
+        for blank in blank_lines:
+            line_no += blank <= line_no
+        raise ParseError(f"{path}: line {line_no}, column {columns[k]!r}: non-finite value")
+
+
+def _reference_cell_error(path, line_no, row, columns, positions) -> ParseError:
+    for col, pos in zip(columns, positions):
+        cell = row[pos].strip()
+        try:
+            if math.isfinite(float(cell)):
+                continue
+        except ValueError:
+            return ParseError(f"{path}: line {line_no}, column {col!r}: {cell!r} is not numeric")
+        return ParseError(f"{path}: line {line_no}, column {col!r}: non-finite value")
+    raise AssertionError("a row that failed to parse has no bad cell")
+
+
+def _outcome(load, *args, **kwargs):
+    """A loader's table as bytes, or its exception's class and message."""
+    try:
+        t = load(*args, **kwargs)
+    except (DataError, csv.Error) as exc:
+        return type(exc), str(exc)
+    return (t.features.dtype, t.features.shape, t.features.tobytes(), t.groups.dtype, t.groups.tobytes(),
+            t.group_names, t.columns)
+
+
+class TestLoadCsvMatchesReference:
+    """``load_csv`` against ``_reference_load_csv``, with the C reader's
+    result (None when it refused the file) recorded."""
+
+    @pytest.fixture
+    def fast(self, monkeypatch):
+        results = []
+
+        def recording(*args):
+            results.append(read_fast(*args))
+            return results[-1]
+
+        read_fast = data_mod._read_fast
+        monkeypatch.setattr(data_mod, "_read_fast", recording)
+        return results
+
+    @staticmethod
+    def assert_same(path, group_column="g", feature_columns=None, delimiter=","):
+        args = (path, group_column, feature_columns, delimiter)
+        got, want = _outcome(load_csv, *args), _outcome(_reference_load_csv, *args)
+        assert got == want
+        return got
+
+    def test_benchmark_table_takes_the_c_reader(self, tmp_path, fast):
+        path = _write_table(tmp_path / "bench.csv", 6000, seed=0)
+        got = self.assert_same(path, "grp")
+        assert got[1] == (6000, 6) and sorted(got[5]) == ["A", "B"]
+        assert len(fast) == 1 and fast[0] is not None
+
+    @pytest.mark.parametrize("text, feature_columns, delimiter", [
+        ("a,g\n1,x\n2,y\n", None, ","),
+        ("a,b,g\r\n 1 ,\t2e-3\t,x\r\n+.5,-0,y \r\n\r\n", None, ","),
+        ("u,a,g,v\nq,1,x,r\ns,2,y,t\n", ["a"], ","),
+        ("a;g\n1;x\n", None, ";"),
+    ])
+    def test_c_reader_reads_as_csv_and_float(self, tmp_path, fast, text, feature_columns, delimiter):
+        self.assert_same(write(tmp_path, text), feature_columns=feature_columns, delimiter=delimiter)
+        assert len(fast) == 1 and fast[0] is not None
+
+    @pytest.mark.parametrize("text, feature_columns", [
+        ("a,g\n1_0,x\n", None),                      # loadtxt refuses what float() reads
+        ("a,g\n1,x\noops,y\n", None),                # loadtxt refuses, and so does float()
+        ("a,g\n1,x\n \n2,y\n", None),                # a whitespace-only row
+        ("a,g\n1,x\n , \n2,y\n", None),             # a row of blank cells
+        ("a,b,g\n1,2,x\n3,4\n", None),               # a short row
+        ("a,g\n1,x,3\n2,y,4\n", None),               # every row wider than the header
+        ("a,g\n1,x\ninf,y\n", None),                 # a non-finite cell
+        ("a,g\n1e309,x\n", None),
+        ("a,g\n", None),                               # no data rows
+        ("a,g\n\n\n", None),
+        ('a,g\n"1",x\n', None),                      # quotes in a feature cell
+        ('a,g\n1,"x,y"\n', None),                    # in the group cell
+        ('u,a,g\n"p,q",1,x\n', ["a"]),               # in an unread cell
+        ('u,v,w,a,g\n"p,q",r,1,x\n', ["a"]),         # loadtxt alone would split it to the header's width
+    ])
+    def test_refused_files_take_the_python_loop(self, tmp_path, fast, text, feature_columns):
+        self.assert_same(write(tmp_path, text), feature_columns=feature_columns)
+        assert fast == [None]
+
+    @pytest.mark.parametrize("text, feature_columns", [
+        ('"a\nb",g\n1,x\n', None),                  # a header over two lines
+        ("a,g\n1,2\n", ["a", "g"]),                   # the group column is also read
+    ])
+    def test_c_reader_is_not_tried(self, tmp_path, fast, text, feature_columns):
+        self.assert_same(write(tmp_path, text), feature_columns=feature_columns)
+        assert fast == []
+
+    def test_peak_memory_on_the_benchmark_table(self, tmp_path):
+        path = _write_table(tmp_path / "bench.csv", 6000, seed=0)
+        load_csv(path, "grp")  # numpy's lazy imports are not the reader's cost
+        tracemalloc.start()
+        try:
+            load_csv(path, "grp")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.04e6
+
+    def test_property_on_mixed_texts(self, tmp_path):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = pytest.importorskip("hypothesis.strategies")
+        number = st.one_of(
+            st.floats(allow_nan=False, allow_infinity=False).map(repr),
+            st.integers(-10**6, 10**6).map(str),
+            st.sampled_from(["+.5", "-0", "1.", "1e-320", "2E3"]),
+        )
+        odd = st.sampled_from(["nan", " NaN", "inf", "-inf", "1e309", "1_0", "oops", "", " ", '"1"', '"1,2"',
+                               '"a;b"', 'x"y', "\t7", "0x10", "\xa01"])
+        cell = st.one_of(number, number.map(lambda v: f" {v}\t"), odd)
+        label = st.sampled_from(["A", "B", " A", "B ", "c d", "", '"A"', "Ω"])
+
+        @hypothesis.settings(max_examples=300, deadline=None, database=None, derandomize=True)
+        @hypothesis.given(st.data())
+        def check(data):
+            delimiter = data.draw(st.sampled_from([",", ";", "\t"]))
+            names = data.draw(st.permutations(["a", "b", "c", "g"]))[:data.draw(st.integers(2, 4))]
+            if "g" not in names:
+                names[-1] = "g"
+            others = [h for h in names if h != "g"]
+            features = data.draw(st.one_of(st.none(), st.lists(st.sampled_from(others), min_size=1,
+                                                                 max_size=len(others), unique=True)))
+            read = set(features or others) | {"g"}
+            lines = [delimiter.join(f" {h}" if data.draw(st.booleans()) else h for h in names)]
+            clean = data.draw(st.booleans())  # read cells are numbers, and no row is refused for its shape
+            kinds = ["row"] * 6 + ["empty"] + ([] if clean else ["spaces", "blank cells", "short", "long"])
+            for _ in range(data.draw(st.integers(0, 8))):
+                kind = data.draw(st.sampled_from(kinds))
+                if kind == "empty":
+                    lines.append("")
+                elif kind == "spaces":
+                    lines.append(" \t ")
+                elif kind == "blank cells":
+                    lines.append(delimiter.join([" "] * len(names)))
+                else:
+                    width = len(names) + {"row": 0, "short": -1, "long": 1}[kind]
+                    row = [data.draw(label) if h == "g" else data.draw(number if clean and h in read else cell)
+                           for h in (names + ["z"])[:width]]
+                    lines.append(delimiter.join(row))
+            newline = data.draw(st.sampled_from(["\n", "\r\n"]))
+            text = newline.join(lines) + (newline if data.draw(st.booleans()) else "")
+            path = tmp_path / "mixed.csv"
+            path.write_bytes(text.encode("utf-8"))
+            self.assert_same(str(path), feature_columns=features, delimiter=delimiter)
+
+        check()
