@@ -405,9 +405,9 @@ def _cell_worker(algo: str, pct: float, inst: MetricInstance, budgets: OutlierBu
 
 def _verify_cell(algo: str, pct: float, inst: MetricInstance, sol: IntegralSolution,
                  cost: float, problem: str) -> None:
-    """Recompute a cell's cost from its solution (``solution_cost``, to 1e-9
-    relative) and check that each group's outliers are exactly that group's
-    clients the assignment leaves out."""
+    """Recompute a cell's cost from its open set and dropped clients
+    (``solution_cost``, to 1e-9 relative) and check its per-group outlier
+    counts against the dropped clients of each group of ``inst``."""
     where = f"{algo} at pct {pct:g}"
     try:
         recomputed = solution_cost(inst, sol, FACILITY_LOCATION if problem == "fl" else K_MEDIAN)
@@ -415,21 +415,11 @@ def _verify_cell(algo: str, pct: float, inst: MetricInstance, sol: IntegralSolut
         raise CellCheckError(f"{where}: {exc}") from None
     if not math.isclose(cost, recomputed, rel_tol=1e-9):
         raise CellCheckError(f"{where}: reported cost {cost!r} != recomputed {recomputed!r}")
-    assigned = np.zeros(inst.n_clients, dtype=bool)
-    assigned[list(sol.assignment)] = True
-    left_out = tuple(np.bincount(inst.groups[~assigned], minlength=inst.n_groups).tolist())
+    left_out = tuple(int(np.count_nonzero(sol.dropped[members])) for members in inst.group_members)
     if sol.outlier_counts() != left_out:
         raise CellCheckError(
-            f"{where}: outlier counts {sol.outlier_counts()} != unassigned clients per group {left_out}"
+            f"{where}: outlier counts {sol.outlier_counts()} != dropped clients per group {left_out}"
         )
-    for g, (members, outliers) in enumerate(zip(inst.group_members, sol.outliers)):
-        named = np.sort(np.fromiter(outliers, dtype=np.int64, count=len(outliers)))
-        unassigned = members[~assigned[members]]
-        if not np.array_equal(named, unassigned):
-            client = np.setxor1d(named, unassigned)[0]
-            raise CellCheckError(
-                f"{where}: group {g}'s outliers are not its unassigned clients (client {client})"
-            )
 
 
 def _chain_worker(payload) -> tuple[list[SweepRecord], list[float]]:
@@ -591,8 +581,8 @@ def cmd_oracle(args) -> int:
     sol = exact_flfo(inst, budgets) if problem == "fl" else exact_kmfo(inst, budgets, cfg["k"])
     print(f"exact optimum ({problem}): {_cost(sol, problem):.9g}")
     print(f"open facilities: {sorted(sol.open)}")
-    for g, name in enumerate(names):
-        print(f"group {g} ({name}): outliers {sorted(sol.outliers[g])}")
+    for g, (name, members) in enumerate(zip(names, inst.group_members)):
+        print(f"group {g} ({name}): outliers {members[sol.dropped[members]].tolist()}")
     return 0
 
 

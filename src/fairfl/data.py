@@ -64,10 +64,11 @@ def load_csv(
     ``feature_columns`` defaults to every column except the group column.
     Group labels are indexed in order of first appearance.  The file is read
     as UTF-8, and a leading byte-order mark is dropped.  A header that names
-    the group column or a read feature column twice raises DataError.
+    the group column or a read feature column twice raises DataError, and
+    so does a feature column named twice in ``feature_columns``.
     Non-numeric, missing or non-finite feature cells (``nan``, ``inf``, or a
     value such as ``1e309`` that overflows) raise ParseError naming the first
-    offending line and column.
+    offending column and the file line on which its record starts.
 
     The header goes through ``csv.reader``.  When it fills one line of a
     seekable file, numpy's C reader (``np.loadtxt``, see ``_read_fast``)
@@ -99,6 +100,8 @@ def load_csv(
         for name in [group_column, *feature_columns]:
             if header.count(name) > 1:
                 raise DataError(f"{path}: column {name!r} appears more than once in header")
+            if feature_columns.count(name) > 1:
+                raise DataError(f"{path}: feature column {name!r} is named more than once")
         feat_pos = [header.index(c) for c in feature_columns]
         group_pos = header.index(group_column)
         if reader.line_num == 1 and fh.seekable() and delimiter not in "\r\n" and group_pos not in feat_pos:
@@ -108,10 +111,11 @@ def load_csv(
 
         rows: list[list[float]] = []
         labels: list[str] = []
-        blank_lines: list[int] = []
-        for line_no, row in enumerate(reader, start=2):
+        starts: list[int] = []  # the line each row starts on
+        end = reader.line_num  # the last line read: a quoted cell may hold line breaks
+        for row in reader:
+            line_no, end = end + 1, reader.line_num
             if not row or all(not cell.strip() for cell in row):
-                blank_lines.append(line_no)
                 continue
             if len(row) != len(header):
                 raise ParseError(f"{path}: line {line_no}: expected {len(header)} cells, got {len(row)}")
@@ -119,13 +123,14 @@ def load_csv(
                 rows.append([float(row[pos]) for pos in feat_pos])
             except ValueError:
                 # a non-finite cell on an earlier line comes first
-                _require_finite(path, np.array(rows).reshape(-1, len(feat_pos)), blank_lines, feature_columns)
+                _require_finite(path, np.array(rows).reshape(-1, len(feat_pos)), starts, feature_columns)
                 raise _cell_error(path, line_no, row, feature_columns, feat_pos) from None
+            starts.append(line_no)
             labels.append(row[group_pos].strip())
     if not rows:
         raise ParseError(f"{path}: no data rows")
     features = np.array(rows, dtype=float)
-    _require_finite(path, features, blank_lines, feature_columns)
+    _require_finite(path, features, starts, feature_columns)
 
     seen: dict[str, int] = {}
     group_idx = []
@@ -180,16 +185,13 @@ def _read_fast(
     return features, cells[:, group_pos].astype(np.int64), tuple(seen)
 
 
-def _require_finite(path: str, features: np.ndarray, blank_lines: list[int], columns: Sequence[str]) -> None:
-    """Raise for the first non-finite cell; data row ``i`` is on line ``i + 2``
-    plus the blank lines skipped before it."""
+def _require_finite(path: str, features: np.ndarray, starts: list[int], columns: Sequence[str]) -> None:
+    """Raise for the first non-finite cell; data row ``i`` starts on line
+    ``starts[i]``."""
     finite = np.isfinite(features)
     if not finite.all():
         i, k = np.argwhere(~finite)[0]
-        line_no = i + 2
-        for blank in blank_lines:
-            line_no += blank <= line_no
-        raise ParseError(f"{path}: line {line_no}, column {columns[k]!r}: non-finite value")
+        raise ParseError(f"{path}: line {starts[i]}, column {columns[k]!r}: non-finite value")
 
 
 def _cell_error(path: str, line_no: int, row: list[str], columns: Sequence[str], positions: list[int]) -> ParseError:

@@ -464,7 +464,7 @@ def gdf_f(
     sizes = np.array([len(mem) for mem in inst.group_members], dtype=np.int64)
     targets = sizes - np.array(budgets.per_group, dtype=np.int64)
     state = _dual_fit(inst, inst.groups, targets, trace)
-    return assign_nearest(inst, state.open, np.flatnonzero(state.withdrawn))
+    return assign_nearest(inst, state.open, state.withdrawn)
 
 
 def gdf_nf(
@@ -473,4 +473,4 @@ def gdf_nf(
     """Non-fair baseline: one global coverage target n - total_budget."""
     targets = np.array([inst.n_clients - check_total_budget(inst, total_budget)], dtype=np.int64)
     state = _dual_fit(inst, np.zeros(inst.n_clients, dtype=np.int64), targets, trace)
-    return assign_nearest(inst, state.open, np.flatnonzero(state.withdrawn))
+    return assign_nearest(inst, state.open, state.withdrawn)

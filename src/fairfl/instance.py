@@ -6,16 +6,17 @@ It is stored as read-only arrays: client and facility coordinates, a group
 label per client, an opening cost per facility and a ``pruned`` flag.  A
 pruned instance lets the LP use only ``prune_pairs``' below-median
 (facility, client) pairs, which ``pair_arrays`` computes when they are first
-read, so a run that builds no LP never builds them.  Solutions open a subset of
-facilities, designate per-group outliers, and assign every remaining client
-to its nearest open facility.
+read, so a run that builds no LP never builds them.  A solution is an open
+set of facilities and a read-only mask of the dropped clients: every other
+client is served by its nearest open facility, computed only when read.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import cached_property
+from types import MappingProxyType
 from typing import Iterable, Mapping, Optional
 
 import numpy as np
@@ -278,18 +279,17 @@ class OutlierBudgets:
                 raise ValueError(f"budget {cap} for group {g} exceeds its {size} clients")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class IntegralSolution:
-    """An integral solution: open facilities, per-group outliers, assignment.
-
-    Every non-outlier client is assigned to its nearest open facility (ties
-    broken toward the lowest facility index); cost fields are the sums the
-    assignment induces.
+    """An integral solution of ``inst`` (held, not copied): open facilities
+    and ``dropped``, a read-only mask with one bool per client.  Every other
+    client is served by its nearest open facility (ties broken toward the
+    lowest facility index); cost fields are the sums that service induces.
     """
 
+    inst: MetricInstance = field(repr=False)
     open: frozenset[int]
-    outliers: tuple[frozenset[int], ...]
-    assignment: Mapping[int, int]
+    dropped: np.ndarray
     facility_cost: float
     connection_cost: float
 
@@ -298,7 +298,19 @@ class IntegralSolution:
         return self.facility_cost + self.connection_cost
 
     def outlier_counts(self) -> tuple[int, ...]:
-        return tuple(len(s) for s in self.outliers)
+        """Each group's dropped clients, counted by one ``bincount``."""
+        return tuple(np.bincount(self.inst.groups[self.dropped], minlength=self.inst.n_groups).tolist())
+
+    @property
+    def assignment(self) -> Mapping[int, int]:
+        """Each served client's nearest open facility (``_open_argmin``),
+        computed on read, as a read-only mapping in client order.  Only the
+        benchmark (``perfbench/``) reads it."""
+        if self.dropped.all():
+            return MappingProxyType({})
+        nearest = np.concatenate([facility for facility, _ in _open_argmin(self.inst, self.open)])
+        served = np.flatnonzero(~self.dropped)
+        return MappingProxyType(dict(zip(served.tolist(), nearest[served].tolist())))
 
 
 def nearest_rows(dist: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -325,15 +337,15 @@ def _is_integer(v) -> bool:
     return isinstance(v, (int, np.integer)) and not isinstance(v, (bool, np.bool_))
 
 
-def _index(j, count: int, role: str, noun: str):
-    """``j`` checked to be an index into ``range(count)``.  A non-integer
+def _open_index(i, m: int) -> int:
+    """``i`` checked to be a facility index in ``range(m)``.  A non-integer
     (see ``_is_integer``) or an integer outside the range raises
     ``ValueError`` naming it."""
-    if not _is_integer(j):
-        raise ValueError(f"{role} {noun} {j} is not an integer index")
-    if not 0 <= j < count:
-        raise ValueError(f"{role} index {j} names no {noun} (there are {count})")
-    return j
+    if not _is_integer(i):
+        raise ValueError(f"open facility {i} is not an integer index")
+    if not 0 <= i < m:
+        raise ValueError(f"open index {i} names no facility (there are {m})")
+    return int(i)
 
 
 def check_total_budget(inst: MetricInstance, total_budget) -> int:
@@ -356,63 +368,74 @@ def check_k(inst: MetricInstance, k) -> int:
     return int(k)
 
 
+def _client_mask(inst: MetricInstance, mask) -> np.ndarray:
+    """``mask`` as an array, checked to be one bool per client; ``ValueError`` otherwise."""
+    arr = np.asarray(mask)
+    if arr.dtype != bool or arr.shape != (inst.n_clients,):
+        raise ValueError(f"dropped clients must be one bool per client ({inst.n_clients}), "
+                         f"not {arr.dtype} of shape {arr.shape}")
+    return arr
+
+
+def _open_argmin(inst: MetricInstance, open_set: Iterable[int]):
+    """Yield each client's nearest facility of the non-empty ``open_set``
+    (ties to the lowest index) and its distance, by a column-wise argmin over
+    the open rows, per block of columns whose temporaries fit ``_BLOCK_BYTES``."""
+    rows = np.array(sorted(open_set), dtype=np.int64)
+    dist = inst.distances()
+    # per column: its entries twice (argmin copies the block), argmin, facility, index, distance
+    for cols in row_blocks(inst.n_clients, 8 * (2 * len(rows) + 4)):
+        block = dist[rows, cols]
+        best = block.argmin(axis=0)
+        yield rows[best], block[best, np.arange(len(best))]
+
+
 def assign_nearest(
     inst: MetricInstance,
     open_facilities: Iterable[int],
-    dropped: Iterable[int],
+    dropped: np.ndarray,
 ) -> IntegralSolution:
     """Build a valid IntegralSolution from an open set and the dropped clients.
 
-    ``dropped`` is one flat collection of integer client indices; each
-    group's outlier set is the dropped clients ``inst.groups`` files under
-    it.  ``open_facilities`` holds integer facility indices.  A float or bool
-    entry in either, or an index outside ``[0, n_clients)`` or
-    ``[0, n_facilities)`` respectively, raises ``ValueError``.
+    ``dropped`` is a bool mask with one entry per client; the solution keeps
+    a read-only copy of it, and an array of any other dtype or shape raises
+    ``ValueError``.  ``open_facilities`` holds integer facility indices; a
+    float or bool entry, or an index outside ``[0, n_facilities)``, raises
+    ``ValueError``.
     """
-    n, m = inst.n_clients, inst.n_facilities
-    open_set = frozenset(int(_index(i, m, "open", "facility")) for i in open_facilities)
-    idx = np.fromiter((_index(j, n, "dropped", "client") for j in dropped), dtype=np.int64)
-    is_dropped = np.zeros(n, dtype=bool)
-    is_dropped[idx] = True
-    outliers = tuple(frozenset(mem[is_dropped[mem]].tolist()) for mem in inst.group_members)
-    served = np.flatnonzero(~is_dropped)
+    dropped = _read_only(_client_mask(inst, dropped), bool)
+    open_set = frozenset(_open_index(i, inst.n_facilities) for i in open_facilities)
     facility_cost = float(inst.open_costs[sorted(open_set)].sum()) if open_set else 0.0
-    if not served.size:
-        return IntegralSolution(open_set, outliers, {}, facility_cost, 0.0)
+    if dropped.all():
+        return IntegralSolution(inst, open_set, dropped, facility_cost, 0.0)
     if not open_set:
         raise ValueError("no open facility but some clients are not outliers")
     rows = np.array(sorted(open_set), dtype=np.int64)
-    dist, nearest = nearest_rows(inst.distances(), rows)
-    assignment = dict(zip(served.tolist(), nearest[served].tolist()))
-    connection = float(np.cumsum(dist[served])[-1])  # summed left to right
-    return IntegralSolution(open_set, outliers, assignment, facility_cost, connection)
+    dist, _ = nearest_rows(inst.distances(), rows)
+    connection = float(np.cumsum(dist[~dropped])[-1])  # summed left to right
+    return IntegralSolution(inst, open_set, dropped, facility_cost, connection)
 
 
 def solution_cost(inst: MetricInstance, sol: IntegralSolution, objective: str) -> float:
-    """Recompute a solution's objective value from first principles.
-
-    ``facility_location`` counts opening plus connection cost; ``k_median``
-    counts connection cost only.  Raises ``ValueError`` if an assigned client
-    or an open facility is out of range, or if a client is assigned to a
-    facility outside the open set.
-    """
+    """Recompute a solution's objective value from its open set and dropped
+    clients: ``facility_location`` counts opening plus connection cost,
+    ``k_median`` connection cost only.  Each served client's nearest open
+    facility is found again by ``_open_argmin``, independently of
+    ``assign_nearest``'s ``nearest_rows``.  Raises ``ValueError`` for an open
+    facility out of range, a ``sol.dropped`` that is not one bool per
+    client, or served clients with no facility open."""
     if objective not in (FACILITY_LOCATION, K_MEDIAN):
         raise ValueError(f"unknown objective {objective!r}")
-    size = len(sol.assignment)
-    clients = np.fromiter(sol.assignment.keys(), dtype=np.int64, count=size)
-    facilities = np.fromiter(sol.assignment.values(), dtype=np.int64, count=size)
-    stray = clients[(clients < 0) | (clients >= inst.n_clients)]
-    if stray.size:
-        raise ValueError(f"assigned index {stray[0]} names no client (there are {inst.n_clients})")
-    closed = np.flatnonzero(~np.isin(facilities, list(sol.open)))
-    if closed.size:
-        p = closed[0]
-        raise ValueError(f"client {clients[p]} assigned to closed facility {facilities[p]}")
     stray = sorted(i for i in sol.open if not 0 <= i < inst.n_facilities)
     if stray:
         raise ValueError(f"open index {stray[0]} names no facility (there are {inst.n_facilities})")
-    # left to right in the assignment's order
-    connection = float(np.cumsum(inst.distances()[facilities, clients])[-1]) if size else 0.0
+    served = ~_client_mask(inst, sol.dropped)
+    connection = 0.0
+    if served.any():
+        if not sol.open:
+            raise ValueError("no open facility but some clients are not outliers")
+        near = np.concatenate([distance for _, distance in _open_argmin(inst, sol.open)])
+        connection = float(np.cumsum(near[served])[-1])  # left to right
     if objective == K_MEDIAN:
         return connection
     facility = float(inst.open_costs[sorted(sol.open)].sum()) if sol.open else 0.0
@@ -422,8 +445,7 @@ def solution_cost(inst: MetricInstance, sol: IntegralSolution, objective: str) -
 def unfairness(budgets: OutlierBudgets, sol: IntegralSolution) -> float:
     """max(1, max_g used_g / allowed_g); +inf if a zero budget is exceeded."""
     worst = 1.0
-    for cap, used_set in zip(budgets.per_group, sol.outliers):
-        used = len(used_set)
+    for cap, used in zip(budgets.per_group, sol.outlier_counts()):
         if used == 0:
             continue
         if cap == 0:

@@ -5,7 +5,8 @@ encodes each group's outlier budget as a per-client penalty inversely
 proportional to that budget, and solves every resulting k-median-with-
 penalties instance by single-swap local search.  Non-fair baselines reuse
 the same machinery with a single merged budget, or skip penalties entirely
-and drop the farthest clients after a plain k-median search.
+and drop the farthest clients after a plain k-median search.  The paying
+clients' read-only mask becomes the integral solution's dropped clients.
 """
 
 from __future__ import annotations
@@ -61,10 +62,11 @@ class PenaltySolution:
 
     A client pays exactly when its penalty is strictly below its distance
     to the nearest open facility; everyone else is served by that facility.
+    ``paying`` is a read-only mask with one bool per client.
     """
 
     open: frozenset[int]
-    paying: frozenset[int]
+    paying: np.ndarray
     service_cost: float
     penalty_paid: float
 
@@ -92,10 +94,10 @@ def _two_nearest(dist: np.ndarray, open_list: Sequence[int]) -> tuple[np.ndarray
 def _canonical_solution(pinst: PenaltyInstance, open_list: Sequence[int]) -> PenaltySolution:
     d1 = pinst.base.distances()[np.asarray(sorted(open_list), dtype=np.int64)].min(axis=0)
     pays = pinst.penalty < d1  # ties serve
-    paying = frozenset(np.flatnonzero(pays).tolist())
+    pays.flags.writeable = False
     service = float(d1[~pays].sum())
     paid = float(pinst.penalty[pays].sum())
-    return PenaltySolution(frozenset(int(i) for i in open_list), paying, service, paid)
+    return PenaltySolution(frozenset(int(i) for i in open_list), pays, service, paid)
 
 
 def local_search_penalties(pinst: PenaltyInstance, improve_frac: float = 0.01) -> PenaltySolution:
@@ -259,7 +261,7 @@ def _reduce_and_search(
                 psol = _free_search(inst, k, improve_frac)
             else:
                 psol = local_search_penalties(PenaltyInstance(inst, k, penalty), improve_frac)
-            counts = np.bincount(groups[sorted(psol.paying)], minlength=n_groups)
+            counts = np.bincount(groups[psol.paying], minlength=n_groups)
             viol = max((c / (slack * cap) for c, cap in zip(counts.tolist(), caps) if c), default=0.0)
             if viol <= 1.0:
                 yield psol.service_cost, viol, t, psol
@@ -274,19 +276,19 @@ def _reduce_and_search(
 
 def _drop_farthest(
     group_members: Sequence[np.ndarray], nearest: np.ndarray, caps: Sequence[int]
-) -> tuple[float, list[int]]:
+) -> tuple[float, np.ndarray]:
     """Optimal outliers for a fixed open set: per group, the ``cap`` clients
     farthest from it (ties toward the lower client index).  Returns the kept
-    connection cost and the dropped clients."""
+    connection cost and the dropped clients as a mask over ``nearest``."""
     kept = 0.0
-    dropped: list[int] = []
+    dropped = np.zeros(len(nearest), dtype=bool)
     for members, cap in zip(group_members, caps):
         vals = nearest[members]
         if cap == 0:
             kept += float(vals.sum())
             continue
         order = np.lexsort((members, -vals))
-        dropped += members[order[:cap]].tolist()
+        dropped[members[order[:cap]]] = True
         kept += float(vals[order[cap:]].sum())
     return kept, dropped
 

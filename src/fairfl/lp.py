@@ -254,28 +254,6 @@ class LpModel:
     def rhs(self) -> np.ndarray:
         return np.concatenate([np.ones(self.n_clients), np.zeros(self.n_pairs), self.budget_rhs])
 
-    def var_role(self, var: int) -> tuple:
-        """('x', facility, client) | ('y', facility) | ('z', client)."""
-        if var < 0 or var >= self.n_vars:
-            raise IndexError(var)
-        if var < self.n_pairs:
-            return ("x", int(self.pair_fac[var]), int(self.pair_cli[var]))
-        var -= self.n_pairs
-        if var < self.n_facilities:
-            return ("y", var)
-        return ("z", var - self.n_facilities)
-
-    def row_role(self, row: int) -> tuple:
-        """('cover', client) | ('capacity', facility, client) | ('budget', group)."""
-        if row < 0 or row >= self.n_rows:
-            raise IndexError(row)
-        if row < self.n_clients:
-            return ("cover", row)
-        row -= self.n_clients
-        if row < self.n_pairs:
-            return ("capacity", int(self.pair_fac[row]), int(self.pair_cli[row]))
-        return ("budget", row - self.n_pairs)
-
 
 @dataclass(frozen=True)
 class FractionalSolution:
@@ -725,8 +703,11 @@ def build_gap_instance(f: float, m_clients: int) -> tuple[MetricInstance, Outlie
 def write_mps(model: LpModel, path: str, name: str = "FAIRFL") -> None:
     """Dump the model in free-format MPS for cross-checking with external
     solvers, every number written by ``repr`` so it reads back exactly.
-    Rows are named R%07d by row id and columns C%07d by variable id; use
-    ``LpModel.var_role``/``row_role`` to translate back."""
+    Rows are named R%07d by row id and columns C%07d by variable id, in
+    ``LpModel``'s layout: the assignment pairs (client-major, as in
+    ``pair_fac``/``pair_cli``), then one opening column per facility, then
+    one outlier column per client; the coverage rows (one per client), then
+    the capacity rows (one per pair), then the budget rows."""
     sense_tag = {"G": " G", "L": " L"}
     with open(path, "w", encoding="ascii") as fh:
         fh.write(f"NAME          {name}\n")

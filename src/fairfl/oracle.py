@@ -63,7 +63,7 @@ def _exact(
     """
     dist = inst.distances()
 
-    def score(subset: tuple[int, ...]) -> tuple[float, list[int]]:
+    def score(subset: tuple[int, ...]) -> tuple[float, np.ndarray]:
         rows = np.array(subset, dtype=np.intp)
         nearest = dist.take(rows, axis=0).min(axis=0, initial=np.inf)
         kept, dropped = _drop_farthest(inst.group_members, nearest, budgets.per_group)
@@ -111,6 +111,7 @@ def exact_kmp(pinst: PenaltyInstance) -> PenaltySolution:
     )
     _, best_subset = _cheapest(chain([(float(pen.sum()), ())], scored))
     if not best_subset:
-        paying = frozenset(range(pinst.base.n_clients))
+        paying = np.ones(pinst.base.n_clients, dtype=bool)
+        paying.flags.writeable = False
         return PenaltySolution(frozenset(), paying, 0.0, float(pen.sum()))
     return _canonical_solution(pinst, best_subset)

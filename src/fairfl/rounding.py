@@ -5,12 +5,13 @@ above 1 - epsilon to be outliers (at most a (1 + 2*epsilon) factor over
 each budget for epsilon <= 1/2), renormalize the remaining clients'
 assignment mass to 1 with the matching facility scaling, then open every
 facility whose scaled opening value clears a threshold and connect retained
-clients to their nearest open facility on the unpruned metric.
+clients to their nearest open facility on the unpruned metric.  The LP
+outliers are one read-only mask, passed on as the solution's dropped clients.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -35,12 +36,17 @@ class RoundingConfig:
             raise ValueError("open_threshold must lie in (0, 1]")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PartitionedClients:
-    """Clients split into per-group LP outliers and the retained rest."""
+    """``dropped``: a read-only mask of the clients of ``inst`` the LP drops."""
 
-    outliers: tuple[frozenset[int], ...]
-    retained: frozenset[int]
+    inst: MetricInstance = field(repr=False)
+    dropped: np.ndarray
+
+    @property
+    def outliers(self) -> tuple[np.ndarray, ...]:
+        """Each group's dropped clients, for the benchmark's tracer."""
+        return tuple(members[self.dropped[members]] for members in self.inst.group_members)
 
 
 def identify_outliers(
@@ -58,23 +64,18 @@ def identify_outliers(
     """
     if not (0.0 < eps <= 0.5):
         raise ValueError("eps must lie in (0, 1/2]")
-    out_mask = frac.z >= 1.0 - eps
-    outliers = tuple(
-        frozenset(int(j) for j in np.flatnonzero(out_mask & (inst.groups == g)))
-        for g in range(inst.n_groups)
-    )
+    dropped = frac.z >= 1.0 - eps
+    dropped.flags.writeable = False
     if fairness == PER_GROUP:
-        for g, (chosen, cap) in enumerate(zip(outliers, budgets.per_group)):
-            if len(chosen) > (1.0 + 2.0 * eps) * cap + 1e-6:
-                raise RoundingError(
-                    f"group {g}: {len(chosen)} outliers exceeds (1+2*eps) * {cap}"
-                )
+        counts = np.bincount(inst.groups[dropped], minlength=inst.n_groups)
+        for g, (used, cap) in enumerate(zip(counts.tolist(), budgets.per_group)):
+            if used > (1.0 + 2.0 * eps) * cap + 1e-6:
+                raise RoundingError(f"group {g}: {used} outliers exceeds (1+2*eps) * {cap}")
     else:
-        total = int(out_mask.sum())
+        total = int(dropped.sum())
         if total > (1.0 + 2.0 * eps) * budgets.total + 1e-6:
             raise RoundingError(f"{total} outliers exceeds (1+2*eps) * {budgets.total}")
-    retained = frozenset(int(j) for j in np.flatnonzero(~out_mask))
-    return PartitionedClients(outliers, retained)
+    return PartitionedClients(inst, dropped)
 
 
 def rescale(
@@ -93,8 +94,7 @@ def rescale(
     at most the input objective divided by eps.
     """
     n = inst.n_clients
-    retained_mask = np.zeros(n, dtype=bool)
-    retained_mask[list(part.retained)] = True
+    retained_mask = ~part.dropped
 
     sums = frac.assignment_sums()
     bad = retained_mask & (sums < eps - 1e-9)
@@ -130,9 +130,7 @@ def rescale(
         )
 
     z_hat = frac.z.copy()
-    for grp in part.outliers:
-        for j in grp:
-            z_hat[j] = 1.0
+    z_hat[part.dropped] = 1.0
     return FractionalSolution(fac, cli, x_new, y_new, z_hat, objective)
 
 
@@ -151,7 +149,8 @@ def round_facility_location(
     """
     y = rescaled.y
     open_set = set(int(i) for i in np.flatnonzero(y >= cfg.open_threshold))
-    if part.retained:
+    retained = np.flatnonzero(~part.dropped)
+    if retained.size:
         if not open_set:
             open_set.add(int(np.argmax(y)))
         if inst.pruned:
@@ -162,7 +161,7 @@ def round_facility_location(
             covered = np.zeros(inst.n_clients, dtype=bool)
             covered[cli[is_open[fac]]] = True
             # clients in index order, each seeing the facilities opened before it
-            for j in sorted(part.retained):
+            for j in retained.tolist():
                 if covered[j]:
                     continue
                 options = fac[bounds[j] : bounds[j + 1]]
@@ -170,7 +169,7 @@ def round_facility_location(
                     best = int(options[np.argmax(y[options])])  # lowest index on ties
                     is_open[best] = True
                     open_set.add(best)
-    return assign_nearest(inst, open_set, frozenset().union(*part.outliers))
+    return assign_nearest(inst, open_set, part.dropped)
 
 
 def lpr_pipeline(

@@ -32,6 +32,25 @@ def eager_pairs(dist):
     return fac, cli
 
 
+def mask(n, dropped=()):
+    """A dropped-client mask over ``n`` clients, True at the indices in
+    ``dropped``."""
+    out = np.zeros(n, dtype=bool)
+    out[list(dropped)] = True
+    return out
+
+
+def outliers(sol):
+    """``sol``'s dropped clients filed by group: one frozenset per group."""
+    return tuple(frozenset(members[sol.dropped[members]].tolist()) for members in sol.inst.group_members)
+
+
+def solution_parts(sol):
+    """What defines a solution, in a form ``==`` compares: the open set, the
+    dropped mask's bytes and both costs' bits."""
+    return (sol.open, sol.dropped.tobytes(), float(sol.facility_cost).hex(), float(sol.connection_cost).hex())
+
+
 def random_budgets(rng, inst):
     return OutlierBudgets(
         tuple(int(rng.integers(0, len(members) + 1)) for members in inst.group_members)

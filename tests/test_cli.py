@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -227,7 +228,9 @@ class TestSolverErrors:
 _INCONSISTENT_SOLVER = """
 import sys
 from dataclasses import replace
+import numpy as np
 import fairfl.cli as cli
+from fairfl.instance import same_points
 
 fault = sys.argv.pop(1)
 solve = cli.run_algorithm
@@ -236,11 +239,10 @@ def inconsistent(algo, inst, budgets, params):
     sol = solve(algo, inst, budgets, params)
     if fault == "cost":
         return replace(sol, connection_cost=sol.connection_cost + 1.0)
-    # one assigned client also listed as an outlier of its group
-    client = min(sol.assignment)
-    group = int(inst.groups[client])
-    outliers = tuple(s | {client} if g == group else s for g, s in enumerate(sol.outliers))
-    return replace(sol, outliers=outliers)
+    # the same points with every client in one group: its outlier counts are
+    # not those of the cell's instance
+    merged = same_points(inst, groups=np.zeros(inst.n_clients, dtype=np.int64))
+    return replace(sol, inst=merged)
 
 cli.run_algorithm = inconsistent
 sys.exit(cli.main(sys.argv[1:]))
@@ -266,14 +268,18 @@ class TestCellVerification:
         assert message in out.stderr
 
     def test_outlier_sets_must_be_the_unassigned_clients(self):
-        # client 0 is served and named an outlier, client 1 is neither; the
-        # counts agree (one outlier, one unassigned client) and so does the cost
-        inst = MetricInstance(np.array([[0.0], [5.0], [2.0]]), [0, 0, 0], np.array([[0.0]]), [1.0])
-        sol = IntegralSolution(frozenset({0}), (frozenset({0}),), {0: 0, 2: 0}, 1.0, 2.0)
-        with pytest.raises(CellCheckError, match=r"gdf-f at pct 10: group 0's outliers .*client 0"):
+        # client 1 is dropped; the solution files it under group 0 of its own
+        # instance, while the cell's instance puts it in group 1.  The cost
+        # (opening 1 plus distances 0 and 2) agrees either way.
+        coords, facility = np.array([[0.0], [5.0], [2.0]]), np.array([[0.0]])
+        inst = MetricInstance(coords, [0, 1, 0], facility, [1.0])
+        other = MetricInstance(coords, [0, 0, 1], facility, [1.0])
+        dropped = np.array([False, True, False])
+        sol = IntegralSolution(other, frozenset({0}), dropped, 1.0, 2.0)
+        with pytest.raises(CellCheckError, match=r"gdf-f at pct 10: outlier counts \(1, 0\) != "
+                                                 r"dropped clients per group \(0, 1\)"):
             _verify_cell("gdf-f", 10.0, inst, sol, 3.0, "fl")
-        fixed = IntegralSolution(frozenset({0}), (frozenset({1}),), {0: 0, 2: 0}, 1.0, 2.0)
-        _verify_cell("gdf-f", 10.0, inst, fixed, 3.0, "fl")
+        _verify_cell("gdf-f", 10.0, inst, replace(sol, inst=inst), 3.0, "fl")
 
 
 _LP_STACK_AFTER = """
@@ -833,6 +839,22 @@ class TestGenerate:
         argv = ["solve", "--dataset", str(path), "--group-col", "g", "--m", "2", "--algo", "gdf-f", "--pct", "10"]
         assert main(argv) == 2
         assert "column 'a' appears more than once in header" in capsys.readouterr().err
+
+    def test_feature_col_given_twice_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "twice.csv"
+        path.write_text("a,b,g\n1,2,x\n3,4,y\n", encoding="utf-8")
+        # a repeated --feature-cols flag replaces the list; one list can name a column twice
+        argv = ["solve", "--dataset", str(path), "--group-col", "g", "--feature-cols", "a,b,a",
+                "--m", "2", "--algo", "gdf-f", "--pct", "10"]
+        assert main(argv) == 2
+        assert "feature column 'a' is named more than once" in capsys.readouterr().err
+
+    def test_bad_cell_after_a_quoted_line_break_exits_2_naming_its_line(self, tmp_path, capsys):
+        path = tmp_path / "multiline.csv"
+        path.write_text('a,g\n1,"x\ny"\noops,z\n', encoding="utf-8")
+        argv = ["solve", "--dataset", str(path), "--group-col", "g", "--m", "1", "--algo", "gdf-f", "--pct", "10"]
+        assert main(argv) == 2
+        assert f"{path}: line 4, column 'a': 'oops' is not numeric" in capsys.readouterr().err
 
     def test_instance_file_loads_whatever_the_group_col(self, tmp_path, capsys):
         cfg = small_config(tmp_path)

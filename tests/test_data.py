@@ -1,5 +1,6 @@
 import csv
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -149,6 +150,26 @@ class TestLoadCsv:
         path = write(tmp_path, "a,a,b,g\n1,2,3,x\n4,5,6,y\n")
         table = load_csv(path, group_column="g", feature_columns=["b"])
         assert table.features.tolist() == [[3.0], [6.0]]
+
+    def test_feature_column_named_twice_is_a_data_error(self, tmp_path):
+        # read twice, column a would weigh double in every distance
+        path = write(tmp_path, "a,b,g\n1,2,x\n3,4,y\n")
+        with pytest.raises(DataError, match="feature column 'a' is named more than once"):
+            load_csv(path, group_column="g", feature_columns=["a", "a"])
+        with pytest.raises(DataError, match="feature column 'b' is named more than once"):
+            load_csv(path, group_column="g", feature_columns=("b", "a", "b"))
+
+    @pytest.mark.parametrize("text, message", [
+        ('a,g\n1,"x\ny"\noops,z\n', "line 4, column 'a': 'oops' is not numeric"),
+        ('a,g\n1,"x\ny"\n\ninf,z\n', "line 5, column 'a': non-finite value"),
+        ('a,g\n1,"x\n\ny"\n2,z\n3\n', "line 6: expected 2 cells, got 1"),
+        ('a,g\n"1\n",x\n2,"\ny"\noops,z\n', "line 6, column 'a': 'oops' is not numeric"),
+        ('a,g\n1,x\n"oops\n",z\n', "line 3, column 'a': 'oops' is not numeric"),
+    ])
+    def test_errors_name_the_file_line_a_record_starts_on(self, tmp_path, text, message):
+        # a quoted cell may hold line breaks, so records and lines differ
+        with pytest.raises(ParseError, match=re.escape(message)):
+            load_csv(write(tmp_path, text), group_column="g")
 
 
 class TestNormalize:

@@ -3,8 +3,8 @@ import pickle
 import re
 import sys
 import tracemalloc
-from dataclasses import replace
-from typing import Iterable, Sequence
+from dataclasses import dataclass, replace
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 import pytest
@@ -26,7 +26,7 @@ from fairfl import (
 )
 from fairfl import instance as instance_mod
 from fairfl.instance import FACILITY_LOCATION, K_MEDIAN, nearest_rows, row_blocks
-from conftest import eager_pairs, random_budgets, random_instance
+from conftest import eager_pairs, mask, outliers, random_budgets, random_instance, solution_parts
 
 
 def simple_instance(client_pts, groups, fac_pts, costs):
@@ -314,7 +314,7 @@ class TestPairsOnFirstRead:
 class TestSolutionCost:
     def make(self):
         inst = simple_instance([[2.0]], [0], [[0.0]], [5.0])
-        sol = assign_nearest(inst, [0], [])
+        sol = assign_nearest(inst, [0], mask(1))
         return inst, sol
 
     def test_facility_location_objective(self):
@@ -327,13 +327,14 @@ class TestSolutionCost:
 
     def test_all_outliers_only_facility_cost(self):
         inst = simple_instance([[2.0]], [0], [[0.0]], [5.0])
-        sol = assign_nearest(inst, [0], [0])
+        sol = assign_nearest(inst, [0], mask(1, [0]))
         assert solution_cost(inst, sol, "facility_location") == pytest.approx(5.0)
 
     def test_rejects_closed_facility(self):
+        # a served client whose facilities are all closed has nowhere to go
         inst, sol = self.make()
-        bad = type(sol)(frozenset({0}), sol.outliers, {0: 1}, sol.facility_cost, sol.connection_cost)
-        with pytest.raises(ValueError, match="closed"):
+        bad = replace(sol, open=frozenset())
+        with pytest.raises(ValueError, match="no open facility"):
             solution_cost(inst, bad, "facility_location")
 
     def test_rejects_unknown_objective(self):
@@ -350,25 +351,26 @@ class TestSolutionCost:
                 inst.client_coords[perm], inst.groups[perm], inst.facility_coords, inst.open_costs
             )
             opens = [0]
-            sol1 = assign_nearest(inst, opens, [])
-            sol2 = assign_nearest(inst2, opens, [])
+            sol1 = assign_nearest(inst, opens, mask(inst.n_clients))
+            sol2 = assign_nearest(inst2, opens, mask(inst.n_clients))
             assert solution_cost(inst, sol1, "facility_location") == pytest.approx(
                 solution_cost(inst2, sol2, "facility_location")
             )
 
 
     @pytest.mark.parametrize("assignment, opens, message", [
-        ({0: -1, 1: -1, 2: -1}, {-1}, "open index -1 names no facility"),
-        ({0: 2}, {0, 2}, "open index 2 names no facility"),
-        ({}, {5}, "open index 5 names no facility"),
-        ({-1: 0}, {0}, "assigned index -1 names no client"),
-        ({0: 0, 3: 0}, {0}, "assigned index 3 names no client"),
+        ([True, True, True], {-1}, "open index -1 names no facility"),
+        ([True, False, False], {0, 2}, "open index 2 names no facility"),
+        ([False, False, False], {5}, "open index 5 names no facility"),
+        pytest.param([True, True], {0}, r"one bool per client \(3\), not bool of shape \(2,\)", id="short-mask"),
+        pytest.param([True] * 4, {0}, r"one bool per client \(3\), not bool of shape \(4,\)", id="long-mask"),
     ])
     def test_rejects_indices_that_name_nothing(self, assignment, opens, message):
-        # negative indices would wrap: facility -1 would be costed as facility 1
-        # and client -1 as client 2
+        # ``assignment`` marks the clients the solution serves.  A negative
+        # index would wrap: facility -1 would be costed as facility 1.  A mask
+        # of another length or dtype is not one flag per client of ``inst``.
         inst = simple_instance([[0.0], [1.0], [5.0]], [0, 0, 0], [[0.0], [5.0]], [1.0, 4.0])
-        bad = IntegralSolution(frozenset(opens), (frozenset(),), assignment, 0.0, 0.0)
+        bad = IntegralSolution(inst, frozenset(opens), ~np.array(assignment), 0.0, 0.0)
         for objective in (FACILITY_LOCATION, K_MEDIAN):
             with pytest.raises(ValueError, match=message):
                 solution_cost(inst, bad, objective)
@@ -377,52 +379,57 @@ class TestSolutionCost:
 class TestAssignNearest:
     def test_tie_breaks_to_lowest_facility_index(self):
         inst = simple_instance([[0.0]], [0], [[1.0], [-1.0]], [0.0, 0.0])
-        sol = assign_nearest(inst, [1, 0], [])
+        sol = assign_nearest(inst, [1, 0], mask(1))
         assert sol.assignment[0] == 0
 
     def test_no_open_facility_with_served_client(self):
         inst = simple_instance([[0.0]], [0], [[1.0]], [0.0])
         with pytest.raises(ValueError, match="no open facility"):
-            assign_nearest(inst, [], [])
+            assign_nearest(inst, [], mask(1))
 
     def test_empty_open_all_outliers_ok(self):
         inst = simple_instance([[0.0]], [0], [[1.0]], [3.0])
-        sol = assign_nearest(inst, [], [0])
+        sol = assign_nearest(inst, [], mask(1, [0]))
         assert sol.facility_cost == 0.0 and sol.connection_cost == 0.0
 
     def test_dropped_clients_are_filed_by_their_group(self):
         inst = simple_instance([[0.0], [1.0], [2.0]], [0, 1, 1], [[0.0]], [1.0])
-        sol = assign_nearest(inst, [0], [1])
-        assert sol.outliers == (frozenset(), frozenset({1}))
+        sol = assign_nearest(inst, [0], mask(3, [1]))
+        assert outliers(sol) == (frozenset(), frozenset({1}))
         assert sol.outlier_counts() == (0, 1)
         assert unfairness(OutlierBudgets((0, 1)), sol) == 1.0
-        # repeats and any iterable of indices
-        for dropped in ([2, 1, 2], {1, 2}, np.array([2, 1]), range(1, 3)):
-            assert assign_nearest(inst, [0], dropped).outliers == (frozenset(), frozenset({1, 2}))
+        # any sequence of one bool per client
+        for dropped in ([False, True, True], (False, True, True), np.array([False, True, True])):
+            assert outliers(assign_nearest(inst, [0], dropped)) == (frozenset(), frozenset({1, 2}))
 
     def test_outliers_equal_dropped_filed_by_groups(self, rng):
         for _ in range(100):
             inst = random_instance(rng, max_n=20, max_m=5, max_groups=4)
             dropped = rng.integers(0, inst.n_clients, int(rng.integers(0, inst.n_clients + 3)))
-            sol = assign_nearest(inst, range(inst.n_facilities), dropped.tolist())
-            for g, chosen in enumerate(sol.outliers):
+            sol = assign_nearest(inst, range(inst.n_facilities), mask(inst.n_clients, dropped))
+            for g, chosen in enumerate(outliers(sol)):
                 assert chosen == {int(j) for j in dropped if inst.groups[j] == g}
+            assert sol.outlier_counts() == tuple(len(chosen) for chosen in outliers(sol))
             assert set(sol.assignment) == set(range(inst.n_clients)) - set(dropped.tolist())
 
     @pytest.mark.parametrize("dropped", [[99], [-1], [0, 3], [-3, 1]])
     def test_rejects_index_outside_the_clients(self, dropped):
+        # the dropped clients are a mask: client indices, in range or not,
+        # are rejected rather than read as one
         inst = simple_instance([[0.0], [1.0], [2.0]], [0, 1, 1], [[0.0]], [1.0])
-        with pytest.raises(ValueError, match="names no client"):
+        with pytest.raises(ValueError, match=r"one bool per client \(3\), not int64"):
             assign_nearest(inst, [0], dropped)
 
-    @pytest.mark.parametrize("dropped, value", [
+    @pytest.mark.parametrize("dropped, entry", [
         ([1.5], "1.5"), ([True, False], "True"), ([2, True], "True"), ([np.float64(1.0)], "1.0"),
         (np.array([1.0]), "1.0"), (np.array([False, True, True]), "False"), ((np.bool_(True),), "True"),
     ])
-    def test_rejects_float_and_bool_entries(self, dropped, value):
-        # an integer conversion would drop client 1 for 1.5, and read a mask as indices
-        inst = simple_instance([[0.0], [1.0], [2.0]], [0, 1, 1], [[0.0]], [1.0])
-        with pytest.raises(ValueError, match=f"dropped client {value} is not an integer index"):
+    def test_rejects_float_and_bool_entries(self, dropped, entry):
+        # ``entry`` names the case.  Over four clients none of these is one
+        # bool per client: a float entry is no bool, and the bools are too few.
+        inst = simple_instance([[0.0], [1.0], [2.0], [3.0]], [0, 1, 1, 0], [[0.0]], [1.0])
+        arr = np.asarray(dropped)
+        with pytest.raises(ValueError, match=re.escape(f"(4), not {arr.dtype} of shape {arr.shape}")):
             assign_nearest(inst, [0], dropped)
 
     @pytest.mark.parametrize("opens, message", [
@@ -437,27 +444,29 @@ class TestAssignNearest:
         # -1 would open facility 1 under the name -1, 1.5 and True would open
         # facility 1, and 7 would fail with an IndexError
         inst = simple_instance([[0.0], [1.0], [2.0]], [0, 1, 1], [[0.0], [3.0]], [1.0, 2.0])
-        for dropped in ([], [0, 1, 2]):
+        for dropped in (mask(3), mask(3, [0, 1, 2])):
             with pytest.raises(ValueError, match=message):
                 assign_nearest(inst, opens, dropped)
 
     def test_accepts_integer_open_facilities_of_any_width(self):
         inst = simple_instance([[0.0], [1.0], [2.0]], [0, 1, 1], [[0.0], [3.0]], [1.0, 2.0])
-        want = assign_nearest(inst, [1, 0], [])
+        want = assign_nearest(inst, [1, 0], mask(3))
         for dtype in (np.int8, np.uint8, np.int16, np.uint16, np.int32, np.uint32, np.int64, np.uint64):
-            sol = assign_nearest(inst, np.array([1, 0], dtype=dtype), [])
-            assert sol == want
+            sol = assign_nearest(inst, np.array([1, 0], dtype=dtype), mask(3))
+            assert solution_parts(sol) == solution_parts(want)
             assert {type(i) for i in sol.open} == {int}
 
-    def test_accepts_empty_collections_and_integer_arrays(self):
+    def test_keeps_a_read_only_copy_of_the_mask(self):
         inst = simple_instance([[0.0], [1.0], [2.0]], [0, 1, 1], [[0.0]], [1.0])
-        for dropped in ([], (), set(), frozenset(), np.array([]), np.array([], dtype=bool), iter([])):
-            assert assign_nearest(inst, [0], dropped).outliers == (frozenset(), frozenset())
-        for dtype in (np.int8, np.uint8, np.int16, np.uint16, np.int32, np.uint32, np.int64, np.uint64):
-            sol = assign_nearest(inst, [0], np.array([2, 1], dtype=dtype))
-            assert sol.outliers == (frozenset(), frozenset({1, 2}))
-        sol = assign_nearest(inst, [0], [np.int32(2), 1, np.uint8(1)])
-        assert sol.outliers == (frozenset(), frozenset({1, 2}))
+        dropped = mask(3, [2])
+        sol = assign_nearest(inst, [0], dropped)
+        dropped[1] = True  # the caller's array stays its own
+        assert outliers(sol) == (frozenset(), frozenset({2})) and sol.inst is inst
+        with pytest.raises(ValueError, match="read-only"):
+            sol.dropped[0] = True
+        for empty in ([], np.array([], dtype=bool), iter([])):
+            with pytest.raises(ValueError, match="one bool per client"):
+                assign_nearest(inst, [0], empty)
 
     def test_rejects_per_group_sets(self):
         # the dropped clients are one flat collection, not one set per group
@@ -471,9 +480,9 @@ class TestTotalBudget:
     """The non-fair algorithms share one check of their total budget."""
 
     ALGOS = {
-        "gdf_nf": lambda inst, total: gdf_nf(inst, total),
-        "ls_nf": lambda inst, total: ls_nf(inst, total, 1),
-        "r_ls_nf": lambda inst, total: r_ls_nf(inst, total, 1),
+        "gdf_nf": lambda inst, total: solution_parts(gdf_nf(inst, total)),
+        "ls_nf": lambda inst, total: solution_parts(ls_nf(inst, total, 1)),
+        "r_ls_nf": lambda inst, total: solution_parts(r_ls_nf(inst, total, 1)),
     }
 
     @staticmethod
@@ -504,10 +513,10 @@ class TestK:
     """The k-median algorithms and oracle share one check of ``k``."""
 
     ALGOS = {
-        "ls_nf": lambda inst, k: ls_nf(inst, 2, k),
-        "r_ls_f": lambda inst, k: r_ls_f(inst, OutlierBudgets((1, 1)), k),
-        "r_ls_nf": lambda inst, k: r_ls_nf(inst, 2, k),
-        "exact_kmfo": lambda inst, k: exact_kmfo(inst, OutlierBudgets((1, 1)), k),
+        "ls_nf": lambda inst, k: solution_parts(ls_nf(inst, 2, k)),
+        "r_ls_f": lambda inst, k: solution_parts(r_ls_f(inst, OutlierBudgets((1, 1)), k)),
+        "r_ls_nf": lambda inst, k: solution_parts(r_ls_nf(inst, 2, k)),
+        "exact_kmfo": lambda inst, k: solution_parts(exact_kmfo(inst, OutlierBudgets((1, 1)), k)),
         "PenaltyInstance": lambda inst, k: PenaltyInstance(inst, k, np.ones(inst.n_clients)).k,
     }
 
@@ -531,10 +540,12 @@ class TestK:
 
 class TestUnfairness:
     def make_sol(self, counts):
-        outliers = tuple(frozenset(range(c)) for c in counts)
-        from fairfl import IntegralSolution
-
-        return IntegralSolution(frozenset(), outliers, {}, 0.0, 0.0)
+        # group g has counts[g] + 1 clients, all but one dropped
+        sizes = [c + 1 for c in counts]
+        groups = np.repeat(np.arange(len(counts)), sizes)
+        inst = MetricInstance(np.zeros((len(groups), 1)), groups, np.zeros((1, 1)), [0.0])
+        dropped = np.concatenate([np.arange(size) < c for size, c in zip(sizes, counts)])
+        return IntegralSolution(inst, frozenset(), dropped, 0.0, 0.0)
 
     def test_over_budget_ratio(self):
         assert unfairness(OutlierBudgets((10, 10)), self.make_sol([5, 12])) == pytest.approx(1.2)
@@ -564,7 +575,18 @@ class TestUnfairness:
 # assign_nearest and solution_cost as they were written with per-client
 # Python loops, and the strided argmin scan they called, kept verbatim as the
 # reference the array forms must reproduce bit for bit (cost bits and the
-# assignment's order).  The reference takes one outlier set per group.
+# assignment's order).  The reference takes one outlier set per group and
+# returns the solution as it was stored before the dropped-client mask: a
+# client -> facility dict and one outlier set per group (``_DictSolution``).
+
+
+@dataclass(frozen=True)
+class _DictSolution:
+    open: frozenset[int]
+    outliers: tuple[frozenset[int], ...]
+    assignment: Mapping[int, int]
+    facility_cost: float
+    connection_cost: float
 
 
 def nearest_open(inst: MetricInstance, open_facilities: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
@@ -585,7 +607,7 @@ def _reference_assign_nearest(
     inst: MetricInstance,
     open_facilities: Iterable[int],
     outliers: Sequence[Iterable[int]],
-) -> IntegralSolution:
+) -> _DictSolution:
     open_set = frozenset(int(i) for i in open_facilities)
     outlier_sets = tuple(frozenset(int(j) for j in grp) for grp in outliers)
     if len(outlier_sets) != inst.n_groups:
@@ -594,16 +616,16 @@ def _reference_assign_nearest(
     served = [j for j in range(inst.n_clients) if j not in dropped]
     facility_cost = float(inst.open_costs[sorted(open_set)].sum()) if open_set else 0.0
     if not served:
-        return IntegralSolution(open_set, outlier_sets, {}, facility_cost, 0.0)
+        return _DictSolution(open_set, outlier_sets, {}, facility_cost, 0.0)
     if not open_set:
         raise ValueError("no open facility but some clients are not outliers")
     dist, fac = nearest_open(inst, sorted(open_set))
     assignment = {j: int(fac[j]) for j in served}
     connection = float(sum(dist[j] for j in served))
-    return IntegralSolution(open_set, outlier_sets, assignment, facility_cost, connection)
+    return _DictSolution(open_set, outlier_sets, assignment, facility_cost, connection)
 
 
-def _reference_solution_cost(inst: MetricInstance, sol: IntegralSolution, objective: str) -> float:
+def _reference_solution_cost(inst: MetricInstance, sol: _DictSolution, objective: str) -> float:
     if objective not in (FACILITY_LOCATION, K_MEDIAN):
         raise ValueError(f"unknown objective {objective!r}")
     for j, i in sol.assignment.items():
@@ -616,14 +638,58 @@ def _reference_solution_cost(inst: MetricInstance, sol: IntegralSolution, object
     return facility + float(connection)
 
 
+def _dict_solution_cost(inst: MetricInstance, sol: _DictSolution, objective: str) -> float:
+    """``solution_cost`` as it was when a solution stored its assignment dict,
+    kept verbatim: the reference the column-wise argmin must match bit for bit."""
+    if objective not in (FACILITY_LOCATION, K_MEDIAN):
+        raise ValueError(f"unknown objective {objective!r}")
+    size = len(sol.assignment)
+    clients = np.fromiter(sol.assignment.keys(), dtype=np.int64, count=size)
+    facilities = np.fromiter(sol.assignment.values(), dtype=np.int64, count=size)
+    stray = clients[(clients < 0) | (clients >= inst.n_clients)]
+    if stray.size:
+        raise ValueError(f"assigned index {stray[0]} names no client (there are {inst.n_clients})")
+    closed = np.flatnonzero(~np.isin(facilities, list(sol.open)))
+    if closed.size:
+        p = closed[0]
+        raise ValueError(f"client {clients[p]} assigned to closed facility {facilities[p]}")
+    stray = sorted(i for i in sol.open if not 0 <= i < inst.n_facilities)
+    if stray:
+        raise ValueError(f"open index {stray[0]} names no facility (there are {inst.n_facilities})")
+    # left to right in the assignment's order
+    connection = float(np.cumsum(inst.distances()[facilities, clients])[-1]) if size else 0.0
+    if objective == K_MEDIAN:
+        return connection
+    facility = float(inst.open_costs[sorted(sol.open)].sum()) if sol.open else 0.0
+    return facility + connection
+
+
 # From Python 3.12 on, ``sum`` adds Python floats with compensation, so the
 # reference's cost (a sum of Python floats) is then no longer left to right.
 _SUM_IS_LEFT_TO_RIGHT = sys.version_info < (3, 12)
 
 
-def _solution_parts(sol: IntegralSolution) -> tuple:
-    return (sol.open, sol.outliers, list(sol.assignment.items()),
+def _solution_parts(sol) -> tuple:
+    """A solution or a ``_DictSolution`` as comparable parts: the open set,
+    the outliers per group, the assignment in order and the cost bits."""
+    per_group = sol.outliers if isinstance(sol, _DictSolution) else outliers(sol)
+    return (sol.open, per_group, list(sol.assignment.items()),
             float(sol.facility_cost).hex(), float(sol.connection_cost).hex())
+
+
+def _assert_costs_match(inst: MetricInstance, got: IntegralSolution, want: _DictSolution) -> None:
+    """The column-wise argmin's cost equals the dict-based one bit for bit."""
+    for objective in (FACILITY_LOCATION, K_MEDIAN):
+        assert solution_cost(inst, got, objective).hex() == _dict_solution_cost(inst, want, objective).hex()
+
+
+def _tied_instance(rng, n: int = 4500) -> MetricInstance:
+    """n clients and 100 facilities on a small integer grid, with copies of
+    facility 4 at every ninth index: many distances tie."""
+    clients = rng.integers(0, 6, (n, 3)).astype(float)
+    facilities = rng.integers(0, 6, (100, 3)).astype(float)
+    facilities[::9] = facilities[4]
+    return MetricInstance(clients, rng.integers(0, 3, n), facilities, np.ones(100))
 
 
 class TestArrayFormsMatchReference:
@@ -641,23 +707,24 @@ class TestArrayFormsMatchReference:
         opens = rng.permutation(m)[: int(rng.integers(0, m + 1))].tolist()
         drop = rng.random(inst.n_clients) < rng.choice([0.0, 0.3, 1.0])
         outliers = [set(np.flatnonzero(drop & (inst.groups == g)).tolist()) for g in range(inst.n_groups)]
-        return inst, opens, outliers
+        return inst, opens, drop, outliers
 
     def test_random_cases(self, rng):
         compared = 0
         for _ in range(300):
-            inst, opens, outliers = self.random_case(rng)
+            inst, opens, drop, outliers = self.random_case(rng)
             try:
                 want = _reference_assign_nearest(inst, opens, outliers)
             except ValueError as err:
                 with pytest.raises(ValueError, match=str(err)):
-                    assign_nearest(inst, opens, set().union(*outliers))
+                    assign_nearest(inst, opens, drop)
                 continue
-            got = assign_nearest(inst, opens, set().union(*outliers))
+            got = assign_nearest(inst, opens, drop)
             assert _solution_parts(got) == _solution_parts(want)
+            _assert_costs_match(inst, got, want)
             for objective in (FACILITY_LOCATION, K_MEDIAN):
                 cost = solution_cost(inst, got, objective)
-                ref = _reference_solution_cost(inst, got, objective)
+                ref = _reference_solution_cost(inst, want, objective)
                 if _SUM_IS_LEFT_TO_RIGHT:
                     assert cost.hex() == ref.hex()
                 else:
@@ -669,55 +736,96 @@ class TestArrayFormsMatchReference:
         inst = MetricInstance(rng.random((4500, 6)), np.zeros(4500, dtype=np.int64),
                               rng.random((100, 6)), np.ones(100))
         outliers = [set(rng.choice(4500, 225, replace=False).tolist())]
-        got = assign_nearest(inst, [3, 17, 40, 41, 90], outliers[0])
+        got = assign_nearest(inst, [3, 17, 40, 41, 90], mask(4500, outliers[0]))
         want = _reference_assign_nearest(inst, [3, 17, 40, 41, 90], outliers)
         assert _solution_parts(got) == _solution_parts(want)
         assert solution_cost(inst, got, K_MEDIAN) == got.connection_cost
         if _SUM_IS_LEFT_TO_RIGHT:
-            assert solution_cost(inst, got, K_MEDIAN).hex() == _reference_solution_cost(inst, got, K_MEDIAN).hex()
+            assert solution_cost(inst, got, K_MEDIAN).hex() == _reference_solution_cost(inst, want, K_MEDIAN).hex()
 
     def test_many_open_rows_with_ties(self, rng):
         # 60 of 100 facilities open over 4500 clients; integer coordinates and
         # copies of facility 4 tie many distances
-        clients = rng.integers(0, 6, (4500, 3)).astype(float)
-        facilities = rng.integers(0, 6, (100, 3)).astype(float)
-        facilities[::9] = facilities[4]
-        inst = MetricInstance(clients, rng.integers(0, 3, 4500), facilities, np.ones(100))
+        inst = _tied_instance(rng)
         opens = rng.permutation(100)[:60].tolist() + [4]
         drop = rng.random(4500) < 0.05
         outliers = [set(np.flatnonzero(drop & (inst.groups == g)).tolist()) for g in range(3)]
-        got = assign_nearest(inst, opens, np.flatnonzero(drop))
+        got = assign_nearest(inst, opens, drop)
         want = _reference_assign_nearest(inst, opens, outliers)
         assert _solution_parts(got) == _solution_parts(want)
 
     def test_out_of_range_outliers_name_no_client(self):
-        # an index outside the clients is an error, not a silent no-op
+        # client indices, in range or not, are no mask: an error, not a silent no-op
         inst = simple_instance([[0.0], [2.0], [5.0]], [0, 0, 0], [[1.0]], [1.0])
-        for dropped in ({-1, 7}, {-3, 1, 3}):
-            with pytest.raises(ValueError, match="names no client"):
+        for dropped in ({-1, 7}, {-3, 1, 3}, [0, 1, 2]):
+            with pytest.raises(ValueError, match="one bool per client"):
                 assign_nearest(inst, [0], dropped)
-        got = assign_nearest(inst, [0], set())
+        got = assign_nearest(inst, [0], mask(3))
         assert _solution_parts(got) == _solution_parts(_reference_assign_nearest(inst, [0], [set()]))
-
-    def test_closed_facility_error_names_first_client_in_dict_order(self, rng):
-        inst = random_instance(rng, max_n=12, max_m=6, min_n=6)
-        sol = assign_nearest(inst, range(inst.n_facilities), [])
-        # a dict whose order is not ascending, with two clients on closed facilities
-        order = [5, 2, 4, 0, 1, 3]
-        assignment = {j: (9 if j in (4, 1) else sol.assignment[j]) for j in order}
-        bad = replace(sol, assignment=assignment)
-        for objective in (FACILITY_LOCATION, K_MEDIAN):
-            with pytest.raises(ValueError) as want:
-                _reference_solution_cost(inst, bad, objective)
-            with pytest.raises(ValueError) as got:
-                solution_cost(inst, bad, objective)
-            assert str(got.value) == str(want.value) == "client 4 assigned to closed facility 9"
 
     def test_empty_assignment(self):
         inst = simple_instance([[0.0]], [0], [[1.0]], [3.0])
-        sol = assign_nearest(inst, [0], [0])
+        sol = assign_nearest(inst, [0], mask(1, [0]))
+        want = _reference_assign_nearest(inst, [0], [{0}])
         for objective in (FACILITY_LOCATION, K_MEDIAN):
-            assert solution_cost(inst, sol, objective).hex() == _reference_solution_cost(inst, sol, objective).hex()
+            assert solution_cost(inst, sol, objective).hex() == _reference_solution_cost(inst, want, objective).hex()
+        _assert_costs_match(inst, sol, want)
+
+
+class TestColumnArgminMatchesDictCost:
+    """``solution_cost``'s column-wise argmin against the dict-based
+    ``solution_cost`` it replaced, bit for bit."""
+
+    def test_random_suite(self, random_suite):
+        rng = np.random.default_rng(7)
+        for inst, budgets in random_suite:
+            m = inst.n_facilities
+            opens = rng.permutation(m)[: int(rng.integers(1, m + 1))].tolist()
+            drop = np.zeros(inst.n_clients, dtype=bool)
+            for members, cap in zip(inst.group_members, budgets.per_group):
+                drop[rng.permutation(members)[:cap]] = True
+            got = assign_nearest(inst, opens, drop)
+            want = _reference_assign_nearest(inst, opens, [members[drop[members]].tolist()
+                                                            for members in inst.group_members])
+            assert dict(got.assignment) == want.assignment
+            _assert_costs_match(inst, got, want)
+
+    def test_forced_ties_go_to_the_lowest_facility(self, rng):
+        inst = _tied_instance(rng, n=300)
+        copies = list(range(0, 100, 9)) + [4]  # facility 4 and its copies, facility 0 the lowest
+        for opens in (copies, rng.permutation(100)[:30].tolist() + copies):
+            got = assign_nearest(inst, opens, mask(300))
+            want = _reference_assign_nearest(inst, opens, [set(), set(), set()])
+            # the reference takes the lowest index among tied facilities
+            assert list(got.assignment.items()) == list(want.assignment.items())
+            assert not set(got.assignment.values()) & set(copies[1:])
+            _assert_costs_match(inst, got, want)
+        assert set(assign_nearest(inst, copies, mask(300)).assignment.values()) == {0}
+
+    def test_sixty_open_of_a_4500_by_100_instance(self, rng):
+        inst = _tied_instance(rng)
+        opens = rng.permutation(100)[:60].tolist()
+        drop = rng.random(4500) < 0.05
+        got = assign_nearest(inst, opens, drop)
+        want = _reference_assign_nearest(inst, opens, [set(np.flatnonzero(drop & (inst.groups == g)).tolist())
+                                                      for g in range(3)])
+        assert list(got.assignment.items()) == list(want.assignment.items())
+        _assert_costs_match(inst, got, want)
+
+    def test_cost_check_peaks_below_1_1_mb(self, rng):
+        # the 60 open rows of 4500 clients alone take 2.16 MB
+        inst = _tied_instance(rng)
+        opens = rng.permutation(100)[:60].tolist()
+        sol = assign_nearest(inst, opens, rng.random(4500) < 0.05)
+        assert inst.distances()[opens].nbytes == 2_160_000
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            solution_cost(inst, sol, FACILITY_LOCATION)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_100_000
 
 
 def _two_step_nearest_rows(sub: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -752,8 +860,26 @@ class TestNearestRows:
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
-            assign_nearest(inst, opens, [])
+            assign_nearest(inst, opens, mask(4500))
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
         assert peak < rows_bytes / 2
+
+    def test_assign_nearest_makes_no_per_client_object(self, rng):
+        # a client -> facility dict of 4500 entries held about 4,300 int objects
+        inst = MetricInstance(rng.random((4500, 6)), rng.integers(0, 3, 4500),
+                              rng.random((100, 6)), np.ones(100))
+        opens, drop = rng.permutation(100)[:50].tolist(), rng.random(4500) < 0.05
+        inst.group_members  # computed once per instance, not per solution
+        tracemalloc.start()
+        try:
+            before = tracemalloc.take_snapshot()
+            sol = assign_nearest(inst, opens, drop)
+            after = tracemalloc.take_snapshot()
+        finally:
+            tracemalloc.stop()
+        package = [tracemalloc.Filter(True, "*/fairfl/*")]
+        made = after.filter_traces(package).compare_to(before.filter_traces(package), "filename")
+        assert sum(stat.count_diff for stat in made) < 100
+        assert sol.outlier_counts() == tuple(np.bincount(inst.groups[drop], minlength=3).tolist())

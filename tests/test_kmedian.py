@@ -35,7 +35,7 @@ from fairfl.kmedian import (
     _penalties_for,
     _two_nearest,
 )
-from conftest import random_budgets, random_instance
+from conftest import outliers, random_budgets, random_instance
 
 
 def tiny(client_pts, groups, fac_pts, costs=None):
@@ -57,7 +57,7 @@ class TestLocalSearch:
         inst = tiny([[5.0]], [0], [[0.0], [1.0]])
         sol = local_search_penalties(PenaltyInstance(inst, 1, np.zeros(1)))
         assert sol.total_cost == 0.0
-        assert sol.paying == frozenset({0})
+        assert np.flatnonzero(sol.paying).tolist() == [0]
 
     def test_two_clusters_match_oracle(self, rng):
         clients = np.vstack([rng.normal(0, 0.2, (6, 2)), rng.normal(50, 0.2, (6, 2))])
@@ -83,7 +83,7 @@ class TestLocalSearch:
         # canonical rule: a client pays only when strictly cheaper
         inst = tiny([[3.0]], [0], [[0.0]])
         sol = local_search_penalties(PenaltyInstance(inst, 1, np.array([3.0])))
-        assert sol.paying == frozenset()
+        assert not sol.paying.any()
         assert sol.service_cost == 3.0 and sol.penalty_paid == 0.0
 
     def test_open_set_size_never_exceeds_k(self, rng):
@@ -262,7 +262,7 @@ class TestReductionPipeline:
             fair = r_ls_f(inst, budgets, k)
             nonfair = r_ls_nf(inst, budgets.total, k)
             assert fair.open == nonfair.open
-            assert fair.outliers == nonfair.outliers
+            assert np.array_equal(fair.dropped, nonfair.dropped)
             assert fair.connection_cost == nonfair.connection_cost
 
     def test_selection_rule_contract(self, rng):
@@ -314,7 +314,7 @@ class TestAdmissibleGuess:
             for groups, caps in ((inst.groups, budgets.per_group), (merged, (budgets.total,))):
                 for k in {1, 1 + inst.n_clients % inst.n_facilities}:
                     psol = kmedian._reduce_and_search(inst, groups, caps, k, gamma, 0.5, 0.01)
-                    counts = np.bincount(groups[sorted(psol.paying)], minlength=len(caps))
+                    counts = np.bincount(groups[psol.paying], minlength=len(caps))
                     for used, cap in zip(counts.tolist(), caps):
                         assert used <= (len(caps) + gamma) * cap
 
@@ -360,7 +360,7 @@ class TestPlainLocalSearchBaseline:
     def test_colocated_tie_break_by_index(self):
         inst = tiny([[3.0]] * 4, [0] * 4, [[0.0]])
         sol = ls_nf(inst, 2, k=1)
-        assert sol.outliers[0] == frozenset({0, 1})
+        assert outliers(sol)[0] == frozenset({0, 1})
 
     def test_minority_cluster_dropped_entirely(self):
         majority = [[float(v) / 100.0] for v in range(30)]
@@ -369,7 +369,7 @@ class TestPlainLocalSearchBaseline:
         inst = tiny(majority + minority, groups, [[0.0], [10.0]])
         budgets = OutlierBudgets((int(round(0.25 * 30)), int(round(0.25 * 10))))
         sol = ls_nf(inst, 10, k=1)
-        assert sol.outliers[1] == frozenset(range(30, 40))
+        assert outliers(sol)[1] == frozenset(range(30, 40))
         assert unfairness(budgets, sol) >= 10 / budgets.per_group[1]
 
     def test_reported_cost_excludes_dropped(self, rng):
@@ -462,10 +462,9 @@ def _reference_canonical_solution(pinst: PenaltyInstance, open_list) -> PenaltyS
     dist = pinst.base.distances()
     d1, a1, _ = _reference_two_nearest(dist, open_list)
     pays = pinst.penalty < d1  # ties serve
-    paying = frozenset(np.flatnonzero(pays).tolist())
     service = float(d1[~pays].sum())
     paid = float(pinst.penalty[pays].sum())
-    return PenaltySolution(frozenset(int(i) for i in open_list), paying, service, paid)
+    return PenaltySolution(frozenset(int(i) for i in open_list), pays, service, paid)
 
 
 def _reference_local_search_penalties(pinst: PenaltyInstance, improve_frac: float = 0.01) -> PenaltySolution:
@@ -521,7 +520,7 @@ def _solution_bytes(sol: PenaltySolution) -> tuple:
     service and penalty totals."""
     return (
         np.array(sorted(sol.open), dtype=np.int64).tobytes(),
-        np.array(sorted(sol.paying), dtype=np.int64).tobytes(),
+        np.flatnonzero(sol.paying).tobytes(),
         float(sol.service_cost).hex(),
         float(sol.penalty_paid).hex(),
     )
@@ -668,7 +667,7 @@ class TestSwapScanMatchesReference:
                 want = (r_ls_f(copy, budgets, k), r_ls_nf(copy, budgets.total, k),
                         ls_nf(copy, budgets.total, k))
             for a, b in zip(got, want):
-                assert a.open == b.open and a.outliers == b.outliers
+                assert a.open == b.open and np.array_equal(a.dropped, b.dropped)
                 assert a.assignment == b.assignment
                 assert a.connection_cost.hex() == b.connection_cost.hex()
 
@@ -703,7 +702,7 @@ def _reference_reduce_and_search(
         for t, guess in enumerate(grid):
             pinst = PenaltyInstance(inst, k, _penalties_for(groups, caps, guess, gamma))
             psol = local_search_penalties(pinst, improve_frac)
-            counts = np.bincount(groups[sorted(psol.paying)], minlength=n_groups) if psol.paying else np.zeros(n_groups, dtype=int)
+            counts = np.bincount(groups[psol.paying], minlength=n_groups)
             viol = 0.0
             for g in range(n_groups):
                 if counts[g] == 0:
@@ -727,7 +726,7 @@ def assert_same_reduction(monkeypatch, inst: MetricInstance, budgets: OutlierBud
         patch.setattr(kmedian, "_reduce_and_search", _reference_reduce_and_search)
         want = (r_ls_f(inst, budgets, k, **params), r_ls_nf(inst, budgets.total, k, **params))
     for a, b in zip(got, want):
-        assert a.open == b.open and a.outliers == b.outliers
+        assert a.open == b.open and np.array_equal(a.dropped, b.dropped)
         assert a.assignment == b.assignment
         assert a.connection_cost.hex() == b.connection_cost.hex()
 
@@ -840,7 +839,7 @@ class TestPenaltyFreeSearch:
             got = local_search_penalties(PenaltyInstance(inst, k, penalty), improve_frac)
             want = local_search_penalties(PenaltyInstance(inst, k, np.full(n, np.inf)), improve_frac)
             assert _solution_bytes(got) == _solution_bytes(want)
-            assert got.paying == frozenset() and got.penalty_paid == 0.0
+            assert not got.paying.any() and got.penalty_paid == 0.0
 
         check()
 

@@ -88,18 +88,6 @@ class TestBuild:
         with pytest.raises(ValueError):
             build_flfo_lp(inst, OutlierBudgets((0,)), "both")
 
-    def test_catalog_roundtrip(self):
-        inst = tiny([[0.0], [1.0]], [0, 0], [[0.0], [3.0]], [1.0, 1.0])
-        model = build_flfo_lp(inst, OutlierBudgets((1,)))
-        roles = [model.var_role(v) for v in range(model.n_vars)]
-        assert roles.count(("y", 0)) == 1 and roles.count(("z", 1)) == 1
-        assert ("x", 1, 0) in roles
-        rows = [model.row_role(r) for r in range(model.n_rows)]
-        assert rows[0] == ("cover", 0)
-        assert rows[-1] == ("budget", 0)
-        with pytest.raises(IndexError):
-            model.var_role(model.n_vars)
-
 
 class TestSolve:
     def test_gap_objective_is_cost_over_clients(self):

@@ -29,7 +29,7 @@ from fairfl import (
     solve_lp,
 )
 from fairfl.cli import build_parser, resolve_config, run_sweep
-from conftest import random_budgets, random_instance
+from conftest import random_budgets, random_instance, solution_parts
 
 
 def tiny(client_pts, groups, fac_pts, costs):
@@ -66,19 +66,19 @@ class TestIdentifyOutliers:
     def test_threshold_inclusive(self):
         inst, frac = self.make([0.95, 0.5, 0.90], [0, 0, 0])
         part = identify_outliers(inst, frac, OutlierBudgets((3,)), eps=0.1)
-        assert part.outliers == (frozenset({0, 2}),)
-        assert part.retained == frozenset({1})
+        assert part.dropped.tolist() == [True, False, True]
+        assert [g.tolist() for g in part.outliers] == [[0, 2]]
 
     def test_half_epsilon(self):
         inst, frac = self.make([0.49, 0.51], [0, 0])
         part = identify_outliers(inst, frac, OutlierBudgets((2,)), eps=0.5)
-        assert part.outliers == (frozenset({1}),)
+        assert part.dropped.tolist() == [False, True]
 
     def test_no_lp_outliers(self):
         inst, frac = self.make([0.0, 0.0], [0, 0])
         part = identify_outliers(inst, frac, OutlierBudgets((1,)), eps=0.25)
-        assert part.outliers == (frozenset(),)
-        assert part.retained == frozenset({0, 1})
+        assert part.dropped.tolist() == [False, False]
+        assert [g.tolist() for g in part.outliers] == [[]]
 
     def test_violation_check_fires_per_group(self):
         inst, frac = self.make([1.0, 1.0], [0, 0])
@@ -90,7 +90,7 @@ class TestIdentifyOutliers:
         # per-group budgets (0, 1): group 0 would violate, but the
         # aggregate bound of 1 holds
         part = identify_outliers(inst, frac, OutlierBudgets((0, 1)), eps=0.1, fairness=AGGREGATE)
-        assert part.outliers == (frozenset({0}), frozenset())
+        assert [g.tolist() for g in part.outliers] == [[0], []]
         with pytest.raises(RoundingError):
             identify_outliers(inst, frac, OutlierBudgets((0, 1)), eps=0.1)
 
@@ -104,7 +104,7 @@ class TestRescale:
     def test_normalizes_half_served_client(self):
         inst = tiny([[1.0]], [0], [[0.0], [2.0]], [1.0, 1.0])
         frac = frac_from(inst, {(0, 0): 0.25, (1, 0): 0.25}, [0.25, 0.25], [0.5], objective=1.0)
-        part = PartitionedClients((frozenset(),), frozenset({0}))
+        part = PartitionedClients(inst, np.array([False]))
         out = rescale(inst, frac, part, eps=0.5)
         assert np.allclose(out.x_values, [0.5, 0.5])
         assert np.allclose(out.y, [0.5, 0.5])
@@ -112,7 +112,7 @@ class TestRescale:
     def test_fully_served_client_unchanged(self):
         inst = tiny([[1.0]], [0], [[0.0], [2.0]], [1.0, 1.0])
         frac = frac_from(inst, {(0, 0): 0.6, (1, 0): 0.4}, [0.6, 0.4], [0.0], objective=1.0)
-        part = PartitionedClients((frozenset(),), frozenset({0}))
+        part = PartitionedClients(inst, np.array([False]))
         out = rescale(inst, frac, part, eps=0.5)
         assert np.allclose(out.x_values, [0.6, 0.4])
         assert np.allclose(out.y, [0.6, 0.4])
@@ -120,7 +120,7 @@ class TestRescale:
     def test_opening_scales_with_largest_rescale(self):
         inst = tiny([[1.0]], [0], [[0.0]], [1.0])
         frac = frac_from(inst, {(0, 0): 0.3}, [0.3], [0.7], objective=0.6)
-        part = PartitionedClients((frozenset(),), frozenset({0}))
+        part = PartitionedClients(inst, np.array([False]))
         out = rescale(inst, frac, part, eps=0.3)
         assert out.x_values[0] == pytest.approx(1.0)
         assert out.y[0] == pytest.approx(1.0)
@@ -128,14 +128,14 @@ class TestRescale:
     def test_guard_on_insufficient_mass(self):
         inst = tiny([[1.0]], [0], [[0.0]], [1.0])
         frac = frac_from(inst, {(0, 0): 0.1}, [0.1], [0.2], objective=1.0)
-        part = PartitionedClients((frozenset(),), frozenset({0}))
+        part = PartitionedClients(inst, np.array([False]))
         with pytest.raises(RoundingError, match="mass"):
             rescale(inst, frac, part, eps=0.5)
 
     def test_untouched_facility_keeps_opening(self):
         inst = tiny([[1.0]], [0], [[0.0], [5.0]], [1.0, 1.0])
         frac = frac_from(inst, {(0, 0): 0.5}, [0.5, 0.8], [0.5], objective=2.0)
-        part = PartitionedClients((frozenset(),), frozenset({0}))
+        part = PartitionedClients(inst, np.array([False]))
         out = rescale(inst, frac, part, eps=0.5)
         assert out.y[1] == pytest.approx(0.8)
 
@@ -150,11 +150,11 @@ class TestRescale:
                 out = rescale(inst, frac, part, eps)
                 assert out.objective_value <= frac.objective_value / eps * (1 + 1e-6) + 1e-12
                 sums = np.bincount(out.pair_cli, weights=out.x_values, minlength=inst.n_clients)
-                for j in part.retained:
+                for j in np.flatnonzero(~part.dropped):
                     assert sums[j] == pytest.approx(1.0, abs=1e-7)
                 assert (out.x_values <= out.y[out.pair_fac] + 1e-7).all()
                 # zeroing the dropped clients' assignments never raises cost
-                keep = np.isin(frac.pair_cli, np.array(sorted(part.retained), dtype=np.int64))
+                keep = ~part.dropped[frac.pair_cli]
                 cost_hat = float(
                     inst.open_costs @ frac.y
                     + inst.distances()[frac.pair_fac[keep], frac.pair_cli[keep]]
@@ -169,21 +169,21 @@ class TestRound:
     def test_threshold_opens_high_values(self):
         inst = tiny([[0.5]], [0], [[0.0], [2.0]], [1.0, 1.0])
         rescaled = frac_from(inst, {(0, 0): 1.0}, [0.98, 0.02], [0.0])
-        part = PartitionedClients((frozenset(),), frozenset({0}))
+        part = PartitionedClients(inst, np.array([False]))
         sol = round_facility_location(inst, part, rescaled, RoundingConfig(0.1, 0.5))
         assert sol.open == frozenset({0})
 
     def test_empty_open_falls_back_to_argmax(self):
         inst = tiny([[0.5]], [0], [[0.0], [2.0]], [1.0, 1.0])
         rescaled = frac_from(inst, {(0, 0): 1.0}, [0.4, 0.3], [0.0])
-        part = PartitionedClients((frozenset(),), frozenset({0}))
+        part = PartitionedClients(inst, np.array([False]))
         sol = round_facility_location(inst, part, rescaled, RoundingConfig(0.1, 0.5))
         assert sol.open == frozenset({0})
 
     def test_no_retained_clients_allows_empty_open(self):
         inst = tiny([[0.5]], [0], [[0.0]], [1.0])
         rescaled = frac_from(inst, {}, [0.3], [1.0])
-        part = PartitionedClients((frozenset({0}),), frozenset())
+        part = PartitionedClients(inst, np.array([True]))
         sol = round_facility_location(inst, part, rescaled, RoundingConfig(0.1, 0.5))
         assert sol.open == frozenset()
         assert sol.total_cost == 0.0
@@ -193,7 +193,7 @@ class TestRound:
         inst = prune_pairs(tiny([[0.0], [10.0]], [0, 0], [[0.0], [10.0]], [1.0, 1.0]))
         assert inst.allowed_pairs == frozenset({(0, 0), (1, 1)})
         rescaled = frac_from(inst, {(0, 0): 1.0, (1, 1): 1.0}, [0.9, 0.4], [0.0, 0.0])
-        part = PartitionedClients((frozenset(),), frozenset({0, 1}))
+        part = PartitionedClients(inst, np.array([False, False]))
         sol = round_facility_location(inst, part, rescaled, RoundingConfig(0.1, 0.5))
         assert sol.open == frozenset({0, 1})
 
@@ -217,7 +217,7 @@ class TestPipelines:
         assert sol.open == frozenset()
         assert sol.outlier_counts() == (100,)
         assert sol.total_cost <= 100.0
-        assert len(sol.outliers[0]) <= math.ceil(1.2 * 99)
+        assert sol.outlier_counts()[0] <= math.ceil(1.2 * 99)
 
     def test_integral_lp_solved_exactly(self):
         inst = tiny([[3.0]], [0], [[0.0]], [0.0])
@@ -251,7 +251,7 @@ class TestPipelines:
         a = lpr_f(inst, budgets)
         b = lpr_f(inst, budgets)
         assert a.open == b.open
-        assert a.outliers == b.outliers
+        assert np.array_equal(a.dropped, b.dropped)
         assert a.assignment == b.assignment
         assert a.total_cost == b.total_cost
 
@@ -259,7 +259,7 @@ class TestPipelines:
         inst = tiny([[1.0]], [0], [[0.0], [2.0]], [0.0, 0.0])
 
         def open_everything(inst_, part, rescaled, cfg):
-            return assign_nearest(inst_, range(inst_.n_facilities), frozenset().union(*part.outliers))
+            return assign_nearest(inst_, range(inst_.n_facilities), part.dropped)
 
         sol, _ = lpr_pipeline(
             inst, OutlierBudgets((0,)), RoundingConfig(0.25), PER_GROUP, rounder=open_everything
@@ -293,8 +293,7 @@ def _frac_bytes(frac: FractionalSolution) -> tuple:
 
 
 def _solution_parts(sol) -> tuple:
-    return (sol.open, sol.outliers, list(sol.assignment.items()),
-            float(sol.facility_cost).hex(), float(sol.connection_cost).hex())
+    return (*solution_parts(sol), list(sol.assignment.items()))
 
 
 def assert_lpr_fair_equals_nonfair(inst, budget_list, cfg, chained=False) -> None:
