@@ -617,8 +617,8 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="flat key = value config file; flags override it")
     _flag(p, "--dataset", help="'synthetic', a raw CSV path, or a generated instance file")
     _flag(p, "--group-col", help="group label column for raw CSVs")
-    _flag(p, "--feature-cols",
-          help="comma-separated feature columns (default: all but the group column)")
+    _flag(p, "--feature-cols", action="extend",
+          help="comma-separated feature columns (default: all but the group column); repeatable")
     _flag(p, "--n", help="client sample size for raw CSVs")
     _flag(p, "--m", help="number of candidate facilities (default 100)")
     _flag(p, "--problem", help="objective (default fl)")
@@ -630,7 +630,7 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     _flag(p, "--out", help="output file")
     _flag(p, "--jobs", help="parallel sweep workers (default 1)")
     _flag(p, "--facility-cost", help="uniform_dmax: each facility costs the max distance (default: own costs)")
-    _flag(p, "--ell", help="explicit per-group outlier budgets, comma separated")
+    _flag(p, "--ell", action="extend", help="explicit per-group outlier budgets, comma separated; repeatable")
     p.add_argument("--no-prune", dest="prune", action="store_const", const=False, default=None,
                    help="skip median distance-pair pruning")
 

@@ -410,8 +410,8 @@ def assign_nearest(
         return IntegralSolution(inst, open_set, dropped, facility_cost, 0.0)
     if not open_set:
         raise ValueError("no open facility but some clients are not outliers")
-    rows = np.array(sorted(open_set), dtype=np.int64)
-    dist, _ = nearest_rows(inst.distances(), rows)
+    is_open = np.isin(np.arange(inst.n_facilities), list(open_set))
+    dist = inst.distances().min(axis=0, where=is_open[:, None], initial=np.inf)
     connection = float(np.cumsum(dist[~dropped])[-1])  # summed left to right
     return IntegralSolution(inst, open_set, dropped, facility_cost, connection)
 
@@ -421,7 +421,7 @@ def solution_cost(inst: MetricInstance, sol: IntegralSolution, objective: str) -
     clients: ``facility_location`` counts opening plus connection cost,
     ``k_median`` connection cost only.  Each served client's nearest open
     facility is found again by ``_open_argmin``, independently of
-    ``assign_nearest``'s ``nearest_rows``.  Raises ``ValueError`` for an open
+    ``assign_nearest``'s masked minimum.  Raises ``ValueError`` for an open
     facility out of range, a ``sol.dropped`` that is not one bool per
     client, or served clients with no facility open."""
     if objective not in (FACILITY_LOCATION, K_MEDIAN):

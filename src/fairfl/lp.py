@@ -7,17 +7,18 @@ never exceeds opening, and outlier mass per group (or in total, for the
 non-fair variant) stays within budget.
 
 An ``LpModel`` describes the relaxation by the instance's pair arrays, its
-costs and the budget right-hand sides; the full constraint matrix is built
-only when read (``write_mps`` and tests read it), never to solve.
+costs and the budget right-hand sides.  Every HiGHS copy is a slice of its
+one layout; ``_held_matrix`` assembles a slice's constraint matrix, and over
+every pair the matrix ``write_mps`` writes.
 
 Solving goes through the HiGHS solver bundled with scipy (dual simplex;
 Huangfu & Hall, Math. Prog. Comp. 2018), which is deterministic for a fixed
 sequence of operations.  Importing this module loads no part of scipy.
 Only scipy's compiled HiGHS bindings load, when the first HiGHS copy is
 built (``_load_highs``; a missing or older scipy raises ``LpError`` there):
-the solve path imports neither ``scipy.optimize`` nor ``scipy.sparse``, and
-builds each copy's matrix with numpy.  ``scipy.sparse`` loads when
-``a_matrix`` is first read (``write_mps``, tests), and ``scipy.optimize``
+neither the solve path nor ``write_mps`` imports ``scipy.optimize`` or
+``scipy.sparse``.  ``scipy.sparse`` loads when ``a_matrix``, a view kept
+for tests and the benchmark's tracer, is first read, and ``scipy.optimize``
 when ``linprog`` is read from this module.  The LP-free algorithms load
 none of them.
 
@@ -38,11 +39,11 @@ Sassano & Vasil'ev, Math. Prog. 2007).  It starts from every client's
 every opening and outlier column and the budget rows; a client with at most
 ``START_PAIRS`` allowed pairs brings all of them, so on such models HiGHS
 gets the whole LP.  After each optimal run the coverage duals
-``v_j = max(0, -row_dual_j)`` price the omitted pairs: every one with
-``d_ij < v_j - PRICE_TOL`` is appended (its column and its capacity row) and
-the model is re-solved warm from the last basis, until none prices in.  The
-point is then read back in the full ``LpModel`` layout, omitted pairs at
-zero.
+``v_j = max(0, row_dual_j)`` price the omitted pairs: every one with
+``d_ij < v_j - PRICE_TOL`` is added (its column after the held pairs', its
+capacity row before the budget rows) and the model is re-solved warm from
+the last basis, until none prices in.  The point is then scattered back into
+the full ``LpModel`` layout, omitted pairs at zero.
 
 Every solution is certified twice before being returned: an independent
 residual pass checks it against every row of the model, computed from the
@@ -52,8 +53,9 @@ summed over *all* allowed pairs, must reach the objective within
 ``CERTIFICATE_TOL`` relative.  The bound is valid for any ``v, u >= 0``
 because every variable is boxed to [0, 1], so it certifies both the
 solver's optimality and the pricing's stopping rule.  A copy whose bound
-falls short is re-run once by primal simplex, at a lower dual tolerance,
-before that raises (``LpChain._run``).
+falls short, or whose run ends with status ``kUnknown``, is re-run once by
+primal simplex, at a lower dual tolerance, before that raises
+(``LpChain._run``).
 """
 
 from __future__ import annotations
@@ -181,14 +183,15 @@ def __getattr__(name: str):
 class LpModel:
     """The relaxation of ``inst`` at one budget vector, described by the
     instance's pair arrays, the column costs ``c`` and the budget
-    right-hand sides; the constraint matrix ``a_matrix`` (natural row
-    senses, 'G' for >=, 'L' for <=, in ``senses``, with ``rhs``) is built
-    only when read.
+    right-hand sides, in natural row senses ('G' for >=, 'L' for <=, in
+    ``senses``, with ``rhs``).  ``a_matrix``, a scipy view of
+    ``_held_matrix`` kept for tests and the tracer, is built only when read.
 
     Column layout: assignment variables for each allowed pair (client-major
     order, mirrored in ``pair_fac``/``pair_cli``), then one opening variable
     per facility, then one outlier variable per client.  Row layout: client
-    coverage rows, pair capacity rows, then budget row(s).
+    coverage rows, pair capacity rows, then budget row(s).  A HiGHS copy is
+    the slice of this layout over its held pairs (``_highs_model``).
     """
 
     inst: MetricInstance = field(repr=False)
@@ -230,21 +233,11 @@ class LpModel:
         return np.zeros(self.n_clients, dtype=np.int64)
 
     @cached_property
-    def a_matrix(self) -> sparse.csr_matrix:
+    def a_matrix(self) -> sparse.csc_matrix:
         from scipy import sparse
 
-        n, n_pairs = self.n_clients, self.n_pairs
-        p_idx = np.arange(n_pairs)
-        z_cols = n_pairs + self.n_facilities + np.arange(n)
-        ones = np.ones(n_pairs)
-        # coverage: sum_i x_ij + z_j >= 1; capacity: x_ij - y_i <= 0; budgets on z
-        rows = [self.pair_cli, np.arange(n), n + p_idx, n + p_idx, n + n_pairs + self.budget_row]
-        cols = [p_idx, z_cols, p_idx, n_pairs + self.pair_fac, z_cols]
-        data = [ones, np.ones(n), ones, -ones, np.ones(n)]
-        return sparse.csr_matrix(
-            (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
-            shape=(self.n_rows, self.n_vars),
-        )
+        indptr, indices, data = _held_matrix(self, np.arange(self.n_pairs))
+        return sparse.csc_matrix((data, indices, indptr), shape=(self.n_rows, self.n_vars))
 
     @cached_property
     def senses(self) -> np.ndarray:
@@ -346,51 +339,43 @@ def _start_pairs(model: LpModel) -> np.ndarray:
     return np.flatnonzero(chosen)
 
 
-def _held_matrix(model: LpModel, pairs: np.ndarray, n_start: int) -> tuple[np.ndarray, ...]:
-    """The constraint matrix of a held copy (layout in ``_highs_model``) in
-    compressed-column form: ``indptr``, ``indices`` (int32) and ``data``.
-    The entries are listed so that each column's rows ascend (x: coverage,
-    then capacity; y: capacity rows in pair order; z: coverage, then
-    budget), so a stable sort by column gives the canonical form, the
-    arrays scipy's ``coo_matrix(...).tocsc()`` builds from them."""
-    n, m, n_budget = model.n_clients, model.n_facilities, model.n_budget_rows
-    k = len(pairs)
-    late = np.arange(k) >= n_start
-    x_cols = np.arange(k) + late * (m + n)
-    cap_rows = n + np.arange(k) + late * n_budget
-    z_cols = n_start + m + np.arange(n)
-    # coverage -x_ij - z_j <= -1; capacity x_ij - y_i <= 0; budgets on z
-    rows = np.concatenate(
-        [model.pair_cli[pairs], cap_rows, cap_rows, np.arange(n), n + n_start + model.budget_row]
-    )
-    cols = np.concatenate([x_cols, x_cols, n_start + model.pair_fac[pairs], z_cols, z_cols])
-    data = np.concatenate([np.full(k, -1.0), np.ones(k), np.full(k, -1.0), np.full(n, -1.0), np.ones(n)])
+def _held_matrix(model: LpModel, pairs: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The constraint matrix of the slice of ``model`` holding ``pairs``
+    (layout in ``LpModel``; ``a_matrix`` and ``write_mps`` read it with
+    every pair) in compressed-column form: ``indptr``, ``indices`` (int32)
+    and ``data``.  The entries are listed so that each column's rows ascend
+    (x: coverage, then capacity; y: capacity rows in pair order; z:
+    coverage, then budget), so a stable sort by column gives the canonical
+    form, the arrays scipy's ``coo_matrix(...).tocsc()`` builds from them."""
+    n, m, k = model.n_clients, model.n_facilities, len(pairs)
+    x_cols, cap_rows, z_cols = np.arange(k), n + np.arange(k), k + m + np.arange(n)
+    # coverage x_ij + z_j >= 1; capacity x_ij - y_i <= 0; budgets on z
+    rows = np.concatenate([model.pair_cli[pairs], cap_rows, cap_rows, np.arange(n), n + k + model.budget_row])
+    cols = np.concatenate([x_cols, x_cols, k + model.pair_fac[pairs], z_cols, z_cols])
+    data = np.concatenate([np.ones(k), np.ones(k), np.full(k, -1.0), np.ones(n), np.ones(n)])
     order = np.argsort(cols, kind="stable")
     indptr = np.zeros(k + m + n + 1, dtype=np.int32)
     np.cumsum(np.bincount(cols, minlength=k + m + n), out=indptr[1:])
     return indptr, rows[order].astype(np.int32), data[order]
 
 
-def _highs_model(model: LpModel, pairs: np.ndarray, n_start: int):
-    """A HiGHS instance holding the assignment columns and capacity rows of
-    ``pairs``, the first ``n_start`` of them (the start pairs) placed before
-    the opening, outlier and budget rows and columns and the rest (the pairs
-    priced in) after.  Columns: the start pairs, the opening and outlier
-    columns (the first opening column at index ``n_start``), the priced
-    pairs.  Rows: coverage, the start pairs' capacity rows, the budget rows
-    (the first at ``n_clients + n_start``), the priced pairs' capacity rows.
-    Every row reads ``a x <= b``; the model is solved by dual simplex
-    without presolve.  Presolve finds nothing to remove in these models
-    (every row and column survives it) and only costs time and a copy of
-    the LP.  The arrays go through ``passModel``'s array overload, which
-    copies each in one block; it needs an explicit all-zero (continuous)
-    integrality."""
+def _highs_model(model: LpModel, pairs: np.ndarray):
+    """A HiGHS instance holding the slice of ``model`` over ``pairs``: the
+    rows and columns of ``model`` without the other pairs' columns and
+    capacity rows, in ``model``'s order and senses (coverage rows bounded
+    below by 1, the rest above by their right-hand sides).  It is solved by
+    dual simplex without presolve.  Presolve finds nothing to remove in
+    these models (every row and column survives it) and only costs time and
+    a copy of the LP.  The arrays go through ``passModel``'s array overload,
+    which copies each in one block; it needs an explicit all-zero
+    (continuous) integrality."""
     _load_highs()
-    n, n_pairs, k = model.n_clients, model.n_pairs, len(pairs)
-    indptr, indices, data = _held_matrix(model, pairs, n_start)
-    n_col, n_row = k + model.n_facilities + n, k + n + model.n_budget_rows
-    cost = np.concatenate([model.c[pairs[:n_start]], model.c[n_pairs:], model.c[pairs[n_start:]]])
-    upper = np.concatenate([np.full(n, -1.0), np.zeros(n_start), model.budget_rhs, np.zeros(k - n_start)])
+    n, k = model.n_clients, len(pairs)
+    indptr, indices, data = _held_matrix(model, pairs)
+    n_col, n_row = k + model.n_facilities + n, n + k + model.n_budget_rows
+    cost = np.concatenate([model.c[pairs], model.c[model.n_pairs :]])
+    lower = np.concatenate([np.ones(n), np.full(n_row - n, -kHighsInf)])
+    upper = np.concatenate([np.full(n, kHighsInf), np.zeros(k), model.budget_rhs])
     options = HighsOptions()
     options.output_flag = False
     options.log_to_console = False
@@ -402,7 +387,7 @@ def _highs_model(model: LpModel, pairs: np.ndarray, n_start: int):
     highs.passOptions(options)
     status = highs.passModel(
         n_col, n_row, len(data), int(MatrixFormat.kColwise), int(ObjSense.kMinimize), 0.0,
-        cost, np.zeros(n_col), np.ones(n_col), np.full(n_row, -kHighsInf), upper,
+        cost, np.zeros(n_col), np.ones(n_col), lower, upper,
         indptr, indices, data, np.zeros(n_col, dtype=np.int32),
     )
     if status == HighsStatus.kError:
@@ -410,15 +395,13 @@ def _highs_model(model: LpModel, pairs: np.ndarray, n_start: int):
     return highs
 
 
-def _duals(model: LpModel, n_start: int, row_dual) -> tuple[np.ndarray, np.ndarray]:
+def _duals(model: LpModel, row_dual) -> tuple[np.ndarray, np.ndarray]:
     """Coverage duals ``v`` and budget duals ``u`` (both >= 0) from the row
-    duals of a held model with ``n_start`` start pairs.  HiGHS signs the
-    dual of an active ``a x <= b`` row at or below zero in a minimisation,
-    and the coverage rows are held negated."""
+    duals of a held model, whose budget rows are its last.  HiGHS signs an
+    active row bound's dual as the objective moves with it: >= 0 on a
+    coverage row's lower bound, <= 0 on a budget row's upper bound."""
     dual = np.asarray(row_dual)
-    first = model.n_clients + n_start  # the first budget row
-    v = np.maximum(0.0, -dual[: model.n_clients])
-    return v, np.maximum(0.0, -dual[first : first + model.n_budget_rows])
+    return np.maximum(0.0, dual[: model.n_clients]), np.maximum(0.0, -dual[-model.n_budget_rows :])
 
 
 def _priced_in(model: LpModel, held: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -453,9 +436,9 @@ class LpChain:
     """Solves a sequence of relaxations of one instance that differ only in
     their budget rows.
 
-    Holds the LpModel last solved, the held ``pairs`` (the first
-    ``n_start`` of them the start pairs, then those priced in, in order) and
-    one HiGHS copy over them, built by ``_build``.  ``solve`` re-solves the
+    Holds the LpModel last solved, the held ``pairs`` (the start pairs,
+    then those priced in, in order) and one HiGHS copy of the model's slice
+    over them (``_highs_model``), built by ``_build``.  ``solve`` re-solves the
     held copy from its last optimal basis after ``changeRowBounds`` on the
     budget rows when the model is of the same instance object and fairness
     mode (dual simplex, typically tens of pivots where a cold solve takes
@@ -482,7 +465,6 @@ class LpChain:
         self._base: Optional[LpModel] = None
         self._highs: Optional[_Highs] = None
         self._pairs: Optional[np.ndarray] = None
-        self._n_start = 0
         self._memo: dict = {}
         self.stats = {
             "cold": 0, "warm": 0, "switch": 0, "memo": 0,
@@ -516,30 +498,32 @@ class LpChain:
         copy first so that one is alive at a time.  With no copy held these
         are the start pairs.  Otherwise they are the held pairs, then any
         appended, and the held copy's optimal basis carries over: appended
-        pairs enter with their columns at zero and their capacity rows
-        basic; when the count of budget rows changes (a mode switch) the new
-        budget rows enter basic and the basis goes in as alien, which HiGHS
-        completes.  A copy is rebuilt rather than extended by
-        ``addCols``/``addRows``, which would keep about 5 MB of old solver
-        state per pricing round."""
+        pairs enter with their columns at zero before y and their capacity
+        rows basic before the budget rows; when the count of budget rows
+        changes (a mode switch) the new budget rows replace the old, basic,
+        and the basis goes in as alien, which HiGHS completes.  A copy is
+        rebuilt rather than extended by ``addCols``/``addRows``, which would
+        keep about 5 MB of old solver state per pricing round."""
         basis = None
         if self._highs is not None:
             basis = self._highs.getBasis()
             self._release()  # one copy at a time
-            basic, k = HighsBasisStatus.kBasic, len(pairs) - len(self._pairs)
-            rows = list(basis.row_status) + [basic] * k
+            basic, held, k = HighsBasisStatus.kBasic, len(self._pairs), len(pairs) - len(self._pairs)
+            first = model.n_clients + held  # the first budget row
+            rows = list(basis.row_status)
+            rows[first:first] = [basic] * k
             if model.n_budget_rows != self._base.n_budget_rows:
-                first = model.n_clients + self._n_start  # the first budget row
-                rows[first : first + self._base.n_budget_rows] = [basic] * model.n_budget_rows
+                rows[first + k :] = [basic] * model.n_budget_rows
                 basis.alien = True
             basis.row_status = rows
             del rows  # one Python object per status: none stays alive through the build
             if k:  # a switch appends none
-                basis.col_status = list(basis.col_status) + [HighsBasisStatus.kLower] * k
-        else:
-            self._n_start = len(pairs)
+                cols = list(basis.col_status)
+                cols[held:held] = [HighsBasisStatus.kLower] * k
+                basis.col_status = cols
+                del cols
         self._base, self._pairs = model, pairs
-        self._highs = _highs_model(model, pairs, self._n_start)
+        self._highs = _highs_model(model, pairs)
         if basis is not None and self._highs.setBasis(basis) == HighsStatus.kError:
             raise LpError("HiGHS rejected the carried basis")
 
@@ -547,50 +531,42 @@ class LpChain:
         """Set ``model``'s budget rows, solve by dual simplex, and price
         until no omitted pair prices in, with at most ``cap`` simplex
         iterations over all rounds.  A copy whose run ends with HiGHS status
-        ``kUnknown`` is cleared (``clearSolver``) and run once more.  A copy
-        whose run still ends ``kUnknown``, or whose dual bound falls short of
-        the objective by more than ``CERTIFICATE_TOL``, is polished: run once
-        more by primal simplex from its own basis, at ``POLISH_DUAL_TOL``.
-        Only then does either raise.  Every re-run's iterations count.  Returns the certified point
-        in ``model``'s layout, its dual bound, and the iterations, pricing
-        rounds, pairs added and polishing re-runs."""
+        ``kUnknown``, or whose dual bound falls short of the objective by
+        more than ``CERTIFICATE_TOL``, is polished: run once more by primal
+        simplex from its own basis, at ``POLISH_DUAL_TOL``.  Only then does
+        either raise.  The polish's iterations count.  Returns the certified
+        point, the held slice's values scattered into ``model``'s layout
+        with the omitted pairs at zero, its dual bound, and the iterations,
+        pricing rounds, pairs added and polishing re-runs."""
         strategy = simplex_constants.SimplexStrategy
         # a copy polished in an earlier solve goes back to dual simplex
         self._highs.setOptionValue("simplex_strategy", int(strategy.kSimplexStrategyDual))
         self._highs.setOptionValue("dual_feasibility_tolerance", FEASIBILITY_TOL)
+        first = model.n_clients + len(self._pairs)  # the first budget row
         for r in np.flatnonzero(model.budget_rhs != self._base.budget_rhs):
-            row = model.n_clients + self._n_start + int(r)
-            self._highs.changeRowBounds(row, -kHighsInf, float(model.budget_rhs[r]))
+            self._highs.changeRowBounds(first + int(r), -kHighsInf, float(model.budget_rhs[r]))
         self._base = model
         iters = rounds = added = polishes = 0
-        cleared = polished = False  # whether the held copy was re-run from scratch, by primal simplex
+        polished = False  # whether the held copy was re-run by primal simplex
         while True:
             # HiGHS stops at its limit even when that pivot ends the solve
             self._highs.setOptionValue("simplex_iteration_limit", cap - iters + 1)
             self._highs.run()
             iters += int(self._highs.getInfo().simplex_iteration_count)
             status = self._highs.getModelStatus()
-            if status == HighsModelStatus.kUnknown and not cleared:
-                # a carried basis can leave HiGHS with a small dual
-                # infeasibility it gives up on; the same copy without its
-                # solver state solves as a cold start does
-                self._highs.clearSolver()
-                cleared = True
-                continue
             short = status == HighsModelStatus.kUnknown
             if not short:
                 _raise_for_status(status, cap, self._highs.modelStatusToString(status))
                 solution = self._highs.getSolution()
-                v, u = _duals(model, self._n_start, solution.row_dual)
+                v, u = _duals(model, solution.row_dual)
                 pairs = _priced_in(model, self._pairs, v)
                 if pairs.size:
                     self._build(model, np.concatenate([self._pairs, pairs]))
-                    cleared = polished = False
+                    polished = False
                     rounds += 1
                     added += len(pairs)
                     continue
-                held, n_start = self._pairs, self._n_start
-                cols = np.concatenate([held[:n_start], np.arange(model.n_pairs, model.n_vars), held[n_start:]])
+                cols = np.concatenate([self._pairs, np.arange(model.n_pairs, model.n_vars)])
                 values = np.zeros(model.n_vars)
                 values[cols] = solution.col_value
                 objective = float(model.c @ values)
@@ -601,8 +577,9 @@ class LpChain:
             # dual simplex can stop "optimal" with a reduced cost still
             # negative beyond its tolerance, as small as a coordinate offset,
             # and several reduced costs each within it can add up to more
-            # than the certificate allows; a bare run after the switch takes
-            # no pivot, setting the basis makes it re-run from there
+            # than the certificate allows, or give up (kUnknown) on a carried
+            # basis; a bare run after the switch takes no pivot, setting the
+            # basis makes it re-run from there
             self._highs.setOptionValue("simplex_strategy", int(strategy.kSimplexStrategyPrimal))
             self._highs.setOptionValue("dual_feasibility_tolerance", POLISH_DUAL_TOL)
             self._highs.setBasis(self._highs.getBasis())
@@ -716,13 +693,13 @@ def write_mps(model: LpModel, path: str, name: str = "FAIRFL") -> None:
         for r in range(model.n_rows):
             fh.write(f"{sense_tag[str(model.senses[r])]}  R{r:07d}\n")
         fh.write("COLUMNS\n")
-        a_csc = model.a_matrix.tocsc()
+        indptr, indices, data = _held_matrix(model, np.arange(model.n_pairs))
         for v in range(model.n_vars):
             entries = []
             if model.c[v] != 0.0:
                 entries.append(("COST", model.c[v]))
-            start, end = a_csc.indptr[v], a_csc.indptr[v + 1]
-            for r, val in zip(a_csc.indices[start:end], a_csc.data[start:end]):
+            start, end = indptr[v], indptr[v + 1]
+            for r, val in zip(indices[start:end], data[start:end]):
                 entries.append((f"R{r:07d}", val))
             col = f"C{v:07d}"
             for k in range(0, len(entries), 2):

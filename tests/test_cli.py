@@ -376,11 +376,12 @@ class TestLpStackLoadsOnFirstLp:
         steps, _ = _lp_stack_after(tmp_path, [["solve", "--config", cfg, "--algo", "lpr-f", "--pct", "10"]])
         assert steps == [(None, []), (0, ["scipy.optimize._highspy._core"])]
 
-    def test_dump_mps_loads_scipy_sparse_alone(self, tmp_path):
+    def test_dump_mps_loads_the_highs_core_alone(self, tmp_path):
+        # the dump reads the solver's own numpy matrix assembly
         cfg = small_config(tmp_path)
         argv = ["solve", "--config", cfg, "--algo", "lpr-nf", "--pct", "10", "--dump-mps", "model.mps"]
         steps, _ = _lp_stack_after(tmp_path, [argv])
-        assert steps == [(None, []), (0, ["scipy.optimize._highspy._core", "scipy.sparse"])]
+        assert steps == [(None, []), (0, ["scipy.optimize._highspy._core"])]
 
     def test_scipy_optimize_reuses_the_loaded_bindings(self, tmp_path):
         """A later ``import scipy.optimize`` finds the bindings the LP
@@ -562,11 +563,12 @@ class TestConfigFile:
         cfg.write_text("feature_cols = c0, c1\n", encoding="utf-8")
         args = ["sweep", "--dataset", str(raw), "--group-col", "grp", "--m", "4",
                 "--algo", "gdf-f", "--pct", "10"]
-        by_flag, by_file = tmp_path / "flag.csv", tmp_path / "file.csv"
+        by_flag, by_file, by_flags = tmp_path / "flag.csv", tmp_path / "file.csv", tmp_path / "flags.csv"
         assert main(args + ["--feature-cols", "c0, c1", "--out", str(by_flag)]) == 0
         assert main(args + ["--config", str(cfg), "--out", str(by_file)]) == 0
+        assert main(args + ["--feature-cols", "c0", "--feature-cols", "c1", "--out", str(by_flags)]) == 0
         assert "# feature_cols = c0,c1" in without_out_and_ms(by_flag)
-        assert without_out_and_ms(by_flag) == without_out_and_ms(by_file)
+        assert without_out_and_ms(by_flag) == without_out_and_ms(by_file) == without_out_and_ms(by_flags)
 
     def test_embedded_config_block(self, tmp_path):
         # list flags replace the file's lists; every key is written, sorted
@@ -715,13 +717,14 @@ class TestSolveAndOracle:
             ["gdf-f", "10", "0", "4", "4"], ["gdf-f", "10", "1", "1", "1"],
             ["gdf-f", "10", "all", "5", "5"],
         ]
-        # explicit caps: percentage 0 and no percentage list
-        assert main(["solve", "--config", cfg, "--algo", "gdf-nf", "--ell", "3,1",
-                     "--out", str(out)]) == 0
-        comments, _, rows = read_rows(str(out))
-        assert "# algos = gdf-nf" in comments and "# pcts = " in comments
-        assert "# ell = 3,1" in comments
-        assert [r[:2] for r in rows] == [["gdf-nf", "0"]] * 3
+        # explicit caps: percentage 0 and no percentage list; a repeated --ell extends
+        for ell in (["3,1"], ["3", "--ell", "1"]):
+            assert main(["solve", "--config", cfg, "--algo", "gdf-nf", "--ell", *ell,
+                         "--out", str(out)]) == 0
+            comments, _, rows = read_rows(str(out))
+            assert "# algos = gdf-nf" in comments and "# pcts = " in comments
+            assert "# ell = 3,1" in comments
+            assert [r[:2] for r in rows] == [["gdf-nf", "0"]] * 3
 
     def test_dump_mps(self, tmp_path):
         cfg = small_config(tmp_path)
@@ -843,11 +846,12 @@ class TestGenerate:
     def test_feature_col_given_twice_exits_2(self, tmp_path, capsys):
         path = tmp_path / "twice.csv"
         path.write_text("a,b,g\n1,2,x\n3,4,y\n", encoding="utf-8")
-        # a repeated --feature-cols flag replaces the list; one list can name a column twice
-        argv = ["solve", "--dataset", str(path), "--group-col", "g", "--feature-cols", "a,b,a",
-                "--m", "2", "--algo", "gdf-f", "--pct", "10"]
-        assert main(argv) == 2
-        assert "feature column 'a' is named more than once" in capsys.readouterr().err
+        # a repeated --feature-cols flag extends the list, as one list naming a column twice does
+        for named in (["a,b,a"], ["a", "--feature-cols", "a"]):
+            argv = ["solve", "--dataset", str(path), "--group-col", "g", "--feature-cols", *named,
+                    "--m", "2", "--algo", "gdf-f", "--pct", "10"]
+            assert main(argv) == 2
+            assert "feature column 'a' is named more than once" in capsys.readouterr().err
 
     def test_bad_cell_after_a_quoted_line_break_exits_2_naming_its_line(self, tmp_path, capsys):
         path = tmp_path / "multiline.csv"

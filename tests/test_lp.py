@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import os
 import subprocess
@@ -334,13 +335,13 @@ class TestLpChain:
         assert (peak[0], live[0]) == (1, 0)
         assert trims == [0] * built
 
-    def test_unknown_status_reruns_the_cleared_copy(self, monkeypatch, synthetic_seed0):
-        """With 8 start pairs, the aggregate pct-2 solve of the chain fair 1,
-        fair 2, aggregate 1, aggregate 2 ends a carried-basis run with
-        status kUnknown (a dual infeasibility of 1.6e-5).  The chain clears
-        that copy's solver state and runs it once more, which ends optimal
-        at the cold solve's value; the re-run's iterations count in
-        ``simplex_iters`` and against the pivot cap."""
+    def test_unknown_status_on_a_carried_basis_is_polished(self, monkeypatch, synthetic_seed0):
+        """With 8 start pairs, the aggregate pct-3 solve of the chain fair
+        1-10, aggregate 1, 2, 3 ends a carried-basis run after a pricing
+        round with status kUnknown.  The chain polishes that copy once by
+        primal simplex, which ends optimal at the cold solve's value; the
+        polish's iterations count in ``simplex_iters`` and against the pivot
+        cap."""
         runs = []
 
         class Logged(_Highs):
@@ -350,31 +351,30 @@ class TestLpChain:
                 return status
 
             def clearSolver(self):
-                runs.append("clear")
-                return super().clearSolver()
+                raise AssertionError("the solver state was cleared")
 
         monkeypatch.setattr(fairfl.lp, "START_PAIRS", 8)
         monkeypatch.setattr(fairfl.lp, "_Highs", Logged)
         inst = synthetic_seed0
         steps = [build_flfo_lp(inst, budgets_from_pct(inst, pct), fairness)
-                 for fairness, pct in ((PER_GROUP, 1), (PER_GROUP, 2), (AGGREGATE, 1), (AGGREGATE, 2))]
+                 for fairness, pcts in ((PER_GROUP, range(1, 11)), (AGGREGATE, (1, 2, 3))) for pct in pcts]
 
         def last_solve(pivot_cap=None):
             with LpChain() as chain:
                 for model in steps[:-1]:
                     chain.solve(model)
+                assert chain.stats["polished"] == 0
                 runs.clear()
                 before = chain.stats["simplex_iters"]
                 frac = chain.solve(steps[-1], pivot_cap)
-                return frac, chain.stats["simplex_iters"] - before
+                return frac, chain.stats["simplex_iters"] - before, chain.stats["polished"]
 
-        frac, spent = last_solve()
-        assert runs.count("clear") == 1
-        cleared = runs.index("clear")
-        assert runs[cleared - 1][0] == HighsModelStatus.kUnknown
-        assert runs[cleared + 1][0] == HighsModelStatus.kOptimal
-        assert spent == sum(r[1] for r in runs if r != "clear")
-        assert frac.objective_value == 3026.7899181587163
+        frac, spent, polished = last_solve()
+        statuses = [status for status, _ in runs]
+        assert statuses.count(HighsModelStatus.kUnknown) == 1 and polished == 1
+        assert statuses[statuses.index(HighsModelStatus.kUnknown) + 1] == HighsModelStatus.kOptimal
+        assert spent == sum(iters for _, iters in runs)
+        assert frac.objective_value == 2917.7351224320323
         assert frac.objective_value == solve_lp(steps[-1]).objective_value
         assert last_solve(pivot_cap=spent)[0].objective_value == frac.objective_value
         with pytest.raises(IterationLimitError):
@@ -472,16 +472,36 @@ def matrix_z_price(model: LpModel, u: np.ndarray) -> np.ndarray:
     return model.a_matrix[start:, z_off:].T @ u
 
 
-def sliced_hand_off(model: LpModel, pairs: np.ndarray, n_start: int):
-    """The CSC matrix, column costs and row upper bounds of a held model
-    holding ``pairs``, sliced out of the full matrix and sign-flipped."""
+def coo_a_matrix(model: LpModel) -> sparse.csr_matrix:
+    """The full constraint matrix as ``LpModel.a_matrix`` assembled it from
+    scipy's COO form before ``_held_matrix`` served it, kept verbatim as the
+    independent reference."""
     n, n_pairs = model.n_clients, model.n_pairs
-    cols = np.concatenate([pairs[:n_start], np.arange(n_pairs, model.n_vars), pairs[n_start:]])
-    rows = np.concatenate([np.arange(n), n + pairs[:n_start], np.arange(n + n_pairs, model.n_rows),
-                           n + pairs[n_start:]])
-    sign = np.where(model.senses[rows] == "G", -1.0, 1.0)
-    a_csc = model.a_matrix[rows][:, cols].multiply(sign[:, None]).tocsc()
-    return a_csc, model.c[cols], sign * model.rhs[rows]
+    p_idx = np.arange(n_pairs)
+    z_cols = n_pairs + model.n_facilities + np.arange(n)
+    ones = np.ones(n_pairs)
+    # coverage: sum_i x_ij + z_j >= 1; capacity: x_ij - y_i <= 0; budgets on z
+    rows = [model.pair_cli, np.arange(n), n + p_idx, n + p_idx, n + n_pairs + model.budget_row]
+    cols = [p_idx, z_cols, p_idx, n_pairs + model.pair_fac, z_cols]
+    data = [ones, np.ones(n), ones, -ones, np.ones(n)]
+    return sparse.csr_matrix(
+        (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(model.n_rows, model.n_vars),
+    )
+
+
+def sliced_hand_off(model: LpModel, pairs: np.ndarray):
+    """The CSC matrix, column costs and row lower and upper bounds of a held
+    model holding ``pairs``, sliced out of the reference matrix: rows
+    coverage, the pairs' capacity rows, budget; columns the pairs, y, z."""
+    n, n_pairs = model.n_clients, model.n_pairs
+    cols = np.concatenate([pairs, np.arange(n_pairs, model.n_vars)])
+    rows = np.concatenate([np.arange(n), n + pairs, np.arange(n + n_pairs, model.n_rows)])
+    geq = model.senses[rows] == "G"
+    a_csc = coo_a_matrix(model)[rows][:, cols].tocsc()
+    lower = np.where(geq, model.rhs[rows], -kHighsInf)
+    upper = np.where(geq, kHighsInf, model.rhs[rows])
+    return a_csc, model.c[cols], lower, upper
 
 
 def priced_instance(rng):
@@ -763,7 +783,7 @@ class TestArrayForms:
         highs_model = fairfl.lp._highs_model
         monkeypatch.setattr(fairfl.lp, "_Highs", Recording)
         monkeypatch.setattr(fairfl.lp, "_highs_model",
-                            lambda *a: built.append((a[0], a[1].copy(), a[2])) or highs_model(*a))
+                            lambda *a: built.append((a[0], a[1].copy())) or highs_model(*a))
         seed1 = prune_pairs(generate_synthetic(SyntheticConfig(seed=1))[0])
         cases = [
             (far_cheap_instance(), [OutlierBudgets((0, 0))]),
@@ -777,37 +797,20 @@ class TestArrayForms:
                     chain.solve(build_flfo_lp(inst, budgets, fairness))
                 assert chain.stats["pricing_rounds"] >= 1
                 assert len(passed) == len(built) == 1 + chain.stats["pricing_rounds"]
-            for args, (model, pairs, n_start) in zip(passed, built):
-                a_csc, cost, upper = sliced_hand_off(model, pairs, n_start)
+            for args, (model, pairs) in zip(passed, built):
+                a_csc, cost, lower, upper = sliced_hand_off(model, pairs)
                 assert args[:3] == (a_csc.shape[1], a_csc.shape[0], a_csc.nnz)
                 assert args[6].tobytes() == cost.tobytes()
+                assert args[9].tobytes() == lower.tobytes()
                 assert args[10].tobytes() == upper.tobytes()
                 for got, want in zip(args[11:14], (a_csc.indptr, a_csc.indices, a_csc.data)):
                     assert got.tobytes() == want.astype(got.dtype).tobytes()
 
-    @staticmethod
-    def scipy_held_matrix(model, pairs, n_start):
-        """A held copy's matrix as scipy assembles it from the same entries:
-        ``coo_matrix(...).tocsc()``, with int32 index arrays."""
-        n, m, n_budget = model.n_clients, model.n_facilities, model.n_budget_rows
-        k = len(pairs)
-        late = np.arange(k) >= n_start
-        x_cols = np.arange(k) + late * (m + n)
-        cap_rows = n + np.arange(k) + late * n_budget
-        z_cols = n_start + m + np.arange(n)
-        rows = [model.pair_cli[pairs], cap_rows, cap_rows, np.arange(n), n + n_start + model.budget_row]
-        cols = [x_cols, x_cols, n_start + model.pair_fac[pairs], z_cols, z_cols]
-        data = [np.full(k, -1.0), np.ones(k), np.full(k, -1.0), np.full(n, -1.0), np.ones(n)]
-        a_csc = sparse.coo_matrix(
-            (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
-            shape=(k + n + n_budget, k + m + n),
-        ).tocsc()
-        return a_csc.indptr.astype(np.int32), a_csc.indices.astype(np.int32), a_csc.data
-
     def test_held_matrix_equals_scipys_csc(self):
-        """The numpy assembly gives scipy's arrays byte for byte, dtypes
-        included, on a cold start, on a copy holding priced pairs after its
-        start pairs, and on both budget layouts (one row, one per group)."""
+        """The numpy assembly gives scipy's arrays from the reference COO
+        matrix byte for byte, dtypes included: over every pair, and over a
+        copy's start pairs, then priced pairs, sliced out of it, on both
+        budget layouts (one row, one per group)."""
         rng = np.random.default_rng(5)
         seed1 = prune_pairs(generate_synthetic(SyntheticConfig(seed=1))[0])
         layouts = 0
@@ -819,13 +822,15 @@ class TestArrayForms:
                 omitted = np.setdiff1d(np.arange(model.n_pairs), start)
                 priced = np.sort(rng.choice(omitted, size=min(len(omitted), 300), replace=False))
                 assert len(priced) > 0
-                for pairs in (start, np.concatenate([start, priced])):
-                    got = _held_matrix(model, pairs, len(start))
-                    want = self.scipy_held_matrix(model, pairs, len(start))
-                    for g, w in zip(got, want):
+                full = coo_a_matrix(model).tocsc()
+                cases = [(np.arange(model.n_pairs), full)]
+                cases += [(pairs, sliced_hand_off(model, pairs)[0]) for pairs in (start, np.concatenate([start, priced]))]
+                for pairs, a_csc in cases:
+                    want = a_csc.indptr.astype(np.int32), a_csc.indices.astype(np.int32), a_csc.data
+                    for g, w in zip(_held_matrix(model, pairs), want):
                         assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
                     layouts += 1
-        assert layouts == 8
+        assert layouts == 12
 
     def test_solve_path_never_builds_the_full_matrix(self, tmp_path, monkeypatch):
         def refuse(self):
@@ -947,7 +952,7 @@ DRAW_269 = (
     [(3, 0), (1, 0.75), (2, 0), (1, 1.5)],
 )
 # draw 1823 of the two-offset scan (a = 1.32e-7, b = 3.48e-7): dual simplex
-# ends kUnknown, also after the cleared re-run
+# ends kUnknown
 DRAW_1823 = (
     [(0, 0), (1, 0), (1, 1), (0, 0), (0, 0), (0, 0), (2, 1), (1, 3.4825754409075567e-07),
      (1, 1.3162536463099644e-07), (0, 0), (0, 0)],
@@ -983,7 +988,8 @@ class TestPolish:
     @staticmethod
     def log_runs(monkeypatch) -> list:
         """Record each HiGHS run's simplex strategy, dual feasibility
-        tolerance and model status, and each ``clearSolver``."""
+        tolerance and model status, and each ``clearSolver``, which no
+        solve calls."""
         runs = []
 
         class Logged(_Highs):
@@ -1027,14 +1033,14 @@ class TestPolish:
         assert (frac.objective_value, frac.dual_bound) == (0.0, 0.0)
 
     @pytest.mark.parametrize("fairness", [PER_GROUP, AGGREGATE])
-    def test_unknown_after_the_cleared_rerun_is_polished(self, monkeypatch, fairness):
+    def test_unknown_status_is_polished(self, monkeypatch, fairness):
         runs = self.log_runs(monkeypatch)
         inst = offset_instance(*DRAW_1823)
         with LpChain() as chain:
             frac = chain.solve(build_flfo_lp(inst, offset_budget(inst), fairness))
             assert chain.stats["polished"] == 1
         unknown = (DUAL, FEASIBILITY_TOL, HighsModelStatus.kUnknown)
-        assert runs == [unknown, "clear", unknown, (PRIMAL, POLISH_DUAL_TOL, HighsModelStatus.kOptimal)]
+        assert runs == [unknown, (PRIMAL, POLISH_DUAL_TOL, HighsModelStatus.kOptimal)]
         assert certified(frac)
 
     @pytest.mark.parametrize("draw", [DRAW_269, DRAW_1823, FOUR_OFFSETS])
@@ -1066,6 +1072,25 @@ class TestPolish:
                     assert certified(chain.solve(build_flfo_lp(inst, offset_budget(inst), fairness)))
                     polished += chain.stats["polished"]
         assert polished > 0
+
+    @pytest.mark.parametrize("start_pairs", [4, 8, 12])
+    def test_start_pairs_scan_slice_certifies(self, monkeypatch, start_pairs):
+        """Pruned synthetic seeds 0 and 1, each swept in one chain over pct
+        1-10 in one mode and then the other, both orders: smaller starts
+        price and carry bases more often, and every solve certifies with no
+        cleared solver state."""
+        runs = self.log_runs(monkeypatch)
+        monkeypatch.setattr(fairfl.lp, "START_PAIRS", start_pairs)
+        solves = 0
+        for seed in (0, 1):
+            inst = prune_pairs(generate_synthetic(SyntheticConfig(seed=seed))[0])
+            for modes in ((PER_GROUP, AGGREGATE), (AGGREGATE, PER_GROUP)):
+                with LpChain() as chain:
+                    for fairness in modes:
+                        for pct in range(1, 11):
+                            assert certified(chain.solve(build_flfo_lp(inst, budgets_from_pct(inst, pct), fairness)))
+                            solves += 1
+        assert solves == 80 and "clear" not in runs
 
 
 class TestGapInstance:
@@ -1133,6 +1158,16 @@ class TestMpsWriter:
             expected = model.c[v]
             got = coeffs.get(f"C{v:07d}", 0.0)
             assert got == expected  # written in full precision
+
+    def test_dump_bytes_are_pinned(self, tmp_path):
+        """``solve --dump-mps`` for lpr-nf on synthetic seed 1 at pct 3, by
+        the digest its bytes had when ``a_matrix`` was assembled by scipy."""
+        target = tmp_path / "model.mps"
+        argv = ["solve", "--dataset", "synthetic", "--seed", "1", "--algo", "lpr-nf", "--pct", "3",
+                "--dump-mps", str(target)]
+        assert main(argv) == 0
+        digest = hashlib.sha256(target.read_bytes()).hexdigest()
+        assert digest == "0b1568a6aff9df980beb438242ec4099b5577506231a99f01b2766b9a5b854ed"
 
     @pytest.mark.parametrize("fairness", [PER_GROUP, AGGREGATE])
     def test_solver_reads_the_dump_back(self, tmp_path, synthetic_seed0, fairness):
