@@ -44,6 +44,11 @@ withdraws at the start, so such a call resumes at iteration 0: the plain
 run.  The iteration guard counts the replayed iterations, and a
 ``GreedyError`` of the free run is raised again by a call resumed at the
 iteration that raised it.
+
+Each client's clock in the free run, the time of the event that connects it
+(``connection_clocks``), also sizes the LP's cold start
+(``fairfl.lp._start_pairs``), so the first LP solved on an instance runs the
+free run when no GDF call has, and GDF calls after it resume the same record.
 """
 
 from __future__ import annotations
@@ -291,6 +296,24 @@ def _free_run(inst: MetricInstance) -> _FreeRun:
     )
 
 
+def _cached_free_run(inst: MetricInstance) -> _FreeRun:
+    """``inst``'s free run, run on the first call and kept while ``inst`` lives."""
+    run = _free_runs.get(inst)
+    if run is None:
+        run = _free_runs[inst] = _free_run(inst)
+    return run
+
+
+def connection_clocks(inst: MetricInstance) -> np.ndarray:
+    """Each client's clock ``alpha_j`` in the free run of ``inst``: the time
+    of the event that connects it, inf for a client the run never connects.
+    These are the Jain-Vazirani duals the LP's start reads."""
+    run = _cached_free_run(inst)
+    clocks = np.full(inst.n_clients, np.inf)
+    clocks[run.clients] = np.repeat(run.time, np.diff(run.ends))
+    return clocks
+
+
 def _dual_fit(
     inst: MetricInstance,
     group_of: np.ndarray,
@@ -300,9 +323,7 @@ def _dual_fit(
     group_of = np.asarray(group_of, dtype=np.int64)
     targets = np.asarray(targets, dtype=np.int64)
     playing = targets > 0  # a group with nothing to cover withdraws at the start
-    run = _free_runs.get(inst)
-    if run is None:
-        run = _free_runs[inst] = _free_run(inst)
+    run = _cached_free_run(inst)
     # the free run's state at the start of iteration ``it`` is this run's
     it = run.resume_point(group_of, targets) if playing.all() else 0
     events = int(run.starts[it])

@@ -34,11 +34,14 @@ solve.  Each released copy's heap pages are handed back to the system
 (glibc's ``malloc_trim``).
 
 The held model is priced (column generation for facility location; Avella,
-Sassano & Vasil'ev, Math. Prog. 2007).  It starts from every client's
-``START_PAIRS`` nearest allowed pairs, by (distance, facility index), plus
-every opening and outlier column and the budget rows; a client with at most
-``START_PAIRS`` allowed pairs brings all of them, so on such models HiGHS
-gets the whole LP.  After each optimal run the coverage duals
+Sassano & Vasil'ev, Math. Prog. 2007).  A cold copy starts from every
+allowed pair with ``d_ij <= START_FACTOR * alpha_j``, where ``alpha_j`` is
+the clock at which the instance's free GDF run connects client j (a
+Jain-Vazirani dual, J. ACM 2001; ``greedy.connection_clocks``), plus each
+client's nearest allowed pair, so that every client holds at least one.  A
+client the free run never connects has ``alpha_j = inf`` and brings all of
+its pairs.  The copy also holds every opening and outlier column and the
+budget rows.  After each optimal run the coverage duals
 ``v_j = max(0, row_dual_j)`` price the omitted pairs: every one with
 ``d_ij < v_j - PRICE_TOL`` is added (its column after the held pairs', its
 capacity row before the budget rows) and the model is re-solved warm from
@@ -69,6 +72,7 @@ from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
+from .greedy import connection_clocks
 from .instance import MetricInstance, OutlierBudgets
 
 if TYPE_CHECKING:  # annotations only; scipy loads with the first LP
@@ -79,7 +83,7 @@ PER_GROUP = "per_group"
 AGGREGATE = "aggregate"
 
 RESIDUAL_TOL = 1e-7
-START_PAIRS = 20  # each client's nearest allowed pairs in a held model's first solve
+START_FACTOR = 1.5  # a cold copy holds the pairs with d_ij <= START_FACTOR * alpha_j
 PRICE_TOL = 1e-9  # an omitted pair prices in when d_ij < v_j - PRICE_TOL
 CERTIFICATE_TOL = 1e-9  # objective - dual bound, relative to max(1, |objective|)
 FEASIBILITY_TOL = 1e-9  # HiGHS's primal and dual feasibility tolerances
@@ -314,28 +318,22 @@ def _raise_for_status(status: HighsModelStatus, cap: int, message: str) -> None:
 
 
 def _start_pairs(model: LpModel) -> np.ndarray:
-    """Each client's ``START_PAIRS`` nearest allowed pairs by (distance,
-    facility index), as ascending pair indices: every pair when no client
-    has more.  The pairs are client-major with facilities ascending, so each
-    client's cut-off distance is its ``START_PAIRS``-th smallest, found in
-    its own row of a padded client-by-rank table, and the pairs tied at the
-    cut-off are taken in order while the client has room."""
-    n_pairs, n = model.n_pairs, model.n_clients
-    cli, dist = model.pair_cli, model.c[:n_pairs]
-    counts = np.bincount(cli, minlength=n)
-    if counts.max() <= START_PAIRS:
-        return np.arange(n_pairs)
-    table = np.full((n, counts.max()), np.inf)
-    table[np.arange(counts.max()) < counts[:, None]] = dist  # row-major fill is client-major
-    table.partition(START_PAIRS - 1, axis=1)
-    cut = table[:, START_PAIRS - 1].copy()
-    del table  # before the pair-length arrays
-    cut = np.repeat(cut, counts)
-    chosen, tied = dist < cut, np.flatnonzero(dist == cut)
-    room = START_PAIRS - np.bincount(cli[chosen], minlength=n)
-    tied_cli = cli[tied]
-    rank = np.arange(len(tied)) - np.searchsorted(tied_cli, tied_cli)  # among the client's ties
-    chosen[tied[rank < room[tied_cli]]] = True
+    """The pairs of a cold copy, as ascending pair indices: every allowed
+    pair with ``d_ij <= START_FACTOR * alpha_j`` (``alpha_j`` the client's
+    clock in the free GDF run, inf if it never connects), plus each client's
+    nearest allowed pair, lowest facility index on ties, so that no client
+    starts without one.  GDF connects a client no farther than its clock
+    plus a 1e-9 time tolerance, and pruning keeps each client's nearest
+    facility, so that pair adds to the rule only for a client connected at a
+    clock below its nearest distance over ``START_FACTOR``, such as 0.
+    Every client has an allowed pair, and the pairs are client-major with
+    facilities ascending, so each client's pairs are one run and its first
+    pair at its nearest distance has the lowest index."""
+    cli, dist = model.pair_cli, model.c[: model.n_pairs]
+    chosen = dist <= START_FACTOR * connection_clocks(model.inst)[cli]
+    nearest = np.minimum.reduceat(dist, np.flatnonzero(np.diff(cli, prepend=-1)))
+    at = np.flatnonzero(dist == nearest[cli])
+    chosen[at[np.diff(cli[at], prepend=-1) != 0]] = True
     return np.flatnonzero(chosen)
 
 
@@ -449,13 +447,16 @@ class LpChain:
     pivots.  With one group the two modes are the same LP: no switch
     happens, and a budget solved in one mode answers the other.  A model of
     any other instance replaces the held one and is solved cold from its
-    start pairs.  Solutions of the held instance are memoised by budget
-    vector, so a budget seen before returns the same point whatever was
-    solved in between, and a chain's answers depend only on the order of
-    its own calls.  Every returned point passes the residual check against
-    the model it was asked for and carries its dual bound.  Use as a
-    context manager, or call ``close``, to release the HiGHS copy.
-    ``stats`` counts cold, warm, mode-switch and memoised solves, the
+    start pairs (``_start_pairs``: those within ``START_FACTOR`` times each
+    client's free-run GDF clock), so the first cold solve on an instance
+    runs that free run unless a GDF call has.  Solutions of the held
+    instance are memoised by budget vector, so a budget seen before returns
+    the same point whatever was solved in between, and a chain's answers
+    depend only on the order of its own calls.  Every returned point passes
+    the residual check against the model it was asked for and carries its
+    dual bound.  Use as a context manager, or call ``close``, to release
+    the HiGHS copy.  ``stats`` counts cold, warm, mode-switch and memoised
+    solves, the
     simplex iterations spent over all pricing rounds, the pricing rounds run,
     the pairs they added, and the polishing re-runs by primal simplex
     (``_run``).

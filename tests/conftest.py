@@ -57,6 +57,28 @@ def random_budgets(rng, inst):
     )
 
 
+def write_large_table(path, n_rows=6000, seed=7):
+    """Criterion 12's six-feature, two-group (2:1) CSV table, drawn from
+    ``default_rng(seed)``; returns ``path``."""
+    rng = np.random.default_rng(seed)
+    features = np.column_stack(
+        [
+            rng.normal(50, 12, n_rows),
+            rng.exponential(8.0, n_rows),
+            rng.normal(0, 1, n_rows),
+            rng.uniform(0, 100, n_rows),
+            rng.normal(30, 5, n_rows),
+            rng.exponential(2.0, n_rows),
+        ]
+    )
+    groups = np.where(rng.random(n_rows) < 2 / 3, "A", "B")
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("c0,c1,c2,c3,c4,c5,grp\n")
+        for row, g in zip(features, groups):
+            fh.write(",".join(f"{v:.6f}" for v in row) + f",{g}\n")
+    return path
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260809)

@@ -33,7 +33,7 @@ from fairfl import (
 from fairfl.cli import budgets_from_pct, build_parser, main, resolve_config, run_sweep
 from fairfl.instance import prune_pairs
 from fairfl.kmedian import _grid_from_totals
-from conftest import random_budgets, random_instance
+from conftest import random_budgets, random_instance, write_large_table
 
 PCTS = [float(p) for p in range(1, 11)]
 
@@ -240,24 +240,7 @@ def test_criterion_11_guess_grid_property():
 
 @pytest.mark.slow
 def test_criterion_12_large_csv_sweep(tmp_path):
-    rng = np.random.default_rng(7)
-    n_rows = 6000
-    features = np.column_stack(
-        [
-            rng.normal(50, 12, n_rows),
-            rng.exponential(8.0, n_rows),
-            rng.normal(0, 1, n_rows),
-            rng.uniform(0, 100, n_rows),
-            rng.normal(30, 5, n_rows),
-            rng.exponential(2.0, n_rows),
-        ]
-    )
-    groups = np.where(rng.random(n_rows) < 2 / 3, "A", "B")
-    path = tmp_path / "big.csv"
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("c0,c1,c2,c3,c4,c5,grp\n")
-        for row, g in zip(features, groups):
-            fh.write(",".join(f"{v:.6f}" for v in row) + f",{g}\n")
+    path = write_large_table(tmp_path / "big.csv")
     out = tmp_path / "big_sweep.csv"
     args = ["sweep", "--dataset", str(path), "--group-col", "grp", "--n", "4500",
             "--m", "100", "--epsilon", "0.1", "--seed", "0", "--out", str(out)]

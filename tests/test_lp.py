@@ -19,6 +19,7 @@ from scipy.optimize._highspy._core import (
 
 from fairfl import (
     AGGREGATE,
+    DualTrace,
     PER_GROUP,
     InfeasibleError,
     IterationLimitError,
@@ -33,11 +34,13 @@ from fairfl import (
     build_flfo_lp,
     build_gap_instance,
     exact_flfo,
+    gdf_nf,
     generate_synthetic,
     prune_pairs,
     solve_lp,
     write_mps,
 )
+import fairfl.greedy
 import fairfl.lp
 from fairfl.cli import budgets_from_pct, build_parser, main, prepare_instance, resolve_config, run_sweep
 from fairfl.lp import (
@@ -45,7 +48,6 @@ from fairfl.lp import (
     FEASIBILITY_TOL,
     POLISH_DUAL_TOL,
     RESIDUAL_TOL,
-    START_PAIRS,
     HighsModelStatus,
     HighsStatus,
     _dual_bound,
@@ -54,11 +56,51 @@ from fairfl.lp import (
     _start_pairs,
     _verify_residuals,
 )
-from conftest import random_budgets, random_instance
+from fairfl.greedy import connection_clocks
+from conftest import random_budgets, random_instance, write_large_table
 
 
 def tiny(client_pts, groups, fac_pts, costs):
     return MetricInstance(np.array(client_pts, float), groups, np.array(fac_pts, float), costs)
+
+
+def nearest_start(START_PAIRS: int = 20):
+    """The cold start as it stood before the clock rule, kept verbatim as a
+    test-local start: each client's ``START_PAIRS`` nearest allowed pairs.
+    Scenarios whose repro needs a start that small patch it in
+    (``use_nearest_start``)."""
+
+    def start_pairs(model: LpModel) -> np.ndarray:
+        """Each client's ``START_PAIRS`` nearest allowed pairs by (distance,
+        facility index), as ascending pair indices: every pair when no client
+        has more.  The pairs are client-major with facilities ascending, so each
+        client's cut-off distance is its ``START_PAIRS``-th smallest, found in
+        its own row of a padded client-by-rank table, and the pairs tied at the
+        cut-off are taken in order while the client has room."""
+        n_pairs, n = model.n_pairs, model.n_clients
+        cli, dist = model.pair_cli, model.c[:n_pairs]
+        counts = np.bincount(cli, minlength=n)
+        if counts.max() <= START_PAIRS:
+            return np.arange(n_pairs)
+        table = np.full((n, counts.max()), np.inf)
+        table[np.arange(counts.max()) < counts[:, None]] = dist  # row-major fill is client-major
+        table.partition(START_PAIRS - 1, axis=1)
+        cut = table[:, START_PAIRS - 1].copy()
+        del table  # before the pair-length arrays
+        cut = np.repeat(cut, counts)
+        chosen, tied = dist < cut, np.flatnonzero(dist == cut)
+        room = START_PAIRS - np.bincount(cli[chosen], minlength=n)
+        tied_cli = cli[tied]
+        rank = np.arange(len(tied)) - np.searchsorted(tied_cli, tied_cli)  # among the client's ties
+        chosen[tied[rank < room[tied_cli]]] = True
+        return np.flatnonzero(chosen)
+
+    return start_pairs
+
+
+def use_nearest_start(monkeypatch, start_pairs: int = 20) -> None:
+    """Start every cold copy from each client's ``start_pairs`` nearest pairs."""
+    monkeypatch.setattr(fairfl.lp, "_start_pairs", nearest_start(start_pairs))
 
 
 class TestBuild:
@@ -336,9 +378,9 @@ class TestLpChain:
         assert trims == [0] * built
 
     def test_unknown_status_on_a_carried_basis_is_polished(self, monkeypatch, synthetic_seed0):
-        """With 8 start pairs, the aggregate pct-3 solve of the chain fair
-        1-10, aggregate 1, 2, 3 ends a carried-basis run after a pricing
-        round with status kUnknown.  The chain polishes that copy once by
+        """From each client's 8 nearest pairs, the aggregate pct-3 solve of
+        the chain fair 1-10, aggregate 1, 2, 3 ends a carried-basis run
+        after a pricing round with status kUnknown.  The chain polishes that copy once by
         primal simplex, which ends optimal at the cold solve's value; the
         polish's iterations count in ``simplex_iters`` and against the pivot
         cap."""
@@ -353,7 +395,7 @@ class TestLpChain:
             def clearSolver(self):
                 raise AssertionError("the solver state was cleared")
 
-        monkeypatch.setattr(fairfl.lp, "START_PAIRS", 8)
+        use_nearest_start(monkeypatch, 8)
         monkeypatch.setattr(fairfl.lp, "_Highs", Logged)
         inst = synthetic_seed0
         steps = [build_flfo_lp(inst, budgets_from_pct(inst, pct), fairness)
@@ -507,7 +549,7 @@ def sliced_hand_off(model: LpModel, pairs: np.ndarray):
 def priced_instance(rng):
     """Clients and 15-30 dear facilities in the unit square, and 1-10 cheap
     ones farther out, so that a client's cheapest service is often past its
-    START_PAIRS nearest pairs and a pricing round runs."""
+    20 nearest pairs and a pricing round from ``nearest_start`` runs."""
     n_groups = int(rng.integers(1, 4))
     n = int(rng.integers(max(3, n_groups), 13))
     near, far = int(rng.integers(15, 31)), int(rng.integers(1, 11))
@@ -520,7 +562,8 @@ def priced_instance(rng):
 def far_cheap_instance():
     """Six clients amid 25 facilities of cost 100 and one free facility at
     (5, 5): every client is best served from the free one, which is not
-    among its START_PAIRS nearest."""
+    among its 20 nearest (``nearest_start``).  The clock start holds every
+    pair: each client connects to the free facility, far beyond the rest."""
     rng = np.random.default_rng(7)
     facilities = np.vstack([rng.random((25, 2)), [[5.0, 5.0]]])
     costs = np.concatenate([np.full(25, 100.0), [0.0]])
@@ -535,52 +578,15 @@ def assert_priced_matches_full(model, frac):
 class TestPricing:
     """The priced held model against the verbatim full-model path."""
 
-    def test_start_pairs_are_each_clients_nearest(self):
-        inst, _ = generate_synthetic(SyntheticConfig(seed=3))
-        model = build_flfo_lp(inst, budgets_from_pct(inst, 5))
-        start = _start_pairs(model)
-        assert np.all(np.diff(start) > 0)
-        assert np.array_equal(np.bincount(model.pair_cli[start]), np.full(inst.n_clients, START_PAIRS))
-        dist = inst.distances()
-        for j in (0, 17, inst.n_clients - 1):
-            nearest = sorted(range(inst.n_facilities), key=lambda i: (dist[i, j], i))[:START_PAIRS]
-            assert sorted(model.pair_fac[start[model.pair_cli[start] == j]]) == sorted(nearest)
-
-    def test_start_pairs_equal_the_sorted_reference(self):
-        """The per-client selection against a global (client, distance,
-        facility) sort, bit for bit, also where integer coordinates tie
-        many distances at a client's cut-off."""
-
-        def sorted_reference(model):
-            n_pairs = model.n_pairs
-            order = np.lexsort((model.pair_fac, model.c[:n_pairs], model.pair_cli))
-            cli = model.pair_cli[order]
-            counts = np.bincount(cli, minlength=model.n_clients)
-            rank = np.arange(n_pairs) - (np.cumsum(counts) - counts)[cli]
-            return np.sort(order[rank < START_PAIRS])
-
-        rng = np.random.default_rng(1729)
-        cases = []
-        for seed in (0, 3):
-            inst, _ = generate_synthetic(SyntheticConfig(seed=seed))
-            cases += [inst, prune_pairs(inst)]
-        for t in range(40):
-            n, m = int(rng.integers(2, 60)), int(rng.integers(2, 80))
-            inst = tiny(rng.integers(0, 4, (n, 2)), rng.integers(0, 2, n), rng.integers(0, 4, (m, 2)), np.ones(m))
-            cases.append(prune_pairs(inst) if t % 2 else inst)
-        for inst in cases:
-            model = build_flfo_lp(inst, OutlierBudgets((0,) * inst.n_groups))
-            start = _start_pairs(model)
-            assert start.dtype == np.int64
-            assert np.array_equal(start, sorted_reference(model))
-
-    def test_start_is_the_whole_model_with_few_pairs(self, random_suite):
-        """No client of the random suite has more than START_PAIRS pairs, so
-        HiGHS gets today's full input and the points are bit for bit equal."""
+    def test_start_is_the_whole_model_with_few_pairs(self, monkeypatch, random_suite):
+        """No client of the random suite has more than 20 pairs, so from each
+        client's 20 nearest HiGHS gets the full model's input and the points
+        are bit for bit equal."""
+        use_nearest_start(monkeypatch)
         for inst, budgets in random_suite:
             for fairness in (PER_GROUP, AGGREGATE):
                 model = build_flfo_lp(inst, budgets, fairness)
-                assert len(_start_pairs(model)) == model.n_pairs
+                assert len(fairfl.lp._start_pairs(model)) == model.n_pairs
                 with LpChain() as chain:
                     frac = chain.solve(model)
                     assert chain.stats["pricing_rounds"] == 0
@@ -600,9 +606,11 @@ class TestPricing:
                     if pct in (1, 4, 7, 10):
                         assert_priced_matches_full(model, frac)
 
-    def test_priced_matches_full_on_random_budget_chains(self):
+    def test_priced_matches_full_on_random_budget_chains(self, monkeypatch):
         """60 fixed draws of an instance and a chain of 2-5 budget vectors,
-        each chain solved in both modes; pricing runs on 53 of the 120."""
+        each chain solved in both modes from each client's 20 nearest pairs;
+        pricing runs on 53 of the 120."""
+        use_nearest_start(monkeypatch)
         rng = np.random.default_rng(1)
         rounds = []
         for _ in range(60):
@@ -616,7 +624,8 @@ class TestPricing:
                     rounds.append(chain.stats["pricing_rounds"])
         assert sum(r > 0 for r in rounds) >= len(rounds) // 4  # pricing really ran
 
-    def test_far_pairs_price_in(self):
+    def test_far_pairs_price_in(self, monkeypatch):
+        use_nearest_start(monkeypatch)
         inst = far_cheap_instance()
         model = build_flfo_lp(inst, OutlierBudgets((0, 0)))
         with LpChain() as chain:
@@ -629,7 +638,7 @@ class TestPricing:
         """Pinned pricing work of the pct 1..10 chains; seed 1 prices."""
         expected = {
             (0, PER_GROUP): (0, 0), (0, AGGREGATE): (0, 0),
-            (1, PER_GROUP): (2, 37), (1, AGGREGATE): (1, 33),
+            (1, PER_GROUP): (4, 43), (1, AGGREGATE): (1, 4),
         }
         for seed in (0, 1):
             inst, _ = generate_synthetic(SyntheticConfig(seed=seed))
@@ -668,7 +677,7 @@ class TestPricing:
 
         monkeypatch.setattr(fairfl.cli, "LpChain", Recording)
         monkeypatch.setattr(fairfl.lp, "_Highs", Counted)
-        pricing = {0: (0, 0), 1: (2, 37)}
+        pricing = {0: (0, 0), 1: (5, 45)}
         for seed in (0, 1):
             cfg = resolve_config(build_parser().parse_args(["sweep", "--dataset", "synthetic", "--seed", str(seed)]))
             inst, _ = prepare_instance(cfg)
@@ -684,6 +693,7 @@ class TestPricing:
                 assert (copies["peak"], copies["live"]) == (1, 0)
 
     def test_pivot_cap_spans_pricing_rounds(self, monkeypatch):
+        use_nearest_start(monkeypatch)
         model = build_flfo_lp(far_cheap_instance(), OutlierBudgets((0, 0)))
         with LpChain() as chain:
             frac = chain.solve(model)
@@ -721,6 +731,140 @@ class TestPricing:
             if not r.startswith(("# jobs", "# out"))
         ]
         assert strip(out1) == strip(out2)
+
+
+def traced_clocks(inst: MetricInstance) -> np.ndarray:
+    """Each client's connection clock read off a ``DualTrace`` of GDF-NF at
+    a budget of 0, whose events are the free run's: nobody withdraws before
+    the last client connects.  inf for a client no event connects."""
+    trace = DualTrace()
+    gdf_nf(inst, 0, trace)
+    clocks = np.full(inst.n_clients, np.inf)
+    for _, t, _, clients in trace.events:
+        clocks[list(clients)] = t
+    return clocks
+
+
+def nearest_pair(model: LpModel, j: int) -> int:
+    """Client j's nearest allowed pair, lowest facility index on ties."""
+    dist = model.inst.distances()
+    return min(np.flatnonzero(model.pair_cli == j).tolist(),
+               key=lambda p: (dist[model.pair_fac[p], j], model.pair_fac[p]))
+
+
+def brute_force_start(model: LpModel, clocks: np.ndarray) -> np.ndarray:
+    """The clock rule pair by pair: ``d_ij <= 1.5 * alpha_j``, or the pair
+    is the client's nearest allowed one."""
+    dist, held = model.inst.distances(), []
+    for j in range(model.n_clients):
+        nearest = nearest_pair(model, j)
+        held += [p for p in np.flatnonzero(model.pair_cli == j).tolist()
+                 if dist[model.pair_fac[p], j] <= 1.5 * clocks[j] or p == nearest]
+    return np.array(sorted(held), dtype=np.int64)
+
+
+def start_cases():
+    """Synthetic seeds 0 and 3, pruned and unpruned, and 40 small draws on
+    integer coordinates, where distances tie at every turn, every other one
+    pruned."""
+    rng = np.random.default_rng(1729)
+    cases = []
+    for seed in (0, 3):
+        inst, _ = generate_synthetic(SyntheticConfig(seed=seed))
+        cases += [inst, prune_pairs(inst)]
+    for t in range(40):
+        n, m = int(rng.integers(2, 60)), int(rng.integers(2, 80))
+        inst = tiny(rng.integers(0, 4, (n, 2)), rng.integers(0, 2, n), rng.integers(0, 4, (m, 2)), np.ones(m))
+        cases.append(prune_pairs(inst) if t % 2 else inst)
+    return cases
+
+
+class TestClockStart:
+    """A cold copy holds every allowed pair with ``d_ij <= 1.5 * alpha_j``,
+    ``alpha_j`` the client's clock in the free GDF run, plus each client's
+    nearest allowed pair."""
+
+    def test_start_pairs_equal_the_brute_force_rule(self):
+        for inst in start_cases():
+            model = build_flfo_lp(inst, OutlierBudgets((0,) * inst.n_groups))
+            start = _start_pairs(model)
+            assert start.dtype == np.int64
+            assert np.array_equal(start, brute_force_start(model, traced_clocks(inst)))
+
+    def test_each_client_holds_its_nearest_pair(self):
+        """Also where the rule holds no pair of a client: two free facilities
+        4e-10 either side of client 0, which connects at clock 0 (within GDF's
+        1e-9 tolerance), so only the nearest-pair clause holds one of its
+        pairs, and the lower facility index wins the tie."""
+        ties = tiny([(0, 0), (3, 0)], [0, 0], [(-4e-10, 0), (4e-10, 0), (3, 0)], [0.0, 0.0, 0.0])
+        assert ties.distances()[0, 0] == ties.distances()[1, 0] > 0.0
+        for inst in start_cases() + [ties, prune_pairs(ties)]:
+            model = build_flfo_lp(inst, OutlierBudgets((0,) * inst.n_groups))
+            held = set(_start_pairs(model).tolist())
+            assert all(nearest_pair(model, j) in held for j in range(inst.n_clients))
+        for inst in (ties, prune_pairs(ties)):
+            model = build_flfo_lp(inst, OutlierBudgets((0,)))
+            assert traced_clocks(inst)[0] == 0.0
+            start = _start_pairs(model)
+            assert model.pair_fac[start].tolist() == [0, 2] and model.pair_cli[start].tolist() == [0, 1]
+
+    def test_unconnected_clients_bring_all_their_pairs(self, monkeypatch):
+        """A free run that raises before connecting everyone leaves the rest
+        at ``alpha_j = inf``: every facility at infinite cost (no client
+        connects), and seed 0's record cut after its 200th event, as a run
+        that raised there would leave it."""
+        never = tiny([(0, 0), (1, 1), (2, 0)], [0, 1, 0], [(0, 1), (3, 3)], [np.inf, np.inf])
+        model = build_flfo_lp(never, OutlierBudgets((0, 0)))
+        assert np.all(np.isinf(connection_clocks(never)))
+        assert np.array_equal(_start_pairs(model), np.arange(model.n_pairs))
+
+        inst = prune_pairs(generate_synthetic(SyntheticConfig(seed=0))[0])
+        clocks = connection_clocks(inst)
+        run, events = fairfl.greedy._free_runs[inst], 200
+        cut = type(run)(
+            clients=run.clients[: run.ends[events]], opens=run.opens[:events], time=run.time[:events],
+            fac=run.fac[:events], ends=run.ends[: events + 1], starts=run.starts[run.starts <= events],
+        )
+        monkeypatch.setitem(fairfl.greedy._free_runs, inst, cut)
+        left = np.ones(inst.n_clients, dtype=bool)
+        left[cut.clients] = False
+        assert 0 < left.sum() < inst.n_clients
+        clocks[left] = np.inf
+        assert np.array_equal(connection_clocks(inst), clocks)
+        model = build_flfo_lp(inst, budgets_from_pct(inst, 5))
+        start = _start_pairs(model)
+        assert np.array_equal(start, brute_force_start(model, clocks))
+        assert np.array_equal(np.bincount(model.pair_cli[start], minlength=inst.n_clients)[left],
+                              np.bincount(model.pair_cli, minlength=inst.n_clients)[left])
+        with LpChain() as chain:
+            assert_priced_matches_full(model, chain.solve(model))
+
+    def test_priced_matches_full(self, random_suite):
+        """The random suite, 60 draws of ``priced_instance`` with a chain of
+        2-5 budget vectors each, and ``far_cheap_instance``, in both modes."""
+        rng = np.random.default_rng(1)
+        cases = [(inst, [budgets]) for inst, budgets in random_suite]
+        for _ in range(60):
+            inst = priced_instance(rng)
+            cases.append((inst, [random_budgets(rng, inst) for _ in range(int(rng.integers(2, 6)))]))
+        cases.append((far_cheap_instance(), [OutlierBudgets((0, 0))]))
+        for inst, seq in cases:
+            for fairness in (PER_GROUP, AGGREGATE):
+                with LpChain() as chain:
+                    for budgets in seq:
+                        model = build_flfo_lp(inst, budgets, fairness)
+                        assert_priced_matches_full(model, chain.solve(model))
+
+    def test_criterion_12_start_size(self, tmp_path):
+        """The held start of criterion 12's cold fair LP at pct 5, counted
+        without solving: 88,440 pairs from each client's 20 nearest."""
+        path = write_large_table(tmp_path / "big.csv")
+        args = ["sweep", "--dataset", str(path), "--group-col", "grp", "--n", "4500",
+                "--m", "100", "--epsilon", "0.1", "--seed", "0"]
+        inst, _ = prepare_instance(resolve_config(build_parser().parse_args(args)))
+        model = build_flfo_lp(inst, budgets_from_pct(inst, 5))
+        assert len(_start_pairs(model)) == 41_340
+        assert len(nearest_start()(model)) == 88_440
 
 
 class TestArrayForms:
@@ -772,8 +916,10 @@ class TestArrayForms:
     @pytest.mark.parametrize("fairness", [PER_GROUP, AGGREGATE])
     def test_hand_off_equals_the_sliced_matrix(self, monkeypatch, fairness):
         """The start model and every model rebuilt after a pricing round
-        reach HiGHS byte for byte as sliced out of the full matrix."""
+        reach HiGHS byte for byte as sliced out of the full matrix.  Each
+        client's 20 nearest pairs start both cases, so both price."""
         passed, built = [], []
+        use_nearest_start(monkeypatch)
 
         class Recording(_Highs):
             def passModel(self, *args):
@@ -809,8 +955,8 @@ class TestArrayForms:
     def test_held_matrix_equals_scipys_csc(self):
         """The numpy assembly gives scipy's arrays from the reference COO
         matrix byte for byte, dtypes included: over every pair, and over a
-        copy's start pairs, then priced pairs, sliced out of it, on both
-        budget layouts (one row, one per group)."""
+        start (each client's 20 nearest pairs), then priced pairs, sliced
+        out of it, on both budget layouts (one row, one per group)."""
         rng = np.random.default_rng(5)
         seed1 = prune_pairs(generate_synthetic(SyntheticConfig(seed=1))[0])
         layouts = 0
@@ -818,7 +964,7 @@ class TestArrayForms:
             start = None
             for fairness in (PER_GROUP, AGGREGATE):  # the switch keeps the pairs
                 model = build_flfo_lp(inst, budgets_from_pct(inst, 5), fairness)
-                start = _start_pairs(model) if start is None else start
+                start = nearest_start()(model) if start is None else start
                 omitted = np.setdiff1d(np.arange(model.n_pairs), start)
                 priced = np.sort(rng.choice(omitted, size=min(len(omitted), 300), replace=False))
                 assert len(priced) > 0
@@ -884,6 +1030,7 @@ class TestCertificate:
         assert frac.objective_value - frac.dual_bound <= 1e-9 * frac.objective_value
 
     def test_skipped_candidate_raises(self, monkeypatch):
+        use_nearest_start(monkeypatch)
         model = build_flfo_lp(far_cheap_instance(), OutlierBudgets((0, 0)))
         priced_in = fairfl.lp._priced_in
         # the last candidate is the last client's pair to the free facility
@@ -983,7 +1130,11 @@ class TestPolish:
     about a coordinate offset, beyond its own tolerance, or give up with
     kUnknown.  The chain then re-runs the held copy by primal simplex from
     its own basis at the lowest dual tolerance HiGHS accepts (a polish), and
-    the next solve is by dual simplex at the usual tolerance again."""
+    the next solve is by dual simplex at the usual tolerance again.
+
+    The offset draws' repros fire when HiGHS holds the whole model, which
+    each client's 20 nearest pairs are on their four facilities, so those
+    tests start from ``nearest_start``; the clock start prices them."""
 
     @staticmethod
     def log_runs(monkeypatch) -> list:
@@ -1010,6 +1161,7 @@ class TestPolish:
     @pytest.mark.parametrize("draw", [DRAW_269, FOUR_OFFSETS], ids=["draw269", "four_offsets"])
     def test_certificate_shortfall_is_polished(self, monkeypatch, draw, fairness):
         runs = self.log_runs(monkeypatch)
+        use_nearest_start(monkeypatch)
         inst = offset_instance(*draw)
         with LpChain() as chain:
             frac = chain.solve(build_flfo_lp(inst, offset_budget(inst), fairness))
@@ -1035,6 +1187,7 @@ class TestPolish:
     @pytest.mark.parametrize("fairness", [PER_GROUP, AGGREGATE])
     def test_unknown_status_is_polished(self, monkeypatch, fairness):
         runs = self.log_runs(monkeypatch)
+        use_nearest_start(monkeypatch)
         inst = offset_instance(*DRAW_1823)
         with LpChain() as chain:
             frac = chain.solve(build_flfo_lp(inst, offset_budget(inst), fairness))
@@ -1046,6 +1199,7 @@ class TestPolish:
     @pytest.mark.parametrize("draw", [DRAW_269, DRAW_1823, FOUR_OFFSETS])
     def test_next_warm_solve_is_by_dual_simplex(self, monkeypatch, draw):
         runs = self.log_runs(monkeypatch)
+        use_nearest_start(monkeypatch)
         inst = offset_instance(*draw)
         with LpChain() as chain:
             chain.solve(build_flfo_lp(inst, offset_budget(inst)))
@@ -1059,11 +1213,12 @@ class TestPolish:
         assert frac.objective_value == pytest.approx(solve_lp(model).objective_value, rel=1e-9)
 
     @pytest.mark.parametrize("n_offsets, low, high, first", [(2, -9.0, -4.0, 200), (8, -11.0, -9.0, 0)])
-    def test_scan_slice_certifies(self, n_offsets, low, high, first):
+    def test_scan_slice_certifies(self, monkeypatch, n_offsets, low, high, first):
         """200 draws of a scan, every solve certified in both modes.  Draws
         200-399 of the two-offset scan hold three draws whose solves failed
         without the polish (269, 327 and 357).  Draws 0-199 of the
         eight-offset scan need the polish's lower dual tolerance."""
+        use_nearest_start(monkeypatch)
         polished = 0
         for clients, facilities in itertools.islice(offset_scan(n_offsets, low, high), first, first + 200):
             inst = offset_instance(clients, facilities)
@@ -1073,22 +1228,20 @@ class TestPolish:
                     polished += chain.stats["polished"]
         assert polished > 0
 
-    @pytest.mark.parametrize("start_pairs", [4, 8, 12])
-    def test_start_pairs_scan_slice_certifies(self, monkeypatch, start_pairs):
-        """Pruned synthetic seeds 0 and 1, each swept in one chain over pct
-        1-10 in one mode and then the other, both orders: smaller starts
-        price and carry bases more often, and every solve certifies with no
-        cleared solver state."""
+    @pytest.mark.parametrize("seed", [2, 3, 4])
+    def test_clock_start_scan_slice_certifies(self, monkeypatch, seed):
+        """One synthetic seed, pruned and unpruned, each swept in one chain
+        over pct 1-10 in one mode and then the other, both orders, from the
+        clock start: every solve certifies with no cleared solver state."""
         runs = self.log_runs(monkeypatch)
-        monkeypatch.setattr(fairfl.lp, "START_PAIRS", start_pairs)
         solves = 0
-        for seed in (0, 1):
-            inst = prune_pairs(generate_synthetic(SyntheticConfig(seed=seed))[0])
+        inst = generate_synthetic(SyntheticConfig(seed=seed))[0]
+        for case in (inst, prune_pairs(inst)):
             for modes in ((PER_GROUP, AGGREGATE), (AGGREGATE, PER_GROUP)):
                 with LpChain() as chain:
                     for fairness in modes:
                         for pct in range(1, 11):
-                            assert certified(chain.solve(build_flfo_lp(inst, budgets_from_pct(inst, pct), fairness)))
+                            assert certified(chain.solve(build_flfo_lp(case, budgets_from_pct(case, pct), fairness)))
                             solves += 1
         assert solves == 80 and "clear" not in runs
 
