@@ -21,16 +21,18 @@ assign over the full metric, so on a pruned instance their cost may fall
 below it.  Set-up prunes the instance (``prune_pairs``), but its pairs are
 computed when an LP first reads them: ``lp_obj``, LPR or ``--dump-mps``.
 GDF and the k-median searches never build them.  ``--dump-mps`` writes the
-facility-location LP, so it needs ``--problem fl``.  A sweep runs one LP
-chain per instance, fair then aggregate, in one process: lpr-f's cells (or the
-fair LP alone, for ``lp_obj``) at every percentage in order, then lpr-nf's,
-the LP re-solved warm from one percentage to the next and the aggregate LP
-started from the fair LP's optimal basis (see ``fairfl.lp.LpChain``).  Every
-other algorithm runs on a chain of its own.  The chains are the same
-whatever ``--jobs`` is, so output bytes do not depend on it.  Every cell's
-cost and per-group outlier counts are re-checked against its solution before
-the row is written.  Exit codes: 0 success, 2 configuration error, 3 solver
-error (or a cell that fails the re-check).
+facility-location LP, so it needs ``--problem fl``.  A sweep runs in one
+process.  Its LP algorithms share one LP chain, fair then aggregate:
+lpr-f's cells (or the fair LP alone, for ``lp_obj``) at every percentage in
+order, then lpr-nf's, the LP re-solved warm from one percentage to the next
+and the aggregate LP started from the fair LP's optimal basis (see
+``fairfl.lp.LpChain``).  Every other algorithm runs after the chain is
+released.  ``--jobs`` is still parsed and checked, but changes nothing.
+Facility-location algorithms do not run under ``--problem kmedian``: they
+open facilities without the cap k.  Every cell's cost and per-group outlier
+counts are re-checked against its solution before the row is written.  Exit
+codes: 0 success, 2 configuration error, 3 solver error (or a cell that
+fails the re-check).
 """
 
 from __future__ import annotations
@@ -40,7 +42,6 @@ import csv
 import math
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields, replace
 from typing import Any, Callable, NamedTuple, Optional, Sequence
 
@@ -106,7 +107,7 @@ class RunParams:
     eps_guess: float
     improve_frac: float
     k: int
-    lp_chain: Optional[LpChain] = None  # shared by the LP solves of one sweep chain
+    lp_chain: Optional[LpChain] = None  # shared by the LP solves of one sweep
 
 
 def _from_config(cls, cfg: dict, **extra):
@@ -268,12 +269,9 @@ def _is_instance_file(path: str, group_col: Optional[str]) -> bool:
     """True when ``path`` is read as an instance file: its header starts
     with ``kind,group,cost``, or with ``kind`` and no ``--group-col`` names
     a raw CSV's column, so that a short instance header gets the instance
-    reader's error."""
-    try:
-        with open(path, encoding="utf-8-sig") as fh:
-            first = [h.strip().lower() for h in fh.readline().split(",")]
-    except OSError:
-        return False
+    reader's error.  A path that cannot be opened raises its ``OSError``."""
+    with open(path, encoding="utf-8-sig") as fh:
+        first = [h.strip().lower() for h in fh.readline().split(",")]
     return first[:3] == ["kind", "group", "cost"] or (first[0] == "kind" and not group_col)
 
 
@@ -422,64 +420,37 @@ def _verify_cell(algo: str, pct: float, inst: MetricInstance, sol: IntegralSolut
         )
 
 
-def _chain_worker(payload) -> tuple[list[SweepRecord], list[float]]:
-    """The cells of ``algos``, one algorithm after the other, each at every
-    percentage in order, on one LpChain; module-level so process pools can
-    pickle it.
-
-    An algorithm None runs no cells.  For facility location, the pass of
-    lpr-f or None also returns the fair LP optimum at each percentage,
-    solved on the chain, whose memo answers it when lpr-f already solved
-    that LP.  The chain's HiGHS model is released when it ends.
-    """
-    algos, pcts, budget_list, inst, params, problem, seed = payload
-    records, lp_objs = [], []
-    with LpChain() as chain:
-        params = replace(params, lp_chain=chain)
-        for algo in algos:
-            for pct, budgets in zip(pcts, budget_list):
-                if algo is not None:
-                    records.append(_cell_worker(algo, pct, inst, budgets, params, problem, seed)[0])
-                if problem == "fl" and algo in ("lpr-f", None):
-                    frac = solve_lp(build_flfo_lp(inst, budgets, PER_GROUP), chain=chain)
-                    lp_objs.append(frac.objective_value)
-    return records, lp_objs
-
-
 def run_sweep(inst: MetricInstance, cfg: dict) -> list[SweepRecord]:
-    problem = cfg["problem"]
-    algos = list(cfg["algos"])
+    """Every algorithm's cells at every percentage, percentage-major in the
+    order of ``cfg["algos"]``.  The LP algorithms share one LpChain, in the
+    order the module docstring gives, and the chain is released before the
+    other algorithms run.  For facility location, the fair pass also solves
+    each percentage's fair LP for ``lp_obj``; the chain's memo answers it
+    when lpr-f already solved that LP."""
+    problem, seed = cfg["problem"], cfg["seed"]
+    algos = list(dict.fromkeys(cfg["algos"]))
+    cells = [(pct, budgets_from_pct(inst, pct)) for pct in cfg["pcts"]]
     params = run_params(cfg)
-    pcts = list(cfg["pcts"])
-    budget_list = [budgets_from_pct(inst, pct) for pct in pcts]
-    # one LP chain per instance: the fair pass (lpr-f's cells, or the fair LP
-    # alone for lp_obj), then lpr-nf's cells, the aggregate LP starting from
-    # the fair LP's basis; every other algorithm runs on a chain of its own
-    distinct = list(dict.fromkeys(algos))
-    lp_chain = [algo for algo in ("lpr-f", "lpr-nf") if algo in distinct]
-    if problem == "fl" and algos and "lpr-f" not in lp_chain:
-        lp_chain.insert(0, None)
-    chains = [lp_chain] if lp_chain else []
-    chains += [[algo] for algo in distinct if algo not in lp_chain]
-    payloads = [(chain, pcts, budget_list, inst, params, problem, cfg["seed"]) for chain in chains]
-    if cfg["jobs"] > 1 and len(payloads) > 1:
-        with ProcessPoolExecutor(max_workers=min(cfg["jobs"], len(payloads))) as pool:
-            outputs = list(pool.map(_chain_worker, payloads))
-    else:
-        outputs = [_chain_worker(payload) for payload in payloads]
-
     results: dict = {}
     lp_obj: dict = {}
-    for records, lp_objs in outputs:
-        results.update(((rec.algo, rec.pct), rec) for rec in records)
-        lp_obj.update(zip(pcts, lp_objs))
-    records = []
-    for pct in pcts:
-        for algo in algos:
-            record = results[(algo, pct)]
-            record.lp_obj = lp_obj.get(pct)
-            records.append(record)
-    return records
+
+    def run_cells(algo: str, params: RunParams) -> None:
+        for pct, budgets in cells:
+            results[algo, pct] = _cell_worker(algo, pct, inst, budgets, params, problem, seed)[0]
+
+    with LpChain() as chain:
+        lp_params = replace(params, lp_chain=chain)
+        for pct, budgets in cells:
+            if "lpr-f" in algos:
+                results["lpr-f", pct] = _cell_worker("lpr-f", pct, inst, budgets, lp_params, problem, seed)[0]
+            if problem == "fl" and algos:
+                lp_obj[pct] = solve_lp(build_flfo_lp(inst, budgets, PER_GROUP), chain=chain).objective_value
+        if "lpr-nf" in algos:
+            run_cells("lpr-nf", lp_params)
+    for algo in algos:
+        if algo not in ("lpr-f", "lpr-nf"):
+            run_cells(algo, params)
+    return [replace(results[algo, pct], lp_obj=lp_obj.get(pct)) for pct, _ in cells for algo in cfg["algos"]]
 
 
 def write_records(records: list[SweepRecord], cfg: dict, out_path: Optional[str]) -> None:
@@ -525,8 +496,18 @@ def _budgets(inst: MetricInstance, cfg: dict) -> tuple[OutlierBudgets, float]:
     return budgets_from_pct(inst, cfg["pcts"][0]), cfg["pcts"][0]
 
 
+def _check_problem(algos: Sequence[str], problem: str) -> None:
+    """Facility-location algorithms open facilities without the cap k, so
+    they do not run under k-median.  k-median algorithms may run in a
+    facility-location sweep: any open set is feasible there."""
+    for algo in algos:
+        if problem == "kmedian" and algo in FL_ALGOS:
+            raise ConfigError(f"{algo} is a facility-location algorithm; it does not run with problem kmedian")
+
+
 def cmd_solve(args) -> int:
     cfg = resolve_config(args)
+    _check_problem([args.algo], cfg["problem"])
     if cfg["dump_mps"] and cfg["problem"] != "fl":
         raise ConfigError("dump_mps writes the facility-location LP; it needs --problem fl")
     inst, names = prepare_instance(cfg)
@@ -555,6 +536,9 @@ def cmd_solve(args) -> int:
 
 def cmd_sweep(args) -> int:
     cfg = resolve_config(args)
+    if cfg["ell"] is not None:
+        raise ConfigError("sweep takes --pct, one budget vector per percentage; 'ell' is for solve and oracle")
+    _check_problem(cfg["algos"], cfg["problem"])
     if not cfg["pcts"]:
         raise ConfigError("need at least one --pct")
     inst, _ = prepare_instance(cfg)
@@ -628,7 +612,7 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     _flag(p, "--k", help="facility cap for k-median algorithms")
     _flag(p, "--seed", help="seed for sampling/generation (default 0)")
     _flag(p, "--out", help="output file")
-    _flag(p, "--jobs", help="parallel sweep workers (default 1)")
+    _flag(p, "--jobs", help="accepted and ignored: a sweep runs in one process (at least 1; default 1)")
     _flag(p, "--facility-cost", help="uniform_dmax: each facility costs the max distance (default: own costs)")
     _flag(p, "--ell", action="extend", help="explicit per-group outlier budgets, comma separated; repeatable")
     p.add_argument("--no-prune", dest="prune", action="store_const", const=False, default=None,

@@ -181,9 +181,9 @@ class MetricInstance:
         object.__setattr__(self, "pruned", bool(self.pruned))
 
     def __reduce__(self):
-        # unpickled copies (a sweep worker's) go through the constructor too,
-        # so they are validated and read-only; cached values, the pairs of a
-        # pruned instance among them, are recomputed
+        # unpickled copies go through the constructor too, so they are
+        # validated and read-only; cached values, the pairs of a pruned
+        # instance among them, are recomputed
         return MetricInstance, (self.client_coords, self.groups, self.facility_coords,
                                 self.open_costs, self.pruned)
 

@@ -24,7 +24,9 @@ from fairfl.cli import (
     resolve_config,
 )
 from fairfl import IntegralSolution, MetricInstance, generate_synthetic, SyntheticConfig
+from fairfl import greedy as greedy_mod
 from fairfl import instance as instance_mod
+from fairfl.lp import LpChain
 import fairfl.cli as cli_mod
 from conftest import eager_pairs
 
@@ -183,6 +185,63 @@ class TestSweep:
         for pct, value in lp_by_pct[0].items():
             assert lp_by_pct[1][pct] == pytest.approx(value, rel=1e-9)
 
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_free_run_runs_once_in_the_calling_process(self, tmp_path, monkeypatch, jobs):
+        """The LP's clock start and both GDF algorithms read one free run."""
+        built, original = [], greedy_mod._free_run
+        monkeypatch.setattr(greedy_mod, "_free_run", lambda inst: built.append(1) or original(inst))
+        args = ["sweep", "--config", small_config(tmp_path), "--algo", "lpr-f", "--algo", "lpr-nf",
+                "--algo", "gdf-f", "--algo", "gdf-nf", "--pct", "5", "--pct", "15", "--jobs", jobs,
+                "--out", str(tmp_path / "s.csv")]
+        assert main(args) == 0
+        assert len(built) == 1
+
+    # small_config's groups have 40 and 10 clients: pct 5 caps them at (2, 1)
+    # and pct 15 at (6, 2), or 3 and 8 in all
+    @pytest.mark.parametrize("algos, expected", [
+        (["lpr-f", "lpr-nf"],
+         [("lpr-f", (2, 1)), ("per_group", (2, 1)), ("per_group", (2, 1)),
+          ("lpr-f", (6, 2)), ("per_group", (6, 2)), ("per_group", (6, 2)),
+          ("lpr-nf", (2, 1)), ("aggregate", (3,)), ("lpr-nf", (6, 2)), ("aggregate", (8,)), "close"]),
+        (["lpr-nf"],
+         [("per_group", (2, 1)), ("per_group", (6, 2)),
+          ("lpr-nf", (2, 1)), ("aggregate", (3,)), ("lpr-nf", (6, 2)), ("aggregate", (8,)), "close"]),
+        (["gdf-f"],
+         [("per_group", (2, 1)), ("per_group", (6, 2)), "close", ("gdf-f", (2, 1)), ("gdf-f", (6, 2))]),
+    ], ids=["lpr-f,lpr-nf", "lpr-nf", "gdf-f"])
+    def test_lp_chain_call_sequence(self, tmp_path, monkeypatch, algos, expected):
+        """Each cell (algorithm and budgets), each ``LpChain.solve`` (fairness
+        mode and budget rows) and each chain release, in order: the fair pass
+        (lpr-f's cells with lp_obj, or lp_obj alone), then lpr-nf's cells, on
+        one chain released before any other algorithm runs."""
+        events, chains = [], set()
+        solve, close, run_algorithm = LpChain.solve, LpChain.close, cli_mod.run_algorithm
+
+        def recording_solve(chain, model, *args, **kwargs):
+            chains.add(id(chain))
+            events.append((model.fairness, tuple(model.budget_rhs.tolist())))
+            return solve(chain, model, *args, **kwargs)
+
+        monkeypatch.setattr(LpChain, "solve", recording_solve)
+        monkeypatch.setattr(LpChain, "close", lambda chain: events.append("close") or close(chain))
+        monkeypatch.setattr(cli_mod, "run_algorithm",
+                            lambda algo, inst, budgets, params: events.append((algo, budgets.per_group))
+                            or run_algorithm(algo, inst, budgets, params))
+        args = ["sweep", "--config", small_config(tmp_path), "--pct", "5", "--pct", "15",
+                "--out", str(tmp_path / "s.csv")]
+        assert main(args + [arg for algo in algos for arg in ("--algo", algo)]) == 0
+        assert events == expected
+        assert len(chains) == 1
+
+    @pytest.mark.parametrize("source", ["flag", "file"])
+    def test_ell_exits_2(self, tmp_path, capsys, source):
+        cfg = small_config(tmp_path, **({"ell": "3,3"} if source == "file" else {}))
+        flags = ["--ell", "3,3"] if source == "flag" else []
+        out = tmp_path / "s.csv"
+        assert main(["sweep", "--config", cfg, "--algo", "gdf-f", "--pct", "5", *flags, "--out", str(out)]) == 2
+        assert "sweep takes --pct" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_bad_pct_exits_2(self, tmp_path):
         cfg = small_config(tmp_path)
         assert main(["sweep", "--config", cfg, "--algo", "gdf-f", "--pct", "150"]) == 2
@@ -292,7 +351,8 @@ import fairfl
 import fairfl.cli
 
 def lp_stack():
-    names = ("scipy.optimize", "scipy.optimize._highspy._core", "scipy.sparse")
+    names = ("scipy.optimize", "scipy.optimize._highspy._core", "scipy.sparse",
+             "multiprocessing", "concurrent.futures")
     return [name for name in names if name in sys.modules]
 
 print(json.dumps([None, lp_stack()]))
@@ -303,7 +363,8 @@ for argv in json.loads(sys.argv[2]):
 
 def _lp_stack_after(tmp_path, argvs, mode="plain"):
     """Run ``argvs`` through ``main`` in one fresh process; each verb's exit
-    code and the LP modules loaded after it, after the import first."""
+    code and the LP and process-pool modules loaded after it, after the
+    import first."""
     src = str(Path(__file__).resolve().parent.parent / "src")
     out = subprocess.run(
         [sys.executable, "-c", _LP_STACK_AFTER, mode, json.dumps(argvs)],
@@ -353,7 +414,9 @@ def _after_an_lp(tmp_path):
 class TestLpStackLoadsOnFirstLp:
     """scipy's compiled HiGHS bindings load with the first LP, and neither
     ``scipy.optimize`` nor ``scipy.sparse`` does: the LP-free algorithms and
-    verbs run without any of them."""
+    verbs run without any of them.  No verb loads ``multiprocessing`` or
+    ``concurrent.futures``, whatever ``--jobs`` is: a sweep runs in one
+    process."""
 
     def test_lp_free_verbs_load_no_lp_stack(self, tmp_path):
         cfg = small_config(tmp_path, k=2)
@@ -365,6 +428,8 @@ class TestLpStackLoadsOnFirstLp:
         argvs += [
             ["sweep", "--config", cfg, "--problem", "kmedian", "--algo", "rls-f", "--algo", "ls-nf",
              "--pct", "5", "--pct", "10", "--out", "km.csv"],
+            ["sweep", "--config", cfg, "--problem", "kmedian", "--algo", "rls-f", "--algo", "ls-nf",
+             "--pct", "5", "--pct", "10", "--jobs", "2", "--out", "km2.csv"],
             ["generate", "--config", cfg, "--out", "inst.csv"],
             ["oracle", "--config", tiny, "--pct", "20"],
         ]
@@ -373,8 +438,11 @@ class TestLpStackLoadsOnFirstLp:
 
     def test_lpr_f_loads_the_lp_stack(self, tmp_path):
         cfg = small_config(tmp_path)
-        steps, _ = _lp_stack_after(tmp_path, [["solve", "--config", cfg, "--algo", "lpr-f", "--pct", "10"]])
-        assert steps == [(None, []), (0, ["scipy.optimize._highspy._core"])]
+        fl = ["--algo", "lpr-f", "--algo", "lpr-nf", "--algo", "gdf-f", "--algo", "gdf-nf",
+              "--pct", "5", "--pct", "10", "--jobs", "2", "--out", "fl.csv"]
+        argvs = [["solve", "--config", cfg, "--algo", "lpr-f", "--pct", "10"], ["sweep", "--config", cfg, *fl]]
+        steps, _ = _lp_stack_after(tmp_path, argvs)
+        assert steps == [(None, [])] + [(0, ["scipy.optimize._highspy._core"])] * 2
 
     def test_dump_mps_loads_the_highs_core_alone(self, tmp_path):
         # the dump reads the solver's own numpy matrix assembly
@@ -443,12 +511,12 @@ class TestPairsOnFirstRead:
 
     def test_lp_paths_match_an_eagerly_pruned_instance(self, tmp_path, monkeypatch):
         cfg = small_config(tmp_path)
-        # seed 1 at pct 3 and 4 prices pairs in; --jobs 2 runs two chains in the pool
+        # seed 1 at pct 3 and 4 prices pairs in
         sweeps = [
             ["--config", cfg, "--algo", "gdf-f", "--pct", "5", "--pct", "15"],
             ["--dataset", "synthetic", "--seed", "1", "--pct", "3", "--pct", "4", "--algo", "lpr-f", "--algo", "lpr-nf"],
             ["--config", cfg, "--algo", "gdf-f", "--algo", "lpr-f", "--algo", "lpr-nf",
-             "--pct", "10", "--pct", "20", "--jobs", "2"],
+             "--pct", "10", "--pct", "20"],
         ]
         dumps = [["--config", cfg, "--algo", algo, "--pct", "10"] for algo in ("gdf-f", "lpr-nf")]
 
@@ -536,6 +604,19 @@ class TestConfigFile:
         flags = ["--jobs", jobs] if source == "flag" else []
         assert main(["sweep", "--config", cfg, "--algo", "gdf-f", "--pct", "20", *flags]) == 2
         assert "bad value for 'jobs'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv,file_keys,algo", [
+        (["solve", "--algo", "lpr-f", "--problem", "kmedian"], {}, "lpr-f"),
+        (["solve", "--algo", "lpr-f"], {"problem": "kmedian"}, "lpr-f"),
+        (["sweep", "--algo", "ls-nf", "--algo", "gdf-nf", "--problem", "kmedian"], {}, "gdf-nf"),
+        (["sweep"], {"problem": "kmedian", "algos": "ls-nf, gdf-nf"}, "gdf-nf"),
+    ], ids=["solve-flag", "solve-file", "sweep-flag", "sweep-file"])
+    def test_fl_algorithm_under_kmedian_exits_2(self, tmp_path, capsys, argv, file_keys, algo):
+        out = tmp_path / "out.csv"
+        assert main([*argv, "--config", small_config(tmp_path, **file_keys), "--pct", "5", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"{algo} is a facility-location algorithm" in err and "kmedian" in err
+        assert not out.exists()
 
     @pytest.mark.parametrize("algo", ["rls-f", "rls-nf"])
     @pytest.mark.parametrize("gamma", ["0", "-0.5", "nan", "inf"])
@@ -628,6 +709,15 @@ class TestConfigFile:
 
 
 class TestSolveAndOracle:
+    @pytest.mark.parametrize("group_col", [[], ["--group-col", "g"]], ids=["no-group-col", "group-col"])
+    @pytest.mark.parametrize("where", ["missing", "directory"])
+    def test_unreadable_dataset_reports_its_os_error(self, tmp_path, capsys, where, group_col):
+        path = tmp_path / "absent.csv" if where == "missing" else tmp_path
+        assert main(["solve", "--dataset", str(path), *group_col, "--algo", "gdf-f", "--pct", "5"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(path) in err
+        assert ("No such file or directory" if where == "missing" else "Is a directory") in err
+
     def test_dataset_is_a_directory_exits_2(self, tmp_path, capsys):
         argv = ["solve", "--dataset", str(tmp_path), "--group-col", "g", "--algo", "gdf-f", "--pct", "5"]
         assert main(argv) == 2

@@ -707,31 +707,6 @@ class TestPricing:
             solve_lp(model, pivot_cap=total - 1)
         assert priced  # the first round finished within the cap; a later one hit it
 
-    def test_parallel_sweep_matches_serial_where_pricing_runs(self, tmp_path, monkeypatch):
-        """gdf-f runs on a chain of its own, so ``--jobs 2`` sends the LP
-        chain to the process pool."""
-        added, pools = record_priced_pairs(monkeypatch), []
-
-        class Recording(fairfl.cli.ProcessPoolExecutor):
-            def __init__(self, *args, **kwargs):
-                pools.append(1)
-                super().__init__(*args, **kwargs)
-
-        monkeypatch.setattr(fairfl.cli, "ProcessPoolExecutor", Recording)
-        args = ["sweep", "--dataset", "synthetic", "--seed", "1", "--algo", "lpr-f", "--algo", "lpr-nf",
-                "--algo", "gdf-f", "--pct", "3", "--pct", "4"]
-        out1, out2 = tmp_path / "s.csv", tmp_path / "p.csv"
-        assert main(args + ["--out", str(out1), "--jobs", "1"]) == 0
-        assert added and not pools
-        assert main(args + ["--out", str(out2), "--jobs", "2"]) == 0
-        assert pools
-        strip = lambda p: [
-            ",".join(c for i, c in enumerate(r.split(",")) if i != 8)  # wall time
-            for r in p.read_text().splitlines()
-            if not r.startswith(("# jobs", "# out"))
-        ]
-        assert strip(out1) == strip(out2)
-
 
 def traced_clocks(inst: MetricInstance) -> np.ndarray:
     """Each client's connection clock read off a ``DualTrace`` of GDF-NF at
