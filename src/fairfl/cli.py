@@ -27,7 +27,7 @@ lpr-f's cells (or the fair LP alone, for ``lp_obj``) at every percentage in
 order, then lpr-nf's, the LP re-solved warm from one percentage to the next
 and the aggregate LP started from the fair LP's optimal basis (see
 ``fairfl.lp.LpChain``).  Every other algorithm runs after the chain is
-released.  ``--jobs`` is still parsed and checked, but changes nothing.
+released.  A sweep names each algorithm and percentage once.
 Facility-location algorithms do not run under ``--problem kmedian``: they
 open facilities without the cap k.  Every cell's cost and per-group outlier
 counts are re-checked against its solution before the row is written.  Exit
@@ -182,7 +182,6 @@ CONFIG_KEYS = {
     "k": Key(int, 5),
     "seed": Key(int, 0),
     "out": Key(str),
-    "jobs": Key(int, 1),
     "facility_cost": Key(str, None, ("uniform_dmax",)),
     "ell": Key(_list_of(int)),
     "prune": Key(_bool, True),
@@ -230,8 +229,8 @@ def parse_config_file(path: str) -> dict:
 def resolve_config(args: argparse.Namespace) -> dict:
     """Every key's value: its flag's if given, else the ``--config`` file's,
     else the default.  A list flag replaces the file's list.  A value outside
-    the key's allowed values, a ``jobs`` below 1 or a ``delimiter`` that is
-    not one character raises ``ConfigError``, whatever its source."""
+    the key's allowed values or a ``delimiter`` that is not one character
+    raises ``ConfigError``, whatever its source."""
     cfg = {key: spec.default for key, spec in CONFIG_KEYS.items()}
     if getattr(args, "config", None):
         cfg.update(parse_config_file(args.config))
@@ -245,8 +244,6 @@ def resolve_config(args: argparse.Namespace) -> dict:
                     raise ConfigError(
                         f"bad value for {key!r}: {item!r} (expected one of {', '.join(spec.allowed)})"
                     )
-    if cfg["jobs"] < 1:
-        raise ConfigError(f"bad value for 'jobs': {cfg['jobs']} (expected at least 1)")
     if len(cfg["delimiter"]) != 1:
         raise ConfigError(f"bad value for 'delimiter': {cfg['delimiter']!r} (expected one character)")
     return cfg
@@ -422,13 +419,14 @@ def _verify_cell(algo: str, pct: float, inst: MetricInstance, sol: IntegralSolut
 
 def run_sweep(inst: MetricInstance, cfg: dict) -> list[SweepRecord]:
     """Every algorithm's cells at every percentage, percentage-major in the
-    order of ``cfg["algos"]``.  The LP algorithms share one LpChain, in the
-    order the module docstring gives, and the chain is released before the
-    other algorithms run.  For facility location, the fair pass also solves
-    each percentage's fair LP for ``lp_obj``; the chain's memo answers it
-    when lpr-f already solved that LP."""
+    order of ``cfg["algos"]``, each algorithm and percentage named once.
+    The LP algorithms share one LpChain, in the order the module docstring
+    gives, and the chain is released before the other algorithms run.  For
+    facility location, the fair pass also solves each percentage's fair LP
+    for ``lp_obj``; the chain's memo answers it when lpr-f already solved
+    that LP."""
     problem, seed = cfg["problem"], cfg["seed"]
-    algos = list(dict.fromkeys(cfg["algos"]))
+    algos = cfg["algos"]
     cells = [(pct, budgets_from_pct(inst, pct)) for pct in cfg["pcts"]]
     params = run_params(cfg)
     results: dict = {}
@@ -541,6 +539,11 @@ def cmd_sweep(args) -> int:
     _check_problem(cfg["algos"], cfg["problem"])
     if not cfg["pcts"]:
         raise ConfigError("need at least one --pct")
+    for key in ("algos", "pcts"):
+        for i, value in enumerate(cfg[key]):
+            if value in cfg[key][:i]:
+                shown = f"{value:g}" if key == "pcts" else value
+                raise ConfigError(f"{key!r} names {shown} more than once; a sweep runs each once")
     inst, _ = prepare_instance(cfg)
     records = run_sweep(inst, cfg)
     write_records(records, cfg, cfg["out"])
@@ -612,7 +615,7 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     _flag(p, "--k", help="facility cap for k-median algorithms")
     _flag(p, "--seed", help="seed for sampling/generation (default 0)")
     _flag(p, "--out", help="output file")
-    _flag(p, "--jobs", help="accepted and ignored: a sweep runs in one process (at least 1; default 1)")
+    p.add_argument("--jobs", type=int, help=argparse.SUPPRESS)  # still parses; nothing reads it
     _flag(p, "--facility-cost", help="uniform_dmax: each facility costs the max distance (default: own costs)")
     _flag(p, "--ell", action="extend", help="explicit per-group outlier budgets, comma separated; repeatable")
     p.add_argument("--no-prune", dest="prune", action="store_const", const=False, default=None,

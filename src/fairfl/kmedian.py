@@ -244,10 +244,13 @@ def _reduce_and_search(
     ``min(x, p_j)`` with ``x`` one of client j's distances (at k = 1 the
     clipped ``base`` is ``p_j`` instead of inf, and it only meets such an
     ``x``), so every cost, comparison and swap is the all-inf search's, bit
-    for bit, and nobody pays.  Every penalty-free guess therefore reads the
+    for bit, and nobody pays.  A penalty-free guess therefore reads the
     instance's one penalty-free search (``_free_search``), which ``ls_nf``
     and every other call with the same ``k`` and ``improve_frac`` share;
-    each guess with a binding penalty gets its own.
+    each guess with a binding penalty gets its own.  The penalties grow with
+    the guess, so every guess after the first penalty-free one is
+    penalty-free too and would yield the same candidate at a later grid
+    value, which the ``min`` never picks: the grid stops there.
     """
     n_groups = len(caps)
     grid = _grid_from_totals(inst, int(sum(caps)), eps_guess)
@@ -257,10 +260,11 @@ def _reduce_and_search(
     def admissible():
         for t, guess in enumerate(grid):
             penalty = _penalties_for(groups, caps, guess, gamma)
-            if np.all(penalty >= farthest):
+            if np.all(penalty >= farthest):  # so is every later guess
                 psol = _free_search(inst, k, improve_frac)
-            else:
-                psol = local_search_penalties(PenaltyInstance(inst, k, penalty), improve_frac)
+                yield psol.service_cost, 0.0, t, psol
+                return
+            psol = local_search_penalties(PenaltyInstance(inst, k, penalty), improve_frac)
             counts = np.bincount(groups[psol.paying], minlength=n_groups)
             viol = max((c / (slack * cap) for c, cap in zip(counts.tolist(), caps) if c), default=0.0)
             if viol <= 1.0:

@@ -252,6 +252,15 @@ class LpModel:
         return np.concatenate([np.ones(self.n_clients), np.zeros(self.n_pairs), self.budget_rhs])
 
 
+def _sum_by(index: np.ndarray, weights: np.ndarray, size: int) -> np.ndarray:
+    """``np.bincount(index, weights, minlength=size)`` by ``np.add.at``: the
+    same sums in the same order, bit for bit, without the copy ``bincount``
+    makes of a read-only ``index`` such as a pruned instance's pair arrays."""
+    sums = np.zeros(size)
+    np.add.at(sums, index, weights)
+    return sums
+
+
 @dataclass(frozen=True)
 class FractionalSolution:
     """A feasible point of the relaxation with its objective value."""
@@ -266,7 +275,7 @@ class FractionalSolution:
 
     def assignment_sums(self) -> np.ndarray:
         """Per-client total assignment mass (sum over allowed facilities)."""
-        return np.bincount(self.pair_cli, weights=self.x_values, minlength=len(self.z))
+        return _sum_by(self.pair_cli, self.x_values, len(self.z))
 
 
 def build_flfo_lp(
@@ -294,11 +303,11 @@ def _verify_residuals(model: LpModel, values: np.ndarray) -> None:
         raise LpError("solution violates variable bounds beyond tolerance")
     n_pairs, m = model.n_pairs, model.n_facilities
     x, y, z = values[:n_pairs], values[n_pairs : n_pairs + m], values[n_pairs + m :]
-    cover = np.bincount(model.pair_cli, weights=x, minlength=model.n_clients) + z
+    cover = _sum_by(model.pair_cli, x, model.n_clients) + z
     if np.any(cover < 1.0 - RESIDUAL_TOL):
         raise LpError(f"coverage residual {float((1.0 - cover).max()):.2e} beyond tolerance")
     capacity = x - y[model.pair_fac]
-    load = np.bincount(model.budget_row, weights=z, minlength=model.n_budget_rows)
+    load = _sum_by(model.budget_row, z, model.n_budget_rows)
     if np.any(capacity > RESIDUAL_TOL) or np.any(load > model.budget_rhs + RESIDUAL_TOL):
         worst = max(capacity.max(initial=0.0), (load - model.budget_rhs).max())
         raise LpError(f"inequality residual {float(worst):.2e} beyond tolerance")
@@ -419,8 +428,9 @@ def _dual_bound(model: LpModel, v: np.ndarray, u: np.ndarray) -> float:
     a lower bound on the relaxation for any ``v, u >= 0``."""
     n_pairs, m = model.n_pairs, model.n_facilities
     z_off = n_pairs + m
-    pair_term = np.minimum(0.0, model.c[:n_pairs] - v[model.pair_cli])
-    open_term = model.c[n_pairs:z_off] + np.bincount(model.pair_fac, weights=pair_term, minlength=m)
+    pair_term = v[model.pair_cli]  # the one pair-length array, updated in place
+    np.minimum(0.0, np.subtract(model.c[:n_pairs], pair_term, out=pair_term), out=pair_term)
+    open_term = model.c[n_pairs:z_off] + _sum_by(model.pair_fac, pair_term, m)
     outlier_term = model.c[z_off:] + u[model.budget_row] - v
     return float(
         v.sum()

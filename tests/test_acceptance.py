@@ -47,7 +47,6 @@ def sweep_config(**overrides):
             "epsilon": 0.1,
             "seed": 0,
             "m": 100,
-            "jobs": 1,
         }
     )
     cfg.update(overrides)

@@ -812,6 +812,40 @@ class TestSharedSearchMatchesReference:
         assert_same_reduction(monkeypatch, inst, budgets, 5)
 
 
+class TestGridStopsAtThePenaltyFreeGuess:
+    """Penalties grow with the guess, so the grid stops at its first
+    penalty-free guess: every later one would yield the same candidate at a
+    later grid value."""
+
+    def _built_guesses(self, monkeypatch, inst, groups, caps, k):
+        built, original = [], kmedian._penalties_for
+        with monkeypatch.context() as patch:
+            patch.setattr(kmedian, "_penalties_for", lambda *a: built.append(a[2]) or original(*a))
+            kmedian._reduce_and_search(inst, groups, caps, k, 0.5, 0.5, 0.01)
+        return built
+
+    def test_random_suite(self, random_suite, monkeypatch):
+        several = 0
+        for inst, budgets in random_suite[:80]:
+            k = 1 + inst.n_clients % inst.n_facilities
+            merged = np.zeros(inst.n_clients, dtype=np.int64)
+            for groups, caps in ((inst.groups, budgets.per_group), (merged, (budgets.total,))):
+                grid = _grid_from_totals(inst, sum(caps), 0.5)
+                free = penalty_kinds(inst, groups, caps)
+                stop = free.index(True) + 1 if True in free else len(grid)
+                assert self._built_guesses(monkeypatch, inst, groups, caps, k) == list(grid[:stop])
+                several += free.count(True) > 1
+        assert several > 20
+
+    @pytest.mark.parametrize("pct", [2.0, 10.0])
+    def test_synthetic_draw(self, monkeypatch, pct):
+        inst, _ = generate_synthetic(SyntheticConfig(seed=0))
+        budgets = budgets_from_pct(inst, pct)
+        free = penalty_kinds(inst, inst.groups, budgets.per_group)
+        built = self._built_guesses(monkeypatch, inst, inst.groups, budgets.per_group, 5)
+        assert free.count(True) > 1 and len(built) == free.index(True) + 1 < len(free)
+
+
 class TestPenaltyFreeSearch:
     def test_penalties_reaching_farthest_distance_never_bind(self):
         # the lemma the shared search rests on: penalties at or above each

@@ -987,6 +987,51 @@ class TestCertificate:
                     u = rng.exponential(0.5, model.n_budget_rows)
                     assert _dual_bound(model, v, u) <= frac.objective_value + tol
 
+    def test_pair_sums_equal_bincount_bit_for_bit(self, synthetic_seed0):
+        # the pair sums add in bincount's order, so the bound, the residual
+        # check and assignment_sums keep their bits; reference: the bincount forms
+        rng = np.random.default_rng(5)
+        for fairness in (PER_GROUP, AGGREGATE):
+            model = build_flfo_lp(synthetic_seed0, budgets_from_pct(synthetic_seed0, 5), fairness)
+            assert not model.pair_fac.flags.writeable
+            frac = solve_lp(model)
+            want = np.bincount(model.pair_cli, weights=frac.x_values, minlength=model.n_clients)
+            assert frac.assignment_sums().tobytes() == want.tobytes()
+            n_pairs, m = model.n_pairs, model.n_facilities
+            for _ in range(5):
+                v = rng.exponential(20.0, model.n_clients)
+                u = rng.exponential(20.0, model.n_budget_rows)
+                pair_term = np.minimum(0.0, model.c[:n_pairs] - v[model.pair_cli])
+                open_term = model.c[n_pairs : n_pairs + m] + np.bincount(
+                    model.pair_fac, weights=pair_term, minlength=m)
+                outlier_term = model.c[n_pairs + m :] + u[model.budget_row] - v
+                bound = float(v.sum() - model.budget_rhs @ u + np.minimum(0.0, open_term).sum()
+                              + np.minimum(0.0, outlier_term).sum())
+                assert _dual_bound(model, v, u).hex() == bound.hex()
+
+    def test_dual_bound_holds_one_pair_length_array(self):
+        # a pruned instance's pair arrays are read-only, and np.bincount
+        # copies a read-only index array: the bound's peak would hold a
+        # pair-length int64 copy of pair_fac beside its own pair term
+        import tracemalloc
+
+        rng = np.random.default_rng(0)
+        n, m = 4500, 100
+        inst = prune_pairs(MetricInstance(rng.random((n, 2)), rng.integers(0, 2, n), rng.random((m, 2)),
+                                          rng.random(m)))
+        model = build_flfo_lp(inst, OutlierBudgets((10, 10)))
+        pair_bytes = model.n_pairs * np.dtype(np.int64).itemsize
+        assert model.n_pairs >= 200_000 and not model.pair_fac.flags.writeable
+        v, u = rng.random(n), rng.random(2)
+        _dual_bound(model, v, u)
+        tracemalloc.start()
+        try:
+            _dual_bound(model, v, u)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - pair_bytes < pair_bytes / 2  # beyond the pair term itself
+
     def test_perturbed_dual_raises(self, monkeypatch, synthetic_seed0):
         model = build_flfo_lp(synthetic_seed0, budgets_from_pct(synthetic_seed0, 5))
         duals = fairfl.lp._duals
