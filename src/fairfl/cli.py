@@ -203,8 +203,9 @@ CONFIG_KEYS = {
 
 
 def parse_config_file(path: str) -> dict:
-    """Flat ``key = value`` lines; ``#`` starts a comment, blank lines ok."""
-    values = {}
+    """Flat ``key = value`` lines; ``#`` starts a comment, blank lines ok.
+    A key set on two lines raises ``ConfigError``."""
+    values, key_lines = {}, {}
     try:
         with open(path, encoding="utf-8") as fh:
             for line_no, line in enumerate(fh, start=1):
@@ -217,6 +218,9 @@ def parse_config_file(path: str) -> dict:
                 key = key.replace("-", "_")
                 if key not in CONFIG_KEYS:
                     raise ConfigError(f"{path}:{line_no}: unknown key {key!r}")
+                if key in key_lines:
+                    raise ConfigError(f"{path}:{line_no}: {key!r} is already set on line {key_lines[key]}")
+                key_lines[key] = line_no
                 try:
                     values[key] = CONFIG_KEYS[key].parse(raw)
                 except ValueError:
@@ -332,7 +336,7 @@ def prepare_instance(cfg: dict) -> tuple[MetricInstance, tuple[str, ...]]:
             raise ConfigError("--group-col is required for CSV datasets")
         table = load_csv(dataset, cfg["group_col"], cfg["feature_cols"], cfg["delimiter"])
         table = normalize(table)
-        if cfg["n"] is not None and cfg["n"] < table.n_rows:
+        if cfg["n"] is not None:
             table = sample_clients(table, cfg["n"], cfg["seed"])
         centers = select_facilities_kmeans(table.features, cfg["m"], cfg["seed"])
         inst = build_instance(table, centers)

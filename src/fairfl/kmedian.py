@@ -83,11 +83,8 @@ def _two_nearest(dist: np.ndarray, open_list: Sequence[int]) -> tuple[np.ndarray
     """
     rows = np.asarray(sorted(open_list), dtype=np.int64)
     sub = dist[rows]  # a copy: the nearest entries are masked out below
-    n = dist.shape[1]
-    if len(rows) == 1:
-        return sub[0].copy(), np.full(n, rows[0]), np.full(n, np.inf)
     d1, first = nearest_rows(sub, np.arange(len(rows)))
-    sub[first, np.arange(n)] = np.inf
+    sub[first, np.arange(dist.shape[1])] = np.inf
     return d1, rows[first], sub.min(axis=0)
 
 

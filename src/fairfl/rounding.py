@@ -5,8 +5,9 @@ above 1 - epsilon to be outliers (at most a (1 + 2*epsilon) factor over
 each budget for epsilon <= 1/2), renormalize the remaining clients'
 assignment mass to 1 with the matching facility scaling, then open every
 facility whose scaled opening value clears a threshold and connect retained
-clients to their nearest open facility on the unpruned metric.  The LP
-outliers are one read-only mask, passed on as the solution's dropped clients.
+clients to their nearest open facility on the full metric, whatever pairs
+the LP held.  The LP outliers are one read-only mask, passed on as the
+solution's dropped clients.
 """
 
 from __future__ import annotations
@@ -142,33 +143,15 @@ def round_facility_location(
 ) -> IntegralSolution:
     """Threshold the opening values and serve retained clients.
 
-    If no opening clears the threshold (and a client needs serving), the
-    facility with the largest opening value opens; a retained client none of
-    whose allowed facilities opened additionally opens its allowed facility
-    of largest opening value.  Assignment then uses the unpruned metric.
+    Every facility whose opening value clears the threshold opens; if none
+    does and a client needs serving, the facility with the largest opening
+    value opens.  Each retained client is then served by its nearest open
+    facility on the full metric, whatever pairs the LP was restricted to.
     """
     y = rescaled.y
     open_set = set(int(i) for i in np.flatnonzero(y >= cfg.open_threshold))
-    retained = np.flatnonzero(~part.dropped)
-    if retained.size:
-        if not open_set:
-            open_set.add(int(np.argmax(y)))
-        if inst.pruned:
-            fac, cli = inst.pair_arrays
-            bounds = np.searchsorted(cli, np.arange(inst.n_clients + 1))
-            is_open = np.zeros(inst.n_facilities, dtype=bool)
-            is_open[list(open_set)] = True
-            covered = np.zeros(inst.n_clients, dtype=bool)
-            covered[cli[is_open[fac]]] = True
-            # clients in index order, each seeing the facilities opened before it
-            for j in retained.tolist():
-                if covered[j]:
-                    continue
-                options = fac[bounds[j] : bounds[j + 1]]
-                if not is_open[options].any():
-                    best = int(options[np.argmax(y[options])])  # lowest index on ties
-                    is_open[best] = True
-                    open_set.add(best)
+    if not open_set and not part.dropped.all():
+        open_set.add(int(np.argmax(y)))
     return assign_nearest(inst, open_set, part.dropped)
 
 

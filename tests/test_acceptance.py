@@ -237,7 +237,6 @@ def test_criterion_11_guess_grid_property():
     print("ACCEPTANCE 11 PASS: grid brackets its range within the logarithmic size bound")
 
 
-@pytest.mark.slow
 def test_criterion_12_large_csv_sweep(tmp_path):
     path = write_large_table(tmp_path / "big.csv")
     out = tmp_path / "big_sweep.csv"

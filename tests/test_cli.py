@@ -613,6 +613,19 @@ class TestConfigFile:
         assert main([*verb, "--config", cfg, "--pct", "20"]) == 2
         assert f"bad value for {key!r}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key, first, second, flags", [
+        ("algos", "lpr-f", "gdf-f", []),
+        ("seed", "1", "2", ["--algo", "gdf-f"]),
+    ], ids=["list", "scalar"])
+    def test_key_set_twice_exits_2(self, tmp_path, capsys, key, first, second, flags):
+        # keeping either line would run a sweep the other line did not ask for
+        path = tmp_path / "c.txt"
+        path.write_text(f"n_in = 6\n{key} = {first}\nn_out = 3\n{key} = {second}\n", encoding="utf-8")
+        out = tmp_path / "s.csv"
+        assert main(["sweep", "--config", str(path), *flags, "--pct", "20", "--out", str(out)]) == 2
+        assert f"error: {path}:4: {key!r} is already set on line 2" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_jobs_is_no_key(self, tmp_path, capsys):
         # --jobs still parses, unlisted and read by nothing; a file's jobs is an unknown key
         assert "jobs" not in CONFIG_KEYS
@@ -1030,6 +1043,24 @@ class TestGenerate:
         assert shapes.count((4, 30)) == 1 and shapes.count((30, 4)) == 0
         assert "_distances" in vars(inst)  # handed over, not recomputed on first use
         assert inst.open_costs.tobytes() == np.full(4, inst.distances().max()).tobytes()
+
+    def test_n_above_the_row_count_exits_2(self, tmp_path, capsys):
+        rng = np.random.default_rng(3)
+        path = tmp_path / "t.csv"
+        rows = (",".join(map(repr, row.tolist())) + f",{'xy'[i % 2]}\n" for i, row in enumerate(rng.random((30, 3))))
+        path.write_text("a,b,c,grp\n" + "".join(rows), encoding="utf-8")
+        argv = ["solve", "--dataset", str(path), "--group-col", "grp", "--m", "3", "--algo", "gdf-f", "--pct", "10"]
+        over = tmp_path / "over.csv"
+        assert main([*argv, "--n", "31", "--out", str(over)]) == 2
+        assert "cannot sample 31 of 30 rows" in capsys.readouterr().err
+        assert not over.exists()
+        # a sample of every row keeps the table's order, so only the n line differs
+        every, unset = tmp_path / "every.csv", tmp_path / "unset.csv"
+        assert main([*argv, "--n", "30", "--out", str(every)]) == 0
+        assert main([*argv, "--out", str(unset)]) == 0
+        lines = [without_out_and_ms(every), without_out_and_ms(unset)]
+        assert "# n = 30" in lines[0] and "# n = None" in lines[1]
+        assert [line for line in lines[0] if line != "# n = 30"] == [line for line in lines[1] if line != "# n = None"]
 
     def test_generate_needs_out(self, tmp_path):
         cfg = small_config(tmp_path)

@@ -594,7 +594,7 @@ class TestTwoNearestMatchesReference:
         # the lpfree-csv shape: k = 5 of 100 open rows over 4500 clients
         dist = rng.random((100, 4500))
         dist[:, ::7] = dist[40, ::7]  # rows tied with an open row on some columns
-        for open_list in ([3, 17, 40, 41, 90], [41, 40], [99], list(range(100))):
+        for open_list in ([3, 17, 40, 41, 90], [41, 40], [99], [40], list(range(100))):
             got = _two_nearest(dist, open_list)
             want = _reference_two_nearest(dist, open_list)
             for a, b in zip(got, want):

@@ -188,14 +188,37 @@ class TestRound:
         assert sol.open == frozenset()
         assert sol.total_cost == 0.0
 
-    def test_stranded_client_opens_allowed_argmax(self):
-        # client 1 is only allowed facility 1; thresholding opens facility 0
+    @staticmethod
+    def _stranded_point():
+        """A pruned instance whose client 1 is allowed facility 1 only, and a
+        rescaled point on which the threshold opens facility 0 only."""
         inst = prune_pairs(tiny([[0.0], [10.0]], [0, 0], [[0.0], [10.0]], [1.0, 1.0]))
-        assert inst.allowed_pairs == frozenset({(0, 0), (1, 1)})
         rescaled = frac_from(inst, {(0, 0): 1.0, (1, 1): 1.0}, [0.9, 0.4], [0.0, 0.0])
-        part = PartitionedClients(inst, np.array([False, False]))
+        return inst, PartitionedClients(inst, np.array([False, False])), rescaled
+
+    def test_pruned_pairs_do_not_change_the_rule(self):
+        inst, part, rescaled = self._stranded_point()
+        assert inst.allowed_pairs == frozenset({(0, 0), (1, 1)})
         sol = round_facility_location(inst, part, rescaled, RoundingConfig(0.1, 0.5))
-        assert sol.open == frozenset({0, 1})
+        assert sol.open == frozenset({0})
+        assert dict(sol.assignment) == {0: 0, 1: 0}
+        assert sol.connection_cost == 10.0
+
+    def test_rounding_reads_no_pairs(self):
+        inst, part, rescaled = self._stranded_point()
+        round_facility_location(inst, part, rescaled, RoundingConfig(0.1, 0.5))
+        assert "pair_arrays" not in vars(inst)  # the cached_property was never read
+
+    def test_pruned_and_unpruned_round_alike(self, random_suite):
+        # the pruned LP's rescaled point rounds to one solution on either instance
+        cfg = RoundingConfig(0.1)
+        for inst, budgets in random_suite:
+            pruned = prune_pairs(inst)
+            frac = solve_lp(build_flfo_lp(pruned, budgets))
+            part = identify_outliers(pruned, frac, budgets, cfg.epsilon)
+            rescaled = rescale(pruned, frac, part, cfg.epsilon)
+            assert solution_parts(round_facility_location(pruned, part, rescaled, cfg)) == solution_parts(
+                round_facility_location(inst, PartitionedClients(inst, part.dropped), rescaled, cfg))
 
     def test_separated_clusters_open_their_facilities(self, rng):
         centers = np.array([[0.0, 0.0], [100.0, 0.0], [0.0, 100.0]])
