@@ -186,19 +186,10 @@ CONFIG_KEYS = {
     "ell": Key(_list_of(int)),
     "prune": Key(_bool, True),
     "delimiter": Key(str, ","),
-    "n_in": Key(int, 500),
-    "n_out": Key(int, 50),
-    "in_mean": Key(float, 0.0),
-    "in_sd": Key(float, 10.0),
-    "out_mean": Key(float, 10.0),
-    "out_sd": Key(float, 20.0),
-    "cost_near": Key(float, 80.0),
-    "cost_far": Key(float, 40.0),
-    "near_radius": Key(float, 10.0),
-    "dim": Key(int, 2),
-    "f": Key(float, 100.0),
-    "M": Key(int, 100),
-    "dump_mps": Key(str),
+    # the generator's keys take their parsers and defaults from SyntheticConfig;
+    # its n_facilities is ``m`` and its seed is ``seed``
+    **{f.name: Key(type(f.default), f.default)
+       for f in fields(SyntheticConfig) if f.name not in ("n_facilities", "seed")},
 }
 
 
@@ -207,7 +198,7 @@ def parse_config_file(path: str) -> dict:
     A key set on two lines raises ``ConfigError``."""
     values, key_lines = {}, {}
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             for line_no, line in enumerate(fh, start=1):
                 line = line.split("#", 1)[0].strip()
                 if not line:
@@ -224,7 +215,7 @@ def parse_config_file(path: str) -> dict:
                 try:
                     values[key] = CONFIG_KEYS[key].parse(raw)
                 except ValueError:
-                    raise ConfigError(f"bad value for {key!r}: {raw!r}") from None
+                    raise ConfigError(f"{path}:{line_no}: bad value for {key!r}: {raw!r}") from None
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from None
     return values
@@ -233,8 +224,8 @@ def parse_config_file(path: str) -> dict:
 def resolve_config(args: argparse.Namespace) -> dict:
     """Every key's value: its flag's if given, else the ``--config`` file's,
     else the default.  A list flag replaces the file's list.  A value outside
-    the key's allowed values or a ``delimiter`` that is not one character
-    raises ``ConfigError``, whatever its source."""
+    the key's allowed values, a ``delimiter`` that is not one character or a
+    negative ``seed`` raises ``ConfigError``, whatever its source."""
     cfg = {key: spec.default for key, spec in CONFIG_KEYS.items()}
     if getattr(args, "config", None):
         cfg.update(parse_config_file(args.config))
@@ -250,6 +241,8 @@ def resolve_config(args: argparse.Namespace) -> dict:
                     )
     if len(cfg["delimiter"]) != 1:
         raise ConfigError(f"bad value for 'delimiter': {cfg['delimiter']!r} (expected one character)")
+    if cfg["seed"] < 0:
+        raise ConfigError(f"bad value for 'seed': {cfg['seed']} (expected a non-negative integer)")
     return cfg
 
 
@@ -510,13 +503,13 @@ def _check_problem(algos: Sequence[str], problem: str) -> None:
 def cmd_solve(args) -> int:
     cfg = resolve_config(args)
     _check_problem([args.algo], cfg["problem"])
-    if cfg["dump_mps"] and cfg["problem"] != "fl":
-        raise ConfigError("dump_mps writes the facility-location LP; it needs --problem fl")
+    if args.dump_mps and cfg["problem"] != "fl":
+        raise ConfigError("--dump-mps writes the facility-location LP; it needs --problem fl")
     inst, names = prepare_instance(cfg)
     budgets, pct = _budgets(inst, cfg)
-    if cfg["dump_mps"]:
+    if args.dump_mps:
         mode = AGGREGATE if args.algo == "lpr-nf" else PER_GROUP
-        write_mps(build_flfo_lp(inst, budgets, mode), cfg["dump_mps"])
+        write_mps(build_flfo_lp(inst, budgets, mode), args.dump_mps)
     record, sol = _cell_worker(args.algo, pct, inst, budgets, run_params(cfg), cfg["problem"], cfg["seed"])
     print(f"algorithm: {args.algo}")
     print(f"clients: {inst.n_clients}  facilities: {inst.n_facilities}  groups: {inst.n_groups}")
@@ -578,12 +571,11 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_gap_demo(args) -> int:
-    cfg = resolve_config(args)
-    inst, budgets = build_gap_instance(cfg["f"], cfg["M"])
+    inst, budgets = build_gap_instance(args.f, args.M)
     frac = solve_lp(build_flfo_lp(inst, budgets))
     exact = exact_flfo(inst, budgets)
     ratio = exact.total_cost / frac.objective_value if frac.objective_value else math.inf
-    print(f"single facility cost {cfg['f']:g}, {cfg['M']} co-located clients, "
+    print(f"single facility cost {args.f:g}, {args.M} co-located clients, "
           f"budget {budgets.per_group[0]}")
     print(f"lp objective: {frac.objective_value:.9g}")
     print(f"exact integral cost: {exact.total_cost:.9g}")
@@ -639,7 +631,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--algo", required=True, choices=CONFIG_KEYS["algos"].allowed)
     _flag(p, "--pct", "pcts", action="extend", help="outlier budget as percent of each group")
-    _flag(p, "--dump-mps", help="also write the facility-location LP in MPS format (--problem fl)")
+    p.add_argument("--dump-mps", help="also write the facility-location LP in MPS format (--problem fl)")
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("sweep", help="run algorithms across outlier percentages")
@@ -658,9 +650,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_oracle)
 
     p = sub.add_parser("gap-demo", help="LP vs integral optimum on the gap family")
-    _add_common(p)
-    _flag(p, "--f", help="facility opening cost (default 100)")
-    _flag(p, "--M", help="number of co-located clients (default 100)")
+    p.add_argument("--f", type=float, default=100.0, help="facility opening cost (default 100)")
+    p.add_argument("--M", type=int, default=100, help="number of co-located clients (default 100)")
     p.set_defaults(func=cmd_gap_demo)
     return parser
 

@@ -626,6 +626,67 @@ class TestConfigFile:
         assert f"error: {path}:4: {key!r} is already set on line 2" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("key, raw", [("m", "twelve"), ("pcts", "5, x")], ids=["scalar", "list"])
+    def test_bad_value_names_file_and_line(self, tmp_path, capsys, key, raw):
+        path = tmp_path / "bad.cfg"
+        path.write_text(f"n_in = 6\n{key} = {raw}\n", encoding="utf-8")
+        assert main(["sweep", "--config", str(path), "--algo", "gdf-f", "--pct", "5"]) == 2
+        assert f"error: {path}:2: bad value for {key!r}: {raw!r}" in capsys.readouterr().err
+
+    def test_byte_order_mark_is_skipped(self, tmp_path):
+        path = tmp_path / "bom.cfg"
+        path.write_text("\ufeffdataset = synthetic\nm = 12\n", encoding="utf-8")
+        assert path.read_bytes().startswith(b"\xef\xbb\xbf")
+        assert parse_config_file(str(path)) == {"dataset": "synthetic", "m": 12}
+
+    @pytest.mark.parametrize("source", ["flag", "file"])
+    def test_negative_seed_exits_2(self, tmp_path, capsys, source):
+        # numpy's own refusal named no key
+        seed = {"flag": -1, "file": -3}[source]
+        cfg = small_config(tmp_path, n_in=6, n_out=3, m=4, **({"seed": seed} if source == "file" else {}))
+        flags = ["--seed", str(seed)] if source == "flag" else []
+        assert main(["sweep", "--config", cfg, *flags, "--algo", "gdf-f", "--pct", "20"]) == 2
+        err = capsys.readouterr().err
+        assert f"error: bad value for 'seed': {seed} (expected a non-negative integer)" in err
+
+    def test_every_embedded_key_is_read_by_a_sweep(self, tmp_path, monkeypatch):
+        # every key a sweep embeds must be read by some sweep
+        read = set()
+
+        class Recording(dict):
+            def __getitem__(self, key):
+                read.add(key)
+                return super().__getitem__(key)
+
+        resolve, write = cli_mod.resolve_config, cli_mod.write_records
+        monkeypatch.setattr(cli_mod, "resolve_config", lambda args: Recording(resolve(args)))
+        # the embedded block reads every key; a plain copy keeps those reads out
+        monkeypatch.setattr(cli_mod, "write_records", lambda records, cfg, out: write(records, dict(cfg), out))
+        raw = tmp_path / "raw.csv"
+        rng = np.random.default_rng(5)
+        raw.write_text("x,y,grp\n" + "".join(
+            f"{a:.4f},{b:.4f},{'AB'[i % 3 == 0]}\n" for i, (a, b) in enumerate(rng.random((30, 2)))
+        ), encoding="utf-8")
+        synthetic = small_config(tmp_path, n_in=6, n_out=3, m=4, k=2)
+        for dataset in (["--config", synthetic], ["--dataset", str(raw), "--group-col", "grp", "--m", "4", "--k", "2"]):
+            for problem, algo in (("fl", "gdf-f"), ("kmedian", "ls-nf")):
+                argv = ["sweep", *dataset, "--problem", problem, "--algo", algo, "--pct", "20",
+                        "--out", str(tmp_path / "s.csv")]
+                assert main(argv) == 0, argv
+        assert read == set(CONFIG_KEYS)
+
+    def test_gap_demo_and_mps_settings_are_no_keys(self, tmp_path, capsys):
+        for key in ("f", "M", "dump_mps"):
+            assert key not in CONFIG_KEYS
+            cfg = small_config(tmp_path, n_in=6, n_out=3, m=4, **{key: 1})
+            assert main(["sweep", "--config", cfg, "--algo", "gdf-f", "--pct", "20"]) == 2
+            assert f"unknown key {key!r}" in capsys.readouterr().err
+        # gap-demo takes --f and --M alone; a configuration flag is an argparse error
+        with pytest.raises(SystemExit) as exc:
+            main(["gap-demo", "--f", "100", "--M", "10", "--dataset", "x.csv"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --dataset x.csv" in capsys.readouterr().err
+
     def test_jobs_is_no_key(self, tmp_path, capsys):
         # --jobs still parses, unlisted and read by nothing; a file's jobs is an unknown key
         assert "jobs" not in CONFIG_KEYS
@@ -691,18 +752,15 @@ class TestConfigFile:
                      "--algo", "gdf-f", "--algo", "gdf-nf", "--out", str(out)]) == 0
         comments, _, rows = read_rows(str(out))
         assert comments == [
-            "# M = 100",
             "# algos = gdf-f,gdf-nf",
             "# cost_far = 40.0",
             "# cost_near = 80.0",
             "# dataset = synthetic",
             "# delimiter = ,",
             "# dim = 2",
-            "# dump_mps = None",
             "# ell = None",
             "# eps_guess = 0.5",
             "# epsilon = 0.25",
-            "# f = 100.0",
             "# facility_cost = None",
             "# feature_cols = c0,c1",
             "# gamma = 0.5",
@@ -725,7 +783,7 @@ class TestConfigFile:
             "# prune = False",
             "# seed = 1",
         ]
-        assert len(comments) == len(CONFIG_KEYS) == 33
+        assert len(comments) == len(CONFIG_KEYS) == 30
         assert [(r[0], r[1]) for r in rows if r[5] == "all"] == [
             ("gdf-f", "10"), ("gdf-nf", "10"), ("gdf-f", "20"), ("gdf-nf", "20")
         ]
@@ -735,7 +793,10 @@ class TestConfigFile:
         with pytest.raises(SystemExit) as exc:
             main([verb, "--help"])
         assert exc.value.code == 0
-        assert "--config" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        # gap-demo builds its own instance from --f and --M and reads no configuration
+        assert ("--config" in out) == (verb != "gap-demo")
+        assert ("--M" in out) == (verb == "gap-demo")
 
 
 class TestSolveAndOracle:
@@ -797,18 +858,15 @@ class TestSolveAndOracle:
                      "--out", str(out)]) == 0
         comments, header, rows = read_rows(str(out))
         assert comments == [
-            "# M = 100",
             "# algos = gdf-f",
             "# cost_far = 40.0",
             "# cost_near = 80.0",
             "# dataset = synthetic",
             "# delimiter = ,",
             "# dim = 2",
-            "# dump_mps = None",
             "# ell = None",
             "# eps_guess = 0.5",
             "# epsilon = 0.25",
-            "# f = 100.0",
             "# facility_cost = None",
             "# feature_cols = None",
             "# gamma = 0.5",
@@ -854,16 +912,16 @@ class TestSolveAndOracle:
         assert text.startswith("NAME") and text.rstrip().endswith("ENDATA")
 
     def test_dump_mps_needs_the_facility_location_problem(self, tmp_path, capsys):
-        # the dump is the facility-location LP, which no k-median algorithm solves
+        # the dump is the facility-location LP, which no k-median algorithm solves;
+        # kmedian by flag and by file
         target = tmp_path / "model.mps"
-        flag = small_config(tmp_path, k=2)
-        argvs = [["solve", "--config", flag, "--dump-mps", str(target)]]
+        by_flag = small_config(tmp_path, k=2)
         from_file = tmp_path / "file"
         from_file.mkdir()
-        argvs.append(["solve", "--config", small_config(from_file, k=2, dump_mps=target)])
-        for argv in argvs:
-            assert main([*argv, "--problem", "kmedian", "--algo", "ls-nf", "--pct", "10"]) == 2
-            assert "needs --problem fl" in capsys.readouterr().err
+        by_file = small_config(from_file, k=2, problem="kmedian")
+        for argv in (["--config", by_flag, "--problem", "kmedian"], ["--config", by_file]):
+            assert main(["solve", *argv, "--dump-mps", str(target), "--algo", "ls-nf", "--pct", "10"]) == 2
+            assert "error: --dump-mps writes the facility-location LP; it needs --problem fl" in capsys.readouterr().err
             assert not target.exists()
 
     def test_oracle_verb(self, tmp_path, capsys):
