@@ -193,10 +193,10 @@ CONFIG_KEYS = {
 }
 
 
-def parse_config_file(path: str) -> dict:
-    """Flat ``key = value`` lines; ``#`` starts a comment, blank lines ok.
-    A key set on two lines raises ``ConfigError``."""
-    values, key_lines = {}, {}
+def parse_config_file(path: str, key_lines: Optional[dict] = None) -> dict:
+    """Flat ``key = value`` lines; ``#`` starts a comment, blank lines ok.  A key
+    set on two lines raises ``ConfigError``.  ``key_lines`` gets each key's line."""
+    values, key_lines = {}, {} if key_lines is None else key_lines
     try:
         with open(path, encoding="utf-8-sig") as fh:
             for line_no, line in enumerate(fh, start=1):
@@ -225,24 +225,28 @@ def resolve_config(args: argparse.Namespace) -> dict:
     """Every key's value: its flag's if given, else the ``--config`` file's,
     else the default.  A list flag replaces the file's list.  A value outside
     the key's allowed values, a ``delimiter`` that is not one character or a
-    negative ``seed`` raises ``ConfigError``, whatever its source."""
+    negative ``seed`` raises ``ConfigError``; a file's value names its line."""
     cfg = {key: spec.default for key, spec in CONFIG_KEYS.items()}
+    lines: dict = {}
     if getattr(args, "config", None):
-        cfg.update(parse_config_file(args.config))
+        cfg.update(parse_config_file(args.config, lines))
+    where = {key: f"{args.config}:{line}: " for key, line in lines.items()}  # dropped when a flag wins
     for key, spec in CONFIG_KEYS.items():
         value = getattr(args, key, None)
         if value is not None and value != []:
             cfg[key] = value
+            where.pop(key, None)
         if spec.allowed:
             for item in cfg[key] if isinstance(cfg[key], list) else [cfg[key]]:
                 if item is not None and item not in spec.allowed:
-                    raise ConfigError(
-                        f"bad value for {key!r}: {item!r} (expected one of {', '.join(spec.allowed)})"
-                    )
+                    raise ConfigError(f"{where.get(key, '')}bad value for {key!r}: {item!r} "
+                                      f"(expected one of {', '.join(spec.allowed)})")
     if len(cfg["delimiter"]) != 1:
-        raise ConfigError(f"bad value for 'delimiter': {cfg['delimiter']!r} (expected one character)")
+        raise ConfigError(f"{where.get('delimiter', '')}bad value for 'delimiter': {cfg['delimiter']!r} "
+                          "(expected one character)")
     if cfg["seed"] < 0:
-        raise ConfigError(f"bad value for 'seed': {cfg['seed']} (expected a non-negative integer)")
+        raise ConfigError(f"{where.get('seed', '')}bad value for 'seed': {cfg['seed']} "
+                          "(expected a non-negative integer)")
     return cfg
 
 

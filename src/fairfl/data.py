@@ -230,10 +230,12 @@ def sample_clients(table: RawTable, n: int, seed: int) -> RawTable:
     )
 
 
-# u, eta and the overflow margin of the screen's bound in ``_Assignment``
+# u, eta and the overflow margin of the screen's bound in ``_Assignment``, and
+# its carried bounds' absolute slack (whose square dwarfs any underflow error)
 _UNIT_ROUNDOFF = 2.0**-53
 _SMALLEST_SUBNORMAL = 2.0**-1074
 _REACH_MAX = np.finfo(float).max / 16
+_FLOOR = 2.0**-500
 
 
 def _kernel_argmin(points: np.ndarray, centers: np.ndarray, rows: np.ndarray, cand: np.ndarray) -> np.ndarray:
@@ -257,101 +259,83 @@ class _Assignment:
     left out).  For any summation order, with or without FMA, a dot product
     errs by at most ``gamma_k |x|·|y|`` (Higham, *Accuracy and Stability of
     Numerical Algorithms*, 2002, §3.1), and the kernel's value ``D_c`` errs
-    from the exact ``|p - c|²`` by at most ``gamma_{d+2} |p - c|²``.
+    from the exact ``E_c = |p - c|²`` by at most ``gamma_{d+2} E_c``.
     Together ``S_c + |p|²`` lies within ``(3d + 3)u R²`` of ``D_c``, ``R =
     |p| + max |c|``, plus at most one ``eta`` per underflowing operation,
-    which ``tol = 8(d + 4)(u R² + eta)`` covers twice over.  So every center
-    with ``D_c <= D_a``, the kernel's argmin included, has ``S_c <= S_a + 2
-    tol`` for any screen value ``S_a``.  Rows where only the screen's argmin
-    passes take it and are *settled*; the others compute ``D_c`` of the
-    passing centers with the kernel and take the smallest, first index on
-    ties.  Rows whose ``R²`` is not finite or within 16x of overflow (below
-    that nothing in the screen overflows) compute every ``D_c``.  The GEMM
-    only preselects, so the result does not depend on the BLAS.
+    which ``tol = 8(d + 4)(u R² + eta)`` covers twice over; it lies within
+    ``tol`` of ``E_c`` too.  So every center with ``D_c <= D_a``, the
+    kernel's argmin included, has ``S_c <= S_a + 2 tol`` for any screen
+    value ``S_a``.  Rows where only the screen's argmin passes take it; the
+    others compute ``D_c`` of the passing centers with the kernel and take
+    the smallest, first index on ties.  Rows whose ``R²`` is not finite or
+    within 16x of overflow (below that nothing in the screen overflows)
+    compute every ``D_c``.  The GEMM only preselects, so the result does not
+    depend on the BLAS.
 
-    ``moved`` marks the centers whose bytes changed since the last update
-    (all of them on the first).  A row is screened against every center when
-    it is not settled, its label moved, or its bound is near overflow.  Every
-    other row was settled with ``D_c > D_a`` for each ``c != a``, and a
-    center that did not move keeps its ``D_c``, so only a moved center can
-    now be as near as ``a``: such a row compares the moved centers alone
-    with its stored ``S_a`` (``values``).  That value is still a GEMM value
-    of the same pair, and ``R`` bounds its error as before, since ``a`` is
-    one of the current centers.  Rows with no moved center in range keep
-    ``a``; the others take the screen over ``a`` and the moved centers.
+    Each row carries bounds across updates (Hamerly, SDM 2010; Elkan, ICML
+    2003): ``upper`` is at least the exact distance to its center, ``sqrt(S_a
+    + |p|² + 2 tol)`` when screened, and ``lower`` at most the exact distance
+    to every other, ``sqrt(S_b + |p|² - 2 tol)`` from the runner-up ``S_b``
+    (``inf`` and 0 when the kernel settled it).  ``update`` takes each
+    center's shift, rounds it up by ``1 + 16(d + 4)u`` and ``2^-500`` (its
+    rounding and underflow), grows ``upper`` by the label's shift and
+    shrinks ``lower`` by the largest other shift (the triangle inequality),
+    each widened by ``1 ± 16(d + 4)u``.  A row not near overflow with
+    ``upper·(1 + 16(d + 4)u) + 2^-500 < lower`` keeps its label unscreened:
+    its center is exactly nearer than any other by more than the kernel's
+    relative error and its underflow, so it is the kernel's strict argmin.
     """
 
     def __init__(self, points: np.ndarray):
         n = len(points)
         self.points = points
         self.lifted = np.hstack([points, np.ones((n, 1))])
-        self.norms = np.sqrt((points * points).sum(axis=1))
+        self.sq_norms = (points * points).sum(axis=1)
+        self.norms = np.sqrt(self.sq_norms)
         self.labels = np.zeros(n, dtype=np.intp)
-        self.values = np.empty(n)
-        self.settled = np.zeros(n, dtype=bool)
+        self.upper = np.full(n, np.inf)
+        self.lower = np.zeros(n)
 
-    def update(self, centers: np.ndarray, moved: np.ndarray) -> np.ndarray:
+    def update(self, centers: np.ndarray, shifts: np.ndarray) -> np.ndarray:
         d = self.points.shape[1]
+        widen = 1 + 16 * (d + 4) * _UNIT_ROUNDOFF
         with np.errstate(over="ignore", invalid="ignore"):  # wide rows compare every center exactly
+            step = shifts * widen + _FLOOR
+            others = np.full(len(step), step.max())  # each center's largest other shift
+            others[step.argmax()] = np.delete(step, step.argmax()).max(initial=0.0)
+            self.upper = (self.upper + step[self.labels]) * widen
+            self.lower = (self.lower - others[self.labels]) * (1 - 16 * (d + 4) * _UNIT_ROUNDOFF)
             sq = (centers * centers).sum(axis=1)
             coef = np.vstack([-2.0 * centers.T, sq])
             reach = self.norms + np.sqrt(sq.max())
             reach *= reach
             tol2 = 16 * (d + 4) * (_UNIT_ROUNDOFF * reach + _SMALLEST_SUBNORMAL)
             wide = ~(reach <= _REACH_MAX)
-            full = ~self.settled | moved[self.labels] | wide
-            self._full_screen(centers, coef, tol2, wide, np.flatnonzero(full))
-            rest = np.flatnonzero(~full)
-            if rest.size and moved.any():
-                self._moved_screen(centers, coef, tol2, np.flatnonzero(moved), rest)
+            kept = (self.upper * widen + _FLOOR < self.lower) & ~wide
+            self._full_screen(centers, coef, tol2, wide, np.flatnonzero(~kept))
         return self.labels
 
     def _full_screen(self, centers, coef, tol2, wide, rows) -> None:
-        """Screen ``rows`` against every center, in row blocks."""
+        """Screen ``rows`` against every center, in row blocks, and reset
+        their bounds."""
         for block in row_blocks(len(rows), 8 * len(centers)):
             r = rows[block]
             out = np.dot(self.lifted[r], coef)
             i = np.arange(len(r))
             lab = out.argmin(axis=1)
-            val = out[i, lab]
-            lim = val + tol2[r]
+            lim = out[i, lab] + tol2[r]
             out[i, lab] = np.inf  # the runner-up decides, without a (rows, m) mask
-            amb = (out[i, out.argmin(axis=1)] <= lim) | wide[r]  # argmin and a gather beat a second min
+            second = out[i, out.argmin(axis=1)]  # argmin and a gather beat a second min
+            upper = np.sqrt(lim + self.sq_norms[r])
+            lower = np.sqrt(np.maximum(second + self.sq_norms[r] - tol2[r], 0.0))
+            amb = (second <= lim) | wide[r]
             if amb.any():
                 cand = out[amb] <= lim[amb, None]
                 cand[wide[r[amb]]] = True
                 cand[np.arange(len(cand)), lab[amb]] = True
                 lab[amb] = _kernel_argmin(self.points, centers, r[amb], cand)
-            self.labels[r], self.values[r], self.settled[r] = lab, val, ~amb
-
-    def _moved_screen(self, centers, coef, tol2, cols, rows) -> None:
-        """Screen settled ``rows`` whose label did not move against the
-        centers ``cols`` that moved, one product of those centers' columns."""
-        labels, values = self.labels, self.values
-        block_coef = np.ascontiguousarray(coef[:, cols])
-        for block in row_blocks(len(rows), 8 * len(cols)):
-            r = rows[block]
-            out = np.dot(self.lifted[r], block_coef)
-            k = out.argmin(axis=1)
-            hit = out[np.arange(len(r)), k] <= values[r] + tol2[r]
-            if not hit.any():
-                continue
-            r, out, k = r[hit], out[hit], k[hit]
-            i = np.arange(len(r))
-            lim = np.minimum(values[r], out[i, k]) + tol2[r]
-            cand = out <= lim[:, None]
-            keep = values[r] <= lim
-            amb = cand.sum(axis=1) + keep > 1
-            take = ~keep & ~amb  # a moved center alone can be nearest
-            labels[r[take]] = cols[k[take]]
-            values[r[take]] = out[i[take], k[take]]
-            if amb.any():
-                r = r[amb]
-                every = np.zeros((len(r), len(centers)), dtype=bool)
-                every[:, cols] = cand[amb]
-                every[np.arange(len(r)), labels[r]] |= keep[amb]
-                labels[r] = _kernel_argmin(self.points, centers, r, every)
-                self.settled[r] = False
+                upper[amb], lower[amb] = np.inf, 0.0
+            self.labels[r], self.upper[r], self.lower[r] = lab, upper, lower
 
 
 def _kmeans_pp(points: np.ndarray, m: int, rng: np.random.Generator) -> np.ndarray:
@@ -421,13 +405,12 @@ def select_facilities_kmeans(
     rigorous per-row bound on its rounding error, valid for any BLAS order
     (``8(d + 4)(u R² + eta)``, see ``_Assignment``), keeps every center
     that could be nearest; only rows with more than one such center compute
-    the exact squared distances, and only for those centers.  After the
-    first iteration only the rows whose center moved, or that needed the
-    kernel, are screened against every center; every other row compares
-    the centers that moved with its stored screen value, since a center
-    that did not move cannot come nearer than the one it lost to.  The
-    labels are therefore the exact kernel's argmin bit for bit, and the
-    output does not depend on the BLAS build or its threads.
+    the exact squared distances, and only for those centers.  A row whose
+    carried distance bounds, moved by the centers' shifts, still prove its
+    center the kernel's strict argmin is not screened again.  The labels
+    are therefore the exact kernel's argmin bit for bit, and the output does
+    not depend on the BLAS build or its threads.  Points must be finite, or
+    DataError is raised.
     """
     points = np.asarray(points, dtype=float)
     n = len(points)
@@ -435,12 +418,15 @@ def select_facilities_kmeans(
         raise DataError(f"cannot place {m} centers on {n} points")
     if m == 0:
         raise DataError("need at least one center")
+    finite = np.isfinite(points).all(axis=1)
+    if not finite.all():
+        raise DataError(f"point {int(finite.argmin())} has a non-finite coordinate")
     rng = np.random.default_rng(seed)
     centers = _kmeans_pp(points, m, rng)
     assignment = _Assignment(points)
-    moved = np.ones(m, dtype=bool)
+    shifts = np.zeros(m)
     for _ in range(max_iter):
-        labels = assignment.update(centers, moved)
+        labels = assignment.update(centers, shifts)
         counts = np.bincount(labels, minlength=m)
         new_centers = _cluster_sums(points, labels, counts) / np.maximum(counts, 1)[:, None]
         empty = np.flatnonzero(counts == 0)
@@ -448,10 +434,9 @@ def select_facilities_kmeans(
             assigned_d2 = _pair_sq_distances(points, centers, np.arange(n), labels)
             farthest = np.argsort(-assigned_d2, kind="stable")[: empty.size]
             new_centers[empty] = points[farthest]
-        moved = (new_centers.view(np.uint64) != centers.view(np.uint64)).any(axis=1)
-        shift = float(np.sqrt(((new_centers - centers) ** 2).sum(axis=1)).max())
+        shifts = np.sqrt(((new_centers - centers) ** 2).sum(axis=1))
         centers = new_centers
-        if shift <= tol:
+        if shifts.max() <= tol:
             break
     return centers
 

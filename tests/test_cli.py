@@ -599,7 +599,7 @@ class TestConfigFile:
         args = ["sweep", "--config", str(cfg), "--dataset", str(data), "--group-col", "grp", "--m", "2",
                 "--algo", "gdf-f", "--pct", "10"]
         assert main(args) == 2
-        assert f"error: bad value for 'delimiter': {value!r}" in capsys.readouterr().err
+        assert f"error: {cfg}:1: bad value for 'delimiter': {value!r}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("verb,key,value", [
         (["solve", "--algo", "gdf-f"], "problem", "fl_typo"),
@@ -647,7 +647,42 @@ class TestConfigFile:
         flags = ["--seed", str(seed)] if source == "flag" else []
         assert main(["sweep", "--config", cfg, *flags, "--algo", "gdf-f", "--pct", "20"]) == 2
         err = capsys.readouterr().err
-        assert f"error: bad value for 'seed': {seed} (expected a non-negative integer)" in err
+        where = f"{cfg}:4: " if source == "file" else ""  # the seed is the file's fourth line
+        assert f"error: {where}bad value for 'seed': {seed} (expected a non-negative integer)" in err
+
+    CHECKED_VALUES = [
+        ("problem", "fl_typo", "'fl_typo' (expected one of fl, kmedian)"),
+        ("algos", "gdf-f, nope", "'nope' (expected one of "),
+        ("delimiter", ";;", "';;' (expected one character)"),
+        ("seed", "-2", "-2 (expected a non-negative integer)"),
+    ]
+
+    @pytest.mark.parametrize("key, raw, shown", CHECKED_VALUES, ids=[c[0] for c in CHECKED_VALUES])
+    def test_file_value_that_fails_its_check_names_file_and_line(self, tmp_path, capsys, key, raw, shown):
+        path = tmp_path / "bad.cfg"
+        path.write_text(f"{key} = {raw}\nn_in = 6\nn_out = 3\nm = 4\n", encoding="utf-8")
+        algo = [] if key == "algos" else ["--algo", "gdf-f"]  # a list flag would replace the file's list
+        assert main(["sweep", "--config", str(path), *algo, "--pct", "5"]) == 2
+        assert f"error: {path}:1: bad value for {key!r}: {shown}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag, raw, key, shown", [
+        ("--problem", "fl_typo", "problem", "'fl_typo' (expected one of fl, kmedian)"),
+        ("--algo", "nope", "algos", "'nope' (expected one of "),
+    ], ids=["problem", "algos"])  # a seed flag: test_negative_seed_exits_2[flag]
+    def test_flag_value_that_fails_its_check_names_no_line(self, tmp_path, capsys, flag, raw, key, shown):
+        argv = ["sweep", "--config", small_config(tmp_path, n_in=6, n_out=3, m=4), "--pct", "5", flag, raw]
+        assert main(argv + ([] if key == "algos" else ["--algo", "gdf-f"])) == 2
+        assert f"error: bad value for {key!r}: {shown}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key, raw, flags", [
+        ("problem", "fl_typo", ["--problem", "fl", "--algo", "gdf-f"]),
+        ("algos", "gdf-f, nope", ["--algo", "gdf-f"]),
+        ("seed", "-2", ["--seed", "1", "--algo", "gdf-f"]),
+    ], ids=["problem", "algos", "seed"])
+    def test_flag_overrides_a_bad_file_value(self, tmp_path, key, raw, flags):
+        path = tmp_path / "bad.cfg"
+        path.write_text(f"{key} = {raw}\nn_in = 6\nn_out = 3\nm = 4\n", encoding="utf-8")
+        assert main(["sweep", "--config", str(path), *flags, "--pct", "20", "--out", str(tmp_path / "s.csv")]) == 0
 
     def test_every_embedded_key_is_read_by_a_sweep(self, tmp_path, monkeypatch):
         # every key a sweep embeds must be read by some sweep

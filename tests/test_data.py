@@ -2,6 +2,7 @@ import csv
 import math
 import re
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -266,6 +267,15 @@ class TestKmeansFacilities:
         for block_bytes in (1, 200, 5000):
             monkeypatch.setattr(instance_mod, "_KERNEL_BLOCK_BYTES", block_bytes)
             assert select_facilities_kmeans(pts, 9, seed=3).tobytes() == whole.tobytes()
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_point_is_a_data_error(self, value):
+        # a NaN coordinate gave a NaN center; an infinite one was reported as
+        # an overflow of the seeding
+        points = np.random.default_rng(0).random((50, 2))
+        points[3, 1] = value
+        with pytest.raises(DataError, match="point 3 has a non-finite coordinate"):
+            select_facilities_kmeans(points, 4, 0)
 
     def test_count_exact_on_random(self, rng):
         for m in (1, 3, 7):
@@ -567,36 +577,61 @@ def _reference_labels(points, centers):
     return np.argmin(((points[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2), axis=1)
 
 
-def _screen_steps(points, steps):
+def _screen_steps(points, steps, check=None):
     """The k-means assignment step run over a sequence of center arrays, the
-    state carried as Lloyd's loop carries it; each step's labels."""
+    bounds carried as Lloyd's loop carries them (each center's shift since
+    the last step; none before the first); each step's labels.  ``check``,
+    if given, is called with the assignment and the centers after each step."""
     assignment = data_mod._Assignment(points)
-    out, previous = [], None
+    out, previous = [], steps[0]
     for centers in steps:
-        if previous is None:
-            moved = np.ones(len(centers), dtype=bool)
-        else:
-            moved = (centers.view(np.uint64) != previous.view(np.uint64)).any(axis=1)
-        out.append(assignment.update(centers, moved).copy())
+        with np.errstate(over="ignore"):
+            shifts = np.sqrt(((centers - previous) ** 2).sum(axis=1))
+        out.append(assignment.update(centers, shifts).copy())
+        if check:
+            check(assignment, centers)
         previous = centers
     return out
 
 
+def _center_path(rng, points, m, n_steps=12):
+    """A random sequence of ``m``-center arrays over ``points``, each step one
+    of: a Lloyd step, a few centers nudged by amounts across twelve orders of
+    magnitude, one center jumping to a point (an empty cluster re-seeded),
+    one center set to another's exact value, or no center moving."""
+    n, d = points.shape
+    spread = np.abs(points).max()
+    steps = [points[rng.choice(n, m, replace=False)]]
+    for _ in range(n_steps):
+        centers = steps[-1].copy()
+        kind = int(rng.integers(5))
+        if kind == 0:
+            labels = _reference_labels(points, centers)
+            for k in np.unique(labels):
+                centers[k] = points[labels == k].mean(axis=0)
+        elif kind == 1:
+            moving = rng.choice(m, min(m, 3), replace=False)
+            centers[moving] += rng.normal(size=(len(moving), d)) * spread * 10.0 ** rng.integers(-12, 0)
+        elif kind == 2:
+            centers[rng.integers(m)] = points[rng.integers(n)]
+        elif kind == 3:
+            centers[rng.integers(m)] = centers[rng.integers(m)]
+        steps.append(centers)
+    return steps
+
+
 def _screened_labels(points, centers):
-    """The k-means assignment step on its first iteration: every center moved."""
+    """The k-means assignment step on its first iteration: no bounds yet."""
     return _screen_steps(points, [centers])[0]
 
 
 def _perturbing_dot(monkeypatch):
     """Patch ``np.dot`` so that each screen entry moves by half the documented
     bound ``8(d + 4) u R²``: up for the exact nearest center (lowest index on
-    ties), down for every other center, so a bound that does not hold shows.
-    Returns the list of the center counts of the products it perturbed."""
+    ties), down for every other center, so a bound that does not hold shows."""
     real_dot = np.dot
-    widths = []
 
     def dot(a, b):
-        widths.append(b.shape[1])
         res = real_dot(a, b)
         d = a.shape[1] - 1
         p, c = a[:, :d], -0.5 * b[:d].T  # undo the folded -2, exactly
@@ -608,7 +643,20 @@ def _perturbing_dot(monkeypatch):
         return res + shift
 
     monkeypatch.setattr(np, "dot", dot)
-    return widths
+
+
+def _counting_screens(monkeypatch):
+    """Patch ``_Assignment._full_screen`` to record how many rows each update
+    screens; returns the list of those counts."""
+    counts = []
+    full_screen = data_mod._Assignment._full_screen
+
+    def counting(self, centers, coef, tol2, wide, rows):
+        counts.append(len(rows))
+        return full_screen(self, centers, coef, tol2, wide, rows)
+
+    monkeypatch.setattr(data_mod._Assignment, "_full_screen", counting)
+    return counts
 
 
 class TestScreenedAssignment:
@@ -708,12 +756,13 @@ class TestScreenedAssignment:
             cases.append((rng.random((90, d)), rng.random((10, d)), 10))
             cases.append((1e6 + rng.random((90, d)), 1e6 + rng.random((10, d)), 10))
         want = [(_reference_labels(p, c), _reference_select_facilities_kmeans(p, m, seed=3)) for p, c, m in cases]
-        widths = _perturbing_dot(monkeypatch)
+        _perturbing_dot(monkeypatch)
+        screened = _counting_screens(monkeypatch)
         for (points, centers, m), (labels, km) in zip(cases, want):
             assert _screened_labels(points, centers).tobytes() == labels.tobytes()
             assert select_facilities_kmeans(points, m, seed=3).tobytes() == km.tobytes()
-        # the moved-centers screen was perturbed too, not only the full one
-        assert min(widths) < 10
+        # bounds set from perturbed screens kept rows too, not only the screen
+        assert min(screened) < 90
 
     @pytest.mark.parametrize("d", [1, 2, 6, 9])
     def test_carried_state_after_some_centers_move(self, d):
@@ -739,10 +788,61 @@ class TestScreenedAssignment:
             for centers, labels in zip(steps, _screen_steps(points, steps)):
                 assert labels.tobytes() == _reference_labels(points, centers).tobytes()
 
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("m", [1, 3, 12])
+    @pytest.mark.parametrize("d", [1, 2, 6])
+    def test_carried_state_along_random_center_paths(self, d, m, monkeypatch):
+        rng = np.random.default_rng(800 + 10 * d + m)
+        grid = rng.integers(-2, 3, (60, d)).astype(float)  # duplicate points and exact ties
+        near_overflow = rng.normal(size=(60, d))
+        near_overflow[::9] *= 1e154  # these rows' bound overflows; the others carry bounds
+        sets = {"normal": rng.normal(size=(60, d)), "grid": grid, "half-grid": grid + 0.5 * (grid > 0),
+                "tiny": 1e-160 * rng.normal(size=(60, d)), "huge": 1e150 * rng.normal(size=(60, d)),
+                "near-overflow": near_overflow}
+        for name, points in sets.items():
+            screened = _counting_screens(monkeypatch)
+            for _ in range(3):
+                steps = _center_path(rng, points, m)
+                for centers, labels in zip(steps, _screen_steps(points, steps)):
+                    assert labels.tobytes() == _reference_labels(points, centers).tobytes(), name
+            if name in ("normal", "huge"):
+                assert min(screened) < 60, name  # the bounds kept some rows unscreened
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_carried_bounds_hold_exactly(self):
+        # upper is at least the exact distance to the row's own center and
+        # lower at most the exact distance to every other, in exact rationals
+        def check(assignment, centers):
+            for p, a, upper, lower in zip(points, assignment.labels, assignment.upper, assignment.lower):
+                exact = [sum((Fraction(x) - Fraction(y)) ** 2 for x, y in zip(p, c)) for c in centers]
+                if upper < np.inf:
+                    assert Fraction(upper) ** 2 >= exact[a]
+                if lower > 0:
+                    assert all(Fraction(lower) ** 2 <= e for c, e in enumerate(exact) if c != a)
+
+        rng = np.random.default_rng(900)
+        for d, m, scale in ((1, 4, 1.0), (2, 6, 1e-160), (3, 5, 1e150), (6, 8, 1.0)):
+            points = rng.normal(size=(30, d)) * scale
+            points[20:] = points[:10]  # duplicate points
+            for _ in range(2):
+                _screen_steps(points, _center_path(rng, points, m), check)
+        # kept rows whose center creeps away by steps whose squares underflow,
+        # so each computed shift is 0 and only the floor grows upper
+        points = 1e-150 * (1 + rng.random((30, 1)))
+        _screen_steps(points, [np.array([[-1e-162 * k], [1e-149]]) for k in range(60)], check)
+
+    def test_repeated_update_keeps_the_labels(self):
+        rng = np.random.default_rng(11)
+        for points in (rng.random((200, 3)), rng.integers(0, 3, (200, 2)).astype(float)):
+            centers = points[rng.choice(200, 9, replace=False)] + 0.25
+            got = _screen_steps(points, [centers] * 4)
+            for labels in got:
+                assert labels.tobytes() == _reference_labels(points, centers).tobytes()
+
     def test_row_settled_by_the_kernel_is_screened_in_full_next(self):
         # two moved centers tie nearer than the label, so the kernel picks
-        # center 0 and the stored screen value (center 2's) no longer applies;
-        # center 3 then moves between them and must not take the point
+        # center 0 and the row's bounds are reset; center 3 then moves
+        # between them and must not take the point
         points = np.array([[0.0], [100.0]])
         steps = [np.array([[50.0], [60.0], [1.0], [70.0]])]
         steps.append(np.array([[-0.5], [0.5], [1.0], [70.0]]))
@@ -752,22 +852,16 @@ class TestScreenedAssignment:
         for centers, labels in zip(steps, got):
             assert labels.tobytes() == _reference_labels(points, centers).tobytes()
 
-    def test_large_csv_draw_rescreens_only_rows_whose_center_moved(self, tmp_path, monkeypatch):
+    def test_large_csv_draw_screens_only_rows_its_bounds_do_not_keep(self, tmp_path, monkeypatch):
         clients = _criterion_12_clients(tmp_path)
-        counts = []
-
-        def counting(self, centers, coef, tol2, wide, rows):
-            counts.append(len(rows))
-            return full_screen(self, centers, coef, tol2, wide, rows)
-
-        full_screen = data_mod._Assignment._full_screen
-        monkeypatch.setattr(data_mod._Assignment, "_full_screen", counting)
+        counts = _counting_screens(monkeypatch)
         select_facilities_kmeans(clients, 100, seed=0)
-        # every row on the first of 53 iterations; after it, every row is
-        # settled by the screen, so only rows whose center moved: 38% of
-        # n x iterations
+        # every row on the first of 53 iterations; after it, only the rows
+        # whose bounds no longer separate their center from the others: 40%
+        # of n x iterations
         assert len(counts) == 53 and counts[0] == 4500
-        assert sum(counts[1:]) == 91723
+        assert sum(counts[1:]) == 94312
+        assert sum(counts[1:]) < 4500 * 52
 
     def test_screen_alone_settles_the_large_csv_draw(self, tmp_path, monkeypatch):
         # on normalized data the bound is about 1e-14, far below any gap, so
